@@ -2,11 +2,9 @@ package light
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
-	"light/internal/arena"
 	"light/internal/engine"
 	"light/internal/graph"
 	"light/internal/lanes"
@@ -71,7 +69,8 @@ type BatchResult struct {
 //
 // Options.Filter, TailCount, CheckpointPath, and ResumeFrom do not
 // apply to batches (per-query filters belong in BatchQuery; lane
-// batches always take the full leaf loop) and are rejected.
+// batches always take the full leaf loop) and are rejected with
+// ErrUnsupportedOption.
 func CountBatch(g *Graph, queries []BatchQuery, opts Options) (BatchResult, error) {
 	return CountBatchContext(context.Background(), g, queries, opts)
 }
@@ -86,11 +85,11 @@ func CountBatchContext(ctx context.Context, g *Graph, queries []BatchQuery, opts
 	}
 	switch {
 	case opts.Filter != nil:
-		return bres, errors.New("light: CountBatch does not take Options.Filter; set per-query BatchQuery.Filter instead")
+		return bres, fmt.Errorf("%w: CountBatch does not take Options.Filter; set per-query BatchQuery.Filter instead", ErrUnsupportedOption)
 	case opts.TailCount:
-		return bres, errors.New("light: CountBatch does not support TailCount (lane batches always run the leaf loop)")
+		return bres, fmt.Errorf("%w: CountBatch does not support TailCount (lane batches always run the leaf loop)", ErrUnsupportedOption)
 	case opts.CheckpointPath != "" || opts.ResumeFrom != "":
-		return bres, errors.New("light: CountBatch does not support checkpointing")
+		return bres, fmt.Errorf("%w: CountBatch does not support checkpointing", ErrUnsupportedOption)
 	}
 	if len(queries) == 0 {
 		return bres, nil
@@ -142,61 +141,23 @@ func CountBatchContext(ctx context.Context, g *Graph, queries []BatchQuery, opts
 			Metrics:   batchRec,
 			Overlay:   st.ov,
 		},
-		Workers:   opts.Workers,
 		Recorders: recs,
-	}
-	if lopts.Workers <= 1 {
-		lopts.Workers = 1
 	}
 
 	// Governance: one admission grant for the whole batch, the memory
 	// budget chained under the governor's, and the degradation ladder
 	// sized against the largest pattern in the batch.
-	var degradations []string
-	var govLim *arena.Limiter
 	start := time.Now()
-	if opts.Governor != nil {
-		gov := opts.Governor.g
-		a, aerr := gov.Admit(ctx, lopts.Workers, opts.AdmissionTimeout)
-		if aerr != nil {
-			return bres, mapErr(aerr)
-		}
-		defer a.Close()
-		lopts.Gate = a
-		lopts.Watchdog = gov.Watchdog()
-		govLim = gov.MemLimiter()
-		batchRec.AddDuration(metrics.AdmissionWaitNanos, a.Wait())
-		batchRec.Add(metrics.AdmissionSlotsGranted, uint64(a.Granted()))
-		if a.Granted() < lopts.Workers {
-			degradations = append(degradations, fmt.Sprintf(
-				"admission: granted %d of %d requested workers", a.Granted(), lopts.Workers))
-		}
-		lopts.Workers = a.Granted()
-	}
-	runLim := arena.NewLimiter(opts.MemoryBudget, govLim)
-	defer runLim.ReleaseAll()
-	lopts.MemLimiter = runLim
-	lopts.Workers, degradations, err = sizeBatchWorkers(lopts.Workers, st.maxDegree(), maxPatternVerts, runLim, degradations)
+	gr, err := opts.admit(ctx, batchRec, st.maxDegree(), maxPatternVerts)
 	if err != nil {
 		return bres, err
 	}
-	lopts.Gate.ReleaseTo(lopts.Workers)
+	defer gr.release()
+	lopts.Workers, lopts.Gate, lopts.Watchdog, lopts.MemLimiter = gr.workers, gr.gate, gr.watchdog, gr.lim
 
 	lres, err := lanes.Run(ctx, st.base, lq, lopts)
 	bres.Duration = time.Since(start)
-	if n := runLim.TightGrows(); n > 0 {
-		degradations = append(degradations, fmt.Sprintf(
-			"memory: %d exact-size arena slab grows under budget pressure", n))
-	}
-	if lres.SlotsShed > 0 {
-		degradations = append(degradations, fmt.Sprintf(
-			"admission: shed %d worker slot(s) to waiting queries", lres.SlotsShed))
-	}
-	if lres.Stalls > 0 {
-		degradations = append(degradations, fmt.Sprintf(
-			"watchdog: %d stall(s) detected", lres.Stalls))
-	}
-	batchRec.Add(metrics.GovernorDegradations, uint64(len(degradations)))
+	degradations := gr.settle(batchRec, lres.SlotsShed, lres.Stalls)
 
 	bres.Groups = lres.Groups
 	bres.Workers = lres.Workers
@@ -221,29 +182,4 @@ func CountBatchContext(ctx context.Context, g *Graph, queries []BatchQuery, opts
 		bres.Queries[i] = r
 	}
 	return bres, mapErr(err)
-}
-
-// sizeBatchWorkers is sizeWorkers for a batch: the per-worker
-// footprint estimate uses the largest pattern any group runs.
-func sizeBatchWorkers(workers, maxDegree, maxPatternVerts int, lim *arena.Limiter, degradations []string) (int, []string, error) {
-	head := lim.Headroom()
-	if head < 0 {
-		return workers, degradations, nil
-	}
-	allocs := maxPatternVerts + 1
-	tightEst := arena.EstimateBytes(allocs, maxDegree, true)
-	if tightEst <= 0 || int64(workers)*tightEst <= head {
-		return workers, degradations, nil
-	}
-	fit := int(head / tightEst)
-	if fit < 1 {
-		fit = 1
-	}
-	if fit < workers {
-		degradations = append(degradations, fmt.Sprintf(
-			"memory: shed workers %d -> %d (predicted %d B/worker, headroom %d B)",
-			workers, fit, tightEst, head))
-		workers = fit
-	}
-	return workers, degradations, nil
 }

@@ -142,6 +142,8 @@ func main() {
 		fmt.Printf("delta:      gained %d, lost %d, net %+d (generation %d -> %d, %v)\n",
 			dr.Gained, dr.Lost, dr.Net, dr.FromGeneration, dr.ToGeneration,
 			dr.Duration.Round(time.Microsecond))
+		fmt.Printf("delta work: %d anchors (+%d/-%d edges), %d nodes expanded\n",
+			dr.Anchors, dr.AddedEdges, dr.RemovedEdges, dr.Nodes)
 	}
 
 	if *explain {

@@ -3,11 +3,23 @@ package light
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"light/internal/delta"
+	"light/internal/engine"
 	"light/internal/graph"
+	"light/internal/parallel"
+	"light/internal/pattern"
+	"light/internal/plan"
 )
+
+// ErrUnsupportedOption is wrapped by the error an entry point returns
+// when it is given an Options field it cannot honour (test with
+// errors.Is); the message names the field and the reason.
+var ErrUnsupportedOption = errors.New("light: unsupported option")
 
 // DeltaResult reports a CountDelta run: how the match count changed
 // between two snapshots of the same graph.
@@ -27,153 +39,246 @@ type DeltaResult struct {
 	// FromGeneration and ToGeneration identify the two snapshots.
 	FromGeneration uint64
 	ToGeneration   uint64
-	// Duration is the wall-clock time of the two restricted
-	// enumerations.
+	// Anchors is the number of starting points the run searched from:
+	// changed edges times the ordered pattern edges they were pinned to
+	// (orientations the symmetry-breaking order rules out, and anchors
+	// Options.Filter rejects, are not run and not counted).
+	Anchors int
+	// Nodes is the number of search-tree nodes expanded below those
+	// anchors — the run's work, proportional to the changed edges'
+	// neighbourhoods rather than to the graph.
+	Nodes uint64
+	// Duration is the wall-clock time of the anchored searches,
+	// planning included.
 	Duration time.Duration
 }
 
 // CountDelta counts how the number of matches of p changed between two
-// snapshots of g, without re-enumerating the whole graph: only matches
-// incident to the changed edges are visited. Candidates are restricted
-// to the ball of radius |V(P)|-1 around the changed edges' endpoints (a
-// match using a changed edge cannot stray further), and each visited
-// match is counted only if its image uses a changed edge. The identity
+// snapshots of g without enumerating the graph: the search starts at
+// the changed edges. For every ordered pattern edge (a, b) one plan
+// whose order begins π = (a, b, …) is compiled, and it is run with the
+// pair pinned to each changed edge, so only embeddings that use a
+// changed edge are ever extended; the cost is proportional to the
+// number of changed edges times the size of their neighbourhoods, not
+// to |G|. The identity
 //
 //	count(to) == count(from) + result.Net
 //
 // holds exactly: a match is gained iff it exists in `to` and uses an
 // added edge, lost iff it exists in `from` and uses a removed edge, and
-// matches using neither survive unchanged in both views.
+// matches using neither survive unchanged in both views. Gained and
+// Lost are each exact too: the plans keep the pattern's
+// symmetry-breaking order, so they reach the same embeddings a full
+// enumeration visits, and an embedding whose image holds several
+// changed edges is counted only from the smallest of them.
 //
 // Both snapshots must come from g (in either generation order — Net is
-// simply negative when `to` predates `from`'s additions). Options apply
-// to the two underlying restricted enumerations; Snapshot, TailCount,
-// CheckpointPath, and ResumeFrom are rejected, and Options.Filter, when
-// set, narrows both enumerations (the identity then holds for the
-// filtered counts).
+// simply negative when `to` predates `from`'s additions). Workers,
+// TimeLimit, the kernel, the algorithm, Governor and MemoryBudget apply
+// to the whole call (one admission covers it). Options.Filter, when
+// set, narrows both sides exactly as it narrows Count (the identity then
+// holds for the filtered counts); it may be called from several workers
+// at once. Snapshot, TailCount, Order, CheckpointPath, and ResumeFrom
+// are rejected with ErrUnsupportedOption.
 func CountDelta(g *Graph, p *Pattern, from, to *Snapshot, opts Options) (DeltaResult, error) {
 	return CountDeltaContext(context.Background(), g, p, from, to, opts)
 }
 
-// CountDeltaContext is CountDelta under a context.
+// CountDeltaContext is CountDelta under a context: cancellation stops
+// the anchored searches at their next poll and returns ctx.Err().
 func CountDeltaContext(ctx context.Context, g *Graph, p *Pattern, from, to *Snapshot, opts Options) (DeltaResult, error) {
 	var dr DeltaResult
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	if from == nil || to == nil {
 		return dr, errNilSnapshot
 	}
 	if from.owner != g || to.owner != g {
 		return dr, errors.New("light: CountDelta snapshots belong to a different Graph")
 	}
+	if err := opts.validate(); err != nil {
+		return dr, err
+	}
 	switch {
 	case opts.Snapshot != nil:
-		return dr, errors.New("light: CountDelta does not take Options.Snapshot (pass the snapshots directly)")
+		return dr, fmt.Errorf("%w: CountDelta does not take Options.Snapshot (pass the snapshots directly)", ErrUnsupportedOption)
 	case opts.TailCount:
-		return dr, errors.New("light: CountDelta does not support TailCount (every match image is inspected)")
+		return dr, fmt.Errorf("%w: CountDelta does not support TailCount (every match image is inspected)", ErrUnsupportedOption)
+	case opts.Order != nil:
+		return dr, fmt.Errorf("%w: CountDelta does not take Options.Order (every search order starts at a changed edge)", ErrUnsupportedOption)
 	case opts.CheckpointPath != "" || opts.ResumeFrom != "":
-		return dr, errors.New("light: CountDelta does not support checkpointing")
+		return dr, fmt.Errorf("%w: CountDelta does not support checkpointing", ErrUnsupportedOption)
 	}
 	added, removed := delta.Diff(from.st.base, from.st.ov, to.st.base, to.st.ov)
 	dr.AddedEdges, dr.RemovedEdges = len(added), len(removed)
 	dr.FromGeneration, dr.ToGeneration = from.st.gen, to.st.gen
-	start := time.Now()
-	if len(added) > 0 {
-		n, err := countTouching(ctx, g, p, to, added, opts)
-		if err != nil {
-			return dr, err
-		}
-		dr.Gained = n
+	if len(added)+len(removed) == 0 {
+		return dr, nil
 	}
-	if len(removed) > 0 {
-		n, err := countTouching(ctx, g, p, from, removed, opts)
-		if err != nil {
-			return dr, err
-		}
-		dr.Lost = n
+
+	start := time.Now()
+	plans, err := anchoredPlans(to.st, p, opts)
+	if err != nil {
+		return dr, err
+	}
+	gr, err := opts.admit(ctx, nil, max(from.st.maxDegree(), to.st.maxDegree()), p.NumVertices())
+	if err != nil {
+		return dr, err
+	}
+	defer gr.release()
+	run := anchoredRun{plans: plans, pedges: p.p.Edges(), opts: opts, gr: gr}
+	if opts.TimeLimit > 0 {
+		// One deadline for the call, not one per anchored plan.
+		run.deadline = start.Add(opts.TimeLimit)
+	}
+	if dr.Gained, err = run.count(ctx, to.st, added); err == nil {
+		dr.Lost, err = run.count(ctx, from.st, removed)
 	}
 	dr.Net = int64(dr.Gained) - int64(dr.Lost)
+	dr.Anchors, dr.Nodes = run.numAnchors, run.numNodes
 	dr.Duration = time.Since(start)
-	return dr, nil
+	return dr, mapErr(err)
 }
 
-// countTouching counts matches of p in the pinned snapshot whose image
-// uses at least one edge from `edges`. The enumeration is restricted to
-// the ball of radius |V(P)|-1 around the edges' endpoints via
-// Options.Filter — sound because every vertex of a connected match
-// using one of the edges lies within pattern-diameter hops of an
-// endpoint — and the per-match edge test is automorphism-invariant, so
-// symmetry breaking counts each gained/lost subgraph exactly once.
-func countTouching(ctx context.Context, g *Graph, p *Pattern, snap *Snapshot, edges []delta.Edge, opts Options) (uint64, error) {
-	edgeSet := make(map[uint64]struct{}, len(edges))
-	for _, e := range edges {
-		edgeSet[uint64(e.U)<<32|uint64(e.V)] = struct{}{}
-	}
-	ball := deltaBall(snap.st, edges, p.NumVertices()-1)
-
-	ropts := opts
-	ropts.Snapshot = snap
-	userF := opts.Filter
-	ropts.Filter = func(u int, v VertexID) bool {
-		if int(v) >= len(ball) || !ball[v] {
-			return false
-		}
-		return userF == nil || userF(u, v)
-	}
-
-	pEdges := p.p.Edges()
-	var count uint64
-	visit := func(m []VertexID) bool {
-		for _, pe := range pEdges {
-			a, b := m[pe[0]], m[pe[1]]
-			if a > b {
-				a, b = b, a
+// anchoredPlans compiles one plan per ordered pattern edge (a, b) that
+// can hold a changed edge with its smaller endpoint on a: the cheapest
+// order starting π = (a, b, …), under the pattern's ordinary
+// symmetry-breaking constraints. Anchors always map π[0] to the smaller
+// endpoint, so an orientation the partial order forces the other way
+// round (b < a) has no embeddings and gets no plan. Plans depend on the
+// pattern only — never on the delta edges.
+func anchoredPlans(st *snapshotState, p *Pattern, opts Options) ([]*plan.Plan, error) {
+	po := pattern.SymmetryBreaking(p.p)
+	stats := st.planStats()
+	var plans []*plan.Plan
+	for _, e := range p.p.Edges() {
+		for _, ab := range [2][2]pattern.Vertex{{e[0], e[1]}, {e[1], e[0]}} {
+			a, b := ab[0], ab[1]
+			if po.Less[b]&(1<<uint(a)) != 0 {
+				continue
 			}
-			if _, hit := edgeSet[uint64(a)<<32|uint64(b)]; hit {
-				count++
-				break
+			pl, err := plan.ChooseAnchored(p.p, po, stats, opts.Algorithm.mode(), a, b)
+			if err != nil {
+				return nil, err
 			}
+			plans = append(plans, pl)
 		}
-		return true
 	}
-	// With Workers > 1 the visitor is serialized by the engine's mutex,
-	// so the plain counter is safe.
-	if _, err := EnumerateContext(ctx, g, p, ropts, visit); err != nil {
-		return 0, err
-	}
-	return count, nil
+	return plans, nil
 }
 
-// deltaBall marks every vertex within `radius` hops (in the snapshot's
-// view) of any delta edge's endpoint — the sound candidate region for
-// matches using a delta edge.
-func deltaBall(st *snapshotState, edges []delta.Edge, radius int) []bool {
-	n := st.numVertices()
-	ball := make([]bool, n)
-	var frontier []graph.VertexID
-	for _, e := range edges {
-		for _, v := range [2]graph.VertexID{e.U, e.V} {
-			if int(v) < n && !ball[v] {
-				ball[v] = true
-				frontier = append(frontier, v)
+// anchoredRun is one CountDelta call's shared state across its anchored
+// searches (both sides, every plan).
+type anchoredRun struct {
+	plans    []*plan.Plan
+	pedges   [][2]pattern.Vertex // E(P)
+	opts     Options
+	gr       *grant
+	deadline time.Time
+
+	// The work done so far, for DeltaResult.
+	numAnchors int
+	numNodes   uint64
+}
+
+// count returns how many matches of the pattern in the view st use at
+// least one of the given edges (canonical, sorted, all present in st).
+//
+// Exactly-once: a symmetry-broken embedding φ whose image contains the
+// changed edge {x, y}, x < y, maps exactly one pattern edge onto it, in
+// exactly one orientation — so it is reached from exactly one plan
+// (a, b) with φ(a) = x, φ(b) = y, once per changed edge in its image.
+// The visitor keeps it only when the anchor is the smallest changed edge
+// of the image, which every such φ satisfies for exactly one anchor.
+// Rather than count the kept ones under a lock, the engines count every
+// embedding reached and the visitor counts the rejected repeats, which
+// are the rarer event.
+func (r *anchoredRun) count(ctx context.Context, st *snapshotState, edges []delta.Edge) (uint64, error) {
+	if len(edges) == 0 {
+		return 0, nil
+	}
+	if r.opts.HubDegreeThreshold > 0 {
+		st.base.EnsureHubIndex(r.opts.HubDegreeThreshold)
+	}
+	// keys orders the changed edges; anchors groups them by smaller
+	// endpoint, each group's larger endpoints one ascending subslice of
+	// partners. Every plan runs from every anchor.
+	keys := make([]uint64, len(edges))
+	partners := make([]graph.VertexID, len(edges))
+	for i, e := range edges {
+		keys[i] = edgeKey(e.U, e.V)
+		partners[i] = e.V
+	}
+	var anchors []engine.Anchor
+	for lo := 0; lo < len(edges); {
+		hi := lo + 1
+		for hi < len(edges) && edges[hi].U == edges[lo].U {
+			hi++
+		}
+		anchors = append(anchors, engine.Anchor{Root: edges[lo].U, Partners: partners[lo:hi]})
+		lo = hi
+	}
+
+	var repeats atomic.Uint64
+	jobs := make([]parallel.AnchorJob, len(r.plans))
+	for j, pl := range r.plans {
+		a, b := pl.Pi[0], pl.Pi[1]
+		var others [][2]pattern.Vertex
+		for _, e := range r.pedges {
+			if !(e[0] == a && e[1] == b) && !(e[0] == b && e[1] == a) {
+				others = append(others, e)
 			}
 		}
-	}
-	neighbors := func(v graph.VertexID) []graph.VertexID {
-		if st.ov != nil {
-			return st.ov.Neighbors(v)
-		}
-		return st.base.Neighbors(v)
-	}
-	for hop := 0; hop < radius && len(frontier) > 0; hop++ {
-		var next []graph.VertexID
-		for _, v := range frontier {
-			for _, u := range neighbors(v) {
-				if !ball[u] {
-					ball[u] = true
-					next = append(next, u)
+		jobs[j] = parallel.AnchorJob{Plan: pl, Visit: func(m []graph.VertexID) bool {
+			anchor := edgeKey(m[a], m[b])
+			for _, e := range others {
+				x, y := m[e[0]], m[e[1]]
+				if x > y {
+					x, y = y, x
+				}
+				if k := edgeKey(x, y); k < anchor {
+					if _, changed := slices.BinarySearch(keys, k); changed {
+						repeats.Add(1)
+						break
+					}
 				}
 			}
+			return true
+		}}
+		for _, an := range anchors {
+			if r.opts.Filter == nil || r.opts.Filter(a, an.Root) {
+				r.numAnchors += len(an.Partners)
+			}
 		}
-		frontier = next
 	}
-	return ball
+
+	popts := parallel.Options{
+		Engine: engine.Options{
+			Kernel:   r.opts.Intersection.kind(),
+			Deadline: r.deadline,
+			Filter:   r.opts.Filter,
+			Overlay:  st.ov,
+		},
+		Workers:    r.gr.workers,
+		Gate:       r.gr.gate,
+		Watchdog:   r.gr.watchdog,
+		MemLimiter: r.gr.lim,
+	}
+	if r.gr.gate != nil {
+		// Slots shed to waiting queries while the other side ran stay
+		// shed: the pool may not spawn more workers than the admission
+		// still holds.
+		popts.Workers = min(popts.Workers, r.gr.gate.Slots())
+	}
+	pres, err := parallel.RunAnchored(ctx, st.base, popts, jobs, anchors)
+	r.numNodes += pres.Nodes
+	if err != nil {
+		return 0, err
+	}
+	return pres.Matches - repeats.Load(), nil
 }
+
+// edgeKey packs a canonical edge (u < v) so that key order is the
+// (U, V) order delta.Diff sorts its edge lists in.
+func edgeKey(u, v graph.VertexID) uint64 { return uint64(u)<<32 | uint64(v) }

@@ -1,11 +1,15 @@
 package light
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
 
 	"light/internal/admission"
+	"light/internal/arena"
+	"light/internal/faultpoint"
+	"light/internal/metrics"
 )
 
 // ErrOverloaded is returned when a run sharing a Governor cannot get
@@ -107,4 +111,120 @@ func (o Options) validate() error {
 		return fmt.Errorf("light: Options.HubDegreeThreshold is %d, must be non-negative (0 keeps the auto-tuned index)", o.HubDegreeThreshold)
 	}
 	return nil
+}
+
+// grant is what the governance prelude leaves a run holding: its worker
+// count after admission and the memory ladder, the admission gate and
+// watchdog to hand the scheduler (nil without a Governor), the run's
+// memory limiter chained under the governor's, and the degradation
+// events so far.
+type grant struct {
+	workers      int
+	gate         *admission.Admission
+	watchdog     *admission.WatchdogConfig
+	lim          *arena.Limiter
+	degradations []string
+}
+
+// admit is the governance prelude shared by every entry point that runs
+// the parallel scheduler: wait (FIFO) for the guaranteed slot under
+// Options.Governor, chain the run's memory budget under the governor's,
+// walk the memory-degradation ladder for a pool whose workers each hold
+// patternVerts+1 cap-maxDegree buffers, and return the surplus slots
+// before any worker spawns. The caller must release the grant.
+func (o Options) admit(ctx context.Context, rec *metrics.Recorder, maxDegree, patternVerts int) (*grant, error) {
+	gr := &grant{workers: o.Workers}
+	if gr.workers <= 1 {
+		gr.workers = 1
+	}
+	var govLim *arena.Limiter
+	if o.Governor != nil {
+		gov := o.Governor.g
+		a, err := gov.Admit(ctx, gr.workers, o.AdmissionTimeout)
+		if err != nil {
+			return nil, mapErr(err)
+		}
+		gr.gate = a
+		gr.watchdog = gov.Watchdog()
+		govLim = gov.MemLimiter()
+		rec.AddDuration(metrics.AdmissionWaitNanos, a.Wait())
+		rec.Add(metrics.AdmissionSlotsGranted, uint64(a.Granted()))
+		if a.Granted() < gr.workers {
+			gr.degradations = append(gr.degradations, fmt.Sprintf(
+				"admission: granted %d of %d requested workers", a.Granted(), gr.workers))
+		}
+		gr.workers = a.Granted()
+	}
+	gr.lim = arena.NewLimiter(o.MemoryBudget, govLim)
+	if err := gr.sizeWorkers(maxDegree, patternVerts); err != nil {
+		gr.release()
+		return nil, err
+	}
+	// If the degradation ladder shrank the pool below the admission
+	// grant, return the surplus slots before any worker spawns: the
+	// governor's shed protocol assumes held slots == live workers, and
+	// holding more would let every worker — including the last — retire
+	// to a waiting query with root chunks still unclaimed.
+	gr.gate.ReleaseTo(gr.workers)
+	return gr, nil
+}
+
+// sizeWorkers walks the memory-degradation ladder before any worker
+// spawns: if the requested pool's predicted arena footprint exceeds the
+// budget headroom even with exact-size (tight) slabs, workers are shed
+// — down to serial — so the run fits; the engine's hard
+// ErrMemoryBudget stop remains as the last resort for predictions the
+// estimate cannot see (the prediction covers per-worker candidate
+// buffers, the dominant term).
+func (gr *grant) sizeWorkers(maxDegree, patternVerts int) error {
+	head := gr.lim.Headroom()
+	if head < 0 {
+		return nil
+	}
+	if err := faultpoint.Hit(faultpoint.PointBudgetCheck); err != nil {
+		return fmt.Errorf("light: budget check: %w", err)
+	}
+	// Per-worker worst case: one cap-d_max buffer per pattern vertex
+	// plus one scratch buffer.
+	tightEst := arena.EstimateBytes(patternVerts+1, maxDegree, true)
+	if tightEst <= 0 || int64(gr.workers)*tightEst <= head {
+		return nil
+	}
+	fit := int(head / tightEst)
+	if fit < 1 {
+		fit = 1
+	}
+	if fit < gr.workers {
+		gr.degradations = append(gr.degradations, fmt.Sprintf(
+			"memory: shed workers %d -> %d (predicted %d B/worker, headroom %d B)",
+			gr.workers, fit, tightEst, head))
+		gr.workers = fit
+	}
+	return nil
+}
+
+// settle appends the degradations only visible after the run — arena
+// pressure, slots shed to waiting queries, watchdog stalls — records the
+// total, and returns the full list.
+func (gr *grant) settle(rec *metrics.Recorder, slotsShed, stalls uint64) []string {
+	if n := gr.lim.TightGrows(); n > 0 {
+		gr.degradations = append(gr.degradations, fmt.Sprintf(
+			"memory: %d exact-size arena slab grows under budget pressure", n))
+	}
+	if slotsShed > 0 {
+		gr.degradations = append(gr.degradations, fmt.Sprintf(
+			"admission: shed %d worker slot(s) to waiting queries", slotsShed))
+	}
+	if stalls > 0 {
+		gr.degradations = append(gr.degradations, fmt.Sprintf(
+			"watchdog: %d stall(s) detected", stalls))
+	}
+	rec.Add(metrics.GovernorDegradations, uint64(len(gr.degradations)))
+	return gr.degradations
+}
+
+// release returns the grant's memory reservations and worker slots.
+func (gr *grant) release() {
+	gr.lim.ReleaseAll()
+	gr.gate.Close()
 }

@@ -85,12 +85,12 @@ func TestGovernorSingleQueryParity(t *testing.T) {
 }
 
 // TestMemoryBudgetDegradesBeforeErroring walks the first rung of the
-// ladder end-to-end: a budget at the unbudgeted run's arena high-water
-// mark forces exact-size slab grows (visible in the RunReport) while
-// the count stays exact.
+// ladder end-to-end: a budget one byte short of a single rounded arena
+// slab forces exact-size slab grows (visible in the RunReport) while
+// the count stays exact. Every worker that allocates at all takes the
+// rung, so the outcome does not depend on how many of the four get to
+// claim a chunk before the roots run out.
 func TestMemoryBudgetDegradesBeforeErroring(t *testing.T) {
-	// Big enough that all four workers claim chunks and grow arenas —
-	// the budget math below needs every worker's slab in the HWM.
 	g := GenerateBarabasiAlbert(8000, 8, 13)
 	p, err := PatternByName("triangle")
 	if err != nil {
@@ -100,21 +100,22 @@ func TestMemoryBudgetDegradesBeforeErroring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if free.CandidateMemoryBytes < 4*256<<10 {
-		t.Skipf("only %d arena bytes across workers; fixture did not spread work", free.CandidateMemoryBytes)
+	const slab = 256 << 10 // arena's minimum slab, what an unpressed grow rounds up to
+	if free.CandidateMemoryBytes < slab {
+		t.Fatalf("unbudgeted run reports %d arena bytes, under one slab", free.CandidateMemoryBytes)
 	}
-	res, err := Count(g, p, Options{Workers: 4, MemoryBudget: free.CandidateMemoryBytes})
+	res, err := Count(g, p, Options{Workers: 4, MemoryBudget: slab - 1})
 	if err != nil {
-		t.Fatalf("budget at the high-water mark must degrade, not fail: %v", err)
+		t.Fatalf("a budget with room for exact-size slabs must degrade, not fail: %v", err)
 	}
 	if res.Matches != free.Matches {
 		t.Fatalf("count %d under budget, want %d", res.Matches, free.Matches)
 	}
 	if len(res.Report.DegradationEvents) == 0 {
-		t.Fatalf("no degradation events at a budget equal to the high-water mark (memory %d)", res.CandidateMemoryBytes)
+		t.Fatalf("no degradation events at a budget under one rounded slab (memory %d)", res.CandidateMemoryBytes)
 	}
-	if res.CandidateMemoryBytes > free.CandidateMemoryBytes {
-		t.Fatalf("budgeted run used %d bytes, over its %d budget", res.CandidateMemoryBytes, free.CandidateMemoryBytes)
+	if res.CandidateMemoryBytes >= slab {
+		t.Fatalf("budgeted run used %d bytes, over its %d budget", res.CandidateMemoryBytes, slab-1)
 	}
 }
 

@@ -3,6 +3,7 @@ package diffcheck
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"light"
 )
@@ -19,6 +20,9 @@ import (
 //     none);
 //   - CountDelta satisfies count(to) == count(from) + Net, and swapping
 //     the snapshots mirrors gained/lost exactly;
+//   - Gained and Lost each equal the brute-force reference — the
+//     subgraphs of `to` (of `from`) whose image holds an added (a
+//     removed) edge — so compensating errors cannot hide inside Net;
 //   - compaction does not change the count.
 //
 // The batch is a pure function of Case.Seed, so the shrinker re-derives
@@ -110,6 +114,12 @@ func checkDelta(c Case, want uint64, cfg Config) *Discrepancy {
 			fmt.Sprintf("count(from)=%d + net %d != count(to)=%d (gained %d, lost %d, %d added / %d removed edges)",
 				cFrom.Matches, dr.Net, cTo.Matches, dr.Gained, dr.Lost, dr.AddedEdges, dr.RemovedEdges))
 	}
+	wantGained, wantLost, capped := referenceDelta(to.NumVertices(), existing, mutated, c, cfg.MaxEmbeddings)
+	if !capped && (dr.Gained != wantGained || dr.Lost != wantLost) {
+		return fail("delta/gained-lost", wantGained, dr.Gained,
+			fmt.Sprintf("gained %d lost %d, reference gained %d lost %d (%d added / %d removed edges)",
+				dr.Gained, dr.Lost, wantGained, wantLost, dr.AddedEdges, dr.RemovedEdges))
+	}
 	rev, err := light.CountDelta(lg, p, to, from, light.Options{Workers: cfg.Workers})
 	if err != nil {
 		return fail("delta/reversed", want, 0, err.Error())
@@ -131,4 +141,43 @@ func checkDelta(c Case, want uint64, cfg Config) *Discrepancy {
 		return fail("delta/compacted-count", cTo.Matches, cComp.Matches, "compaction changed the count")
 	}
 	return nil
+}
+
+// referenceDelta is the brute-force Gained/Lost: the reference matcher
+// collects the distinct subgraph images of the pattern in the `to` and
+// `from` adjacency, and a subgraph is gained (lost) iff its image holds
+// an edge of to−from (from−to). It shares nothing with the engine or
+// with CountDelta's anchored search. capped reports that the embedding
+// cap cut a reference short, in which case the numbers mean nothing.
+func referenceDelta(n int, from, to [][2]light.VertexID, c Case, limit uint64) (gained, lost uint64, capped bool) {
+	touching := func(view, other [][2]light.VertexID) (uint64, bool) {
+		in := make(map[[2]light.VertexID]bool, len(other))
+		for _, e := range other {
+			in[e] = true
+		}
+		edges := make([][2]uint32, len(view))
+		var changed []string
+		for i, e := range view {
+			edges[i] = [2]uint32{e[0], e[1]}
+			if !in[e] {
+				changed = append(changed, fmt.Sprintf("%d-%d;", e[0], e[1]))
+			}
+		}
+		ref := countEmbeddings(n, edges, c.PatternN, c.PatternEdges, limit, true)
+		var hits uint64
+		for key := range ref.Keys {
+			for _, e := range changed {
+				// Image keys are "u-v;" entries back to back: match a
+				// whole entry, never the tail of a longer vertex id.
+				if strings.HasPrefix(key, e) || strings.Contains(key, ";"+e) {
+					hits++
+					break
+				}
+			}
+		}
+		return hits, ref.Capped
+	}
+	gained, gCapped := touching(to, from)
+	lost, lCapped := touching(from, to)
+	return gained, lost, gCapped || lCapped
 }

@@ -273,8 +273,8 @@ type Enumerator struct {
 	// polls counts checkDeadline calls; the poll cadence is keyed to it
 	// rather than to Result.Nodes, which tailCount advances in batches
 	// that can step over any fixed residue forever.
-	polls    uint64
-	err      error
+	polls uint64
+	err   error
 }
 
 // New prepares an Enumerator for repeated runs of pl over g. It panics
@@ -432,6 +432,41 @@ func (e *Enumerator) RunRoots(roots []graph.VertexID, visit VisitFunc) (Result, 
 		if !e.step(1) {
 			break
 		}
+	}
+	return e.finish()
+}
+
+// Anchor is a starting point of an anchored plan: the data edges
+// (Root, w) for w in Partners, which must be an ascending list of
+// Root's neighbors in the enumerated view.
+type Anchor struct {
+	Root     graph.VertexID
+	Partners []graph.VertexID
+}
+
+// RunAnchor enumerates the embeddings that map the plan's first pattern
+// edge (π[0], π[1]) onto one of the anchor's data edges, π[0] on Root:
+// the search starts at an edge instead of a vertex, so nothing that
+// avoids those edges is ever extended. The plan must come from
+// plan.CompileAnchored (σ = MAT π[0], COMP π[1], MAT π[1], …): π[1]'s
+// MAT loop runs over Partners instead of the whole C(π[1]) = N(Root),
+// under the same bounds, injectivity, filter and donation rules as any
+// other MAT loop. Like RunRoots it applies Options.Filter to the root
+// assignment. Lane mode is not supported.
+//
+//light:hotpath
+func (e *Enumerator) RunAnchor(an Anchor, visit VisitFunc) (Result, error) {
+	e.begin(visit)
+	a := e.pl.Pi[0]
+	if e.opts.Filter != nil && !e.opts.Filter(a, an.Root) {
+		return e.finish()
+	}
+	e.assigned[a] = an.Root
+	e.matMask = 1 << uint(a)
+	e.result.Nodes++
+	// COMP π[1] aliases N(Root): no intersection, no copy.
+	if e.compute(e.pl.Pi[1]) {
+		e.matLoop(2, an.Partners, true)
 	}
 	return e.finish()
 }

@@ -198,9 +198,60 @@ func Run(g *graph.Graph, pl *plan.Plan, opts Options, visit engine.VisitFunc) (R
 // next poll, the partial result is returned with Stopped=true, and the
 // error is ctx.Err(). If visit is non-nil it is serialized by a mutex,
 // so enumeration-mode scaling is limited; counting mode (visit == nil)
-// is fully parallel. A panic in visit or in a worker is recovered,
-// stops the pool cleanly, and is returned as a *supervise.PanicError.
+// is fully parallel. The stop is latched under that mutex: once visit
+// has returned false (or panicked) it is never called again, even by a
+// worker that was already queued on the mutex with its own match. A
+// panic in visit or in a worker is recovered, stops the pool cleanly,
+// and is returned as a *supervise.PanicError.
 func RunContext(ctx context.Context, g *graph.Graph, pl *plan.Plan, opts Options, visit engine.VisitFunc) (Result, error) {
+	if visit != nil {
+		var mu sync.Mutex
+		stopped := false
+		inner := visit
+		visit = func(m []graph.VertexID) bool {
+			mu.Lock()
+			defer mu.Unlock()
+			if stopped {
+				return false
+			}
+			stopped = true // stays latched if inner panics
+			stopped = !inner(m)
+			return !stopped
+		}
+	}
+	return run(ctx, g, opts, []AnchorJob{{Plan: pl, Visit: visit}}, nil)
+}
+
+// AnchorJob is one anchored plan of a RunAnchored call and the visitor
+// for the matches it reaches.
+type AnchorJob struct {
+	Plan  *plan.Plan // from plan.CompileAnchored
+	Visit engine.VisitFunc
+}
+
+// RunAnchored runs every job's plan from every anchor (see
+// engine.RunAnchor) over g in one pool. Anchors play the part root
+// vertices play in RunContext: the workers claim (job, anchor) pairs
+// from a shared cursor and donate halves of the loops below them. A
+// worker keeps one enumerator per plan it has met, all carved from its
+// one arena, so many plans cost no more candidate memory than one.
+// Checkpointing, resume, StaticPartition and lane mode do not apply.
+//
+// Unlike RunContext, a job's Visit is NOT serialized: workers call it
+// concurrently, each with its own mapping slice, so it must be safe for
+// concurrent use. A caller that only classifies matches then pays no
+// lock per match.
+func RunAnchored(ctx context.Context, g *graph.Graph, opts Options, jobs []AnchorJob, anchors []engine.Anchor) (Result, error) {
+	if len(jobs) == 0 || len(anchors) == 0 || opts.Checkpoint != nil || opts.Resume != nil || opts.Scheduler == StaticPartition || opts.Engine.Lanes != nil {
+		return Result{}, errors.New("parallel: RunAnchored needs a job, an anchor and a dynamic scheduler, and cannot checkpoint, resume or run lanes")
+	}
+	return run(ctx, g, opts, jobs, anchors)
+}
+
+// run is the pool behind RunContext (anchors == nil: one job, every
+// vertex of the view a root of its plan) and RunAnchored.
+func run(ctx context.Context, g *graph.Graph, opts Options, jobs []AnchorJob, anchors []engine.Anchor) (Result, error) {
+	pl := jobs[0].Plan // the plan checkpoints and resumes bind to (rooted runs only)
 	if opts.Engine.Delta < 0 {
 		// Reject here, before workers spawn: engine.New panics on a
 		// negative δ (it would silently degrade every Hybrid kernel to
@@ -223,16 +274,12 @@ func RunContext(ctx context.Context, g *graph.Graph, pl *plan.Plan, opts Options
 	if opts.Engine.TimeLimit > 0 && opts.Engine.Deadline.IsZero() {
 		opts.Engine.Deadline = time.Now().Add(opts.Engine.TimeLimit)
 	}
-	if visit != nil {
-		var mu sync.Mutex
-		inner := visit
-		visit = func(m []graph.VertexID) bool {
-			mu.Lock()
-			defer mu.Unlock()
-			return inner(m)
-		}
+
+	jobs = append([]AnchorJob(nil), jobs...)
+	visitErrs := make([]func() error, len(jobs))
+	for j := range jobs {
+		jobs[j].Visit, visitErrs[j] = supervise.SafeVisit("visit callback", jobs[j].Visit)
 	}
-	visit, visitErr := supervise.SafeVisit("visit callback", visit)
 
 	// One recorder for the whole pool: workers fold engine results into
 	// it per chunk/frame, scheduler events hit it from blocking paths.
@@ -244,9 +291,8 @@ func RunContext(ctx context.Context, g *graph.Graph, pl *plan.Plan, opts Options
 
 	p := &pool{
 		g:      g,
-		pl:     pl,
+		jobs:   jobs,
 		opts:   opts,
-		visit:  visit,
 		alive:  opts.Workers,
 		beats:  make([]atomic.Uint64, opts.Workers),
 		epochs: make([]atomic.Uint64, opts.Workers),
@@ -289,7 +335,7 @@ func RunContext(ctx context.Context, g *graph.Graph, pl *plan.Plan, opts Options
 			}
 		}
 		p.roots = pendingRoots(g.NumVertices(), ck.Done)
-	} else {
+	} else if anchors == nil {
 		// The root candidate set is every vertex of the queried view —
 		// overlay vertices included, so matches rooted at a newly inserted
 		// vertex are not lost.
@@ -301,6 +347,12 @@ func RunContext(ctx context.Context, g *graph.Graph, pl *plan.Plan, opts Options
 		for i := range p.roots {
 			p.roots[i] = graph.VertexID(i)
 		}
+	}
+	p.units = int64(len(p.roots))
+	if anchors != nil {
+		p.anchors = anchors
+		p.units = int64(len(jobs)) * int64(len(anchors))
+		p.opts.ChunkSize = 1
 	}
 
 	if opts.Checkpoint != nil {
@@ -411,8 +463,10 @@ func RunContext(ctx context.Context, g *graph.Graph, pl *plan.Plan, opts Options
 	out.RootChunksDispensed = p.chunks.Load()
 
 	err := joinErrors(errs)
-	if verr := visitErr(); verr != nil {
-		err = joinErrors([]error{err, verr})
+	for _, visitErr := range visitErrs {
+		if verr := visitErr(); verr != nil {
+			err = joinErrors([]error{err, verr})
+		}
 	}
 	if opts.Checkpoint != nil {
 		complete := err == nil && !out.Stopped
@@ -485,33 +539,43 @@ func joinErrors(errs []error) error {
 }
 
 // queuedFrame is one donated frame awaiting a worker, paired with its
-// ledger unit (0 when checkpointing is off).
+// ledger unit (0 when checkpointing is off) and the job whose plan it
+// suspends.
 type queuedFrame struct {
 	f    *engine.Frame
 	unit unitID
+	job  int
 }
 
 // workerState is per-worker scheduler state reachable from the
 // donation hook: the ledger unit of the chunk or frame the worker is
 // currently executing, so donated frames can be parented correctly,
-// and the worker's accumulated busy time (owned by one goroutine, no
-// synchronization needed).
+// the job it belongs to, and the worker's accumulated busy time (owned
+// by one goroutine, no synchronization needed). engines holds the
+// worker's enumerator per job, built on first use over the one arena.
 type workerState struct {
-	idx  int
-	unit unitID
-	busy time.Duration
+	idx     int
+	unit    unitID
+	job     int
+	busy    time.Duration
+	ar      *arena.Arena
+	engines []*engine.Enumerator
 }
 
 // pool is the shared scheduler state.
 type pool struct {
-	g     *graph.Graph
-	pl    *plan.Plan
-	opts  Options
-	visit engine.VisitFunc
-	led   *ledger // nil when checkpointing is off
+	g    *graph.Graph
+	jobs []AnchorJob // one job, the rooted plan, in RunContext
+	opts Options
+	led  *ledger // nil when checkpointing is off
 
-	roots  []graph.VertexID
-	cursor atomic.Int64 // next unclaimed root index
+	// The work dispensed by the cursor, units of it in all: root vertices
+	// in chunks of ChunkSize (RunContext), or every (job, anchor) pair one
+	// at a time, job-major (RunAnchored; roots is then empty).
+	roots   []graph.VertexID
+	anchors []engine.Anchor
+	units   int64
+	cursor  atomic.Int64 // next unclaimed unit
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -557,15 +621,7 @@ func (p *pool) worker(idx int) (engine.Result, int64, time.Duration, error) {
 	}
 	// Per-worker: arenas must never be shared across goroutines. Under a
 	// memory budget each worker's arena charges the shared limiter.
-	eopts := p.opts.Engine
-	eopts.Arena = arena.NewBudgeted(p.opts.MemLimiter)
-	e := engine.New(p.g, p.pl, eopts)
-	e.Stop = &p.stop
-	e.Progress = &p.beats[idx]
-	ws := &workerState{idx: idx}
-	if p.opts.Scheduler == WorkStealing {
-		e.Hook = p.makeHook(ws)
-	}
+	ws := &workerState{idx: idx, ar: arena.NewBudgeted(p.opts.MemLimiter), engines: make([]*engine.Enumerator, len(p.jobs))}
 	if p.opts.Scheduler == StaticPartition {
 		// One fixed slice per worker, no rebalancing of any kind.
 		var acc engine.Result
@@ -573,16 +629,37 @@ func (p *pool) worker(idx int) (engine.Result, int64, time.Duration, error) {
 		lo := idx * n / p.opts.Workers
 		hi := (idx + 1) * n / p.opts.Workers
 		t0 := time.Now()
-		res, err := e.RunRoots(p.roots[lo:hi], p.visit)
+		res, err := p.engine(ws, 0).RunRoots(p.roots[lo:hi], p.jobs[0].Visit)
 		ws.busy = time.Since(t0)
 		if err != nil || res.Stopped {
 			p.stop.Store(true)
 		}
 		acc.Add(res)
-		return acc, e.CandidateMemoryBytes(), ws.busy, err
+		return acc, ws.ar.Bytes(), ws.busy, err
 	}
-	acc, err := p.runLoop(e, ws)
-	return acc, e.CandidateMemoryBytes(), ws.busy, err
+	acc, err := p.runLoop(ws)
+	return acc, ws.ar.Bytes(), ws.busy, err
+}
+
+// engine returns the worker's enumerator for a job's plan, building it
+// on first use. All of a worker's enumerators share its arena: they run
+// one at a time, and each run begins by resetting it.
+//
+//lightvet:ignore hotpath -- construction happens once per (worker, job); every later call is the slice load
+func (p *pool) engine(ws *workerState, job int) *engine.Enumerator {
+	if e := ws.engines[job]; e != nil {
+		return e
+	}
+	eopts := p.opts.Engine
+	eopts.Arena = ws.ar
+	e := engine.New(p.g, p.jobs[job].Plan, eopts)
+	e.Stop = &p.stop
+	e.Progress = &p.beats[ws.idx]
+	if p.opts.Scheduler == WorkStealing {
+		e.Hook = p.makeHook(ws)
+	}
+	ws.engines[job] = e
+	return e
 }
 
 // runLoop is the worker body proper: claim root chunks while any remain,
@@ -593,7 +670,7 @@ func (p *pool) worker(idx int) (engine.Result, int64, time.Duration, error) {
 // memory.
 //
 //light:hotpath
-func (p *pool) runLoop(e *engine.Enumerator, ws *workerState) (engine.Result, error) {
+func (p *pool) runLoop(ws *workerState) (engine.Result, error) {
 	var acc engine.Result
 	for {
 		// Elastic slot return: between work items, hand a surplus slot
@@ -603,17 +680,21 @@ func (p *pool) runLoop(e *engine.Enumerator, ws *workerState) (engine.Result, er
 			p.retire()
 			return acc, nil
 		}
-		// Phase 1: claim a root chunk.
-		if lo := p.cursor.Add(int64(p.opts.ChunkSize)) - int64(p.opts.ChunkSize); lo < int64(len(p.roots)) {
-			hi := lo + int64(p.opts.ChunkSize)
-			if hi > int64(len(p.roots)) {
-				hi = int64(len(p.roots))
-			}
+		// Phase 1: claim a root chunk, or one (job, anchor) pair.
+		if lo := p.cursor.Add(int64(p.opts.ChunkSize)) - int64(p.opts.ChunkSize); lo < p.units {
+			hi := min(lo+int64(p.opts.ChunkSize), p.units)
 			p.chunks.Add(1)
-			ws.unit = p.led.beginChunk(lo, hi)
+			ws.unit, ws.job = p.led.beginChunk(lo, hi), 0
+			var res engine.Result
+			var err error
 			t0 := time.Now()
 			p.epochs[ws.idx].Add(1)
-			res, err := e.RunRoots(p.roots[lo:hi], p.visit)
+			if p.anchors != nil {
+				ws.job = int(lo / int64(len(p.anchors)))
+				res, err = p.engine(ws, ws.job).RunAnchor(p.anchors[lo%int64(len(p.anchors))], p.jobs[ws.job].Visit)
+			} else {
+				res, err = p.engine(ws, 0).RunRoots(p.roots[lo:hi], p.jobs[0].Visit)
+			}
 			p.epochs[ws.idx].Add(1)
 			ws.busy += time.Since(t0)
 			acc.Add(res)
@@ -636,10 +717,11 @@ func (p *pool) runLoop(e *engine.Enumerator, ws *workerState) (engine.Result, er
 			return acc, err
 		}
 		p.steals.Add(1)
-		ws.unit = qf.unit
+		ws.unit, ws.job = qf.unit, qf.job
+		e := p.engine(ws, qf.job)
 		t0 := time.Now()
 		p.epochs[ws.idx].Add(1)
-		res, err := e.Resume(qf.f, p.visit)
+		res, err := e.Resume(qf.f, p.jobs[qf.job].Visit)
 		p.epochs[ws.idx].Add(1)
 		ws.busy += time.Since(t0)
 		acc.Add(res)
@@ -686,7 +768,7 @@ func (p *pool) makeHook(ws *workerState) engine.MatHook {
 		}
 		keep := len(cands) / 2
 		f := e.Snapshot(sigmaIdx, cands[keep:])
-		p.queue = append(p.queue, queuedFrame{f: f, unit: p.led.beginFrame(ws.unit, f)})
+		p.queue = append(p.queue, queuedFrame{f: f, unit: p.led.beginFrame(ws.unit, f), job: ws.job})
 		p.donations.Add(1)
 		p.cond.Broadcast()
 		return keep

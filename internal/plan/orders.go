@@ -11,6 +11,13 @@ import (
 // pruned by the symmetry-breaking partial order as in Section VI: if
 // u < u′ is a constraint, u must precede u′ in π. po may be nil.
 func ConnectedOrders(p *pattern.Pattern, po *pattern.PartialOrder) [][]pattern.Vertex {
+	return connectedOrdersFrom(p, po, nil)
+}
+
+// connectedOrdersFrom is ConnectedOrders restricted to the orders that
+// start with prefix, which is taken as given (connected, and exempt from
+// the partial-order pruning).
+func connectedOrdersFrom(p *pattern.Pattern, po *pattern.PartialOrder, prefix []pattern.Vertex) [][]pattern.Vertex {
 	n := p.NumVertices()
 	if po == nil {
 		po = &pattern.PartialOrder{}
@@ -23,6 +30,10 @@ func ConnectedOrders(p *pattern.Pattern, po *pattern.PartialOrder) [][]pattern.V
 	var out [][]pattern.Vertex
 	order := make([]pattern.Vertex, 0, n)
 	var placed uint32
+	for _, u := range prefix {
+		order = append(order, u)
+		placed |= 1 << uint(u)
+	}
 	var rec func()
 	rec = func() {
 		if len(order) == n {
@@ -71,7 +82,29 @@ func Choose(p *pattern.Pattern, po *pattern.PartialOrder, stats estimate.GraphSt
 	if po == nil {
 		po = pattern.SymmetryBreaking(p)
 	}
-	orders := ConnectedOrders(p, po)
+	return cheapest(p, po, ConnectedOrders(p, po), stats, mode, Compile)
+}
+
+// ChooseAnchored returns the minimum-cost CompileAnchored plan whose
+// order starts π = (a, b, …) for the pattern edge (a, b): the cheapest
+// connected completion of that edge, under the same cost model and
+// tie-breaks as Choose. The completions are not pruned by po's
+// precedence (the prefix may already violate it); po still supplies the
+// plan's symmetry-breaking constraints.
+func ChooseAnchored(p *pattern.Pattern, po *pattern.PartialOrder, stats estimate.GraphStats, mode Mode, a, b pattern.Vertex) (*Plan, error) {
+	if !p.HasEdge(a, b) {
+		return nil, fmt.Errorf("plan: (u%d, u%d) is not an edge of pattern %s", a, b, p.Name())
+	}
+	if po == nil {
+		po = pattern.SymmetryBreaking(p)
+	}
+	return cheapest(p, po, connectedOrdersFrom(p, nil, []pattern.Vertex{a, b}), stats, mode, CompileAnchored)
+}
+
+// cheapest compiles every order and returns the plan with the minimum
+// Equation 8 cost, ties broken by tieKey then lexicographically.
+func cheapest(p *pattern.Pattern, po *pattern.PartialOrder, orders [][]pattern.Vertex, stats estimate.GraphStats, mode Mode,
+	compile func(*pattern.Pattern, *pattern.PartialOrder, []pattern.Vertex, Mode) (*Plan, error)) (*Plan, error) {
 	if len(orders) == 0 {
 		return nil, fmt.Errorf("plan: pattern %s has no connected order (disconnected pattern?)", p.Name())
 	}
@@ -79,7 +112,7 @@ func Choose(p *pattern.Pattern, po *pattern.PartialOrder, stats estimate.GraphSt
 	var bestCost float64
 	var bestKey [2]int
 	for _, pi := range orders {
-		pl, err := Compile(p, po, pi, mode)
+		pl, err := compile(p, po, pi, mode)
 		if err != nil {
 			return nil, err
 		}

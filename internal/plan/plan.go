@@ -215,11 +215,16 @@ func IsConnectedOrder(p *pattern.Pattern, pi []pattern.Vertex) bool {
 
 // executionOrder is Algorithm 2's GenerateExecutionOrder: MAT every
 // still-unvisited backward neighbor of each vertex (in π order) before
-// its COMP, then MAT the leftovers in π order.
-func executionOrder(p *pattern.Pattern, pi []pattern.Vertex) []Op {
+// its COMP, then MAT the leftovers in π order. The first `eager`
+// vertices of π are materialized as soon as they are computed instead of
+// lazily: 1 is the paper's algorithm (only the root, which Algorithm 2
+// materializes first anyway); CompileAnchored passes 2.
+func executionOrder(p *pattern.Pattern, pi []pattern.Vertex, eager int) []Op {
 	n := len(pi)
 	visited := make([]bool, p.NumVertices())
 	sigma := make([]Op, 0, 2*n-1)
+	visited[pi[0]] = true
+	sigma = append(sigma, Op{Mat, pi[0]})
 	for pos := 1; pos < n; pos++ {
 		u := pi[pos]
 		back := backwardMask(p, pi, pos)
@@ -231,6 +236,10 @@ func executionOrder(p *pattern.Pattern, pi []pattern.Vertex) []Op {
 			}
 		}
 		sigma = append(sigma, Op{Comp, u})
+		if pos < eager {
+			visited[u] = true
+			sigma = append(sigma, Op{Mat, u})
+		}
 	}
 	for _, u := range pi {
 		if !visited[u] {
@@ -328,6 +337,24 @@ func maskVertices(m uint32) []pattern.Vertex {
 // symmetry-breaking order po, and the given mode. pi must be a connected
 // order; po may be nil for patterns with trivial automorphisms.
 func Compile(p *pattern.Pattern, po *pattern.PartialOrder, pi []pattern.Vertex, mode Mode) (*Plan, error) {
+	return compile(p, po, pi, mode, 1)
+}
+
+// CompileAnchored is Compile for a search that starts at a data edge
+// instead of a data vertex: π[1] is materialized directly after π[0] in
+// every mode, so σ begins (MAT π[0]) (COMP π[1]) (MAT π[1]) and a run can
+// pin the pair (π[0], π[1]) to a data edge and carry on from σ[2] (see
+// engine.RunAnchor). Laziness on π[1] would buy nothing there — its
+// loop has one candidate per anchor. pi need not respect po's
+// precedence; the constraints are checked at whichever MAT comes later.
+func CompileAnchored(p *pattern.Pattern, po *pattern.PartialOrder, pi []pattern.Vertex, mode Mode) (*Plan, error) {
+	if len(pi) < 2 {
+		return nil, fmt.Errorf("plan: anchored order %v has no edge to pin", pi)
+	}
+	return compile(p, po, pi, mode, 2)
+}
+
+func compile(p *pattern.Pattern, po *pattern.PartialOrder, pi []pattern.Vertex, mode Mode, eager int) (*Plan, error) {
 	n := p.NumVertices()
 	if len(pi) != n {
 		return nil, fmt.Errorf("plan: order has %d vertices, pattern has %d", len(pi), n)
@@ -348,7 +375,7 @@ func Compile(p *pattern.Pattern, po *pattern.PartialOrder, pi []pattern.Vertex, 
 
 	pl := &Plan{Pattern: p, PO: po, Pi: pi}
 	if mode.LazyMaterialization {
-		pl.Sigma = executionOrder(p, pi)
+		pl.Sigma = executionOrder(p, pi, eager)
 	} else {
 		pl.Sigma = interleavedOrder(pi)
 	}

@@ -137,62 +137,109 @@ func TestSigmaWellFormed(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				n := p.NumVertices()
-				if len(pl.Sigma) != 2*n-1 {
-					t.Fatalf("%s %s: |σ| = %d, want %d", p.Name(), mode.Name(), len(pl.Sigma), 2*n-1)
+				checkSigmaWellFormed(t, p, pl, pi, mode)
+			}
+		}
+	}
+}
+
+// TestAnchoredPlansWellFormed holds CompileAnchored to the same σ rules
+// over every connected order (anchored orders ignore the partial
+// order's precedence), plus its own: π[1] is materialized straight after
+// π[0]. ChooseAnchored must return such a plan for every ordered pattern
+// edge and refuse a non-edge.
+func TestAnchoredPlansWellFormed(t *testing.T) {
+	stats := estimate.Collect(gen.BarabasiAlbert(500, 4, 3))
+	for _, p := range pattern.Catalog() {
+		po := pattern.SymmetryBreaking(p)
+		for _, mode := range []Mode{ModeSE, ModeLM, ModeMSC, ModeLIGHT} {
+			for _, pi := range ConnectedOrders(p, nil) {
+				pl, err := CompileAnchored(p, po, pi, mode)
+				if err != nil {
+					t.Fatal(err)
 				}
-				matPos := make([]int, n)
-				compPos := make([]int, n)
-				for i := range matPos {
-					matPos[i], compPos[i] = -1, -1
+				checkSigmaWellFormed(t, p, pl, pi, mode)
+				want := []Op{{Mat, pi[0]}, {Comp, pi[1]}, {Mat, pi[1]}}
+				if !reflect.DeepEqual(pl.Sigma[:3], want) {
+					t.Fatalf("%s %s π=%v: σ starts %v, want %v", p.Name(), mode.Name(), pi, pl.Sigma[:3], want)
 				}
-				for i, op := range pl.Sigma {
-					if op.Mode == Mat {
-						if matPos[op.Vertex] != -1 {
-							t.Fatalf("duplicate MAT u%d", op.Vertex)
+			}
+			for a := 0; a < p.NumVertices(); a++ {
+				for b := 0; b < p.NumVertices(); b++ {
+					pl, err := ChooseAnchored(p, po, stats, mode, a, b)
+					if !p.HasEdge(a, b) {
+						if err == nil {
+							t.Fatalf("%s: ChooseAnchored accepted the non-edge (u%d, u%d)", p.Name(), a, b)
 						}
-						matPos[op.Vertex] = i
-					} else {
-						if compPos[op.Vertex] != -1 {
-							t.Fatalf("duplicate COMP u%d", op.Vertex)
-						}
-						compPos[op.Vertex] = i
-					}
-				}
-				for u := 0; u < n; u++ {
-					if matPos[u] == -1 {
-						t.Fatalf("missing MAT u%d", u)
-					}
-					if u != pi[0] && compPos[u] == -1 {
-						t.Fatalf("missing COMP u%d", u)
-					}
-					if u == pi[0] {
 						continue
 					}
-					for _, w := range pl.Ops[u].K1 {
-						if matPos[w] > compPos[u] {
-							t.Fatalf("%s %s π=%v: K1 vertex u%d not materialized before COMP u%d", p.Name(), mode.Name(), pi, w, u)
-						}
+					if err != nil {
+						t.Fatal(err)
 					}
-					for _, w := range pl.Ops[u].K2 {
-						if compPos[w] > compPos[u] {
-							t.Fatalf("%s %s π=%v: K2 vertex u%d not computed before COMP u%d", p.Name(), mode.Name(), pi, w, u)
-						}
-					}
-					// Operand union must equal the backward neighborhood:
-					// ∩K1 neighbor lists ∩ K2 candidate sets ≡ ∩ N+(u).
-					var covered uint32
-					for _, w := range pl.Ops[u].K1 {
-						covered |= 1 << uint(w)
-					}
-					for _, w := range pl.Ops[u].K2 {
-						covered |= backwardOf(p, pi, w)
-					}
-					if covered != backwardOf(p, pi, u) {
-						t.Fatalf("%s %s π=%v u%d: operands cover %b, want %b", p.Name(), mode.Name(), pi, u, covered, backwardOf(p, pi, u))
+					if pl.Pi[0] != a || pl.Pi[1] != b || !IsConnectedOrder(p, pl.Pi) {
+						t.Fatalf("%s: ChooseAnchored(u%d, u%d) chose π=%v", p.Name(), a, b, pl.Pi)
 					}
 				}
 			}
+		}
+	}
+}
+
+func checkSigmaWellFormed(t *testing.T, p *pattern.Pattern, pl *Plan, pi []pattern.Vertex, mode Mode) {
+	t.Helper()
+	n := p.NumVertices()
+	if len(pl.Sigma) != 2*n-1 {
+		t.Fatalf("%s %s: |σ| = %d, want %d", p.Name(), mode.Name(), len(pl.Sigma), 2*n-1)
+	}
+	matPos := make([]int, n)
+	compPos := make([]int, n)
+	for i := range matPos {
+		matPos[i], compPos[i] = -1, -1
+	}
+	for i, op := range pl.Sigma {
+		if op.Mode == Mat {
+			if matPos[op.Vertex] != -1 {
+				t.Fatalf("duplicate MAT u%d", op.Vertex)
+			}
+			matPos[op.Vertex] = i
+		} else {
+			if compPos[op.Vertex] != -1 {
+				t.Fatalf("duplicate COMP u%d", op.Vertex)
+			}
+			compPos[op.Vertex] = i
+		}
+	}
+	for u := 0; u < n; u++ {
+		if matPos[u] == -1 {
+			t.Fatalf("missing MAT u%d", u)
+		}
+		if u != pi[0] && compPos[u] == -1 {
+			t.Fatalf("missing COMP u%d", u)
+		}
+		if u == pi[0] {
+			continue
+		}
+		for _, w := range pl.Ops[u].K1 {
+			if matPos[w] > compPos[u] {
+				t.Fatalf("%s %s π=%v: K1 vertex u%d not materialized before COMP u%d", p.Name(), mode.Name(), pi, w, u)
+			}
+		}
+		for _, w := range pl.Ops[u].K2 {
+			if compPos[w] > compPos[u] {
+				t.Fatalf("%s %s π=%v: K2 vertex u%d not computed before COMP u%d", p.Name(), mode.Name(), pi, w, u)
+			}
+		}
+		// Operand union must equal the backward neighborhood:
+		// ∩K1 neighbor lists ∩ K2 candidate sets ≡ ∩ N+(u).
+		var covered uint32
+		for _, w := range pl.Ops[u].K1 {
+			covered |= 1 << uint(w)
+		}
+		for _, w := range pl.Ops[u].K2 {
+			covered |= backwardOf(p, pi, w)
+		}
+		if covered != backwardOf(p, pi, u) {
+			t.Fatalf("%s %s π=%v u%d: operands cover %b, want %b", p.Name(), mode.Name(), pi, u, covered, backwardOf(p, pi, u))
 		}
 	}
 }

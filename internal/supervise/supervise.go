@@ -59,7 +59,10 @@ func Go(wg *sync.WaitGroup, where string, onErr func(error), fn func()) {
 // enumeration cleanly instead of unwinding through the engine: the
 // wrapped visitor returns false (the engine's early-stop path) and the
 // recovered *PanicError is available from the returned err function
-// after the run. A nil visit returns a nil wrapper.
+// after the run. A nil visit returns a nil wrapper. SafeVisit does not
+// serialize or latch: a caller whose workers share the visitor must stop
+// calling it after a false (parallel.RunContext latches under its
+// visitor mutex; a single-threaded engine stops on the first false).
 func SafeVisit(where string, visit engine.VisitFunc) (wrapped engine.VisitFunc, err func() error) {
 	if visit == nil {
 		return nil, func() error { return nil }

@@ -32,11 +32,9 @@ import (
 	"time"
 
 	"light/internal/admission"
-	"light/internal/arena"
 	"light/internal/delta"
 	"light/internal/engine"
 	"light/internal/estimate"
-	"light/internal/faultpoint"
 	"light/internal/graph"
 	"light/internal/intersect"
 	"light/internal/metrics"
@@ -577,8 +575,12 @@ func CountContext(ctx context.Context, g *Graph, p *Pattern, opts Options) (Resu
 // Enumerate calls visit for every subgraph of g isomorphic to p;
 // visit(m) receives the data vertex m[u] matched to each pattern vertex
 // u. The slice is reused — copy it to retain. Returning false stops the
-// enumeration. With Workers > 1, visit is serialized by a mutex but may
-// be called from different goroutines. A panic inside visit does not
+// enumeration, and visit is never called again once it has returned
+// false (or panicked) — at any worker count, so a visitor that stops at
+// its N-th match sees exactly N calls. With Workers > 1, visit is
+// serialized by a mutex but may be called from different goroutines;
+// Result.Matches of a stopped run may exceed the calls by the matches
+// other workers had found but not yet delivered. A panic inside visit does not
 // crash the process: the run stops cleanly and the panic is returned
 // as an error (a *supervise.PanicError carrying the stack).
 func Enumerate(g *Graph, p *Pattern, opts Options, visit func(mapping []VertexID) bool) (Result, error) {
@@ -590,7 +592,9 @@ func Enumerate(g *Graph, p *Pattern, opts Options, visit func(mapping []VertexID
 
 // EnumerateContext is Enumerate under a context: cancellation or a
 // context deadline stops the run at its next poll and returns the
-// partial result with Stopped=true and ctx.Err() as the error.
+// partial result with Stopped=true and ctx.Err() as the error. The
+// visitor contract is Enumerate's: never called again after returning
+// false.
 func EnumerateContext(ctx context.Context, g *Graph, p *Pattern, opts Options, visit func(mapping []VertexID) bool) (Result, error) {
 	if visit == nil {
 		return Result{}, errors.New("light: EnumerateContext requires a visitor; use CountContext")
@@ -654,61 +658,19 @@ func run(ctx context.Context, g *Graph, p *Pattern, opts Options, visit engine.V
 			}
 			popts.Resume = ck
 		}
-		if opts.Workers <= 1 {
-			popts.Workers = 1
-		}
 
 		// Admission: wait for the guaranteed slot, run with what was
 		// granted, and chain the run's memory budget under the
 		// governor's. Degradation events accumulate into the RunReport.
-		var degradations []string
-		var govLim *arena.Limiter
-		if opts.Governor != nil {
-			gov := opts.Governor.g
-			a, aerr := gov.Admit(ctx, popts.Workers, opts.AdmissionTimeout)
-			if aerr != nil {
-				return Result{}, mapErr(aerr)
-			}
-			defer a.Close()
-			popts.Gate = a
-			popts.Watchdog = gov.Watchdog()
-			govLim = gov.MemLimiter()
-			rec.AddDuration(metrics.AdmissionWaitNanos, a.Wait())
-			rec.Add(metrics.AdmissionSlotsGranted, uint64(a.Granted()))
-			if a.Granted() < popts.Workers {
-				degradations = append(degradations, fmt.Sprintf(
-					"admission: granted %d of %d requested workers", a.Granted(), popts.Workers))
-			}
-			popts.Workers = a.Granted()
-		}
-		runLim := arena.NewLimiter(opts.MemoryBudget, govLim)
-		defer runLim.ReleaseAll()
-		popts.MemLimiter = runLim
-		popts.Workers, degradations, err = sizeWorkers(popts.Workers, st.maxDegree(), p.NumVertices(), runLim, degradations)
+		gr, err := opts.admit(ctx, rec, st.maxDegree(), p.NumVertices())
 		if err != nil {
 			return Result{}, err
 		}
-		// If the degradation ladder shrank the pool below the admission
-		// grant, return the surplus slots before any worker spawns: the
-		// governor's shed protocol assumes held slots == live workers,
-		// and holding more would let every worker — including the last —
-		// retire to a waiting query with root chunks still unclaimed.
-		popts.Gate.ReleaseTo(popts.Workers)
+		defer gr.release()
+		popts.Workers, popts.Gate, popts.Watchdog, popts.MemLimiter = gr.workers, gr.gate, gr.watchdog, gr.lim
 
 		pres, err := parallel.RunContext(ctx, st.base, pl, popts, visit)
-		if n := runLim.TightGrows(); n > 0 {
-			degradations = append(degradations, fmt.Sprintf(
-				"memory: %d exact-size arena slab grows under budget pressure", n))
-		}
-		if pres.SlotsShed > 0 {
-			degradations = append(degradations, fmt.Sprintf(
-				"admission: shed %d worker slot(s) to waiting queries", pres.SlotsShed))
-		}
-		if pres.Stalls > 0 {
-			degradations = append(degradations, fmt.Sprintf(
-				"watchdog: %d stall(s) detected", pres.Stalls))
-		}
-		rec.Add(metrics.GovernorDegradations, uint64(len(degradations)))
+		degradations := gr.settle(rec, pres.SlotsShed, pres.Stalls)
 		res = fill(res, pres.Result, time.Since(start))
 		res.CandidateMemoryBytes = pres.CandidateMemBytes
 		res.Report = newRunReport(rec, opts, pres.Workers, res.Duration, res.CandidateMemoryBytes, &pres, degradations)
@@ -766,41 +728,6 @@ func mapErr(err error) error {
 		return ErrStalled
 	}
 	return err
-}
-
-// sizeWorkers walks the memory-degradation ladder before any worker
-// spawns: if the requested pool's predicted arena footprint exceeds the
-// budget headroom even with exact-size (tight) slabs, workers are shed
-// — down to serial — so the run fits; the engine's hard
-// ErrMemoryBudget stop remains as the last resort for predictions the
-// estimate cannot see (the prediction covers per-worker candidate
-// buffers, the dominant term).
-func sizeWorkers(workers, maxDegree, patternVerts int, lim *arena.Limiter, degradations []string) (int, []string, error) {
-	head := lim.Headroom()
-	if head < 0 {
-		return workers, degradations, nil
-	}
-	if err := faultpoint.Hit(faultpoint.PointBudgetCheck); err != nil {
-		return 0, nil, fmt.Errorf("light: budget check: %w", err)
-	}
-	// Per-worker worst case: one cap-d_max buffer per pattern vertex
-	// plus one scratch buffer.
-	allocs := patternVerts + 1
-	tightEst := arena.EstimateBytes(allocs, maxDegree, true)
-	if tightEst <= 0 || int64(workers)*tightEst <= head {
-		return workers, degradations, nil
-	}
-	fit := int(head / tightEst)
-	if fit < 1 {
-		fit = 1
-	}
-	if fit < workers {
-		degradations = append(degradations, fmt.Sprintf(
-			"memory: shed workers %d -> %d (predicted %d B/worker, headroom %d B)",
-			workers, fit, tightEst, head))
-		workers = fit
-	}
-	return workers, degradations, nil
 }
 
 // PlanKey returns the canonical key of the plan the optimizer would

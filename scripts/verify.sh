@@ -46,6 +46,16 @@ go test -race -timeout 10m "${SHORT[@]}" \
 echo "==> go test -race shared-graph regressions (hub index, snapshot isolation)"
 go test -race -timeout 5m -run 'TestConcurrentQueriesHubThreshold|TestHubIndexOneBuildAcrossQueries|TestSnapshotIsolation' .
 
+echo "==> go test -race -cpu 1,2,4: visitor stop latch, anchored scheduler, CountDelta oracles"
+# The stop latch only matters with two or more workers really running at
+# once, and CountDelta's visitors run unserialized: a 1-CPU runner must
+# never be the only evidence for either.
+go test -race -cpu 1,2,4 -timeout 10m -run 'TestVisitorNeverCalledAfterStop|TestRunAnchored' ./internal/parallel/
+go test -race -cpu 1,2,4 -timeout 10m -run 'TestCountDelta' .
+
+echo "==> benchmark module: go vet + go test"
+(cd benchmark && go vet . && go test .)
+
 echo "==> lightd smoke: boot the daemon, load a graph, count + enumerate + batch over HTTP"
 go run ./cmd/lightd -smoke
 
