@@ -380,6 +380,46 @@ func BenchmarkAblationOrder(b *testing.B) {
 	}
 }
 
+// BenchmarkDefaultKernelHubFree prices the default kernel where bitmaps
+// cannot help: on graphs whose hub index is empty the zero Options must
+// cost what explicit HybridBlock costs (EXPERIMENTS.md "Default kernel").
+func BenchmarkDefaultKernelHubFree(b *testing.B) {
+	p4, err := PatternByName("P4")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		g    *Graph
+	}{
+		{"grid300x300", GenerateGrid(300, 300)},
+		{"er6000x60000", GenerateErdosRenyi(6000, 60000, 1)},
+	} {
+		if c.g.NumHubs() != 0 {
+			b.Fatalf("%s indexes %d hubs; the benchmark needs a hub-free graph", c.name, c.g.NumHubs())
+		}
+		for _, k := range []struct {
+			name string
+			opts Options
+		}{
+			{"default", Options{}},
+			{"HybridBlock", Options{Intersection: HybridBlock}},
+		} {
+			b.Run(c.name+"/"+k.name, func(b *testing.B) {
+				var nodes uint64
+				for i := 0; i < b.N; i++ {
+					res, err := Count(c.g, p4, k.opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					nodes += res.Nodes
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
+			})
+		}
+	}
+}
+
 // BenchmarkExtensionLabeled measures the labeled fast path: the same
 // shape queried unlabeled vs with 4 labels (label classes shrink the
 // root set and the NLF filter prunes candidates).

@@ -178,7 +178,10 @@ func runCatalogSection(g *light.Graph) ([]metrics.BenchRow, error) {
 			queries = append(queries, light.BatchQuery{Pattern: p, MinDegree: md})
 		}
 	}
-	bres, err := light.CountBatch(g, queries, light.Options{Workers: catalogWorkers})
+	// Like every gated row, the section names its kernel: the baseline's
+	// counters are HybridBlock's, whatever the library default is.
+	catalogOpts := light.Options{Workers: catalogWorkers, Intersection: light.HybridBlock}
+	bres, err := light.CountBatch(g, queries, catalogOpts)
 	if err != nil {
 		return nil, fmt.Errorf("catalog section batch: %w", err)
 	}
@@ -190,7 +193,7 @@ func runCatalogSection(g *light.Graph) ([]metrics.BenchRow, error) {
 	var seqWall time.Duration
 	for i, q := range queries {
 		md := catalogMinDegrees[i%len(catalogMinDegrees)]
-		opts := light.Options{Workers: catalogWorkers}
+		opts := catalogOpts
 		if md > 0 {
 			min := md
 			opts.Filter = func(u int, v light.VertexID) bool { return g.Degree(v) >= min }

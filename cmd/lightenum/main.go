@@ -4,7 +4,7 @@
 // Usage:
 //
 //	lightenum -pattern P2 -graph path.txt [-algo LIGHT] [-workers 8]
-//	          [-kernel HybridBlock] [-timeout 60s] [-print 10] [-stats]
+//	          [-kernel HybridBitmap] [-timeout 60s] [-print 10] [-stats]
 //	          [-checkpoint state.ckpt] [-resume state.ckpt]
 //
 // With -checkpoint, the run periodically persists its progress; if it
@@ -51,7 +51,7 @@ func main() {
 	scale := flag.Int("scale", 1, "scale for built-in datasets")
 	algoName := flag.String("algo", "LIGHT", "algorithm: SE, LM, MSC, LIGHT")
 	workers := flag.Int("workers", 1, "worker threads (>1 enables work stealing)")
-	kernel := flag.String("kernel", "HybridBlock", "intersection: Merge, MergeBlock, Galloping, Hybrid, HybridBlock, MergeBitmap, HybridBitmap")
+	kernel := flag.String("kernel", "", "intersection: Merge, MergeBlock, Galloping, Hybrid, HybridBlock, MergeBitmap, HybridBitmap (default: the library's)")
 	timeout := flag.Duration("timeout", 0, "abort after this long (0 = unlimited)")
 	printN := flag.Int("print", 0, "print the first N matches")
 	outPath := flag.String("out", "", "stream all matches to this file (one line per match)")
@@ -87,7 +87,7 @@ func main() {
 	if opts.Algorithm, err = parseAlgo(*algoName); err != nil {
 		fatal(err)
 	}
-	if opts.Intersection, err = parseKernel(*kernel); err != nil {
+	if opts.Intersection, err = light.ParseIntersection(*kernel); err != nil {
 		fatal(err)
 	}
 	if *memBudget != "" {
@@ -128,7 +128,7 @@ func main() {
 		return
 	}
 
-	fmt.Printf("data graph: %v\npattern:    %v\n", g, p)
+	fmt.Printf("data graph: %v\npattern:    %v\nkernel:     %v\n", g, p, opts.Intersection)
 
 	if *deltaCount {
 		// Checkpoint/resume describe the full enumeration below, not the
@@ -236,6 +236,9 @@ func main() {
 	fmt.Printf("time:             %v\n", res.Duration.Round(time.Microsecond))
 	fmt.Printf("order:            %v\n", res.Order)
 	fmt.Printf("intersections:    %d (%.1f%% galloping)\n", res.Intersections, res.GallopingPercent)
+	if res.Report != nil && res.Report.BitmapProbes > 0 {
+		fmt.Printf("bitmap probes:    %d\n", res.Report.BitmapProbes)
+	}
 	fmt.Printf("candidate memory: %d bytes\n", res.CandidateMemoryBytes)
 	if *stats && res.Report != nil {
 		data, err := json.MarshalIndent(res.Report, "", "  ")
@@ -423,7 +426,7 @@ func readEdgeUpdates(path string) (add, rem [][2]light.VertexID, err error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: line %d: bad vertex %q: %v", path, lineNo, fields[1], err)
 		}
-		e := [2]light.VertexID{light.VertexID(u), light.VertexID(v)} //lightvet:ignore indexsafety -- ParseUint bitSize 32 bounds both values
+		e := [2]light.VertexID{light.VertexID(u), light.VertexID(v)}
 		if op == "-" {
 			rem = append(rem, e)
 		} else {
@@ -481,15 +484,6 @@ func parseAlgo(s string) (light.Algorithm, error) {
 		return light.MSC, nil
 	}
 	return 0, fmt.Errorf("unknown algorithm %q", s)
-}
-
-func parseKernel(s string) (light.Intersection, error) {
-	for _, k := range []light.Intersection{light.HybridBlock, light.Merge, light.MergeBlock, light.Galloping, light.Hybrid, light.MergeBitmap, light.HybridBitmap} {
-		if strings.EqualFold(k.String(), s) {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown kernel %q", s)
 }
 
 func fatal(err error) {

@@ -22,16 +22,6 @@ func TestParseAlgo(t *testing.T) {
 	}
 }
 
-func TestParseKernel(t *testing.T) {
-	got, err := parseKernel("hybridblock")
-	if err != nil || got != light.HybridBlock {
-		t.Fatalf("parseKernel = %v, %v", got, err)
-	}
-	if _, err := parseKernel("avx"); err == nil {
-		t.Error("bogus kernel accepted")
-	}
-}
-
 func TestParseBytes(t *testing.T) {
 	for s, want := range map[string]int64{
 		"512": 512, "64K": 64 << 10, "2k": 2 << 10,

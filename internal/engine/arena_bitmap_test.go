@@ -5,6 +5,7 @@ import (
 
 	"light/internal/arena"
 	"light/internal/gen"
+	"light/internal/graph"
 	"light/internal/intersect"
 	"light/internal/pattern"
 	"light/internal/plan"
@@ -67,23 +68,47 @@ func TestBitmapKernelMatchesList(t *testing.T) {
 	}
 }
 
-// TestBitmapKernelNoHubIndex pins the fallback: with the hub index
-// dropped, bitmap kernels silently run their list fallback and agree.
+// TestBitmapKernelNoHubIndex pins where the strategy is decided: New
+// resolves a bitmap kernel to the list path outright when the graph's
+// index holds no hub (dropped, or nothing above the threshold), so such
+// a run does exactly the list kernel's work; with a hub it probes.
 func TestBitmapKernelNoHubIndex(t *testing.T) {
-	g := gen.BarabasiAlbert(150, 5, 3)
-	g.BuildHubIndex(-1)
+	dropped := gen.BarabasiAlbert(150, 5, 3)
+	dropped.BuildHubIndex(-1)
+	hubbed := gen.BarabasiAlbert(150, 5, 3)
+	hubbed.BuildHubIndex(8)
 	pl := compile(t, pattern.P3())
-	base, err := New(g, pl, Options{Kernel: intersect.KindHybridBlock}).Run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := New(g, pl, Options{Kernel: intersect.KindHybridBitmap}).Run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Matches != base.Matches || res.Stats.BitmapProbes != 0 {
-		t.Fatalf("no-index run: matches %d (want %d), probes %d (want 0)",
-			res.Matches, base.Matches, res.Stats.BitmapProbes)
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		hubs bool
+	}{
+		{"dropped index", dropped, false},
+		{"erdos-renyi", gen.ErdosRenyi(300, 1200, 7), false},
+		{"grid", gen.Grid(14, 14), false},
+		{"hubs", hubbed, true},
+	} {
+		e := New(c.g, pl, Options{Kernel: intersect.KindHybridBitmap})
+		if e.useBitmaps != c.hubs {
+			t.Fatalf("%s: New resolved useBitmaps=%v on a graph with %d hubs", c.name, e.useBitmaps, c.g.NumHubs())
+		}
+		res, err := e.Run(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := New(c.g, pl, Options{Kernel: intersect.KindHybridBlock}).Run(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Matches != base.Matches {
+			t.Fatalf("%s: matches %d, list kernel %d", c.name, res.Matches, base.Matches)
+		}
+		if !c.hubs && res.Stats != base.Stats {
+			t.Fatalf("%s: hub-free run's work %+v differs from the list kernel's %+v", c.name, res.Stats, base.Stats)
+		}
+		if c.hubs && res.Stats.BitmapProbes == 0 {
+			t.Fatalf("%s: no bitmap probes", c.name)
+		}
 	}
 }
 

@@ -93,7 +93,10 @@ func (lc *LaneCounts) Add(other LaneCounts) {
 // Options configure an Enumerator.
 type Options struct {
 	// Kernel selects the set intersection implementation (default
-	// KindMerge, the paper's serial baseline configuration).
+	// KindMerge, the paper's serial baseline configuration). A bitmap
+	// kind probes only where the graph's hub index has a bitmap for an
+	// operand; on a graph whose index holds no hub, New replaces it with
+	// its list fallback.
 	Kernel intersect.Kind
 	// Delta is the Hybrid threshold δ (default intersect.DefaultDelta).
 	// Valid values are non-negative: 0 selects the default, positive
@@ -254,8 +257,10 @@ type Enumerator struct {
 	bmsTmp  []*bitset.Bitmap
 	ar      *arena.Arena
 	dmax    int
-	// useBitmaps caches opts.Kernel.UsesBitmaps(): when set, compute
-	// probes the graph's hub index for K1 operands.
+	// useBitmaps is the intersection strategy New resolved: compute
+	// looks K1 operands up in the graph's hub index only when the kernel
+	// probes bitmaps and the index published when New ran holds at least
+	// one hub. Otherwise every COMP takes the list path outright.
 	useBitmaps bool
 
 	// Lane mode state: lanes aliases opts.Lanes (nil check per
@@ -309,6 +314,11 @@ func New(g *graph.Graph, pl *plan.Plan, opts Options) *Enumerator {
 	dmax := g.MaxDegree()
 	if opts.Overlay != nil {
 		dmax = opts.Overlay.MaxDegree()
+	}
+	if g.NumHubs() == 0 {
+		// Nothing to probe (no vertex reaches the index's threshold, or
+		// the index was dropped): a probing kernel is its list kernel.
+		opts.Kernel = opts.Kernel.ListFallback()
 	}
 	return &Enumerator{
 		g:          g,
@@ -757,32 +767,34 @@ func (e *Enumerator) computeShared(u int) bool {
 		return false
 	}
 	sets := e.setsTmp[:0]
-	if e.useBitmaps {
-		// Bitmap-probe path: collect the hub bitmap (or nil) of every K1
-		// operand in lockstep with sets; K2 cached candidates never have
-		// bitmap form. With no hub among the operands this degrades to
-		// the plain list call below via MultiWayBitmap's fallback.
-		bms := e.bmsTmp[:0]
-		for _, w := range ops.K1 {
-			v := e.assigned[w]
-			sets = append(sets, e.neighbors(v))
-			bms = append(bms, e.hubBitmap(v))
-		}
-		for _, w := range ops.K2 {
-			sets = append(sets, e.cand[w])
-			bms = append(bms, nil)
-		}
-		n := intersect.MultiWayBitmap(dst, scr, sets, bms, e.opts.Kernel, e.opts.Delta, &e.result.Stats)
-		e.cand[u] = dst[:n]
-		return n > 0
-	}
+	bms := e.bmsTmp[:0]
+	probe := false
 	for _, w := range ops.K1 {
-		sets = append(sets, e.neighbors(e.assigned[w]))
+		v := e.assigned[w]
+		sets = append(sets, e.neighbors(v))
+		if e.useBitmaps {
+			bm := e.hubBitmap(v)
+			probe = probe || bm != nil
+			bms = append(bms, bm)
+		}
 	}
 	for _, w := range ops.K2 {
 		sets = append(sets, e.cand[w])
 	}
-	n := intersect.MultiWay(dst, scr, sets, e.opts.Kernel, e.opts.Delta, &e.result.Stats)
+	var n int
+	if probe {
+		// Bitmap-probe path: bms runs in lockstep with sets; K2 cached
+		// candidates never have bitmap form.
+		for range ops.K2 {
+			bms = append(bms, nil)
+		}
+		n = intersect.MultiWayBitmap(dst, scr, sets, bms, e.opts.Kernel, e.opts.Delta, &e.result.Stats)
+	} else {
+		// No operand has a usable bitmap (list kernel, hub-free graph, no
+		// hub among the operands, or every hub operand touched by the
+		// overlay): exactly the list kernel's work, nothing more.
+		n = intersect.MultiWay(dst, scr, sets, e.opts.Kernel, e.opts.Delta, &e.result.Stats)
+	}
 	e.cand[u] = dst[:n]
 	return n > 0
 }

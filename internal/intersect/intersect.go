@@ -89,16 +89,6 @@ func (k Kind) UsesBitmaps() bool {
 	return k == KindMergeBitmap || k == KindHybridBitmap
 }
 
-// ParseKind maps a kernel name (as printed by String) to its Kind.
-func ParseKind(s string) (Kind, bool) {
-	for k := KindMerge; k <= KindHybridBitmap; k++ {
-		if k.String() == s {
-			return k, true
-		}
-	}
-	return 0, false
-}
-
 // Stats counts kernel invocations, letting experiments report the number
 // of set intersections (Fig 5) and the Galloping share (Table III).
 // Counters are not synchronized; use one Stats per worker and Add them.

@@ -19,12 +19,14 @@ const maxRequestBytes = 8 << 20
 
 // QueryOptions is the options block shared by /query, /enumerate, and
 // /batch requests. Zero values mean the library defaults (LIGHT,
-// HybridBlock, one worker).
+// HybridBitmap, one worker).
 type QueryOptions struct {
 	// Algorithm is SE, LM, MSC, or LIGHT.
 	Algorithm string `json:"algorithm,omitempty"`
 	// Kernel is Merge, MergeBlock, Galloping, Hybrid, HybridBlock,
-	// MergeBitmap, or HybridBitmap.
+	// MergeBitmap, or HybridBitmap; empty selects the library default
+	// (light.ParseIntersection), and the result cache keys on the
+	// resolved kernel, so "" and "HybridBitmap" share their entries.
 	Kernel string `json:"kernel,omitempty"`
 	// Workers is the worker-pool request; the governor may grant fewer
 	// under load.
@@ -130,27 +132,6 @@ func parseAlgorithm(name string) (light.Algorithm, error) {
 	return 0, fmt.Errorf("unknown algorithm %q (want SE, LM, MSC, or LIGHT)", name)
 }
 
-// parseKernel maps the wire name to the library enum.
-func parseKernel(name string) (light.Intersection, error) {
-	switch name {
-	case "", "HybridBlock":
-		return light.HybridBlock, nil
-	case "Merge":
-		return light.Merge, nil
-	case "MergeBlock":
-		return light.MergeBlock, nil
-	case "Galloping":
-		return light.Galloping, nil
-	case "Hybrid":
-		return light.Hybrid, nil
-	case "MergeBitmap":
-		return light.MergeBitmap, nil
-	case "HybridBitmap":
-		return light.HybridBitmap, nil
-	}
-	return 0, fmt.Errorf("unknown kernel %q", name)
-}
-
 // buildOptions translates wire options into light.Options under the
 // server's governor, also returning the canonical option-key fragment
 // for the result cache: exactly the fields that can change the response
@@ -161,7 +142,7 @@ func (s *Server) buildOptions(qo QueryOptions) (light.Options, string, error) {
 	if err != nil {
 		return light.Options{}, "", err
 	}
-	kern, err := parseKernel(qo.Kernel)
+	kern, err := light.ParseIntersection(qo.Kernel)
 	if err != nil {
 		return light.Options{}, "", err
 	}

@@ -139,22 +139,34 @@ func TestQueryCountAndCacheHit(t *testing.T) {
 	}
 }
 
-// TestQueryOptionsChangeCacheKey: a different kernel or a no_cache
-// request must not be served the other option set's entry.
+// TestQueryOptionsChangeCacheKey: the cache keys on the resolved kernel
+// — "" and the default's own name share one entry, every other kernel
+// gets its own — and a no_cache request is never served from it.
 func TestQueryOptionsChangeCacheKey(t *testing.T) {
 	s, _, ref := testServer(t, Config{})
 	base := queryRequest{Graph: "g", Pattern: "triangle"}
-	merge := queryRequest{Graph: "g", Pattern: "triangle",
-		Options: QueryOptions{Kernel: "Merge"}}
-
-	var r1, r2 QueryResponse
-	decode(t, do(t, s, "POST", "/query", base), &r1)
-	decode(t, do(t, s, "POST", "/query", merge), &r2)
-	if r2.Cached {
-		t.Fatal("different kernel served from the default kernel's cache entry")
-	}
-	if r1.Matches != ref || r2.Matches != ref {
-		t.Fatalf("matches = %d/%d, want %d", r1.Matches, r2.Matches, ref)
+	for _, c := range []struct {
+		kernel     string
+		wantCached bool
+		wantKernel string
+	}{
+		{"", false, "HybridBitmap"},
+		{"HybridBitmap", true, "HybridBitmap"},
+		{"HybridBlock", false, "HybridBlock"},
+		{"HybridBlock", true, "HybridBlock"},
+		{"Merge", false, "Merge"},
+		{"", true, "HybridBitmap"},
+	} {
+		req := base
+		req.Options.Kernel = c.kernel
+		var r QueryResponse
+		decode(t, do(t, s, "POST", "/query", req), &r)
+		if r.Cached != c.wantCached {
+			t.Fatalf("kernel %q: cached = %v, want %v", c.kernel, r.Cached, c.wantCached)
+		}
+		if r.Matches != ref || r.Report == nil || r.Report.Kernel != c.wantKernel {
+			t.Fatalf("kernel %q: matches %d (want %d), report %+v (want kernel %s)", c.kernel, r.Matches, ref, r.Report, c.wantKernel)
+		}
 	}
 
 	noCache := base

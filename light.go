@@ -381,13 +381,24 @@ func (a Algorithm) mode() plan.Mode {
 }
 
 // Intersection selects the sorted-set intersection kernel (Section
-// VII-A). The Block variants stand in for the paper's AVX2 kernels.
+// VII-A). The Block variants stand in for the paper's AVX2 kernels; the
+// Bitmap variants add hub-bitmap probing on top of them (an extension
+// beyond the paper; see DESIGN.md §3).
 type Intersection int
 
 const (
-	// HybridBlock is Algorithm 4 with the block-skipping merge — the
-	// paper's production configuration (HybridAVX2) and the default.
-	HybridBlock Intersection = iota
+	// HybridBitmap is HybridBlock with hub-bitmap probing, and the
+	// default: an intersection whose operands include an indexed
+	// high-degree hub filters the smallest operand through the hub's
+	// bitmap (O(1) per element) instead of walking the hub's list.
+	// Where bitmaps cannot help — the graph has no indexed hub, an
+	// intersection has no hub operand, or the hub was touched by pending
+	// edge deltas — it runs exactly HybridBlock's list code.
+	HybridBitmap Intersection = iota
+	// HybridBlock is Algorithm 4 with the block-skipping merge and no
+	// bitmap probing — the stand-in for the paper's production
+	// configuration (HybridAVX2), which every figure reproduction names.
+	HybridBlock
 	// Merge is the scalar two-pointer merge.
 	Merge
 	// MergeBlock is the block-skipping merge (MergeAVX2 stand-in).
@@ -396,15 +407,9 @@ const (
 	Galloping
 	// Hybrid is Algorithm 4 with the scalar merge.
 	Hybrid
-	// MergeBitmap is the block-skipping merge with hub-bitmap probing:
-	// intersections whose operands include a high-degree hub filter the
-	// smallest operand through the hub's bitmap (O(1) per element)
-	// instead of merging the lists. Falls back to MergeBlock when no
-	// operand is an indexed hub.
+	// MergeBitmap is MergeBlock with hub-bitmap probing. (Keep it last:
+	// ParseIntersection walks the kernels up to it.)
 	MergeBitmap
-	// HybridBitmap is HybridBlock with hub-bitmap probing — the fastest
-	// configuration on hub-dominated graphs.
-	HybridBitmap
 )
 
 // String returns the kernel name used in the paper's figures.
@@ -412,6 +417,8 @@ func (i Intersection) String() string { return i.kind().String() }
 
 func (i Intersection) kind() intersect.Kind {
 	switch i {
+	case HybridBlock:
+		return intersect.KindHybridBlock
 	case Merge:
 		return intersect.KindMerge
 	case MergeBlock:
@@ -422,18 +429,36 @@ func (i Intersection) kind() intersect.Kind {
 		return intersect.KindHybrid
 	case MergeBitmap:
 		return intersect.KindMergeBitmap
-	case HybridBitmap:
-		return intersect.KindHybridBitmap
 	}
-	return intersect.KindHybridBlock
+	return intersect.KindHybridBitmap
+}
+
+// ParseIntersection maps a kernel name — one of the seven String
+// spellings, matched without regard to case — to its Intersection. The
+// empty name selects the default kernel (the zero value). It is the one
+// place that knows the names and what "" means: the CLI flag, lightd's
+// wire option and its result-cache key all go through it.
+func ParseIntersection(name string) (Intersection, error) {
+	if name == "" {
+		return Intersection(0), nil
+	}
+	for k := Intersection(0); k <= MergeBitmap; k++ {
+		if strings.EqualFold(k.String(), name) {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("light: unknown kernel %q", name)
 }
 
 // Options configure Count and Enumerate. The zero value runs LIGHT with
-// the HybridBlock kernel on one worker.
+// the HybridBitmap kernel on one worker.
 type Options struct {
 	// Algorithm defaults to LIGHT.
 	Algorithm Algorithm
-	// Intersection defaults to HybridBlock.
+	// Intersection defaults to HybridBitmap: hub-bitmap probing where the
+	// graph's index has a bitmap for an operand, HybridBlock's list
+	// kernel everywhere else. Name HybridBlock to reproduce the paper's
+	// configuration exactly.
 	Intersection Intersection
 	// Workers > 1 enables the work-stealing parallel DFS (Section
 	// VII-B). 0 or 1 runs sequentially.

@@ -218,8 +218,28 @@ func TestNames(t *testing.T) {
 	if LIGHT.String() != "LIGHT" || SE.String() != "SE" || LM.String() != "LM" || MSC.String() != "MSC" {
 		t.Fatal("algorithm names")
 	}
-	if HybridBlock.String() != "HybridBlock" || Merge.String() != "Merge" {
-		t.Fatal("kernel names")
+	// All seven kernel names round-trip through the one parser, in any
+	// case; "" and the zero value both mean the default kernel.
+	names := map[Intersection]string{
+		Merge: "Merge", MergeBlock: "MergeBlock", Galloping: "Galloping", Hybrid: "Hybrid",
+		HybridBlock: "HybridBlock", MergeBitmap: "MergeBitmap", HybridBitmap: "HybridBitmap",
+	}
+	for k, name := range names {
+		if k.String() != name {
+			t.Errorf("kernel %d prints %q, want %q", k, k, name)
+		}
+		for _, spelling := range []string{name, strings.ToLower(name), strings.ToUpper(name)} {
+			if got, err := ParseIntersection(spelling); err != nil || got != k {
+				t.Errorf("ParseIntersection(%q) = %v, %v, want %v", spelling, got, err, k)
+			}
+		}
+	}
+	var zero Intersection
+	if def, err := ParseIntersection(""); err != nil || def != zero || zero != HybridBitmap {
+		t.Errorf(`ParseIntersection("") = %v, %v; zero value %v; both must be HybridBitmap`, def, err, zero)
+	}
+	if _, err := ParseIntersection("avx"); err == nil {
+		t.Error("bogus kernel accepted")
 	}
 	if len(CatalogNames()) != 7 {
 		t.Fatal("catalog size")
@@ -292,5 +312,252 @@ func TestGoldenCatalogCounts(t *testing.T) {
 				t.Errorf("%s/%v: %d, golden %d", name, algo, res.Matches, golden[name])
 			}
 		}
+	}
+}
+
+// countHoms counts the injective homomorphisms of the pattern (pn
+// vertices, pedges) into the graph (n vertices, edges) by backtracking
+// in natural pattern-vertex order — no plan, no symmetry breaking, no
+// intersection kernel. The reference for the default-kernel tests.
+func countHoms(n int, edges [][2]VertexID, pn int, pedges [][2]int) uint64 {
+	adj := make([][]VertexID, n)
+	has := make([]bool, n*n)
+	for _, e := range edges {
+		adj[e[0]] = append(adj[e[0]], e[1])
+		adj[e[1]] = append(adj[e[1]], e[0])
+		has[int(e[0])*n+int(e[1])] = true
+		has[int(e[1])*n+int(e[0])] = true
+	}
+	back := make([][]int, pn) // earlier pattern neighbors of each vertex
+	for _, e := range pedges {
+		a, b := e[0], e[1]
+		if a > b {
+			a, b = b, a
+		}
+		back[b] = append(back[b], a)
+	}
+	all := make([]VertexID, n)
+	for i := range all {
+		all[i] = VertexID(i)
+	}
+	m := make([]VertexID, pn)
+	used := make([]bool, n)
+	var count uint64
+	var rec func(u int)
+	rec = func(u int) {
+		if u == pn {
+			count++
+			return
+		}
+		cands := all
+		if len(back[u]) > 0 {
+			cands = adj[m[back[u][0]]]
+		}
+	next:
+		for _, v := range cands {
+			if used[v] {
+				continue
+			}
+			for _, w := range back[u] {
+				if !has[int(m[w])*n+int(v)] {
+					continue next
+				}
+			}
+			m[u], used[v] = v, true
+			rec(u + 1)
+			used[v] = false
+		}
+	}
+	rec(0)
+	return count
+}
+
+// referenceCounts returns the brute-force subgraph count of every
+// catalog pattern in the snapshot: homomorphisms into the view divided
+// by the pattern's automorphisms (its homomorphisms into itself).
+func referenceCounts(t *testing.T, s *Snapshot) map[string]uint64 {
+	t.Helper()
+	var edges [][2]VertexID
+	for e := range snapshotEdges(s) {
+		edges = append(edges, e)
+	}
+	out := map[string]uint64{}
+	for _, name := range CatalogNames() {
+		p := mustPattern(t, name)
+		pn := p.NumVertices()
+		var pedges [][2]int
+		var self [][2]VertexID
+		for _, e := range p.p.Edges() {
+			pedges = append(pedges, [2]int{e[0], e[1]})
+			self = append(self, [2]VertexID{VertexID(e[0]), VertexID(e[1])})
+		}
+		out[name] = countHoms(s.NumVertices(), edges, pn, pedges) / countHoms(pn, self, pn, pedges)
+	}
+	return out
+}
+
+// sameListWork reports whether two runs did bit-identical list-kernel
+// work and probed no bitmap.
+func sameListWork(a, b *RunReport) bool {
+	return a.Intersections == b.Intersections && a.Galloping == b.Galloping &&
+		a.Elements == b.Elements && a.BitmapProbes == 0 && b.BitmapProbes == 0
+}
+
+// TestDefaultKernelEquivalence: the zero Options (hub-bitmap probing
+// by default) find exactly what explicit HybridBlock and the brute-force
+// reference find, for Count, CountBatch and CountDelta at 1, 2 and 4
+// workers — on a graph with indexed hubs, on two without (where the
+// default must also do bit-identical work to HybridBlock), on a dirty
+// snapshot that touches every indexed hub (all probing suppressed), and
+// on that snapshot compacted.
+func TestDefaultKernelEquivalence(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		g    *Graph
+		hubs bool
+	}{
+		{"BA", GenerateBarabasiAlbert(900, 2, 7), true},
+		{"ER", GenerateErdosRenyi(300, 1200, 7), false},
+		{"grid", GenerateGrid(14, 14), false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g := c.g
+			if (g.NumHubs() > 0) != c.hubs {
+				t.Fatalf("%v indexes %d hubs, want hubs=%v", g, g.NumHubs(), c.hubs)
+			}
+			// The update touches every indexed hub (one new edge each),
+			// adds a few edges elsewhere and removes one.
+			n := g.NumVertices()
+			var add, rem [][2]VertexID
+			base := g.snap().base
+			for v := 0; v < n; v++ {
+				if base.HubBitmap(VertexID(v)) == nil {
+					continue
+				}
+				for w := 0; w < n; w++ {
+					if w != v && !g.HasEdge(VertexID(v), VertexID(w)) {
+						add = append(add, [2]VertexID{VertexID(v), VertexID(w)})
+						break
+					}
+				}
+			}
+			for k := 0; k < 4; k++ {
+				if u, v := VertexID(k), VertexID(n-1-k); !g.HasEdge(u, v) {
+					add = append(add, [2]VertexID{u, v})
+				}
+			}
+			rem = append(rem, [2]VertexID{VertexID(n / 3), g.Neighbors(VertexID(n / 3))[0]})
+
+			clean := g.Snapshot()
+			dirty, err := g.ApplyEdges(add, rem)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compacted, err := g.Compact()
+			if err != nil {
+				t.Fatal(err)
+			}
+			views := []struct {
+				name     string
+				snap     *Snapshot
+				listOnly bool // no usable bitmap: default must equal HybridBlock's work
+			}{
+				{"clean", clean, !c.hubs},
+				{"dirty", dirty, true},
+				{"compacted", compacted, !c.hubs},
+			}
+			refs := map[string]map[string]uint64{}
+			for _, v := range views {
+				refs[v.name] = referenceCounts(t, v.snap)
+			}
+
+			var queries []BatchQuery
+			for _, name := range CatalogNames() {
+				queries = append(queries, BatchQuery{Pattern: mustPattern(t, name)})
+			}
+			for _, workers := range []int{1, 2, 4} {
+				for _, v := range views {
+					def := Options{Workers: workers, Snapshot: v.snap}
+					list := def
+					list.Intersection = HybridBlock
+					for i, name := range CatalogNames() {
+						want := refs[v.name][name]
+						d, err := Count(g, queries[i].Pattern, def)
+						if err != nil {
+							t.Fatal(err)
+						}
+						l, err := Count(g, queries[i].Pattern, list)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if d.Matches != want || l.Matches != want {
+							t.Errorf("%s/%s workers %d: Count default %d, HybridBlock %d, reference %d",
+								v.name, name, workers, d.Matches, l.Matches, want)
+						}
+						if v.listOnly && !sameListWork(d.Report, l.Report) {
+							t.Errorf("%s/%s workers %d: no usable bitmap, yet default work differs from HybridBlock's:\ndefault:     %+v\nHybridBlock: %+v",
+								v.name, name, workers, d.Report, l.Report)
+						}
+					}
+					db, err := CountBatch(g, queries, def)
+					if err != nil {
+						t.Fatal(err)
+					}
+					lb, err := CountBatch(g, queries, list)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, name := range CatalogNames() {
+						if want := refs[v.name][name]; db.Queries[i].Matches != want || lb.Queries[i].Matches != want {
+							t.Errorf("%s/%s workers %d: CountBatch default %d, HybridBlock %d, reference %d",
+								v.name, name, workers, db.Queries[i].Matches, lb.Queries[i].Matches, want)
+						}
+					}
+				}
+				for _, to := range views[1:] {
+					for i, name := range CatalogNames() {
+						want := int64(refs[to.name][name]) - int64(refs["clean"][name])
+						d, err := CountDelta(g, queries[i].Pattern, clean, to.snap, Options{Workers: workers})
+						if err != nil {
+							t.Fatal(err)
+						}
+						l, err := CountDelta(g, queries[i].Pattern, clean, to.snap, Options{Workers: workers, Intersection: HybridBlock})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if d.Net != want || l.Net != want || d.Gained != l.Gained || d.Lost != l.Lost {
+							t.Errorf("clean->%s/%s workers %d: CountDelta default +%d/-%d, HybridBlock +%d/-%d, reference net %d",
+								to.name, name, workers, d.Gained, d.Lost, l.Gained, l.Lost, want)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestDefaultKernelProbesHubs fails, without a stopwatch, if the default
+// query goes back to merging hub lists: on a hub graph the default P4
+// run must probe bitmaps, scan under a third of the elements explicit
+// HybridBlock scans, and say in its report which kernel it ran.
+func TestDefaultKernelProbesHubs(t *testing.T) {
+	g := GenerateBarabasiAlbert(1200, 3, 7)
+	p := mustPattern(t, "P4")
+	def, err := Count(g, p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	list, err := Count(g, p, Options{Intersection: HybridBlock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def.Report.Kernel != "HybridBitmap" || list.Report.Kernel != "HybridBlock" {
+		t.Errorf("reports name kernels %q and %q, want HybridBitmap and HybridBlock", def.Report.Kernel, list.Report.Kernel)
+	}
+	if def.Report.BitmapProbes == 0 || list.Report.BitmapProbes != 0 {
+		t.Errorf("bitmap probes: default %d (want > 0), HybridBlock %d (want 0)", def.Report.BitmapProbes, list.Report.BitmapProbes)
+	}
+	if 3*def.Report.Elements >= list.Report.Elements {
+		t.Errorf("default scanned %d elements, HybridBlock %d: want under a third", def.Report.Elements, list.Report.Elements)
 	}
 }

@@ -37,21 +37,24 @@ go test -race "${SHORT[@]}" ./internal/lint/...
 echo "==> go test -count=1 -shuffle=on ./..."
 go test -count=1 -shuffle=on "${SHORT[@]}" ./...
 
-echo "==> go test -race (parallel, engine, lanes, delta, metrics, admission, server incl. soaks)"
+echo "==> go test -race -cpu 2,4 (parallel, engine, lanes, delta, metrics, admission, server incl. soaks)"
 # Explicit -timeout: under -race these are the slowest steps, and a hang
 # should fail with goroutine dumps inside the CI job budget, not at it.
-go test -race -timeout 10m "${SHORT[@]}" \
+# Explicit -cpu on every race, soak and chaos line: GOMAXPROCS is set by
+# the flag, so a 1-CPU runner still schedules the workers concurrently.
+go test -race -cpu 2,4 -timeout 20m "${SHORT[@]}" \
     ./internal/parallel/... ./internal/engine/... ./internal/lanes/... ./internal/delta/... ./internal/metrics/... ./internal/admission/... ./internal/server/...
 
-echo "==> go test -race shared-graph regressions (hub index, snapshot isolation)"
-go test -race -timeout 5m -run 'TestConcurrentQueriesHubThreshold|TestHubIndexOneBuildAcrossQueries|TestSnapshotIsolation' .
+echo "==> go test -race -cpu 2,4 shared-graph regressions (hub index, snapshot isolation)"
+go test -race -cpu 2,4 -timeout 5m -run 'TestConcurrentQueriesHubThreshold|TestHubIndexOneBuildAcrossQueries|TestSnapshotIsolation' .
 
-echo "==> go test -race -cpu 1,2,4: visitor stop latch, anchored scheduler, CountDelta oracles"
+echo "==> go test -race -cpu 1,2,4: visitor stop latch, anchored scheduler, CountDelta oracles, default-kernel equivalence"
 # The stop latch only matters with two or more workers really running at
-# once, and CountDelta's visitors run unserialized: a 1-CPU runner must
-# never be the only evidence for either.
+# once, CountDelta's visitors run unserialized, and the default kernel's
+# hub probing is the path every zero-Options query takes: a 1-CPU runner
+# must never be the only evidence for any of them.
 go test -race -cpu 1,2,4 -timeout 10m -run 'TestVisitorNeverCalledAfterStop|TestRunAnchored' ./internal/parallel/
-go test -race -cpu 1,2,4 -timeout 10m -run 'TestCountDelta' .
+go test -race -cpu 1,2,4 -timeout 10m -run 'TestCountDelta|TestDefaultKernel' .
 
 echo "==> benchmark module: go vet + go test"
 (cd benchmark && go vet . && go test .)
@@ -59,9 +62,9 @@ echo "==> benchmark module: go vet + go test"
 echo "==> lightd smoke: boot the daemon, load a graph, count + enumerate + batch over HTTP"
 go run ./cmd/lightd -smoke
 
-echo "==> chaos: go test -race -tags faultinject"
+echo "==> chaos: go test -race -cpu 2,4 -tags faultinject"
 go build -tags faultinject ./...
-go test -race -tags faultinject -timeout 10m "${SHORT[@]}" \
+go test -race -cpu 2,4 -tags faultinject -timeout 20m "${SHORT[@]}" \
     ./internal/faultpoint/ ./internal/parallel/ ./internal/supervise/ ./internal/graph/ ./internal/engine/ ./internal/admission/ ./internal/lanes/
 
 echo "==> fuzz smoke: FuzzCSRRoundTrip (10s)"
