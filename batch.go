@@ -127,11 +127,6 @@ func CountBatchContext(ctx context.Context, g *Graph, queries []BatchQuery, opts
 		lq[i] = lanes.Query{Plan: pl, Spec: spec}
 		recs[i] = metrics.NewRecorder()
 	}
-	if opts.HubDegreeThreshold > 0 {
-		// Same first-wins preparation as single-query runs: one build,
-		// shared by every concurrent query on this graph.
-		st.base.EnsureHubIndex(opts.HubDegreeThreshold)
-	}
 
 	batchRec := metrics.NewRecorder()
 	lopts := lanes.Options{
@@ -176,9 +171,7 @@ func CountBatchContext(ctx context.Context, g *Graph, queries []BatchQuery, opts
 		}
 		r.Order = make([]int, len(lq[i].Plan.Pi))
 		copy(r.Order, lq[i].Plan.Pi)
-		r.Report = newRunReport(recs[i], opts, lres.Workers, bres.Duration, lres.CandidateMemBytes, nil, nil)
-		r.Report.DeltaEdges = st.deltaEdges()
-		r.Report.SnapshotGen = st.gen
+		r.Report = newRunReport(recs[i], opts, st, lres.Workers, bres.Duration, lres.CandidateMemBytes, nil, nil)
 		bres.Queries[i] = r
 	}
 	return bres, mapErr(err)

@@ -198,9 +198,6 @@ func (r *anchoredRun) count(ctx context.Context, st *snapshotState, edges []delt
 	if len(edges) == 0 {
 		return 0, nil
 	}
-	if r.opts.HubDegreeThreshold > 0 {
-		st.base.EnsureHubIndex(r.opts.HubDegreeThreshold)
-	}
 	// keys orders the changed edges; anchors groups them by smaller
 	// endpoint, each group's larger endpoints one ascending subslice of
 	// partners. Every plan runs from every anchor.

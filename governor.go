@@ -107,9 +107,6 @@ func (o Options) validate() error {
 	if o.AdmissionTimeout < 0 {
 		return fmt.Errorf("light: Options.AdmissionTimeout is %v, must be non-negative (0 waits until the context is done)", o.AdmissionTimeout)
 	}
-	if o.HubDegreeThreshold < 0 {
-		return fmt.Errorf("light: Options.HubDegreeThreshold is %d, must be non-negative (0 keeps the auto-tuned index)", o.HubDegreeThreshold)
-	}
 	return nil
 }
 

@@ -29,7 +29,6 @@ func TestOptionsValidation(t *testing.T) {
 		{"negative checkpoint interval", Options{CheckpointInterval: -time.Second}, "CheckpointInterval"},
 		{"negative memory budget", Options{MemoryBudget: -1}, "MemoryBudget"},
 		{"negative admission timeout", Options{AdmissionTimeout: -time.Second}, "AdmissionTimeout"},
-		{"negative hub degree threshold", Options{HubDegreeThreshold: -1}, "HubDegreeThreshold"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -347,7 +346,12 @@ func TestMemoryShedReturnsAdmissionSlots(t *testing.T) {
 	// slots but spawns fewer, so the surplus must be released.
 	perWorker := int64(p.NumVertices()+1) * int64(g.MaxDegree()) * 4
 	shed := false
-	for i := 0; i < 3; i++ {
+	// At least three runs, and then until one was granted more slots than
+	// its budget funds: on a loaded machine the churn queries can hold
+	// every spare slot at each of a few admissions, and a run granted one
+	// slot has no surplus to return.
+	deadline := time.Now().Add(30 * time.Second)
+	for i := 0; i < 3 || (!shed && time.Now().Before(deadline)); i++ {
 		res, err := Count(g, p, Options{Workers: 4, Governor: gov, MemoryBudget: perWorker + perWorker/2})
 		if err != nil {
 			t.Fatal(err)

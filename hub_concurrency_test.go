@@ -6,89 +6,147 @@ import (
 )
 
 // These are the regression tests for the shared-Graph hub-index data
-// race: run() and CountBatchContext used to call BuildHubIndex on the
-// shared *Graph per query, which nilled-then-swapped the index under
-// the hot-path HubBitmap reader — two concurrent queries with
-// HubDegreeThreshold set were a data race (caught by -race pre-fix)
-// that could crash or silently drop bitmap probes mid-run.
+// race: the index used to be rebuilt nil-then-swap under the hot-path
+// HubBitmap reader, so a rebuild concurrent with a query could crash
+// it or silently drop bitmap probes mid-run. No query rebuilds the
+// index any more; what can still happen is an explicit BuildHubIndex
+// on a base CSR that queries are enumerating.
 
-// TestConcurrentQueriesHubThreshold runs concurrent Counts with
-// conflicting HubDegreeThreshold values on one shared *Graph. Pre-fix
-// this races; post-fix every query returns the exact reference count
-// (τ shifts kernel strategy only, never the match set).
+// TestConcurrentQueriesHubThreshold runs Count, CountBatch and
+// CountDelta concurrently on one shared *Graph — clean and dirty
+// snapshots over one base — while BuildHubIndex keeps republishing the
+// base's index with alternating τ. Every query must return the exact
+// reference count (τ shifts kernel strategy only, never the match set),
+// with no data race.
 func TestConcurrentQueriesHubThreshold(t *testing.T) {
 	g := GenerateBarabasiAlbert(600, 6, 17)
 	p, err := PatternByName("triangle")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Count(g, p, Options{})
+	hub := VertexID(g.NumVertices() - 1) // degree order: the last id is the biggest hub
+	clean := g.Snapshot()
+	dirty, err := g.ApplyEdges(
+		[][2]VertexID{{0, 1}, {0, 2}, {1, 2}, {3, 5}},
+		[][2]VertexID{{hub, g.Neighbors(hub)[0]}, {hub, g.Neighbors(hub)[1]}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps := [2]*Snapshot{clean, dirty}
+	var refs [2]uint64
+	for i, s := range snaps {
+		res, err := Count(g, p, Options{Intersection: HybridBlock, Snapshot: s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[i] = res.Matches
+	}
+	refDelta, err := CountDelta(g, p, clean, dirty, Options{Intersection: HybridBlock})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	const queries = 8
+	base := g.snap().base
+	base.BuildHubIndex(4) // every query below finds indexed hubs
+	stop := make(chan struct{})
+	var builder sync.WaitGroup
+	builder.Add(1)
+	go func() {
+		defer builder.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			base.BuildHubIndex(9 - 5*(i%2)) // alternating τ defeats the same-τ fast path
+		}
+	}()
+
+	const queries = 12
 	var wg sync.WaitGroup
-	var results [queries]Result
-	var errs [queries]error
+	var probes [queries]uint64
 	for q := 0; q < queries; q++ {
 		wg.Add(1)
 		go func(q int) {
 			defer wg.Done()
-			opts := Options{
-				Intersection:       HybridBitmap,
-				HubDegreeThreshold: 3 + q%3, // conflicting τ across queries
-				Workers:            1 + q%2,
+			side := q % 2
+			opts := Options{Workers: 1 + q%3}
+			switch q % 3 {
+			case 0:
+				opts.Snapshot = snaps[side]
+				res, err := Count(g, p, opts)
+				if err != nil || res.Matches != refs[side] {
+					t.Errorf("query %d: Count = %d, %v; want %d", q, res.Matches, err, refs[side])
+					return
+				}
+				probes[q] = res.Report.BitmapProbes
+			case 1:
+				opts.Snapshot = snaps[side]
+				bres, err := CountBatch(g, []BatchQuery{{Pattern: p}}, opts)
+				if err != nil || bres.Queries[0].Matches != refs[side] {
+					t.Errorf("query %d: CountBatch = %+v, %v; want %d", q, bres.Queries, err, refs[side])
+					return
+				}
+				probes[q] = bres.Queries[0].Report.BitmapProbes
+			case 2:
+				dr, err := CountDelta(g, p, clean, dirty, opts)
+				if err != nil || dr.Gained != refDelta.Gained || dr.Lost != refDelta.Lost {
+					t.Errorf("query %d: CountDelta = +%d -%d, %v; want +%d -%d",
+						q, dr.Gained, dr.Lost, err, refDelta.Gained, refDelta.Lost)
+				}
 			}
-			results[q], errs[q] = Count(g, p, opts)
 		}(q)
 	}
 	wg.Wait()
-	for q := 0; q < queries; q++ {
-		if errs[q] != nil {
-			t.Errorf("query %d: %v", q, errs[q])
-			continue
-		}
-		if results[q].Matches != ref.Matches {
-			t.Errorf("query %d: matches = %d, want %d", q, results[q].Matches, ref.Matches)
-		}
+	close(stop)
+	builder.Wait()
+	var probed uint64
+	for _, n := range probes {
+		probed += n
+	}
+	if probed == 0 {
+		t.Error("no query probed a hub bitmap: the race never touched the probing path")
 	}
 }
 
-// TestHubIndexOneBuildAcrossQueries pins the first-wins preparation:
-// N queries requesting a τ on one graph — concurrently and repeatedly,
-// single and batch — trigger exactly one index build; conflicting τ
-// values do not thrash rebuilds.
+// TestHubIndexOneBuildAcrossQueries pins that the hub index is
+// immutable per base CSR as far as any query can tell: whatever runs —
+// every kernel, single, batch and delta, concurrently — the only build
+// a base ever sees is its construction's, and a compaction's new CSR
+// gets its own.
 func TestHubIndexOneBuildAcrossQueries(t *testing.T) {
 	g := GenerateBarabasiAlbert(400, 5, 23)
 	tri, err := PatternByName("triangle")
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := g.snap().base.HubBuilds() // construction's auto-build
+	clean := g.Snapshot()
+	dirty, err := g.ApplyEdges([][2]VertexID{{0, 1}, {0, 2}, {1, 2}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := g.snap().base
+	tau := base.HubThreshold()
 
-	const queries = 12
 	var wg sync.WaitGroup
-	errCh := make(chan error, queries)
-	for q := 0; q < queries; q++ {
+	errCh := make(chan error, int(MergeBitmap)+1)
+	for k := Intersection(0); k <= MergeBitmap; k++ {
 		wg.Add(1)
-		go func(q int) {
+		go func(k Intersection) {
 			defer wg.Done()
-			// Every query asks for τ=4 except two dissenters asking 9:
-			// whichever τ wins, there must be exactly one build.
-			tau := 4
-			if q%5 == 0 {
-				tau = 9
-			}
-			opts := Options{Intersection: MergeBitmap, HubDegreeThreshold: tau}
+			opts := Options{Intersection: k, Workers: 1 + int(k)%2}
 			var err error
-			if q%2 == 0 {
+			switch k % 3 {
+			case 0:
 				_, err = Count(g, tri, opts)
-			} else {
+			case 1:
 				_, err = CountBatch(g, []BatchQuery{{Pattern: tri}}, opts)
+			case 2:
+				_, err = CountDelta(g, tri, clean, dirty, opts)
 			}
 			errCh <- err
-		}(q)
+		}(k)
 	}
 	wg.Wait()
 	close(errCh)
@@ -97,17 +155,16 @@ func TestHubIndexOneBuildAcrossQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := g.snap().base.HubBuilds(); got != base+1 {
-		t.Errorf("HubBuilds = %d after %d queries, want %d (one shared build)", got, queries, base+1)
+	if got := base.HubBuilds(); got != 1 {
+		t.Errorf("HubBuilds = %d after queries, want 1 (construction's)", got)
 	}
-
-	// Sequential repeats with either τ stay on the pinned index.
-	for _, tau := range []int{4, 9, 4} {
-		if _, err := Count(g, tri, Options{HubDegreeThreshold: tau}); err != nil {
-			t.Fatal(err)
-		}
+	if got := base.HubThreshold(); got != tau {
+		t.Errorf("HubThreshold = %d after queries, want %d", got, tau)
 	}
-	if got := g.snap().base.HubBuilds(); got != base+1 {
-		t.Errorf("HubBuilds = %d after sequential repeats, want %d", got, base+1)
+	if _, err := g.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if nb := g.snap().base; nb == base || nb.HubBuilds() != 1 {
+		t.Errorf("compacted base: same CSR %v, HubBuilds = %d; want a new CSR with its own single build", nb == base, nb.HubBuilds())
 	}
 }

@@ -89,9 +89,9 @@ type Governor struct {
 	// bail without the lock on the (common) uncontended path.
 	needy atomic.Bool
 
-	admitted  atomic.Uint64 // queries admitted (observability)
-	timeouts  atomic.Uint64 // admissions that failed with ErrOverloaded
-	handoffs  atomic.Uint64 // slots handed directly to a FIFO waiter
+	admitted atomic.Uint64 // queries admitted (observability)
+	timeouts atomic.Uint64 // admissions that failed with ErrOverloaded
+	handoffs atomic.Uint64 // slots handed directly to a FIFO waiter
 }
 
 // New returns a Governor with cfg, applying defaults.

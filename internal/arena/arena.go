@@ -127,6 +127,6 @@ func (a *Arena) Reset() {
 	a.off = 0
 }
 
-// Bytes returns the total slab footprint in bytes (the run-report
-// ArenaBytes metric).
+// Bytes returns the total slab footprint in bytes (what the run report
+// sums into CandidateMemoryBytes).
 func (a *Arena) Bytes() int64 { return a.bytes }

@@ -39,11 +39,9 @@ type Graph struct {
 	// neighbor lists (see hub.go); auto-built by finalize, rebuilt or
 	// dropped via BuildHubIndex. Published atomically so hot-path
 	// readers (HubBitmap) never observe a partial rebuild; hubMu
-	// serializes builds, and hubPinned (guarded by hubMu) records that
-	// an explicit τ won the first-wins EnsureHubIndex race.
+	// serializes builds.
 	hub       atomic.Pointer[hubIndex]
 	hubMu     sync.Mutex
-	hubPinned bool
 	hubBuilds atomic.Uint64
 
 	// fp is the lazily computed content fingerprint (see Fingerprint).
@@ -167,12 +165,7 @@ func (g *Graph) finalize() {
 		g.degreeSum2 += fd * fd
 		g.degreeSum3 += fd * fd * fd
 	}
-	// Auto-build the hub index without pinning: the construction-time
-	// default must not win the EnsureHubIndex first-τ race against a
-	// query's explicit HubDegreeThreshold.
-	g.hubMu.Lock()
-	g.buildHubLocked(0)
-	g.hubMu.Unlock()
+	g.BuildHubIndex(0)
 }
 
 // Edge is an undirected edge between two data vertices.

@@ -17,12 +17,12 @@ import (
 //
 // Concurrency: the index pointer is published atomically and every
 // published index is immutable, so queries running on the same *Graph
-// read a consistent snapshot with plain loads while another query
+// read a consistent snapshot with plain loads while BuildHubIndex
 // rebuilds. Builds are serialized by hubMu and never expose a
 // partially-built index (the historical nil-then-swap rebuild raced
 // with the hot-path HubBitmap reader and could drop bitmap probes or
-// crash mid-run). BuildHubIndex is idempotent for a repeated τ, and
-// EnsureHubIndex adds the first-wins policy concurrent queries need.
+// crash mid-run). No query path builds: the index a graph is
+// constructed with stays until someone calls BuildHubIndex.
 
 // hubMinDegreeFloor is the smallest auto-tuned τ: below ~64 neighbors a
 // galloping probe is already only a handful of cache lines, so a bitmap
@@ -93,47 +93,16 @@ func (g *Graph) hubBudgetBytes() int64 {
 // Safe to call while the graph is being enumerated concurrently: the
 // new index is built aside and published atomically, so in-flight
 // queries keep reading the old snapshot until the swap. Repeated calls
-// with the τ the current index was built with are no-ops. An explicit
-// call also pins τ for EnsureHubIndex (first-wins; see there).
+// with the τ the current index was built with are no-ops.
 func (g *Graph) BuildHubIndex(tau int) {
 	g.hubMu.Lock()
 	defer g.hubMu.Unlock()
-	g.hubPinned = true
-	g.buildHubLocked(tau)
-}
-
-// EnsureHubIndex is the query-path preparation of the hub index: the
-// first caller to request a specific τ on this graph rebuilds the
-// index and pins that τ; every later call — even with a conflicting
-// τ — is a no-op reading whatever the winner built. First-wins keeps
-// concurrent queries with mixed HubDegreeThreshold settings from
-// thrashing rebuilds against each other; a caller that genuinely wants
-// a different τ must use BuildHubIndex, which always applies its
-// argument. Returns true when this call performed the build.
-func (g *Graph) EnsureHubIndex(tau int) bool {
 	if cur := g.hub.Load(); cur != nil && cur.req == tau {
-		return false // already in the requested state, lock-free
-	}
-	g.hubMu.Lock()
-	defer g.hubMu.Unlock()
-	if g.hubPinned {
-		return false // an earlier query (or explicit build) won
-	}
-	g.hubPinned = true
-	return g.buildHubLocked(tau)
-}
-
-// buildHubLocked builds and atomically publishes the index for the
-// requested τ, skipping the work when the current index already
-// answers the same request. Callers must hold hubMu. Reports whether a
-// build actually ran.
-func (g *Graph) buildHubLocked(req int) bool {
-	if cur := g.hub.Load(); cur != nil && cur.req == req {
-		return false
+		return
 	}
 	g.hubBuilds.Add(1)
-	h := &hubIndex{req: req, tau: req}
-	if req == 0 {
+	h := &hubIndex{req: tau, tau: tau}
+	if tau == 0 {
 		h.tau = g.autoHubThreshold()
 	}
 	if h.tau <= 0 {
@@ -143,7 +112,7 @@ func (g *Graph) buildHubLocked(req int) bool {
 		// beyond the never-built zero value.
 		h.tau = hubTauDropped
 		g.hub.Store(h)
-		return true
+		return
 	}
 	n := g.NumVertices()
 	var cands []VertexID
@@ -154,7 +123,7 @@ func (g *Graph) buildHubLocked(req int) bool {
 	}
 	if len(cands) == 0 {
 		g.hub.Store(h)
-		return true
+		return
 	}
 	// Degree-descending build order: under a budget, the highest-degree
 	// hubs are the ones whose gallops are most expensive to keep.
@@ -178,12 +147,11 @@ func (g *Graph) buildHubLocked(req int) bool {
 	}
 	sort.Sort(hubByID{h})
 	g.hub.Store(h)
-	return true
 }
 
 // HubBuilds returns how many hub-index builds this graph has performed
 // (including the automatic build at construction) — an observability
-// hook for tests asserting that concurrent queries share one build.
+// hook for tests asserting that a repeated τ, and queries, build nothing.
 func (g *Graph) HubBuilds() uint64 { return g.hubBuilds.Load() }
 
 // hubByID sorts the index's parallel id/bitmap slices by vertex id, the

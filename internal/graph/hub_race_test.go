@@ -90,62 +90,3 @@ func TestBuildHubIndexSameTauIdempotent(t *testing.T) {
 		t.Fatalf("changed τ: HubBuilds = %d, want %d", got, base+2)
 	}
 }
-
-// TestEnsureHubIndexFirstWins pins the query-path policy: the first
-// EnsureHubIndex τ on a graph rebuilds once and pins; concurrent and
-// later calls — same or conflicting τ — are no-ops, and only an
-// explicit BuildHubIndex overrides the pin.
-func TestEnsureHubIndexFirstWins(t *testing.T) {
-	g := starGraph(100, nil)
-	base := g.HubBuilds()
-
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			g.EnsureHubIndex(7)
-		}()
-	}
-	wg.Wait()
-	if got := g.HubBuilds(); got != base+1 {
-		t.Fatalf("16 concurrent EnsureHubIndex(7): HubBuilds = %d, want %d (one shared build)", got, base+1)
-	}
-	if got := g.HubThreshold(); got != 7 {
-		t.Fatalf("HubThreshold = %d, want 7", got)
-	}
-
-	// A conflicting later τ loses: no rebuild, winner's τ stays.
-	if g.EnsureHubIndex(13) {
-		t.Fatal("conflicting EnsureHubIndex(13) reported a build")
-	}
-	if got := g.HubThreshold(); got != 7 {
-		t.Fatalf("after losing Ensure: HubThreshold = %d, want 7", got)
-	}
-	if got := g.HubBuilds(); got != base+1 {
-		t.Fatalf("after losing Ensure: HubBuilds = %d, want %d", got, base+1)
-	}
-
-	// The explicit API still applies its argument.
-	g.BuildHubIndex(13)
-	if got := g.HubThreshold(); got != 13 {
-		t.Fatalf("after explicit BuildHubIndex(13): HubThreshold = %d, want 13", got)
-	}
-}
-
-// TestEnsureHubIndexAfterExplicitBuild: an explicit BuildHubIndex pins
-// τ, so a later query-path Ensure with a different τ must not rebuild.
-func TestEnsureHubIndexAfterExplicitBuild(t *testing.T) {
-	g := starGraph(100, nil)
-	g.BuildHubIndex(9)
-	n := g.HubBuilds()
-	if g.EnsureHubIndex(5) {
-		t.Fatal("EnsureHubIndex(5) rebuilt over an explicit BuildHubIndex(9)")
-	}
-	if got := g.HubBuilds(); got != n {
-		t.Fatalf("HubBuilds = %d, want %d", got, n)
-	}
-	if got := g.HubThreshold(); got != 9 {
-		t.Fatalf("HubThreshold = %d, want 9", got)
-	}
-}

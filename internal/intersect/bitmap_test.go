@@ -140,8 +140,8 @@ func TestMultiWayBitmapEquivalence(t *testing.T) {
 // the smallest set bitmap-backed (its bitmap is never used — the base
 // is iterated, so the call degrades to the list kernel).
 func TestMultiWayBitmapMixes(t *testing.T) {
-	a := ids(1, 2, 3)            // smallest → base
-	b := ids(1, 2, 3, 4, 5, 6)   // mid
+	a := ids(1, 2, 3)          // smallest → base
+	b := ids(1, 2, 3, 4, 5, 6) // mid
 	c := ids(2, 3, 4, 5, 6, 7, 8)
 	want := ids(2, 3)
 	run := func(name string, bitmaps []*bitset.Bitmap, wantProbes uint64) {

@@ -75,9 +75,6 @@ const (
 	CheckpointWriteNanos
 	// CheckpointWriteErrors counts failed checkpoint writes.
 	CheckpointWriteErrors
-	// ArenaBytes accumulates the slab footprint of the per-worker
-	// candidate arenas (the Table V memory metric for the arena path).
-	ArenaBytes
 	// AdmissionWaitNanos is how long the run waited for its guaranteed
 	// worker slot under a shared Governor.
 	AdmissionWaitNanos
@@ -124,7 +121,6 @@ var idNames = [NumIDs]string{
 	CheckpointWrites:       "checkpoint.writes",
 	CheckpointWriteNanos:   "checkpoint.write_ns",
 	CheckpointWriteErrors:  "checkpoint.write_errors",
-	ArenaBytes:             "arena.bytes",
 	AdmissionWaitNanos:     "admission.wait_ns",
 	AdmissionSlotsGranted:  "admission.slots_granted",
 	AdmissionSlotsShed:     "admission.slots_shed",

@@ -94,7 +94,7 @@ type Options struct {
 	// Engine configures each worker's enumerator. Engine.Arena is
 	// overridden: every worker gets its own private arena (a shared one
 	// would race), and the summed slab footprint is reported as
-	// Result.CandidateMemBytes and the arena.bytes counter.
+	// Result.CandidateMemBytes.
 	Engine engine.Options
 	// Workers is the number of worker goroutines; defaults to GOMAXPROCS.
 	Workers int
@@ -456,7 +456,6 @@ func run(ctx context.Context, g *graph.Graph, opts Options, jobs []AnchorJob, an
 		out.CandidateMemBytes += memBytes[w]
 		out.PerWorkerNodes[w] = results[w].Nodes
 		rec.AddDuration(metrics.ParallelBusyNanos, busys[w])
-		rec.Add(metrics.ArenaBytes, uint64(memBytes[w]))
 	}
 	out.Donations = p.donations.Load()
 	out.Steals = p.steals.Load()

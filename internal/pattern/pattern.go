@@ -8,6 +8,7 @@ package pattern
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -178,6 +179,24 @@ func (p *Pattern) String() string {
 	}
 	sb.WriteByte(')')
 	return sb.String()
+}
+
+// StructureKey spells the pattern's structure as given: vertex count
+// and per-vertex adjacency masks in hex ("n=3;adj=6,5,3," for the
+// triangle), and nothing cosmetic. Two patterns have equal keys iff
+// they have the same edges over the same vertex numbering, whatever
+// their names. It is the one spelling shared by plan.CompatKey (lane
+// grouping) and lightd's result-cache key.
+func (p *Pattern) StructureKey() string {
+	b := make([]byte, 0, 8+5*p.n)
+	b = append(b, "n="...)
+	b = strconv.AppendInt(b, int64(p.n), 10)
+	b = append(b, ";adj="...)
+	for u := 0; u < p.n; u++ {
+		b = strconv.AppendUint(b, uint64(p.adj[u]), 16)
+		b = append(b, ',')
+	}
+	return string(b)
 }
 
 // Automorphisms enumerates Aut(P): every permutation σ of V(P) with

@@ -47,6 +47,16 @@ func TestBasicAccessors(t *testing.T) {
 	if len(p.Edges()) != 5 {
 		t.Errorf("Edges() = %v", p.Edges())
 	}
+	// The structure key spells n and the adjacency masks as given: the
+	// name does not enter it, the vertex numbering does.
+	if got := p.StructureKey(); got != "n=4;adj=e,5,b,5," {
+		t.Errorf("StructureKey() = %q", got)
+	}
+	renamed := MustNew("other", 4, [][2]Vertex{{0, 2}, {3, 0}, {2, 3}, {1, 2}, {0, 1}})
+	relabelled := MustNew("other", 4, [][2]Vertex{{1, 2}, {2, 3}, {3, 0}, {0, 1}, {1, 3}})
+	if renamed.StructureKey() != p.StructureKey() || relabelled.StructureKey() == p.StructureKey() {
+		t.Errorf("StructureKey: renamed %q, relabelled %q, P2 %q", renamed.StructureKey(), relabelled.StructureKey(), p.StructureKey())
+	}
 }
 
 func TestConnectivity(t *testing.T) {

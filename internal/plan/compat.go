@@ -20,11 +20,7 @@ import (
 // by the executor, and irrelevant to which tree is walked).
 func (pl *Plan) CompatKey() string {
 	var sb strings.Builder
-	n := pl.Pattern.NumVertices()
-	fmt.Fprintf(&sb, "n=%d;adj=", n)
-	for u := 0; u < n; u++ {
-		fmt.Fprintf(&sb, "%x,", pl.Pattern.NeighborMask(u))
-	}
+	sb.WriteString(pl.Pattern.StructureKey())
 	sb.WriteString(";pi=")
 	for _, u := range pl.Pi {
 		fmt.Fprintf(&sb, "%d,", u)

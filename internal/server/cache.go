@@ -6,13 +6,13 @@ import (
 )
 
 // Cache is the server's result cache: an LRU map from query identity —
-// (graph fingerprint, canonical plan key, option set), pre-composed by
-// the caller via cacheKey — to the finished response payload. A hit
+// (snapshot fingerprint, pattern structure, resolved option set),
+// composed from the request by Server.cacheKey, which says why that
+// determines the reply — to the finished response payload. A hit
 // returns the identical result (same Matches, same deterministic
-// counters) without re-enumeration, which is sound because every key
-// component that could change the payload is part of the key and graphs
-// are immutable snapshots; unloading a graph explicitly invalidates its
-// entries. All methods are safe for concurrent use.
+// counters) without re-enumeration; snapshots are immutable, and
+// unloading a graph explicitly invalidates its entries. All methods
+// are safe for concurrent use.
 type Cache struct {
 	mu      sync.Mutex
 	cap     int

@@ -6,7 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -34,9 +34,6 @@ type QueryOptions struct {
 	// TailCount enables the count-only leaf shortcut (rejected by
 	// /enumerate and /batch).
 	TailCount bool `json:"tail_count,omitempty"`
-	// HubDegreeThreshold prepares the graph's hub index with this τ
-	// (first-wins across concurrent queries; see light.Options).
-	HubDegreeThreshold int `json:"hub_degree_threshold,omitempty"`
 	// MemoryBudgetBytes caps this query's candidate-arena bytes,
 	// nesting under the server-wide budget.
 	MemoryBudgetBytes int64 `json:"memory_budget_bytes,omitempty"`
@@ -74,7 +71,9 @@ type queryRequest struct {
 
 // QueryResponse is the /query response body.
 type QueryResponse struct {
-	// Graph and Pattern echo the request; Matches is the exact count.
+	// Graph echoes the request and Pattern names the pattern it
+	// resolved to — this request's, also on a cache hit warmed under
+	// other names; Matches is the exact count.
 	Graph   string `json:"graph"`
 	Pattern string `json:"pattern"`
 	Matches uint64 `json:"matches"`
@@ -100,18 +99,18 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, v any) error {
 }
 
 // resolvePattern returns the pattern a request names or defines inline.
-func resolvePattern(req *queryRequest) (*light.Pattern, error) {
+func resolvePattern(name string, spec *patternSpec) (*light.Pattern, error) {
 	switch {
-	case req.Pattern != "" && req.PatternGraph != nil:
+	case name != "" && spec != nil:
 		return nil, errors.New("set pattern or pattern_graph, not both")
-	case req.Pattern != "":
-		return light.PatternByName(req.Pattern)
-	case req.PatternGraph != nil:
-		name := req.PatternGraph.Name
+	case name != "":
+		return light.PatternByName(name)
+	case spec != nil:
+		name = spec.Name
 		if name == "" {
 			name = "custom"
 		}
-		return light.NewPattern(name, req.PatternGraph.N, req.PatternGraph.Edges)
+		return light.NewPattern(name, spec.N, spec.Edges)
 	default:
 		return nil, errors.New("missing pattern")
 	}
@@ -133,35 +132,28 @@ func parseAlgorithm(name string) (light.Algorithm, error) {
 }
 
 // buildOptions translates wire options into light.Options under the
-// server's governor, also returning the canonical option-key fragment
-// for the result cache: exactly the fields that can change the response
-// payload (workers and deadlines shift wall time and scheduling, never
-// matches or the deterministic counters, so they stay out of the key).
-func (s *Server) buildOptions(qo QueryOptions) (light.Options, string, error) {
+// server's governor.
+func (s *Server) buildOptions(qo QueryOptions) (light.Options, error) {
 	algo, err := parseAlgorithm(qo.Algorithm)
 	if err != nil {
-		return light.Options{}, "", err
+		return light.Options{}, err
 	}
 	kern, err := light.ParseIntersection(qo.Kernel)
 	if err != nil {
-		return light.Options{}, "", err
+		return light.Options{}, err
 	}
-	if qo.Workers < 0 || qo.HubDegreeThreshold < 0 || qo.MemoryBudgetBytes < 0 || qo.TimeoutMS < 0 {
-		return light.Options{}, "", errors.New("options must be non-negative")
+	if qo.Workers < 0 || qo.MemoryBudgetBytes < 0 || qo.TimeoutMS < 0 {
+		return light.Options{}, errors.New("options must be non-negative")
 	}
-	opts := light.Options{
-		Algorithm:          algo,
-		Intersection:       kern,
-		Workers:            qo.Workers,
-		TailCount:          qo.TailCount,
-		HubDegreeThreshold: qo.HubDegreeThreshold,
-		MemoryBudget:       qo.MemoryBudgetBytes,
-		Governor:           s.gov,
-		AdmissionTimeout:   s.cfg.AdmissionTimeout,
-	}
-	key := fmt.Sprintf("algo=%s;kern=%s;tail=%t;tau=%d;mem=%d",
-		algo, kern, qo.TailCount, qo.HubDegreeThreshold, qo.MemoryBudgetBytes)
-	return opts, key, nil
+	return light.Options{
+		Algorithm:        algo,
+		Intersection:     kern,
+		Workers:          qo.Workers,
+		TailCount:        qo.TailCount,
+		MemoryBudget:     qo.MemoryBudgetBytes,
+		Governor:         s.gov,
+		AdmissionTimeout: s.cfg.AdmissionTimeout,
+	}, nil
 }
 
 // queryContext applies the per-query deadline policy to the request
@@ -311,51 +303,107 @@ func (s *Server) handleApplyEdges(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// prepared is the common front half of the query endpoints: everything
-// resolved and validated, ready to run. The pinned snapshot makes the
-// request atomic against concurrent edge batches: the run, the cache
-// key, and the stored fingerprint all describe the same view.
+// prepared is the front half /query, /enumerate and /batch share:
+// the graph found, the options resolved, and the graph's current
+// snapshot pinned in them. The pin makes the request atomic against
+// concurrent edge batches: the run, the cache key, and the stored
+// fingerprint all describe the same view.
 type prepared struct {
-	g        *light.Graph
-	info     GraphInfo
-	p        *light.Pattern
-	opts     light.Options
-	snap     *light.Snapshot
-	cacheKey string // "" when uncacheable/disabled
+	g    *light.Graph
+	opts light.Options // resolved, Snapshot pinned
 }
 
-// prepare resolves the request's graph, pattern, and options, pins the
-// graph's current snapshot, and composes the cache key (snapshot
-// fingerprint | canonical plan key | option set).
-func (s *Server) prepare(req *queryRequest, endpointKey string) (prepared, int, error) {
-	var pr prepared
-	if req.Graph == "" {
-		return pr, http.StatusBadRequest, errors.New("missing graph")
+// prepare looks up the request's graph, resolves its options, and pins
+// the graph's current snapshot.
+func (s *Server) prepare(graph string, qo QueryOptions) (prepared, int, error) {
+	if graph == "" {
+		return prepared{}, http.StatusBadRequest, errors.New("missing graph")
 	}
-	g, info, ok := s.reg.Get(req.Graph)
+	g, _, ok := s.reg.Get(graph)
 	if !ok {
-		return pr, http.StatusNotFound, fmt.Errorf("graph %q not loaded", req.Graph)
+		return prepared{}, http.StatusNotFound, fmt.Errorf("graph %q not loaded", graph)
 	}
-	p, err := resolvePattern(req)
+	opts, err := s.buildOptions(qo)
 	if err != nil {
-		return pr, http.StatusBadRequest, err
+		return prepared{}, http.StatusBadRequest, err
 	}
-	opts, optKey, err := s.buildOptions(req.Options)
-	if err != nil {
-		return pr, http.StatusBadRequest, err
-	}
-	snap := g.Snapshot()
-	opts.Snapshot = snap
-	pr = prepared{g: g, info: info, p: p, opts: opts, snap: snap}
+	opts.Snapshot = g.Snapshot()
+	return prepared{g: g, opts: opts}, 0, nil
+}
+
+// cacheKey composes a result-cache key from what the request says:
+// endpoint | pinned snapshot fingerprint | resolved option set | what,
+// where what spells the pattern structure (light.Pattern.StructureKey)
+// and, per /batch member, its narrowing. The option set is exactly the
+// options that can change the reply (workers and deadlines shift wall
+// time and scheduling, never matches or the deterministic counters).
+// No plan is searched to name a query: equal fingerprints mean the same
+// base CSR and pending delta, hence the same planner statistics, and
+// the wire carries no order override, so the plan — and with it every
+// deterministic counter of the reply — is a function of exactly these
+// fields. "" when caching is disabled.
+func (s *Server) cacheKey(ep endpoint, pr *prepared, what string) string {
 	if s.cache == nil {
-		return pr, 0, nil
+		return ""
 	}
-	planKey, err := light.PlanKey(g, p, opts)
-	if err != nil {
-		return pr, http.StatusBadRequest, err
+	o := &pr.opts
+	return fmt.Sprintf("%s|%016x|algo=%s;kern=%s;tail=%t;mem=%d|%s", endpointNames[ep], o.Snapshot.Fingerprint(),
+		o.Algorithm, o.Intersection, o.TailCount, o.MemoryBudget, what)
+}
+
+// cachedResponse is a response body the result cache can hold.
+type cachedResponse interface {
+	// asHit returns the stored response as the reply to a request that
+	// hit it: marked cached, no run time, and carrying that request's
+	// graph and pattern names — several registry names share a
+	// snapshot and a pattern's name is not part of the key, so the
+	// warming request's names are not this one's. It must not modify
+	// what the cache holds.
+	asHit(graph string, patterns []string) any
+}
+
+func (r QueryResponse) asHit(graph string, patterns []string) any {
+	r.Graph, r.Pattern = graph, patterns[0]
+	r.Cached, r.DurationNS = true, 0
+	return r
+}
+
+func (r BatchResponse) asHit(graph string, patterns []string) any {
+	r.Graph = graph
+	r.Cached, r.DurationNS = true, 0
+	r.Queries = slices.Clone(r.Queries)
+	for i := range r.Queries {
+		r.Queries[i].Pattern = patterns[i]
 	}
-	pr.cacheKey = fmt.Sprintf("%s|%016x|%s|%s", endpointKey, snap.Fingerprint(), planKey, optKey)
-	return pr, 0, nil
+	return r
+}
+
+// serveCached answers the request from the result cache when key is
+// cached, reporting whether it did. graph and patterns are the names
+// this request used.
+func (s *Server) serveCached(w http.ResponseWriter, ep endpoint, key, graph string, patterns []string) bool {
+	if key == "" {
+		return false
+	}
+	v, ok := s.cache.Get(key)
+	if !ok {
+		return false
+	}
+	s.served[ep].Add(1)
+	s.writeJSON(w, http.StatusOK, v.(cachedResponse).asHit(graph, patterns))
+	return true
+}
+
+// serveFresh stores a response just computed on pr's snapshot under key
+// and answers the request with it.
+func (s *Server) serveFresh(w http.ResponseWriter, ep endpoint, pr *prepared, key string, resp cachedResponse, entry ReportEntry) {
+	if key != "" {
+		s.cache.Put(key, pr.opts.Snapshot.Fingerprint(), resp)
+	}
+	s.served[ep].Add(1)
+	entry.Endpoint, entry.When = endpointNames[ep], time.Now().UTC()
+	s.reports.add(entry)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // handleQuery runs a count query, serving repeats from the result
@@ -366,46 +414,36 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	pr, status, err := s.prepare(&req, "count")
+	pr, status, err := s.prepare(req.Graph, req.Options)
 	if err != nil {
 		s.writeError(w, status, "%v", err)
 		return
 	}
-	if pr.cacheKey != "" && !req.Options.NoCache {
-		if v, ok := s.cache.Get(pr.cacheKey); ok {
-			resp := v.(QueryResponse)
-			resp.Cached = true
-			resp.DurationNS = 0
-			s.served[epQuery].Add(1)
-			s.writeJSON(w, http.StatusOK, resp)
-			return
-		}
+	p, err := resolvePattern(req.Pattern, req.PatternGraph)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	key := s.cacheKey(epQuery, &pr, p.StructureKey())
+	if !req.Options.NoCache && s.serveCached(w, epQuery, key, req.Graph, []string{p.Name()}) {
+		return
 	}
 	ctx, cancel := s.queryContext(r, req.Options.TimeoutMS)
 	defer cancel()
 	start := time.Now()
-	res, err := light.CountContext(ctx, pr.g, pr.p, pr.opts)
+	res, err := light.CountContext(ctx, pr.g, p, pr.opts)
 	if err != nil {
-		s.writeError(w, statusForRunError(err), "count %s on %s: %v", pr.p.Name(), req.Graph, err)
+		s.writeError(w, statusForRunError(err), "count %s on %s: %v", p.Name(), req.Graph, err)
 		return
 	}
-	resp := QueryResponse{
+	s.serveFresh(w, epQuery, &pr, key, QueryResponse{
 		Graph:      req.Graph,
-		Pattern:    pr.p.Name(),
+		Pattern:    p.Name(),
 		Matches:    res.Matches,
 		Order:      res.Order,
 		DurationNS: time.Since(start).Nanoseconds(),
 		Report:     res.Report,
-	}
-	if pr.cacheKey != "" {
-		s.cache.Put(pr.cacheKey, pr.snap.Fingerprint(), resp)
-	}
-	s.served[epQuery].Add(1)
-	s.reports.add(ReportEntry{
-		Endpoint: endpointNames[epQuery], Graph: req.Graph, Pattern: pr.p.Name(),
-		When: time.Now().UTC(), Report: res.Report,
-	})
-	s.writeJSON(w, http.StatusOK, resp)
+	}, ReportEntry{Graph: req.Graph, Pattern: p.Name(), Report: res.Report})
 }
 
 // enumerateRow is one NDJSON line of a match stream.
@@ -449,9 +487,14 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	if limit > s.cfg.MaxEnumerateRows {
 		limit = s.cfg.MaxEnumerateRows
 	}
-	pr, status, err := s.prepare(&req, "enumerate")
+	pr, status, err := s.prepare(req.Graph, req.Options)
 	if err != nil {
 		s.writeError(w, status, "%v", err)
+		return
+	}
+	p, err := resolvePattern(req.Pattern, req.PatternGraph)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
@@ -463,7 +506,7 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	rows, writeErr := 0, error(nil)
 	truncated := false
-	_, err = light.EnumerateContext(ctx, pr.g, pr.p, pr.opts, func(m []light.VertexID) bool {
+	_, err = light.EnumerateContext(ctx, pr.g, p, pr.opts, func(m []light.VertexID) bool {
 		row := enumerateRow{Mapping: make([]light.VertexID, len(m))}
 		copy(row.Mapping, m)
 		if writeErr = enc.Encode(row); writeErr != nil {
@@ -491,7 +534,7 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.served[epEnumerate].Add(1)
 	s.reports.add(ReportEntry{
-		Endpoint: endpointNames[epEnumerate], Graph: req.Graph, Pattern: pr.p.Name(),
+		Endpoint: endpointNames[epEnumerate], Graph: req.Graph, Pattern: p.Name(),
 		When: time.Now().UTC(),
 	})
 }
@@ -550,10 +593,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if req.Graph == "" {
-		s.writeError(w, http.StatusBadRequest, "missing graph")
-		return
-	}
 	if len(req.Queries) == 0 {
 		s.writeError(w, http.StatusBadRequest, "empty batch")
 		return
@@ -562,29 +601,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "tail_count does not apply to /batch")
 		return
 	}
-	g, _, ok := s.reg.Get(req.Graph)
-	if !ok {
-		s.writeError(w, http.StatusNotFound, "graph %q not loaded", req.Graph)
-		return
-	}
-	opts, optKey, err := s.buildOptions(req.Options)
+	pr, status, err := s.prepare(req.Graph, req.Options)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		s.writeError(w, status, "%v", err)
 		return
 	}
-	// Pin the snapshot so every query in the batch, the cache key, and
-	// the stored fingerprint describe one consistent view even while
-	// edge batches land concurrently.
-	snap := g.Snapshot()
-	opts.Snapshot = snap
-
 	queries := make([]light.BatchQuery, len(req.Queries))
-	keyParts := make([]string, 0, len(req.Queries)+2)
-	keyParts = append(keyParts, fmt.Sprintf("batch|%016x|%s", snap.Fingerprint(), optKey))
+	names := make([]string, len(req.Queries))
+	var members strings.Builder
 	for i := range req.Queries {
 		bq := &req.Queries[i]
-		qr := queryRequest{Pattern: bq.Pattern, PatternGraph: bq.PatternGraph}
-		p, err := resolvePattern(&qr)
+		p, err := resolvePattern(bq.Pattern, bq.PatternGraph)
 		if err != nil {
 			s.writeError(w, http.StatusBadRequest, "batch query %d: %v", i, err)
 			return
@@ -598,35 +625,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			Roots:     bq.Roots,
 			MinDegree: bq.MinDegree,
 		}
-		if s.cache != nil {
-			planKey, err := light.PlanKey(g, p, opts)
-			if err != nil {
-				s.writeError(w, http.StatusBadRequest, "batch query %d: %v", i, err)
-				return
-			}
-			keyParts = append(keyParts, fmt.Sprintf("%s;mind=%d;roots=%s",
-				planKey, bq.MinDegree, rootsKey(bq.Roots)))
+		names[i] = p.Name()
+		if s.cache != nil { // a root list is worth not sorting for a key nobody reads
+			fmt.Fprintf(&members, "%s;mind=%d;roots=%s|", p.StructureKey(), bq.MinDegree, rootsKey(bq.Roots))
 		}
 	}
-	cacheKey := ""
-	if s.cache != nil {
-		cacheKey = strings.Join(keyParts, "|")
-	}
-	if cacheKey != "" && !req.Options.NoCache {
-		if v, ok := s.cache.Get(cacheKey); ok {
-			resp := v.(BatchResponse)
-			resp.Cached = true
-			resp.DurationNS = 0
-			s.served[epBatch].Add(1)
-			s.writeJSON(w, http.StatusOK, resp)
-			return
-		}
+	key := s.cacheKey(epBatch, &pr, members.String())
+	if !req.Options.NoCache && s.serveCached(w, epBatch, key, req.Graph, names) {
+		return
 	}
 
 	ctx, cancel := s.queryContext(r, req.Options.TimeoutMS)
 	defer cancel()
 	start := time.Now()
-	bres, err := light.CountBatchContext(ctx, g, queries, opts)
+	bres, err := light.CountBatchContext(ctx, pr.g, queries, pr.opts)
 	if err != nil {
 		s.writeError(w, statusForRunError(err), "batch on %s: %v", req.Graph, err)
 		return
@@ -641,22 +653,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	for i, qres := range bres.Queries {
 		resp.Queries[i] = BatchQueryResponse{
-			Pattern: queries[i].Pattern.Name(),
+			Pattern: names[i],
 			Matches: qres.Matches,
 			Report:  qres.Report,
 		}
 	}
-	if cacheKey != "" {
-		s.cache.Put(cacheKey, snap.Fingerprint(), resp)
-	}
-	s.served[epBatch].Add(1)
-	last := len(bres.Queries) - 1
-	s.reports.add(ReportEntry{
-		Endpoint: endpointNames[epBatch], Graph: req.Graph,
+	s.serveFresh(w, epBatch, &pr, key, resp, ReportEntry{
+		Graph:   req.Graph,
 		Pattern: fmt.Sprintf("%d queries", len(queries)),
-		When:    time.Now().UTC(), Report: bres.Queries[last].Report,
+		Report:  bres.Queries[len(bres.Queries)-1].Report,
 	})
-	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // rootsKey canonicalizes a root set for the cache key: sorted and
@@ -665,15 +671,7 @@ func rootsKey(roots []light.VertexID) string {
 	if roots == nil {
 		return "all"
 	}
-	sorted := make([]light.VertexID, len(roots))
-	copy(sorted, roots)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var sb strings.Builder
-	for i, v := range sorted {
-		if i > 0 && sorted[i-1] == v {
-			continue
-		}
-		fmt.Fprintf(&sb, "%d,", v)
-	}
-	return sb.String()
+	set := slices.Clone(roots)
+	slices.Sort(set)
+	return fmt.Sprint(slices.Compact(set))
 }

@@ -7,12 +7,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -58,6 +61,15 @@ func do(t *testing.T, s *Server, method, path string, body any) *httptest.Respon
 	return w
 }
 
+// postEdges applies an edge batch (the JSON body of POST
+// /graphs/g/edges) to the test graph.
+func postEdges(t *testing.T, s *Server, body string) {
+	t.Helper()
+	if w := do(t, s, "POST", "/graphs/g/edges", json.RawMessage(body)); w.Code != http.StatusOK {
+		t.Fatalf("edges %s: status %d: %s", body, w.Code, w.Body.String())
+	}
+}
+
 // decode unmarshals the recorder body into v.
 func decode(t *testing.T, w *httptest.ResponseRecorder, v any) {
 	t.Helper()
@@ -90,11 +102,21 @@ func TestStatusForRunError(t *testing.T) {
 	}
 }
 
+// inlineTriangle is the catalog triangle's structure under a caller's
+// own name.
+var inlineTriangle = &patternSpec{Name: "mine", N: 3, Edges: [][2]int{{0, 1}, {1, 2}, {0, 2}}}
+
 // TestQueryCountAndCacheHit runs the same count twice: the first runs
 // the engine, the second must be served from the result cache with the
-// identical Matches, and /stats must show the hit.
+// identical Matches, and /stats must show the hit. A hit answers with
+// the names of the request that hit, not of the one that warmed the
+// entry: a second registry name for the graph and an inline pattern of
+// the same structure share the entry and read their own names back.
 func TestQueryCountAndCacheHit(t *testing.T) {
-	s, _, ref := testServer(t, Config{})
+	s, g, ref := testServer(t, Config{})
+	if _, err := s.Registry().Add("alias", g); err != nil {
+		t.Fatal(err)
+	}
 	body := queryRequest{Graph: "g", Pattern: "triangle"}
 
 	w := do(t, s, "POST", "/query", body)
@@ -137,44 +159,155 @@ func TestQueryCountAndCacheHit(t *testing.T) {
 	if len(stats.LastReports) == 0 {
 		t.Fatal("no reports retained in /stats")
 	}
+
+	for _, c := range []struct {
+		req                    queryRequest
+		wantGraph, wantPattern string
+	}{
+		{queryRequest{Graph: "alias", Pattern: "triangle"}, "alias", first.Pattern},
+		{queryRequest{Graph: "g", PatternGraph: inlineTriangle}, "g", "mine"},
+		{body, "g", first.Pattern}, // the stored entry kept its own names
+	} {
+		var r QueryResponse
+		decode(t, do(t, s, "POST", "/query", c.req), &r)
+		if !r.Cached || r.Matches != ref || r.DurationNS != 0 {
+			t.Fatalf("%+v: cached = %v, matches = %d, duration = %d; want a hit with %d matches", c.req, r.Cached, r.Matches, r.DurationNS, ref)
+		}
+		if r.Graph != c.wantGraph || r.Pattern != c.wantPattern {
+			t.Fatalf("%+v: hit answered graph %q pattern %q, want %q %q", c.req, r.Graph, r.Pattern, c.wantGraph, c.wantPattern)
+		}
+	}
 }
 
-// TestQueryOptionsChangeCacheKey: the cache keys on the resolved kernel
-// — "" and the default's own name share one entry, every other kernel
-// gets its own — and a no_cache request is never served from it.
+// TestQueryOptionsChangeCacheKey walks one server through a sequence of
+// /query requests for the same pattern: every field of the key
+// separates entries — algorithm, resolved kernel ("" and the default's
+// own name share one), tail_count, memory_budget_bytes, and the
+// snapshot (an edge batch and a compaction each start afresh) — and
+// nothing else does: workers and timeout_ms still hit, and a no_cache
+// request is never served from the cache.
 func TestQueryOptionsChangeCacheKey(t *testing.T) {
-	s, _, ref := testServer(t, Config{})
-	base := queryRequest{Graph: "g", Pattern: "triangle"}
-	for _, c := range []struct {
-		kernel     string
+	s, g, _ := testServer(t, Config{})
+	tri, err := light.PatternByName("triangle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range []struct {
+		edges      string // an edge batch that lands before the request
+		opts       QueryOptions
 		wantCached bool
 		wantKernel string
 	}{
-		{"", false, "HybridBitmap"},
-		{"HybridBitmap", true, "HybridBitmap"},
-		{"HybridBlock", false, "HybridBlock"},
-		{"HybridBlock", true, "HybridBlock"},
-		{"Merge", false, "Merge"},
-		{"", true, "HybridBitmap"},
+		{"", QueryOptions{}, false, "HybridBitmap"},
+		{"", QueryOptions{Kernel: "HybridBitmap"}, true, "HybridBitmap"},
+		{"", QueryOptions{Kernel: "HybridBlock"}, false, "HybridBlock"},
+		{"", QueryOptions{Kernel: "HybridBlock"}, true, "HybridBlock"},
+		{"", QueryOptions{Kernel: "Merge"}, false, "Merge"},
+		{"", QueryOptions{}, true, "HybridBitmap"},
+		{"", QueryOptions{Algorithm: "SE"}, false, "HybridBitmap"},
+		{"", QueryOptions{Algorithm: "SE"}, true, "HybridBitmap"},
+		{"", QueryOptions{Algorithm: "LIGHT"}, true, "HybridBitmap"},
+		{"", QueryOptions{TailCount: true}, false, "HybridBitmap"},
+		{"", QueryOptions{TailCount: true}, true, "HybridBitmap"},
+		{"", QueryOptions{MemoryBudgetBytes: 1 << 30}, false, "HybridBitmap"},
+		{"", QueryOptions{MemoryBudgetBytes: 1 << 30}, true, "HybridBitmap"},
+		{"", QueryOptions{Workers: 2}, true, "HybridBitmap"},
+		{"", QueryOptions{TimeoutMS: 60000}, true, "HybridBitmap"},
+		{"", QueryOptions{NoCache: true}, false, "HybridBitmap"},
+		{`{"add": [[0, 1], [0, 2], [1, 2]]}`, QueryOptions{}, false, "HybridBitmap"},
+		{"", QueryOptions{}, true, "HybridBitmap"},
+		{`{"compact": true}`, QueryOptions{}, false, "HybridBitmap"},
+		{"", QueryOptions{}, true, "HybridBitmap"},
 	} {
-		req := base
-		req.Options.Kernel = c.kernel
-		var r QueryResponse
-		decode(t, do(t, s, "POST", "/query", req), &r)
-		if r.Cached != c.wantCached {
-			t.Fatalf("kernel %q: cached = %v, want %v", c.kernel, r.Cached, c.wantCached)
+		if c.edges != "" {
+			postEdges(t, s, c.edges)
 		}
-		if r.Matches != ref || r.Report == nil || r.Report.Kernel != c.wantKernel {
-			t.Fatalf("kernel %q: matches %d (want %d), report %+v (want kernel %s)", c.kernel, r.Matches, ref, r.Report, c.wantKernel)
+		ref, err := light.Count(g, tri, light.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r QueryResponse
+		decode(t, do(t, s, "POST", "/query", queryRequest{Graph: "g", Pattern: "triangle", Options: c.opts}), &r)
+		if r.Cached != c.wantCached {
+			t.Fatalf("step %d %+v: cached = %v, want %v", i, c.opts, r.Cached, c.wantCached)
+		}
+		if r.Matches != ref.Matches || r.Report == nil || r.Report.Kernel != c.wantKernel {
+			t.Fatalf("step %d %+v: matches %d (want %d), report %+v (want kernel %s)", i, c.opts, r.Matches, ref.Matches, r.Report, c.wantKernel)
 		}
 	}
+}
 
-	noCache := base
-	noCache.Options.NoCache = true
-	var r3 QueryResponse
-	decode(t, do(t, s, "POST", "/query", noCache), &r3)
-	if r3.Cached {
-		t.Fatal("no_cache request was served from cache")
+// TestCacheKeyPartitionMatchesPlanKey is the soundness check of keying
+// on the request instead of the plan: over the catalog, relabelled and
+// renamed inline copies, every algorithm spelling, and a clean, a dirty
+// and a compacted snapshot, two requests get the same key exactly when
+// they got the same (fingerprint, light.PlanKey, option set) — the key
+// lightd used to pay a plan search per request for.
+func TestCacheKeyPartitionMatchesPlanKey(t *testing.T) {
+	s, _, _ := testServer(t, Config{})
+	type ref struct {
+		name string
+		spec *patternSpec
+	}
+	var patterns []ref
+	for _, name := range light.CatalogNames() {
+		patterns = append(patterns, ref{name: name})
+	}
+	patterns = append(patterns,
+		// P2 and P4 with their vertices renumbered: same shape, another
+		// structure as given, and another plan.
+		ref{spec: &patternSpec{Name: "chordal-relabelled", N: 4, Edges: [][2]int{{1, 2}, {2, 3}, {3, 0}, {0, 1}, {1, 3}}}},
+		ref{spec: &patternSpec{Name: "house-relabelled", N: 5, Edges: [][2]int{{4, 3}, {3, 2}, {2, 1}, {1, 4}, {4, 0}, {3, 0}}}},
+		// P2 as given under another name: the same query.
+		ref{spec: &patternSpec{Name: "chordal-renamed", N: 4, Edges: [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}}}},
+	)
+	type entry struct{ what, key, want string }
+	var entries []entry
+	collect := func(state string) {
+		for _, pat := range patterns {
+			for _, algo := range []string{"", "LIGHT", "SE", "LM", "MSC"} {
+				pr, _, err := s.prepare("g", QueryOptions{Algorithm: algo})
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := resolvePattern(pat.name, pat.spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				planKey, err := light.PlanKey(pr.g, p, pr.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				entries = append(entries, entry{
+					what: fmt.Sprintf("%s/%s/%q", state, p.Name(), algo),
+					key:  s.cacheKey(epQuery, &pr, p.StructureKey()),
+					want: fmt.Sprintf("%016x|%s|%v", pr.opts.Snapshot.Fingerprint(), planKey, pr.opts.Algorithm),
+				})
+			}
+		}
+	}
+	collect("clean")
+	for _, step := range []struct{ state, body string }{
+		{"dirty", `{"add": [[0, 1], [0, 2], [1, 2], [7, 300]], "remove": [[399, 398]]}`},
+		{"compacted", `{"compact": true}`},
+	} {
+		postEdges(t, s, step.body)
+		collect(step.state)
+	}
+	same := 0
+	for i, a := range entries {
+		for _, b := range entries[:i] {
+			if (a.key == b.key) != (a.want == b.want) {
+				t.Errorf("%s vs %s: keys equal = %v, (fingerprint, plan key, options) equal = %v",
+					a.what, b.what, a.key == b.key, a.want == b.want)
+			}
+			if a.key == b.key {
+				same++
+			}
+		}
+	}
+	if same == 0 {
+		t.Fatal("no two requests shared a key: the equal direction was never checked")
 	}
 }
 
@@ -194,8 +327,8 @@ func TestQueryRequestErrors(t *testing.T) {
 			Options: QueryOptions{Algorithm: "QUANTUM"}}, http.StatusBadRequest},
 		{"bad kernel", queryRequest{Graph: "g", Pattern: "triangle",
 			Options: QueryOptions{Kernel: "Quicksort"}}, http.StatusBadRequest},
-		{"negative tau", queryRequest{Graph: "g", Pattern: "triangle",
-			Options: QueryOptions{HubDegreeThreshold: -1}}, http.StatusBadRequest},
+		{"removed option", json.RawMessage(`{"graph": "g", "pattern": "triangle", "options": {"hub_degree_threshold": 4}}`),
+			http.StatusBadRequest},
 		{"both patterns", queryRequest{Graph: "g", Pattern: "triangle",
 			PatternGraph: &patternSpec{N: 3, Edges: [][2]int{{0, 1}, {1, 2}, {0, 2}}}}, http.StatusBadRequest},
 	}
@@ -353,8 +486,66 @@ func TestBatchEndpoint(t *testing.T) {
 		t.Fatal("cached batch returned different counts")
 	}
 
+	// A hit answers with the hitting request's names: the graph's other
+	// registry name, and an inline pattern's own name.
+	if _, err := s.Registry().Add("alias", g); err != nil {
+		t.Fatal(err)
+	}
+	renamed := batchRequest{Graph: "alias", Queries: append([]batchQueryRequest(nil), body.Queries...)}
+	renamed.Queries[0] = batchQueryRequest{PatternGraph: inlineTriangle}
+	for _, c := range []struct {
+		req                  batchRequest
+		wantGraph, wantFirst string
+	}{
+		{renamed, "alias", "mine"},
+		{body, "g", resp.Queries[0].Pattern}, // the stored entry kept its own names
+	} {
+		var hit BatchResponse
+		decode(t, do(t, s, "POST", "/batch", c.req), &hit)
+		if !hit.Cached || hit.DurationNS != 0 || len(hit.Queries) != 3 {
+			t.Fatalf("batch on %s: cached = %v, duration = %d, %d results; want a hit", c.req.Graph, hit.Cached, hit.DurationNS, len(hit.Queries))
+		}
+		if hit.Graph != c.wantGraph || hit.Queries[0].Pattern != c.wantFirst ||
+			hit.Queries[1].Pattern != resp.Queries[1].Pattern || hit.Queries[2].Pattern != resp.Queries[2].Pattern {
+			t.Fatalf("batch on %s: hit answered graph %q patterns %q %q %q", c.req.Graph,
+				hit.Graph, hit.Queries[0].Pattern, hit.Queries[1].Pattern, hit.Queries[2].Pattern)
+		}
+	}
+
 	if w := do(t, s, "POST", "/batch", batchRequest{Graph: "g"}); w.Code != http.StatusBadRequest {
 		t.Fatalf("empty batch: status = %d, want 400", w.Code)
+	}
+}
+
+// TestBatchMemberChangesCacheKey: a batch member's min_degree and its
+// root set are part of the key — the set, so order and duplicates do
+// not matter — and a batch's members are keyed in order.
+func TestBatchMemberChangesCacheKey(t *testing.T) {
+	s, _, _ := testServer(t, Config{})
+	for i, c := range []struct {
+		queries    []batchQueryRequest
+		wantCached bool
+	}{
+		{[]batchQueryRequest{{Pattern: "triangle"}}, false},
+		{[]batchQueryRequest{{Pattern: "triangle", MinDegree: 3}}, false},
+		{[]batchQueryRequest{{Pattern: "triangle", MinDegree: 3}}, true},
+		{[]batchQueryRequest{{Pattern: "triangle", Roots: []light.VertexID{395, 390, 390, 399}}}, false},
+		{[]batchQueryRequest{{Pattern: "triangle", Roots: []light.VertexID{399, 395, 390}}}, true},
+		{[]batchQueryRequest{{Pattern: "triangle", Roots: []light.VertexID{399, 395}}}, false},
+		{[]batchQueryRequest{{Pattern: "triangle"}}, true},
+		{[]batchQueryRequest{{Pattern: "triangle"}, {Pattern: "square"}}, false},
+		{[]batchQueryRequest{{Pattern: "square"}, {Pattern: "triangle"}}, false},
+		{[]batchQueryRequest{{Pattern: "triangle"}, {Pattern: "square"}}, true},
+	} {
+		var r BatchResponse
+		w := do(t, s, "POST", "/batch", batchRequest{Graph: "g", Queries: c.queries})
+		if w.Code != http.StatusOK {
+			t.Fatalf("step %d: status %d: %s", i, w.Code, w.Body.String())
+		}
+		decode(t, w, &r)
+		if r.Cached != c.wantCached {
+			t.Fatalf("step %d %+v: cached = %v, want %v", i, c.queries, r.Cached, c.wantCached)
+		}
 	}
 }
 
@@ -543,5 +734,71 @@ func TestCacheDisabled(t *testing.T) {
 	decode(t, do(t, s, "GET", "/stats", nil), &stats)
 	if stats.Cache != nil {
 		t.Fatalf("cache stats present with caching disabled: %+v", stats.Cache)
+	}
+}
+
+// TestJSONRepliesKeepConnectionsAlive pins writeJSON's framing — the
+// JSON value alone, its length declared — by what it is for: a client
+// that decodes one value from the body and closes it gets its
+// connection back whatever the reply's length. With json.Encoder's
+// newline after the value, a 513-byte body (the newline alone past
+// json.Decoder's first 512-byte read; likewise 1537 and 3585) made
+// net/http's transport drop the connection on every such request.
+func TestJSONRepliesKeepConnectionsAlive(t *testing.T) {
+	s := New(Config{})
+	w := do(t, s, "POST", "/query", queryRequest{Graph: "absent", Pattern: "triangle"})
+	if b := w.Body.Bytes(); !json.Valid(b) || b[len(b)-1] != '}' || w.Header().Get("Content-Length") != fmt.Sprint(len(b)) {
+		t.Fatalf("reply %q with Content-Length %q: want one JSON value, nothing after it, its length declared",
+			b, w.Header().Get("Content-Length"))
+	}
+
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	var dials atomic.Int64
+	client := &http.Client{Transport: &http.Transport{
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			dials.Add(1)
+			var d net.Dialer
+			return d.DialContext(ctx, network, addr)
+		},
+	}}
+	defer client.CloseIdleConnections()
+	// The 404 body is a constant plus the graph name: sweep its length
+	// byte by byte across the decoder's read sizes and net/http's 2 KiB
+	// and 4 KiB buffers, a few requests per length. A request may find
+	// the connection not yet back in the idle pool and dial, so one dial
+	// per length is tolerated; a length that drops connections dials
+	// every time.
+	const perLength = 6
+	overhead := w.Body.Len() - len("absent")
+	if resp, err := client.Get(ts.URL + "/healthz"); err != nil { // the one dial every client needs
+		t.Fatal(err)
+	} else {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	for _, around := range []int{513, 1537, 2049, 3585, 4097} {
+		for size := around - 6; size <= around+6; size++ {
+			body, err := json.Marshal(queryRequest{Graph: strings.Repeat("g", size-overhead), Pattern: "triangle"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := dials.Load()
+			for i := 0; i < perLength; i++ {
+				resp, err := client.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var e errorResponse
+				err = json.NewDecoder(resp.Body).Decode(&e)
+				resp.Body.Close()
+				if err != nil || e.Status != http.StatusNotFound || resp.ContentLength != int64(size) {
+					t.Fatalf("reply of %d bytes: status %d, Content-Length %d, decode error %v", size, e.Status, resp.ContentLength, err)
+				}
+			}
+			if d := dials.Load() - before; d > 1 {
+				t.Errorf("%d-byte replies: %d of %d sequential requests dialed a new connection", size, d, perLength)
+			}
+		}
 	}
 }

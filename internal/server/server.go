@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -171,11 +172,27 @@ type errorResponse struct {
 	Status int    `json:"status"`
 }
 
-// writeJSON writes v as the response body with the given status.
+// writeJSON writes v as the response body with the given status: the
+// JSON value alone, its length declared. No byte may follow the value
+// (json.Encoder would add a newline): a client that decodes one value
+// and closes the body — json.NewDecoder(resp.Body).Decode — reads such
+// a byte only when it shares a read with the value's last one, and
+// net/http's transport closes, instead of reusing, a connection whose
+// body was not read to its end; at 513 bytes (the decoder reads 512
+// first) that is every request. Content-Length keeps a body over 2 KiB
+// from going out chunked, where reuse depends on whether the
+// terminating chunk had arrived when the value was read.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		s.errors.Add(1)
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	if _, err := w.Write(body); err != nil {
 		// The response is already committed; nothing to do but count it.
 		s.errors.Add(1)
 	}

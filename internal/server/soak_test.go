@@ -1,8 +1,7 @@
 // Server-shaped soak: many client goroutines firing mixed /query,
 // /batch, and /enumerate requests over real HTTP at one Server — one
 // registry graph, one governor, one result cache — all under -race.
-// Every response must carry the exact sequential count, conflicting
-// hub-τ requests must resolve first-wins without a data race, and the
+// Every response must carry the exact sequential count, and the
 // process must settle back to its starting goroutine count.
 package server
 
@@ -98,7 +97,7 @@ func postJSON(client *http.Client, url string, body, out any) (int, error) {
 
 // TestServerSoakMixedTraffic is the lightd acceptance soak: 12 client
 // goroutines, each issuing a mix of count, batch, and enumerate
-// requests with clashing hub-τ and worker options, against one
+// requests with clashing worker options, against one
 // registered graph and a 4-slot governor. Exact counts, no races, no
 // leaked goroutines, zero server-side errors.
 func TestServerSoakMixedTraffic(t *testing.T) {
@@ -130,12 +129,8 @@ func TestServerSoakMixedTraffic(t *testing.T) {
 				pi := (c + rnd) % len(names)
 				opts := QueryOptions{
 					Workers: 1 + c%3,
-					// Clashing τ requests from concurrent clients: the
-					// shared graph's hub index must build once,
-					// first-wins, with no data race.
-					HubDegreeThreshold: 3 + c%3,
-					Kernel:             "HybridBitmap",
-					NoCache:            c%4 == 0,
+					Kernel:  "HybridBitmap",
+					NoCache: c%4 == 0,
 				}
 				switch (c + rnd) % 3 {
 				case 0: // single count

@@ -349,6 +349,13 @@ func (p *Pattern) NumEdges() int { return p.p.NumEdges() }
 // String renders the pattern.
 func (p *Pattern) String() string { return p.p.String() }
 
+// StructureKey spells the pattern's structure as given — vertex count
+// and adjacency over the caller's vertex numbering, not its name.
+// Patterns with equal keys are the same input to the optimizer, so on
+// one snapshot they get the same plan, counts and deterministic
+// counters under the same options (lightd keys its result cache on it).
+func (p *Pattern) StructureKey() string { return p.p.StructureKey() }
+
 // Algorithm selects the enumeration algorithm (the paper's Section
 // VIII-B1 ablation ladder).
 type Algorithm int
@@ -480,17 +487,6 @@ type Options struct {
 	// Order overrides the cost-based enumeration order with an explicit
 	// permutation of pattern vertices (advanced; must be connected).
 	Order []int
-	// HubDegreeThreshold tunes the graph's hub bitmap index, used by
-	// the bitmap intersection kernels: 0 keeps the auto-tuned index
-	// built at graph construction; a positive value prepares the index
-	// with that degree threshold τ. Preparation is safe under
-	// concurrent queries and first-wins per graph: the first query to
-	// request a τ builds the index once (atomically published, never
-	// partially visible), and every later query — same or conflicting
-	// τ — shares that build. τ only shifts the bitmap/list kernel
-	// trade-off, never the match set, so a lost race costs performance
-	// at most. Negative values are rejected by validation.
-	HubDegreeThreshold int
 	// CheckpointPath, when non-empty, periodically persists the run's
 	// committed state to this file (atomic temp-file+rename writes) so
 	// an interrupted run can be resumed with ResumeFrom. Forces the
@@ -644,13 +640,6 @@ func run(ctx context.Context, g *Graph, p *Pattern, opts Options, visit engine.V
 		return Result{}, err
 	}
 	rec := metrics.NewRecorder()
-	if opts.HubDegreeThreshold > 0 {
-		// First-wins preparation: the first query to request a τ on this
-		// graph rebuilds the index once; concurrent and later queries —
-		// even with a conflicting τ — share that build instead of
-		// thrashing rebuilds (see graph.EnsureHubIndex).
-		st.base.EnsureHubIndex(opts.HubDegreeThreshold)
-	}
 	eopts := engine.Options{
 		Kernel:    opts.Intersection.kind(),
 		TimeLimit: opts.TimeLimit,
@@ -698,9 +687,7 @@ func run(ctx context.Context, g *Graph, p *Pattern, opts Options, visit engine.V
 		degradations := gr.settle(rec, pres.SlotsShed, pres.Stalls)
 		res = fill(res, pres.Result, time.Since(start))
 		res.CandidateMemoryBytes = pres.CandidateMemBytes
-		res.Report = newRunReport(rec, opts, pres.Workers, res.Duration, res.CandidateMemoryBytes, &pres, degradations)
-		res.Report.DeltaEdges = st.deltaEdges()
-		res.Report.SnapshotGen = st.gen
+		res.Report = newRunReport(rec, opts, st, pres.Workers, res.Duration, res.CandidateMemoryBytes, &pres, degradations)
 		return res, mapErr(err)
 	}
 
@@ -718,10 +705,7 @@ func run(ctx context.Context, g *Graph, p *Pattern, opts Options, visit engine.V
 	})
 	res = fill(res, eres, time.Since(start))
 	res.CandidateMemoryBytes = e.CandidateMemoryBytes()
-	rec.Add(metrics.ArenaBytes, uint64(res.CandidateMemoryBytes))
-	res.Report = newRunReport(rec, opts, 1, res.Duration, res.CandidateMemoryBytes, nil, nil)
-	res.Report.DeltaEdges = st.deltaEdges()
-	res.Report.SnapshotGen = st.gen
+	res.Report = newRunReport(rec, opts, st, 1, res.Duration, res.CandidateMemoryBytes, nil, nil)
 	if verr := visitErr(); verr != nil {
 		err = verr
 	}
@@ -760,9 +744,11 @@ func mapErr(err error) error {
 // order, COMP operands, and symmetry constraints — everything that
 // determines the search tree walked, and nothing cosmetic. Two queries
 // with equal plan keys on the same graph walk identical trees and
-// produce identical deterministic counters, which is what makes the key
-// (together with Graph.Fingerprint and the option set) a sound result
-// cache key; see cmd/lightd.
+// produce identical deterministic counters. It costs a full plan
+// search, so lightd no longer names queries with it: on one snapshot
+// the plan is already determined by Pattern.StructureKey and the
+// algorithm. It stays as the reference that equivalence is tested
+// against, and as what the benchmark's plan probe times.
 func PlanKey(g *Graph, p *Pattern, opts Options) (string, error) {
 	st, err := g.resolveState(opts.Snapshot)
 	if err != nil {

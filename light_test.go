@@ -86,9 +86,9 @@ func TestParallelAgreesWithSequential(t *testing.T) {
 		t.Fatalf("parallel memory accounting missing: par %d, seq %d",
 			par.CandidateMemoryBytes, seq.CandidateMemoryBytes)
 	}
-	if par.Report.ArenaBytes != uint64(par.CandidateMemoryBytes) {
-		t.Fatalf("report arena bytes %d != candidate memory %d",
-			par.Report.ArenaBytes, par.CandidateMemoryBytes)
+	if par.Report.CandidateMemoryBytes != par.CandidateMemoryBytes {
+		t.Fatalf("report candidate memory %d != result's %d",
+			par.Report.CandidateMemoryBytes, par.CandidateMemoryBytes)
 	}
 }
 

@@ -106,17 +106,15 @@ type RunReport struct {
 	// (0 for a never-mutated graph).
 	SnapshotGen uint64 `json:"snapshot_gen,omitempty"`
 
-	// CandidateMemoryBytes is the candidate-buffer memory across workers.
+	// CandidateMemoryBytes is the candidate-buffer memory across
+	// workers: the slab footprint of their arenas.
 	CandidateMemoryBytes int64 `json:"candidate_memory_bytes"`
-	// ArenaBytes is the slab footprint of the per-worker candidate
-	// arenas (equals CandidateMemoryBytes; kept as its own counter so
-	// snapshots and the bench gate can track it independently).
-	ArenaBytes uint64 `json:"arena_bytes,omitempty"`
 }
 
-// newRunReport assembles the public report from the run's recorder plus
-// the scheduler extras only the parallel result carries.
-func newRunReport(rec *metrics.Recorder, opts Options, workers int, d time.Duration, memBytes int64, pres *parallel.Result, degradations []string) *RunReport {
+// newRunReport assembles the public report from the run's recorder, the
+// snapshot it enumerated, and the scheduler extras only the parallel
+// result carries.
+func newRunReport(rec *metrics.Recorder, opts Options, st *snapshotState, workers int, d time.Duration, memBytes int64, pres *parallel.Result, degradations []string) *RunReport {
 	r := &RunReport{
 		Schema:        RunReportSchema,
 		Algorithm:     opts.Algorithm.String(),
@@ -150,8 +148,10 @@ func newRunReport(rec *metrics.Recorder, opts Options, workers int, d time.Durat
 		WatchdogStalls:    rec.Get(metrics.WatchdogStalls),
 		DegradationEvents: degradations,
 
+		DeltaEdges:  st.deltaEdges(),
+		SnapshotGen: st.gen,
+
 		CandidateMemoryBytes: memBytes,
-		ArenaBytes:           rec.Get(metrics.ArenaBytes),
 	}
 	if r.Intersections > 0 {
 		r.GallopingPercent = 100 * float64(r.Galloping) / float64(r.Intersections)

@@ -10,11 +10,36 @@ if [[ "${1:-}" == "-short" ]]; then
     SHORT=(-short)
 fi
 
+# run_named PKG 'NameA|NameB' FLAGS... runs `go test FLAGS -run PATTERN PKG`
+# after checking that every alternative of PATTERN is still the prefix of
+# a test in PKG: a -run pattern that matches nothing exits 0 ("no tests
+# to run"), so a renamed test would silently stop being checked.
+run_named() {
+    local pkg=$1 pattern=$2 listed name
+    shift 2
+    listed=$(go test "$@" -list "$pattern" "$pkg")
+    for name in ${pattern//|/ }; do
+        if ! grep -q "^$name" <<<"$listed"; then
+            echo "verify: FAIL — -run name $name matches no test in $pkg (renamed? update scripts/verify.sh)" >&2
+            exit 1
+        fi
+    done
+    go test "$@" -run "$pattern" "$pkg"
+}
+
 echo "==> go build ./..."
 go build ./...
 
 echo "==> go vet ./..."
 go vet ./...
+
+echo "==> gofmt -l (lint testdata keeps its deliberately odd sources)"
+UNFORMATTED=$(gofmt -l . | grep -v '^internal/lint/testdata/' || true)
+if [[ -n "$UNFORMATTED" ]]; then
+    echo "verify: FAIL — gofmt -l lists:" >&2
+    echo "$UNFORMATTED" >&2
+    exit 1
+fi
 
 echo "==> lightvet ./... (findings -> lightvet-findings.json, 30s budget)"
 # The full analyzer suite must finish well under 30s wall-clock on the
@@ -45,16 +70,16 @@ echo "==> go test -race -cpu 2,4 (parallel, engine, lanes, delta, metrics, admis
 go test -race -cpu 2,4 -timeout 20m "${SHORT[@]}" \
     ./internal/parallel/... ./internal/engine/... ./internal/lanes/... ./internal/delta/... ./internal/metrics/... ./internal/admission/... ./internal/server/...
 
-echo "==> go test -race -cpu 2,4 shared-graph regressions (hub index, snapshot isolation)"
-go test -race -cpu 2,4 -timeout 5m -run 'TestConcurrentQueriesHubThreshold|TestHubIndexOneBuildAcrossQueries|TestSnapshotIsolation' .
+echo "==> go test -race -cpu 2,4 shared-graph regressions (queries racing hub-index rebuilds, snapshot isolation)"
+run_named . 'TestConcurrentQueriesHubThreshold|TestHubIndexOneBuildAcrossQueries|TestSnapshotIsolation' -race -cpu 2,4 -timeout 5m
 
 echo "==> go test -race -cpu 1,2,4: visitor stop latch, anchored scheduler, CountDelta oracles, default-kernel equivalence"
 # The stop latch only matters with two or more workers really running at
 # once, CountDelta's visitors run unserialized, and the default kernel's
 # hub probing is the path every zero-Options query takes: a 1-CPU runner
 # must never be the only evidence for any of them.
-go test -race -cpu 1,2,4 -timeout 10m -run 'TestVisitorNeverCalledAfterStop|TestRunAnchored' ./internal/parallel/
-go test -race -cpu 1,2,4 -timeout 10m -run 'TestCountDelta|TestDefaultKernel' .
+run_named ./internal/parallel/ 'TestVisitorNeverCalledAfterStop|TestRunAnchored' -race -cpu 1,2,4 -timeout 10m
+run_named . 'TestCountDelta|TestDefaultKernel' -race -cpu 1,2,4 -timeout 10m
 
 echo "==> benchmark module: go vet + go test"
 (cd benchmark && go vet . && go test .)
@@ -68,7 +93,7 @@ go test -race -cpu 2,4 -tags faultinject -timeout 20m "${SHORT[@]}" \
     ./internal/faultpoint/ ./internal/parallel/ ./internal/supervise/ ./internal/graph/ ./internal/engine/ ./internal/admission/ ./internal/lanes/
 
 echo "==> fuzz smoke: FuzzCSRRoundTrip (10s)"
-go test ./internal/graph/ -run FuzzCSRRoundTrip -fuzz FuzzCSRRoundTrip -fuzztime 10s
+run_named ./internal/graph/ FuzzCSRRoundTrip -fuzz FuzzCSRRoundTrip -fuzztime 10s
 
 echo "==> lightdiff differential smoke (lane + edge-delta oracles on)"
 if [[ ${#SHORT[@]} -gt 0 ]]; then
