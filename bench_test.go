@@ -1,17 +1,14 @@
-// Benchmarks mirroring every table and figure of the paper's evaluation
-// (Section VIII), one bench family per experiment, on shrunken versions
-// of the synthetic datasets so `go test -bench=.` finishes in minutes.
-// The full-size experiment harness is cmd/benchpaper; EXPERIMENTS.md
-// records paper-vs-measured for both.
+// Ablation and extension benchmarks: design choices the paper fixes or
+// does not have (scheduler, δ, cover solver, order search, TailCount,
+// labels, sampling, the default kernel on hub-free graphs), on shrunken
+// synthetic datasets. The paper's own tables and figures are
+// cmd/benchpaper's; the repository's speed contract is benchmark/.
 package light
 
 import (
 	"fmt"
 	"testing"
-	"time"
 
-	"light/internal/baselines"
-	"light/internal/bfsjoin"
 	"light/internal/engine"
 	"light/internal/estimate"
 	"light/internal/gen"
@@ -54,230 +51,6 @@ func shortName(p *pattern.Pattern) string {
 		}
 	}
 	return name
-}
-
-// BenchmarkFig4 measures the serial execution time of every algorithm in
-// the Fig 4 comparison on (P2, yt-fast) and (P4, lj-fast).
-func BenchmarkFig4(b *testing.B) {
-	cases := []struct {
-		data func() *graph.Graph
-		dn   string
-		pat  *pattern.Pattern
-	}{
-		{ytFast, "yt", pattern.P2()},
-		{ljFast, "lj", pattern.P4()},
-	}
-	for _, c := range cases {
-		g := c.data()
-		for _, mode := range []plan.Mode{plan.ModeSE, plan.ModeLM, plan.ModeMSC, plan.ModeLIGHT} {
-			pl := pinnedPlan(b, c.pat, mode)
-			b.Run(fmt.Sprintf("%s/%s/%s", c.dn, shortName(c.pat), mode.Name()), func(b *testing.B) {
-				e := engine.New(g, pl, engine.Options{Kernel: intersect.KindMerge})
-				for i := 0; i < b.N; i++ {
-					if _, err := e.Run(nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-		b.Run(fmt.Sprintf("%s/%s/EH", c.dn, shortName(c.pat)), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := baselines.EH(g, c.pat, baselines.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("%s/%s/CFL", c.dn, shortName(c.pat)), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := baselines.CFL(g, c.pat, baselines.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig5 reports the deterministic set-intersection counts of
-// SE/LM/MSC/LIGHT as a custom metric (intersections/op).
-func BenchmarkFig5(b *testing.B) {
-	g := ljFast()
-	for _, pat := range []*pattern.Pattern{pattern.P2(), pattern.P4(), pattern.P6()} {
-		for _, mode := range []plan.Mode{plan.ModeSE, plan.ModeLM, plan.ModeMSC, plan.ModeLIGHT} {
-			pl := pinnedPlan(b, pat, mode)
-			b.Run(fmt.Sprintf("%s/%s", shortName(pat), mode.Name()), func(b *testing.B) {
-				e := engine.New(g, pl, engine.Options{Kernel: intersect.KindMerge})
-				var ints uint64
-				for i := 0; i < b.N; i++ {
-					res, err := e.Run(nil)
-					if err != nil {
-						b.Fatal(err)
-					}
-					ints = res.Stats.Intersections
-				}
-				b.ReportMetric(float64(ints), "intersections/op")
-			})
-		}
-	}
-}
-
-// BenchmarkFig6 compares the intersection kernels inside LIGHT.
-func BenchmarkFig6(b *testing.B) {
-	g := ljFast()
-	for _, pat := range []*pattern.Pattern{pattern.P2(), pattern.P4()} {
-		pl := pinnedPlan(b, pat, plan.ModeLIGHT)
-		for _, k := range []intersect.Kind{intersect.KindMerge, intersect.KindMergeBlock, intersect.KindHybrid, intersect.KindHybridBlock} {
-			b.Run(fmt.Sprintf("%s/%s", shortName(pat), k), func(b *testing.B) {
-				e := engine.New(g, pl, engine.Options{Kernel: k})
-				for i := 0; i < b.N; i++ {
-					if _, err := e.Run(nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkTable3 reports the galloping share under the Hybrid kernel.
-func BenchmarkTable3(b *testing.B) {
-	g := ytFast()
-	for _, pat := range []*pattern.Pattern{pattern.P2(), pattern.P4(), pattern.P6()} {
-		pl := pinnedPlan(b, pat, plan.ModeLIGHT)
-		b.Run(shortName(pat), func(b *testing.B) {
-			e := engine.New(g, pl, engine.Options{Kernel: intersect.KindHybrid})
-			var pct float64
-			for i := 0; i < b.N; i++ {
-				res, err := e.Run(nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pct = res.Stats.GallopingPercent()
-			}
-			b.ReportMetric(pct, "galloping%")
-		})
-	}
-}
-
-// BenchmarkFig7 scales the worker count (thread-scaling shape depends on
-// the machine's core count; see EXPERIMENTS.md).
-func BenchmarkFig7(b *testing.B) {
-	g := ljFast()
-	pat := pattern.P4()
-	pl := pinnedPlan(b, pat, plan.ModeLIGHT)
-	for _, workers := range []int{1, 2, 4, 8, 16, 32, 64} {
-		b.Run(fmt.Sprintf("threads=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := parallel.Run(g, pl, parallel.Options{
-					Engine:  engine.Options{Kernel: intersect.KindHybridBlock},
-					Workers: workers,
-				}, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTable4 measures the four Table IV configurations.
-func BenchmarkTable4(b *testing.B) {
-	g := ljFast()
-	pat := pattern.P4()
-	run := func(name string, mode plan.Mode, kernel intersect.Kind, workers int) {
-		pl := pinnedPlan(b, pat, mode)
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				var err error
-				if workers > 1 {
-					_, err = parallel.Run(g, pl, parallel.Options{Engine: engine.Options{Kernel: kernel}, Workers: workers}, nil)
-				} else {
-					_, err = engine.New(g, pl, engine.Options{Kernel: kernel}).Run(nil)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	run("T_SE", plan.ModeSE, intersect.KindMerge, 1)
-	run("T_SE+P", plan.ModeSE, intersect.KindHybridBlock, 8)
-	run("T_LIGHT", plan.ModeLIGHT, intersect.KindMerge, 1)
-	run("T_LIGHT+P", plan.ModeLIGHT, intersect.KindHybridBlock, 8)
-}
-
-// BenchmarkTable5 reports the candidate-set memory of a parallel P5 run.
-func BenchmarkTable5(b *testing.B) {
-	g := ljFast()
-	pat := pattern.P5()
-	po := pattern.SymmetryBreaking(pat)
-	pl, err := plan.Compile(pat, po, plan.ConnectedOrders(pat, po)[0], plan.ModeLIGHT)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("P5/workers=8", func(b *testing.B) {
-		var mem int64
-		for i := 0; i < b.N; i++ {
-			res, err := parallel.Run(g, pl, parallel.Options{Workers: 8}, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			mem = res.CandidateMemBytes
-		}
-		b.ReportMetric(float64(mem), "candidate-bytes")
-	})
-}
-
-// BenchmarkFig8 compares LIGHT against the simulated distributed
-// systems and the DUALSIM proxy on one representative case.
-func BenchmarkFig8(b *testing.B) {
-	g := ljFast()
-	pat := pattern.P1()
-	po := pattern.SymmetryBreaking(pat)
-	stats := estimate.Collect(g)
-	pl, err := plan.Choose(pat, po, stats, plan.ModeLIGHT)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sePlan, err := plan.Choose(pat, po, stats, plan.ModeSE)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bfsOpts := bfsjoin.Options{ShufflePerTuple: 150 * time.Nanosecond, Sleep: true}
-
-	b.Run("LIGHT", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := parallel.Run(g, pl, parallel.Options{Workers: 8}, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("DUALSIM-sim", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := parallel.Run(g, sePlan, parallel.Options{Workers: 8}, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("SEED-sim", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := bfsjoin.SEED(g, pat, bfsOpts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("CRYSTAL-sim", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := bfsjoin.Crystal(g, pat, bfsOpts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("TwinTwig-sim", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := bfsjoin.TwinTwig(g, pat, bfsOpts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkAblationScheduler compares the work-stealing scheduler against

@@ -90,3 +90,44 @@ func TestConfigLoaders(t *testing.T) {
 		t.Fatal("default patterns broken")
 	}
 }
+
+// TestExperimentsRunOnFastSubset executes every experiment on the fast
+// subset EXPERIMENTS.md recommends (yt-s, P2, 5 s per run), so `go test
+// ./...` runs the figure code and does not merely compile it. Every cell
+// must finish, and every system measured on a (dataset, pattern) cell
+// must find the same number of matches.
+func TestExperimentsRunOnFastSubset(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs all ten experiments (a few seconds)")
+	}
+	for name, fn := range experiments {
+		t.Run(name, func(t *testing.T) {
+			col := &collector{}
+			fn(config{
+				scale:    1,
+				timeout:  5 * time.Second,
+				workers:  4,
+				spaceMB:  256,
+				shuffle:  150 * time.Nanosecond,
+				datasets: []string{"yt-s"},
+				patterns: []string{"P2"},
+				col:      col,
+			})
+			if len(col.rows) == 0 && name != "table2" && name != "estimator" {
+				t.Fatal("recorded no row")
+			}
+			matches := map[string]uint64{}
+			for _, r := range col.rows {
+				if r.Mark != "" {
+					t.Errorf("%s %s %s: %s within the 5s limit", r.Dataset, r.Pattern, r.System, r.Mark)
+					continue
+				}
+				cell := r.Dataset + "|" + r.Pattern
+				if m, ok := matches[cell]; ok && m != r.Matches {
+					t.Errorf("%s %s: %d matches, another system found %d", cell, r.System, r.Matches, m)
+				}
+				matches[cell] = r.Matches
+			}
+		})
+	}
+}

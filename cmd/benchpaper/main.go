@@ -42,6 +42,22 @@ type config struct {
 	col      *collector // non-nil when -json is set
 }
 
+var experiments = map[string]func(config){
+	"table2":    table2,
+	"fig4":      fig4,
+	"fig5":      fig5,
+	"fig6":      fig6,
+	"table3":    table3,
+	"fig7":      fig7,
+	"table4":    table4,
+	"table5":    table5,
+	"fig8":      fig8,
+	"estimator": estimator,
+}
+
+// order is what -exp all runs, in the paper's order.
+var order = []string{"table2", "fig4", "fig5", "fig6", "table3", "fig7", "table4", "table5", "fig8"}
+
 func main() {
 	exp := flag.String("exp", "all", "experiment: table2 fig4 fig5 fig6 table3 fig7 table4 table5 fig8 estimator all")
 	scale := flag.Int("scale", 1, "dataset size multiplier")
@@ -70,20 +86,6 @@ func main() {
 	if *data != "" {
 		cfg.datasets = strings.Split(*data, ",")
 	}
-
-	experiments := map[string]func(config){
-		"table2":    table2,
-		"fig4":      fig4,
-		"fig5":      fig5,
-		"fig6":      fig6,
-		"table3":    table3,
-		"fig7":      fig7,
-		"table4":    table4,
-		"table5":    table5,
-		"fig8":      fig8,
-		"estimator": estimator,
-	}
-	order := []string{"table2", "fig4", "fig5", "fig6", "table3", "fig7", "table4", "table5", "fig8"}
 
 	runOne := func(name string, fn func(config)) {
 		if *jsonOut {

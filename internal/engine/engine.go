@@ -90,6 +90,26 @@ func (lc *LaneCounts) Add(other LaneCounts) {
 	lc.Stats.Add(other.Stats)
 }
 
+// AddTo folds lc into a metrics recorder (no-op when m is nil) — the one
+// place a run's counters, whole or per lane, become registry counters.
+// The merge count is derived: every intersection that did not gallop
+// merged.
+//
+//light:hotpath
+func (lc LaneCounts) AddTo(m *metrics.Recorder) {
+	if m == nil {
+		return
+	}
+	m.Add(metrics.EngineNodes, lc.Nodes)
+	m.Add(metrics.EngineMatches, lc.Matches)
+	m.Add(metrics.EngineComps, lc.Comps)
+	m.Add(metrics.IntersectOps, lc.Stats.Intersections)
+	m.Add(metrics.IntersectGalloping, lc.Stats.Galloping)
+	m.Add(metrics.IntersectMerge, lc.Stats.Intersections-lc.Stats.Galloping)
+	m.Add(metrics.IntersectElements, lc.Stats.Elements)
+	m.Add(metrics.IntersectBitmapProbes, lc.Stats.BitmapProbes)
+}
+
 // Options configure an Enumerator.
 type Options struct {
 	// Kernel selects the set intersection implementation (default
@@ -196,22 +216,12 @@ func (r *Result) Add(other Result) {
 	}
 }
 
-// AddTo folds r into a metrics recorder (no-op when m is nil). The
-// merge count is derived: every intersection that did not gallop merged.
+// AddTo folds r's whole-run counters into a metrics recorder (no-op when
+// m is nil).
 //
 //light:hotpath
 func (r *Result) AddTo(m *metrics.Recorder) {
-	if m == nil {
-		return
-	}
-	m.Add(metrics.EngineNodes, r.Nodes)
-	m.Add(metrics.EngineMatches, r.Matches)
-	m.Add(metrics.EngineComps, r.Comps)
-	m.Add(metrics.IntersectOps, r.Stats.Intersections)
-	m.Add(metrics.IntersectGalloping, r.Stats.Galloping)
-	m.Add(metrics.IntersectMerge, r.Stats.Intersections-r.Stats.Galloping)
-	m.Add(metrics.IntersectElements, r.Stats.Elements)
-	m.Add(metrics.IntersectBitmapProbes, r.Stats.BitmapProbes)
+	LaneCounts{Matches: r.Matches, Nodes: r.Nodes, Comps: r.Comps, Stats: r.Stats}.AddTo(m)
 }
 
 // MatHook, when non-nil, is invoked at the start of every non-root MAT

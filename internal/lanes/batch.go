@@ -35,8 +35,6 @@ type Options struct {
 	// Workers per group (the groups run sequentially, each using the
 	// full pool); defaults to GOMAXPROCS via the parallel layer.
 	Workers int
-	// Scheduler defaults to WorkStealing.
-	Scheduler parallel.Scheduler
 	// Gate, when non-nil, is the batch's single admission under a
 	// shared governor: one grant covers every group, workers re-check
 	// it at scheduling boundaries, and slots shed to waiting queries
@@ -51,9 +49,6 @@ type Options struct {
 	// into Recorders[i], giving each query an individually-reportable
 	// metrics snapshot.
 	Recorders []*metrics.Recorder
-	// Checkpoint, when non-nil, enables periodic checkpointing per
-	// group (frames carry their lane masks; see the supervise format).
-	Checkpoint *parallel.CheckpointOptions
 }
 
 // Result is a batch run's outcome.
@@ -124,12 +119,10 @@ func Run(ctx context.Context, g *graph.Graph, queries []Query, opts Options) (Re
 		popts := parallel.Options{
 			Engine:     opts.Engine,
 			Workers:    opts.Workers,
-			Scheduler:  opts.Scheduler,
 			Metrics:    opts.Engine.Metrics,
 			Gate:       opts.Gate,
 			MemLimiter: opts.MemLimiter,
 			Watchdog:   opts.Watchdog,
-			Checkpoint: opts.Checkpoint,
 		}
 		popts.Engine.Lanes = set
 		// Under a governor, earlier groups may have shed slots to
@@ -165,7 +158,7 @@ func Run(ctx context.Context, g *graph.Graph, queries []Query, opts Options) (Re
 }
 
 // foldGroup folds each lane's attributed counters into its query's
-// recorder — the lane-masked analogue of engine.Result.AddTo.
+// recorder, through the same fold a whole run's counters take.
 func foldGroup(grp []int, lanes []engine.LaneCounts, recorders []*metrics.Recorder) error {
 	if recorders == nil {
 		return nil
@@ -174,19 +167,9 @@ func foldGroup(grp []int, lanes []engine.LaneCounts, recorders []*metrics.Record
 		return fmt.Errorf("lanes: lane fold: %w", err)
 	}
 	for lane, qi := range grp {
-		rec := recorders[qi]
-		if rec == nil || lane >= len(lanes) {
-			continue
+		if lane < len(lanes) {
+			lanes[lane].AddTo(recorders[qi])
 		}
-		lc := lanes[lane]
-		rec.Add(metrics.EngineNodes, lc.Nodes)
-		rec.Add(metrics.EngineMatches, lc.Matches)
-		rec.Add(metrics.EngineComps, lc.Comps)
-		rec.Add(metrics.IntersectOps, lc.Stats.Intersections)
-		rec.Add(metrics.IntersectGalloping, lc.Stats.Galloping)
-		rec.Add(metrics.IntersectMerge, lc.Stats.Intersections-lc.Stats.Galloping)
-		rec.Add(metrics.IntersectElements, lc.Stats.Elements)
-		rec.Add(metrics.IntersectBitmapProbes, lc.Stats.BitmapProbes)
 	}
 	return nil
 }

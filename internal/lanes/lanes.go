@@ -16,8 +16,8 @@
 // run of its query would expand that node, and every COMP depends only
 // on the assignments above it, so charging shared work to each live
 // lane reproduces every query's solo counters bit-for-bit (the engine
-// asserts the same invariant; internal/diffcheck and the lightbench
-// catalog section both gate on it).
+// asserts the same invariant; internal/diffcheck and the catalog rows of
+// the root package's TestCounterBaseline both gate on it).
 package lanes
 
 import (

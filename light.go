@@ -632,8 +632,7 @@ func run(ctx context.Context, g *Graph, p *Pattern, opts Options, visit engine.V
 		return Result{}, err
 	}
 	if st.ov != nil && (opts.CheckpointPath != "" || opts.ResumeFrom != "") {
-		return Result{}, errors.New(
-			"light: checkpoint/resume require a compacted snapshot; call Compact before checkpointing")
+		return Result{}, fmt.Errorf("%w: checkpoint/resume require a compacted snapshot; call Compact before checkpointing", ErrUnsupportedOption)
 	}
 	pl, err := preparePlan(st, p, opts)
 	if err != nil {

@@ -1,6 +1,7 @@
 package light
 
 import (
+	"errors"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -240,12 +241,12 @@ func TestPendingDeltasRejectCheckpointAndSave(t *testing.T) {
 	p := triangles(t)
 	dir := t.TempDir()
 	_, err := Count(g, p, Options{CheckpointPath: filepath.Join(dir, "ck")})
-	if err == nil || !strings.Contains(err.Error(), "Compact") {
-		t.Fatalf("checkpoint with pending deltas: err = %v, want compact-first rejection", err)
+	if !errors.Is(err, ErrUnsupportedOption) || !strings.Contains(err.Error(), "Compact") {
+		t.Fatalf("checkpoint with pending deltas: err = %v, want a compact-first ErrUnsupportedOption", err)
 	}
 	_, err = Count(g, p, Options{ResumeFrom: filepath.Join(dir, "ck")})
-	if err == nil || !strings.Contains(err.Error(), "Compact") {
-		t.Fatalf("resume with pending deltas: err = %v, want compact-first rejection", err)
+	if !errors.Is(err, ErrUnsupportedOption) || !strings.Contains(err.Error(), "Compact") {
+		t.Fatalf("resume with pending deltas: err = %v, want a compact-first ErrUnsupportedOption", err)
 	}
 	if err := g.SaveCSR(filepath.Join(dir, "g.csr")); err == nil || !strings.Contains(err.Error(), "Compact") {
 		t.Fatalf("SaveCSR with pending deltas: err = %v, want compact-first rejection", err)
