@@ -1,7 +1,7 @@
 package light
 
 import (
-	"errors"
+	"fmt"
 
 	"light/internal/approx"
 )
@@ -12,7 +12,7 @@ import (
 func approxCount(g *Graph, p *Pattern, samples int, seed int64) (approx.Result, error) {
 	st := g.snap()
 	if st.ov != nil {
-		return approx.Result{}, errors.New("light: ApproxCount with pending edge deltas; call Compact first")
+		return approx.Result{}, fmt.Errorf("%w: ApproxCount with pending edge deltas; call Compact first", ErrUnsupportedOption)
 	}
 	return approx.Count(st.base, p.p, samples, seed)
 }

@@ -1,5 +1,5 @@
 // Ablation and extension benchmarks: design choices the paper fixes or
-// does not have (scheduler, δ, cover solver, order search, TailCount,
+// does not have (δ, cover solver, order search, TailCount,
 // labels, sampling, the default kernel on hub-free graphs), on shrunken
 // synthetic datasets. The paper's own tables and figures are
 // cmd/benchpaper's; the repository's speed contract is benchmark/.
@@ -14,7 +14,6 @@ import (
 	"light/internal/gen"
 	"light/internal/graph"
 	"light/internal/intersect"
-	"light/internal/parallel"
 	"light/internal/pattern"
 	"light/internal/plan"
 )
@@ -51,29 +50,6 @@ func shortName(p *pattern.Pattern) string {
 		}
 	}
 	return name
-}
-
-// BenchmarkAblationScheduler compares the work-stealing scheduler against
-// plain root chunking on a hub-dominated graph (DESIGN.md §5).
-func BenchmarkAblationScheduler(b *testing.B) {
-	g := gen.BarabasiAlbert(2500, 8, 4)
-	pat := pattern.P3()
-	po := pattern.SymmetryBreaking(pat)
-	pl, err := plan.Choose(pat, po, estimate.Collect(g), plan.ModeLIGHT)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, sched := range []parallel.Scheduler{parallel.WorkStealing, parallel.RootChunk, parallel.StaticPartition} {
-		b.Run(sched.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := parallel.Run(g, pl, parallel.Options{
-					Workers: 8, Scheduler: sched, ChunkSize: 512,
-				}, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkAblationTailCount measures the leaf-MAT counting shortcut.
@@ -193,9 +169,10 @@ func BenchmarkDefaultKernelHubFree(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionLabeled measures the labeled fast path: the same
-// shape queried unlabeled vs with 4 labels (label classes shrink the
-// root set and the NLF filter prunes candidates).
+// BenchmarkExtensionLabeled measures the labeled path: the same shape
+// queried unlabeled vs with 4 labels, on the same pool (the label filter
+// rejects roots outside π[0]'s class before they are expanded, and the
+// NLF filter prunes candidates).
 func BenchmarkExtensionLabeled(b *testing.B) {
 	g := GenerateBarabasiAlbert(2000, 5, 31)
 	labels := make([]Label, g.NumVertices())

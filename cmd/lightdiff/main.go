@@ -2,7 +2,7 @@
 // (pattern, data graph) cases from several generator families, each
 // checked through the full oracle matrix — an independent brute-force
 // reference, the BFS-join and worst-case-optimal baselines, and the
-// LIGHT engine serial + parallel under every scheduler, kernel,
+// LIGHT engine serial + on the work-stealing pool under every kernel,
 // TailCount and DegreeFilter combination, plus a kill-and-resume
 // checkpoint round-trip, a lane-batched pass (root-window and
 // mixed-spec batches, per-lane counters vs sequential references), and

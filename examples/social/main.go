@@ -27,8 +27,8 @@ func main() {
 	}
 
 	// Enumerate every 4-clique once (symmetry breaking dedups) and
-	// accumulate per-member statistics with a visitor. Workers > 1
-	// exercises the parallel path; the visitor is serialized for us.
+	// accumulate per-member statistics with a visitor. Four workers share
+	// the search; the visitor is serialized for us.
 	membership := make(map[light.VertexID]int)
 	var cliques uint64
 	res, err := light.Enumerate(g, clique4, light.Options{Workers: 4}, func(m []light.VertexID) bool {

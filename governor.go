@@ -124,11 +124,13 @@ type grant struct {
 }
 
 // admit is the governance prelude shared by every entry point that runs
-// the parallel scheduler: wait (FIFO) for the guaranteed slot under
+// the worker pool: wait (FIFO) for the guaranteed slot under
 // Options.Governor, chain the run's memory budget under the governor's,
 // walk the memory-degradation ladder for a pool whose workers each hold
 // patternVerts+1 cap-maxDegree buffers, and return the surplus slots
-// before any worker spawns. The caller must release the grant.
+// before any worker spawns. With neither a Governor nor a MemoryBudget
+// it grants max(Workers, 1) workers, no gate and a nil limiter at once.
+// The caller must release the grant.
 func (o Options) admit(ctx context.Context, rec *metrics.Recorder, maxDegree, patternVerts int) (*grant, error) {
 	gr := &grant{workers: o.Workers}
 	if gr.workers <= 1 {

@@ -2,8 +2,8 @@
 // generates random (pattern, data graph) cases, runs each one through
 // every implementation in the repo that can count or enumerate matches
 // — an independent brute-force reference, the BFS-join baselines, and
-// the LIGHT engine serial and parallel under every scheduler, kernel,
-// TailCount and DegreeFilter combination, plus a kill-and-resume
+// the LIGHT engine serial and on the work-stealing pool under every
+// kernel, TailCount and DegreeFilter combination, plus a kill-and-resume
 // checkpoint round-trip — and cross-checks the results. On a
 // discrepancy, a greedy shrinker reduces the case to a minimal repro
 // and renders it as a ready-to-paste Go test.

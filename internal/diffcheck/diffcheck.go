@@ -70,7 +70,7 @@ type Outcome struct {
 // and repro renderer can pick it up directly.
 type Discrepancy struct {
 	Case   Case
-	Stage  string // which comparison failed, e.g. "parallel/RootChunk/kernel=Hybrid"
+	Stage  string // which comparison failed, e.g. "parallel/kernel=Hybrid"
 	Want   uint64
 	Got    uint64
 	Detail string
@@ -145,15 +145,6 @@ func variants(quick bool) []engineVariant {
 		}
 	}
 	return vs
-}
-
-var schedulers = []struct {
-	name string
-	s    parallel.Scheduler
-}{
-	{"WorkStealing", parallel.WorkStealing},
-	{"RootChunk", parallel.RootChunk},
-	{"StaticPartition", parallel.StaticPartition},
 }
 
 // RunCase evaluates the full oracle matrix on one case. It returns a
@@ -276,33 +267,21 @@ func RunCase(c Case, cfg Config) (Outcome, *Discrepancy) {
 		serialRes[i] = res
 	}
 
-	// Parallel: every scheduler × every variant, with exact counter
-	// equality against the serial twin. Donated frames snapshot their
-	// candidate sets, so Nodes/Comps/Stats are partition-independent.
-	scheds := schedulers
-	if cfg.Quick {
-		scheds = schedulers[:1]
-	}
-	for _, sc := range scheds {
-		for i, v := range vs {
-			popts := parallel.Options{
-				Engine:    v.opts,
-				Workers:   cfg.Workers,
-				Scheduler: sc.s,
-				ChunkSize: 4,
-				MinSplit:  2,
-			}
-			res, err := parallel.Run(g, light, popts, nil)
-			if err != nil {
-				return fail("parallel/"+sc.name+"/"+v.name, want, 0, err.Error())
-			}
-			out.Checks++
-			if res.Matches != want {
-				return fail("parallel/"+sc.name+"/"+v.name, want, res.Matches, "")
-			}
-			if d := counterDiff(serialRes[i], res.Result); d != "" {
-				return fail("counters/"+sc.name+"/"+v.name, want, res.Matches, d)
-			}
+	// Parallel: every variant on the work-stealing pool, with exact
+	// counter equality against the serial twin. Donated frames snapshot
+	// their candidate sets, so Nodes/Comps/Stats are
+	// partition-independent.
+	for i, v := range vs {
+		res, err := parallel.Run(g, light, parallel.Options{Engine: v.opts, Workers: cfg.Workers, ChunkSize: 4, MinSplit: 2}, nil)
+		if err != nil {
+			return fail("parallel/"+v.name, want, 0, err.Error())
+		}
+		out.Checks++
+		if res.Matches != want {
+			return fail("parallel/"+v.name, want, res.Matches, "")
+		}
+		if d := counterDiff(serialRes[i], res.Result); d != "" {
+			return fail("counters/"+v.name, want, res.Matches, d)
 		}
 	}
 
@@ -351,7 +330,7 @@ func RunCase(c Case, cfg Config) (Outcome, *Discrepancy) {
 		if d := checkEnumerate(c, g, light, ref.Keys, want, "enumerate/parallel", func(visit engine.VisitFunc) error {
 			var mu sync.Mutex
 			_, err := parallel.Run(g, light, parallel.Options{
-				Workers: cfg.Workers, Scheduler: parallel.WorkStealing, ChunkSize: 4, MinSplit: 2,
+				Workers: cfg.Workers, ChunkSize: 4, MinSplit: 2,
 			}, func(m []graph.VertexID) bool {
 				mu.Lock()
 				defer mu.Unlock()
@@ -499,7 +478,6 @@ func checkResume(c Case, g *graph.Graph, pl *plan.Plan, want uint64, cfg Config)
 	var seen uint64
 	opts := parallel.Options{
 		Workers:    cfg.Workers,
-		Scheduler:  parallel.WorkStealing,
 		ChunkSize:  4,
 		MinSplit:   2,
 		Checkpoint: &parallel.CheckpointOptions{Path: path, Interval: time.Hour},
@@ -519,7 +497,6 @@ func checkResume(c Case, g *graph.Graph, pl *plan.Plan, want uint64, cfg Config)
 	}
 	resumed := parallel.Options{
 		Workers:   cfg.Workers,
-		Scheduler: parallel.WorkStealing,
 		ChunkSize: 4,
 		MinSplit:  2,
 		Resume:    ck,

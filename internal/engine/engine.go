@@ -238,7 +238,8 @@ type Enumerator struct {
 	pl   *plan.Plan
 	opts Options
 
-	// Hook for work donation (nil in sequential runs).
+	// Hook for work donation (nil in sequential runs and one-worker
+	// pools).
 	Hook MatHook
 
 	// Stop, when non-nil, is polled at the deadline cadence; setting it

@@ -8,38 +8,33 @@
 //   - label-equality candidate filtering, plus the neighborhood label
 //     frequency (NLF) filter the paper cites from the labeled-matching
 //     literature [5], [9]: φ(u) must have at least as many ℓ-labeled
-//     neighbors as u, for every label ℓ;
-//   - per-label root candidate lists, so the search starts from the
-//     (usually small) label class of the first pattern vertex;
+//     neighbors as u, for every label ℓ — applied at the root too, so
+//     the search starts only from the first pattern vertex's label
+//     class;
 //   - symmetry breaking restricted to label-preserving automorphisms,
 //     so each labeled subgraph is still counted exactly once.
 //
-// The enumeration itself is the unchanged LIGHT machinery: plans,
-// lazy materialization, minimum set cover, work stealing.
+// The enumeration itself is the unchanged LIGHT pipeline: the light
+// package compiles a plan from the label-preserving partial order and
+// runs it, with Filter, on the same worker pool as any other query.
 package labeled
 
 import (
 	"fmt"
 	"sort"
 
-	"light/internal/engine"
-	"light/internal/estimate"
 	"light/internal/graph"
-	"light/internal/parallel"
 	"light/internal/pattern"
-	"light/internal/plan"
 )
 
 // Label is a vertex label.
 type Label = uint16
 
-// Graph is a vertex-labeled data graph with its filtering indexes.
+// Graph is a vertex-labeled data graph with its filtering index.
 type Graph struct {
 	G      *graph.Graph
 	Labels []Label
 
-	// byLabel[ℓ] lists the vertices with label ℓ, ascending.
-	byLabel map[Label][]graph.VertexID
 	// nlf[v] is v's neighborhood label frequency signature: sorted
 	// (label, count) pairs.
 	nlf [][]labelCount
@@ -50,21 +45,15 @@ type labelCount struct {
 	count uint32
 }
 
-// NewGraph attaches labels to a data graph and builds the label and NLF
-// indexes. labels[v] is the label of vertex v; len(labels) must equal
-// the vertex count.
+// NewGraph attaches labels to a data graph and builds the NLF index.
+// labels[v] is the label of vertex v; len(labels) must equal the vertex
+// count.
 func NewGraph(g *graph.Graph, labels []Label) (*Graph, error) {
 	if len(labels) != g.NumVertices() {
 		return nil, fmt.Errorf("labeled: %d labels for %d vertices", len(labels), g.NumVertices())
 	}
-	lg := &Graph{
-		G:       g,
-		Labels:  labels,
-		byLabel: make(map[Label][]graph.VertexID),
-		nlf:     make([][]labelCount, g.NumVertices()),
-	}
+	lg := &Graph{G: g, Labels: labels, nlf: make([][]labelCount, g.NumVertices())}
 	for v := 0; v < g.NumVertices(); v++ {
-		lg.byLabel[labels[v]] = append(lg.byLabel[labels[v]], graph.VertexID(v))
 		lg.nlf[v] = signature(labels, g.Neighbors(graph.VertexID(v)))
 	}
 	return lg, nil
@@ -84,9 +73,6 @@ func signature(labels []Label, vs []graph.VertexID) []labelCount {
 	sort.Slice(sig, func(i, j int) bool { return sig[i].label < sig[j].label })
 	return sig
 }
-
-// VerticesWithLabel returns the ascending vertex list carrying ℓ.
-func (g *Graph) VerticesWithLabel(l Label) []graph.VertexID { return g.byLabel[l] }
 
 // Pattern is a vertex-labeled pattern with its per-vertex requirements.
 type Pattern struct {
@@ -167,41 +153,4 @@ func Filter(g *Graph, p *Pattern) func(u int, v graph.VertexID) bool {
 		}
 		return nlfSatisfied(g.nlf[v], p.required[u])
 	}
-}
-
-// Options configure a labeled enumeration.
-type Options struct {
-	Engine  engine.Options
-	Workers int
-	Mode    plan.Mode // zero value is SE; callers usually want plan.ModeLIGHT
-}
-
-// Count returns the number of labeled matches: injective homomorphisms
-// that preserve labels, deduplicated over label-preserving
-// automorphisms.
-func Count(g *Graph, p *Pattern, opts Options) (engine.Result, error) {
-	return run(g, p, opts, nil)
-}
-
-// Enumerate streams every labeled match to visit.
-func Enumerate(g *Graph, p *Pattern, opts Options, visit engine.VisitFunc) (engine.Result, error) {
-	return run(g, p, opts, visit)
-}
-
-func run(g *Graph, p *Pattern, opts Options, visit engine.VisitFunc) (engine.Result, error) {
-	po := p.SymmetryBreaking()
-	pl, err := plan.Choose(p.P, po, estimate.Collect(g.G), opts.Mode)
-	if err != nil {
-		return engine.Result{}, err
-	}
-	opts.Engine.Filter = Filter(g, p)
-	if opts.Workers > 1 {
-		res, err := parallel.Run(g.G, pl, parallel.Options{Engine: opts.Engine, Workers: opts.Workers}, visit)
-		return res.Result, err
-	}
-	e := engine.New(g.G, pl, opts.Engine)
-	// Root candidates: only the label class of π[1], the cheap pruning
-	// labels buy at the top of the search tree.
-	roots := g.VerticesWithLabel(p.Labels[pl.Pi[0]])
-	return e.RunRoots(roots, visit)
 }

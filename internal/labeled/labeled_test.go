@@ -1,70 +1,15 @@
 package labeled
 
 import (
-	"math/rand"
 	"testing"
 
 	"light/internal/gen"
-	"light/internal/graph"
 	"light/internal/pattern"
-	"light/internal/plan"
 )
 
-// bruteLabeled counts label-preserving injective homomorphisms divided
-// by the label-preserving automorphism count — the independent
-// reference.
-func bruteLabeled(p *Pattern, g *Graph) uint64 {
-	n := p.P.NumVertices()
-	nv := g.G.NumVertices()
-	assigned := make([]graph.VertexID, n)
-	used := make([]bool, nv)
-	var homs uint64
-	var rec func(u int)
-	rec = func(u int) {
-		if u == n {
-			homs++
-			return
-		}
-		for v := 0; v < nv; v++ {
-			if used[v] || g.Labels[v] != p.Labels[u] {
-				continue
-			}
-			ok := true
-			for w := 0; w < u && ok; w++ {
-				if p.P.HasEdge(u, w) && !g.G.HasEdge(graph.VertexID(v), assigned[w]) {
-					ok = false
-				}
-			}
-			if !ok {
-				continue
-			}
-			assigned[u] = graph.VertexID(v)
-			used[v] = true
-			rec(u + 1)
-			used[v] = false
-		}
-	}
-	rec(0)
-	return homs / uint64(len(p.Automorphisms()))
-}
-
-// randomLabels assigns each vertex one of k labels.
-func randomLabels(rng *rand.Rand, n, k int) []Label {
-	out := make([]Label, n)
-	for i := range out {
-		out[i] = Label(rng.Intn(k))
-	}
-	return out
-}
-
-func mustGraph(t *testing.T, g *graph.Graph, labels []Label) *Graph {
-	t.Helper()
-	lg, err := NewGraph(g, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return lg
-}
+// The count, enumerate and filter oracles run through the public API
+// (labeled_api_test.go in the repository root), where labeled queries
+// are planned and executed.
 
 func mustPattern(t *testing.T, p *pattern.Pattern, labels []Label) *Pattern {
 	t.Helper()
@@ -100,141 +45,5 @@ func TestLabelPreservingAutomorphisms(t *testing.T) {
 	p2 := mustPattern(t, pattern.Triangle(), []Label{0, 1, 2})
 	if len(p2.Automorphisms()) != 1 || !p2.SymmetryBreaking().Empty() {
 		t.Fatal("distinct labels should kill all symmetry")
-	}
-}
-
-func TestCountMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	pats := []*pattern.Pattern{pattern.Triangle(), pattern.P1(), pattern.P2(), pattern.Path(3), pattern.P4()}
-	for trial := 0; trial < 30; trial++ {
-		k := 1 + rng.Intn(3)
-		base := gen.ErdosRenyi(25+rng.Intn(15), 60+rng.Intn(60), int64(trial))
-		g := mustGraph(t, base, randomLabels(rng, base.NumVertices(), k))
-		pat := pats[rng.Intn(len(pats))]
-		p := mustPattern(t, pat, randomLabels(rng, pat.NumVertices(), k))
-		want := bruteLabeled(p, g)
-		res, err := Count(g, p, Options{Mode: plan.ModeLIGHT})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Matches != want {
-			t.Fatalf("trial %d (%s, k=%d): got %d, want %d", trial, p.P.Name(), k, res.Matches, want)
-		}
-	}
-}
-
-func TestUniformLabelsEqualUnlabeled(t *testing.T) {
-	// With a single label, labeled counting must equal the unlabeled
-	// engine's count exactly.
-	base := gen.BarabasiAlbert(120, 4, 5)
-	for _, pat := range pattern.Catalog()[:4] {
-		g := mustGraph(t, base, make([]Label, base.NumVertices()))
-		p := mustPattern(t, pat, make([]Label, pat.NumVertices()))
-		labeledRes, err := Count(g, p, Options{Mode: plan.ModeLIGHT})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := bruteLabeled(p, g)
-		if labeledRes.Matches != want {
-			t.Fatalf("%s: labeled %d, brute %d", pat.Name(), labeledRes.Matches, want)
-		}
-	}
-}
-
-func TestAllModesAgreeLabeled(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	base := gen.BarabasiAlbert(200, 4, 3)
-	g := mustGraph(t, base, randomLabels(rng, base.NumVertices(), 3))
-	p := mustPattern(t, pattern.P2(), []Label{0, 1, 0, 1})
-	var want uint64
-	for i, mode := range []plan.Mode{plan.ModeSE, plan.ModeLM, plan.ModeMSC, plan.ModeLIGHT} {
-		res, err := Count(g, p, Options{Mode: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			want = res.Matches
-		} else if res.Matches != want {
-			t.Fatalf("mode %s: %d != %d", mode.Name(), res.Matches, want)
-		}
-	}
-}
-
-func TestParallelLabeled(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	base := gen.BarabasiAlbert(400, 5, 7)
-	g := mustGraph(t, base, randomLabels(rng, base.NumVertices(), 2))
-	p := mustPattern(t, pattern.Triangle(), []Label{0, 0, 1})
-	seq, err := Count(g, p, Options{Mode: plan.ModeLIGHT})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Count(g, p, Options{Mode: plan.ModeLIGHT, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Matches != par.Matches {
-		t.Fatalf("parallel %d != sequential %d", par.Matches, seq.Matches)
-	}
-}
-
-func TestEnumerateLabeled(t *testing.T) {
-	// Star with distinct hub label: matches are exactly hub + leaf pairs.
-	base := gen.Star(5)
-	labels := make([]Label, 6)
-	// The hub has the highest degree, so after degree reordering it is
-	// the last vertex.
-	labels[5] = 1
-	g := mustGraph(t, base, labels)
-	p := mustPattern(t, pattern.Path(2), []Label{1, 0}) // hub-leaf edge
-	count := 0
-	res, err := Enumerate(g, p, Options{Mode: plan.ModeLIGHT}, func(m []graph.VertexID) bool {
-		if g.Labels[m[0]] != 1 || g.Labels[m[1]] != 0 {
-			t.Errorf("label violated in %v", m)
-		}
-		count++
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Matches != 5 || count != 5 {
-		t.Fatalf("matches = %d, visited %d, want 5", res.Matches, count)
-	}
-}
-
-func TestNLFFilterSoundAndEffective(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	base := gen.BarabasiAlbert(150, 4, 2)
-	g := mustGraph(t, base, randomLabels(rng, base.NumVertices(), 4))
-	p := mustPattern(t, pattern.Triangle(), []Label{0, 1, 2})
-	filter := Filter(g, p)
-	// Soundness: every vertex in a real match passes the filter.
-	_, err := Enumerate(g, p, Options{Mode: plan.ModeLIGHT}, func(m []graph.VertexID) bool {
-		for u, v := range m {
-			if !filter(u, v) {
-				t.Fatalf("filter rejected matched vertex %d→%d", u, v)
-			}
-		}
-		return true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Effectiveness: it must reject vertices of the wrong label.
-	for v := 0; v < base.NumVertices(); v++ {
-		if g.Labels[v] != p.Labels[0] && filter(0, graph.VertexID(v)) {
-			t.Fatalf("filter passed wrong-label vertex %d", v)
-		}
-	}
-}
-
-func TestVerticesWithLabel(t *testing.T) {
-	g := mustGraph(t, gen.Complete(6), []Label{0, 1, 0, 1, 0, 1})
-	if got := g.VerticesWithLabel(0); len(got) != 3 {
-		t.Fatalf("label class 0 = %v", got)
-	}
-	if got := g.VerticesWithLabel(9); got != nil {
-		t.Fatalf("missing label class = %v", got)
 	}
 }

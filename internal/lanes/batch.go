@@ -119,7 +119,6 @@ func Run(ctx context.Context, g *graph.Graph, queries []Query, opts Options) (Re
 		popts := parallel.Options{
 			Engine:     opts.Engine,
 			Workers:    opts.Workers,
-			Metrics:    opts.Engine.Metrics,
 			Gate:       opts.Gate,
 			MemLimiter: opts.MemLimiter,
 			Watchdog:   opts.Watchdog,

@@ -17,13 +17,12 @@ import (
 // (via the visitor's early-stop path — equivalent to a kill between
 // checkpoint writes) and resumes it from the file until it completes,
 // asserting the final total matches an uninterrupted sequential run.
-func interruptResume(t *testing.T, g *graph.Graph, pl *plan.Plan, sched Scheduler, stopAfter uint64) {
+func interruptResume(t *testing.T, g *graph.Graph, pl *plan.Plan, stopAfter uint64) {
 	t.Helper()
 	want := sequentialCount(t, g, pl)
 	path := filepath.Join(t.TempDir(), "state.ckpt")
 	opts := Options{
 		Workers:   4,
-		Scheduler: sched,
 		ChunkSize: 16,
 		// Only the final on-stop snapshot is written; the interrupt point
 		// is controlled entirely by the visitor.
@@ -98,7 +97,7 @@ func interruptResume(t *testing.T, g *graph.Graph, pl *plan.Plan, sched Schedule
 
 // TestKillAndResumeExactCounts is the integration guarantee: kill-and-
 // resume cycles converge to exactly the uninterrupted total, across
-// pattern/dataset pairs and both resumable schedulers.
+// pattern/dataset pairs.
 func TestKillAndResumeExactCounts(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -110,14 +109,14 @@ func TestKillAndResumeExactCounts(t *testing.T) {
 		{"p4-rmat", gen.RMAT(9, 6, 5), pattern.P4(), 500},
 		{"clique4-ba", gen.BarabasiAlbert(300, 8, 2), pattern.Clique(4), 200},
 	}
-	for _, sched := range []Scheduler{WorkStealing, RootChunk} {
+	t.Run("WorkStealing", func(t *testing.T) {
 		for _, tc := range cases {
-			t.Run(sched.String()+"/"+tc.name, func(t *testing.T) {
+			t.Run(tc.name, func(t *testing.T) {
 				pl := compile(t, tc.p, plan.ModeLIGHT)
-				interruptResume(t, tc.g, pl, sched, tc.stopAfter)
+				interruptResume(t, tc.g, pl, tc.stopAfter)
 			})
 		}
-	}
+	})
 }
 
 // TestCheckpointFingerprintMismatch: a checkpoint from one (graph,
@@ -145,26 +144,6 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 	otherG := gen.BarabasiAlbert(301, 5, 3)
 	if _, err := Run(otherG, pl, Options{Workers: 2, Resume: ck}, nil); err == nil {
 		t.Fatal("resume with a different graph accepted")
-	}
-}
-
-// TestStaticPartitionRejectsCheckpointing: the no-rebalancing baseline
-// has no chunk accounting, so both checkpointing and resuming must be
-// refused up front.
-func TestStaticPartitionRejectsCheckpointing(t *testing.T) {
-	g := gen.Star(100)
-	pl := compile(t, pattern.Triangle(), plan.ModeLIGHT)
-	path := filepath.Join(t.TempDir(), "state.ckpt")
-	_, err := Run(g, pl, Options{
-		Workers:    2,
-		Scheduler:  StaticPartition,
-		Checkpoint: &CheckpointOptions{Path: path},
-	}, nil)
-	if err == nil {
-		t.Fatal("StaticPartition accepted a checkpoint config")
-	}
-	if _, err := Run(g, pl, Options{Workers: 2, Scheduler: StaticPartition, Resume: &supervise.Checkpoint{}}, nil); err == nil {
-		t.Fatal("StaticPartition accepted a resume")
 	}
 }
 

@@ -16,39 +16,33 @@ import (
 )
 
 // TestContextCancellationMidRun cancels from inside the visitor after a
-// few matches: every scheduler must stop promptly, report the partial
-// count with Stopped=true, and return context.Canceled.
+// few matches: the pool must stop promptly, report the partial count
+// with Stopped=true, and return context.Canceled.
 func TestContextCancellationMidRun(t *testing.T) {
 	// The workload must dwarf the engine's stop-poll interval so the
 	// cancellation is observed long before the run could finish.
 	g := gen.Complete(160)
 	pl := compile(t, pattern.Clique(5), plan.ModeLIGHT)
-	for _, sched := range []Scheduler{WorkStealing, RootChunk, StaticPartition} {
-		t.Run(sched.String(), func(t *testing.T) {
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			var seen atomic.Uint64
-			res, err := RunContext(ctx, g, pl, Options{
-				Workers:   4,
-				Scheduler: sched,
-				ChunkSize: 8,
-			}, func(m []graph.VertexID) bool {
-				if seen.Add(1) == 5 {
-					cancel()
-				}
-				return true
-			})
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want context.Canceled", err)
+	t.Run("WorkStealing", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var seen atomic.Uint64
+		res, err := RunContext(ctx, g, pl, Options{Workers: 4, ChunkSize: 8}, func(m []graph.VertexID) bool {
+			if seen.Add(1) == 5 {
+				cancel()
 			}
-			if !res.Stopped {
-				t.Fatal("cancelled run must report Stopped")
-			}
-			if res.Matches < 5 {
-				t.Fatalf("partial count %d lost visited matches", res.Matches)
-			}
+			return true
 		})
-	}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if !res.Stopped {
+			t.Fatal("cancelled run must report Stopped")
+		}
+		if res.Matches < 5 {
+			t.Fatalf("partial count %d lost visited matches", res.Matches)
+		}
+	})
 }
 
 // TestContextDeadlineMidRun lets a context deadline fire during a long
@@ -56,19 +50,17 @@ func TestContextCancellationMidRun(t *testing.T) {
 func TestContextDeadlineMidRun(t *testing.T) {
 	g := gen.Complete(160)
 	pl := compile(t, pattern.Clique(5), plan.ModeLIGHT)
-	for _, sched := range []Scheduler{WorkStealing, RootChunk, StaticPartition} {
-		t.Run(sched.String(), func(t *testing.T) {
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-			defer cancel()
-			res, err := RunContext(ctx, g, pl, Options{Workers: 4, Scheduler: sched}, nil)
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-			}
-			if !res.Stopped {
-				t.Fatal("deadline-stopped run must report Stopped")
-			}
-		})
-	}
+	t.Run("WorkStealing", func(t *testing.T) {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+		defer cancel()
+		res, err := RunContext(ctx, g, pl, Options{Workers: 4}, nil)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+		}
+		if !res.Stopped {
+			t.Fatal("deadline-stopped run must report Stopped")
+		}
+	})
 }
 
 // TestContextAlreadyCancelled: a pre-cancelled context stops a long run
@@ -94,39 +86,36 @@ func TestContextAlreadyCancelled(t *testing.T) {
 func TestVisitorPanicIsIsolated(t *testing.T) {
 	g := gen.BarabasiAlbert(500, 6, 3)
 	pl := compile(t, pattern.Triangle(), plan.ModeLIGHT)
-	for _, sched := range []Scheduler{WorkStealing, RootChunk, StaticPartition} {
-		t.Run(sched.String(), func(t *testing.T) {
-			var seen atomic.Uint64
-			done := make(chan struct{})
-			var res Result
-			var err error
-			go func() {
-				defer close(done)
-				res, err = Run(g, pl, Options{Workers: 4, Scheduler: sched, ChunkSize: 8},
-					func(m []graph.VertexID) bool {
-						if seen.Add(1) == 7 {
-							panic("visitor exploded")
-						}
-						return true
-					})
-			}()
-			select {
-			case <-done:
-			case <-time.After(30 * time.Second):
-				t.Fatal("pool deadlocked after visitor panic")
-			}
-			var pe *supervise.PanicError
-			if !errors.As(err, &pe) {
-				t.Fatalf("err = %v, want *supervise.PanicError", err)
-			}
-			if pe.Value != "visitor exploded" {
-				t.Fatalf("panic value %v", pe.Value)
-			}
-			if !res.Stopped {
-				t.Fatal("panic-stopped run must report Stopped")
-			}
-		})
-	}
+	t.Run("WorkStealing", func(t *testing.T) {
+		var seen atomic.Uint64
+		done := make(chan struct{})
+		var res Result
+		var err error
+		go func() {
+			defer close(done)
+			res, err = Run(g, pl, Options{Workers: 4, ChunkSize: 8}, func(m []graph.VertexID) bool {
+				if seen.Add(1) == 7 {
+					panic("visitor exploded")
+				}
+				return true
+			})
+		}()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatal("pool deadlocked after visitor panic")
+		}
+		var pe *supervise.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("err = %v, want *supervise.PanicError", err)
+		}
+		if pe.Value != "visitor exploded" {
+			t.Fatalf("panic value %v", pe.Value)
+		}
+		if !res.Stopped {
+			t.Fatal("panic-stopped run must report Stopped")
+		}
+	})
 }
 
 // TestTimeLimitStillSentinel: the supervised error path must keep

@@ -45,20 +45,17 @@ func TestParallelOverlayMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sched := range []Scheduler{WorkStealing, RootChunk, StaticPartition} {
-		got, err := Run(g, pl, Options{
-			Engine:    engine.Options{Overlay: ov},
-			Workers:   4,
-			Scheduler: sched,
-			ChunkSize: 7,
-			MinSplit:  2,
-		}, nil)
-		if err != nil {
-			t.Fatalf("%v: %v", sched, err)
-		}
-		if got.Matches != want.Matches {
-			t.Errorf("%v: parallel overlay %d matches, sequential %d", sched, got.Matches, want.Matches)
-		}
+	got, err := Run(g, pl, Options{
+		Engine:    engine.Options{Overlay: ov},
+		Workers:   4,
+		ChunkSize: 7,
+		MinSplit:  2,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Matches != want.Matches {
+		t.Errorf("parallel overlay %d matches, sequential %d", got.Matches, want.Matches)
 	}
 }
 

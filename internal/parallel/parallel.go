@@ -1,15 +1,12 @@
-// Package parallel runs an enumeration plan across multiple workers
-// (the paper's Section VII-B SMT parallelization). Two schedulers are
-// provided:
-//
-//   - WorkStealing (default, the paper's design): workers start from
-//     dynamic chunks of the root candidate set and, while busy, donate
-//     halves of their current materialization loops to a global
-//     concurrent queue whenever idle workers are waiting — the
-//     sender-initiated strategy of Rao & Kumar / Acar et al. that the
-//     paper adopts.
-//   - RootChunk (the ablation baseline): dynamic root chunks only, no
-//     donation. Suffers when a few hub vertices dominate the search.
+// Package parallel runs an enumeration plan on a pool of workers (the
+// paper's Section VII-B SMT parallelization) and is the one way every
+// rooted query runs, at any worker count. Workers claim dynamic chunks
+// of the root candidate set and, while busy, donate halves of their
+// current materialization loops to a global concurrent queue whenever
+// idle workers are waiting — the sender-initiated strategy of Rao &
+// Kumar / Acar et al. that the paper adopts. A pool of one worker has no
+// thief, so it installs no donation hook and simply walks the root
+// chunks.
 //
 // Workers never share partial results; each owns an Enumerator with its
 // candidate buffers, so memory stays O(workers · n · d_max) as in the
@@ -18,9 +15,9 @@
 // The package is supervised (see internal/supervise): worker panics —
 // including panics inside user visit callbacks — become ordinary
 // errors that stop the pool cleanly, runs can be cancelled through a
-// context.Context, and WorkStealing/RootChunk runs can periodically
-// checkpoint their committed state to disk and later resume with an
-// exactly-equal total match count.
+// context.Context, and runs can periodically checkpoint their committed
+// state to disk and later resume with an exactly-equal total match
+// count.
 package parallel
 
 import (
@@ -43,31 +40,14 @@ import (
 	"light/internal/supervise"
 )
 
-// Scheduler selects the load-balancing strategy.
-type Scheduler int
-
+// A failed checkpoint write is retried this many times, with jittered
+// exponential backoff from checkpointBackoff, before the error is
+// surfaced: a transient filesystem error then no longer costs a long run
+// its checkpoint.
 const (
-	// WorkStealing is the paper's sender-initiated donation scheme.
-	WorkStealing Scheduler = iota
-	// RootChunk partitions only the root candidate set, dynamically.
-	RootChunk
-	// StaticPartition splits the root candidates into one fixed range
-	// per worker with no rebalancing — the paper's "naive distributed
-	// LIGHT" (Section VIII-A), which it reports suffering from load
-	// imbalance. Kept as a measurable baseline.
-	StaticPartition
+	checkpointRetries = 3
+	checkpointBackoff = 5 * time.Millisecond
 )
-
-// String names the scheduler.
-func (s Scheduler) String() string {
-	switch s {
-	case RootChunk:
-		return "RootChunk"
-	case StaticPartition:
-		return "StaticPartition"
-	}
-	return "WorkStealing"
-}
 
 // CheckpointOptions configure periodic checkpointing of a run.
 type CheckpointOptions struct {
@@ -79,14 +59,6 @@ type CheckpointOptions struct {
 	// of the interval, a final checkpoint is written when the run ends,
 	// whether it completed, errored, or was cancelled.
 	Interval time.Duration
-	// MaxRetries is how many times a failed checkpoint write is retried
-	// with jittered exponential backoff before the error is surfaced
-	// (default 3; negative disables retries). Transient filesystem
-	// errors then no longer cost a long run its checkpoint.
-	MaxRetries int
-	// RetryBackoff is the base backoff before the first retry, doubled
-	// per attempt with ±50% jitter (default 5ms).
-	RetryBackoff time.Duration
 }
 
 // Options configure a parallel run.
@@ -94,12 +66,13 @@ type Options struct {
 	// Engine configures each worker's enumerator. Engine.Arena is
 	// overridden: every worker gets its own private arena (a shared one
 	// would race), and the summed slab footprint is reported as
-	// Result.CandidateMemBytes.
+	// Result.CandidateMemBytes. Engine.Metrics, when non-nil, receives
+	// the run's counters: engine work folded per chunk/frame plus
+	// scheduler events (steals, donations, queue waits, busy time,
+	// checkpoint write latency), every worker folding into it.
 	Engine engine.Options
 	// Workers is the number of worker goroutines; defaults to GOMAXPROCS.
 	Workers int
-	// Scheduler defaults to WorkStealing.
-	Scheduler Scheduler
 	// ChunkSize is the number of root candidates claimed at a time
 	// (default 256).
 	ChunkSize int
@@ -108,7 +81,6 @@ type Options struct {
 	MinSplit int
 	// Checkpoint, when non-nil, periodically persists the run's
 	// committed state so it can be resumed after a crash or kill.
-	// Requires the WorkStealing or RootChunk scheduler.
 	Checkpoint *CheckpointOptions
 	// Resume, when non-nil, continues a previous run from its
 	// checkpoint: only uncommitted roots and outstanding donated frames
@@ -116,16 +88,10 @@ type Options struct {
 	// into the returned Result. The plan and graph must match the ones
 	// the checkpoint was written under (verified by fingerprint).
 	Resume *supervise.Checkpoint
-	// Metrics, when non-nil, receives the run's counters: engine work
-	// folded per chunk/frame plus scheduler events (steals, donations,
-	// queue waits, busy time, checkpoint write latency). It overrides
-	// Engine.Metrics so every worker folds into the same recorder.
-	Metrics *metrics.Recorder
 	// Gate, when non-nil, is this run's admission under a shared
 	// Governor: workers check it at scheduling boundaries (between
 	// chunks and frames, and while parked on the queue) and retire when
-	// a surplus slot is shed to a waiting query. Requires WorkStealing
-	// or RootChunk.
+	// a surplus slot is shed to a waiting query.
 	Gate *admission.Admission
 	// MemLimiter, when non-nil, budgets every worker's candidate arena;
 	// a denied slab grow hard-stops the run with engine.ErrMemoryBudget
@@ -161,8 +127,7 @@ type Result struct {
 	CandidateMemBytes   int64 // total candidate-buffer memory across workers (Table V)
 	RootChunksDispensed uint64
 	// PerWorkerNodes is the search-tree nodes each worker expanded — the
-	// load-balance evidence (static partitioning shows wide spreads on
-	// hub-dominated graphs; work stealing flattens them).
+	// load-balance evidence.
 	PerWorkerNodes []uint64
 	// PerWorkerBusy is the time each worker spent executing root chunks
 	// and donated frames (the per-thread utilization numerator).
@@ -235,15 +200,15 @@ type AnchorJob struct {
 // from a shared cursor and donate halves of the loops below them. A
 // worker keeps one enumerator per plan it has met, all carved from its
 // one arena, so many plans cost no more candidate memory than one.
-// Checkpointing, resume, StaticPartition and lane mode do not apply.
+// Checkpointing, resume and lane mode do not apply.
 //
 // Unlike RunContext, a job's Visit is NOT serialized: workers call it
 // concurrently, each with its own mapping slice, so it must be safe for
 // concurrent use. A caller that only classifies matches then pays no
 // lock per match.
 func RunAnchored(ctx context.Context, g *graph.Graph, opts Options, jobs []AnchorJob, anchors []engine.Anchor) (Result, error) {
-	if len(jobs) == 0 || len(anchors) == 0 || opts.Checkpoint != nil || opts.Resume != nil || opts.Scheduler == StaticPartition || opts.Engine.Lanes != nil {
-		return Result{}, errors.New("parallel: RunAnchored needs a job, an anchor and a dynamic scheduler, and cannot checkpoint, resume or run lanes")
+	if len(jobs) == 0 || len(anchors) == 0 || opts.Checkpoint != nil || opts.Resume != nil || opts.Engine.Lanes != nil {
+		return Result{}, errors.New("parallel: RunAnchored needs a job and an anchor, and cannot checkpoint, resume or run lanes")
 	}
 	return run(ctx, g, opts, jobs, anchors)
 }
@@ -283,11 +248,7 @@ func run(ctx context.Context, g *graph.Graph, opts Options, jobs []AnchorJob, an
 
 	// One recorder for the whole pool: workers fold engine results into
 	// it per chunk/frame, scheduler events hit it from blocking paths.
-	rec := opts.Metrics
-	if rec == nil {
-		rec = opts.Engine.Metrics
-	}
-	opts.Engine.Metrics = rec
+	rec := opts.Engine.Metrics
 
 	p := &pool{
 		g:      g,
@@ -299,9 +260,6 @@ func run(ctx context.Context, g *graph.Graph, opts Options, jobs []AnchorJob, an
 	}
 	p.cond = sync.NewCond(&p.mu)
 	if opts.Gate != nil {
-		if opts.Scheduler == StaticPartition {
-			return Result{}, errors.New("parallel: StaticPartition cannot run under an admission gate; use WorkStealing or RootChunk")
-		}
 		// Wake parked workers when the governor's queue goes non-empty,
 		// so surplus slots are shed promptly instead of at the next
 		// scheduling event.
@@ -312,9 +270,6 @@ func run(ctx context.Context, g *graph.Graph, opts Options, jobs []AnchorJob, an
 	var priorDone []supervise.RootRange
 	if opts.Resume != nil {
 		ck := opts.Resume
-		if opts.Scheduler == StaticPartition {
-			return Result{}, errors.New("parallel: StaticPartition cannot resume a checkpoint")
-		}
 		if fp := supervise.Fingerprint(g, pl); ck.Fingerprint != fp {
 			return Result{}, fmt.Errorf("parallel: checkpoint fingerprint %#x does not match this run (%#x): different graph, pattern, or plan", ck.Fingerprint, fp)
 		}
@@ -356,9 +311,6 @@ func run(ctx context.Context, g *graph.Graph, opts Options, jobs []AnchorJob, an
 	}
 
 	if opts.Checkpoint != nil {
-		if opts.Scheduler == StaticPartition {
-			return Result{}, errors.New("parallel: StaticPartition cannot checkpoint; use WorkStealing or RootChunk")
-		}
 		p.led = newLedger(p.roots, supervise.Fingerprint(g, pl), base, priorDone)
 	}
 	if opts.Resume != nil {
@@ -621,21 +573,6 @@ func (p *pool) worker(idx int) (engine.Result, int64, time.Duration, error) {
 	// Per-worker: arenas must never be shared across goroutines. Under a
 	// memory budget each worker's arena charges the shared limiter.
 	ws := &workerState{idx: idx, ar: arena.NewBudgeted(p.opts.MemLimiter), engines: make([]*engine.Enumerator, len(p.jobs))}
-	if p.opts.Scheduler == StaticPartition {
-		// One fixed slice per worker, no rebalancing of any kind.
-		var acc engine.Result
-		n := len(p.roots)
-		lo := idx * n / p.opts.Workers
-		hi := (idx + 1) * n / p.opts.Workers
-		t0 := time.Now()
-		res, err := p.engine(ws, 0).RunRoots(p.roots[lo:hi], p.jobs[0].Visit)
-		ws.busy = time.Since(t0)
-		if err != nil || res.Stopped {
-			p.stop.Store(true)
-		}
-		acc.Add(res)
-		return acc, ws.ar.Bytes(), ws.busy, err
-	}
 	acc, err := p.runLoop(ws)
 	return acc, ws.ar.Bytes(), ws.busy, err
 }
@@ -654,7 +591,8 @@ func (p *pool) engine(ws *workerState, job int) *engine.Enumerator {
 	e := engine.New(p.g, p.jobs[job].Plan, eopts)
 	e.Stop = &p.stop
 	e.Progress = &p.beats[ws.idx]
-	if p.opts.Scheduler == WorkStealing {
+	if p.opts.Workers > 1 {
+		// A lone worker has no thief to donate to.
 		e.Hook = p.makeHook(ws)
 	}
 	ws.engines[job] = e
@@ -851,17 +789,6 @@ func (p *pool) writeCheckpoint(complete bool) error {
 // the accounting — the supervising Call converts it to an error above
 // this frame (and is not retried: a panic is a bug, not a transient).
 func (p *pool) timedCheckpoint(complete bool) error {
-	retries := 3
-	if c := p.opts.Checkpoint; c != nil && c.MaxRetries != 0 {
-		retries = c.MaxRetries
-		if retries < 0 {
-			retries = 0
-		}
-	}
-	backoff := 5 * time.Millisecond
-	if c := p.opts.Checkpoint; c != nil && c.RetryBackoff > 0 {
-		backoff = c.RetryBackoff
-	}
 	for attempt := 0; ; attempt++ {
 		t0 := time.Now()
 		err := p.writeCheckpoint(complete)
@@ -871,25 +798,13 @@ func (p *pool) timedCheckpoint(complete bool) error {
 			return nil
 		}
 		p.ckWriteErrs.Add(1)
-		if attempt >= retries {
+		if attempt >= checkpointRetries {
 			return err
 		}
 		p.ckRetries.Add(1)
-		// Exponential backoff with ±50% jitter, capped so a large
-		// user-configured MaxRetries can never shift the duration into
-		// overflow (a zero or negative d would panic rand.Int63n); the
-		// cold path may use math/rand freely.
-		maxSleep := 2 * time.Second
-		if backoff > maxSleep {
-			maxSleep = backoff
-		}
-		d := backoff
-		for i := 0; i < attempt && d < maxSleep; i++ {
-			d <<= 1
-		}
-		if d > maxSleep {
-			d = maxSleep
-		}
+		// Exponential backoff with ±50% jitter; the cold path may use
+		// math/rand freely.
+		d := checkpointBackoff << attempt
 		time.Sleep(d/2 + time.Duration(rand.Int63n(int64(d))))
 	}
 }

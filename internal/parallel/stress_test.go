@@ -17,8 +17,9 @@ import (
 // reproduce the sequential count exactly (run this under -race: the
 // donation hook, the frame queue and the termination latch all
 // interleave differently each pass), and the aggregate run must show
-// real donations and steals — if the hook never fires, the scheduler
-// silently degrades to RootChunk and this test is the tripwire.
+// real donations and steals — if the hook never fires, the pool
+// silently degrades to plain root chunking and this test is the
+// tripwire.
 func TestWorkStealingStressDeterministic(t *testing.T) {
 	iters, n := 25, 80
 	if testing.Short() {

@@ -47,7 +47,6 @@ func TestResumeRejectsMaskCorruptedFrame(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "state.ckpt")
 	opts := Options{
 		Workers:    4,
-		Scheduler:  WorkStealing,
 		ChunkSize:  4,
 		MinSplit:   2,
 		Checkpoint: &CheckpointOptions{Path: path, Interval: time.Hour},

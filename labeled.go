@@ -1,11 +1,11 @@
 package light
 
 import (
+	"context"
 	"errors"
-	"time"
+	"fmt"
 
 	"light/internal/engine"
-	"light/internal/graph"
 	"light/internal/labeled"
 )
 
@@ -13,9 +13,10 @@ import (
 type Label = uint16
 
 // LabeledGraph is a data graph whose vertices carry labels, with the
-// candidate-filtering indexes (label classes and neighborhood label
-// frequencies) built at construction.
+// candidate-filtering index (neighborhood label frequencies) built at
+// construction.
 type LabeledGraph struct {
+	st *snapshotState // the snapshot WithLabels saw
 	lg *labeled.Graph
 }
 
@@ -26,13 +27,13 @@ type LabeledGraph struct {
 func WithLabels(g *Graph, labels []Label) (*LabeledGraph, error) {
 	st := g.snap()
 	if st.ov != nil {
-		return nil, errors.New("light: WithLabels with pending edge deltas; call Compact first")
+		return nil, fmt.Errorf("%w: WithLabels with pending edge deltas; call Compact first", ErrUnsupportedOption)
 	}
 	lg, err := labeled.NewGraph(st.base, labels)
 	if err != nil {
 		return nil, err
 	}
-	return &LabeledGraph{lg: lg}, nil
+	return &LabeledGraph{st: st, lg: lg}, nil
 }
 
 // Label returns the label of data vertex v.
@@ -56,7 +57,12 @@ func WithPatternLabels(p *Pattern, labels []Label) (*LabeledPattern, error) {
 // of g isomorphic to p where every matched vertex carries the pattern
 // vertex's label. Deduplication uses the label-preserving automorphisms
 // only, so differently-labeled placements of a symmetric pattern are
-// counted separately, as they should be.
+// counted separately, as they should be. It runs like Count — same
+// pool, governance and RunReport — with Options.Filter applied on top
+// of the label filter. Snapshot, CheckpointPath and ResumeFrom are
+// rejected with ErrUnsupportedOption: the labeled view is bound to the
+// snapshot WithLabels saw, and a checkpoint binds graph and plan, not
+// labels.
 func CountLabeled(g *LabeledGraph, p *LabeledPattern, opts Options) (Result, error) {
 	return runLabeled(g, p, opts, nil)
 }
@@ -70,30 +76,28 @@ func EnumerateLabeled(g *LabeledGraph, p *LabeledPattern, opts Options, visit fu
 	return runLabeled(g, p, opts, visit)
 }
 
-func runLabeled(g *LabeledGraph, p *LabeledPattern, opts Options, visit func(mapping []VertexID) bool) (Result, error) {
-	lopts := labeled.Options{
-		Engine: engine.Options{
-			Kernel:    opts.Intersection.kind(),
-			TimeLimit: opts.TimeLimit,
-		},
-		Workers: opts.Workers,
-		Mode:    opts.Algorithm.mode(),
+func runLabeled(g *LabeledGraph, p *LabeledPattern, opts Options, visit engine.VisitFunc) (Result, error) {
+	if err := opts.validate(); err != nil {
+		return Result{}, err
 	}
-	var ev engine.VisitFunc
-	if visit != nil {
-		ev = func(m []graph.VertexID) bool { return visit(m) }
+	switch {
+	case opts.Snapshot != nil:
+		return Result{}, fmt.Errorf("%w: labeled queries do not take Options.Snapshot (the labeled view is bound to the snapshot WithLabels saw)", ErrUnsupportedOption)
+	case opts.CheckpointPath != "" || opts.ResumeFrom != "":
+		return Result{}, fmt.Errorf("%w: labeled queries do not support checkpoint/resume (a checkpoint binds graph and plan, not labels)", ErrUnsupportedOption)
 	}
-	start := time.Now()
-	var er engine.Result
-	var err error
-	if visit != nil {
-		er, err = labeled.Enumerate(g.lg, p.lp, lopts, ev)
-	} else {
-		er, err = labeled.Count(g.lg, p.lp, lopts)
+	pl, err := compilePlan(g.st, p.lp.P, p.lp.SymmetryBreaking(), opts)
+	if err != nil {
+		return Result{}, err
 	}
-	var res Result
-	res = fill(res, er, time.Since(start))
-	return res, mapErr(err)
+	// The label filter also prunes the root: only π[0]'s label class is
+	// ever expanded.
+	filter := labeled.Filter(g.lg, p.lp)
+	if user := opts.Filter; user != nil {
+		byLabel := filter
+		filter = func(u int, v VertexID) bool { return byLabel(u, v) && user(u, v) }
+	}
+	return execute(context.Background(), g.st, pl, opts, filter, visit)
 }
 
 // ApproxCount estimates the match count from random path-sampling

@@ -280,7 +280,7 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 func (g *Graph) SaveCSR(path string) error {
 	s := g.snap()
 	if s.ov != nil {
-		return errors.New("light: SaveCSR with pending edge deltas; call Compact first")
+		return fmt.Errorf("%w: SaveCSR with pending edge deltas; call Compact first", ErrUnsupportedOption)
 	}
 	return s.base.SaveCSR(path)
 }
@@ -467,8 +467,9 @@ type Options struct {
 	// kernel everywhere else. Name HybridBlock to reproduce the paper's
 	// configuration exactly.
 	Intersection Intersection
-	// Workers > 1 enables the work-stealing parallel DFS (Section
-	// VII-B). 0 or 1 runs sequentially.
+	// Workers is the size of the work-stealing pool (Section VII-B)
+	// every run executes on; 0 means one worker, which walks the root
+	// candidates in chunks with no one to donate work to.
 	Workers int
 	// TimeLimit aborts the run with ErrTimeLimit when positive.
 	TimeLimit time.Duration
@@ -489,8 +490,7 @@ type Options struct {
 	Order []int
 	// CheckpointPath, when non-empty, periodically persists the run's
 	// committed state to this file (atomic temp-file+rename writes) so
-	// an interrupted run can be resumed with ResumeFrom. Forces the
-	// parallel work-stealing engine even for Workers <= 1.
+	// an interrupted run can be resumed with ResumeFrom.
 	CheckpointPath string
 	// CheckpointInterval is the period between checkpoint writes
 	// (default 30s). A final checkpoint is always written when the run
@@ -557,15 +557,20 @@ type Result struct {
 // snapshot's base-CSR statistics (pending deltas shift costs, never the
 // match set, so base statistics keep the plan sound).
 func preparePlan(st *snapshotState, p *Pattern, opts Options) (*plan.Plan, error) {
-	po := pattern.SymmetryBreaking(p.p)
+	return compilePlan(st, p.p, pattern.SymmetryBreaking(p.p), opts)
+}
+
+// compilePlan is preparePlan under an explicit symmetry-breaking partial
+// order: the label-preserving one for labeled queries.
+func compilePlan(st *snapshotState, p *pattern.Pattern, po *pattern.PartialOrder, opts Options) (*plan.Plan, error) {
 	if opts.Order != nil {
 		pi := make([]pattern.Vertex, len(opts.Order))
 		for i, u := range opts.Order {
 			pi[i] = u
 		}
-		return plan.Compile(p.p, po, pi, opts.Algorithm.mode())
+		return plan.Compile(p, po, pi, opts.Algorithm.mode())
 	}
-	return plan.Choose(p.p, po, st.planStats(), opts.Algorithm.mode())
+	return plan.Choose(p, po, st.planStats(), opts.Algorithm.mode())
 }
 
 // resolveState picks the snapshot a run enumerates: the pinned one when
@@ -598,12 +603,13 @@ func CountContext(ctx context.Context, g *Graph, p *Pattern, opts Options) (Resu
 // u. The slice is reused — copy it to retain. Returning false stops the
 // enumeration, and visit is never called again once it has returned
 // false (or panicked) — at any worker count, so a visitor that stops at
-// its N-th match sees exactly N calls. With Workers > 1, visit is
-// serialized by a mutex but may be called from different goroutines;
-// Result.Matches of a stopped run may exceed the calls by the matches
-// other workers had found but not yet delivered. A panic inside visit does not
-// crash the process: the run stops cleanly and the panic is returned
-// as an error (a *supervise.PanicError carrying the stack).
+// its N-th match sees exactly N calls. visit is serialized by a mutex
+// but is called from the pool's worker goroutines, not the caller's;
+// with Workers > 1, Result.Matches of a stopped run may exceed the calls
+// by the matches other workers had found but not yet delivered. A panic
+// inside visit does not crash the process: the run stops cleanly and
+// the panic is returned as an error (a *supervise.PanicError carrying
+// the stack).
 func Enumerate(g *Graph, p *Pattern, opts Options, visit func(mapping []VertexID) bool) (Result, error) {
 	if visit == nil {
 		return Result{}, errors.New("light: Enumerate requires a visitor; use Count")
@@ -638,90 +644,63 @@ func run(ctx context.Context, g *Graph, p *Pattern, opts Options, visit engine.V
 	if err != nil {
 		return Result{}, err
 	}
+	return execute(ctx, st, pl, opts, opts.Filter, visit)
+}
+
+// execute is the back half every rooted query shares, labeled or not and
+// at any worker count: the governance prelude, one run of the
+// work-stealing pool over the snapshot, and the report.
+func execute(ctx context.Context, st *snapshotState, pl *plan.Plan, opts Options, filter func(u int, v VertexID) bool, visit engine.VisitFunc) (Result, error) {
 	rec := metrics.NewRecorder()
-	eopts := engine.Options{
+	popts := parallel.Options{Engine: engine.Options{
 		Kernel:    opts.Intersection.kind(),
 		TimeLimit: opts.TimeLimit,
 		TailCount: opts.TailCount,
-		Filter:    opts.Filter,
+		Filter:    filter,
 		Metrics:   rec,
 		Overlay:   st.ov,
-	}
+	}}
 	start := time.Now()
-	var res Result
-	res.Order = make([]int, len(pl.Pi))
-	copy(res.Order, pl.Pi)
-
-	// Checkpointing, resume, and resource governance all live in the
-	// parallel scheduler, so any of those options routes through it
-	// even for a single worker.
-	if opts.Workers > 1 || opts.CheckpointPath != "" || opts.ResumeFrom != "" ||
-		opts.Governor != nil || opts.MemoryBudget > 0 {
-		popts := parallel.Options{Engine: eopts, Workers: opts.Workers, Metrics: rec}
-		if opts.CheckpointPath != "" {
-			popts.Checkpoint = &parallel.CheckpointOptions{
-				Path:     opts.CheckpointPath,
-				Interval: opts.CheckpointInterval,
-			}
+	if opts.CheckpointPath != "" {
+		popts.Checkpoint = &parallel.CheckpointOptions{
+			Path:     opts.CheckpointPath,
+			Interval: opts.CheckpointInterval,
 		}
-		if opts.ResumeFrom != "" {
-			ck, err := supervise.LoadCheckpoint(opts.ResumeFrom)
-			if err != nil {
-				return Result{}, fmt.Errorf("light: loading checkpoint: %w", err)
-			}
-			popts.Resume = ck
-		}
-
-		// Admission: wait for the guaranteed slot, run with what was
-		// granted, and chain the run's memory budget under the
-		// governor's. Degradation events accumulate into the RunReport.
-		gr, err := opts.admit(ctx, rec, st.maxDegree(), p.NumVertices())
+	}
+	if opts.ResumeFrom != "" {
+		ck, err := supervise.LoadCheckpoint(opts.ResumeFrom)
 		if err != nil {
-			return Result{}, err
+			return Result{}, fmt.Errorf("light: loading checkpoint: %w", err)
 		}
-		defer gr.release()
-		popts.Workers, popts.Gate, popts.Watchdog, popts.MemLimiter = gr.workers, gr.gate, gr.watchdog, gr.lim
-
-		pres, err := parallel.RunContext(ctx, st.base, pl, popts, visit)
-		degradations := gr.settle(rec, pres.SlotsShed, pres.Stalls)
-		res = fill(res, pres.Result, time.Since(start))
-		res.CandidateMemoryBytes = pres.CandidateMemBytes
-		res.Report = newRunReport(rec, opts, st, pres.Workers, res.Duration, res.CandidateMemoryBytes, &pres, degradations)
-		return res, mapErr(err)
+		popts.Resume = ck
 	}
 
-	e := engine.New(st.base, pl, eopts)
-	var ctxStop atomic.Bool
-	e.Stop = &ctxStop
-	release := supervise.WatchContext(ctx, func() { ctxStop.Store(true) })
-	defer release()
-	visit, visitErr := supervise.SafeVisit("visit callback", visit)
-	var eres engine.Result
-	err = supervise.Call("sequential enumeration", func() error {
-		var rerr error
-		eres, rerr = e.Run(visit)
-		return rerr
-	})
-	res = fill(res, eres, time.Since(start))
-	res.CandidateMemoryBytes = e.CandidateMemoryBytes()
-	res.Report = newRunReport(rec, opts, st, 1, res.Duration, res.CandidateMemoryBytes, nil, nil)
-	if verr := visitErr(); verr != nil {
-		err = verr
+	// Admission: wait for the guaranteed slot, run with what was
+	// granted, and chain the run's memory budget under the governor's.
+	// Without a Governor or MemoryBudget this grants Workers (at least
+	// one) at once. Degradation events accumulate into the RunReport.
+	gr, err := opts.admit(ctx, rec, st.maxDegree(), len(pl.Pi))
+	if err != nil {
+		return Result{}, err
 	}
-	if err == nil && eres.Stopped && ctx != nil && ctx.Err() != nil {
-		err = ctx.Err()
+	defer gr.release()
+	popts.Workers, popts.Gate, popts.Watchdog, popts.MemLimiter = gr.workers, gr.gate, gr.watchdog, gr.lim
+
+	pres, err := parallel.RunContext(ctx, st.base, pl, popts, visit)
+	degradations := gr.settle(rec, pres.SlotsShed, pres.Stalls)
+	res := Result{
+		Matches:              pres.Matches,
+		Intersections:        pres.Stats.Intersections,
+		GallopingPercent:     pres.Stats.GallopingPercent(),
+		Nodes:                pres.Nodes,
+		Duration:             time.Since(start),
+		Order:                make([]int, len(pl.Pi)),
+		CandidateMemoryBytes: pres.CandidateMemBytes,
+		Stopped:              pres.Stopped,
 	}
+	copy(res.Order, pl.Pi)
+	res.Report = newRunReport(rec, opts, st, pres.Workers, res.Duration, res.CandidateMemoryBytes, &pres, degradations)
 	return res, mapErr(err)
-}
-
-func fill(res Result, er engine.Result, d time.Duration) Result {
-	res.Matches = er.Matches
-	res.Intersections = er.Stats.Intersections
-	res.GallopingPercent = er.Stats.GallopingPercent()
-	res.Nodes = er.Nodes
-	res.Duration = d
-	res.Stopped = er.Stopped
-	return res
 }
 
 func mapErr(err error) error {

@@ -92,6 +92,25 @@ func TestParallelAgreesWithSequential(t *testing.T) {
 	}
 }
 
+// TestSingleWorkerRunsOnPool pins what "serial" means now that every
+// run takes the pool: at Workers 0 and 1 the pool has one worker, which
+// claims root chunks and, having no thief, donates nothing.
+func TestSingleWorkerRunsOnPool(t *testing.T) {
+	g := GenerateBarabasiAlbert(400, 5, 3)
+	p, _ := PatternByName("P4")
+	for _, workers := range []int{0, 1} {
+		res, err := Count(g, p, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := res.Report
+		if r.Workers != 1 || r.Donations != 0 || r.Steals != 0 || r.RootChunks < 1 {
+			t.Fatalf("Workers=%d: report workers %d, donations %d, steals %d, root chunks %d; want 1, 0, 0, ≥ 1",
+				workers, r.Workers, r.Donations, r.Steals, r.RootChunks)
+		}
+	}
+}
+
 func TestEnumerateVisitsAllMatches(t *testing.T) {
 	g := GenerateComplete(7)
 	p, _ := PatternByName("triangle")

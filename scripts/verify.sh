@@ -73,15 +73,16 @@ go test -race -cpu 2,4 -timeout 20m "${SHORT[@]}" \
 echo "==> go test -race -cpu 2,4 shared-graph regressions (queries racing hub-index rebuilds, snapshot isolation)"
 run_named . 'TestConcurrentQueriesHubThreshold|TestHubIndexOneBuildAcrossQueries|TestSnapshotIsolation' -race -cpu 2,4 -timeout 5m
 
-echo "==> go test -race -cpu 1,2,4: visitor stop latch, anchored scheduler, CountDelta oracles, default-kernel equivalence, counter baseline"
+echo "==> go test -race -cpu 1,2,4: visitor stop latch, anchored scheduler, CountDelta oracles, default-kernel equivalence, labeled queries, counter baseline"
 # The stop latch only matters with two or more workers really running at
 # once, CountDelta's visitors run unserialized, the default kernel's hub
-# probing is the path every zero-Options query takes, and the golden
+# probing is the path every zero-Options query takes, labeled visitors
+# run behind the pool's stop latch like every other query, and the golden
 # counters (testdata/counter_baseline.ndjson) are claimed independent of
 # worker count and GOMAXPROCS: a 1-CPU runner must never be the only
 # evidence for any of them.
 run_named ./internal/parallel/ 'TestVisitorNeverCalledAfterStop|TestRunAnchored' -race -cpu 1,2,4 -timeout 10m
-run_named . 'TestCountDelta|TestDefaultKernel' -race -cpu 1,2,4 -timeout 10m
+run_named . 'TestCountDelta|TestDefaultKernel|TestLabeled' -race -cpu 1,2,4 -timeout 10m
 run_named . TestCounterBaseline -race -cpu 1,2,4 -timeout 10m
 
 echo "==> benchmark module: go vet + go test"
