@@ -14,5 +14,5 @@ func approxCount(g *Graph, p *Pattern, samples int, seed int64) (approx.Result, 
 	if st.ov != nil {
 		return approx.Result{}, fmt.Errorf("%w: ApproxCount with pending edge deltas; call Compact first", ErrUnsupportedOption)
 	}
-	return approx.Count(st.base, p.p, samples, seed)
+	return approx.Count(st.base, st.planStats(), p.p, samples, seed)
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"light/internal/baselines"
@@ -520,6 +521,90 @@ func estimator(c config) {
 		}
 	}
 	fmt.Println("(ratio ≈ 1 is perfect; the optimizer needs only relative consistency)")
+}
+
+// regret is a supplementary experiment (not a paper table): how good the
+// order Section VI's optimizer chooses is, measured against every order
+// it chooses from. Each connected order that respects the partial order
+// runs serially under both the default kernel and the paper's
+// HybridBlock; the chosen order is ranked among them by exact elements
+// scanned and by time, beside the model's cost of the chosen and of the
+// fewest-elements order. An order that overruns the timeout is marked
+// and ranks last.
+func regret(c config) {
+	fmt.Printf("== Supplementary: planner regret — every connected order, serial, %v per order ==\n", c.timeout)
+	fmt.Printf("%-6s %-3s %-12s | %-11s %12s %9s %7s %7s %6s | %-11s %12s | %9s %9s\n",
+		"data", "pat", "kernel", "chosen π", "elements", "time", "r(elem)", "r(time)", "ratio", "fewest π", "elements", "cost(ch)", "cost(few)")
+	for _, d := range c.loadDatasets("yt-s", "lj-s", "eu-s") {
+		stats := estimate.Collect(d.g)
+		for _, p := range c.loadPatterns("P1", "P2", "P3", "P4", "P5", "P6", "P7") {
+			po := pattern.SymmetryBreaking(p)
+			chosen, err := plan.Choose(p, po, stats, plan.ModeLIGHT)
+			if err != nil {
+				panic(err)
+			}
+			orders := plan.ConnectedOrders(p, po)
+			plans := make([]*plan.Plan, len(orders))
+			for i, pi := range orders {
+				if plans[i], err = plan.Compile(p, po, pi, plan.ModeLIGHT); err != nil {
+					panic(err)
+				}
+			}
+			for _, kernel := range []intersect.Kind{intersect.KindHybridBitmap, intersect.KindHybridBlock} {
+				outs := make([]outcome, len(plans))
+				ch := -1
+				for i, pl := range plans {
+					outs[i] = runPlan(d.g, pl, kernel, c.timeout)
+					c.col.rec(d.name, short(p), fmt.Sprintf("π=%v/%v", pl.Pi, kernel), outs[i])
+					if fmt.Sprint(pl.Pi) == fmt.Sprint(chosen.Pi) {
+						ch = i
+					}
+				}
+				// rank counts the orders that beat the chosen one; an
+				// overrun beats nothing, and an overrun chosen order has
+				// no rank.
+				rank := func(less func(a, b outcome) bool) string {
+					if outs[ch].mark != "" {
+						return "-"
+					}
+					r := 1
+					for i, o := range outs {
+						if i != ch && o.mark == "" && less(o, outs[ch]) {
+							r++
+						}
+					}
+					return fmt.Sprintf("%d/%d", r, len(outs))
+				}
+				few := ch
+				for i, o := range outs {
+					if o.mark == "" && (outs[few].mark != "" || o.elems < outs[few].elems) {
+						few = i
+					}
+				}
+				ratio := "-"
+				if outs[ch].mark == "" && outs[few].elems > 0 {
+					ratio = fmt.Sprintf("%.2f", float64(outs[ch].elems)/float64(outs[few].elems))
+				}
+				elems := func(o outcome) string {
+					if o.mark != "" {
+						return o.mark
+					}
+					return fmt.Sprint(o.elems)
+				}
+				fmt.Printf("%-6s %-3s %-12s | %-11s %12s %9s %7s %7s %6s | %-11s %12s | %9.3g %9.3g\n",
+					d.name, short(p), kernel, piCell(chosen.Pi), elems(outs[ch]), outs[ch].timeCell(),
+					rank(func(a, b outcome) bool { return a.elems < b.elems }),
+					rank(func(a, b outcome) bool { return a.dur < b.dur }),
+					ratio, piCell(plans[few].Pi), elems(outs[few]),
+					chosen.Cost(stats), plans[few].Cost(stats))
+			}
+		}
+	}
+	fmt.Println("(ratio = chosen ÷ fewest elements; r(x) = the chosen order's rank by x among the orders the optimizer searches)")
+}
+
+func piCell(pi []pattern.Vertex) string {
+	return strings.Trim(fmt.Sprint(pi), "[]")
 }
 
 func short(p *pattern.Pattern) string {

@@ -15,7 +15,8 @@
 // BENCH_<exp>.json report (run fingerprint, host info, per-cell
 // wall-clock + deterministic work counters) to -benchdir.
 //
-// Experiments: table2 fig4 fig5 fig6 table3 fig7 table4 table5 fig8 all
+// Experiments: table2 fig4 fig5 fig6 table3 fig7 table4 table5 fig8 all,
+// and the supplementary estimator and regret, which all does not run.
 package main
 
 import (
@@ -53,13 +54,14 @@ var experiments = map[string]func(config){
 	"table5":    table5,
 	"fig8":      fig8,
 	"estimator": estimator,
+	"regret":    regret,
 }
 
 // order is what -exp all runs, in the paper's order.
 var order = []string{"table2", "fig4", "fig5", "fig6", "table3", "fig7", "table4", "table5", "fig8"}
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table2 fig4 fig5 fig6 table3 fig7 table4 table5 fig8 estimator all")
+	exp := flag.String("exp", "all", "experiment: table2 fig4 fig5 fig6 table3 fig7 table4 table5 fig8 estimator regret all")
 	scale := flag.Int("scale", 1, "dataset size multiplier")
 	timeout := flag.Duration("timeout", 60*time.Second, "per-run time limit (the paper's OOT threshold)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "max worker threads for the parallel experiments")

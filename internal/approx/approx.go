@@ -38,10 +38,11 @@ type Result struct {
 }
 
 // Count estimates the number of subgraphs of g isomorphic to p from the
-// given number of random probes. Deterministic for a seed.
-func Count(g *graph.Graph, p *pattern.Pattern, samples int, seed int64) (Result, error) {
+// given number of random probes, planning the probe order with g's
+// statistics. Deterministic for a seed.
+func Count(g *graph.Graph, stats estimate.GraphStats, p *pattern.Pattern, samples int, seed int64) (Result, error) {
 	po := pattern.SymmetryBreaking(p)
-	pl, err := plan.Choose(p, po, estimate.Collect(g), plan.ModeSE)
+	pl, err := plan.Choose(p, po, stats, plan.ModeSE)
 	if err != nil {
 		return Result{}, err
 	}

@@ -37,7 +37,7 @@ func TestTriangleOnComplete(t *testing.T) {
 	g := gen.Complete(12)
 	p := pattern.Triangle()
 	want := exact(t, g, p) // C(12,3) = 220
-	res, err := Count(g, p, 20000, 1)
+	res, err := Count(g, estimate.Collect(g), p, 20000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestTrianglesOnER(t *testing.T) {
 	g := gen.ErdosRenyi(300, 3000, 7)
 	p := pattern.Triangle()
 	want := exact(t, g, p)
-	res, err := Count(g, p, 100000, 2)
+	res, err := Count(g, estimate.Collect(g), p, 100000, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestSquaresOnBA(t *testing.T) {
 	g := gen.BarabasiAlbert(400, 4, 3)
 	p := pattern.P1()
 	want := exact(t, g, p)
-	res, err := Count(g, p, 200000, 3)
+	res, err := Count(g, estimate.Collect(g), p, 200000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestZeroMatches(t *testing.T) {
 	// A grid has no triangles: the estimator must return exactly 0.
 	g := gen.Grid(10, 10)
 	p := pattern.Triangle()
-	res, err := Count(g, p, 5000, 4)
+	res, err := Count(g, estimate.Collect(g), p, 5000, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +91,11 @@ func TestZeroMatches(t *testing.T) {
 func TestDeterministicForSeed(t *testing.T) {
 	g := gen.BarabasiAlbert(200, 4, 5)
 	p := pattern.P2()
-	a, err := Count(g, p, 5000, 42)
+	a, err := Count(g, estimate.Collect(g), p, 5000, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Count(g, p, 5000, 42)
+	b, err := Count(g, estimate.Collect(g), p, 5000, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,8 +110,8 @@ func TestConvergence(t *testing.T) {
 	g := gen.ErdosRenyi(200, 1600, 9)
 	p := pattern.Triangle()
 	want := exact(t, g, p)
-	small, _ := Count(g, p, 500, 10)
-	large, _ := Count(g, p, 200000, 10)
+	small, _ := Count(g, estimate.Collect(g), p, 500, 10)
+	large, _ := Count(g, estimate.Collect(g), p, 200000, 10)
 	if relErr(large.Estimate, want) > 0.2 {
 		t.Fatalf("large-sample estimate off by %.1f%%", 100*relErr(large.Estimate, want))
 	}

@@ -1,14 +1,14 @@
-// Package estimate provides the cardinality estimation the paper's
-// Section VI needs: |R(P')| for subgraphs P' of the pattern, via the
-// SEED-style expand-factor simulation, plus the AGM bound machinery
-// (fractional edge covers) used in the paper's analysis.
+// Package estimate provides the graph statistics the paper's Section VI
+// cost model needs, the SEED-style estimate of |R(P')| for subgraphs P'
+// of the pattern, and the AGM bound machinery (fractional edge covers)
+// used in the paper's analysis.
 //
 // The SEED estimator simulates building the partial results of P' by
 // adding one vertex at a time along a connected order and multiplying an
 // expand factor per added edge. On skewed graphs the expected degree of a
 // vertex reached by following an edge is Σd²/2M (degree-biased), not
 // 2M/N; the estimator uses the biased moment for the first backward edge
-// of each new vertex and a degree-biased closing probability for the
+// of each new vertex and the measured clustering coefficient for the
 // rest. Absolute accuracy is secondary: the optimizer only compares
 // orders on the same graph, so consistent relative error is what matters.
 package estimate
@@ -16,60 +16,92 @@ package estimate
 import (
 	"math"
 	"math/bits"
+	"sort"
 
 	"light/internal/graph"
 	"light/internal/pattern"
 )
 
 // GraphStats summarizes a data graph for estimation. Build one with
-// Collect; it is cheap (reads only cached degree moments).
+// Collect, once per CSR: it counts the graph's triangles.
 type GraphStats struct {
 	N          float64 // |V(G)|
 	M          float64 // |E(G)|
 	DegreeSum2 float64 // Σ d(v)²
+	// Clustering is the global clustering coefficient 6T / Σ d(d−1): the
+	// probability that two neighbours of a vertex are adjacent, which the
+	// estimator uses as the chance that one more backward edge closes.
+	Clustering float64
+	// LowDegree and HighDegree are the mean degrees of the lower-ID and
+	// of the higher-ID endpoint of an edge. IDs ascend with degree, so a
+	// pattern vertex held below another by symmetry breaking expands
+	// like LowDegree, and the one held above it like HighDegree.
+	LowDegree, HighDegree float64
 }
 
-// Collect extracts estimation statistics from g.
+// Collect measures g's estimation statistics. The degree moment is
+// cached by the graph; the clustering coefficient and the endpoint
+// degrees take one pass of forward-adjacency triangle counting: each
+// triangle u < v < w is found once, at u, as w ∈ N⁺(u) ∩ N⁺(v), where
+// N⁺(x) is the part of x's sorted list above x. On a degree-ordered CSR
+// the forward lists are short, so the pass costs far less than merging
+// the full lists of every edge.
 func Collect(g *graph.Graph) GraphStats {
-	return GraphStats{
+	s := GraphStats{
 		N:          float64(g.NumVertices()),
 		M:          float64(g.NumEdges()),
 		DegreeSum2: g.DegreeSum2(),
 	}
+	n := g.NumVertices()
+	if s.M == 0 {
+		return s
+	}
+	// fwd[v] is where N⁺(v) starts in v's neighbour list.
+	fwd := make([]int32, n)
+	for v := range fwd {
+		ns := g.Neighbors(graph.VertexID(v))
+		fwd[v] = int32(sort.Search(len(ns), func(i int) bool { return int(ns[i]) > v }))
+	}
+	// mark[w] == u+1 ⇔ w ∈ N⁺(u) for the u being scanned.
+	mark := make([]uint32, n)
+	var triangles, wedges, low, high float64
+	for u := 0; u < n; u++ {
+		ns := g.Neighbors(graph.VertexID(u))
+		d := float64(len(ns))
+		wedges += d * (d - 1)
+		stamp := uint32(u) + 1
+		out := ns[fwd[u]:]
+		for _, v := range out {
+			mark[v] = stamp
+		}
+		for _, v := range out {
+			vs := g.Neighbors(v)
+			low += d
+			high += float64(len(vs))
+			for _, w := range vs[fwd[v]:] {
+				if mark[w] == stamp {
+					triangles++
+				}
+			}
+		}
+	}
+	if wedges > 0 {
+		s.Clustering = 6 * triangles / wedges
+	}
+	s.LowDegree = low / s.M
+	s.HighDegree = high / s.M
+	return s
 }
 
 // ExpandFactor returns the expected number of extensions when following
 // one new edge out of an existing partial result: the degree-biased mean
 // degree Σd²/2M (an edge endpoint is reached with probability
-// proportional to its degree). Falls back to the average degree when the
-// graph has no edges.
+// proportional to its degree). It is 0 when the graph has no edges.
 func (s GraphStats) ExpandFactor() float64 {
 	if s.M <= 0 {
 		return 0
 	}
 	return s.DegreeSum2 / (2 * s.M)
-}
-
-// ClosingProbability returns the probability that a degree-biased random
-// vertex is adjacent to a specific already-matched vertex, used for every
-// backward edge beyond the first: ExpandFactor / N.
-func (s GraphStats) ClosingProbability() float64 {
-	if s.N <= 0 {
-		return 0
-	}
-	p := s.ExpandFactor() / s.N
-	return math.Min(p, 1)
-}
-
-// Alpha returns the paper's α: the estimated cost weight of one set
-// intersection, taken as the maximum expand factor (Section VI takes the
-// max "to give a higher weight to the cost of the computation").
-func (s GraphStats) Alpha() float64 {
-	f := s.ExpandFactor()
-	if f < 1 {
-		return 1
-	}
-	return f
 }
 
 // Subgraph estimates |R(P[mask])|: the number of matches of the
@@ -127,9 +159,7 @@ func (s GraphStats) connectedComponent(p *pattern.Pattern, mask uint32) float64 
 			placed |= 1 << uint(next)
 			continue
 		}
-		f := s.ExpandFactor()
-		pc := s.ClosingProbability()
-		count *= f * math.Pow(pc, float64(nextBack-1))
+		count *= s.ExpandFactor() * math.Pow(s.Clustering, float64(nextBack-1))
 		placed |= 1 << uint(next)
 	}
 	return count

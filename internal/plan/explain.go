@@ -9,8 +9,9 @@ import (
 
 // Explain renders the plan the way a database EXPLAIN would: the
 // enumeration order, the execution order with per-operation detail
-// (operands for COMP, symmetry checks for MAT), the anchor/free
-// structure, and the cost-model breakdown under stats.
+// (operands for COMP, symmetry checks for MAT) and the cost walk's
+// estimated reach and cost of each step under stats, and the anchor/free
+// structure.
 func (pl *Plan) Explain(stats estimate.GraphStats) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "plan for %s\n", pl.Pattern.Name())
@@ -21,11 +22,16 @@ func (pl *Plan) Explain(stats estimate.GraphStats) string {
 		sb.WriteString("  symmetry breaking:   (trivial automorphism group)\n")
 	}
 	fmt.Fprintf(&sb, "  lazy: %v, per-path intersections w: %d\n", pl.Lazy(), pl.WTotal())
-	sb.WriteString("  execution order σ:\n")
+	sb.WriteString("  execution order σ, with the cost walk's estimated reach and COMP elements:\n")
+	steps := make([]step, len(pl.Sigma))
+	pl.walk(stats, orderFractions(pl.PO, pl.Pattern.NumVertices()), steps)
+	var comp, mat float64
 	for i, op := range pl.Sigma {
-		fmt.Fprintf(&sb, "    %2d. %-4s u%d", i, op.Mode, op.Vertex)
+		st := steps[i]
+		fmt.Fprintf(&sb, "    %2d. %-4s u%d  %9.3g", i, op.Mode, op.Vertex, st.reach)
 		switch op.Mode {
 		case Comp:
+			comp += st.cost
 			o := pl.Ops[op.Vertex]
 			var parts []string
 			for _, w := range o.K1 {
@@ -34,11 +40,12 @@ func (pl *Plan) Explain(stats estimate.GraphStats) string {
 			for _, w := range o.K2 {
 				parts = append(parts, fmt.Sprintf("C(u%d)", w))
 			}
-			fmt.Fprintf(&sb, "  ← %s", strings.Join(parts, " ∩ "))
+			fmt.Fprintf(&sb, " %9.3g  ← %s", st.cost, strings.Join(parts, " ∩ "))
 			if o.W() == 0 {
 				sb.WriteString("  (aliased, 0 intersections)")
 			}
 		case Mat:
+			mat += st.cost
 			if cs := pl.MatConstraints[i]; len(cs) > 0 {
 				var parts []string
 				for _, c := range cs {
@@ -48,7 +55,7 @@ func (pl *Plan) Explain(stats estimate.GraphStats) string {
 						parts = append(parts, fmt.Sprintf("v < φ(u%d)", c.Other))
 					}
 				}
-				fmt.Fprintf(&sb, "  require %s", strings.Join(parts, ", "))
+				fmt.Fprintf(&sb, "            require %s", strings.Join(parts, ", "))
 			}
 		}
 		sb.WriteByte('\n')
@@ -56,11 +63,9 @@ func (pl *Plan) Explain(stats estimate.GraphStats) string {
 	sb.WriteString("  anchors/free:\n")
 	for pos := 1; pos < len(pl.Pi); pos++ {
 		u := pl.Pi[pos]
-		fmt.Fprintf(&sb, "    u%d: A=%s F=%s  |Φ| ≈ %.3g\n",
-			u, maskList(pl.Anchors[u]), maskList(pl.Free[u]),
-			stats.Subgraph(pl.Pattern, pl.Anchors[u]))
+		fmt.Fprintf(&sb, "    u%d: A=%s F=%s\n", u, maskList(pl.Anchors[u]), maskList(pl.Free[u]))
 	}
-	fmt.Fprintf(&sb, "  estimated cost (Eq. 8): %.4g  (α = %.2f)\n", pl.Cost(stats), stats.Alpha())
+	fmt.Fprintf(&sb, "  estimated cost: %.4g = %.4g COMP elements + %.4g MAT nodes\n", comp+mat, comp, mat)
 	return sb.String()
 }
 

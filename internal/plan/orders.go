@@ -74,7 +74,7 @@ func connectedOrdersFrom(p *pattern.Pattern, po *pattern.PartialOrder, prefix []
 }
 
 // Choose compiles every candidate order and returns the plan with the
-// minimum Equation 8 cost. Ties are broken toward orders placing
+// minimum cost (Plan.Cost). Ties are broken toward orders placing
 // partial-order-constrained vertices earlier, then lexicographically, so
 // Choose is deterministic. The partial order is computed from the
 // pattern's automorphisms when po is nil.
@@ -102,21 +102,23 @@ func ChooseAnchored(p *pattern.Pattern, po *pattern.PartialOrder, stats estimate
 }
 
 // cheapest compiles every order and returns the plan with the minimum
-// Equation 8 cost, ties broken by tieKey then lexicographically.
+// cost, ties broken by tieKey then lexicographically. The partial
+// order's per-mask fractions are shared by every order's walk.
 func cheapest(p *pattern.Pattern, po *pattern.PartialOrder, orders [][]pattern.Vertex, stats estimate.GraphStats, mode Mode,
 	compile func(*pattern.Pattern, *pattern.PartialOrder, []pattern.Vertex, Mode) (*Plan, error)) (*Plan, error) {
 	if len(orders) == 0 {
 		return nil, fmt.Errorf("plan: pattern %s has no connected order (disconnected pattern?)", p.Name())
 	}
+	frac := orderFractions(po, p.NumVertices())
 	var best *Plan
 	var bestCost float64
-	var bestKey [2]int
+	var bestKey int
 	for _, pi := range orders {
 		pl, err := compile(p, po, pi, mode)
 		if err != nil {
 			return nil, err
 		}
-		cost := pl.Cost(stats)
+		cost := pl.walk(stats, frac, nil)
 		key := tieKey(pl, po)
 		if best == nil || cost < bestCost || (cost == bestCost && lessKey(key, bestKey, pi, best.Pi)) {
 			best, bestCost, bestKey = pl, cost, key
@@ -125,20 +127,10 @@ func cheapest(p *pattern.Pattern, po *pattern.PartialOrder, orders [][]pattern.V
 	return best, nil
 }
 
-// tieKey returns the secondary ranking for equal-cost orders:
-// (−laziness slack, sum of constrained-vertex positions). The slack is
-// Σ_u |Fπ(u)| — the estimator bounds |Φ_u| by |R(P[Aπ(u)])|, which is an
-// upper bound whose unseen savings grow with the free-vertex mass
-// (Equation 5), so lazier orders are preferred at equal estimated cost.
-// The position sum implements the paper's stated preference for placing
-// partial-order-constrained vertices early.
-func tieKey(pl *Plan, po *pattern.PartialOrder) [2]int {
-	slack := 0
-	for u := range pl.Free {
-		if u != pl.Pi[0] {
-			slack += popcount32(pl.Free[u])
-		}
-	}
+// tieKey returns the secondary ranking for equal-cost orders: the sum of
+// the positions of partial-order-constrained vertices, implementing the
+// paper's stated preference for placing them early.
+func tieKey(pl *Plan, po *pattern.PartialOrder) int {
 	constrained := uint32(0)
 	for u := range pl.Pi {
 		constrained |= po.Less[u]
@@ -152,15 +144,12 @@ func tieKey(pl *Plan, po *pattern.PartialOrder) [2]int {
 			sum += pos
 		}
 	}
-	return [2]int{-slack, sum}
+	return sum
 }
 
-func lessKey(a, b [2]int, piA, piB []pattern.Vertex) bool {
-	if a[0] != b[0] {
-		return a[0] < b[0]
-	}
-	if a[1] != b[1] {
-		return a[1] < b[1]
+func lessKey(a, b int, piA, piB []pattern.Vertex) bool {
+	if a != b {
+		return a < b
 	}
 	for i := range piA {
 		if piA[i] != piB[i] {
@@ -168,12 +157,4 @@ func lessKey(a, b [2]int, piA, piB []pattern.Vertex) bool {
 		}
 	}
 	return false
-}
-
-func popcount32(x uint32) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
 }

@@ -7,6 +7,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"strings"
 
@@ -436,24 +437,132 @@ func compile(p *pattern.Pattern, po *pattern.PartialOrder, pi []pattern.Vertex, 
 	return pl, nil
 }
 
-// Cost evaluates Equation 8 for the plan on a graph described by stats:
-// T = α · Σ_u w_u · |R(P[Aπ(u)])|  +  Σ_i |R(P_i^{π′})|.
+// step is one σ operation as the cost walk prices it: reach is how many
+// times the engine is expected to execute it, cost what those executions
+// add to the plan's cost (elements scanned for a COMP, search nodes for a
+// MAT).
+type step struct {
+	reach, cost float64
+}
+
+// Cost prices the plan on a graph described by stats. It keeps Equation
+// 8's two sums — intersection work over the COMPs plus partial results
+// over the MATs — but takes both from a walk of σ, so that it sees the
+// search the engine runs (see walk).
 func (pl *Plan) Cost(stats estimate.GraphStats) float64 {
-	alpha := stats.Alpha()
-	comp := 0.0
-	for pos := 1; pos < len(pl.Pi); pos++ {
-		u := pl.Pi[pos]
-		w := float64(pl.Ops[u].W())
-		if w == 0 {
-			continue
+	return pl.walk(stats, orderFractions(pl.PO, pl.Pattern.NumVertices()), nil)
+}
+
+// walk prices σ in order and returns the total cost, filling steps when
+// it is non-nil. With M the materialized vertices at a step, its reach is
+//
+//	R(P[M]) × frac[M] × Π Pr[C(w) ≠ ∅] over computed, unmaterialized w,
+//
+// where R(P[M]) grows by E|C(w)| at each MAT w, frac[M] is the share of
+// M's orderings the partial order admits (symmetry breaking cuts each MAT
+// loop to a window), and the product is lazy materialization's pruning:
+// an empty C(w) ends the branch at its COMP, long before w's MAT. |C(w)|
+// is taken as Poisson, so Pr[C(w) ≠ ∅] = 1 − e^(−E|C(w)|). A COMP
+// with two or more operands costs reach × the sum of their expected
+// lengths; an aliased one costs nothing. A MAT costs the reach after it.
+func (pl *Plan) walk(stats estimate.GraphStats, frac []float64, steps []step) float64 {
+	p := pl.Pattern
+	var below [pattern.MaxVertices]uint32 // below[x]: the vertices held below x
+	for a := 0; a < p.NumVertices(); a++ {
+		for m := pl.PO.Less[a]; m != 0; m &= m - 1 {
+			below[bits.TrailingZeros32(m)] |= 1 << uint(a)
 		}
-		comp += w * stats.Subgraph(pl.Pattern, pl.Anchors[u])
 	}
-	mat := 0.0
-	var mask uint32
-	for _, u := range pl.MatOrder {
-		mask |= 1 << uint(u)
-		mat += stats.Subgraph(pl.Pattern, mask)
+	// degree is the expected |N(φ(x))|: a vertex held below (above) some
+	// other materialized vertex is the lower (higher) end of its edges.
+	degree := func(x pattern.Vertex, mat uint32) float64 {
+		low, high := pl.PO.Less[x]&mat != 0, below[x]&mat != 0
+		switch {
+		case low && !high:
+			return stats.LowDegree
+		case high && !low:
+			return stats.HighDegree
+		}
+		return stats.ExpandFactor()
 	}
-	return alpha*comp + mat
+	// size is E|C(u)|: the mean degree of u's backward neighbours, closed
+	// by every backward edge beyond the first with the clustering
+	// coefficient.
+	size := func(u pattern.Vertex, mat uint32) float64 {
+		back := p.NeighborMask(u) & pl.Anchors[u]
+		sum := 0.0
+		for m := back; m != 0; m &= m - 1 {
+			sum += degree(bits.TrailingZeros32(m), mat)
+		}
+		k := bits.OnesCount32(back)
+		return sum / float64(k) * math.Pow(stats.Clustering, float64(k-1))
+	}
+	var mat, computed uint32
+	r, total := 1.0, 0.0
+	reach := func() float64 {
+		x := r * frac[mat]
+		for m := computed &^ mat; m != 0; m &= m - 1 {
+			x *= -math.Expm1(-size(bits.TrailingZeros32(m), mat))
+		}
+		return x
+	}
+	for i, op := range pl.Sigma {
+		u := op.Vertex
+		var st step
+		if op.Mode == Mat {
+			if i == 0 {
+				r = stats.N
+			} else {
+				r *= size(u, mat)
+			}
+			mat |= 1 << uint(u)
+			st.reach = reach()
+			st.cost = st.reach
+		} else {
+			st.reach = reach()
+			if o := pl.Ops[u]; o.W() > 0 {
+				length := 0.0
+				for _, w := range o.K1 {
+					length += degree(w, mat)
+				}
+				for _, w := range o.K2 {
+					length += size(w, mat)
+				}
+				st.cost = st.reach * length
+			}
+			computed |= 1 << uint(u)
+		}
+		total += st.cost
+		if steps != nil {
+			steps[i] = st
+		}
+	}
+	return total
+}
+
+// orderFractions returns, for every vertex mask M, the share of M's
+// orderings that po's constraints among M admit: the number of linear
+// extensions of po restricted to M over |M|!. It is ½ once both sides of
+// one constraint are in M, and 1/n! for a total order on all n vertices.
+func orderFractions(po *pattern.PartialOrder, n int) []float64 {
+	ext := make([]float64, 1<<uint(n))
+	ext[0] = 1
+	for m := uint32(1); m < uint32(len(ext)); m++ {
+		// Count extensions by their last vertex: one with no successor in M.
+		for r := m; r != 0; r &= r - 1 {
+			u := bits.TrailingZeros32(r)
+			if po.Less[u]&m == 0 {
+				ext[m] += ext[m&^(1<<uint(u))]
+			}
+		}
+	}
+	fact := make([]float64, n+1)
+	fact[0] = 1
+	for k := 1; k <= n; k++ {
+		fact[k] = fact[k-1] * float64(k)
+	}
+	for m := range ext {
+		ext[m] /= fact[bits.OnesCount32(uint32(m))]
+	}
+	return ext
 }

@@ -81,10 +81,11 @@ type snapshotState struct {
 	base *graph.Graph
 	ov   *delta.Overlay // nil when the view equals base
 	gen  uint64
-	// stats caches the estimator's degree-distribution snapshot per
-	// base CSR; shared by every query's planner (and across overlay
-	// generations over the same base — the overlay shifts costs, never
-	// correctness, so planning from base statistics stays sound).
+	// stats caches the planner's graph statistics per base CSR (one
+	// triangle-counting pass, paid by the first query that plans);
+	// shared by every query's planner (and across overlay generations
+	// over the same base — the overlay shifts costs, never correctness,
+	// so planning from base statistics stays sound).
 	stats *baseStats
 }
 

@@ -85,6 +85,13 @@ run_named ./internal/parallel/ 'TestVisitorNeverCalledAfterStop|TestRunAnchored'
 run_named . 'TestCountDelta|TestDefaultKernel|TestLabeled' -race -cpu 1,2,4 -timeout 10m
 run_named . TestCounterBaseline -race -cpu 1,2,4 -timeout 10m
 
+echo "==> planner: measured graph statistics, the cost walk's terms, and its choice on lj-s"
+# The order the planner picks is the largest lever on a query's work
+# (EXPERIMENTS.md "Planner regret"); these pin the statistics it reads on
+# hand-countable graphs and its lj-s choice to the fewest-elements class.
+run_named ./internal/estimate/ 'TestCollectOnHandCountableGraphs|TestZeroGraph' -count=1
+run_named ./internal/plan/ 'TestOrderFractions|TestChooseOnLJS|TestExplain' -count=1
+
 echo "==> benchmark module: go vet + go test"
 (cd benchmark && go vet . && go test .)
 
