@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"time"
 
@@ -385,13 +386,20 @@ func table3(c config) {
 	}
 }
 
-// fig7 scales the thread count for LIGHT with HybridBlock.
+// fig7 scales the thread count for LIGHT with HybridBlock. A column
+// with more workers than the host has CPUs is marked oversubscribed: it
+// measures the scheduler's overhead, not scaling.
 func fig7(c config) {
 	fmt.Println("== Fig 7: LIGHT execution time vs threads (HybridBlock) ==")
 	threads := []int{1, 2, 4, 8, 16, 32, 64}
+	cpus := runtime.NumCPU()
 	fmt.Printf("%-8s %-4s |", "dataset", "pat")
 	for _, t := range threads {
-		fmt.Printf(" %9s", fmt.Sprintf("%dT", t))
+		col := fmt.Sprintf("%dT", t)
+		if t > cpus {
+			col += "*"
+		}
+		fmt.Printf(" %9s", col)
 	}
 	fmt.Printf(" | %9s\n", "speedup")
 	for _, d := range c.loadDatasets("yt-s", "lj-s") {
@@ -411,6 +419,9 @@ func fig7(c config) {
 			}
 			fmt.Printf(" | %8.1fx\n", float64(base)/float64(best))
 		}
+	}
+	if threads[len(threads)-1] > cpus {
+		fmt.Printf("* oversubscribed: more workers than runtime.NumCPU() = %d\n", cpus)
 	}
 }
 

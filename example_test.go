@@ -2,6 +2,7 @@ package light_test
 
 import (
 	"fmt"
+	"sort"
 
 	"light"
 )
@@ -18,14 +19,20 @@ func ExampleCount() {
 	// Output: 1
 }
 
-// Streaming matches with a visitor.
+// Streaming matches with a visitor. Matches arrive in no particular
+// order, so the example sorts them before printing.
 func ExampleEnumerate() {
 	g := light.GenerateComplete(4)
 	p, _ := light.PatternByName("triangle")
+	var rows []string
 	light.Enumerate(g, p, light.Options{}, func(m []light.VertexID) bool {
-		fmt.Println(m)
+		rows = append(rows, fmt.Sprint(m))
 		return true
 	})
+	sort.Strings(rows)
+	for _, r := range rows {
+		fmt.Println(r)
+	}
 	// Output:
 	// [0 1 2]
 	// [0 1 3]

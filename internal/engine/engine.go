@@ -419,7 +419,7 @@ func (e *Enumerator) Run(visit VisitFunc) (Result, error) {
 }
 
 // RunRoots enumerates only the given root candidates (used by the
-// parallel schedulers to partition C(π[1])). roots must be ascending.
+// parallel pool to partition C(π[1])), in the order given.
 //
 //light:hotpath
 func (e *Enumerator) RunRoots(roots []graph.VertexID, visit VisitFunc) (Result, error) {

@@ -150,15 +150,21 @@ func (l *ledger) commit(id unitID, u *unit) {
 }
 
 // appendRootRanges converts the root-slice index range [lo, hi) into
-// vertex-id ranges (the slice may have holes after a resume) and
-// appends them to the committed set. Callers hold l.mu.
+// vertex-id ranges and appends them to the committed set: each maximal
+// run of consecutive ids, ascending or descending, becomes one range
+// (the slice may have holes after a resume). Callers hold l.mu.
 func (l *ledger) appendRootRanges(lo, hi int64) {
 	for i := lo; i < hi; {
 		j := i + 1
-		for j < hi && l.roots[j] == l.roots[j-1]+1 {
-			j++
+		if j < hi {
+			if step := int64(l.roots[j]) - int64(l.roots[i]); step == 1 || step == -1 {
+				for j < hi && int64(l.roots[j])-int64(l.roots[j-1]) == step {
+					j++
+				}
+			}
 		}
-		l.done = append(l.done, supervise.RootRange{Lo: l.roots[i], Hi: l.roots[j-1] + 1})
+		a, b := l.roots[i], l.roots[j-1]
+		l.done = append(l.done, supervise.RootRange{Lo: min(a, b), Hi: max(a, b) + 1})
 		i = j
 	}
 }
@@ -232,22 +238,24 @@ func mergeRanges(rs []supervise.RootRange) []supervise.RootRange {
 	return out
 }
 
-// pendingRoots returns the ascending root vertex ids of an n-vertex
-// graph not covered by the committed ranges — the roots a resumed run
-// still has to enumerate.
+// pendingRoots returns the root vertex ids of an n-vertex graph not
+// covered by the committed ranges — every root for a fresh run, the ones
+// a resumed run still has to enumerate otherwise — in descending id
+// order. The graph constructors relabel ids degree-ascending
+// (graph.Reorder), so this is the heaviest-first order pool.claim's
+// chunk sizing relies on; any other order is still exact, only less
+// balanced.
 func pendingRoots(n int, done []supervise.RootRange) []graph.VertexID {
 	merged := mergeRanges(done)
 	roots := make([]graph.VertexID, 0, n)
-	next := int64(0)
-	for _, r := range merged {
-		for v := next; v < int64(r.Lo) && v < int64(n); v++ {
+	v := int64(n) - 1
+	for i := len(merged) - 1; i >= 0; i-- {
+		for ; v >= int64(merged[i].Hi); v-- {
 			roots = append(roots, graph.VertexID(v))
 		}
-		if int64(r.Hi) > next {
-			next = int64(r.Hi)
-		}
+		v = min(v, int64(merged[i].Lo)-1)
 	}
-	for v := next; v < int64(n); v++ {
+	for ; v >= 0; v-- {
 		roots = append(roots, graph.VertexID(v))
 	}
 	return roots

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"light/internal/engine"
 	"light/internal/gen"
 	"light/internal/graph"
 	"light/internal/pattern"
@@ -17,12 +18,12 @@ import (
 // (via the visitor's early-stop path — equivalent to a kill between
 // checkpoint writes) and resumes it from the file until it completes,
 // asserting the final total matches an uninterrupted sequential run.
-func interruptResume(t *testing.T, g *graph.Graph, pl *plan.Plan, stopAfter uint64) {
+func interruptResume(t *testing.T, g *graph.Graph, pl *plan.Plan, workers int, stopAfter uint64) {
 	t.Helper()
 	want := sequentialCount(t, g, pl)
 	path := filepath.Join(t.TempDir(), "state.ckpt")
 	opts := Options{
-		Workers:   4,
+		Workers:   workers,
 		ChunkSize: 16,
 		// Only the final on-stop snapshot is written; the interrupt point
 		// is controlled entirely by the visitor.
@@ -97,7 +98,8 @@ func interruptResume(t *testing.T, g *graph.Graph, pl *plan.Plan, stopAfter uint
 
 // TestKillAndResumeExactCounts is the integration guarantee: kill-and-
 // resume cycles converge to exactly the uninterrupted total, across
-// pattern/dataset pairs.
+// pattern/dataset pairs, at two and four workers (where the guided
+// chunks of a resumed run start again at one root).
 func TestKillAndResumeExactCounts(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -113,7 +115,9 @@ func TestKillAndResumeExactCounts(t *testing.T) {
 		for _, tc := range cases {
 			t.Run(tc.name, func(t *testing.T) {
 				pl := compile(t, tc.p, plan.ModeLIGHT)
-				interruptResume(t, tc.g, pl, tc.stopAfter)
+				for _, workers := range []int{2, 4} {
+					interruptResume(t, tc.g, pl, workers, tc.stopAfter)
+				}
 			})
 		}
 	})
@@ -193,7 +197,7 @@ func TestMergeRanges(t *testing.T) {
 func TestPendingRoots(t *testing.T) {
 	rr := func(lo, hi uint32) supervise.RootRange { return supervise.RootRange{Lo: lo, Hi: hi} }
 	got := pendingRoots(10, []supervise.RootRange{rr(2, 4), rr(7, 9)})
-	want := []graph.VertexID{0, 1, 4, 5, 6, 9}
+	want := []graph.VertexID{9, 6, 5, 4, 1, 0} // heaviest (highest id) first
 	if len(got) != len(want) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
@@ -207,5 +211,36 @@ func TestPendingRoots(t *testing.T) {
 	}
 	if got := pendingRoots(5, []supervise.RootRange{rr(0, 5)}); len(got) != 0 {
 		t.Fatalf("fully covered: want none, got %v", got)
+	}
+	if got := pendingRoots(5, []supervise.RootRange{rr(3, 9)}); len(got) != 3 || got[0] != 2 {
+		t.Fatalf("range past n: want [2 1 0], got %v", got)
+	}
+}
+
+// TestAppendRootRangesDescending: the pool deals roots in descending id
+// order, so a committed chunk of consecutive descending ids must become
+// one range, not one range per root; holes left by a resume still split.
+func TestAppendRootRangesDescending(t *testing.T) {
+	rr := func(lo, hi uint32) supervise.RootRange { return supervise.RootRange{Lo: lo, Hi: hi} }
+	cases := []struct {
+		roots []graph.VertexID
+		want  []supervise.RootRange
+	}{
+		{[]graph.VertexID{9, 8, 7, 6}, []supervise.RootRange{rr(6, 10)}},
+		{[]graph.VertexID{9, 6, 5, 4, 1, 0}, []supervise.RootRange{rr(9, 10), rr(4, 7), rr(0, 2)}},
+		{[]graph.VertexID{3, 4, 5, 2, 1}, []supervise.RootRange{rr(3, 6), rr(1, 3)}},
+		{[]graph.VertexID{7}, []supervise.RootRange{rr(7, 8)}},
+	}
+	for _, tc := range cases {
+		l := newLedger(tc.roots, 0, engine.Result{}, nil)
+		l.appendRootRanges(0, int64(len(tc.roots)))
+		if len(l.done) != len(tc.want) {
+			t.Fatalf("roots %v: got %v, want %v", tc.roots, l.done, tc.want)
+		}
+		for i := range tc.want {
+			if l.done[i] != tc.want[i] {
+				t.Fatalf("roots %v: got %v, want %v", tc.roots, l.done, tc.want)
+			}
+		}
 	}
 }

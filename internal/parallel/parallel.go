@@ -1,12 +1,15 @@
 // Package parallel runs an enumeration plan on a pool of workers (the
 // paper's Section VII-B SMT parallelization) and is the one way every
-// rooted query runs, at any worker count. Workers claim dynamic chunks
-// of the root candidate set and, while busy, donate halves of their
-// current materialization loops to a global concurrent queue whenever
-// idle workers are waiting — the sender-initiated strategy of Rao &
-// Kumar / Acar et al. that the paper adopts. A pool of one worker has no
-// thief, so it installs no donation hook and simply walks the root
-// chunks.
+// rooted query runs, at any worker count. Workers claim the root
+// candidate set heaviest root first (descending id, which is descending
+// degree in the reordered graph), in guided chunks that start at one
+// root and grow as the roots get lighter (see pool.claim). While busy
+// they donate halves of their current materialization loops to a global
+// concurrent queue whenever idle workers are waiting — the
+// sender-initiated strategy of Rao & Kumar / Acar et al. that the paper
+// adopts — which still splits a single root that dominates the run. A
+// pool of one worker has no thief, so it installs no donation hook and
+// walks the roots in full ChunkSize chunks.
 //
 // Workers never share partial results; each owns an Enumerator with its
 // candidate buffers, so memory stays O(workers · n · d_max) as in the
@@ -73,8 +76,10 @@ type Options struct {
 	Engine engine.Options
 	// Workers is the number of worker goroutines; defaults to GOMAXPROCS.
 	Workers int
-	// ChunkSize is the number of root candidates claimed at a time
-	// (default 256).
+	// ChunkSize caps the number of root candidates claimed at a time
+	// (default 256). A one-worker pool always claims this many; with more
+	// workers a chunk is also held to 1/(8·Workers) of the roots already
+	// dispensed, so the heaviest roots go out one at a time.
 	ChunkSize int
 	// MinSplit is the smallest materialization loop a worker will split
 	// for donation (default 8).
@@ -289,19 +294,16 @@ func run(ctx context.Context, g *graph.Graph, opts Options, jobs []AnchorJob, an
 				return Result{}, fmt.Errorf("parallel: invalid checkpoint frame: %w", err)
 			}
 		}
-		p.roots = pendingRoots(g.NumVertices(), ck.Done)
-	} else if anchors == nil {
+	}
+	if anchors == nil {
 		// The root candidate set is every vertex of the queried view —
 		// overlay vertices included, so matches rooted at a newly inserted
-		// vertex are not lost.
+		// vertex are not lost — less what a resumed checkpoint committed.
 		n := g.NumVertices()
 		if opts.Engine.Overlay != nil {
 			n = opts.Engine.Overlay.NumVertices()
 		}
-		p.roots = make([]graph.VertexID, n)
-		for i := range p.roots {
-			p.roots[i] = graph.VertexID(i)
-		}
+		p.roots = pendingRoots(n, priorDone)
 	}
 	p.units = int64(len(p.roots))
 	if anchors != nil {
@@ -520,9 +522,10 @@ type pool struct {
 	opts Options
 	led  *ledger // nil when checkpointing is off
 
-	// The work dispensed by the cursor, units of it in all: root vertices
-	// in chunks of ChunkSize (RunContext), or every (job, anchor) pair one
-	// at a time, job-major (RunAnchored; roots is then empty).
+	// The work dispensed by the cursor, units of it in all: root vertices,
+	// heaviest first, in the guided chunks of claim (RunContext), or every
+	// (job, anchor) pair one at a time, job-major (RunAnchored; roots is
+	// then empty).
 	roots   []graph.VertexID
 	anchors []engine.Anchor
 	units   int64
@@ -618,8 +621,7 @@ func (p *pool) runLoop(ws *workerState) (engine.Result, error) {
 			return acc, nil
 		}
 		// Phase 1: claim a root chunk, or one (job, anchor) pair.
-		if lo := p.cursor.Add(int64(p.opts.ChunkSize)) - int64(p.opts.ChunkSize); lo < p.units {
-			hi := min(lo+int64(p.opts.ChunkSize), p.units)
+		if lo, hi, ok := p.claim(); ok {
 			p.chunks.Add(1)
 			ws.unit, ws.job = p.led.beginChunk(lo, hi), 0
 			var res engine.Result
@@ -668,6 +670,34 @@ func (p *pool) runLoop(ws *workerState) (engine.Result, error) {
 			return acc, err
 		}
 		p.led.finish(qf.unit, res)
+	}
+}
+
+// claim takes the next chunk [lo, hi) of units off the cursor, or
+// reports that none is left. Roots are dealt heaviest first, so per-root
+// work roughly falls as lo grows, and a chunk of at most lo/(8·W) roots
+// costs at most about 1/(8W) of the work already handed out: that
+// bounds what one worker can be left holding when the others run dry.
+// The hubs go out one at a time and chunks grow to the ChunkSize cap as
+// the roots get lighter. A lone worker keeps nobody waiting, so it claims
+// full chunks; RunAnchored's cap of 1 keeps its one-pair units.
+//
+//light:hotpath
+func (p *pool) claim() (lo, hi int64, ok bool) {
+	size := int64(p.opts.ChunkSize)
+	for {
+		lo = p.cursor.Load()
+		if lo >= p.units {
+			return 0, 0, false
+		}
+		n := size
+		if p.opts.Workers > 1 {
+			n = min(max(lo/(8*int64(p.opts.Workers)), 1), size)
+		}
+		hi = min(lo+n, p.units)
+		if p.cursor.CompareAndSwap(lo, hi) {
+			return lo, hi, true
+		}
 	}
 }
 

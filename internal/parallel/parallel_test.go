@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -191,6 +192,86 @@ func TestDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.Workers < 1 || o.ChunkSize < 1 || o.MinSplit < 1 {
 		t.Fatalf("bad defaults: %+v", o)
+	}
+}
+
+// TestClaimGuidedChunks pins the claim rule. With W > 1 the chunks tile
+// [0, units) exactly once and in order, never shrink (only the last may
+// be cut short by units), and each stays within the ChunkSize cap and
+// max(1, lo/(8W)); a one-worker pool claims full ChunkSize chunks.
+func TestClaimGuidedChunks(t *testing.T) {
+	const units, chunkCap = 5000, 256
+	for _, w := range []int{1, 2, 4, 8} {
+		p := &pool{units: units, opts: Options{Workers: w, ChunkSize: chunkCap}}
+		var next, prev int64
+		for {
+			lo, hi, ok := p.claim()
+			if !ok {
+				break
+			}
+			size := hi - lo
+			if lo != next || size < 1 {
+				t.Fatalf("W=%d: chunk [%d,%d) after cursor %d", w, lo, hi, next)
+			}
+			last := hi == units
+			switch {
+			case w == 1 && size != chunkCap && !last:
+				t.Fatalf("W=1: chunk [%d,%d) is not ChunkSize %d", lo, hi, chunkCap)
+			case w > 1 && (size > chunkCap || size > max(1, lo/int64(8*w))):
+				t.Fatalf("W=%d: chunk [%d,%d) exceeds min(ChunkSize, max(1, lo/8W))", w, lo, hi)
+			case size < prev && !last:
+				t.Fatalf("W=%d: chunk [%d,%d) shrank from %d", w, lo, hi, prev)
+			}
+			prev, next = size, hi
+		}
+		if next != units {
+			t.Fatalf("W=%d: chunks stop at %d of %d", w, next, units)
+		}
+	}
+}
+
+// TestClaimDealsHeaviestRootFirst: the first root a multi-worker pool
+// hands out, alone in its chunk, is the graph's highest-degree vertex.
+func TestClaimDealsHeaviestRootFirst(t *testing.T) {
+	g := gen.BarabasiAlbert(2000, 8, 4)
+	p := &pool{roots: pendingRoots(g.NumVertices(), nil), opts: Options{Workers: 2}.withDefaults()}
+	p.units = int64(len(p.roots))
+	lo, hi, ok := p.claim()
+	if !ok || hi-lo != 1 {
+		t.Fatalf("first chunk [%d,%d) ok=%v, want one root", lo, hi, ok)
+	}
+	if d := g.Degree(p.roots[lo]); d != g.MaxDegree() {
+		t.Fatalf("first root %d has degree %d, max is %d", p.roots[lo], d, g.MaxDegree())
+	}
+}
+
+// TestClaimConcurrentExactlyOnce: eight goroutines racing on the cursor
+// (run it under -race) receive every unit exactly once between them.
+func TestClaimConcurrentExactlyOnce(t *testing.T) {
+	const units = 20000
+	p := &pool{units: units, opts: Options{Workers: 8, ChunkSize: 256}}
+	seen := make([]atomic.Int32, units)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				lo, hi, ok := p.claim()
+				if !ok {
+					return
+				}
+				for u := lo; u < hi; u++ {
+					seen[u].Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for u := range seen {
+		if n := seen[u].Load(); n != 1 {
+			t.Fatalf("unit %d claimed %d times", u, n)
+		}
 	}
 }
 

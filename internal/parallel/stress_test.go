@@ -10,11 +10,12 @@ import (
 )
 
 // TestWorkStealingStressDeterministic hammers the donate/steal path.
-// Single-root chunks over a complete graph front-load the heavy roots
-// (symmetry breaking makes low ids carry most of the subtree), so
-// workers drain the cheap tail and go hungry while early roots are
-// still running — forcing the donation hook. Every iteration has to
-// reproduce the sequential count exactly (run this under -race: the
+// Single-root chunks over a complete graph deal the heavy roots last
+// (every degree is equal, so the pool's descending-id order puts the low
+// ids, which symmetry breaking makes carry most of the subtree, at the
+// end), so workers drain the cheap roots and go hungry while the last
+// roots are still running — forcing the donation hook. Every iteration
+// has to reproduce the sequential count exactly (run this under -race: the
 // donation hook, the frame queue and the termination latch all
 // interleave differently each pass), and the aggregate run must show
 // real donations and steals — if the hook never fires, the pool

@@ -601,16 +601,18 @@ func CountContext(ctx context.Context, g *Graph, p *Pattern, opts Options) (Resu
 
 // Enumerate calls visit for every subgraph of g isomorphic to p;
 // visit(m) receives the data vertex m[u] matched to each pattern vertex
-// u. The slice is reused — copy it to retain. Returning false stops the
-// enumeration, and visit is never called again once it has returned
-// false (or panicked) — at any worker count, so a visitor that stops at
-// its N-th match sees exactly N calls. visit is serialized by a mutex
-// but is called from the pool's worker goroutines, not the caller's;
-// with Workers > 1, Result.Matches of a stopped run may exceed the calls
-// by the matches other workers had found but not yet delivered. A panic
-// inside visit does not crash the process: the run stops cleanly and
-// the panic is returned as an error (a *supervise.PanicError carrying
-// the stack).
+// u. The slice is reused — copy it to retain. The order in which
+// matches arrive is unspecified, at any worker count: the pool deals
+// roots out heaviest first and splits their loops between workers.
+// Returning false stops the enumeration, and visit is never called
+// again once it has returned false (or panicked) — at any worker count,
+// so a visitor that stops at its N-th match sees exactly N calls. visit
+// is serialized by a mutex but is called from the pool's worker
+// goroutines, not the caller's; with Workers > 1, Result.Matches of a
+// stopped run may exceed the calls by the matches other workers had
+// found but not yet delivered. A panic inside visit does not crash the
+// process: the run stops cleanly and the panic is returned as an error
+// (a *supervise.PanicError carrying the stack).
 func Enumerate(g *Graph, p *Pattern, opts Options, visit func(mapping []VertexID) bool) (Result, error) {
 	if visit == nil {
 		return Result{}, errors.New("light: Enumerate requires a visitor; use Count")
@@ -621,8 +623,8 @@ func Enumerate(g *Graph, p *Pattern, opts Options, visit func(mapping []VertexID
 // EnumerateContext is Enumerate under a context: cancellation or a
 // context deadline stops the run at its next poll and returns the
 // partial result with Stopped=true and ctx.Err() as the error. The
-// visitor contract is Enumerate's: never called again after returning
-// false.
+// visitor contract is Enumerate's: matches arrive in an unspecified
+// order, and visit is never called again after returning false.
 func EnumerateContext(ctx context.Context, g *Graph, p *Pattern, opts Options, visit func(mapping []VertexID) bool) (Result, error) {
 	if visit == nil {
 		return Result{}, errors.New("light: EnumerateContext requires a visitor; use CountContext")

@@ -5,6 +5,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The -race -cpu 2,4 lines check the scheduler, the stop latch and the
+# anchored pool with workers really running at once; on one CPU they
+# interleave goroutines but prove nothing about parallel execution.
+CPUS=$(nproc)
+if (( CPUS < 2 )); then
+    echo "verify: FAIL — nproc is $CPUS; this gate needs at least 2 CPUs (its -race -cpu 2,4 lines prove nothing on one)" >&2
+    exit 1
+fi
+
 SHORT=()
 if [[ "${1:-}" == "-short" ]]; then
     SHORT=(-short)
@@ -66,7 +75,8 @@ echo "==> go test -race -cpu 2,4 (parallel, engine, lanes, delta, metrics, admis
 # Explicit -timeout: under -race these are the slowest steps, and a hang
 # should fail with goroutine dumps inside the CI job budget, not at it.
 # Explicit -cpu on every race, soak and chaos line: GOMAXPROCS is set by
-# the flag, so a 1-CPU runner still schedules the workers concurrently.
+# the flag, so every host runs the same worker counts (the nproc check
+# above makes two of them truly simultaneous).
 go test -race -cpu 2,4 -timeout 20m "${SHORT[@]}" \
     ./internal/parallel/... ./internal/engine/... ./internal/lanes/... ./internal/delta/... ./internal/metrics/... ./internal/admission/... ./internal/server/...
 
