@@ -9,6 +9,7 @@ import (
 	"light/internal/graph"
 	"light/internal/lanes"
 	"light/internal/metrics"
+	"light/internal/parallel"
 )
 
 // BatchQuery is one member of a CountBatch: a pattern plus optional
@@ -50,7 +51,7 @@ type BatchResult struct {
 	// compiled into — batches of one pattern family run in a single
 	// pass.
 	Groups int
-	// Workers is the largest worker pool any group ran with.
+	// Workers is the size of the one worker pool every group ran on.
 	Workers int
 	// Duration is the whole batch's wall-clock time.
 	Duration time.Duration
@@ -64,8 +65,8 @@ type BatchResult struct {
 // returning each query's exact individual count and counters. All
 // queries run under opts' shared configuration (algorithm, kernel,
 // workers, time limit, governor); per-query state lives in each
-// BatchQuery. Under a Governor the whole batch is admitted once —
-// one grant covers every lane group.
+// BatchQuery. Every lane group runs on one worker pool; under a
+// Governor the whole batch is admitted once.
 //
 // Options.Filter, TailCount, CheckpointPath, and ResumeFrom do not
 // apply to batches (per-query filters belong in BatchQuery; lane
@@ -128,34 +129,29 @@ func CountBatchContext(ctx context.Context, g *Graph, queries []BatchQuery, opts
 		recs[i] = metrics.NewRecorder()
 	}
 
-	batchRec := metrics.NewRecorder()
-	lopts := lanes.Options{
-		Engine: engine.Options{
-			Kernel:    opts.Intersection.kind(),
-			TimeLimit: opts.TimeLimit,
-			Metrics:   batchRec,
-			Overlay:   st.ov,
-		},
-		Recorders: recs,
-	}
-
 	// Governance: one admission grant for the whole batch, the memory
 	// budget chained under the governor's, and the degradation ladder
 	// sized against the largest pattern in the batch.
+	batchRec := metrics.NewRecorder()
+	popts := parallel.Options{Engine: engine.Options{
+		Kernel:    opts.Intersection.kind(),
+		TimeLimit: opts.TimeLimit,
+		Metrics:   batchRec,
+		Overlay:   st.ov,
+	}}
 	start := time.Now()
-	gr, err := opts.admit(ctx, batchRec, st.maxDegree(), maxPatternVerts)
-	if err != nil {
+	var lres lanes.Result
+	pres, degradations, err := opts.governed(ctx, batchRec, st.maxDegree(), maxPatternVerts, popts, func(popts parallel.Options) (parallel.Result, error) {
+		var err error
+		lres, err = lanes.Run(ctx, st.base, lq, popts, recs)
+		return lres.Result, err
+	})
+	if pres == nil {
 		return bres, err
 	}
-	defer gr.release()
-	lopts.Workers, lopts.Gate, lopts.Watchdog, lopts.MemLimiter = gr.workers, gr.gate, gr.watchdog, gr.lim
-
-	lres, err := lanes.Run(ctx, st.base, lq, lopts)
 	bres.Duration = time.Since(start)
-	degradations := gr.settle(batchRec, lres.SlotsShed, lres.Stalls)
-
-	bres.Groups = lres.Groups
-	bres.Workers = lres.Workers
+	bres.Groups = len(pres.Jobs)
+	bres.Workers = pres.Workers
 	bres.Degradations = degradations
 	bres.Queries = make([]Result, len(queries))
 	for i := range queries {
@@ -166,12 +162,12 @@ func CountBatchContext(ctx context.Context, g *Graph, queries []BatchQuery, opts
 			GallopingPercent:     lc.Stats.GallopingPercent(),
 			Nodes:                lc.Nodes,
 			Duration:             bres.Duration,
-			CandidateMemoryBytes: lres.CandidateMemBytes,
-			Stopped:              lres.Stopped,
+			CandidateMemoryBytes: pres.CandidateMemBytes,
+			Stopped:              pres.Stopped,
 		}
 		r.Order = make([]int, len(lq[i].Plan.Pi))
 		copy(r.Order, lq[i].Plan.Pi)
-		r.Report = newRunReport(recs[i], opts, st, lres.Workers, bres.Duration, lres.CandidateMemBytes, nil, nil)
+		r.Report = newRunReport(recs[i], opts, st, pres.Workers, bres.Duration, pres.CandidateMemBytes, nil, nil)
 		bres.Queries[i] = r
 	}
 	return bres, mapErr(err)

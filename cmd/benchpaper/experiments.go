@@ -14,7 +14,6 @@ import (
 	"light/internal/gen"
 	"light/internal/graph"
 	"light/internal/intersect"
-	"light/internal/metrics"
 	"light/internal/parallel"
 	"light/internal/pattern"
 	"light/internal/plan"
@@ -103,46 +102,17 @@ func sharedPlans(g *graph.Graph, p *pattern.Pattern) map[string]*plan.Plan {
 }
 
 // outcome is one cell of a results table: a duration, a count, or a
-// failure mark (INF for out-of-time, OOS for out-of-space). The work
-// counters are filled by the engine-backed runners; the comparison
-// systems report only matches and intersections.
+// failure mark (INF for out-of-time, OOS for out-of-space). elems and
+// mem are filled by the engine-backed runners only; the comparison
+// systems report matches and intersections.
 type outcome struct {
 	dur     time.Duration
 	count   uint64
 	ints    uint64
 	galloPc float64
 	mark    string // "" = success
-	nodes   uint64
-	comps   uint64
-	gallops uint64
 	elems   uint64
 	mem     int64
-}
-
-// collector accumulates BenchRows for -json output. A nil collector
-// records nothing, so experiments call rec unconditionally.
-type collector struct {
-	rows []metrics.BenchRow
-}
-
-func (c *collector) rec(dataset, pat, system string, o outcome) {
-	if c == nil {
-		return
-	}
-	c.rows = append(c.rows, metrics.BenchRow{
-		Dataset:       dataset,
-		Pattern:       pat,
-		System:        system,
-		Mark:          o.mark,
-		WallNS:        int64(o.dur),
-		Matches:       o.count,
-		Nodes:         o.nodes,
-		Comps:         o.comps,
-		Intersections: o.ints,
-		Galloping:     o.gallops,
-		Elements:      o.elems,
-		MemoryBytes:   o.mem,
-	})
 }
 
 func (o outcome) timeCell() string {
@@ -165,11 +135,6 @@ func fmtDur(d time.Duration) string {
 	}
 }
 
-// runSerial runs one engine-backed algorithm with one thread.
-func runSerial(g *graph.Graph, p *pattern.Pattern, mode plan.Mode, kernel intersect.Kind, limit time.Duration) outcome {
-	return runPlan(g, compilePlan(g, p, mode), kernel, limit)
-}
-
 // runPlan runs a precompiled plan with one thread.
 func runPlan(g *graph.Graph, pl *plan.Plan, kernel intersect.Kind, limit time.Duration) outcome {
 	e := engine.New(g, pl, engine.Options{Kernel: kernel, TimeLimit: limit})
@@ -189,28 +154,25 @@ func engineOutcome(d time.Duration, res engine.Result) outcome {
 		count:   res.Matches,
 		ints:    res.Stats.Intersections,
 		galloPc: res.Stats.GallopingPercent(),
-		nodes:   res.Nodes,
-		comps:   res.Comps,
-		gallops: res.Stats.Galloping,
 		elems:   res.Stats.Elements,
 	}
 }
 
 // runParallel runs one engine-backed algorithm with the work-stealing
 // scheduler.
-func runParallel(g *graph.Graph, p *pattern.Pattern, mode plan.Mode, kernel intersect.Kind, workers int, limit time.Duration) (outcome, parallel.Result) {
+func runParallel(g *graph.Graph, p *pattern.Pattern, mode plan.Mode, kernel intersect.Kind, workers int, limit time.Duration) outcome {
 	return runParallelPlan(g, compilePlan(g, p, mode), kernel, workers, limit)
 }
 
 // runParallelPlan runs a precompiled plan under the work stealer.
-func runParallelPlan(g *graph.Graph, pl *plan.Plan, kernel intersect.Kind, workers int, limit time.Duration) (outcome, parallel.Result) {
+func runParallelPlan(g *graph.Graph, pl *plan.Plan, kernel intersect.Kind, workers int, limit time.Duration) outcome {
 	return runParallelCount(g, pl, kernel, workers, limit, false)
 }
 
 // runParallelCount optionally enables the tail-MAT counting shortcut
 // (used by the Fig 8 overall comparison for both LIGHT and the DUALSIM
 // proxy — see EXPERIMENTS.md).
-func runParallelCount(g *graph.Graph, pl *plan.Plan, kernel intersect.Kind, workers int, limit time.Duration, tailCount bool) (outcome, parallel.Result) {
+func runParallelCount(g *graph.Graph, pl *plan.Plan, kernel intersect.Kind, workers int, limit time.Duration, tailCount bool) outcome {
 	start := time.Now()
 	res, err := parallel.Run(g, pl, parallel.Options{
 		Engine:  engine.Options{Kernel: kernel, TimeLimit: limit, TailCount: tailCount},
@@ -221,7 +183,7 @@ func runParallelCount(g *graph.Graph, pl *plan.Plan, kernel intersect.Kind, work
 	if errors.Is(err, engine.ErrTimeLimit) {
 		o.mark = "INF"
 	}
-	return o, res
+	return o
 }
 
 // runEH / runCFL / runSEED / runCrystal wrap the comparison systems.
@@ -303,12 +265,6 @@ func fig4(c config) {
 			lm := runPlan(d.g, plans["LM"], intersect.KindMerge, c.timeout)
 			msc := runPlan(d.g, plans["MSC"], intersect.KindMerge, c.timeout)
 			li := runPlan(d.g, plans["LIGHT"], intersect.KindMerge, c.timeout)
-			for _, cell := range []struct {
-				sys string
-				o   outcome
-			}{{"EH", eh}, {"CFL", cfl}, {"SE", se}, {"LM", lm}, {"MSC", msc}, {"LIGHT", li}} {
-				c.col.rec(d.name, short(p), cell.sys, cell.o)
-			}
 			fmt.Printf("%-8s %-4s | %10s %10s %10s %10s %10s %10s | %d\n",
 				d.name, short(p), eh.timeCell(), cfl.timeCell(), se.timeCell(),
 				lm.timeCell(), msc.timeCell(), li.timeCell(), li.count)
@@ -330,12 +286,6 @@ func fig5(c config) {
 			lm := runPlan(d.g, plans["LM"], intersect.KindMerge, c.timeout)
 			msc := runPlan(d.g, plans["MSC"], intersect.KindMerge, c.timeout)
 			li := runPlan(d.g, plans["LIGHT"], intersect.KindMerge, c.timeout)
-			for _, cell := range []struct {
-				sys string
-				o   outcome
-			}{{"EH", eh}, {"CFL", cfl}, {"SE", se}, {"LM", lm}, {"MSC", msc}, {"LIGHT", li}} {
-				c.col.rec(d.name, short(p), cell.sys, cell.o)
-			}
 			fmt.Printf("%-8s %-4s | %12s %12s %12s %12s %12s %12s\n",
 				d.name, short(p), intCell(eh), intCell(cfl), intCell(se), intCell(lm), intCell(msc), intCell(li))
 		}
@@ -361,7 +311,6 @@ func fig6(c config) {
 			cells := make([]string, 4)
 			for i, k := range []intersect.Kind{intersect.KindMerge, intersect.KindMergeBlock, intersect.KindHybrid, intersect.KindHybridBlock} {
 				o := runPlan(d.g, pl, k, c.timeout)
-				c.col.rec(d.name, short(p), "LIGHT/"+k.String(), o)
 				cells[i] = o.timeCell()
 			}
 			fmt.Printf("%-8s %-4s | %12s %12s %12s %12s\n", d.name, short(p), cells[0], cells[1], cells[2], cells[3])
@@ -376,7 +325,6 @@ func table3(c config) {
 	for _, d := range c.loadDatasets("yt-s", "lj-s") {
 		for _, p := range c.loadPatterns("P2", "P4", "P6") {
 			o := runPlan(d.g, sharedPlans(d.g, p)["LIGHT"], intersect.KindHybrid, c.timeout)
-			c.col.rec(d.name, short(p), "LIGHT/Hybrid", o)
 			cell := fmt.Sprintf("%.1f%%", o.galloPc)
 			if o.mark != "" {
 				cell = o.mark
@@ -407,8 +355,7 @@ func fig7(c config) {
 			fmt.Printf("%-8s %-4s |", d.name, short(p))
 			var base, best time.Duration
 			for _, t := range threads {
-				o, _ := runParallel(d.g, p, plan.ModeLIGHT, intersect.KindHybridBlock, t, c.timeout)
-				c.col.rec(d.name, short(p), fmt.Sprintf("LIGHT/%dT", t), o)
+				o := runParallel(d.g, p, plan.ModeLIGHT, intersect.KindHybridBlock, t, c.timeout)
 				fmt.Printf(" %9s", o.timeCell())
 				if t == 1 {
 					base = o.dur
@@ -434,15 +381,9 @@ func table4(c config) {
 		for _, p := range c.loadPatterns("P2", "P4", "P6") {
 			plans := sharedPlans(d.g, p)
 			se := runPlan(d.g, plans["SE"], intersect.KindMerge, c.timeout)
-			sep, _ := runParallelPlan(d.g, plans["SE"], intersect.KindHybridBlock, c.workers, c.timeout)
+			sep := runParallelPlan(d.g, plans["SE"], intersect.KindHybridBlock, c.workers, c.timeout)
 			li := runPlan(d.g, plans["LIGHT"], intersect.KindMerge, c.timeout)
-			lip, _ := runParallelPlan(d.g, plans["LIGHT"], intersect.KindHybridBlock, c.workers, c.timeout)
-			for _, cell := range []struct {
-				sys string
-				o   outcome
-			}{{"SE", se}, {"SE+P", sep}, {"LIGHT", li}, {"LIGHT+P", lip}} {
-				c.col.rec(d.name, short(p), cell.sys, cell.o)
-			}
+			lip := runParallelPlan(d.g, plans["LIGHT"], intersect.KindHybridBlock, c.workers, c.timeout)
 			speed := "-"
 			if se.mark == "" && lip.mark == "" && lip.dur > 0 {
 				speed = fmt.Sprintf("%.0fx", float64(se.dur)/float64(lip.dur))
@@ -459,9 +400,12 @@ func table5(c config) {
 	fmt.Printf("%-8s | %12s\n", "dataset", "memory")
 	p := pattern.P5()
 	for _, d := range c.loadDatasets("yt-s", "eu-s", "lj-s", "ot-s", "uk-s", "fs-s") {
-		o, pres := runParallel(d.g, p, plan.ModeLIGHT, intersect.KindHybridBlock, c.workers, c.timeout)
-		c.col.rec(d.name, "P5", "LIGHT", o)
-		fmt.Printf("%-8s | %10.3fMB\n", d.name, float64(pres.CandidateMemBytes)/(1<<20))
+		o := runParallel(d.g, p, plan.ModeLIGHT, intersect.KindHybridBlock, c.workers, c.timeout)
+		cell := fmt.Sprintf("%.3fMB", float64(o.mem)/(1<<20))
+		if o.mark != "" {
+			cell = o.mark
+		}
+		fmt.Printf("%-8s | %12s\n", d.name, cell)
 	}
 }
 
@@ -478,23 +422,16 @@ func fig8(c config) {
 	}
 	for _, d := range c.loadDatasets("yt-s", "eu-s", "lj-s", "ot-s", "uk-s", "fs-s") {
 		for _, p := range c.loadPatterns("P1", "P2", "P3", "P4", "P5", "P6", "P7") {
-			li, _ := runParallelCount(d.g, compilePlan(d.g, p, plan.ModeLIGHT), intersect.KindHybridBlock, c.workers, c.timeout, true)
-			du, _ := runParallelCount(d.g, compilePlan(d.g, p, plan.ModeSE), intersect.KindHybridBlock, c.workers, c.timeout, true)
+			li := runParallelCount(d.g, compilePlan(d.g, p, plan.ModeLIGHT), intersect.KindHybridBlock, c.workers, c.timeout, true)
+			du := runParallelCount(d.g, compilePlan(d.g, p, plan.ModeSE), intersect.KindHybridBlock, c.workers, c.timeout, true)
 			seed := runBFS(bfsjoin.SEED, d.g, p, c)
 			cry := runBFS(bfsjoin.Crystal, d.g, p, c)
-			for _, cell := range []struct {
-				sys string
-				o   outcome
-			}{{"LIGHT", li}, {"DUALSIM*", du}, {"SEED*", seed}, {"CRYSTAL*", cry}} {
-				c.col.rec(d.name, short(p), cell.sys, cell.o)
-			}
 			matches := "-"
 			if li.mark == "" {
 				matches = fmt.Sprintf("%d", li.count)
 			}
 			if c.twintwig {
 				tt := runBFS(bfsjoin.TwinTwig, d.g, p, c)
-				c.col.rec(d.name, short(p), "TWINTWIG*", tt)
 				fmt.Printf("%-8s %-4s | %10s %10s %10s %10s %10s | %s\n",
 					d.name, short(p), li.timeCell(), du.timeCell(), seed.timeCell(), cry.timeCell(), tt.timeCell(), matches)
 				continue
@@ -507,23 +444,24 @@ func fig8(c config) {
 }
 
 // estimator is a supplementary experiment (not a paper table): how well
-// the SEED-style cardinality estimator that drives the Section VI cost
-// model tracks true match counts. The optimizer only needs relative
-// accuracy across orders on the same graph; this prints the absolute
-// ratios for transparency.
+// the planner's Section VI cost walk estimates true match counts. The
+// estimate is the walk's reach after the chosen plan's last MAT, where
+// symmetry breaking has already cut the count to the matches the engine
+// keeps. The optimizer only needs relative accuracy across orders on the
+// same graph; this prints the absolute ratios for transparency.
 func estimator(c config) {
 	fmt.Println("== Supplementary: cardinality estimator calibration ==")
 	fmt.Printf("%-8s %-4s | %14s %14s %8s\n", "dataset", "pat", "true", "estimated", "ratio")
 	for _, d := range c.loadDatasets("yt-s", "lj-s") {
 		stats := estimate.Collect(d.g)
 		for _, p := range c.loadPatterns("P1", "P2", "P3", "P4") {
-			o := runSerial(d.g, p, plan.ModeLIGHT, intersect.KindHybridBlock, c.timeout)
+			pl := compilePlan(d.g, p, plan.ModeLIGHT)
+			o := runPlan(d.g, pl, intersect.KindHybridBlock, c.timeout)
 			if o.mark != "" {
 				fmt.Printf("%-8s %-4s | %14s\n", d.name, short(p), o.mark)
 				continue
 			}
-			aut := float64(len(p.Automorphisms()))
-			est := stats.Pattern(p) / aut
+			est := pl.EstimatedMatches(stats)
 			ratio := 0.0
 			if o.count > 0 {
 				ratio = est / float64(o.count)
@@ -566,7 +504,6 @@ func regret(c config) {
 				ch := -1
 				for i, pl := range plans {
 					outs[i] = runPlan(d.g, pl, kernel, c.timeout)
-					c.col.rec(d.name, short(p), fmt.Sprintf("π=%v/%v", pl.Pi, kernel), outs[i])
 					if fmt.Sprint(pl.Pi) == fmt.Sprint(chosen.Pi) {
 						ch = i
 					}

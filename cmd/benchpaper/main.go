@@ -9,11 +9,6 @@
 //
 //	benchpaper -exp fig4            # one experiment
 //	benchpaper -exp all -scale 2    # everything, bigger datasets
-//	benchpaper -exp fig5 -json      # also write BENCH_fig5.json
-//
-// With -json, each experiment additionally writes a schema-versioned
-// BENCH_<exp>.json report (run fingerprint, host info, per-cell
-// wall-clock + deterministic work counters) to -benchdir.
 //
 // Experiments: table2 fig4 fig5 fig6 table3 fig7 table4 table5 fig8 all,
 // and the supplementary estimator and regret, which all does not run.
@@ -23,12 +18,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"time"
-
-	"light/internal/metrics"
 )
 
 type config struct {
@@ -40,7 +32,6 @@ type config struct {
 	twintwig bool
 	patterns []string
 	datasets []string
-	col      *collector // non-nil when -json is set
 }
 
 var experiments = map[string]func(config){
@@ -70,8 +61,6 @@ func main() {
 	twintwig := flag.Bool("twintwig", false, "add a TwinTwig-sim column to fig8")
 	pats := flag.String("patterns", "", "comma-separated pattern subset (default: experiment-specific)")
 	data := flag.String("datasets", "", "comma-separated dataset subset (default: experiment-specific)")
-	jsonOut := flag.Bool("json", false, "also write BENCH_<exp>.json machine-readable reports")
-	benchDir := flag.String("benchdir", ".", "directory for BENCH_<exp>.json files (with -json)")
 	flag.Parse()
 
 	cfg := config{
@@ -89,29 +78,9 @@ func main() {
 		cfg.datasets = strings.Split(*data, ",")
 	}
 
-	runOne := func(name string, fn func(config)) {
-		if *jsonOut {
-			cfg.col = &collector{}
-		}
-		fn(cfg)
-		if *jsonOut && len(cfg.col.rows) > 0 {
-			path := filepath.Join(*benchDir, "BENCH_"+name+".json")
-			rep := metrics.NewBenchReport(name, map[string]string{
-				"scale":   fmt.Sprint(cfg.scale),
-				"workers": fmt.Sprint(cfg.workers),
-				"timeout": cfg.timeout.String(),
-			}, cfg.col.rows)
-			if err := metrics.WriteBenchFile(path, rep); err != nil {
-				fmt.Fprintln(os.Stderr, "benchpaper:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s (%d rows)\n", path, len(rep.Rows))
-		}
-	}
-
 	if *exp == "all" {
 		for _, name := range order {
-			runOne(name, experiments[name])
+			experiments[name](cfg)
 			fmt.Println()
 		}
 		return
@@ -121,5 +90,5 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchpaper: unknown experiment %q (have %v, all)\n", *exp, order)
 		os.Exit(1)
 	}
-	runOne(*exp, fn)
+	fn(cfg)
 }

@@ -75,11 +75,11 @@ type DeltaResult struct {
 // Both snapshots must come from g (in either generation order — Net is
 // simply negative when `to` predates `from`'s additions). Workers,
 // TimeLimit, the kernel, the algorithm, Governor and MemoryBudget apply
-// to the whole call (one admission covers it). Options.Filter, when
-// set, narrows both sides exactly as it narrows Count (the identity then
-// holds for the filtered counts); it may be called from several workers
-// at once. Snapshot, TailCount, Order, CheckpointPath, and ResumeFrom
-// are rejected with ErrUnsupportedOption.
+// to the whole call: one admission covers it, and one pool runs both
+// sides. Options.Filter, when set, narrows both sides exactly as it
+// narrows Count (the identity then holds for the filtered counts); it may
+// be called from several workers at once. Snapshot, TailCount, Order,
+// CheckpointPath, and ResumeFrom are rejected with ErrUnsupportedOption.
 func CountDelta(g *Graph, p *Pattern, from, to *Snapshot, opts Options) (DeltaResult, error) {
 	return CountDeltaContext(context.Background(), g, p, from, to, opts)
 }
@@ -122,21 +122,28 @@ func CountDeltaContext(ctx context.Context, g *Graph, p *Pattern, from, to *Snap
 	if err != nil {
 		return dr, err
 	}
-	gr, err := opts.admit(ctx, nil, max(from.st.maxDegree(), to.st.maxDegree()), p.NumVertices())
-	if err != nil {
+	// The lost jobs read `from`, which may sit on a different base CSR
+	// than `to` across a Compact.
+	gained := newDeltaSide(to.st, added, plans, p.p.Edges(), opts.Filter)
+	lost := newDeltaSide(from.st, removed, plans, p.p.Edges(), opts.Filter)
+	jobs := append(gained.jobs, lost.jobs...)
+	popts := parallel.Options{Engine: engine.Options{
+		Kernel:    opts.Intersection.kind(),
+		TimeLimit: opts.TimeLimit,
+		Filter:    opts.Filter,
+	}}
+	pres, _, err := opts.governed(ctx, nil, max(from.st.maxDegree(), to.st.maxDegree()), p.NumVertices(), popts, func(popts parallel.Options) (parallel.Result, error) {
+		return parallel.RunJobs(ctx, popts, jobs)
+	})
+	if pres == nil {
 		return dr, err
 	}
-	defer gr.release()
-	run := anchoredRun{plans: plans, pedges: p.p.Edges(), opts: opts, gr: gr}
-	if opts.TimeLimit > 0 {
-		// One deadline for the call, not one per anchored plan.
-		run.deadline = start.Add(opts.TimeLimit)
-	}
-	if dr.Gained, err = run.count(ctx, to.st, added); err == nil {
-		dr.Lost, err = run.count(ctx, from.st, removed)
+	if err == nil {
+		dr.Gained = gained.matches(pres.Jobs[:len(gained.jobs)])
+		dr.Lost = lost.matches(pres.Jobs[len(gained.jobs):])
 	}
 	dr.Net = int64(dr.Gained) - int64(dr.Lost)
-	dr.Anchors, dr.Nodes = run.numAnchors, run.numNodes
+	dr.Anchors, dr.Nodes = gained.anchors+lost.anchors, pres.Nodes
 	dr.Duration = time.Since(start)
 	return dr, mapErr(err)
 }
@@ -168,22 +175,18 @@ func anchoredPlans(st *snapshotState, p *Pattern, opts Options) ([]*plan.Plan, e
 	return plans, nil
 }
 
-// anchoredRun is one CountDelta call's shared state across its anchored
-// searches (both sides, every plan).
-type anchoredRun struct {
-	plans    []*plan.Plan
-	pedges   [][2]pattern.Vertex // E(P)
-	opts     Options
-	gr       *grant
-	deadline time.Time
-
-	// The work done so far, for DeltaResult.
-	numAnchors int
-	numNodes   uint64
+// deltaSide is one side of a CountDelta call: the anchored jobs that
+// reach the matches of one view using at least one of its changed edges,
+// the anchors they search from, and the repeats their visitors reject.
+type deltaSide struct {
+	jobs    []parallel.Job
+	anchors int
+	repeats atomic.Uint64
 }
 
-// count returns how many matches of the pattern in the view st use at
-// least one of the given edges (canonical, sorted, all present in st).
+// newDeltaSide builds one job per plan over the view st, each run from
+// every anchor of the given edges (canonical, sorted, all present in st);
+// a side without edges has no jobs.
 //
 // Exactly-once: a symmetry-broken embedding φ whose image contains the
 // changed edge {x, y}, x < y, maps exactly one pattern edge onto it, in
@@ -194,9 +197,10 @@ type anchoredRun struct {
 // Rather than count the kept ones under a lock, the engines count every
 // embedding reached and the visitor counts the rejected repeats, which
 // are the rarer event.
-func (r *anchoredRun) count(ctx context.Context, st *snapshotState, edges []delta.Edge) (uint64, error) {
+func newDeltaSide(st *snapshotState, edges []delta.Edge, plans []*plan.Plan, pedges [][2]pattern.Vertex, filter func(u int, v VertexID) bool) *deltaSide {
+	s := &deltaSide{}
 	if len(edges) == 0 {
-		return 0, nil
+		return s
 	}
 	// keys orders the changed edges; anchors groups them by smaller
 	// endpoint, each group's larger endpoints one ascending subslice of
@@ -217,17 +221,15 @@ func (r *anchoredRun) count(ctx context.Context, st *snapshotState, edges []delt
 		lo = hi
 	}
 
-	var repeats atomic.Uint64
-	jobs := make([]parallel.AnchorJob, len(r.plans))
-	for j, pl := range r.plans {
+	for _, pl := range plans {
 		a, b := pl.Pi[0], pl.Pi[1]
 		var others [][2]pattern.Vertex
-		for _, e := range r.pedges {
+		for _, e := range pedges {
 			if !(e[0] == a && e[1] == b) && !(e[0] == b && e[1] == a) {
 				others = append(others, e)
 			}
 		}
-		jobs[j] = parallel.AnchorJob{Plan: pl, Visit: func(m []graph.VertexID) bool {
+		s.jobs = append(s.jobs, parallel.Job{Graph: st.base, Overlay: st.ov, Plan: pl, Anchors: anchors, Visit: func(m []graph.VertexID) bool {
 			anchor := edgeKey(m[a], m[b])
 			for _, e := range others {
 				x, y := m[e[0]], m[e[1]]
@@ -236,44 +238,30 @@ func (r *anchoredRun) count(ctx context.Context, st *snapshotState, edges []delt
 				}
 				if k := edgeKey(x, y); k < anchor {
 					if _, changed := slices.BinarySearch(keys, k); changed {
-						repeats.Add(1)
+						s.repeats.Add(1)
 						break
 					}
 				}
 			}
 			return true
-		}}
+		}})
 		for _, an := range anchors {
-			if r.opts.Filter == nil || r.opts.Filter(a, an.Root) {
-				r.numAnchors += len(an.Partners)
+			if filter == nil || filter(a, an.Root) {
+				s.anchors += len(an.Partners)
 			}
 		}
 	}
+	return s
+}
 
-	popts := parallel.Options{
-		Engine: engine.Options{
-			Kernel:   r.opts.Intersection.kind(),
-			Deadline: r.deadline,
-			Filter:   r.opts.Filter,
-			Overlay:  st.ov,
-		},
-		Workers:    r.gr.workers,
-		Gate:       r.gr.gate,
-		Watchdog:   r.gr.watchdog,
-		MemLimiter: r.gr.lim,
+// matches is how many matches the side's jobs keep: every embedding the
+// engines reached (jobs holds their results), less the repeats.
+func (s *deltaSide) matches(jobs []engine.Result) uint64 {
+	var n uint64
+	for _, r := range jobs {
+		n += r.Matches
 	}
-	if r.gr.gate != nil {
-		// Slots shed to waiting queries while the other side ran stay
-		// shed: the pool may not spawn more workers than the admission
-		// still holds.
-		popts.Workers = min(popts.Workers, r.gr.gate.Slots())
-	}
-	pres, err := parallel.RunAnchored(ctx, st.base, popts, jobs, anchors)
-	r.numNodes += pres.Nodes
-	if err != nil {
-		return 0, err
-	}
-	return pres.Matches - repeats.Load(), nil
+	return n - s.repeats.Load()
 }
 
 // edgeKey packs a canonical edge (u < v) so that key order is the

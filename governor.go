@@ -10,6 +10,7 @@ import (
 	"light/internal/arena"
 	"light/internal/faultpoint"
 	"light/internal/metrics"
+	"light/internal/parallel"
 )
 
 // ErrOverloaded is returned when a run sharing a Governor cannot get
@@ -166,6 +167,22 @@ func (o Options) admit(ctx context.Context, rec *metrics.Recorder, maxDegree, pa
 	// to a waiting query with root chunks still unclaimed.
 	gr.gate.ReleaseTo(gr.workers)
 	return gr, nil
+}
+
+// governed is the back half every entry point that runs the worker pool
+// shares: admit the call, hand what was granted to one pool run, and
+// settle. popts carries the run's engine and checkpoint options; run
+// starts the pool with them. It returns a nil result when admission
+// failed, before any worker started.
+func (o Options) governed(ctx context.Context, rec *metrics.Recorder, maxDegree, patternVerts int, popts parallel.Options, run func(parallel.Options) (parallel.Result, error)) (*parallel.Result, []string, error) {
+	gr, err := o.admit(ctx, rec, maxDegree, patternVerts)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer gr.release()
+	popts.Workers, popts.Gate, popts.Watchdog, popts.MemLimiter = gr.workers, gr.gate, gr.watchdog, gr.lim
+	pres, err := run(popts)
+	return &pres, gr.settle(rec, pres.SlotsShed, pres.Stalls), err
 }
 
 // sizeWorkers walks the memory-degradation ladder before any worker

@@ -7,6 +7,7 @@ import (
 	"light/internal/engine"
 	"light/internal/graph"
 	"light/internal/lanes"
+	"light/internal/parallel"
 	"light/internal/plan"
 )
 
@@ -56,12 +57,12 @@ func checkLanes(c Case, g *graph.Graph, pl, alt *plan.Plan, want uint64, cfg Con
 	for i, roots := range rootSets {
 		queries[i] = lanes.Query{Plan: pl, Spec: lanes.Spec{Roots: roots}}
 	}
-	res, err := lanes.Run(context.Background(), g, queries, lanes.Options{Workers: cfg.Workers})
+	res, err := lanes.Run(context.Background(), g, queries, parallel.Options{Workers: cfg.Workers}, nil)
 	if err != nil {
 		return fail("lanes/roots", want, 0, err.Error())
 	}
-	if res.Groups != 1 {
-		return fail("lanes/roots", 1, uint64(res.Groups), "identical plans split into multiple lane groups")
+	if len(res.Jobs) != 1 {
+		return fail("lanes/roots", 1, uint64(len(res.Jobs)), "identical plans split into multiple lane groups")
 	}
 	for i, roots := range rootSets {
 		seq := roots
@@ -100,12 +101,12 @@ func checkLanes(c Case, g *graph.Graph, pl, alt *plan.Plan, want uint64, cfg Con
 		mixed = append(mixed, lanes.Query{Plan: alt})
 		wantGroups = 2
 	}
-	mres, err := lanes.Run(context.Background(), g, mixed, lanes.Options{Workers: cfg.Workers})
+	mres, err := lanes.Run(context.Background(), g, mixed, parallel.Options{Workers: cfg.Workers}, nil)
 	if err != nil {
 		return fail("lanes/mixed", want, 0, err.Error())
 	}
-	if mres.Groups != wantGroups {
-		return fail("lanes/mixed", uint64(wantGroups), uint64(mres.Groups), "unexpected lane-group count")
+	if len(mres.Jobs) != wantGroups {
+		return fail("lanes/mixed", uint64(wantGroups), uint64(len(mres.Jobs)), "unexpected lane-group count")
 	}
 	for i, ref := range refs {
 		solo, err := engine.New(g, pl, engine.Options{Filter: ref}).Run(nil)

@@ -1,21 +1,17 @@
 // Package estimate provides the graph statistics the paper's Section VI
-// cost model needs, the SEED-style estimate of |R(P')| for subgraphs P'
-// of the pattern, and the AGM bound machinery (fractional edge covers)
-// used in the paper's analysis.
+// cost model needs (the planner's cost walk in internal/plan turns them
+// into estimates of |R(P')|) and the AGM bound machinery (fractional edge
+// covers) used in the paper's analysis.
 //
-// The SEED estimator simulates building the partial results of P' by
-// adding one vertex at a time along a connected order and multiplying an
-// expand factor per added edge. On skewed graphs the expected degree of a
-// vertex reached by following an edge is Σd²/2M (degree-biased), not
-// 2M/N; the estimator uses the biased moment for the first backward edge
-// of each new vertex and the measured clustering coefficient for the
-// rest. Absolute accuracy is secondary: the optimizer only compares
-// orders on the same graph, so consistent relative error is what matters.
+// On skewed graphs the expected degree of a vertex reached by following
+// an edge is Σd²/2M (degree-biased), not 2M/N, and an extra backward
+// edge closes with the measured clustering coefficient. Absolute accuracy
+// is secondary: the optimizer only compares orders on the same graph, so
+// consistent relative error is what matters.
 package estimate
 
 import (
 	"math"
-	"math/bits"
 	"sort"
 
 	"light/internal/graph"
@@ -103,86 +99,6 @@ func (s GraphStats) ExpandFactor() float64 {
 	}
 	return s.DegreeSum2 / (2 * s.M)
 }
-
-// Subgraph estimates |R(P[mask])|: the number of matches of the
-// vertex-induced subgraph of p on the vertices in mask. Disconnected
-// induced subgraphs multiply their components' estimates. An empty mask
-// estimates 1.
-func (s GraphStats) Subgraph(p *pattern.Pattern, mask uint32) float64 {
-	total := 1.0
-	for mask != 0 {
-		comp := componentOf(p, mask, lowestBit(mask))
-		total *= s.connectedComponent(p, comp)
-		mask &^= comp
-	}
-	return total
-}
-
-// Pattern estimates |R(P)| for the whole pattern.
-func (s GraphStats) Pattern(p *pattern.Pattern) float64 {
-	return s.Subgraph(p, uint32(1<<uint(p.NumVertices()))-1)
-}
-
-// connectedComponent estimates the match count of the connected induced
-// subgraph on mask by simulating vertex-at-a-time growth along a
-// connected order (highest-degree-in-mask first).
-func (s GraphStats) connectedComponent(p *pattern.Pattern, mask uint32) float64 {
-	if mask == 0 {
-		return 1
-	}
-	// Pick the start vertex: highest induced degree, ties to lowest id.
-	start, bestDeg := -1, -1
-	for m := mask; m != 0; m &= m - 1 {
-		u := lowestBit(m)
-		d := bits.OnesCount32(p.NeighborMask(u) & mask)
-		if d > bestDeg {
-			start, bestDeg = u, d
-		}
-	}
-	count := s.N
-	placed := uint32(1 << uint(start))
-	for placed != mask {
-		// Next vertex: most backward edges into placed (maximizes early
-		// pruning, mirroring how good orders behave), ties to lowest id.
-		next, nextBack := -1, -1
-		for m := mask &^ placed; m != 0; m &= m - 1 {
-			u := lowestBit(m)
-			back := bits.OnesCount32(p.NeighborMask(u) & placed)
-			if back > nextBack {
-				next, nextBack = u, back
-			}
-		}
-		if nextBack == 0 {
-			// Disconnected remainder (callers prevent this); treat as a
-			// fresh component factor.
-			count *= s.N
-			placed |= 1 << uint(next)
-			continue
-		}
-		count *= s.ExpandFactor() * math.Pow(s.Clustering, float64(nextBack-1))
-		placed |= 1 << uint(next)
-	}
-	return count
-}
-
-// componentOf returns the connected component of start within the induced
-// subgraph on mask.
-func componentOf(p *pattern.Pattern, mask uint32, start int) uint32 {
-	visited := uint32(1 << uint(start))
-	frontier := visited
-	for frontier != 0 {
-		next := uint32(0)
-		for f := frontier; f != 0; f &= f - 1 {
-			u := lowestBit(f)
-			next |= p.NeighborMask(u) & mask
-		}
-		frontier = next &^ visited
-		visited |= frontier
-	}
-	return visited
-}
-
-func lowestBit(m uint32) int { return bits.TrailingZeros32(m) }
 
 // FractionalEdgeCover computes the optimal fractional edge cover number
 // ρ* of p (Definition II.7). Fractional edge cover LPs have

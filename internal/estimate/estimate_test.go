@@ -72,61 +72,6 @@ func TestCollectOnHandCountableGraphs(t *testing.T) {
 	}
 }
 
-func TestSubgraphEstimatesOrdering(t *testing.T) {
-	// On any graph, richer subgraphs of the same vertex count must not be
-	// estimated larger: triangle ≤ path3 ≤ pair of disconnected edges? —
-	// at least the clique chain must be monotone decreasing relative to
-	// products of independent vertices.
-	g := gen.BarabasiAlbert(2000, 5, 1)
-	s := Collect(g)
-	tri := s.Pattern(pattern.Triangle())
-	p3 := s.Pattern(pattern.Path(3))
-	if tri > p3 {
-		t.Fatalf("triangle estimate %g > path3 estimate %g", tri, p3)
-	}
-	c4 := s.Pattern(pattern.Clique(4))
-	if c4 > tri*s.N {
-		t.Fatalf("clique4 estimate %g implausibly large", c4)
-	}
-	if tri <= 0 || p3 <= 0 {
-		t.Fatal("estimates must be positive")
-	}
-}
-
-func TestSubgraphEmptyAndSingle(t *testing.T) {
-	g := gen.Complete(5)
-	s := Collect(g)
-	p := pattern.P1()
-	if got := s.Subgraph(p, 0); got != 1 {
-		t.Fatalf("empty mask = %v, want 1", got)
-	}
-	if got := s.Subgraph(p, 1); got != 5 {
-		t.Fatalf("single vertex = %v, want N", got)
-	}
-}
-
-func TestSubgraphDisconnectedMultiplies(t *testing.T) {
-	g := gen.Complete(6)
-	s := Collect(g)
-	p := pattern.P1() // square: mask {u0,u2} and {u1,u3} have no edges
-	single := s.Subgraph(p, 0b0001)
-	pair := s.Subgraph(p, 0b0101)
-	if math.Abs(pair-single*single) > 1e-9 {
-		t.Fatalf("disconnected pair = %v, want %v", pair, single*single)
-	}
-}
-
-func TestSubgraphExactOnCompleteEdge(t *testing.T) {
-	// One edge on K_n: N * expand = n * (n-1) ordered matches. For K10:
-	// 90. The estimator should be exact here.
-	g := gen.Complete(10)
-	s := Collect(g)
-	p := pattern.Path(2)
-	if got := s.Pattern(p); math.Abs(got-90) > 1e-9 {
-		t.Fatalf("edge estimate on K10 = %v, want 90", got)
-	}
-}
-
 func TestFractionalEdgeCover(t *testing.T) {
 	cases := []struct {
 		p    *pattern.Pattern

@@ -8,6 +8,7 @@ import (
 	"light/internal/gen"
 	"light/internal/graph"
 	"light/internal/metrics"
+	"light/internal/parallel"
 	"light/internal/pattern"
 	"light/internal/plan"
 )
@@ -53,15 +54,12 @@ func TestBatchRunParity(t *testing.T) {
 		for i := range recs {
 			recs[i] = metrics.NewRecorder()
 		}
-		res, err := Run(context.Background(), g, queries, Options{
-			Workers:   workers,
-			Recorders: recs,
-		})
+		res, err := Run(context.Background(), g, queries, parallel.Options{Workers: workers}, recs)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if res.Groups != 3 {
-			t.Fatalf("workers=%d: %d groups, want 3", workers, res.Groups)
+		if len(res.Jobs) != 3 {
+			t.Fatalf("workers=%d: %d groups, want 3", workers, len(res.Jobs))
 		}
 		for i := range queries {
 			if res.PerQuery[i] != want[i] {
@@ -90,26 +88,24 @@ func TestBatchRunValidation(t *testing.T) {
 	pl := compile(t, pattern.Triangle())
 	ctx := context.Background()
 
-	if res, err := Run(ctx, g, nil, Options{}); err != nil || res.Groups != 0 {
+	if res, err := Run(ctx, g, nil, parallel.Options{}, nil); err != nil || len(res.Jobs) != 0 {
 		t.Errorf("empty batch: %+v, %v", res, err)
 	}
-	if _, err := Run(ctx, g, []Query{{}}, Options{}); err == nil {
+	if _, err := Run(ctx, g, []Query{{}}, parallel.Options{}, nil); err == nil {
 		t.Error("nil plan accepted")
 	}
 	set, _ := NewSet(g.NumVertices(), []Spec{{}})
-	if _, err := Run(ctx, g, []Query{{Plan: pl}}, Options{
+	if _, err := Run(ctx, g, []Query{{Plan: pl}}, parallel.Options{
 		Engine: engine.Options{Lanes: set},
-	}); err == nil {
+	}, nil); err == nil {
 		t.Error("pre-set Engine.Lanes accepted")
 	}
-	if _, err := Run(ctx, g, []Query{{Plan: pl}}, Options{
+	if _, err := Run(ctx, g, []Query{{Plan: pl}}, parallel.Options{
 		Engine: engine.Options{Filter: func(u int, v graph.VertexID) bool { return true }},
-	}); err == nil {
+	}, nil); err == nil {
 		t.Error("batch-wide Engine.Filter accepted")
 	}
-	if _, err := Run(ctx, g, []Query{{Plan: pl}, {Plan: pl}}, Options{
-		Recorders: make([]*metrics.Recorder, 1),
-	}); err == nil {
+	if _, err := Run(ctx, g, []Query{{Plan: pl}, {Plan: pl}}, parallel.Options{}, make([]*metrics.Recorder, 1)); err == nil {
 		t.Error("recorder count mismatch accepted")
 	}
 }
@@ -121,7 +117,7 @@ func TestBatchRunCancellation(t *testing.T) {
 	pl := compile(t, pattern.P4())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Run(ctx, g, []Query{{Plan: pl}}, Options{Workers: 2})
+	res, err := Run(ctx, g, []Query{{Plan: pl}}, parallel.Options{Workers: 2}, nil)
 	if err != context.Canceled {
 		t.Fatalf("err = %v", err)
 	}

@@ -11,19 +11,20 @@ import (
 	"light/internal/faultpoint"
 	"light/internal/gen"
 	"light/internal/metrics"
+	"light/internal/parallel"
 	"light/internal/pattern"
 )
 
 var errInjected = errors.New("injected")
 
 // TestChaosBatchAdmit: a fault at batch admission fails the batch
-// before any group runs, with no partial counts.
+// before the pool runs, with no partial counts.
 func TestChaosBatchAdmit(t *testing.T) {
 	defer faultpoint.Reset()
 	g := gen.ErdosRenyi(50, 150, 1)
 	pl := compile(t, pattern.Triangle())
 	faultpoint.Set(faultpoint.PointBatchAdmit, faultpoint.FailTimes(1, errInjected))
-	res, err := Run(context.Background(), g, []Query{{Plan: pl}}, Options{})
+	res, err := Run(context.Background(), g, []Query{{Plan: pl}}, parallel.Options{}, nil)
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v", err)
 	}
@@ -37,14 +38,14 @@ func TestChaosBatchAdmit(t *testing.T) {
 
 // TestChaosLaneFold: a fault during the lane fold surfaces as the batch
 // error; the traversal's counts are already banked (PerQuery filled)
-// but the recorders must not be half-folded for the failing group.
+// but the recorders must not be half-folded.
 func TestChaosLaneFold(t *testing.T) {
 	defer faultpoint.Reset()
 	g := gen.ErdosRenyi(50, 150, 1)
 	pl := compile(t, pattern.Triangle())
 	faultpoint.Set(faultpoint.PointLaneFold, faultpoint.FailTimes(1, errInjected))
 	recs := []*metrics.Recorder{metrics.NewRecorder()}
-	res, err := Run(context.Background(), g, []Query{{Plan: pl}}, Options{Recorders: recs})
+	res, err := Run(context.Background(), g, []Query{{Plan: pl}}, parallel.Options{}, recs)
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v", err)
 	}
@@ -53,7 +54,7 @@ func TestChaosLaneFold(t *testing.T) {
 	}
 	// A second run with the fault spent must succeed and fold cleanly.
 	recs2 := []*metrics.Recorder{metrics.NewRecorder()}
-	res2, err := Run(context.Background(), g, []Query{{Plan: pl}}, Options{Recorders: recs2})
+	res2, err := Run(context.Background(), g, []Query{{Plan: pl}}, parallel.Options{}, recs2)
 	if err != nil {
 		t.Fatal(err)
 	}

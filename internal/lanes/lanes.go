@@ -10,7 +10,8 @@
 // live. Per-query differences (root sets, minimum-degree thresholds,
 // arbitrary assignment filters) are applied by masking lanes off, not
 // by re-walking, so the shared traversal's cost is paid once for the
-// whole group.
+// whole group. Run makes each group one parallel.Job, and the jobs of all
+// of a batch's groups share one pool run.
 //
 // Attribution stays exact: a lane is live at a node iff a sequential
 // run of its query would expand that node, and every COMP depends only

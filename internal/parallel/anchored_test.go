@@ -51,14 +51,72 @@ func TestVisitorNeverCalledAfterStop(t *testing.T) {
 	}
 }
 
-// TestRunAnchoredReachesEveryEmbeddingOncePerEdge checks the anchored
-// entry against the rooted one: with every data edge as an anchor, each
+// TestRunAnchoredReachesEveryEmbeddingOncePerEdge checks anchored jobs
+// against the rooted path: with every data edge as an anchor, each
 // symmetry-broken embedding is reached exactly once per pattern edge —
 // from the one ordered pattern edge that lies on that data edge with its
-// smaller endpoint first — so the anchored plans together report
-// |E(P)| times the match count, at any worker count.
+// smaller endpoint first — so a graph's anchored jobs together report
+// |E(P)| times the match count, at any worker count. One run holds the
+// anchored jobs and a rooted job for each of two different base CSRs, so
+// it also checks that every job keeps to its own view and units.
 func TestRunAnchoredReachesEveryEmbeddingOncePerEdge(t *testing.T) {
-	g := gen.BarabasiAlbert(300, 4, 3)
+	graphs := []*graph.Graph{gen.BarabasiAlbert(300, 4, 3), gen.RMAT(8, 5, 2)}
+	for _, p := range []*pattern.Pattern{pattern.Triangle(), pattern.P2(), pattern.P4(), pattern.P6()} {
+		for _, mode := range []plan.Mode{plan.ModeSE, plan.ModeLIGHT} {
+			rooted := compile(t, p, mode)
+			po := pattern.SymmetryBreaking(p)
+			var jobs []Job
+			var of []int // the graph each job reads
+			counts := make([]uint64, len(graphs))
+			for gi, g := range graphs {
+				counts[gi] = sequentialCount(t, g, rooted)
+				jobs, of = append(jobs, Job{Graph: g, Plan: rooted}), append(of, gi)
+				anchors := edgeAnchors(g)
+				stats := estimate.Collect(g)
+				for _, e := range p.Edges() {
+					for _, ab := range [][2]pattern.Vertex{{e[0], e[1]}, {e[1], e[0]}} {
+						pl, err := plan.ChooseAnchored(p, po, stats, mode, ab[0], ab[1])
+						if err != nil {
+							t.Fatal(err)
+						}
+						jobs, of = append(jobs, Job{Graph: g, Plan: pl, Anchors: anchors}), append(of, gi)
+					}
+				}
+			}
+			for _, workers := range []int{1, 2, 4} {
+				res, err := RunJobs(context.Background(), Options{Workers: workers, MinSplit: 2}, jobs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reached := make([]uint64, len(graphs))
+				var total uint64
+				for j, jb := range jobs {
+					got := res.Jobs[j].Matches
+					total += got
+					if jb.Anchors != nil {
+						reached[of[j]] += got
+					} else if got != counts[of[j]] {
+						t.Fatalf("%s %s workers=%d graph %d: rooted job counted %d, want %d",
+							p.Name(), mode.Name(), workers, of[j], got, counts[of[j]])
+					}
+				}
+				for gi, n := range reached {
+					if want := uint64(p.NumEdges()) * counts[gi]; n != want {
+						t.Fatalf("%s %s workers=%d graph %d: anchored jobs reached %d embeddings, want |E(P)|·count = %d",
+							p.Name(), mode.Name(), workers, gi, n, want)
+					}
+				}
+				if res.Matches != total {
+					t.Fatalf("%s %s workers=%d: Result.Matches %d is not the jobs' sum %d", p.Name(), mode.Name(), workers, res.Matches, total)
+				}
+			}
+		}
+	}
+}
+
+// edgeAnchors makes every edge of g an anchor, grouped by its smaller
+// endpoint.
+func edgeAnchors(g *graph.Graph) []engine.Anchor {
 	var anchors []engine.Anchor
 	for v := 0; v < g.NumVertices(); v++ {
 		nb := g.Neighbors(graph.VertexID(v))
@@ -70,31 +128,5 @@ func TestRunAnchoredReachesEveryEmbeddingOncePerEdge(t *testing.T) {
 			anchors = append(anchors, engine.Anchor{Root: graph.VertexID(v), Partners: nb[i:]})
 		}
 	}
-	stats := estimate.Collect(g)
-	for _, p := range []*pattern.Pattern{pattern.Triangle(), pattern.P2(), pattern.P4(), pattern.P6()} {
-		for _, mode := range []plan.Mode{plan.ModeSE, plan.ModeLIGHT} {
-			want := uint64(p.NumEdges()) * sequentialCount(t, g, compile(t, p, mode))
-			po := pattern.SymmetryBreaking(p)
-			var jobs []AnchorJob
-			for _, e := range p.Edges() {
-				for _, ab := range [][2]pattern.Vertex{{e[0], e[1]}, {e[1], e[0]}} {
-					pl, err := plan.ChooseAnchored(p, po, stats, mode, ab[0], ab[1])
-					if err != nil {
-						t.Fatal(err)
-					}
-					jobs = append(jobs, AnchorJob{Plan: pl})
-				}
-			}
-			for _, workers := range []int{1, 2, 4} {
-				res, err := RunAnchored(context.Background(), g, Options{Workers: workers, MinSplit: 2}, jobs, anchors)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Matches != want {
-					t.Fatalf("%s %s workers=%d: anchored plans reached %d embeddings, want |E(P)|·count = %d",
-						p.Name(), mode.Name(), workers, res.Matches, want)
-				}
-			}
-		}
-	}
+	return anchors
 }

@@ -1,9 +1,14 @@
-// Package parallel runs an enumeration plan on a pool of workers (the
+// Package parallel runs enumeration jobs on a pool of workers (the
 // paper's Section VII-B SMT parallelization) and is the one way every
-// rooted query runs, at any worker count. Workers claim the root
-// candidate set heaviest root first (descending id, which is descending
-// degree in the reordered graph), in guided chunks that start at one
-// root and grow as the roots get lighter (see pool.claim). While busy
+// query runs, at any worker count. A job is one plan over one view of
+// the graph, with its own units: the view's vertices as roots, or a list
+// of anchors. One library call is one pool run, whatever its number of
+// jobs: a lane batch runs one job per lane group, CountDelta one per
+// anchored plan and side. Workers claim every job's units from one
+// cursor; a rooted job's roots go out heaviest first (descending id,
+// which is descending degree in the reordered graph), in guided chunks
+// that start at one root and grow as the roots get lighter (see
+// pool.claim), and an anchored job's anchors one at a time. While busy
 // they donate halves of their current materialization loops to a global
 // concurrent queue whenever idle workers are waiting — the
 // sender-initiated strategy of Rao & Kumar / Acar et al. that the paper
@@ -35,6 +40,7 @@ import (
 
 	"light/internal/admission"
 	"light/internal/arena"
+	"light/internal/delta"
 	"light/internal/engine"
 	"light/internal/faultpoint"
 	"light/internal/graph"
@@ -66,10 +72,12 @@ type CheckpointOptions struct {
 
 // Options configure a parallel run.
 type Options struct {
-	// Engine configures each worker's enumerator. Engine.Arena is
+	// Engine configures each worker's enumerators. Engine.Arena is
 	// overridden: every worker gets its own private arena (a shared one
 	// would race), and the summed slab footprint is reported as
-	// Result.CandidateMemBytes. Engine.Metrics, when non-nil, receives
+	// Result.CandidateMemBytes. Engine.Overlay and Engine.Lanes are
+	// overridden by each job's own (RunContext takes them from here).
+	// Engine.Metrics, when non-nil, receives
 	// the run's counters: engine work folded per chunk/frame plus
 	// scheduler events (steals, donations, queue waits, busy time,
 	// checkpoint write latency), every worker folding into it.
@@ -78,8 +86,8 @@ type Options struct {
 	Workers int
 	// ChunkSize caps the number of root candidates claimed at a time
 	// (default 256). A one-worker pool always claims this many; with more
-	// workers a chunk is also held to 1/(8·Workers) of the roots already
-	// dispensed, so the heaviest roots go out one at a time.
+	// workers a chunk is also held to 1/(8·Workers) of the job's roots
+	// already dispensed, so each job's heaviest roots go out one at a time.
 	ChunkSize int
 	// MinSplit is the smallest materialization loop a worker will split
 	// for donation (default 8).
@@ -125,7 +133,11 @@ func (o Options) withDefaults() Options {
 
 // Result extends the engine result with scheduler observability.
 type Result struct {
+	// Result sums every job's counters; its Lanes are nil, since lane i
+	// of one job is not lane i of another.
 	engine.Result
+	// Jobs holds each job's own counters, Lanes included, in job order.
+	Jobs                []engine.Result
 	Donations           uint64 // frames pushed to the global queue
 	Steals              uint64 // frames executed by a worker other than the donor
 	Workers             int
@@ -163,16 +175,18 @@ func Run(g *graph.Graph, pl *plan.Plan, opts Options, visit engine.VisitFunc) (R
 	return RunContext(context.Background(), g, pl, opts, visit)
 }
 
-// RunContext enumerates pl over g under ctx. Cancellation and ctx
-// deadlines share the engine's stop-flag path: the run unwinds at the
-// next poll, the partial result is returned with Stopped=true, and the
-// error is ctx.Err(). If visit is non-nil it is serialized by a mutex,
-// so enumeration-mode scaling is limited; counting mode (visit == nil)
-// is fully parallel. The stop is latched under that mutex: once visit
-// has returned false (or panicked) it is never called again, even by a
-// worker that was already queued on the mutex with its own match. A
-// panic in visit or in a worker is recovered, stops the pool cleanly,
-// and is returned as a *supervise.PanicError.
+// RunContext enumerates pl over g under ctx: RunJobs with one rooted
+// job, whose view is g plus opts.Engine.Overlay and whose lanes are
+// opts.Engine.Lanes. Cancellation and ctx deadlines share the engine's
+// stop-flag path: the run unwinds at the next poll, the partial result
+// is returned with Stopped=true, and the error is ctx.Err(). If visit is
+// non-nil it is serialized by a mutex, so enumeration-mode scaling is
+// limited; counting mode (visit == nil) is fully parallel. The stop is
+// latched under that mutex: once visit has returned false (or panicked)
+// it is never called again, even by a worker that was already queued on
+// the mutex with its own match. A panic in visit or in a worker is
+// recovered, stops the pool cleanly, and is returned as a
+// *supervise.PanicError.
 func RunContext(ctx context.Context, g *graph.Graph, pl *plan.Plan, opts Options, visit engine.VisitFunc) (Result, error) {
 	if visit != nil {
 		var mu sync.Mutex
@@ -189,39 +203,46 @@ func RunContext(ctx context.Context, g *graph.Graph, pl *plan.Plan, opts Options
 			return !stopped
 		}
 	}
-	return run(ctx, g, opts, []AnchorJob{{Plan: pl, Visit: visit}}, nil)
+	return RunJobs(ctx, opts, []Job{{Graph: g, Overlay: opts.Engine.Overlay, Plan: pl, Lanes: opts.Engine.Lanes, Visit: visit}})
 }
 
-// AnchorJob is one anchored plan of a RunAnchored call and the visitor
-// for the matches it reaches.
-type AnchorJob struct {
-	Plan  *plan.Plan // from plan.CompileAnchored
-	Visit engine.VisitFunc
+// Job is one plan a pool runs over one view of the graph, from its own
+// units, reporting its matches to its own visitor.
+type Job struct {
+	// Graph is the base CSR of the job's view and Overlay, when non-nil,
+	// the edge delta over it. The jobs of one run may read different views.
+	Graph   *graph.Graph
+	Overlay *delta.Overlay
+	Plan    *plan.Plan
+	// Lanes, when non-nil, runs Plan in lane mode (engine.Options.Lanes).
+	Lanes engine.LaneProber
+	// Anchors are the job's units, claimed one at a time and run with
+	// engine.RunAnchor (Plan then comes from plan.CompileAnchored). nil
+	// makes every vertex of the view a root, dealt heaviest first.
+	Anchors []engine.Anchor
+	Visit   engine.VisitFunc
 }
 
-// RunAnchored runs every job's plan from every anchor (see
-// engine.RunAnchor) over g in one pool. Anchors play the part root
-// vertices play in RunContext: the workers claim (job, anchor) pairs
-// from a shared cursor and donate halves of the loops below them. A
-// worker keeps one enumerator per plan it has met, all carved from its
-// one arena, so many plans cost no more candidate memory than one.
-// Checkpointing, resume and lane mode do not apply.
+// RunJobs runs every job on one pool of opts.Workers workers under ctx
+// and returns the combined result, each job's own counters in
+// Result.Jobs. Workers claim units of every job from one cursor and
+// donate halves of the loops below them, so a run's jobs balance against
+// each other. A worker keeps one enumerator per job it has met, all
+// carved from its one arena, so many jobs cost no more candidate memory
+// than one. Checkpoint and Resume need a single rooted job.
 //
-// Unlike RunContext, a job's Visit is NOT serialized: workers call it
-// concurrently, each with its own mapping slice, so it must be safe for
-// concurrent use. A caller that only classifies matches then pays no
-// lock per match.
-func RunAnchored(ctx context.Context, g *graph.Graph, opts Options, jobs []AnchorJob, anchors []engine.Anchor) (Result, error) {
-	if len(jobs) == 0 || len(anchors) == 0 || opts.Checkpoint != nil || opts.Resume != nil || opts.Engine.Lanes != nil {
-		return Result{}, errors.New("parallel: RunAnchored needs a job and an anchor, and cannot checkpoint, resume or run lanes")
+// A job's Visit is NOT serialized: workers call it concurrently, each
+// with its own mapping slice, so it must be safe for concurrent use
+// (RunContext serializes the one it is given). A caller that only
+// classifies matches then pays no lock per match.
+func RunJobs(ctx context.Context, opts Options, jobs []Job) (Result, error) {
+	if len(jobs) == 0 {
+		return Result{}, errors.New("parallel: RunJobs needs a job")
 	}
-	return run(ctx, g, opts, jobs, anchors)
-}
-
-// run is the pool behind RunContext (anchors == nil: one job, every
-// vertex of the view a root of its plan) and RunAnchored.
-func run(ctx context.Context, g *graph.Graph, opts Options, jobs []AnchorJob, anchors []engine.Anchor) (Result, error) {
-	pl := jobs[0].Plan // the plan checkpoints and resumes bind to (rooted runs only)
+	if (opts.Checkpoint != nil || opts.Resume != nil) && (len(jobs) > 1 || jobs[0].Anchors != nil) {
+		return Result{}, errors.New("parallel: checkpoint/resume need a single rooted job")
+	}
+	g, pl := jobs[0].Graph, jobs[0].Plan // what checkpoints and resumes bind to
 	if opts.Engine.Delta < 0 {
 		// Reject here, before workers spawn: engine.New panics on a
 		// negative δ (it would silently degrade every Hybrid kernel to
@@ -229,7 +250,7 @@ func run(ctx context.Context, g *graph.Graph, opts Options, jobs []AnchorJob, an
 		// worse failure report than a plain error at the entry point.
 		return Result{}, fmt.Errorf("parallel: Engine.Delta is %d, must be non-negative", opts.Engine.Delta)
 	}
-	if opts.Engine.Overlay != nil && (opts.Checkpoint != nil || opts.Resume != nil) {
+	if jobs[0].Overlay != nil && (opts.Checkpoint != nil || opts.Resume != nil) {
 		// Checkpoint fingerprints bind only the base graph's structure
 		// (supervise.Fingerprint hashes N/M/d_max + plan), so a pending
 		// edge delta would silently validate against a stale file; and a
@@ -245,25 +266,23 @@ func run(ctx context.Context, g *graph.Graph, opts Options, jobs []AnchorJob, an
 		opts.Engine.Deadline = time.Now().Add(opts.Engine.TimeLimit)
 	}
 
-	jobs = append([]AnchorJob(nil), jobs...)
-	visitErrs := make([]func() error, len(jobs))
-	for j := range jobs {
-		jobs[j].Visit, visitErrs[j] = supervise.SafeVisit("visit callback", jobs[j].Visit)
-	}
-
 	// One recorder for the whole pool: workers fold engine results into
 	// it per chunk/frame, scheduler events hit it from blocking paths.
 	rec := opts.Engine.Metrics
 
 	p := &pool{
-		g:      g,
 		jobs:   jobs,
+		state:  make([]jobState, len(jobs)),
 		opts:   opts,
 		alive:  opts.Workers,
 		beats:  make([]atomic.Uint64, opts.Workers),
 		epochs: make([]atomic.Uint64, opts.Workers),
 	}
 	p.cond = sync.NewCond(&p.mu)
+	visitErrs := make([]func() error, len(jobs))
+	for j := range jobs {
+		p.state[j].visit, visitErrs[j] = supervise.SafeVisit("visit callback", jobs[j].Visit)
+	}
 	if opts.Gate != nil {
 		// Wake parked workers when the governor's queue goes non-empty,
 		// so surplus slots are shed promptly instead of at the next
@@ -281,11 +300,10 @@ func run(ctx context.Context, g *graph.Graph, opts Options, jobs []AnchorJob, an
 		base = ck.Base
 		priorDone = ck.Done
 		if ck.Complete {
-			var out Result
-			out.Workers = opts.Workers
+			out := Result{Jobs: []engine.Result{base}, Workers: opts.Workers}
+			out.Result = sumJobs(out.Jobs)
 			out.PerWorkerNodes = make([]uint64, opts.Workers)
 			out.PerWorkerBusy = make([]time.Duration, opts.Workers)
-			out.Result = base
 			base.AddTo(rec)
 			return out, nil
 		}
@@ -295,25 +313,27 @@ func run(ctx context.Context, g *graph.Graph, opts Options, jobs []AnchorJob, an
 			}
 		}
 	}
-	if anchors == nil {
-		// The root candidate set is every vertex of the queried view —
-		// overlay vertices included, so matches rooted at a newly inserted
-		// vertex are not lost — less what a resumed checkpoint committed.
-		n := g.NumVertices()
-		if opts.Engine.Overlay != nil {
-			n = opts.Engine.Overlay.NumVertices()
+	var units int64
+	for j, jb := range jobs {
+		st := &p.state[j]
+		st.start, units = units, units+int64(len(jb.Anchors))
+		if jb.Anchors == nil {
+			// The root candidate set is every vertex of the job's view —
+			// overlay vertices included, so matches rooted at a newly
+			// inserted vertex are not lost — less what a resumed
+			// checkpoint committed.
+			n := jb.Graph.NumVertices()
+			if jb.Overlay != nil {
+				n = jb.Overlay.NumVertices()
+			}
+			st.roots = pendingRoots(n, priorDone)
+			units += int64(len(st.roots))
 		}
-		p.roots = pendingRoots(n, priorDone)
-	}
-	p.units = int64(len(p.roots))
-	if anchors != nil {
-		p.anchors = anchors
-		p.units = int64(len(jobs)) * int64(len(anchors))
-		p.opts.ChunkSize = 1
+		st.end = units
 	}
 
 	if opts.Checkpoint != nil {
-		p.led = newLedger(p.roots, supervise.Fingerprint(g, pl), base, priorDone)
+		p.led = newLedger(p.state[0].roots, supervise.Fingerprint(g, pl), base, priorDone)
 	}
 	if opts.Resume != nil {
 		for _, f := range opts.Resume.Frames {
@@ -326,9 +346,14 @@ func run(ctx context.Context, g *graph.Graph, opts Options, jobs []AnchorJob, an
 		p.wakeAll()
 	})
 	defer release()
+	if ctx != nil && ctx.Err() != nil {
+		// Already done: stop at the first poll instead of racing the
+		// watcher to it.
+		p.stop.Store(true)
+	}
 
 	var wg sync.WaitGroup
-	results := make([]engine.Result, opts.Workers)
+	results := make([]engine.Result, opts.Workers*len(jobs)) // worker w's per job at [w*len(jobs):]
 	errs := make([]error, opts.Workers)
 	memBytes := make([]int64, opts.Workers)
 	busys := make([]time.Duration, opts.Workers)
@@ -341,7 +366,7 @@ func run(ctx context.Context, g *graph.Graph, opts Options, jobs []AnchorJob, an
 			p.stop.Store(true)
 			p.wakeAll()
 		}, func() {
-			results[w], memBytes[w], busys[w], errs[w] = p.worker(w)
+			memBytes[w], busys[w], errs[w] = p.worker(w, results[w*len(jobs):(w+1)*len(jobs)])
 			if errs[w] != nil {
 				p.stop.Store(true)
 				p.wakeAll()
@@ -401,16 +426,19 @@ func run(ctx context.Context, g *graph.Graph, opts Options, jobs []AnchorJob, an
 		ckWG.Wait()
 	}
 
-	var out Result
-	out.Workers = opts.Workers
+	out := Result{Jobs: make([]engine.Result, len(jobs)), Workers: opts.Workers}
 	out.PerWorkerNodes = make([]uint64, opts.Workers)
 	out.PerWorkerBusy = busys
+	out.Jobs[0].Add(base)
 	for w := 0; w < opts.Workers; w++ {
-		out.Result.Add(results[w])
+		for j, r := range results[w*len(jobs) : (w+1)*len(jobs)] {
+			out.Jobs[j].Add(r)
+			out.PerWorkerNodes[w] += r.Nodes
+		}
 		out.CandidateMemBytes += memBytes[w]
-		out.PerWorkerNodes[w] = results[w].Nodes
 		rec.AddDuration(metrics.ParallelBusyNanos, busys[w])
 	}
+	out.Result = sumJobs(out.Jobs)
 	out.Donations = p.donations.Load()
 	out.Steals = p.steals.Load()
 	out.RootChunksDispensed = p.chunks.Load()
@@ -436,7 +464,6 @@ func run(ctx context.Context, g *graph.Graph, opts Options, jobs []AnchorJob, an
 	if err == nil && out.Stopped && ctx != nil && ctx.Err() != nil {
 		err = ctx.Err()
 	}
-	out.Result.Add(base)
 
 	// Scheduler-level counters: pool atomics folded once per run, plus
 	// the resumed checkpoint's committed engine counters.
@@ -463,6 +490,16 @@ func run(ctx context.Context, g *graph.Graph, opts Options, jobs []AnchorJob, an
 	rec.Add(metrics.WatchdogStalls, out.Stalls)
 	base.AddTo(rec)
 	return out, err
+}
+
+// sumJobs adds up the jobs' counters, leaving out their lanes.
+func sumJobs(jobs []engine.Result) engine.Result {
+	var sum engine.Result
+	for _, r := range jobs {
+		r.Lanes = nil
+		sum.Add(r)
+	}
+	return sum
 }
 
 // joinErrors aggregates worker errors: nil when all are nil, the
@@ -505,7 +542,8 @@ type queuedFrame struct {
 // currently executing, so donated frames can be parented correctly,
 // the job it belongs to, and the worker's accumulated busy time (owned
 // by one goroutine, no synchronization needed). engines holds the
-// worker's enumerator per job, built on first use over the one arena.
+// worker's enumerator per job, built on first use over the one arena,
+// and acc its results per job.
 type workerState struct {
 	idx     int
 	unit    unitID
@@ -513,23 +551,28 @@ type workerState struct {
 	busy    time.Duration
 	ar      *arena.Arena
 	engines []*engine.Enumerator
+	acc     []engine.Result
+}
+
+// jobState is the pool's own state of one job: its supervised visitor,
+// and where its units sit on the cursor — positions [start, end), which
+// are its roots, heaviest first, or its anchors.
+type jobState struct {
+	visit      engine.VisitFunc
+	roots      []graph.VertexID
+	start, end int64
 }
 
 // pool is the shared scheduler state.
 type pool struct {
-	g    *graph.Graph
-	jobs []AnchorJob // one job, the rooted plan, in RunContext
+	jobs []Job
 	opts Options
 	led  *ledger // nil when checkpointing is off
 
-	// The work dispensed by the cursor, units of it in all: root vertices,
-	// heaviest first, in the guided chunks of claim (RunContext), or every
-	// (job, anchor) pair one at a time, job-major (RunAnchored; roots is
-	// then empty).
-	roots   []graph.VertexID
-	anchors []engine.Anchor
-	units   int64
-	cursor  atomic.Int64 // next unclaimed unit
+	// The work dispensed by the cursor: every job's units, job after job
+	// (see jobState).
+	state  []jobState
+	cursor atomic.Int64 // next unclaimed unit
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -558,7 +601,7 @@ type pool struct {
 	ckRetries      atomic.Uint64
 
 	// Scheduler-event counters folded into the run's metrics recorder
-	// (and the Result) once, at the end of RunContext.
+	// (and the Result) once, at the end of RunJobs.
 	qWaits      atomic.Uint64 // blocking episodes in takeFrame
 	qWaitNS     atomic.Uint64 // nanoseconds spent blocked in takeFrame
 	ckWrites    atomic.Uint64 // checkpoint writes attempted
@@ -566,32 +609,35 @@ type pool struct {
 	ckWriteErrs atomic.Uint64 // checkpoint writes that failed
 }
 
-// worker sets up this worker's enumerator and hands off to the
-// scheduling loop; it returns when the roots are exhausted and the queue
-// stays empty with every other worker idle.
-func (p *pool) worker(idx int) (engine.Result, int64, time.Duration, error) {
+// worker sets up this worker's state and hands off to the scheduling
+// loop, accumulating its results per job into acc; it returns when the
+// units are exhausted and the queue stays empty with every other worker
+// idle.
+func (p *pool) worker(idx int, acc []engine.Result) (int64, time.Duration, error) {
 	if err := faultpoint.Hit(faultpoint.PointWorkerStart); err != nil {
-		return engine.Result{}, 0, 0, fmt.Errorf("parallel: worker %d start: %w", idx, err)
+		return 0, 0, fmt.Errorf("parallel: worker %d start: %w", idx, err)
 	}
 	// Per-worker: arenas must never be shared across goroutines. Under a
 	// memory budget each worker's arena charges the shared limiter.
-	ws := &workerState{idx: idx, ar: arena.NewBudgeted(p.opts.MemLimiter), engines: make([]*engine.Enumerator, len(p.jobs))}
-	acc, err := p.runLoop(ws)
-	return acc, ws.ar.Bytes(), ws.busy, err
+	ws := &workerState{idx: idx, ar: arena.NewBudgeted(p.opts.MemLimiter), engines: make([]*engine.Enumerator, len(p.jobs)), acc: acc}
+	err := p.runLoop(ws)
+	return ws.ar.Bytes(), ws.busy, err
 }
 
-// engine returns the worker's enumerator for a job's plan, building it
-// on first use. All of a worker's enumerators share its arena: they run
-// one at a time, and each run begins by resetting it.
+// engine returns the worker's enumerator for a job, building it on
+// first use over the job's view and lanes. All of a worker's
+// enumerators share its arena: they run one at a time, and each run
+// begins by resetting it.
 //
 //lightvet:ignore hotpath -- construction happens once per (worker, job); every later call is the slice load
 func (p *pool) engine(ws *workerState, job int) *engine.Enumerator {
 	if e := ws.engines[job]; e != nil {
 		return e
 	}
+	jb := &p.jobs[job]
 	eopts := p.opts.Engine
-	eopts.Arena = ws.ar
-	e := engine.New(p.g, p.jobs[job].Plan, eopts)
+	eopts.Arena, eopts.Overlay, eopts.Lanes = ws.ar, jb.Overlay, jb.Lanes
+	e := engine.New(jb.Graph, jb.Plan, eopts)
 	e.Stop = &p.stop
 	e.Progress = &p.beats[ws.idx]
 	if p.opts.Workers > 1 {
@@ -610,37 +656,36 @@ func (p *pool) engine(ws *workerState, job int) *engine.Enumerator {
 // memory.
 //
 //light:hotpath
-func (p *pool) runLoop(ws *workerState) (engine.Result, error) {
-	var acc engine.Result
+func (p *pool) runLoop(ws *workerState) error {
 	for {
 		// Elastic slot return: between work items, hand a surplus slot
 		// to a query waiting on the shared governor and retire this
 		// worker (a single atomic load when no one is waiting).
 		if p.opts.Gate.TryShed() {
 			p.retire()
-			return acc, nil
+			return nil
 		}
-		// Phase 1: claim a root chunk, or one (job, anchor) pair.
-		if lo, hi, ok := p.claim(); ok {
+		// Phase 1: claim a chunk of one job's roots, or one of its anchors.
+		if job, lo, hi, ok := p.claim(); ok {
 			p.chunks.Add(1)
-			ws.unit, ws.job = p.led.beginChunk(lo, hi), 0
+			ws.unit, ws.job = p.led.beginChunk(lo, hi), job
+			st := &p.state[job]
 			var res engine.Result
 			var err error
 			t0 := time.Now()
 			p.epochs[ws.idx].Add(1)
-			if p.anchors != nil {
-				ws.job = int(lo / int64(len(p.anchors)))
-				res, err = p.engine(ws, ws.job).RunAnchor(p.anchors[lo%int64(len(p.anchors))], p.jobs[ws.job].Visit)
+			if anchors := p.jobs[job].Anchors; anchors != nil {
+				res, err = p.engine(ws, job).RunAnchor(anchors[lo], st.visit)
 			} else {
-				res, err = p.engine(ws, 0).RunRoots(p.roots[lo:hi], p.jobs[0].Visit)
+				res, err = p.engine(ws, job).RunRoots(st.roots[lo:hi], st.visit)
 			}
 			p.epochs[ws.idx].Add(1)
 			ws.busy += time.Since(t0)
-			acc.Add(res)
+			ws.acc[job].Add(res)
 			if err != nil || res.Stopped {
 				p.stop.Store(true)
 				p.wakeAll()
-				return acc, err
+				return err
 			}
 			p.led.finish(ws.unit, res)
 			continue
@@ -648,55 +693,64 @@ func (p *pool) runLoop(ws *workerState) (engine.Result, error) {
 		// Phase 2: take donated frames, or wait for some.
 		qf, ok := p.takeFrame()
 		if !ok {
-			return acc, nil
+			return nil
 		}
 		if err := faultpoint.Hit(faultpoint.PointFrameResume); err != nil {
 			p.stop.Store(true)
 			p.wakeAll()
-			return acc, err
+			return err
 		}
 		p.steals.Add(1)
 		ws.unit, ws.job = qf.unit, qf.job
 		e := p.engine(ws, qf.job)
 		t0 := time.Now()
 		p.epochs[ws.idx].Add(1)
-		res, err := e.Resume(qf.f, p.jobs[qf.job].Visit)
+		res, err := e.Resume(qf.f, p.state[qf.job].visit)
 		p.epochs[ws.idx].Add(1)
 		ws.busy += time.Since(t0)
-		acc.Add(res)
+		ws.acc[qf.job].Add(res)
 		if err != nil || res.Stopped {
 			p.stop.Store(true)
 			p.wakeAll()
-			return acc, err
+			return err
 		}
 		p.led.finish(qf.unit, res)
 	}
 }
 
-// claim takes the next chunk [lo, hi) of units off the cursor, or
-// reports that none is left. Roots are dealt heaviest first, so per-root
+// claim takes the next chunk [lo, hi) of one job's units off the
+// cursor, in that job's own indices, or reports that none is left. A
+// chunk never spans two jobs. Roots are dealt heaviest first, so per-root
 // work roughly falls as lo grows, and a chunk of at most lo/(8·W) roots
-// costs at most about 1/(8W) of the work already handed out: that
+// costs at most about 1/(8W) of the job's work already handed out: that
 // bounds what one worker can be left holding when the others run dry.
-// The hubs go out one at a time and chunks grow to the ChunkSize cap as
-// the roots get lighter. A lone worker keeps nobody waiting, so it claims
-// full chunks; RunAnchored's cap of 1 keeps its one-pair units.
+// Each job's hubs go out one at a time and its chunks grow to the
+// ChunkSize cap as the roots get lighter. A lone worker keeps nobody
+// waiting, so it claims full chunks. An anchor is always a unit alone.
 //
 //light:hotpath
-func (p *pool) claim() (lo, hi int64, ok bool) {
-	size := int64(p.opts.ChunkSize)
+func (p *pool) claim() (job int, lo, hi int64, ok bool) {
 	for {
-		lo = p.cursor.Load()
-		if lo >= p.units {
-			return 0, 0, false
+		c := p.cursor.Load()
+		job = 0
+		for job < len(p.state) && c >= p.state[job].end {
+			job++
 		}
-		n := size
-		if p.opts.Workers > 1 {
-			n = min(max(lo/(8*int64(p.opts.Workers)), 1), size)
+		if job == len(p.state) {
+			return 0, 0, 0, false
 		}
-		hi = min(lo+n, p.units)
-		if p.cursor.CompareAndSwap(lo, hi) {
-			return lo, hi, true
+		st := &p.state[job]
+		lo = c - st.start
+		n := int64(1)
+		if p.jobs[job].Anchors == nil {
+			n = int64(p.opts.ChunkSize)
+			if p.opts.Workers > 1 {
+				n = min(max(lo/(8*int64(p.opts.Workers)), 1), n)
+			}
+		}
+		end := min(c+n, st.end)
+		if p.cursor.CompareAndSwap(c, end) {
+			return job, lo, end - st.start, true
 		}
 	}
 }

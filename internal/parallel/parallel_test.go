@@ -195,74 +195,116 @@ func TestDefaults(t *testing.T) {
 	}
 }
 
-// TestClaimGuidedChunks pins the claim rule. With W > 1 the chunks tile
-// [0, units) exactly once and in order, never shrink (only the last may
-// be cut short by units), and each stays within the ChunkSize cap and
-// max(1, lo/(8W)); a one-worker pool claims full ChunkSize chunks.
+// claimPool is a pool holding only what claim reads: one job per entry
+// of units, anchored when the count is negative.
+func claimPool(workers, chunkSize int, units ...int) *pool {
+	p := &pool{opts: Options{Workers: workers, ChunkSize: chunkSize}}
+	var end int64
+	for _, u := range units {
+		var jb Job
+		if u < 0 {
+			u = -u
+			jb.Anchors = make([]engine.Anchor, u)
+		}
+		p.jobs = append(p.jobs, jb)
+		p.state = append(p.state, jobState{start: end, end: end + int64(u)})
+		end += int64(u)
+	}
+	return p
+}
+
+// TestClaimGuidedChunks pins the claim rule over several jobs, one of
+// them anchored and one empty. Claims come job after job, and never
+// cross from one job into the next. Each job's chunks tile its units
+// exactly once and in order. An anchored job's chunks hold one anchor
+// each. With W > 1 a rooted job's chunks never shrink (only its last may
+// be cut short by its units), each stays within the ChunkSize cap and
+// max(1, lo/(8W)) of the job's own offset lo, so each job's first
+// (heaviest) root goes out alone; a one-worker pool claims full
+// ChunkSize chunks.
 func TestClaimGuidedChunks(t *testing.T) {
-	const units, chunkCap = 5000, 256
+	const chunkCap = 256
+	units := []int{5000, -40, 0, 3000}
 	for _, w := range []int{1, 2, 4, 8} {
-		p := &pool{units: units, opts: Options{Workers: w, ChunkSize: chunkCap}}
-		var next, prev int64
+		p := claimPool(w, chunkCap, units...)
+		next := make([]int64, len(units))
+		prev := make([]int64, len(units))
+		lastJob := 0
 		for {
-			lo, hi, ok := p.claim()
+			job, lo, hi, ok := p.claim()
 			if !ok {
 				break
 			}
-			size := hi - lo
-			if lo != next || size < 1 {
-				t.Fatalf("W=%d: chunk [%d,%d) after cursor %d", w, lo, hi, next)
+			size, n, anchored := hi-lo, abs(int64(units[job])), units[job] < 0
+			if job < lastJob {
+				t.Fatalf("W=%d: job %d claimed after job %d", w, job, lastJob)
 			}
-			last := hi == units
+			lastJob = job
+			if lo != next[job] || size < 1 || hi > n {
+				t.Fatalf("W=%d job %d: chunk [%d,%d) after cursor %d of %d units", w, job, lo, hi, next[job], n)
+			}
+			last := hi == n
 			switch {
+			case anchored && size != 1:
+				t.Fatalf("W=%d job %d: anchored chunk [%d,%d) is not one anchor", w, job, lo, hi)
+			case anchored:
 			case w == 1 && size != chunkCap && !last:
-				t.Fatalf("W=1: chunk [%d,%d) is not ChunkSize %d", lo, hi, chunkCap)
+				t.Fatalf("W=1 job %d: chunk [%d,%d) is not ChunkSize %d", job, lo, hi, chunkCap)
 			case w > 1 && (size > chunkCap || size > max(1, lo/int64(8*w))):
-				t.Fatalf("W=%d: chunk [%d,%d) exceeds min(ChunkSize, max(1, lo/8W))", w, lo, hi)
-			case size < prev && !last:
-				t.Fatalf("W=%d: chunk [%d,%d) shrank from %d", w, lo, hi, prev)
+				t.Fatalf("W=%d job %d: chunk [%d,%d) exceeds min(ChunkSize, max(1, lo/8W))", w, job, lo, hi)
+			case size < prev[job] && !last:
+				t.Fatalf("W=%d job %d: chunk [%d,%d) shrank from %d", w, job, lo, hi, prev[job])
 			}
-			prev, next = size, hi
+			prev[job], next[job] = size, hi
 		}
-		if next != units {
-			t.Fatalf("W=%d: chunks stop at %d of %d", w, next, units)
+		for job, u := range units {
+			if next[job] != abs(int64(u)) {
+				t.Fatalf("W=%d job %d: chunks stop at %d of %d", w, job, next[job], abs(int64(u)))
+			}
 		}
 	}
+}
+
+func abs(x int64) int64 {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 // TestClaimDealsHeaviestRootFirst: the first root a multi-worker pool
 // hands out, alone in its chunk, is the graph's highest-degree vertex.
 func TestClaimDealsHeaviestRootFirst(t *testing.T) {
 	g := gen.BarabasiAlbert(2000, 8, 4)
-	p := &pool{roots: pendingRoots(g.NumVertices(), nil), opts: Options{Workers: 2}.withDefaults()}
-	p.units = int64(len(p.roots))
-	lo, hi, ok := p.claim()
-	if !ok || hi-lo != 1 {
-		t.Fatalf("first chunk [%d,%d) ok=%v, want one root", lo, hi, ok)
+	p := claimPool(2, 256, g.NumVertices())
+	p.state[0].roots = pendingRoots(g.NumVertices(), nil)
+	job, lo, hi, ok := p.claim()
+	if !ok || job != 0 || hi-lo != 1 {
+		t.Fatalf("first chunk %d:[%d,%d) ok=%v, want one root", job, lo, hi, ok)
 	}
-	if d := g.Degree(p.roots[lo]); d != g.MaxDegree() {
-		t.Fatalf("first root %d has degree %d, max is %d", p.roots[lo], d, g.MaxDegree())
+	if root := p.state[0].roots[lo]; g.Degree(root) != g.MaxDegree() {
+		t.Fatalf("first root %d has degree %d, max is %d", root, g.Degree(root), g.MaxDegree())
 	}
 }
 
 // TestClaimConcurrentExactlyOnce: eight goroutines racing on the cursor
-// (run it under -race) receive every unit exactly once between them.
+// (run it under -race) receive every unit of every job exactly once
+// between them.
 func TestClaimConcurrentExactlyOnce(t *testing.T) {
-	const units = 20000
-	p := &pool{units: units, opts: Options{Workers: 8, ChunkSize: 256}}
-	seen := make([]atomic.Int32, units)
+	p := claimPool(8, 256, 20000, -300, 7000)
+	seen := make([]atomic.Int32, p.state[len(p.state)-1].end)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				lo, hi, ok := p.claim()
+				job, lo, hi, ok := p.claim()
 				if !ok {
 					return
 				}
 				for u := lo; u < hi; u++ {
-					seen[u].Add(1)
+					seen[p.state[job].start+u].Add(1)
 				}
 			}
 		}()

@@ -66,7 +66,7 @@ func (p *pool) watchdog(wd *admission.WatchdogConfig, stop <-chan struct{}) {
 // fireStall records one stall: counter, first-wins diagnostic dump
 // (per-worker progress table + all-goroutine stacks), and — when the
 // watchdog is configured to cancel — cooperative termination of the
-// pool, which RunContext surfaces as admission.ErrStalled.
+// pool, which RunJobs surfaces as admission.ErrStalled.
 func (p *pool) fireStall(w int, wd *admission.WatchdogConfig, intervals int) {
 	if err := faultpoint.Hit(faultpoint.PointWatchdogFire); err != nil {
 		// An injected fault suppresses this firing (chaos coverage for

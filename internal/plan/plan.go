@@ -453,6 +453,16 @@ func (pl *Plan) Cost(stats estimate.GraphStats) float64 {
 	return pl.walk(stats, orderFractions(pl.PO, pl.Pattern.NumVertices()), nil)
 }
 
+// EstimatedMatches is the cost walk's estimate of the plan's match count
+// on a graph described by stats: the reach of σ's last step, where every
+// vertex is materialized and symmetry breaking has cut the count to the
+// matches the engine keeps.
+func (pl *Plan) EstimatedMatches(stats estimate.GraphStats) float64 {
+	steps := make([]step, len(pl.Sigma))
+	pl.walk(stats, orderFractions(pl.PO, pl.Pattern.NumVertices()), steps)
+	return steps[len(steps)-1].reach
+}
+
 // walk prices σ in order and returns the total cost, filling steps when
 // it is non-nil. With M the materialized vertices at a step, its reach is
 //

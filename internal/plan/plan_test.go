@@ -363,6 +363,20 @@ func TestCostPositiveAndComparable(t *testing.T) {
 	}
 }
 
+// TestEstimatedMatchesExactOnCompleteEdge: one edge on K10 reaches
+// N·(N−1) ordered pairs, and symmetry breaking keeps half of them, so
+// the walk's estimate is exactly the graph's 45 edges.
+func TestEstimatedMatchesExactOnCompleteEdge(t *testing.T) {
+	p, stats := pattern.Path(2), estimate.Collect(gen.Complete(10))
+	pl, err := Choose(p, pattern.SymmetryBreaking(p), stats, ModeLIGHT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pl.EstimatedMatches(stats); math.Abs(got-45) > 1e-9 {
+		t.Fatalf("edge estimate on K10 = %v, want 45", got)
+	}
+}
+
 // TestOrderFractions pins the walk's symmetry-breaking term: the share of
 // a vertex set's orderings that the partial order admits. P4's one
 // constraint halves it once u0 and u1 are both placed; P7's total order

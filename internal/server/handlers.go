@@ -572,7 +572,7 @@ type BatchQueryResponse struct {
 // BatchResponse is the /batch response body.
 type BatchResponse struct {
 	// Graph echoes the request. Groups is how many shared traversals
-	// the batch compiled into; Workers the largest pool any group used.
+	// the batch compiled into; Workers the size of the one pool they ran on.
 	Graph   string `json:"graph"`
 	Groups  int    `json:"groups"`
 	Workers int    `json:"workers"`

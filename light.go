@@ -678,19 +678,12 @@ func execute(ctx context.Context, st *snapshotState, pl *plan.Plan, opts Options
 		popts.Resume = ck
 	}
 
-	// Admission: wait for the guaranteed slot, run with what was
-	// granted, and chain the run's memory budget under the governor's.
-	// Without a Governor or MemoryBudget this grants Workers (at least
-	// one) at once. Degradation events accumulate into the RunReport.
-	gr, err := opts.admit(ctx, rec, st.maxDegree(), len(pl.Pi))
-	if err != nil {
+	pres, degradations, err := opts.governed(ctx, rec, st.maxDegree(), len(pl.Pi), popts, func(popts parallel.Options) (parallel.Result, error) {
+		return parallel.RunContext(ctx, st.base, pl, popts, visit)
+	})
+	if pres == nil {
 		return Result{}, err
 	}
-	defer gr.release()
-	popts.Workers, popts.Gate, popts.Watchdog, popts.MemLimiter = gr.workers, gr.gate, gr.watchdog, gr.lim
-
-	pres, err := parallel.RunContext(ctx, st.base, pl, popts, visit)
-	degradations := gr.settle(rec, pres.SlotsShed, pres.Stalls)
 	res := Result{
 		Matches:              pres.Matches,
 		Intersections:        pres.Stats.Intersections,
@@ -702,7 +695,7 @@ func execute(ctx context.Context, st *snapshotState, pl *plan.Plan, opts Options
 		Stopped:              pres.Stopped,
 	}
 	copy(res.Order, pl.Pi)
-	res.Report = newRunReport(rec, opts, st, pres.Workers, res.Duration, res.CandidateMemoryBytes, &pres, degradations)
+	res.Report = newRunReport(rec, opts, st, pres.Workers, res.Duration, res.CandidateMemoryBytes, pres, degradations)
 	return res, mapErr(err)
 }
 

@@ -112,6 +112,9 @@ echo "==> chaos: go test -race -cpu 2,4 -tags faultinject"
 go build -tags faultinject ./...
 go test -race -cpu 2,4 -tags faultinject -timeout 20m "${SHORT[@]}" \
     ./internal/faultpoint/ ./internal/parallel/ ./internal/supervise/ ./internal/graph/ ./internal/engine/ ./internal/admission/ ./internal/lanes/
+# The chaos line above does not cover the root package: count the pool
+# workers a lane batch and a CountDelta start (one pool per call).
+run_named . TestOnePoolPerCall -tags faultinject -race -cpu 2,4 -timeout 5m
 
 echo "==> fuzz smoke: FuzzCSRRoundTrip (10s)"
 run_named ./internal/graph/ FuzzCSRRoundTrip -fuzz FuzzCSRRoundTrip -fuzztime 10s
