@@ -68,9 +68,9 @@ func (l *loadList) Set(v string) error {
 
 func main() {
 	addr := flag.String("addr", ":8090", "listen address")
-	slots := flag.Int("slots", 0, "governor worker-slot budget shared by all queries (0 = GOMAXPROCS)")
+	slots := flag.Int("slots", 0, "governor worker pool shared by all queries, and queries admitted at once (0 = GOMAXPROCS)")
 	memBudget := flag.String("mem-budget", "", "shared candidate-arena budget (bytes, or with K/M/G suffix; empty = unlimited)")
-	admitTimeout := flag.Duration("admission-timeout", 5*time.Second, "fail queries with 429 if no worker slot is granted within this long (0 = wait)")
+	admitTimeout := flag.Duration("admission-timeout", 5*time.Second, "fail queries with 429 if no run place is granted within this long (0 = wait)")
 	deadline := flag.Duration("deadline", 0, "default per-query deadline for requests without timeout_ms (0 = none)")
 	maxDeadline := flag.Duration("max-deadline", 0, "clamp every per-query deadline to at most this (0 = unclamped)")
 	cacheEntries := flag.Int("cache-entries", 0, "result cache capacity (0 = 1024, negative disables)")

@@ -62,7 +62,7 @@ func main() {
 	ckptEvery := flag.Duration("checkpoint-interval", 30*time.Second, "how often to write the checkpoint")
 	resumePath := flag.String("resume", "", "resume from a checkpoint file written by -checkpoint")
 	memBudget := flag.String("mem-budget", "", "cap candidate-arena memory (bytes, or with K/M/G suffix); degrades gracefully, exits 5 when exceeded")
-	admitTimeout := flag.Duration("admission-timeout", 0, "fail fast (exit 4) if a worker slot is not granted within this long (runs under a process governor)")
+	admitTimeout := flag.Duration("admission-timeout", 0, "fail fast (exit 4) if a run place is not granted within this long (runs under a process governor)")
 	batch := flag.Bool("batch", false, "run the whole P1..P7 catalog as one bit-parallel lane batch (ignores -pattern)")
 	applyPath := flag.String("apply", "", "apply an edge-update file ('+ u v' adds, '- u v' removes, bare 'u v' adds) before running")
 	deltaCount := flag.Bool("delta", false, "with -apply: also count only the match delta the update batch caused")
@@ -212,7 +212,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lightenum: time limit exceeded; partial results on stdout%s\n", resumeHint(*ckptPath))
 	case errors.Is(err, light.ErrOverloaded):
 		exitCode = exitOverloaded
-		fmt.Fprintf(os.Stderr, "lightenum: overloaded: no worker slot within %v; retry later%s\n", *admitTimeout, resumeHint(*ckptPath))
+		fmt.Fprintf(os.Stderr, "lightenum: overloaded: no run place within %v; retry later%s\n", *admitTimeout, resumeHint(*ckptPath))
 	case errors.Is(err, light.ErrMemoryBudget):
 		exitCode = exitMemoryBudget
 		fmt.Fprintf(os.Stderr, "lightenum: memory budget %s exceeded; partial results on stdout%s\n", *memBudget, resumeHint(*ckptPath))
@@ -279,7 +279,7 @@ func runBatch(g *light.Graph, opts light.Options, stats bool) {
 		fmt.Fprintln(os.Stderr, "lightenum: time limit exceeded; partial results on stdout")
 	case errors.Is(err, light.ErrOverloaded):
 		exitCode = exitOverloaded
-		fmt.Fprintln(os.Stderr, "lightenum: overloaded: no worker slot granted; retry later")
+		fmt.Fprintln(os.Stderr, "lightenum: overloaded: no run place granted; retry later")
 	case errors.Is(err, light.ErrMemoryBudget):
 		exitCode = exitMemoryBudget
 		fmt.Fprintln(os.Stderr, "lightenum: memory budget exceeded; partial results on stdout")

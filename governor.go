@@ -13,16 +13,16 @@ import (
 	"light/internal/parallel"
 )
 
-// ErrOverloaded is returned when a run sharing a Governor cannot get
-// its guaranteed worker slot before Options.AdmissionTimeout elapses —
-// the governor's load-shedding signal. Callers should back off and
+// ErrOverloaded is returned when a run sharing a Governor cannot get a
+// run place before Options.AdmissionTimeout elapses — the governor's
+// load-shedding signal. Callers should back off and
 // retry, or surface the overload to their own clients.
 var ErrOverloaded = errors.New("light: overloaded, admission deadline exceeded")
 
 // ErrMemoryBudget is returned when a run exhausts its memory budget
-// after every degradation rung (exact-size arena slabs, worker
-// shedding). A checkpointing run still writes a valid final checkpoint
-// first, so the work is resumable with a larger budget.
+// after every degradation rung (fewer workers, exact-size arena slabs).
+// A checkpointing run still writes a valid final checkpoint first, so
+// the work is resumable with a larger budget.
 var ErrMemoryBudget = errors.New("light: memory budget exceeded")
 
 // ErrStalled is returned when the stall watchdog cancelled the run
@@ -32,10 +32,10 @@ var ErrStalled = errors.New("light: run cancelled by stall watchdog")
 
 // GovernorConfig configures NewGovernor.
 type GovernorConfig struct {
-	// Slots is the worker-slot budget shared by every run admitted
-	// through the governor; defaults to GOMAXPROCS. Each admitted run
-	// is guaranteed one slot and acquires up to its Options.Workers
-	// opportunistically, returning the surplus while other runs wait.
+	// Slots is the size of the worker pool every run admitted through
+	// the governor shares, and how many runs it admits at once; defaults
+	// to GOMAXPROCS. An admitted run may have up to min(Options.Workers,
+	// Slots) of the pool's workers inside its units at once.
 	Slots int
 	// MemoryBudget caps the total candidate-arena bytes across all
 	// admitted runs (0 = unlimited). Per-run Options.MemoryBudget
@@ -55,27 +55,31 @@ type GovernorConfig struct {
 }
 
 // Governor is a process-wide resource governor shared by concurrent
-// runs: a FIFO-fair elastic worker-slot budget, an optional shared
-// memory budget, and a stall watchdog. Create one Governor per process
-// (or per tenant class) and point every run's Options.Governor at it;
-// all methods are safe for concurrent use.
+// runs: one pool of Slots workers that every admitted run shares,
+// FIFO-fair admission to Slots run places, an optional shared memory
+// budget, and a stall watchdog. Create one Governor per process (or per
+// tenant class) and point every run's Options.Governor at it; all
+// methods are safe for concurrent use. An idle Governor holds no
+// goroutine, so it needs no Close.
 type Governor struct {
-	g *admission.Governor
+	g    *admission.Governor
+	pool *parallel.Pool
 }
 
 // NewGovernor returns a Governor with cfg, applying defaults.
 func NewGovernor(cfg GovernorConfig) *Governor {
-	return &Governor{g: admission.New(admission.Config{
+	g := admission.New(admission.Config{
 		Slots:           cfg.Slots,
 		MemoryBudget:    cfg.MemoryBudget,
 		StallInterval:   cfg.StallInterval,
 		StallPatience:   cfg.StallPatience,
 		CancelOnStall:   cfg.CancelOnStall,
 		DisableWatchdog: cfg.DisableWatchdog,
-	})}
+	})
+	return &Governor{g: g, pool: parallel.NewPool(g.Slots())}
 }
 
-// Slots returns the governor's total worker-slot budget.
+// Slots returns the governor's pool size and run-place budget.
 func (gv *Governor) Slots() int { return gv.g.Slots() }
 
 // ActiveQueries returns the number of currently admitted runs.
@@ -112,26 +116,26 @@ func (o Options) validate() error {
 }
 
 // grant is what the governance prelude leaves a run holding: its worker
-// count after admission and the memory ladder, the admission gate and
-// watchdog to hand the scheduler (nil without a Governor), the run's
-// memory limiter chained under the governor's, and the degradation
-// events so far.
+// cap after admission and the memory ladder, its run place, and the
+// pool and watchdog to hand the scheduler (nil without a Governor), the
+// run's memory limiter chained under the governor's, and the
+// degradation events so far.
 type grant struct {
 	workers      int
-	gate         *admission.Admission
+	place        *admission.Admission
+	pool         *parallel.Pool
 	watchdog     *admission.WatchdogConfig
 	lim          *arena.Limiter
 	degradations []string
 }
 
 // admit is the governance prelude shared by every entry point that runs
-// the worker pool: wait (FIFO) for the guaranteed slot under
-// Options.Governor, chain the run's memory budget under the governor's,
-// walk the memory-degradation ladder for a pool whose workers each hold
-// patternVerts+1 cap-maxDegree buffers, and return the surplus slots
-// before any worker spawns. With neither a Governor nor a MemoryBudget
-// it grants max(Workers, 1) workers, no gate and a nil limiter at once.
-// The caller must release the grant.
+// the worker pool: wait (FIFO) for a run place under Options.Governor,
+// chain the run's memory budget under the governor's, and walk the
+// memory-degradation ladder for a run whose workers each hold
+// patternVerts+1 cap-maxDegree buffers. With neither a Governor nor a
+// MemoryBudget it grants max(Workers, 1) workers, no place and a nil
+// limiter at once. The caller must release the grant.
 func (o Options) admit(ctx context.Context, rec *metrics.Recorder, maxDegree, patternVerts int) (*grant, error) {
 	gr := &grant{workers: o.Workers}
 	if gr.workers <= 1 {
@@ -144,7 +148,7 @@ func (o Options) admit(ctx context.Context, rec *metrics.Recorder, maxDegree, pa
 		if err != nil {
 			return nil, mapErr(err)
 		}
-		gr.gate = a
+		gr.place, gr.pool = a, o.Governor.pool
 		gr.watchdog = gov.Watchdog()
 		govLim = gov.MemLimiter()
 		rec.AddDuration(metrics.AdmissionWaitNanos, a.Wait())
@@ -160,35 +164,29 @@ func (o Options) admit(ctx context.Context, rec *metrics.Recorder, maxDegree, pa
 		gr.release()
 		return nil, err
 	}
-	// If the degradation ladder shrank the pool below the admission
-	// grant, return the surplus slots before any worker spawns: the
-	// governor's shed protocol assumes held slots == live workers, and
-	// holding more would let every worker — including the last — retire
-	// to a waiting query with root chunks still unclaimed.
-	gr.gate.ReleaseTo(gr.workers)
 	return gr, nil
 }
 
 // governed is the back half every entry point that runs the worker pool
-// shares: admit the call, hand what was granted to one pool run, and
-// settle. popts carries the run's engine and checkpoint options; run
-// starts the pool with them. It returns a nil result when admission
-// failed, before any worker started.
+// shares: admit the call, hand what was granted to one run — on the
+// Governor's pool, or on one of its own — and settle. popts carries the
+// run's engine and checkpoint options; run starts the run with them. It
+// returns a nil result when admission failed, before any worker started.
 func (o Options) governed(ctx context.Context, rec *metrics.Recorder, maxDegree, patternVerts int, popts parallel.Options, run func(parallel.Options) (parallel.Result, error)) (*parallel.Result, []string, error) {
 	gr, err := o.admit(ctx, rec, maxDegree, patternVerts)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer gr.release()
-	popts.Workers, popts.Gate, popts.Watchdog, popts.MemLimiter = gr.workers, gr.gate, gr.watchdog, gr.lim
+	popts.Workers, popts.Pool, popts.Watchdog, popts.MemLimiter = gr.workers, gr.pool, gr.watchdog, gr.lim
 	pres, err := run(popts)
-	return &pres, gr.settle(rec, pres.SlotsShed, pres.Stalls), err
+	return &pres, gr.settle(rec, pres.Stalls), err
 }
 
-// sizeWorkers walks the memory-degradation ladder before any worker
-// spawns: if the requested pool's predicted arena footprint exceeds the
-// budget headroom even with exact-size (tight) slabs, workers are shed
-// — down to serial — so the run fits; the engine's hard
+// sizeWorkers walks the memory-degradation ladder before the run starts:
+// if its cap's predicted arena footprint exceeds the budget headroom
+// even with exact-size (tight) slabs, the cap is shed — down to serial —
+// so the run fits; the engine's hard
 // ErrMemoryBudget stop remains as the last resort for predictions the
 // estimate cannot see (the prediction covers per-worker candidate
 // buffers, the dominant term).
@@ -220,16 +218,12 @@ func (gr *grant) sizeWorkers(maxDegree, patternVerts int) error {
 }
 
 // settle appends the degradations only visible after the run — arena
-// pressure, slots shed to waiting queries, watchdog stalls — records the
-// total, and returns the full list.
-func (gr *grant) settle(rec *metrics.Recorder, slotsShed, stalls uint64) []string {
+// pressure, watchdog stalls — records the total, and returns the full
+// list.
+func (gr *grant) settle(rec *metrics.Recorder, stalls uint64) []string {
 	if n := gr.lim.TightGrows(); n > 0 {
 		gr.degradations = append(gr.degradations, fmt.Sprintf(
 			"memory: %d exact-size arena slab grows under budget pressure", n))
-	}
-	if slotsShed > 0 {
-		gr.degradations = append(gr.degradations, fmt.Sprintf(
-			"admission: shed %d worker slot(s) to waiting queries", slotsShed))
 	}
 	if stalls > 0 {
 		gr.degradations = append(gr.degradations, fmt.Sprintf(
@@ -239,8 +233,8 @@ func (gr *grant) settle(rec *metrics.Recorder, slotsShed, stalls uint64) []strin
 	return gr.degradations
 }
 
-// release returns the grant's memory reservations and worker slots.
+// release returns the grant's memory reservations and run place.
 func (gr *grant) release() {
 	gr.lim.ReleaseAll()
-	gr.gate.Close()
+	gr.place.Close()
 }

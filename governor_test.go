@@ -299,15 +299,12 @@ func TestStallWatchdogObservesWithoutCancel(t *testing.T) {
 	t.Fatalf("no stall degradation event: %v", res.Report.DegradationEvents)
 }
 
-// TestMemoryShedReturnsAdmissionSlots: when the memory-degradation
-// ladder shrinks a governed run's pool below its admission grant, the
-// surplus slots must go back to the governor before any worker spawns.
-// If they stayed held, a query queued on the governor would make every
-// pool worker — including the last — shed its slot and retire with
-// root chunks unclaimed, silently undercounting with a nil error. The
-// churn goroutines keep the governor's wait queue hot for the whole
-// run so the scheduling boundaries actually exercise the shed guard.
-func TestMemoryShedReturnsAdmissionSlots(t *testing.T) {
+// TestGovernorLadderCapUnderChurn: a governed run whose memory budget
+// funds about one worker has its cap cut by the degradation ladder, and
+// runs on the Governor's shared pool beside two churn queries that
+// keep every other worker busy — all of them counting exactly, and the
+// capped run reporting the ladder's cap.
+func TestGovernorLadderCapUnderChurn(t *testing.T) {
 	g := GenerateBarabasiAlbert(800, 6, 7)
 	p, err := PatternByName("triangle")
 	if err != nil {
@@ -342,74 +339,23 @@ func TestMemoryShedReturnsAdmissionSlots(t *testing.T) {
 			}
 		}()
 	}
-	// A budget funding roughly one worker: the run is granted up to 4
-	// slots but spawns fewer, so the surplus must be released.
 	perWorker := int64(p.NumVertices()+1) * int64(g.MaxDegree()) * 4
-	shed := false
-	// At least three runs, and then until one was granted more slots than
-	// its budget funds: on a loaded machine the churn queries can hold
-	// every spare slot at each of a few admissions, and a run granted one
-	// slot has no surplus to return.
-	deadline := time.Now().Add(30 * time.Second)
-	for i := 0; i < 3 || (!shed && time.Now().Before(deadline)); i++ {
+	for i := 0; i < 3; i++ {
 		res, err := Count(g, p, Options{Workers: 4, Governor: gov, MemoryBudget: perWorker + perWorker/2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Matches != ref.Matches {
-			t.Fatalf("governed run under memory shed: count %d, want %d", res.Matches, ref.Matches)
+			t.Fatalf("ladder-capped run: count %d, want %d", res.Matches, ref.Matches)
 		}
-		for _, ev := range res.Report.DegradationEvents {
-			if strings.Contains(ev, "shed workers") {
-				shed = true
-			}
+		if res.Report.Workers != 1 || len(res.Report.DegradationEvents) == 0 ||
+			!strings.Contains(res.Report.DegradationEvents[0], "shed workers 4 -> 1") {
+			t.Fatalf("ladder-capped run: %d workers, degradations %v; want the cap cut 4 -> 1", res.Report.Workers, res.Report.DegradationEvents)
 		}
 	}
 	close(stop)
 	wg.Wait()
-	if !shed {
-		t.Fatalf("budget never shed workers; the test did not exercise the grant-surplus path")
-	}
 	if gov.ActiveQueries() != 0 {
 		t.Fatalf("ActiveQueries = %d after all runs", gov.ActiveQueries())
-	}
-}
-
-// TestGovernorElasticSlotReturn: a wide run under a contended governor
-// sheds surplus slots to a second query instead of keeping them parked
-// — both finish exactly, and the shed is observable.
-func TestGovernorElasticSlotReturn(t *testing.T) {
-	g := GenerateBarabasiAlbert(1200, 8, 23)
-	p, err := PatternByName("P2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := Count(g, p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gov := NewGovernor(GovernorConfig{Slots: 4})
-	var wg sync.WaitGroup
-	results := make([]Result, 2)
-	errs := make([]error, 2)
-	for i := range results {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i], errs[i] = Count(g, p, Options{Workers: 4, Governor: gov})
-		}()
-	}
-	wg.Wait()
-	for i := range results {
-		if errs[i] != nil {
-			t.Fatalf("query %d: %v", i, errs[i])
-		}
-		if results[i].Matches != ref.Matches {
-			t.Fatalf("query %d count %d, want %d", i, results[i].Matches, ref.Matches)
-		}
-	}
-	if gov.ActiveQueries() != 0 {
-		t.Fatalf("ActiveQueries = %d after both runs", gov.ActiveQueries())
 	}
 }

@@ -1,5 +1,5 @@
 // Multi-query soak: N concurrent runs sharing one Governor, exercising
-// FIFO-fair admission, elastic slot return, the stall watchdog, and
+// FIFO-fair admission, the shared worker pool, the stall watchdog, and
 // goroutine hygiene end to end. It lives in package admission_test so
 // it can drive the public light API against this package's governor.
 package admission_test

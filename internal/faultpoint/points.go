@@ -10,8 +10,9 @@ package faultpoint
 // Canonical injection-point names. Production call sites and chaos
 // tests refer to these constants so they cannot drift apart.
 const (
-	// PointWorkerStart fires as each parallel worker begins, before it
-	// claims any work.
+	// PointWorkerStart fires once for each pool worker a run's
+	// submission starts, in the submitting goroutine, before the worker
+	// exists; an error or panic there fails that run.
 	PointWorkerStart = "parallel.worker.start"
 	// PointDonate fires inside the donation hook while the scheduler
 	// lock is held, just before a frame is snapshotted and published.
@@ -27,9 +28,6 @@ const (
 	// PointSlotGrant fires at the top of Governor.Admit, before any
 	// slot bookkeeping.
 	PointSlotGrant = "admission.slot.grant"
-	// PointSlotReturn fires inside Admission.TryShed just before a
-	// surplus slot is handed back; an injected error skips that shed.
-	PointSlotReturn = "admission.slot.return"
 	// PointBudgetCheck fires when the admission layer sizes a run's
 	// worker pool against the memory budget headroom.
 	PointBudgetCheck = "admission.budget.check"

@@ -75,14 +75,11 @@ const (
 	CheckpointWriteNanos
 	// CheckpointWriteErrors counts failed checkpoint writes.
 	CheckpointWriteErrors
-	// AdmissionWaitNanos is how long the run waited for its guaranteed
-	// worker slot under a shared Governor.
+	// AdmissionWaitNanos is how long the run waited for its run place
+	// under a shared Governor.
 	AdmissionWaitNanos
-	// AdmissionSlotsGranted is the worker-slot count held at admission.
+	// AdmissionSlotsGranted is the run's worker cap granted at admission.
 	AdmissionSlotsGranted
-	// AdmissionSlotsShed counts slots returned early to waiting queries
-	// (the worker-shedding degradation rung).
-	AdmissionSlotsShed
 	// GovernorDegradations counts degradation events of any kind
 	// (arena tight mode, worker shedding, reduced admission).
 	GovernorDegradations
@@ -123,7 +120,6 @@ var idNames = [NumIDs]string{
 	CheckpointWriteErrors:  "checkpoint.write_errors",
 	AdmissionWaitNanos:     "admission.wait_ns",
 	AdmissionSlotsGranted:  "admission.slots_granted",
-	AdmissionSlotsShed:     "admission.slots_shed",
 	GovernorDegradations:   "governor.degradations",
 	CheckpointRetries:      "checkpoint.retries",
 	WatchdogStalls:         "watchdog.stalls",

@@ -1,28 +1,38 @@
-// Package parallel runs enumeration jobs on a pool of workers (the
+// Package parallel runs enumeration jobs on pools of workers (the
 // paper's Section VII-B SMT parallelization) and is the one way every
 // query runs, at any worker count. A job is one plan over one view of
 // the graph, with its own units: the view's vertices as roots, or a list
-// of anchors. One library call is one pool run, whatever its number of
-// jobs: a lane batch runs one job per lane group, CountDelta one per
-// anchored plan and side. Workers claim every job's units from one
-// cursor; a rooted job's roots go out heaviest first (descending id,
-// which is descending degree in the reordered graph), in guided chunks
-// that start at one root and grow as the roots get lighter (see
-// pool.claim), and an anchored job's anchors one at a time. While busy
-// they donate halves of their current materialization loops to a global
-// concurrent queue whenever idle workers are waiting — the
-// sender-initiated strategy of Rao & Kumar / Acar et al. that the paper
-// adopts — which still splits a single root that dominates the run. A
-// pool of one worker has no thief, so it installs no donation hook and
-// walks the roots in full ChunkSize chunks.
+// of anchors. A run is one RunJobs call, whatever its number of jobs: a
+// lane batch runs one job per lane group, CountDelta one per anchored
+// plan and side.
 //
-// Workers never share partial results; each owns an Enumerator with its
-// candidate buffers, so memory stays O(workers · n · d_max) as in the
-// paper's analysis.
+// A Pool holds W workers and runs the jobs of every run submitted to
+// it: a Governor's pool is shared by all the runs it admits, and an
+// ungoverned call gets a pool of its own that lives for the call. Each
+// run has a cap, the most workers that may be inside its units at once.
+// At every unit boundary a worker takes the run with the fewest workers
+// inside it, among the runs below their cap with a unit or a donated
+// frame to hand out; idle workers park, and a pool with no run holds no
+// goroutine.
+//
+// Within a run, workers claim every job's units from one cursor; a
+// rooted job's roots go out heaviest first (descending id, which is
+// descending degree in the reordered graph), in guided chunks that start
+// at one root and grow as the roots get lighter (see run.claim), and an
+// anchored job's anchors one at a time. While busy they donate halves of
+// their current materialization loops to the run's queue whenever idle
+// workers are waiting — the sender-initiated strategy of Rao & Kumar /
+// Acar et al. that the paper adopts — which still splits a single root
+// that dominates the run. A run capped at one worker has no thief, so it
+// installs no donation hook and walks the roots in full ChunkSize chunks.
+//
+// Workers never share partial results; each seat of a run (one per
+// worker its cap allows) owns its enumerators and candidate arena, so
+// memory stays O(workers · n · d_max) as in the paper's analysis.
 //
 // The package is supervised (see internal/supervise): worker panics —
 // including panics inside user visit callbacks — become ordinary
-// errors that stop the pool cleanly, runs can be cancelled through a
+// errors that stop the run cleanly, runs can be cancelled through a
 // context.Context, and runs can periodically checkpoint their committed
 // state to disk and later resume with an exactly-equal total match
 // count.
@@ -73,21 +83,24 @@ type CheckpointOptions struct {
 // Options configure a parallel run.
 type Options struct {
 	// Engine configures each worker's enumerators. Engine.Arena is
-	// overridden: every worker gets its own private arena (a shared one
-	// would race), and the summed slab footprint is reported as
-	// Result.CandidateMemBytes. Engine.Overlay and Engine.Lanes are
+	// overridden: every seat of the run gets its own private arena (a
+	// shared one would race), and the summed slab footprint is reported
+	// as Result.CandidateMemBytes. Engine.Overlay and Engine.Lanes are
 	// overridden by each job's own (RunContext takes them from here).
 	// Engine.Metrics, when non-nil, receives
 	// the run's counters: engine work folded per chunk/frame plus
 	// scheduler events (steals, donations, queue waits, busy time,
 	// checkpoint write latency), every worker folding into it.
 	Engine engine.Options
-	// Workers is the number of worker goroutines; defaults to GOMAXPROCS.
+	// Workers is the run's cap: the most workers inside its units at
+	// once; defaults to GOMAXPROCS. Without a Pool it is also the size
+	// of the run's own pool.
 	Workers int
 	// ChunkSize caps the number of root candidates claimed at a time
-	// (default 256). A one-worker pool always claims this many; with more
-	// workers a chunk is also held to 1/(8·Workers) of the job's roots
-	// already dispensed, so each job's heaviest roots go out one at a time.
+	// (default 256). A run capped at one worker always claims this many;
+	// with a higher cap W a chunk is also held to 1/(8·W) of the job's
+	// roots already dispensed, so each job's heaviest roots go out one at
+	// a time.
 	ChunkSize int
 	// MinSplit is the smallest materialization loop a worker will split
 	// for donation (default 8).
@@ -101,17 +114,16 @@ type Options struct {
 	// into the returned Result. The plan and graph must match the ones
 	// the checkpoint was written under (verified by fingerprint).
 	Resume *supervise.Checkpoint
-	// Gate, when non-nil, is this run's admission under a shared
-	// Governor: workers check it at scheduling boundaries (between
-	// chunks and frames, and while parked on the queue) and retire when
-	// a surplus slot is shed to a waiting query.
-	Gate *admission.Admission
-	// MemLimiter, when non-nil, budgets every worker's candidate arena;
+	// Pool, when non-nil, is the shared pool the run is submitted to
+	// (a Governor's); nil runs the call on a pool of Workers workers of
+	// its own that lives for the call.
+	Pool *Pool
+	// MemLimiter, when non-nil, budgets every seat's candidate arena;
 	// a denied slab grow hard-stops the run with engine.ErrMemoryBudget
 	// (still writing a valid final checkpoint when configured).
 	MemLimiter *arena.Limiter
 	// Watchdog, when non-nil, starts a stall watchdog that samples
-	// per-worker progress heartbeats every Interval and, after Patience
+	// per-seat progress heartbeats every Interval and, after Patience
 	// intervals without progress from a busy worker, records a
 	// diagnostic dump (Result.StallDump) and optionally cancels the run
 	// with admission.ErrStalled.
@@ -137,20 +149,22 @@ type Result struct {
 	// of one job is not lane i of another.
 	engine.Result
 	// Jobs holds each job's own counters, Lanes included, in job order.
-	Jobs                []engine.Result
-	Donations           uint64 // frames pushed to the global queue
-	Steals              uint64 // frames executed by a worker other than the donor
+	Jobs      []engine.Result
+	Donations uint64 // frames pushed to the run's queue
+	Steals    uint64 // frames executed by a worker other than the donor
+	// Workers is the run's cap, the length of the per-worker slices.
 	Workers             int
-	CandidateMemBytes   int64 // total candidate-buffer memory across workers (Table V)
+	CandidateMemBytes   int64 // total candidate-buffer memory across seats (Table V)
 	RootChunksDispensed uint64
-	// PerWorkerNodes is the search-tree nodes each worker expanded — the
-	// load-balance evidence.
+	// PerWorkerNodes is the search-tree nodes expanded in each seat of
+	// the run — the load-balance evidence.
 	PerWorkerNodes []uint64
-	// PerWorkerBusy is the time each worker spent executing root chunks
+	// PerWorkerBusy is the time spent in each seat executing root chunks
 	// and donated frames (the per-thread utilization numerator).
 	PerWorkerBusy []time.Duration
-	// QueueWaits counts worker blocking episodes on the frame queue;
-	// QueueWaitTotal is the time spent blocked across all workers.
+	// QueueWaits counts blocking episodes of workers that ran out of this
+	// run's work; QueueWaitTotal is the time they spent parked until
+	// more arrived or the run ended.
 	QueueWaits     uint64
 	QueueWaitTotal time.Duration
 	// CheckpointWrites counts checkpoint file writes (periodic + final);
@@ -160,9 +174,6 @@ type Result struct {
 	// CheckpointRetries counts failed checkpoint writes that were
 	// retried (the jittered-backoff path).
 	CheckpointRetries uint64
-	// SlotsShed counts workers retired early because the admission
-	// governor handed their slot to a waiting query.
-	SlotsShed uint64
 	// Stalls counts stall-watchdog firings; StallDump is the first
 	// stall's diagnostic (per-worker progress table + full stack dump).
 	Stalls    uint64
@@ -185,7 +196,7 @@ func Run(g *graph.Graph, pl *plan.Plan, opts Options, visit engine.VisitFunc) (R
 // latched under that mutex: once visit has returned false (or panicked)
 // it is never called again, even by a worker that was already queued on
 // the mutex with its own match. A panic in visit or in a worker is
-// recovered, stops the pool cleanly, and is returned as a
+// recovered, stops the run cleanly, and is returned as a
 // *supervise.PanicError.
 func RunContext(ctx context.Context, g *graph.Graph, pl *plan.Plan, opts Options, visit engine.VisitFunc) (Result, error) {
 	if visit != nil {
@@ -206,8 +217,8 @@ func RunContext(ctx context.Context, g *graph.Graph, pl *plan.Plan, opts Options
 	return RunJobs(ctx, opts, []Job{{Graph: g, Overlay: opts.Engine.Overlay, Plan: pl, Lanes: opts.Engine.Lanes, Visit: visit}})
 }
 
-// Job is one plan a pool runs over one view of the graph, from its own
-// units, reporting its matches to its own visitor.
+// Job is one plan a run executes over one view of the graph, from its
+// own units, reporting its matches to its own visitor.
 type Job struct {
 	// Graph is the base CSR of the job's view and Overlay, when non-nil,
 	// the edge delta over it. The jobs of one run may read different views.
@@ -223,13 +234,15 @@ type Job struct {
 	Visit   engine.VisitFunc
 }
 
-// RunJobs runs every job on one pool of opts.Workers workers under ctx
-// and returns the combined result, each job's own counters in
-// Result.Jobs. Workers claim units of every job from one cursor and
-// donate halves of the loops below them, so a run's jobs balance against
-// each other. A worker keeps one enumerator per job it has met, all
-// carved from its one arena, so many jobs cost no more candidate memory
-// than one. Checkpoint and Resume need a single rooted job.
+// RunJobs runs every job as one run on opts.Pool (or on a pool of
+// opts.Workers workers of its own) under ctx, with at most opts.Workers
+// workers inside its units at once, and returns the combined result,
+// each job's own counters in Result.Jobs. Workers claim units of every
+// job from one cursor and donate halves of the loops below them, so a
+// run's jobs balance against each other. Each seat of the run keeps one
+// enumerator per job it has met, all carved from its one arena, so many
+// jobs cost no more candidate memory than one. Checkpoint and Resume need
+// a single rooted job.
 //
 // A job's Visit is NOT serialized: workers call it concurrently, each
 // with its own mapping slice, so it must be safe for concurrent use
@@ -266,28 +279,24 @@ func RunJobs(ctx context.Context, opts Options, jobs []Job) (Result, error) {
 		opts.Engine.Deadline = time.Now().Add(opts.Engine.TimeLimit)
 	}
 
-	// One recorder for the whole pool: workers fold engine results into
+	// One recorder for the whole run: workers fold engine results into
 	// it per chunk/frame, scheduler events hit it from blocking paths.
 	rec := opts.Engine.Metrics
 
-	p := &pool{
-		jobs:   jobs,
-		state:  make([]jobState, len(jobs)),
-		opts:   opts,
-		alive:  opts.Workers,
-		beats:  make([]atomic.Uint64, opts.Workers),
-		epochs: make([]atomic.Uint64, opts.Workers),
+	r := &run{
+		jobs:  jobs,
+		state: make([]jobState, len(jobs)),
+		opts:  opts,
+		seats: make([]seat, opts.Workers),
+		done:  make(chan struct{}),
 	}
-	p.cond = sync.NewCond(&p.mu)
+	for i := range r.seats {
+		r.seats[i].engines = make([]*engine.Enumerator, len(jobs))
+		r.seats[i].acc = make([]engine.Result, len(jobs))
+	}
 	visitErrs := make([]func() error, len(jobs))
 	for j := range jobs {
-		p.state[j].visit, visitErrs[j] = supervise.SafeVisit("visit callback", jobs[j].Visit)
-	}
-	if opts.Gate != nil {
-		// Wake parked workers when the governor's queue goes non-empty,
-		// so surplus slots are shed promptly instead of at the next
-		// scheduling event.
-		opts.Gate.SetNotify(p.wakeAll)
+		r.state[j].visit, visitErrs[j] = supervise.SafeVisit("visit callback", jobs[j].Visit)
 	}
 
 	var base engine.Result
@@ -313,10 +322,9 @@ func RunJobs(ctx context.Context, opts Options, jobs []Job) (Result, error) {
 			}
 		}
 	}
-	var units int64
 	for j, jb := range jobs {
-		st := &p.state[j]
-		st.start, units = units, units+int64(len(jb.Anchors))
+		st := &r.state[j]
+		st.start, r.total = r.total, r.total+int64(len(jb.Anchors))
 		if jb.Anchors == nil {
 			// The root candidate set is every vertex of the job's view —
 			// overlay vertices included, so matches rooted at a newly
@@ -327,51 +335,23 @@ func RunJobs(ctx context.Context, opts Options, jobs []Job) (Result, error) {
 				n = jb.Overlay.NumVertices()
 			}
 			st.roots = pendingRoots(n, priorDone)
-			units += int64(len(st.roots))
+			r.total += int64(len(st.roots))
 		}
-		st.end = units
+		st.end = r.total
 	}
 
 	if opts.Checkpoint != nil {
-		p.led = newLedger(p.state[0].roots, supervise.Fingerprint(g, pl), base, priorDone)
+		r.led = newLedger(r.state[0].roots, supervise.Fingerprint(g, pl), base, priorDone)
 	}
 	if opts.Resume != nil {
 		for _, f := range opts.Resume.Frames {
-			p.queue = append(p.queue, queuedFrame{f: f, unit: p.led.beginFrame(0, f)})
+			r.queue = append(r.queue, queuedFrame{f: f, unit: r.led.beginFrame(0, f)})
 		}
 	}
-
-	release := supervise.WatchContext(ctx, func() {
-		p.stop.Store(true)
-		p.wakeAll()
-	})
-	defer release()
 	if ctx != nil && ctx.Err() != nil {
-		// Already done: stop at the first poll instead of racing the
-		// watcher to it.
-		p.stop.Store(true)
-	}
-
-	var wg sync.WaitGroup
-	results := make([]engine.Result, opts.Workers*len(jobs)) // worker w's per job at [w*len(jobs):]
-	errs := make([]error, opts.Workers)
-	memBytes := make([]int64, opts.Workers)
-	busys := make([]time.Duration, opts.Workers)
-	for w := 0; w < opts.Workers; w++ {
-		w := w
-		supervise.Go(&wg, fmt.Sprintf("parallel worker %d", w), func(err error) {
-			// Panic path: the worker died without returning. Record the
-			// converted panic and make sure no peer waits for it.
-			errs[w] = err
-			p.stop.Store(true)
-			p.wakeAll()
-		}, func() {
-			memBytes[w], busys[w], errs[w] = p.worker(w, results[w*len(jobs):(w+1)*len(jobs)])
-			if errs[w] != nil {
-				p.stop.Store(true)
-				p.wakeAll()
-			}
-		})
+		// Already done: the run ends before any worker takes it instead
+		// of racing the watcher to the first poll.
+		r.stop.Store(true)
 	}
 
 	var ckWG sync.WaitGroup
@@ -383,7 +363,7 @@ func RunJobs(ctx context.Context, opts Options, jobs []Job) (Result, error) {
 		}
 		ckStop = make(chan struct{})
 		supervise.Go(&ckWG, "checkpoint writer", func(err error) {
-			p.led.noteWriteErr(err)
+			r.led.noteWriteErr(err)
 		}, func() {
 			ticker := time.NewTicker(interval)
 			defer ticker.Stop()
@@ -393,8 +373,8 @@ func RunJobs(ctx context.Context, opts Options, jobs []Job) (Result, error) {
 					// A panicking write (e.g. injected faults) must not kill
 					// the process; it is recorded like any write error and
 					// superseded by the next successful write.
-					p.led.noteWriteErr(supervise.Call("checkpoint write", func() error {
-						return p.timedCheckpoint(false)
+					r.led.noteWriteErr(supervise.Call("checkpoint write", func() error {
+						return r.timedCheckpoint(false)
 					}))
 				case <-ckStop:
 					return
@@ -408,15 +388,28 @@ func RunJobs(ctx context.Context, opts Options, jobs []Job) (Result, error) {
 	if opts.Watchdog != nil && opts.Watchdog.Interval > 0 {
 		wdStop = make(chan struct{})
 		supervise.Go(&wdWG, "stall watchdog", func(err error) {
-			// A watchdog panic must never take the run down; the pool
+			// A watchdog panic must never take the run down; the run
 			// simply loses stall coverage.
 			_ = err
 		}, func() {
-			p.watchdog(opts.Watchdog, wdStop)
+			r.watchdog(opts.Watchdog, wdStop)
 		})
 	}
 
-	wg.Wait()
+	p := opts.Pool
+	if p == nil {
+		p = NewPool(opts.Workers)
+	}
+	r.pool = p
+	p.submit(r)
+	// Watch ctx only now: halt may end a run only once it is on its pool.
+	release := supervise.WatchContext(ctx, r.halt)
+	<-r.done
+	release()
+	if opts.Pool == nil {
+		// The run was the pool's only one: its workers are exiting.
+		p.wg.Wait()
+	}
 	if wdStop != nil {
 		close(wdStop)
 		wdWG.Wait()
@@ -428,22 +421,28 @@ func RunJobs(ctx context.Context, opts Options, jobs []Job) (Result, error) {
 
 	out := Result{Jobs: make([]engine.Result, len(jobs)), Workers: opts.Workers}
 	out.PerWorkerNodes = make([]uint64, opts.Workers)
-	out.PerWorkerBusy = busys
+	out.PerWorkerBusy = make([]time.Duration, opts.Workers)
 	out.Jobs[0].Add(base)
-	for w := 0; w < opts.Workers; w++ {
-		for j, r := range results[w*len(jobs) : (w+1)*len(jobs)] {
-			out.Jobs[j].Add(r)
-			out.PerWorkerNodes[w] += r.Nodes
+	for i := range r.seats {
+		s := &r.seats[i]
+		for j, res := range s.acc {
+			out.Jobs[j].Add(res)
+			out.PerWorkerNodes[i] += res.Nodes
 		}
-		out.CandidateMemBytes += memBytes[w]
-		rec.AddDuration(metrics.ParallelBusyNanos, busys[w])
+		if s.ar != nil {
+			out.CandidateMemBytes += s.ar.Bytes()
+		}
+		out.PerWorkerBusy[i] = s.busy
+		rec.AddDuration(metrics.ParallelBusyNanos, s.busy)
 	}
 	out.Result = sumJobs(out.Jobs)
-	out.Donations = p.donations.Load()
-	out.Steals = p.steals.Load()
-	out.RootChunksDispensed = p.chunks.Load()
+	// A run stopped before any worker met the stop still ends cut short.
+	out.Stopped = out.Stopped || r.stop.Load() && (r.cursor.Load() < r.total || len(r.queue) > 0)
+	out.Donations = r.donations.Load()
+	out.Steals = r.steals.Load()
+	out.RootChunksDispensed = r.chunks.Load()
 
-	err := joinErrors(errs)
+	err := joinErrors(r.errs)
 	for _, visitErr := range visitErrs {
 		if verr := visitErr(); verr != nil {
 			err = joinErrors([]error{err, verr})
@@ -452,41 +451,37 @@ func RunJobs(ctx context.Context, opts Options, jobs []Job) (Result, error) {
 	if opts.Checkpoint != nil {
 		complete := err == nil && !out.Stopped
 		werr := supervise.Call("checkpoint write", func() error {
-			return p.timedCheckpoint(complete)
+			return r.timedCheckpoint(complete)
 		})
 		if werr != nil {
 			err = joinErrors([]error{err, werr})
 		}
 	}
-	if err == nil && out.Stopped && p.stallCancelled.Load() {
+	if err == nil && out.Stopped && r.stallCancelled.Load() {
 		err = admission.ErrStalled
 	}
 	if err == nil && out.Stopped && ctx != nil && ctx.Err() != nil {
 		err = ctx.Err()
 	}
 
-	// Scheduler-level counters: pool atomics folded once per run, plus
-	// the resumed checkpoint's committed engine counters.
-	out.QueueWaits = p.qWaits.Load()
-	out.QueueWaitTotal = time.Duration(p.qWaitNS.Load())
-	out.CheckpointWrites = p.ckWrites.Load()
-	out.CheckpointWriteTotal = time.Duration(p.ckWriteNS.Load())
-	out.CheckpointRetries = p.ckRetries.Load()
-	out.SlotsShed = p.shed.Load()
-	out.Stalls = p.stalls.Load()
-	p.mu.Lock()
-	out.StallDump = p.stallDump
-	p.mu.Unlock()
+	// Scheduler-level counters folded once per run, plus the resumed
+	// checkpoint's committed engine counters.
+	out.QueueWaits = r.qWaits.Load()
+	out.QueueWaitTotal = time.Duration(r.qWaitNS.Load())
+	out.CheckpointWrites = r.ckWrites.Load()
+	out.CheckpointWriteTotal = time.Duration(r.ckWriteNS.Load())
+	out.CheckpointRetries = r.ckRetries.Load()
+	out.Stalls = r.stalls.Load()
+	out.StallDump = r.stallDump
 	rec.Add(metrics.ParallelDonations, out.Donations)
 	rec.Add(metrics.ParallelSteals, out.Steals)
 	rec.Add(metrics.ParallelRootChunks, out.RootChunksDispensed)
 	rec.Add(metrics.ParallelQueueWaits, out.QueueWaits)
-	rec.Add(metrics.ParallelQueueWaitNanos, p.qWaitNS.Load())
+	rec.AddDuration(metrics.ParallelQueueWaitNanos, out.QueueWaitTotal)
 	rec.Add(metrics.CheckpointWrites, out.CheckpointWrites)
-	rec.Add(metrics.CheckpointWriteNanos, p.ckWriteNS.Load())
-	rec.Add(metrics.CheckpointWriteErrors, p.ckWriteErrs.Load())
+	rec.Add(metrics.CheckpointWriteNanos, r.ckWriteNS.Load())
+	rec.Add(metrics.CheckpointWriteErrors, r.ckWriteErrs.Load())
 	rec.Add(metrics.CheckpointRetries, out.CheckpointRetries)
-	rec.Add(metrics.AdmissionSlotsShed, out.SlotsShed)
 	rec.Add(metrics.WatchdogStalls, out.Stalls)
 	base.AddTo(rec)
 	return out, err
@@ -528,6 +523,185 @@ func joinErrors(errs []error) error {
 	return errors.Join(nonNil...)
 }
 
+// Pool is a set of worker goroutines shared by every run submitted to
+// it. A worker starts when a run needs it and the pool is below its
+// size, and exits when the pool has no run left, so an idle Pool holds
+// no goroutine and needs no Close. Safe for concurrent use.
+type Pool struct {
+	size int
+
+	mu     sync.Mutex
+	cond   *sync.Cond
+	runs   []*run       // live runs in submission order (mu)
+	nruns  atomic.Int32 // len(runs), read at unit boundaries without mu
+	live   int          // worker goroutines (mu)
+	idle   int          // workers parked on cond (mu)
+	hungry atomic.Int32 // mirrors idle for the donation hook's lock-free check
+	wg     sync.WaitGroup
+}
+
+// NewPool returns a pool of size workers (GOMAXPROCS when size <= 0).
+func NewPool(size int) *Pool {
+	if size <= 0 {
+		size = runtime.GOMAXPROCS(0)
+	}
+	p := &Pool{size: size}
+	p.cond = sync.NewCond(&p.mu)
+	return p
+}
+
+// worker is one pool goroutine's view of where it is: the run and seat
+// whose unit it is inside (nil between units), and the run it last
+// left, which its next wait for work is charged to.
+type worker struct {
+	r    *run
+	s    *seat
+	last *run
+}
+
+// submit adds r to the pool, starts the workers its cap can use that
+// the pool has neither parked nor running, and wakes the parked ones.
+// Worker-start faults are hit here, in the submitter, so an injected
+// failure is charged to the run that asked for the worker.
+func (p *Pool) submit(r *run) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := max(0, min(len(r.seats)-p.idle, p.size-p.live))
+	for i := 0; i < n; i++ {
+		if err := supervise.Call("parallel worker start", func() error {
+			return faultpoint.Hit(faultpoint.PointWorkerStart)
+		}); err != nil {
+			// The stopped run ends below, before any worker starts.
+			r.errs = append(r.errs, fmt.Errorf("parallel: worker start: %w", err))
+			r.stop.Store(true)
+			break
+		}
+	}
+	p.runs = append(p.runs, r)
+	p.nruns.Store(int32(len(p.runs)))
+	if r.doneLocked() {
+		p.finishLocked(r)
+		return
+	}
+	p.spawnLocked(n)
+	p.cond.Broadcast()
+}
+
+// spawnLocked starts n workers.
+func (p *Pool) spawnLocked(n int) {
+	for i := 0; i < n; i++ {
+		w := &worker{}
+		p.live++
+		supervise.Go(&p.wg, "parallel worker", func(err error) { p.lost(w, err) }, func() { p.work(w) })
+	}
+}
+
+// work is a worker goroutine's body: take the run the pool chooses, serve
+// it until the next unit boundary that leaves the choice open, leave, and
+// choose again; park while no run has work this worker may take, and exit
+// when the pool has no run at all.
+func (p *Pool) work(w *worker) {
+	p.mu.Lock()
+	for {
+		r := p.awaitLocked(w.last)
+		if r == nil {
+			p.live--
+			p.mu.Unlock()
+			return
+		}
+		s := r.sitLocked()
+		if p.idle > 0 && p.pickLocked() != nil {
+			// Work this worker did not take: a parked one may.
+			p.cond.Signal()
+		}
+		w.r, w.s = r, s
+		p.mu.Unlock()
+		err := r.serve(s)
+		p.mu.Lock()
+		w.r, w.s, w.last = nil, nil, r
+		r.standLocked(s, err)
+	}
+}
+
+// lost is a worker's panic path: the panic becomes the error of the run
+// the worker was inside, which stops, and a replacement starts while
+// the pool still has runs.
+func (p *Pool) lost(w *worker, err error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.live--
+	if r := w.r; r != nil {
+		r.stop.Store(true)
+		r.standLocked(w.s, err)
+	}
+	if len(p.runs) > 0 {
+		p.spawnLocked(1)
+	}
+}
+
+// pickLocked returns the run a free worker should take: among the runs
+// that are not stopped, are below their cap, and have a unit or a frame
+// to hand out, the one with the fewest workers inside, the earliest
+// submitted on a tie; nil when there is none.
+func (p *Pool) pickLocked() *run {
+	var best *run
+	for _, r := range p.runs {
+		if r.stop.Load() || r.inside >= len(r.seats) || (r.cursor.Load() >= r.total && len(r.queue) == 0) {
+			continue
+		}
+		if best == nil || r.inside < best.inside {
+			best = r
+		}
+	}
+	return best
+}
+
+// awaitLocked returns the run a free worker takes next, parking it
+// until some run has work for it; nil when the pool has no run left. A
+// park counts as one queue wait of last, the run the worker ran out of,
+// if that run was still going. (A shared pool's worker woken by last's
+// end may charge it after RunJobs has read the counters; a run's own
+// pool is waited for, so its counters are whole.)
+func (p *Pool) awaitLocked(last *run) *run {
+	r := p.pickLocked()
+	if r != nil || len(p.runs) == 0 {
+		return r
+	}
+	if last != nil && last.finished {
+		last = nil
+	}
+	t0 := time.Now()
+	p.idle++
+	p.hungry.Add(1)
+	for r == nil && len(p.runs) > 0 {
+		p.cond.Wait()
+		r = p.pickLocked()
+	}
+	p.idle--
+	p.hungry.Add(-1)
+	if last != nil {
+		last.qWaits.Add(1)
+		last.qWaitNS.Add(uint64(time.Since(t0)))
+	}
+	return r
+}
+
+// finishLocked ends r: its workers have all left, and its units are
+// exhausted or it was stopped. It takes r off the pool and releases
+// RunJobs.
+func (p *Pool) finishLocked(r *run) {
+	r.finished = true
+	for i, q := range p.runs {
+		if q == r {
+			p.runs = append(p.runs[:i], p.runs[i+1:]...)
+			break
+		}
+	}
+	p.nruns.Store(int32(len(p.runs)))
+	close(r.done)
+	p.cond.Broadcast() //lightvet:ignore concurrency -- every caller holds p.mu, as the Locked suffix says
+}
+
 // queuedFrame is one donated frame awaiting a worker, paired with its
 // ledger unit (0 when checkpointing is off) and the job whose plan it
 // suspends.
@@ -537,24 +711,30 @@ type queuedFrame struct {
 	job  int
 }
 
-// workerState is per-worker scheduler state reachable from the
-// donation hook: the ledger unit of the chunk or frame the worker is
-// currently executing, so donated frames can be parented correctly,
-// the job it belongs to, and the worker's accumulated busy time (owned
-// by one goroutine, no synchronization needed). engines holds the
-// worker's enumerator per job, built on first use over the one arena,
-// and acc its results per job.
-type workerState struct {
-	idx     int
+// seat is one of a run's cap places for a worker inside its units, and
+// what a worker there works with: the ledger unit of the chunk or frame
+// it is executing, so donated frames can be parented correctly, and the
+// job it belongs to; the seat's enumerator per job, built on first use
+// over the seat's one arena, and its results per job; its busy time;
+// and the watchdog's heartbeat and epoch. One worker at a time sits in
+// a seat, handed over under the pool lock, so none of it needs more
+// synchronization than that.
+type seat struct {
+	taken   bool // pool mu
 	unit    unitID
 	job     int
 	busy    time.Duration
 	ar      *arena.Arena
 	engines []*engine.Enumerator
 	acc     []engine.Result
+	// beat is the engine's deadline-poll heartbeat; epoch goes odd when
+	// a worker enters RunRoots/Resume and even when it returns — a seat
+	// whose epoch is odd and whose beat stops moving holds a wedged
+	// worker, not one between work items.
+	beat, epoch atomic.Uint64
 }
 
-// jobState is the pool's own state of one job: its supervised visitor,
+// jobState is the run's own state of one job: its supervised visitor,
 // and where its units sit on the cursor — positions [start, end), which
 // are its roots, heaviest first, or its anchors.
 type jobState struct {
@@ -563,223 +743,246 @@ type jobState struct {
 	start, end int64
 }
 
-// pool is the shared scheduler state.
-type pool struct {
+// run is one RunJobs call's scheduler state on its pool.
+type run struct {
+	pool *Pool
 	jobs []Job
-	opts Options
+	opts Options // opts.Workers is the cap, len(seats)
 	led  *ledger // nil when checkpointing is off
 
 	// The work dispensed by the cursor: every job's units, job after job
-	// (see jobState).
+	// (see jobState), total in all.
 	state  []jobState
 	cursor atomic.Int64 // next unclaimed unit
+	total  int64
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	queue    []queuedFrame
-	idle     int
-	alive    int // workers not yet retired by slot shedding (mu-guarded)
-	finished bool
-	stop     atomic.Bool
-	hungry   atomic.Int32 // idle workers wanting tasks (donation trigger)
-	chunks   atomic.Uint64
+	seats []seat        // one per cap place
+	done  chan struct{} // closed when the run ends
 
+	// Guarded by pool.mu.
+	inside    int // workers in seats
+	queue     []queuedFrame
+	errs      []error
+	finished  bool
+	stallDump string // the first stall's diagnostic
+
+	stop      atomic.Bool
+	chunks    atomic.Uint64
 	donations atomic.Uint64
 	steals    atomic.Uint64
 
-	// Stall-watchdog state: beats is the engine's deadline-poll
-	// heartbeat, epochs goes odd when a worker enters RunRoots/Resume
-	// and even when it returns — a worker whose epoch is odd and whose
-	// beat stops moving is wedged, not merely between work items.
-	beats  []atomic.Uint64
-	epochs []atomic.Uint64
-	// stallDump (mu-guarded) keeps the first stall's diagnostic.
-	stallDump      string
 	stallCancelled atomic.Bool
 	stalls         atomic.Uint64
-	shed           atomic.Uint64
-	ckRetries      atomic.Uint64
 
-	// Scheduler-event counters folded into the run's metrics recorder
-	// (and the Result) once, at the end of RunJobs.
-	qWaits      atomic.Uint64 // blocking episodes in takeFrame
-	qWaitNS     atomic.Uint64 // nanoseconds spent blocked in takeFrame
+	qWaits      atomic.Uint64 // parks of workers that ran out of this run's work
+	qWaitNS     atomic.Uint64 // nanoseconds they spent parked
+	ckRetries   atomic.Uint64
 	ckWrites    atomic.Uint64 // checkpoint writes attempted
 	ckWriteNS   atomic.Uint64 // cumulative checkpoint write latency
 	ckWriteErrs atomic.Uint64 // checkpoint writes that failed
 }
 
-// worker sets up this worker's state and hands off to the scheduling
-// loop, accumulating its results per job into acc; it returns when the
-// units are exhausted and the queue stays empty with every other worker
-// idle.
-func (p *pool) worker(idx int, acc []engine.Result) (int64, time.Duration, error) {
-	if err := faultpoint.Hit(faultpoint.PointWorkerStart); err != nil {
-		return 0, 0, fmt.Errorf("parallel: worker %d start: %w", idx, err)
-	}
-	// Per-worker: arenas must never be shared across goroutines. Under a
-	// memory budget each worker's arena charges the shared limiter.
-	ws := &workerState{idx: idx, ar: arena.NewBudgeted(p.opts.MemLimiter), engines: make([]*engine.Enumerator, len(p.jobs)), acc: acc}
-	err := p.runLoop(ws)
-	return ws.ar.Bytes(), ws.busy, err
+// doneLocked reports whether r can end: no worker is inside it, and its
+// units and queue are exhausted or it was stopped.
+func (r *run) doneLocked() bool {
+	return !r.finished && r.inside == 0 && (r.stop.Load() || r.cursor.Load() >= r.total && len(r.queue) == 0)
 }
 
-// engine returns the worker's enumerator for a job, building it on
-// first use over the job's view and lanes. All of a worker's
-// enumerators share its arena: they run one at a time, and each run
+// sitLocked puts a worker in one of r's free seats.
+func (r *run) sitLocked() *seat {
+	r.inside++
+	for i := range r.seats {
+		if s := &r.seats[i]; !s.taken {
+			s.taken = true
+			return s
+		}
+	}
+	panic("parallel: run above its cap")
+}
+
+// standLocked takes a worker out of its seat with the error its last
+// unit returned, and ends r if that was its last worker and work.
+func (r *run) standLocked(s *seat, err error) {
+	r.inside--
+	s.taken = false
+	if err != nil {
+		r.errs = append(r.errs, err)
+	}
+	if r.doneLocked() {
+		r.pool.finishLocked(r)
+	}
+}
+
+// halt stops r from outside its units (context cancellation, the
+// watchdog): workers inside leave at their next poll, and a run no
+// worker is inside ends at once.
+func (r *run) halt() {
+	r.stop.Store(true)
+	p := r.pool
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if r.doneLocked() {
+		p.finishLocked(r)
+	}
+}
+
+// engine returns the seat's enumerator for a job, building it on first
+// use over the job's view and lanes. All of a seat's enumerators share
+// its arena, built with the first: they run one at a time, and each run
 // begins by resetting it.
 //
-//lightvet:ignore hotpath -- construction happens once per (worker, job); every later call is the slice load
-func (p *pool) engine(ws *workerState, job int) *engine.Enumerator {
-	if e := ws.engines[job]; e != nil {
+//lightvet:ignore hotpath -- construction happens once per (seat, job); every later call is the slice load
+func (r *run) engine(s *seat, job int) *engine.Enumerator {
+	if e := s.engines[job]; e != nil {
 		return e
 	}
-	jb := &p.jobs[job]
-	eopts := p.opts.Engine
-	eopts.Arena, eopts.Overlay, eopts.Lanes = ws.ar, jb.Overlay, jb.Lanes
-	e := engine.New(jb.Graph, jb.Plan, eopts)
-	e.Stop = &p.stop
-	e.Progress = &p.beats[ws.idx]
-	if p.opts.Workers > 1 {
-		// A lone worker has no thief to donate to.
-		e.Hook = p.makeHook(ws)
+	if s.ar == nil {
+		// Under a memory budget each seat's arena charges the run's
+		// limiter.
+		s.ar = arena.NewBudgeted(r.opts.MemLimiter)
 	}
-	ws.engines[job] = e
+	jb := &r.jobs[job]
+	eopts := r.opts.Engine
+	eopts.Arena, eopts.Overlay, eopts.Lanes = s.ar, jb.Overlay, jb.Lanes
+	e := engine.New(jb.Graph, jb.Plan, eopts)
+	e.Stop = &r.stop
+	e.Progress = &s.beat
+	if len(r.seats) > 1 {
+		// A run capped at one worker has no thief to donate to.
+		e.Hook = r.makeHook(s)
+	}
+	s.engines[job] = e
 	return e
 }
 
-// runLoop is the worker body proper: claim root chunks while any remain,
-// then execute donated frames until global termination. It stays
-// allocation-free in steady state — candidate buffers come from the
-// worker's arena (slabs grown on the first chunk, reused afterwards),
-// and the ledger (acknowledged-cold, once per chunk) owns its own
-// memory.
+// serve runs r's units from seat s — root chunks while any remain, then
+// donated frames — until r runs dry or stops, or, at a unit boundary,
+// the pool holds another run to choose between. It stays allocation-free
+// in steady state: candidate buffers come from the seat's arena (slabs
+// grown on the first chunk, reused afterwards), and the ledger
+// (acknowledged-cold, once per chunk) owns its own memory.
 //
 //light:hotpath
-func (p *pool) runLoop(ws *workerState) error {
-	for {
-		// Elastic slot return: between work items, hand a surplus slot
-		// to a query waiting on the shared governor and retire this
-		// worker (a single atomic load when no one is waiting).
-		if p.opts.Gate.TryShed() {
-			p.retire()
-			return nil
-		}
-		// Phase 1: claim a chunk of one job's roots, or one of its anchors.
-		if job, lo, hi, ok := p.claim(); ok {
-			p.chunks.Add(1)
-			ws.unit, ws.job = p.led.beginChunk(lo, hi), job
-			st := &p.state[job]
+func (r *run) serve(s *seat) error {
+	for !r.stop.Load() {
+		if job, lo, hi, ok := r.claim(); ok {
+			r.chunks.Add(1)
+			s.unit, s.job = r.led.beginChunk(lo, hi), job
+			st := &r.state[job]
 			var res engine.Result
 			var err error
 			t0 := time.Now()
-			p.epochs[ws.idx].Add(1)
-			if anchors := p.jobs[job].Anchors; anchors != nil {
-				res, err = p.engine(ws, job).RunAnchor(anchors[lo], st.visit)
+			s.epoch.Add(1)
+			if anchors := r.jobs[job].Anchors; anchors != nil {
+				res, err = r.engine(s, job).RunAnchor(anchors[lo], st.visit)
 			} else {
-				res, err = p.engine(ws, job).RunRoots(st.roots[lo:hi], st.visit)
+				res, err = r.engine(s, job).RunRoots(st.roots[lo:hi], st.visit)
 			}
-			p.epochs[ws.idx].Add(1)
-			ws.busy += time.Since(t0)
-			ws.acc[job].Add(res)
+			s.epoch.Add(1)
+			s.busy += time.Since(t0)
+			s.acc[job].Add(res)
 			if err != nil || res.Stopped {
-				p.stop.Store(true)
-				p.wakeAll()
+				r.stop.Store(true)
 				return err
 			}
-			p.led.finish(ws.unit, res)
-			continue
-		}
-		// Phase 2: take donated frames, or wait for some.
-		qf, ok := p.takeFrame()
-		if !ok {
+			r.led.finish(s.unit, res)
+		} else if qf, ok := r.takeFrame(); ok {
+			if err := faultpoint.Hit(faultpoint.PointFrameResume); err != nil {
+				r.stop.Store(true)
+				return err
+			}
+			r.steals.Add(1)
+			s.unit, s.job = qf.unit, qf.job
+			e := r.engine(s, qf.job)
+			t0 := time.Now()
+			s.epoch.Add(1)
+			res, err := e.Resume(qf.f, r.state[qf.job].visit)
+			s.epoch.Add(1)
+			s.busy += time.Since(t0)
+			s.acc[qf.job].Add(res)
+			if err != nil || res.Stopped {
+				r.stop.Store(true)
+				return err
+			}
+			r.led.finish(qf.unit, res)
+		} else {
 			return nil
 		}
-		if err := faultpoint.Hit(faultpoint.PointFrameResume); err != nil {
-			p.stop.Store(true)
-			p.wakeAll()
-			return err
+		if r.pool.nruns.Load() > 1 {
+			return nil
 		}
-		p.steals.Add(1)
-		ws.unit, ws.job = qf.unit, qf.job
-		e := p.engine(ws, qf.job)
-		t0 := time.Now()
-		p.epochs[ws.idx].Add(1)
-		res, err := e.Resume(qf.f, p.state[qf.job].visit)
-		p.epochs[ws.idx].Add(1)
-		ws.busy += time.Since(t0)
-		ws.acc[qf.job].Add(res)
-		if err != nil || res.Stopped {
-			p.stop.Store(true)
-			p.wakeAll()
-			return err
-		}
-		p.led.finish(qf.unit, res)
 	}
+	return nil
 }
 
 // claim takes the next chunk [lo, hi) of one job's units off the
 // cursor, in that job's own indices, or reports that none is left. A
 // chunk never spans two jobs. Roots are dealt heaviest first, so per-root
-// work roughly falls as lo grows, and a chunk of at most lo/(8·W) roots
-// costs at most about 1/(8W) of the job's work already handed out: that
-// bounds what one worker can be left holding when the others run dry.
-// Each job's hubs go out one at a time and its chunks grow to the
-// ChunkSize cap as the roots get lighter. A lone worker keeps nobody
-// waiting, so it claims full chunks. An anchor is always a unit alone.
+// work roughly falls as lo grows, and a chunk of at most lo/(8·W) roots,
+// W the run's cap, costs at most about 1/(8W) of the job's work already
+// handed out: that bounds what one worker can be left holding when the
+// others run dry. Each job's hubs go out one at a time and its chunks
+// grow to the ChunkSize cap as the roots get lighter. A run capped at
+// one worker keeps nobody waiting, so it claims full chunks. An anchor is
+// always a unit alone.
 //
 //light:hotpath
-func (p *pool) claim() (job int, lo, hi int64, ok bool) {
+func (r *run) claim() (job int, lo, hi int64, ok bool) {
 	for {
-		c := p.cursor.Load()
+		c := r.cursor.Load()
 		job = 0
-		for job < len(p.state) && c >= p.state[job].end {
+		for job < len(r.state) && c >= r.state[job].end {
 			job++
 		}
-		if job == len(p.state) {
+		if job == len(r.state) {
 			return 0, 0, 0, false
 		}
-		st := &p.state[job]
+		st := &r.state[job]
 		lo = c - st.start
 		n := int64(1)
-		if p.jobs[job].Anchors == nil {
-			n = int64(p.opts.ChunkSize)
-			if p.opts.Workers > 1 {
-				n = min(max(lo/(8*int64(p.opts.Workers)), 1), n)
+		if r.jobs[job].Anchors == nil {
+			n = int64(r.opts.ChunkSize)
+			if r.opts.Workers > 1 {
+				n = min(max(lo/(8*int64(r.opts.Workers)), 1), n)
 			}
 		}
 		end := min(c+n, st.end)
-		if p.cursor.CompareAndSwap(c, end) {
+		if r.cursor.CompareAndSwap(c, end) {
 			return job, lo, end - st.start, true
 		}
 	}
 }
 
-// retire removes a worker from the pool's accounting after its slot
-// was shed to another query. The idle==alive termination equality is
-// re-broadcast so parked peers re-evaluate it.
-func (p *pool) retire() {
-	p.shed.Add(1)
+// takeFrame pops the newest donated frame of r, if any.
+func (r *run) takeFrame() (queuedFrame, bool) {
+	p := r.pool
 	p.mu.Lock()
-	p.alive--
-	p.cond.Broadcast()
-	p.mu.Unlock()
+	defer p.mu.Unlock()
+	n := len(r.queue)
+	if n == 0 {
+		return queuedFrame{}, false
+	}
+	qf := r.queue[n-1]
+	r.queue = r.queue[:n-1]
+	return qf, true
 }
 
-// makeHook builds the sender-initiated donation hook: when idle workers
-// are waiting and the queue is empty, split the remaining candidates of
-// the current materialization loop in half and publish a frame. The
-// scheduler lock is released by defer, so a panic anywhere inside the
-// donation path (snapshotting, injected faults) unwinds with the lock
-// free and can never wedge the other workers.
-func (p *pool) makeHook(ws *workerState) engine.MatHook {
+// makeHook builds the sender-initiated donation hook: when workers are
+// parked, r has seats free for them and its queue is shorter than that,
+// split the remaining candidates of the current materialization loop in
+// half and publish a frame. The pool lock is released by defer, so a
+// panic anywhere inside the donation path (snapshotting, injected
+// faults) unwinds with the lock free and can never wedge the other
+// workers.
+func (r *run) makeHook(s *seat) engine.MatHook {
+	p := r.pool
 	return func(e *engine.Enumerator, sigmaIdx int, cands []graph.VertexID) int {
-		if len(cands) < p.opts.MinSplit || p.hungry.Load() == 0 {
+		if len(cands) < r.opts.MinSplit || p.hungry.Load() == 0 {
 			return len(cands)
 		}
 		p.mu.Lock()
 		defer p.mu.Unlock()
-		if p.idle == 0 || len(p.queue) >= p.idle {
+		if len(r.queue) >= min(p.idle, len(r.seats)-r.inside) {
 			return len(cands)
 		}
 		if err := faultpoint.Hit(faultpoint.PointDonate); err != nil {
@@ -789,82 +992,19 @@ func (p *pool) makeHook(ws *workerState) engine.MatHook {
 		}
 		keep := len(cands) / 2
 		f := e.Snapshot(sigmaIdx, cands[keep:])
-		p.queue = append(p.queue, queuedFrame{f: f, unit: p.led.beginFrame(ws.unit, f), job: ws.job})
-		p.donations.Add(1)
+		r.queue = append(r.queue, queuedFrame{f: f, unit: r.led.beginFrame(s.unit, f), job: s.job})
+		r.donations.Add(1)
 		p.cond.Broadcast()
 		return keep
 	}
 }
 
-// takeFrame blocks until a frame is available or the pool terminates.
-// Each blocking episode (one takeFrame call that had to Wait, however
-// many spurious wakeups it saw) counts as one queue wait.
-func (p *pool) takeFrame() (queuedFrame, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.idle++
-	p.hungry.Add(1)
-	var waitStart time.Time
-	for {
-		if len(p.queue) > 0 {
-			qf := p.queue[len(p.queue)-1]
-			p.queue = p.queue[:len(p.queue)-1]
-			p.idle--
-			p.hungry.Add(-1)
-			p.noteWait(waitStart)
-			return qf, true
-		}
-		if p.finished || p.stop.Load() || p.idle == p.alive {
-			// Termination: all live workers idle and nothing queued.
-			// Latch the state and wake the rest so they observe it too.
-			p.finished = true
-			p.cond.Broadcast()
-			p.idle--
-			p.hungry.Add(-1)
-			p.noteWait(waitStart)
-			return queuedFrame{}, false
-		}
-		// A parked worker is the cheapest one to retire: hand its slot
-		// to a waiting query. idle and alive drop together, so the
-		// termination equality for the remaining workers is unchanged.
-		// Lock order is p.mu → governor mu, here and everywhere.
-		if p.opts.Gate.TryShed() {
-			p.shed.Add(1)
-			p.idle--
-			p.alive--
-			p.hungry.Add(-1)
-			p.cond.Broadcast()
-			p.noteWait(waitStart)
-			return queuedFrame{}, false
-		}
-		if waitStart.IsZero() {
-			waitStart = time.Now()
-			p.qWaits.Add(1)
-		}
-		p.cond.Wait()
-	}
-}
-
-// noteWait records the blocked span of one takeFrame episode; start is
-// zero when the call never blocked.
-func (p *pool) noteWait(start time.Time) {
-	if !start.IsZero() {
-		p.qWaitNS.Add(uint64(time.Since(start)))
-	}
-}
-
-func (p *pool) wakeAll() {
-	p.mu.Lock()
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
-
 // writeCheckpoint persists the ledger's committed state to the
 // configured checkpoint path.
-func (p *pool) writeCheckpoint(complete bool) error {
-	ck := p.led.snapshot(p.cursor.Load())
+func (r *run) writeCheckpoint(complete bool) error {
+	ck := r.led.snapshot(r.cursor.Load())
 	ck.Complete = complete
-	return ck.Save(p.opts.Checkpoint.Path)
+	return ck.Save(r.opts.Checkpoint.Path)
 }
 
 // timedCheckpoint wraps writeCheckpoint with write-latency accounting
@@ -872,20 +1012,20 @@ func (p *pool) writeCheckpoint(complete bool) error {
 // a few milliseconds, not the run's checkpoint. A panicking write skips
 // the accounting — the supervising Call converts it to an error above
 // this frame (and is not retried: a panic is a bug, not a transient).
-func (p *pool) timedCheckpoint(complete bool) error {
+func (r *run) timedCheckpoint(complete bool) error {
 	for attempt := 0; ; attempt++ {
 		t0 := time.Now()
-		err := p.writeCheckpoint(complete)
-		p.ckWrites.Add(1)
-		p.ckWriteNS.Add(uint64(time.Since(t0)))
+		err := r.writeCheckpoint(complete)
+		r.ckWrites.Add(1)
+		r.ckWriteNS.Add(uint64(time.Since(t0)))
 		if err == nil {
 			return nil
 		}
-		p.ckWriteErrs.Add(1)
+		r.ckWriteErrs.Add(1)
 		if attempt >= checkpointRetries {
 			return err
 		}
-		p.ckRetries.Add(1)
+		r.ckRetries.Add(1)
 		// Exponential backoff with ±50% jitter; the cold path may use
 		// math/rand freely.
 		d := checkpointBackoff << attempt

@@ -195,10 +195,10 @@ func TestDefaults(t *testing.T) {
 	}
 }
 
-// claimPool is a pool holding only what claim reads: one job per entry
-// of units, anchored when the count is negative.
-func claimPool(workers, chunkSize int, units ...int) *pool {
-	p := &pool{opts: Options{Workers: workers, ChunkSize: chunkSize}}
+// claimPool is a run holding only what claim reads: one job per entry
+// of units, anchored when the count is negative, and a cap of workers.
+func claimPool(workers, chunkSize int, units ...int) *run {
+	p := &run{opts: Options{Workers: workers, ChunkSize: chunkSize}}
 	var end int64
 	for _, u := range units {
 		var jb Job

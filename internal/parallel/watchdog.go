@@ -15,15 +15,15 @@ import (
 // without letting a huge process image bloat the RunReport).
 const stackDumpCap = 64 << 10
 
-// watchdog samples every worker's progress heartbeat each wd.Interval
+// watchdog samples every seat's progress heartbeat each wd.Interval
 // and fires after wd.Patience consecutive intervals in which a busy
-// worker (odd epoch) advanced neither its epoch nor its beat. A worker
-// parked on the frame queue has an even epoch and is never flagged; a
+// seat (odd epoch) advanced neither its epoch nor its beat. A seat no
+// worker is inside has an even epoch and is never flagged; a
 // slow-but-advancing worker moves its beat (the engine bumps it every
 // 8192 σ steps) and is never flagged either — only a wedged one (e.g.
 // a visit callback that stopped returning) trips the patience counter.
-func (p *pool) watchdog(wd *admission.WatchdogConfig, stop <-chan struct{}) {
-	n := len(p.beats)
+func (r *run) watchdog(wd *admission.WatchdogConfig, stop <-chan struct{}) {
+	n := len(r.seats)
 	lastBeat := make([]uint64, n)
 	lastEpoch := make([]uint64, n)
 	still := make([]int, n)
@@ -39,12 +39,12 @@ func (p *pool) watchdog(wd *admission.WatchdogConfig, stop <-chan struct{}) {
 		case <-stop:
 			return
 		case <-ticker.C:
-			if p.stop.Load() {
+			if r.stop.Load() {
 				return
 			}
 			for w := 0; w < n; w++ {
-				epoch := p.epochs[w].Load()
-				beat := p.beats[w].Load()
+				epoch := r.seats[w].epoch.Load()
+				beat := r.seats[w].beat.Load()
 				busy := epoch&1 == 1
 				if busy && epoch == lastEpoch[w] && beat == lastBeat[w] {
 					still[w]++
@@ -56,7 +56,7 @@ func (p *pool) watchdog(wd *admission.WatchdogConfig, stop <-chan struct{}) {
 				lastBeat[w] = beat
 				if still[w] >= patience && !fired[w] {
 					fired[w] = true
-					p.fireStall(w, wd, still[w])
+					r.fireStall(w, wd, still[w])
 				}
 			}
 		}
@@ -66,33 +66,32 @@ func (p *pool) watchdog(wd *admission.WatchdogConfig, stop <-chan struct{}) {
 // fireStall records one stall: counter, first-wins diagnostic dump
 // (per-worker progress table + all-goroutine stacks), and — when the
 // watchdog is configured to cancel — cooperative termination of the
-// pool, which RunJobs surfaces as admission.ErrStalled.
-func (p *pool) fireStall(w int, wd *admission.WatchdogConfig, intervals int) {
+// run, which RunJobs surfaces as admission.ErrStalled.
+func (r *run) fireStall(w int, wd *admission.WatchdogConfig, intervals int) {
 	if err := faultpoint.Hit(faultpoint.PointWatchdogFire); err != nil {
 		// An injected fault suppresses this firing (chaos coverage for
 		// the diagnostic path itself).
 		return
 	}
-	p.stalls.Add(1)
+	r.stalls.Add(1)
 	var b strings.Builder
 	fmt.Fprintf(&b, "stall watchdog: worker %d made no progress for %d intervals of %v\n",
 		w, intervals, wd.Interval)
 	b.WriteString("per-worker progress (beat = engine polls/8192, epoch odd = executing):\n")
-	for i := range p.beats {
+	for i := range r.seats {
 		fmt.Fprintf(&b, "  worker %d: beat=%d epoch=%d\n",
-			i, p.beats[i].Load(), p.epochs[i].Load())
+			i, r.seats[i].beat.Load(), r.seats[i].epoch.Load())
 	}
 	buf := make([]byte, stackDumpCap)
 	b.WriteString("goroutine stacks:\n")
 	b.Write(buf[:runtime.Stack(buf, true)])
-	p.mu.Lock()
-	if p.stallDump == "" {
-		p.stallDump = b.String()
+	r.pool.mu.Lock()
+	if r.stallDump == "" {
+		r.stallDump = b.String()
 	}
-	p.mu.Unlock()
+	r.pool.mu.Unlock()
 	if wd.Cancel {
-		p.stallCancelled.Store(true)
-		p.stop.Store(true)
-		p.wakeAll()
+		r.stallCancelled.Store(true)
+		r.halt()
 	}
 }

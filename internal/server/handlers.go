@@ -28,8 +28,8 @@ type QueryOptions struct {
 	// (light.ParseIntersection), and the result cache keys on the
 	// resolved kernel, so "" and "HybridBitmap" share their entries.
 	Kernel string `json:"kernel,omitempty"`
-	// Workers is the worker-pool request; the governor may grant fewer
-	// under load.
+	// Workers is the query's cap on the governor's shared worker pool;
+	// above the governor's Slots it is cut to Slots.
 	Workers int `json:"workers,omitempty"`
 	// TailCount enables the count-only leaf shortcut (rejected by
 	// /enumerate and /batch).

@@ -16,14 +16,15 @@ import (
 // GOMAXPROCS-slot governor, no memory budget, no default deadline, and
 // a 1024-entry result cache.
 type Config struct {
-	// Slots is the governor's worker-slot budget shared by all
-	// concurrent queries (0 = GOMAXPROCS).
+	// Slots is the size of the governor's worker pool shared by all
+	// concurrent queries, and how many it admits at once
+	// (0 = GOMAXPROCS).
 	Slots int
 	// MemoryBudget caps candidate-arena bytes across all queries
 	// (0 = unlimited).
 	MemoryBudget int64
-	// AdmissionTimeout bounds every query's wait for its guaranteed
-	// worker slot; past it the query fails with 429 (0 = wait until the
+	// AdmissionTimeout bounds every query's wait for a run place;
+	// past it the query fails with 429 (0 = wait until the
 	// request context is done).
 	AdmissionTimeout time.Duration
 	// DefaultDeadline is applied to queries that set no timeout_ms
@@ -232,7 +233,7 @@ type StatsResponse struct {
 
 // GovernorStats is the /stats view of the shared governor.
 type GovernorStats struct {
-	// Slots is the total worker-slot budget; ActiveQueries the
+	// Slots is the shared pool's size; ActiveQueries the
 	// currently admitted runs; MemoryInUse the bytes reserved against
 	// the shared budget; AdmissionTimeouts the ErrOverloaded count.
 	Slots             int    `json:"slots"`

@@ -468,9 +468,11 @@ type Options struct {
 	// kernel everywhere else. Name HybridBlock to reproduce the paper's
 	// configuration exactly.
 	Intersection Intersection
-	// Workers is the size of the work-stealing pool (Section VII-B)
-	// every run executes on; 0 means one worker, which walks the root
-	// candidates in chunks with no one to donate work to.
+	// Workers is the most workers of the work-stealing pool (Section
+	// VII-B) inside the run at once: a pool of its own, or under a
+	// Governor its shared one, where the cap is at most Slots. 0 means
+	// one worker, which walks the root candidates in chunks with no one
+	// to donate work to.
 	Workers int
 	// TimeLimit aborts the run with ErrTimeLimit when positive.
 	TimeLimit time.Duration
@@ -504,10 +506,10 @@ type Options struct {
 	// match the checkpointing run (verified by fingerprint).
 	ResumeFrom string
 	// Governor, when non-nil, admits this run through a shared resource
-	// governor: the run waits (FIFO) for a guaranteed worker slot,
-	// takes up to Workers slots opportunistically, returns surplus
-	// slots while other runs wait, and is covered by the governor's
-	// memory budget and stall watchdog. See NewGovernor.
+	// governor: the run waits (FIFO) for a run place, then runs on the
+	// governor's shared worker pool with up to min(Workers, Slots) of
+	// its workers inside its units at once, and is covered by the
+	// governor's memory budget and stall watchdog. See NewGovernor.
 	Governor *Governor
 	// MemoryBudget caps this run's candidate-arena bytes (0 =
 	// unlimited). Under pressure the run degrades gracefully —
@@ -515,8 +517,8 @@ type Options struct {
 	// ErrMemoryBudget; degradations are listed in the RunReport. Nests
 	// under the Governor's shared budget when both are set.
 	MemoryBudget int64
-	// AdmissionTimeout bounds the wait for the guaranteed worker slot
-	// under a Governor: past it the run fails fast with ErrOverloaded.
+	// AdmissionTimeout bounds the wait for a run place under a
+	// Governor: past it the run fails fast with ErrOverloaded.
 	// 0 waits until the context is cancelled. Ignored without a
 	// Governor.
 	AdmissionTimeout time.Duration

@@ -3,6 +3,8 @@
 package light
 
 import (
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -61,5 +63,62 @@ func TestOnePoolPerCall(t *testing.T) {
 	if dr.AddedEdges == 0 || dr.RemovedEdges == 0 || starts != workers {
 		t.Errorf("CountDelta over %d added and %d removed edges started %d workers, want one pool of %d",
 			dr.AddedEdges, dr.RemovedEdges, starts, workers)
+	}
+}
+
+// TestGovernedCallsShareOnePool: governed calls run on their Governor's
+// one pool. While a one-worker Enumerate holds one of a 2-slot
+// Governor's workers, five sequential 2-worker Counts start at most one
+// worker between them, and each keeps its full cap: granted 2, with no
+// reduced-admission event.
+func TestGovernedCallsShareOnePool(t *testing.T) {
+	g := GenerateBarabasiAlbert(300, 4, 1)
+	p := mustPattern(t, "triangle")
+	ref, err := Count(g, p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gov := NewGovernor(GovernorConfig{Slots: 2, DisableWatchdog: true})
+
+	hold, started := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, err := Enumerate(g, p, Options{Workers: 1, Governor: gov}, func([]VertexID) bool {
+			once.Do(func() { close(started) })
+			<-hold
+			return true
+		}); err != nil {
+			t.Errorf("holder run: %v", err)
+		}
+	}()
+	defer wg.Wait()
+	defer close(hold)
+	<-started
+
+	starts := countWorkerStarts(t, func() error {
+		for i := 0; i < 5; i++ {
+			res, err := Count(g, p, Options{Workers: 2, Governor: gov})
+			if err != nil {
+				return err
+			}
+			if res.Matches != ref.Matches {
+				t.Errorf("count %d: %d matches, want %d", i, res.Matches, ref.Matches)
+			}
+			if res.Report.SlotsGranted != 2 {
+				t.Errorf("count %d: SlotsGranted %d, want 2", i, res.Report.SlotsGranted)
+			}
+			for _, ev := range res.Report.DegradationEvents {
+				if strings.HasPrefix(ev, "admission: granted") {
+					t.Errorf("count %d: %q", i, ev)
+				}
+			}
+		}
+		return nil
+	})
+	if starts > 1 {
+		t.Errorf("five governed Counts started %d workers, want at most 1: they must share the Governor's pool", starts)
 	}
 }

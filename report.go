@@ -78,14 +78,14 @@ type RunReport struct {
 	// increments Retries and Errors but surfaces no error).
 	CheckpointRetries uint64 `json:"checkpoint_retries,omitempty"`
 
-	// AdmissionWaitNS is how long the run waited for its guaranteed
-	// worker slot under a shared Governor, in ns.
+	// AdmissionWaitNS is how long the run waited for its run place
+	// under a shared Governor, in ns.
 	AdmissionWaitNS uint64 `json:"admission_wait_ns,omitempty"`
-	// SlotsGranted is the worker-slot count held at admission (the
-	// run's initial pool size under a Governor).
+	// SlotsGranted is the run's worker cap granted at admission under a
+	// Governor: min(Workers, Slots).
 	SlotsGranted uint64 `json:"slots_granted,omitempty"`
-	// SlotsShed counts workers retired early because the governor
-	// handed their slot to a waiting query.
+	// SlotsShed is always 0: runs share the Governor's pool and never
+	// hand workers back. It stays for readers of the report.
 	SlotsShed uint64 `json:"slots_shed,omitempty"`
 	// WatchdogStalls counts stall-watchdog firings during the run;
 	// StallDump is the first stall's diagnostic (per-worker progress
@@ -144,7 +144,6 @@ func newRunReport(rec *metrics.Recorder, opts Options, st *snapshotState, worker
 
 		AdmissionWaitNS:   rec.Get(metrics.AdmissionWaitNanos),
 		SlotsGranted:      rec.Get(metrics.AdmissionSlotsGranted),
-		SlotsShed:         rec.Get(metrics.AdmissionSlotsShed),
 		WatchdogStalls:    rec.Get(metrics.WatchdogStalls),
 		DegradationEvents: degradations,
 

@@ -83,6 +83,9 @@ go test -race -cpu 2,4 -timeout 20m "${SHORT[@]}" \
 echo "==> go test -race -cpu 2,4 shared-graph regressions (queries racing hub-index rebuilds, snapshot isolation)"
 run_named . 'TestConcurrentQueriesHubThreshold|TestHubIndexOneBuildAcrossQueries|TestSnapshotIsolation' -race -cpu 2,4 -timeout 5m
 
+echo "==> go test -race -cpu 2,4 governor (runs sharing the Governor's pool, memory ladder, admission timeout, stall watchdog)"
+run_named . 'TestGovernor|TestMemoryBudget|TestAdmissionOverloaded|TestStallWatchdog' -race -cpu 2,4 -timeout 10m
+
 echo "==> go test -race -cpu 1,2,4: visitor stop latch, anchored scheduler, CountDelta oracles, default-kernel equivalence, labeled queries, counter baseline"
 # The stop latch only matters with two or more workers really running at
 # once, CountDelta's visitors run unserialized, the default kernel's hub
@@ -113,8 +116,9 @@ go build -tags faultinject ./...
 go test -race -cpu 2,4 -tags faultinject -timeout 20m "${SHORT[@]}" \
     ./internal/faultpoint/ ./internal/parallel/ ./internal/supervise/ ./internal/graph/ ./internal/engine/ ./internal/admission/ ./internal/lanes/
 # The chaos line above does not cover the root package: count the pool
-# workers a lane batch and a CountDelta start (one pool per call).
-run_named . TestOnePoolPerCall -tags faultinject -race -cpu 2,4 -timeout 5m
+# workers a lane batch and a CountDelta start (one pool per call), and
+# those governed calls start (one pool per Governor).
+run_named . 'TestOnePoolPerCall|TestGovernedCallsShareOnePool' -tags faultinject -race -cpu 2,4 -timeout 5m
 
 echo "==> fuzz smoke: FuzzCSRRoundTrip (10s)"
 run_named ./internal/graph/ FuzzCSRRoundTrip -fuzz FuzzCSRRoundTrip -fuzztime 10s
