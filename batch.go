@@ -68,10 +68,11 @@ type BatchResult struct {
 // BatchQuery. Every lane group runs on one worker pool; under a
 // Governor the whole batch is admitted once.
 //
-// Options.Filter, TailCount, CheckpointPath, and ResumeFrom do not
-// apply to batches (per-query filters belong in BatchQuery; lane
-// batches always take the full leaf loop) and are rejected with
-// ErrUnsupportedOption.
+// Options.Filter, CheckpointPath, and ResumeFrom do not apply to
+// batches (per-query filters belong in BatchQuery) and are rejected
+// with ErrUnsupportedOption. Lane batches always take the full leaf
+// loop, so their counters are those of filtered Counts (see
+// Options.Filter), not of an unfiltered Count's counted tail.
 func CountBatch(g *Graph, queries []BatchQuery, opts Options) (BatchResult, error) {
 	return CountBatchContext(context.Background(), g, queries, opts)
 }
@@ -87,8 +88,6 @@ func CountBatchContext(ctx context.Context, g *Graph, queries []BatchQuery, opts
 	switch {
 	case opts.Filter != nil:
 		return bres, fmt.Errorf("%w: CountBatch does not take Options.Filter; set per-query BatchQuery.Filter instead", ErrUnsupportedOption)
-	case opts.TailCount:
-		return bres, fmt.Errorf("%w: CountBatch does not support TailCount (lane batches always run the leaf loop)", ErrUnsupportedOption)
 	case opts.CheckpointPath != "" || opts.ResumeFrom != "":
 		return bres, fmt.Errorf("%w: CountBatch does not support checkpointing", ErrUnsupportedOption)
 	}

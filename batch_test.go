@@ -21,12 +21,10 @@ func TestCountBatchCatalogParity(t *testing.T) {
 		}
 		for _, minDeg := range []int{0, 5} {
 			queries = append(queries, BatchQuery{Pattern: p, MinDegree: minDeg})
-			ref := Options{}
-			if minDeg > 0 {
-				d := minDeg
-				ref.Filter = func(u int, v VertexID) bool { return g.Degree(v) >= d }
-			}
-			refs = append(refs, ref)
+			// Lanes walk every level to the leaves, and so does a
+			// filtered Count, even when the filter accepts everything.
+			d := minDeg
+			refs = append(refs, Options{Filter: func(u int, v VertexID) bool { return g.Degree(v) >= d }})
 		}
 	}
 	for _, workers := range []int{1, 4} {
@@ -135,9 +133,6 @@ func TestCountBatchValidation(t *testing.T) {
 		Filter: func(u int, v VertexID) bool { return true },
 	}); err == nil {
 		t.Error("Options.Filter accepted")
-	}
-	if _, err := CountBatch(g, []BatchQuery{{Pattern: p}}, Options{TailCount: true}); err == nil {
-		t.Error("TailCount accepted")
 	}
 	if _, err := CountBatch(g, []BatchQuery{{Pattern: p}}, Options{CheckpointPath: "x"}); err == nil {
 		t.Error("CheckpointPath accepted")

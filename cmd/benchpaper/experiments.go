@@ -164,18 +164,13 @@ func runParallel(g *graph.Graph, p *pattern.Pattern, mode plan.Mode, kernel inte
 	return runParallelPlan(g, compilePlan(g, p, mode), kernel, workers, limit)
 }
 
-// runParallelPlan runs a precompiled plan under the work stealer.
+// runParallelPlan runs a precompiled plan under the work stealer. The
+// run is count-only, so the engine counts σ's trailing MATs instead of
+// walking them.
 func runParallelPlan(g *graph.Graph, pl *plan.Plan, kernel intersect.Kind, workers int, limit time.Duration) outcome {
-	return runParallelCount(g, pl, kernel, workers, limit, false)
-}
-
-// runParallelCount optionally enables the tail-MAT counting shortcut
-// (used by the Fig 8 overall comparison for both LIGHT and the DUALSIM
-// proxy — see EXPERIMENTS.md).
-func runParallelCount(g *graph.Graph, pl *plan.Plan, kernel intersect.Kind, workers int, limit time.Duration, tailCount bool) outcome {
 	start := time.Now()
 	res, err := parallel.Run(g, pl, parallel.Options{
-		Engine:  engine.Options{Kernel: kernel, TimeLimit: limit, TailCount: tailCount},
+		Engine:  engine.Options{Kernel: kernel, TimeLimit: limit},
 		Workers: workers,
 	}, nil)
 	o := engineOutcome(time.Since(start), res.Result)
@@ -422,8 +417,8 @@ func fig8(c config) {
 	}
 	for _, d := range c.loadDatasets("yt-s", "eu-s", "lj-s", "ot-s", "uk-s", "fs-s") {
 		for _, p := range c.loadPatterns("P1", "P2", "P3", "P4", "P5", "P6", "P7") {
-			li := runParallelCount(d.g, compilePlan(d.g, p, plan.ModeLIGHT), intersect.KindHybridBlock, c.workers, c.timeout, true)
-			du := runParallelCount(d.g, compilePlan(d.g, p, plan.ModeSE), intersect.KindHybridBlock, c.workers, c.timeout, true)
+			li := runParallelPlan(d.g, compilePlan(d.g, p, plan.ModeLIGHT), intersect.KindHybridBlock, c.workers, c.timeout)
+			du := runParallelPlan(d.g, compilePlan(d.g, p, plan.ModeSE), intersect.KindHybridBlock, c.workers, c.timeout)
 			seed := runBFS(bfsjoin.SEED, d.g, p, c)
 			cry := runBFS(bfsjoin.Crystal, d.g, p, c)
 			matches := "-"

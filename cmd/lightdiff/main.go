@@ -3,8 +3,8 @@
 // checked through the full oracle matrix — an independent brute-force
 // reference, the BFS-join and worst-case-optimal baselines, and the
 // LIGHT engine serial + on the work-stealing pool under every kernel,
-// TailCount and DegreeFilter combination, plus a kill-and-resume
-// checkpoint round-trip, a lane-batched pass (root-window and
+// count-only or visitor, and DegreeFilter combination, plus a
+// kill-and-resume checkpoint round-trip, a lane-batched pass (root-window and
 // mixed-spec batches, per-lane counters vs sequential references), and
 // an edge-delta pass (a seed-derived mutation batch applied
 // copy-on-write, checked against a fresh CSR rebuild and the CountDelta

@@ -78,7 +78,7 @@ type DeltaResult struct {
 // to the whole call: one admission covers it, and one pool runs both
 // sides. Options.Filter, when set, narrows both sides exactly as it
 // narrows Count (the identity then holds for the filtered counts); it may
-// be called from several workers at once. Snapshot, TailCount, Order,
+// be called from several workers at once. Snapshot, Order,
 // CheckpointPath, and ResumeFrom are rejected with ErrUnsupportedOption.
 func CountDelta(g *Graph, p *Pattern, from, to *Snapshot, opts Options) (DeltaResult, error) {
 	return CountDeltaContext(context.Background(), g, p, from, to, opts)
@@ -103,8 +103,6 @@ func CountDeltaContext(ctx context.Context, g *Graph, p *Pattern, from, to *Snap
 	switch {
 	case opts.Snapshot != nil:
 		return dr, fmt.Errorf("%w: CountDelta does not take Options.Snapshot (pass the snapshots directly)", ErrUnsupportedOption)
-	case opts.TailCount:
-		return dr, fmt.Errorf("%w: CountDelta does not support TailCount (every match image is inspected)", ErrUnsupportedOption)
 	case opts.Order != nil:
 		return dr, fmt.Errorf("%w: CountDelta does not take Options.Order (every search order starts at a changed edge)", ErrUnsupportedOption)
 	case opts.CheckpointPath != "" || opts.ResumeFrom != "":

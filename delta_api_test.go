@@ -477,7 +477,6 @@ func TestCountDeltaRejectsBadOptions(t *testing.T) {
 		t.Fatal("accepted a snapshot from a different Graph")
 	}
 	for name, opts := range map[string]Options{
-		"TailCount":      {TailCount: true},
 		"Snapshot":       {Snapshot: s},
 		"Order":          {Order: []int{0, 1, 2}},
 		"CheckpointPath": {CheckpointPath: "x"},

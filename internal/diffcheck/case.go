@@ -3,10 +3,10 @@
 // every implementation in the repo that can count or enumerate matches
 // — an independent brute-force reference, the BFS-join baselines, and
 // the LIGHT engine serial and on the work-stealing pool under every
-// kernel, TailCount and DegreeFilter combination, plus a kill-and-resume
-// checkpoint round-trip — and cross-checks the results. On a
-// discrepancy, a greedy shrinker reduces the case to a minimal repro
-// and renders it as a ready-to-paste Go test.
+// kernel, count-only or visitor, and DegreeFilter combination, plus a
+// kill-and-resume checkpoint round-trip — and cross-checks the results.
+// On a discrepancy, a greedy shrinker reduces the case to a minimal
+// repro and renders it as a ready-to-paste Go test.
 //
 // The package is consumed three ways: deterministic seeded short tests
 // (diffcheck_test.go), a native fuzz target (FuzzDifferential), and the

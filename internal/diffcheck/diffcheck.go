@@ -87,11 +87,22 @@ func (d *Discrepancy) Error() string {
 	return s
 }
 
-// engineVariant is one point in the kernel × TailCount × DegreeFilter
-// cube.
+// engineVariant is one point in the kernel × {count-only, visitor} ×
+// DegreeFilter cube. A count-only run counts σ's trailing MATs; a run
+// with a visitor walks every level to the leaves, the paper's engine.
 type engineVariant struct {
-	name string
-	opts engine.Options
+	name  string
+	opts  engine.Options
+	visit bool
+}
+
+// visitor returns the variant's visitor: nil for a count-only run, one
+// that accepts every match otherwise.
+func (v engineVariant) visitor() engine.VisitFunc {
+	if !v.visit {
+		return nil
+	}
+	return func([]graph.VertexID) bool { return true }
 }
 
 func kernelName(k intersect.Kind) string {
@@ -121,26 +132,26 @@ func variants(quick bool) []engineVariant {
 		intersect.KindMergeBitmap, intersect.KindHybridBitmap,
 	}
 	if quick {
-		// The cheap core: the default kernel, the all-features-on corner
-		// of the cube, and the bitmap-probe path.
+		// The cheap core: the paper's leaf loop, the counted tail under
+		// DegreeFilter, and the bitmap-probe path.
 		return []engineVariant{
-			{"kernel=Merge", engine.Options{}},
-			{"kernel=Hybrid,tc,df", engine.Options{Kernel: intersect.KindHybrid, TailCount: true, DegreeFilter: true}},
-			{"kernel=HybridBitmap", engine.Options{Kernel: intersect.KindHybridBitmap}},
+			{"kernel=Merge,visit", engine.Options{}, true},
+			{"kernel=Hybrid,df", engine.Options{Kernel: intersect.KindHybrid, DegreeFilter: true}, false},
+			{"kernel=HybridBitmap", engine.Options{Kernel: intersect.KindHybridBitmap}, false},
 		}
 	}
 	var vs []engineVariant
 	for _, k := range kernels {
-		for _, tc := range []bool{false, true} {
+		for _, visit := range []bool{false, true} {
 			for _, df := range []bool{false, true} {
 				name := "kernel=" + kernelName(k)
-				if tc {
-					name += ",tc"
+				if visit {
+					name += ",visit"
 				}
 				if df {
 					name += ",df"
 				}
-				vs = append(vs, engineVariant{name, engine.Options{Kernel: k, TailCount: tc, DegreeFilter: df}})
+				vs = append(vs, engineVariant{name, engine.Options{Kernel: k, DegreeFilter: df}, visit})
 			}
 		}
 	}
@@ -251,12 +262,16 @@ func RunCase(c Case, cfg Config) (Outcome, *Discrepancy) {
 		}
 	}
 
-	// Kernel × TailCount × DegreeFilter cube, serial; each variant's
-	// Result is kept as the twin for the parallel counter-equality check.
+	// Kernel × {count-only, visitor} × DegreeFilter cube, serial; each
+	// variant's Result is kept as the twin for the parallel
+	// counter-equality check.
+	// A count-only run counts its trailing levels instead of walking
+	// them, and must still report the nodes its visitor twin expands.
 	vs := variants(cfg.Quick)
 	serialRes := make([]engine.Result, len(vs))
+	twinNodes := map[string]uint64{}
 	for i, v := range vs {
-		res, err := engine.New(g, light, v.opts).Run(nil)
+		res, err := engine.New(g, light, v.opts).Run(v.visitor())
 		if err != nil {
 			return fail("serial/"+v.name, want, 0, err.Error())
 		}
@@ -264,6 +279,11 @@ func RunCase(c Case, cfg Config) (Outcome, *Discrepancy) {
 		if res.Matches != want {
 			return fail("serial/"+v.name, want, res.Matches, "")
 		}
+		twin := strings.Replace(v.name, ",visit", "", 1)
+		if nodes, ok := twinNodes[twin]; ok && nodes != res.Nodes {
+			return fail("nodes/"+v.name, nodes, res.Nodes, "count-only and visitor runs expanded different node counts")
+		}
+		twinNodes[twin] = res.Nodes
 		serialRes[i] = res
 	}
 
@@ -272,7 +292,7 @@ func RunCase(c Case, cfg Config) (Outcome, *Discrepancy) {
 	// their candidate sets, so Nodes/Comps/Stats are
 	// partition-independent.
 	for i, v := range vs {
-		res, err := parallel.Run(g, light, parallel.Options{Engine: v.opts, Workers: cfg.Workers, ChunkSize: 4, MinSplit: 2}, nil)
+		res, err := parallel.Run(g, light, parallel.Options{Engine: v.opts, Workers: cfg.Workers, ChunkSize: 4, MinSplit: 2}, v.visitor())
 		if err != nil {
 			return fail("parallel/"+v.name, want, 0, err.Error())
 		}

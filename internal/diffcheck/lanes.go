@@ -27,11 +27,15 @@ import (
 //
 // Both batches run through the parallel scheduler at cfg.Workers, so
 // donation frames carry lane masks across workers; counter equality is
-// partition-independent for the same reason it is in counterDiff.
+// partition-independent for the same reason it is in counterDiff. Lanes
+// walk every level to the leaves, so every sequential reference runs
+// under a filter, acceptAll where the lane has none: an unfiltered
+// count-only run counts its trailing levels instead.
 func checkLanes(c Case, g *graph.Graph, pl, alt *plan.Plan, want uint64, cfg Config) *Discrepancy {
 	fail := func(stage string, wantN, got uint64, detail string) *Discrepancy {
 		return &Discrepancy{Case: c, Stage: stage, Want: wantN, Got: got, Detail: detail}
 	}
+	acceptAll := func(u int, v graph.VertexID) bool { return true }
 	n := g.NumVertices()
 	window := func(lo, hi int) []graph.VertexID {
 		if hi > n {
@@ -69,7 +73,7 @@ func checkLanes(c Case, g *graph.Graph, pl, alt *plan.Plan, want uint64, cfg Con
 		if seq == nil {
 			seq = window(0, n)
 		}
-		solo, err := engine.New(g, pl, engine.Options{}).RunRoots(seq, nil)
+		solo, err := engine.New(g, pl, engine.Options{Filter: acceptAll}).RunRoots(seq, nil)
 		if err != nil {
 			return fail(fmt.Sprintf("lanes/roots[%d]", i), want, 0, err.Error())
 		}
@@ -92,7 +96,7 @@ func checkLanes(c Case, g *graph.Graph, pl, alt *plan.Plan, want uint64, cfg Con
 		{Plan: pl, Spec: lanes.Spec{Filter: evenFilter}},
 	}
 	refs := []func(u int, v graph.VertexID) bool{
-		nil,
+		acceptAll,
 		func(u int, v graph.VertexID) bool { return g.Degree(v) >= 2 },
 		evenFilter,
 	}
@@ -118,7 +122,7 @@ func checkLanes(c Case, g *graph.Graph, pl, alt *plan.Plan, want uint64, cfg Con
 		}
 	}
 	if alt != nil {
-		solo, err := engine.New(g, alt, engine.Options{}).Run(nil)
+		solo, err := engine.New(g, alt, engine.Options{Filter: acceptAll}).Run(nil)
 		if err != nil {
 			return fail("lanes/mixed/alt-order", want, 0, err.Error())
 		}

@@ -132,11 +132,6 @@ type Options struct {
 	// takes precedence over TimeLimit. The parallel scheduler pins one
 	// deadline for all workers and chunks.
 	Deadline time.Time
-	// TailCount enables the leaf-MAT counting shortcut in count-only
-	// runs: when the final σ operation is a MAT, add the number of valid
-	// candidates instead of looping. Keep false for the paper-faithful
-	// engine; benchmarks measure the difference.
-	TailCount bool
 	// DegreeFilter skips candidates whose data degree is below the
 	// pattern vertex's degree — the only filter unlabeled graphs admit
 	// from the labeled-matching toolbox (used by the CFL baseline).
@@ -146,7 +141,8 @@ type Options struct {
 	// sound (never reject a vertex that completes to a valid match the
 	// caller wants) and fast — it runs in the innermost loop. The
 	// labeled-matching layer uses it for label and neighborhood-label-
-	// frequency filtering. Filter disables the TailCount shortcut.
+	// frequency filtering. Filter disables the count-only tail (see
+	// matLoop): every leaf assignment is then individually checked.
 	Filter func(u int, v graph.VertexID) bool
 	// Metrics, when non-nil, receives this enumerator's counters: each
 	// RunRoots/Resume/Run folds its Result into the recorder when it
@@ -173,8 +169,8 @@ type Options struct {
 	// batch, masking lanes off as their per-query filters reject
 	// assignments, and attributes every node, match, COMP, and
 	// intersection to each live lane in Result.Lanes. Lane mode is
-	// count-only (no visitors) and disables the TailCount shortcut —
-	// the leaf loop must run to apply leaf-level lane masks.
+	// count-only (no visitors) and disables the count-only tail — the
+	// leaf loop must run to apply leaf-level lane masks.
 	Lanes LaneProber
 }
 
@@ -225,9 +221,10 @@ func (r *Result) AddTo(m *metrics.Recorder) {
 }
 
 // MatHook, when non-nil, is invoked at the start of every non-root MAT
-// loop with the σ index and the full candidate slice about to be
-// iterated; it returns how many of those candidates the enumerator should
-// process locally (the rest having been donated elsewhere). Used by the
+// loop the run walks (a counting run's counted levels have none) with
+// the σ index and the full candidate slice about to be iterated; it
+// returns how many of those candidates the enumerator should process
+// locally (the rest having been donated elsewhere). Used by the
 // work-stealing scheduler; see the parallel package.
 type MatHook func(e *Enumerator, sigmaIdx int, candidates []graph.VertexID) int
 
@@ -283,12 +280,19 @@ type Enumerator struct {
 	alive   uint64
 	laneBuf []LaneCounts
 
+	// tail is the first σ index a counting run counts instead of
+	// looping (see matLoop): the last MAT, or the one before it when σ
+	// ends in two MATs. counting is set per run: no visitor, no
+	// Options.Filter and no lanes.
+	tail     int
+	counting bool
+
 	visit    VisitFunc
 	result   Result
 	deadline time.Time
 	// polls counts checkDeadline calls; the poll cadence is keyed to it
-	// rather than to Result.Nodes, which tailCount advances in batches
-	// that can step over any fixed residue forever.
+	// rather than to Result.Nodes, which the counted tail advances in
+	// batches that can step over any fixed residue forever.
 	polls uint64
 	err   error
 }
@@ -331,6 +335,10 @@ func New(g *graph.Graph, pl *plan.Plan, opts Options) *Enumerator {
 		// the index was dropped): a probing kernel is its list kernel.
 		opts.Kernel = opts.Kernel.ListFallback()
 	}
+	tail := len(pl.Sigma) - 1
+	if tail >= 2 && pl.Sigma[tail-1].Mode == plan.Mat {
+		tail--
+	}
 	return &Enumerator{
 		g:          g,
 		ov:         opts.Overlay,
@@ -344,6 +352,7 @@ func New(g *graph.Graph, pl *plan.Plan, opts Options) *Enumerator {
 		ar:         ar,
 		dmax:       dmax,
 		useBitmaps: opts.Kernel.UsesBitmaps(),
+		tail:       tail,
 		lanes:      opts.Lanes,
 		laneBuf:    laneBuf,
 	}
@@ -679,6 +688,7 @@ func (e *Enumerator) Resume(f *Frame, visit VisitFunc) (Result, error) {
 //light:hotpath
 func (e *Enumerator) begin(visit VisitFunc) {
 	e.visit = visit
+	e.counting = visit == nil && e.opts.Filter == nil && e.lanes == nil
 	e.result = Result{}
 	e.polls = 0
 	e.err = nil
@@ -841,22 +851,24 @@ func (e *Enumerator) matLoop(i int, candidates []graph.VertexID, checkHook bool)
 	u := e.pl.Sigma[i].Vertex
 	// Symmetry-breaking bounds: candidates are sorted, so constraints
 	// against already-materialized vertices become a sub-range.
-	lo, hi := e.bounds(i)
-	if lo >= hi {
-		return true
-	}
-	from := lowerBound(candidates, lo)
-	to := lowerBound(candidates, hi)
-	candidates = candidates[from:to]
+	lo, hi, _ := e.bounds(i, -1)
+	candidates = window(candidates, lo, hi)
 	if len(candidates) == 0 {
 		return true
 	}
 
-	// Counting shortcut: the last operation's loop body only counts.
-	// Lane mode must take the full loop — each leaf candidate still
-	// needs its per-lane mask probe.
-	if e.opts.TailCount && e.visit == nil && e.opts.Filter == nil && e.lanes == nil && i == len(e.pl.Sigma)-1 {
-		return e.tailCount(u, candidates)
+	// A counting run does not walk its last levels: no COMP follows
+	// them, so their loop bodies only add to counters. A visitor needs
+	// each mapping, a Filter each assignment, and lane mode each leaf's
+	// mask probe, so those runs take the full loop. DegreeFilter never
+	// rejects here: every pattern neighbour of these vertices is already
+	// materialized and their candidates lie in those images' adjacency
+	// lists.
+	if e.counting && i >= e.tail {
+		if i == len(e.pl.Sigma)-1 {
+			return e.tailCount(candidates)
+		}
+		return e.pairCount(i, candidates)
 	}
 
 	if checkHook && e.Hook != nil {
@@ -934,11 +946,28 @@ func lowerBound(s []graph.VertexID, x int64) int {
 	return lo
 }
 
-// bounds returns the open-below, open-above data-vertex id window
-// [lo, hi) implied by σ[i]'s symmetry-breaking constraints.
-func (e *Enumerator) bounds(i int) (lo, hi int64) {
+// window returns the candidates in the data-vertex id window [lo, hi).
+func window(candidates []graph.VertexID, lo, hi int64) []graph.VertexID {
+	if lo >= hi {
+		return nil
+	}
+	return candidates[lowerBound(candidates, lo):lowerBound(candidates, hi)]
+}
+
+// bounds returns the data-vertex id window [lo, hi) implied by σ[i]'s
+// symmetry-breaking constraints. A constraint against pattern vertex
+// pair (−1 for none) is not applied; order reports it instead: +1 when
+// σ[i]'s vertex must map above pair's, −1 below, 0 when unconstrained.
+func (e *Enumerator) bounds(i, pair int) (lo, hi int64, order int) {
 	lo, hi = 0, int64(e.numVertices())
 	for _, c := range e.pl.MatConstraints[i] {
+		if c.Other == pair {
+			order = -1
+			if c.Lower {
+				order = 1
+			}
+			continue
+		}
 		ov := int64(e.assigned[c.Other])
 		if c.Lower {
 			if ov+1 > lo {
@@ -950,7 +979,7 @@ func (e *Enumerator) bounds(i int) (lo, hi int64) {
 			}
 		}
 	}
-	return lo, hi
+	return lo, hi, order
 }
 
 // usedValue reports whether data vertex v is already used by a
@@ -967,7 +996,8 @@ func (e *Enumerator) usedValue(v graph.VertexID) bool {
 
 // tailCount adds the number of valid assignments of the final MAT without
 // recursing: candidates within bounds minus those violating injectivity.
-func (e *Enumerator) tailCount(u int, candidates []graph.VertexID) bool {
+// Nodes grows by the same n, the leaves the loop would have expanded.
+func (e *Enumerator) tailCount(candidates []graph.VertexID) bool {
 	if !e.checkDeadline() {
 		return false
 	}
@@ -981,6 +1011,74 @@ func (e *Enumerator) tailCount(u int, candidates []graph.VertexID) bool {
 	e.result.Matches += n
 	e.result.Nodes += n
 	return true
+}
+
+// pairCount adds the matches of σ's last two MATs, u = σ[i] over cu
+// (already cut to u's bounds) and w = σ[i+1], without recursing. No COMP
+// follows them, so C(w) does not depend on φ(u): with C′ the candidates
+// within bounds minus the values already materialized, the matches are
+// the pairs (x, y) ∈ C(u)′ × C(w)′ with x ≠ y — |C(u)′|·|C(w)′| minus
+// the overlap — or, under a symmetry-breaking constraint between u and
+// w, the pairs in its order, counted by one walk. Nodes grows by
+// |C(u)′| + matches, the nodes the two loops would have expanded.
+func (e *Enumerator) pairCount(i int, cu []graph.VertexID) bool {
+	if !e.checkDeadline() {
+		return false
+	}
+	u, w := e.pl.Sigma[i].Vertex, e.pl.Sigma[i+1].Vertex
+	lo, hi, order := e.bounds(i+1, u)
+	cw := window(e.cand[w], lo, hi)
+	// inU and inW mark the materialized pattern vertices whose values
+	// lie in cu and cw: those values are not candidates.
+	var inU, inW uint32
+	for m := e.matMask; m != 0; m &= m - 1 {
+		x := trailingZeros32(m)
+		v := e.assigned[x]
+		if intersect.Contains(cu, v) {
+			inU |= 1 << uint(x)
+		}
+		if intersect.Contains(cw, v) {
+			inW |= 1 << uint(x)
+		}
+	}
+	nu := uint64(len(cu) - bits.OnesCount32(inU))
+	nw := uint64(len(cw) - bits.OnesCount32(inW))
+	var matches uint64
+	switch {
+	case nu == 0 || nw == 0:
+	case order == 0:
+		overlap := intersect.Count(cu, cw, e.opts.Delta, &e.result.Stats) - bits.OnesCount32(inU&inW)
+		matches = nu*nw - uint64(overlap)
+	case order > 0:
+		matches = e.pairsBelow(cu, cw, inU, inW)
+	default:
+		matches = e.pairsBelow(cw, cu, inW, inU)
+	}
+	e.result.Matches += matches
+	e.result.Nodes += nu + matches
+	return true
+}
+
+// pairsBelow counts the pairs (x, y) ∈ a′ × b′ with x < y, where a′ and
+// b′ drop the values of the materialized pattern vertices marked in inA
+// and inB. One walk counts the pairs over a × b; inclusion–exclusion
+// over the few marked values takes out the pairs that use one.
+func (e *Enumerator) pairsBelow(a, b []graph.VertexID, inA, inB uint32) uint64 {
+	n := intersect.CountLess(a, b, &e.result.Stats)
+	for m := inA; m != 0; m &= m - 1 {
+		v := e.assigned[trailingZeros32(m)]
+		n -= uint64(len(b) - lowerBound(b, int64(v)+1))
+	}
+	for m := inB; m != 0; m &= m - 1 {
+		v := e.assigned[trailingZeros32(m)]
+		n -= uint64(lowerBound(a, int64(v)))
+		for ma := inA; ma != 0; ma &= ma - 1 {
+			if e.assigned[trailingZeros32(ma)] < v {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 func (e *Enumerator) emit() bool {
@@ -999,9 +1097,9 @@ func (e *Enumerator) emit() bool {
 
 // checkDeadline polls the external stop flag and the clock every 8192
 // calls; returns false when the run should unwind. The cadence counter
-// is dedicated — keying it to Result.Nodes would let tailCount's batch
-// increments (Nodes += n) step over the zero residue indefinitely,
-// making Stop/TimeLimit latency unbounded under TailCount.
+// is dedicated — keying it to Result.Nodes would let the counted tail's
+// batch increments (Nodes += n) step over the zero residue indefinitely,
+// making Stop/TimeLimit latency unbounded for counting runs.
 func (e *Enumerator) checkDeadline() bool {
 	if e.polls&8191 != 0 {
 		e.polls++

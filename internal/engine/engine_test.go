@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
+	"light/internal/delta"
 	"light/internal/gen"
 	"light/internal/graph"
 	"light/internal/intersect"
@@ -172,25 +175,131 @@ func TestAllKernelsSameCount(t *testing.T) {
 	}
 }
 
+// acceptAll is a visitor that keeps every match: a run with it walks
+// every σ level to the leaves, the paper's engine, where a count-only
+// run counts its trailing MATs.
+func acceptAll([]graph.VertexID) bool { return true }
+
+// TestTailCountMatchesFaithful is the counted tail's property test: on
+// random graphs, clean and behind an overlay, a count-only run must
+// report exactly the matches and nodes of the same run with acceptAll.
+// P2 ends in a constrained pair, P4 in a free pair and star3 in three
+// MATs; random patterns under random orders and modes cover the rest,
+// including materialized values inside the last candidate sets. Frames
+// suspended at σ = len−2 (every MAT loop there donated by a hook) must
+// resume to the same counters both ways too.
 func TestTailCountMatchesFaithful(t *testing.T) {
-	for _, g := range testGraphs() {
-		for _, p := range []*pattern.Pattern{pattern.P1(), pattern.P2(), pattern.P4()} {
+	rng := rand.New(rand.NewSource(34))
+	kernels := []intersect.Kind{intersect.KindMerge, intersect.KindHybridBlock, intersect.KindHybridBitmap}
+	pairFrames := 0
+	for trial := 0; trial < 24; trial++ {
+		g := gen.ErdosRenyi(25+rng.Intn(25), 60+rng.Intn(120), int64(trial))
+		if trial%3 == 0 {
+			g = gen.BarabasiAlbert(40+rng.Intn(20), 3, int64(trial))
+		}
+		g.BuildHubIndex(4)
+		var ov *delta.Overlay
+		if trial%2 == 1 {
+			n := g.NumVertices()
+			var add, rem []delta.Edge
+			for i := 0; i < 8; i++ {
+				add = append(add, delta.Edge{U: graph.VertexID(rng.Intn(n)), V: graph.VertexID(rng.Intn(n))}.Canon())
+				v := graph.VertexID(rng.Intn(n))
+				if nb := g.Neighbors(v); len(nb) > 0 {
+					rem = append(rem, delta.Edge{U: v, V: nb[rng.Intn(len(nb))]}.Canon())
+				}
+			}
+			for i := 0; i < len(add); i++ {
+				if add[i].U == add[i].V {
+					add = append(add[:i], add[i+1:]...)
+					i--
+				}
+			}
+			var err error
+			if ov, err = delta.Apply(g, nil, add, rem); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// path4 under every order: its ends form a constrained pair
+		// whose candidate sets hold the materialized middle vertices,
+		// in either order.
+		path4 := pattern.Path(4)
+		type run struct {
+			p  *pattern.Pattern
+			pi []pattern.Vertex
+		}
+		var runs []run
+		for _, pi := range plan.ConnectedOrders(path4, pattern.SymmetryBreaking(path4)) {
+			runs = append(runs, run{path4, pi})
+		}
+		for _, p := range []*pattern.Pattern{pattern.P2(), pattern.P4(), pattern.StarPattern(3)} {
+			runs = append(runs, run{p, plan.ConnectedOrders(p, pattern.SymmetryBreaking(p))[0]})
+		}
+		random := pattern.RandomConnected(rng, 4+rng.Intn(3), rng.Intn(4))
+		orders := plan.ConnectedOrders(random, pattern.SymmetryBreaking(random))
+		runs = append(runs, run{random, orders[rng.Intn(len(orders))]})
+		for k, r := range runs {
+			p, pi, mode := r.p, r.pi, plan.ModeLIGHT
+			if k == len(runs)-1 {
+				mode = allModes[rng.Intn(len(allModes))]
+			}
 			po := pattern.SymmetryBreaking(p)
-			for _, mode := range allModes {
-				pl, _ := plan.Compile(p, po, plan.ConnectedOrders(p, po)[0], mode)
-				faithful, err := New(g, pl, Options{}).Run(nil)
+			pl, err := plan.Compile(p, po, pi, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := Options{Kernel: kernels[trial%len(kernels)], Overlay: ov}
+			where := fmt.Sprintf("trial %d %v π=%v %s overlay=%v", trial, p, pi, mode.Name(), ov != nil)
+			count, err := New(g, pl, opts).Run(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			walk, err := New(g, pl, opts).Run(acceptAll)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if count.Matches != walk.Matches || count.Nodes != walk.Nodes {
+				t.Fatalf("%s: count-only %d matches / %d nodes, leaf loop %d / %d", where, count.Matches, count.Nodes, walk.Matches, walk.Nodes)
+			}
+
+			last := len(pl.Sigma) - 2
+			if pl.Sigma[last].Mode != plan.Mat {
+				continue
+			}
+			var frames []*Frame
+			e := New(g, pl, opts)
+			e.Hook = func(e *Enumerator, i int, c []graph.VertexID) int {
+				if i != last {
+					return len(c)
+				}
+				frames = append(frames, e.Snapshot(i, c))
+				return 0
+			}
+			if _, err := e.Run(acceptAll); err != nil {
+				t.Fatal(err)
+			}
+			ec, ew := New(g, pl, opts), New(g, pl, opts)
+			for _, f := range frames {
+				fc, err := ec.Resume(f, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				shortcut, err := New(g, pl, Options{TailCount: true}).Run(nil)
+				fw, err := ew.Resume(f, acceptAll)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if faithful.Matches != shortcut.Matches {
-					t.Fatalf("%s %s: tail count %d, faithful %d", p.Name(), mode.Name(), shortcut.Matches, faithful.Matches)
+				if fc.Matches != fw.Matches || fc.Nodes != fw.Nodes {
+					t.Fatalf("%s: frame %v resumed count-only %d matches / %d nodes, leaf loop %d / %d",
+						where, f.Assigned, fc.Matches, fc.Nodes, fw.Matches, fw.Nodes)
+				}
+				if fw.Matches > 0 {
+					pairFrames++
 				}
 			}
 		}
+	}
+	if pairFrames == 0 {
+		t.Fatal("degenerate test: no frame at σ = len−2 resumed to a match")
 	}
 }
 
@@ -499,7 +608,7 @@ func TestAGMGrowthRate(t *testing.T) {
 	count := func(n int) float64 {
 		g := gen.Complete(n)
 		pl, _ := plan.Compile(p, po, plan.ConnectedOrders(p, po)[0], plan.ModeLIGHT)
-		res, err := New(g, pl, Options{TailCount: true}).Run(nil)
+		res, err := New(g, pl, Options{}).Run(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

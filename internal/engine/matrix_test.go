@@ -14,18 +14,20 @@ import (
 // from scattered spot checks to a deterministic sweep over the full
 // pattern catalog on seeded graphs:
 //
-//   - TailCount on/off must not change the match count. The shortcut
-//     adds the size of the final MAT's candidate set instead of
-//     looping, which is only sound because tail candidates already
-//     passed every COMP/injectivity/partial-order check.
+//   - A count-only run must match a run with a visitor, which walks
+//     every level to the leaves, in matches and in nodes. The count-only
+//     run counts σ's trailing MATs instead of looping, which is only
+//     sound because their candidates already passed every COMP, and
+//     only comparable because it still counts the nodes the walk
+//     expands.
 //   - DegreeFilter on/off must not change the match count. The filter
 //     d_G(v) >= d_P(u) is sound for subgraph (not induced) matching:
 //     any data vertex in a match has at least the pattern vertex's
 //     degree.
 //
-// Both properties are checked per kernel, because TailCount bypasses
-// the kernel on the tail position and DegreeFilter changes which
-// candidate sets the kernels see.
+// Both properties are checked per kernel, because the counted tail
+// runs its own intersections and DegreeFilter changes which candidate
+// sets the kernels see.
 func TestTailCountDegreeFilterEquality(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -53,22 +55,27 @@ func TestTailCountDegreeFilterEquality(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, k := range kernels {
-				base, err := New(tg.g, pl, Options{Kernel: k}).Run(nil)
+				base, err := New(tg.g, pl, Options{Kernel: k}).Run(acceptAll)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", tg.name, p.Name(), err)
 				}
-				for _, opts := range []Options{
-					{Kernel: k, TailCount: true},
-					{Kernel: k, DegreeFilter: true},
-					{Kernel: k, TailCount: true, DegreeFilter: true},
-				} {
-					res, err := New(tg.g, pl, opts).Run(nil)
+				for _, df := range []bool{false, true} {
+					opts := Options{Kernel: k, DegreeFilter: df}
+					walk, err := New(tg.g, pl, opts).Run(acceptAll)
 					if err != nil {
-						t.Fatalf("%s/%s tc=%v df=%v: %v", tg.name, p.Name(), opts.TailCount, opts.DegreeFilter, err)
+						t.Fatalf("%s/%s df=%v: %v", tg.name, p.Name(), df, err)
 					}
-					if res.Matches != base.Matches {
-						t.Errorf("%s/%s kernel=%d tc=%v df=%v: %d matches, want %d",
-							tg.name, p.Name(), k, opts.TailCount, opts.DegreeFilter, res.Matches, base.Matches)
+					count, err := New(tg.g, pl, opts).Run(nil)
+					if err != nil {
+						t.Fatalf("%s/%s df=%v: %v", tg.name, p.Name(), df, err)
+					}
+					if walk.Matches != base.Matches || count.Matches != base.Matches {
+						t.Errorf("%s/%s kernel=%d df=%v: %d matches walked, %d counted, want %d",
+							tg.name, p.Name(), k, df, walk.Matches, count.Matches, base.Matches)
+					}
+					if count.Nodes != walk.Nodes {
+						t.Errorf("%s/%s kernel=%d df=%v: %d nodes counted, %d walked",
+							tg.name, p.Name(), k, df, count.Nodes, walk.Nodes)
 					}
 				}
 			}
@@ -76,9 +83,10 @@ func TestTailCountDegreeFilterEquality(t *testing.T) {
 	}
 }
 
-// TestTailCountNodeAccounting pins the shortcut's side contract: with
-// TailCount on, Nodes still counts every leaf (the batch adds n, not
-// 1), so metrics stay comparable across configurations.
+// TestTailCountNodeAccounting pins the counted tail's side contract: a
+// count-only run still counts every node the leaf loop expands (the
+// batch adds n, not 1), so metrics stay comparable with runs that walk
+// to the leaves (visitors, Filter, lanes).
 func TestTailCountNodeAccounting(t *testing.T) {
 	g := gen.ErdosRenyi(60, 180, 13)
 	for _, p := range pattern.Catalog() {
@@ -87,16 +95,16 @@ func TestTailCountNodeAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		off, err := New(g, pl, Options{}).Run(nil)
+		walk, err := New(g, pl, Options{}).Run(acceptAll)
 		if err != nil {
 			t.Fatal(err)
 		}
-		on, err := New(g, pl, Options{TailCount: true}).Run(nil)
+		count, err := New(g, pl, Options{}).Run(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if on.Nodes != off.Nodes {
-			t.Errorf("%s: TailCount changed node accounting: %d vs %d", p.Name(), on.Nodes, off.Nodes)
+		if count.Nodes != walk.Nodes {
+			t.Errorf("%s: the counted tail changed node accounting: %d vs %d", p.Name(), count.Nodes, walk.Nodes)
 		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // TestTailCountCancellationLatency pins the fix for the unbounded
-// cancellation latency under TailCount: checkDeadline used to poll only
-// when Nodes&8191 == 0, but tailCount advances Nodes in batches, so a
+// cancellation latency of a count-only run: checkDeadline used to poll
+// only when Nodes&8191 == 0, but tailCount advances Nodes in batches, so a
 // run whose node counter never lands on the residue ignored Stop
 // forever. The construction makes that deterministic: a single-edge
 // pattern on a star graph increments Nodes by exactly 2 per root (one
@@ -32,7 +32,7 @@ func TestTailCountCancellationLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(g, pl, Options{TailCount: true})
+	e := New(g, pl, Options{})
 	var stop stopFlag
 	stop.b.Store(true) // cancelled before the run even starts
 	e.Stop = &stop.b
@@ -48,12 +48,12 @@ func TestTailCountCancellationLatency(t *testing.T) {
 	// unwind within a bounded number of nodes — far below the full
 	// enumeration's 2*leaves+1.
 	if res.Nodes > 2*8192+2 {
-		t.Fatalf("cancelled TailCount run expanded %d nodes, want <= %d", res.Nodes, 2*8192+2)
+		t.Fatalf("cancelled count-only run expanded %d nodes, want <= %d", res.Nodes, 2*8192+2)
 	}
 }
 
 // TestTailCountTimeLimitLatency is the TimeLimit flavor of the same
-// bug: an already-expired deadline must abort the TailCount run at the
+// bug: an already-expired deadline must abort the count-only run at the
 // first polls, not after the full enumeration.
 func TestTailCountTimeLimitLatency(t *testing.T) {
 	g := gen.Star(30000)
@@ -63,13 +63,13 @@ func TestTailCountTimeLimitLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(g, pl, Options{TailCount: true, Deadline: time.Now().Add(-time.Hour)})
+	e := New(g, pl, Options{Deadline: time.Now().Add(-time.Hour)})
 	res, err := e.Run(nil)
 	if err != ErrTimeLimit {
 		t.Fatalf("err = %v, want ErrTimeLimit", err)
 	}
 	if res.Nodes > 2*8192+2 {
-		t.Fatalf("expired-deadline TailCount run expanded %d nodes, want <= %d", res.Nodes, 2*8192+2)
+		t.Fatalf("expired-deadline count-only run expanded %d nodes, want <= %d", res.Nodes, 2*8192+2)
 	}
 }
 

@@ -204,8 +204,11 @@ func Merge(dst, a, b []graph.VertexID) int {
 // MergeBlock is Merge restructured the way the SIMD kernel is: whole
 // 8-element blocks whose maximum is below the other side's current
 // minimum are skipped with a single comparison (the vector compare), and
-// only value-overlapping windows are merged element-wise. Same caller
-// capacity contract as Merge: under-capacity panics on the write.
+// only value-overlapping windows are merged element-wise. Each merge
+// step is branch-free (see step), so the data-dependent compares that a
+// scalar two-pointer loop mispredicts about half the time become
+// arithmetic. Same caller capacity contract as Merge: under-capacity
+// panics on the write.
 //
 //light:hotpath
 //light:cap-contract
@@ -225,41 +228,37 @@ func MergeBlock(dst, a, b []graph.VertexID) int {
 		}
 		// The blocks overlap in value range, so both starting values are
 		// at most lim and the inner merge makes progress.
-		lim := amax
-		if bmax < lim {
-			lim = bmax
-		}
-		for a[i] <= lim && b[j] <= lim {
+		lim := min(amax, bmax)
+		for i < len(a) && j < len(b) {
 			x, y := a[i], b[j]
-			if x == y {
-				dst[n] = x
-				n++
-				i++
-				j++
-				if i == len(a) || j == len(b) {
-					return n
-				}
-			} else if x < y {
-				i++
-			} else {
-				j++
+			if x > lim || y > lim {
+				break
 			}
+			dst[n] = x
+			n, i, j = step(x, y, n, i, j)
 		}
 	}
 	for i < len(a) && j < len(b) {
-		x, y := a[i], b[j]
-		if x == y {
-			dst[n] = x
-			n++
-			i++
-			j++
-		} else if x < y {
-			i++
-		} else {
-			j++
-		}
+		x := a[i]
+		dst[n] = x
+		n, i, j = step(x, b[j], n, i, j)
 	}
 	return n
+}
+
+// step is one branch-free merge step over x = a[i] and y = b[j]: lt and
+// gt are the sign bits of x−y and y−x, so a match advances n, i and j,
+// and otherwise only the smaller side moves. The caller writes dst[n] =
+// x unconditionally before the step; n only advances past it on a
+// match. That write is safe under the kernels' contracts: n ≤ min(i, j)
+// < min(len(a), len(b)) ≤ cap(dst), and a dst aliasing a is written only
+// at or before position i, which has already been read.
+//
+//light:hotpath
+func step(x, y graph.VertexID, n, i, j int) (int, int, int) {
+	lt := int((uint64(x) - uint64(y)) >> 63)
+	gt := int((uint64(y) - uint64(x)) >> 63)
+	return n + 1 - lt - gt, i + 1 - gt, j + 1 - lt
 }
 
 // gallop returns the smallest index idx >= lo with s[idx] >= x, probing
@@ -361,16 +360,29 @@ func Count(a, b []graph.VertexID, delta int, stats *Stats) int {
 	n := 0
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
-		x, y := a[i], b[j]
-		if x == y {
-			n++
-			i++
-			j++
-		} else if x < y {
-			i++
-		} else {
-			j++
-		}
+		n, i, j = step(a[i], b[j], n, i, j)
+	}
+	return n
+}
+
+// CountLess returns the number of pairs (x, y) ∈ a × b with x < y, in
+// one branch-free two-pointer walk: every x still below b[j] pairs with
+// all of b[j:]. The walk is recorded in stats (which may be nil) like a
+// Count: it scans two candidate sets the same way.
+//
+//light:hotpath
+func CountLess(a, b []graph.VertexID, stats *Stats) uint64 {
+	if stats != nil {
+		stats.Intersections++
+		stats.Elements += uint64(len(a) + len(b))
+	}
+	var n uint64
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		lt := int((uint64(a[i]) - uint64(b[j])) >> 63)
+		n += uint64(lt * (len(b) - j))
+		i += lt
+		j += 1 - lt
 	}
 	return n
 }

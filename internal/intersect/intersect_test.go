@@ -457,3 +457,68 @@ func TestMergeBlockLaneBoundaries(t *testing.T) {
 		}
 	}
 }
+
+// fuzzSet decodes a fuzzer byte string as a strictly increasing set:
+// each byte is the gap to the previous element, so runs of small bytes
+// give dense overlapping stretches and large ones let a side race ahead
+// of the other's 8-lane blocks.
+func fuzzSet(bs []byte) []graph.VertexID {
+	s := make([]graph.VertexID, 0, len(bs))
+	v := graph.VertexID(0)
+	for _, x := range bs {
+		v += 1 + graph.VertexID(x)
+		s = append(s, v)
+	}
+	return s
+}
+
+// FuzzMergeKernels cross-checks MergeBlock, Count and Galloping against
+// the plain two-pointer Merge, and CountLess against a double loop, on
+// fuzzer-chosen sets. The destinations have capacity exactly min(len a,
+// len b), the kernels' contract, and MergeBlock also runs with dst
+// aliasing a.
+func FuzzMergeKernels(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, []byte{1, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{}, []byte{3})
+	f.Add([]byte{200, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 250, 0, 0})
+	f.Fuzz(func(t *testing.T, xb, yb []byte) {
+		a, b := fuzzSet(xb), fuzzSet(yb)
+		capN := min(len(a), len(b))
+		want := make([]graph.VertexID, capN)
+		wn := Merge(want, a, b)
+		want = want[:wn]
+		check := func(name string, dst []graph.VertexID, n int) {
+			t.Helper()
+			if n != wn {
+				t.Fatalf("%s = %v, Merge = %v (a=%v b=%v)", name, dst[:n], want, a, b)
+			}
+			for i := range want {
+				if dst[i] != want[i] {
+					t.Fatalf("%s = %v, Merge = %v (a=%v b=%v)", name, dst[:n], want, a, b)
+				}
+			}
+		}
+		dst := make([]graph.VertexID, capN)
+		check("MergeBlock", dst, MergeBlock(dst, a, b))
+		dst = make([]graph.VertexID, capN)
+		check("Galloping", dst, Galloping(dst, a, b))
+		alias := append([]graph.VertexID(nil), a...)
+		check("MergeBlock aliasing a", alias, MergeBlock(alias[:capN], alias, b))
+		for _, delta := range []int{1, DefaultDelta} {
+			if n := Count(a, b, delta, nil); n != wn {
+				t.Fatalf("Count(δ=%d) = %d, Merge = %d (a=%v b=%v)", delta, n, wn, a, b)
+			}
+		}
+		var less uint64
+		for _, x := range a {
+			for _, y := range b {
+				if x < y {
+					less++
+				}
+			}
+		}
+		if n := CountLess(a, b, nil); n != less {
+			t.Fatalf("CountLess = %d, want %d (a=%v b=%v)", n, less, a, b)
+		}
+	})
+}

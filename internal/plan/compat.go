@@ -16,8 +16,8 @@ import (
 // which the lane mask applies on top of the shared traversal.
 //
 // Deliberately excluded: the pattern's name (cosmetic), and engine
-// options like the intersection kernel or TailCount (batch-wide, fixed
-// by the executor, and irrelevant to which tree is walked).
+// options like the intersection kernel (batch-wide, fixed by the
+// executor, and irrelevant to which tree is walked).
 func (pl *Plan) CompatKey() string {
 	var sb strings.Builder
 	sb.WriteString(pl.Pattern.StructureKey())

@@ -31,9 +31,6 @@ type QueryOptions struct {
 	// Workers is the query's cap on the governor's shared worker pool;
 	// above the governor's Slots it is cut to Slots.
 	Workers int `json:"workers,omitempty"`
-	// TailCount enables the count-only leaf shortcut (rejected by
-	// /enumerate and /batch).
-	TailCount bool `json:"tail_count,omitempty"`
 	// MemoryBudgetBytes caps this query's candidate-arena bytes,
 	// nesting under the server-wide budget.
 	MemoryBudgetBytes int64 `json:"memory_budget_bytes,omitempty"`
@@ -149,7 +146,6 @@ func (s *Server) buildOptions(qo QueryOptions) (light.Options, error) {
 		Algorithm:        algo,
 		Intersection:     kern,
 		Workers:          qo.Workers,
-		TailCount:        qo.TailCount,
 		MemoryBudget:     qo.MemoryBudgetBytes,
 		Governor:         s.gov,
 		AdmissionTimeout: s.cfg.AdmissionTimeout,
@@ -347,8 +343,8 @@ func (s *Server) cacheKey(ep endpoint, pr *prepared, what string) string {
 		return ""
 	}
 	o := &pr.opts
-	return fmt.Sprintf("%s|%016x|algo=%s;kern=%s;tail=%t;mem=%d|%s", endpointNames[ep], o.Snapshot.Fingerprint(),
-		o.Algorithm, o.Intersection, o.TailCount, o.MemoryBudget, what)
+	return fmt.Sprintf("%s|%016x|algo=%s;kern=%s;mem=%d|%s", endpointNames[ep], o.Snapshot.Fingerprint(),
+		o.Algorithm, o.Intersection, o.MemoryBudget, what)
 }
 
 // cachedResponse is a response body the result cache can hold.
@@ -472,10 +468,6 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if req.Options.TailCount {
-		s.writeError(w, http.StatusBadRequest, "tail_count does not apply to /enumerate")
-		return
-	}
 	if req.Limit < 0 {
 		s.writeError(w, http.StatusBadRequest, "limit must be non-negative")
 		return
@@ -595,10 +587,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.Queries) == 0 {
 		s.writeError(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	if req.Options.TailCount {
-		s.writeError(w, http.StatusBadRequest, "tail_count does not apply to /batch")
 		return
 	}
 	pr, status, err := s.prepare(req.Graph, req.Options)

@@ -182,7 +182,7 @@ func TestQueryCountAndCacheHit(t *testing.T) {
 // TestQueryOptionsChangeCacheKey walks one server through a sequence of
 // /query requests for the same pattern: every field of the key
 // separates entries — algorithm, resolved kernel ("" and the default's
-// own name share one), tail_count, memory_budget_bytes, and the
+// own name share one), memory_budget_bytes, and the
 // snapshot (an edge batch and a compaction each start afresh) — and
 // nothing else does: workers and timeout_ms still hit, and a no_cache
 // request is never served from the cache.
@@ -207,8 +207,6 @@ func TestQueryOptionsChangeCacheKey(t *testing.T) {
 		{"", QueryOptions{Algorithm: "SE"}, false, "HybridBitmap"},
 		{"", QueryOptions{Algorithm: "SE"}, true, "HybridBitmap"},
 		{"", QueryOptions{Algorithm: "LIGHT"}, true, "HybridBitmap"},
-		{"", QueryOptions{TailCount: true}, false, "HybridBitmap"},
-		{"", QueryOptions{TailCount: true}, true, "HybridBitmap"},
 		{"", QueryOptions{MemoryBudgetBytes: 1 << 30}, false, "HybridBitmap"},
 		{"", QueryOptions{MemoryBudgetBytes: 1 << 30}, true, "HybridBitmap"},
 		{"", QueryOptions{Workers: 2}, true, "HybridBitmap"},
@@ -387,9 +385,12 @@ func TestEnumerateStreamsNDJSON(t *testing.T) {
 		t.Fatalf("limited stream: rows = %d, trailer = %+v", rows, trailer)
 	}
 
-	if w := do(t, s, "POST", "/enumerate", queryRequest{Graph: "g", Pattern: "triangle",
-		Options: QueryOptions{TailCount: true}}); w.Code != http.StatusBadRequest {
-		t.Fatalf("tail_count enumerate: status = %d, want 400", w.Code)
+	// tail_count is no longer an option (a count-only run always counts
+	// its last levels): like any unknown field, it is refused.
+	for _, path := range []string{"/query", "/enumerate"} {
+		if w := do(t, s, "POST", path, json.RawMessage(`{"graph": "g", "pattern": "triangle", "options": {"tail_count": true}}`)); w.Code != http.StatusBadRequest {
+			t.Fatalf("tail_count %s: status = %d, want 400", path, w.Code)
+		}
 	}
 }
 

@@ -86,7 +86,7 @@ type Checkpoint struct {
 // shape, pattern adjacency, enumeration order π, execution order σ,
 // and COMP operands — so a checkpoint can refuse to resume against a
 // different run. Engine options that do not change the match set
-// (kernel, TailCount) are deliberately excluded.
+// (the kernel, DegreeFilter) are deliberately excluded.
 func Fingerprint(g *graph.Graph, pl *plan.Plan) uint64 {
 	h := fnv.New64a()
 	var b [8]byte

@@ -324,7 +324,6 @@ func TestLabeledOptionMatrix(t *testing.T) {
 		{"Intersection", Options{Intersection: Galloping}, false},
 		{"Workers", Options{Workers: 3}, false},
 		{"TimeLimit", Options{TimeLimit: time.Minute}, false},
-		{"TailCount", Options{TailCount: true}, false},
 		{"Filter", Options{Filter: notMultipleOf5}, false},
 		{"Order", Options{Order: []int{3, 2, 0, 1}}, false},
 		{"CheckpointPath", Options{CheckpointPath: ckpt}, true},

@@ -476,17 +476,15 @@ type Options struct {
 	Workers int
 	// TimeLimit aborts the run with ErrTimeLimit when positive.
 	TimeLimit time.Duration
-	// TailCount enables the final-vertex counting shortcut for
-	// count-only runs (an extension beyond the paper; see DESIGN.md).
-	TailCount bool
 	// Filter, when non-nil, must approve every (pattern vertex, data
 	// vertex) assignment: return false to skip mapping data vertex v
 	// to pattern vertex u. It must be sound (never reject an
 	// assignment on some match the caller wants) and cheap — it runs
 	// in the innermost loop, possibly from many workers at once. A
-	// filtered run disables the TailCount shortcut so every leaf
-	// assignment is individually checked; this is also the sequential
-	// reference semantics for batch queries (see CountBatch).
+	// filtered run walks every level to the leaves instead of counting
+	// the trailing ones, so every leaf assignment is individually
+	// checked; this is also the sequential reference semantics for
+	// batch queries (see CountBatch).
 	Filter func(u int, v VertexID) bool
 	// Order overrides the cost-based enumeration order with an explicit
 	// permutation of pattern vertices (advanced; must be connected).
@@ -660,7 +658,6 @@ func execute(ctx context.Context, st *snapshotState, pl *plan.Plan, opts Options
 	popts := parallel.Options{Engine: engine.Options{
 		Kernel:    opts.Intersection.kind(),
 		TimeLimit: opts.TimeLimit,
-		TailCount: opts.TailCount,
 		Filter:    filter,
 		Metrics:   rec,
 		Overlay:   st.ov,
