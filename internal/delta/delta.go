@@ -12,10 +12,12 @@
 // Correctness note: mutated views are generally no longer degree-ordered
 // (a "LIGHT ordered graph"). That is safe — the symmetry-breaking
 // machinery requires only a fixed total order on vertex IDs, which any
-// labeling provides; degree order is a performance heuristic. Hub
-// bitmaps, however, are built from the base CSR, so the engine must not
-// probe the bitmap of a vertex whose neighbor list the overlay changed
-// (HubBitmap returns nil for touched vertices).
+// labeling provides; degree order is a performance heuristic.
+//
+// Hub bitmaps: a touched vertex has a bitmap in the overlay exactly when
+// the base index holds one for it, built from its merged list at Apply
+// (HubBitmap). A vertex whose degree crosses τ through the overlay gets
+// its bitmap at Compact.
 package delta
 
 import (
@@ -25,6 +27,7 @@ import (
 	"sort"
 	"sync"
 
+	"light/internal/bitset"
 	"light/internal/graph"
 )
 
@@ -41,16 +44,16 @@ func (e Edge) Canon() Edge {
 
 // Overlay is an immutable copy-on-write view of base plus a batch of
 // edge insertions and deletions. Touched vertices carry complete merged
-// sorted neighbor lists; untouched vertices read through to the base
-// CSR with one bitset test. All read methods are safe for concurrent
-// use.
+// sorted neighbor lists, and the touched base hubs their rebuilt
+// bitmaps; untouched vertices read through to the base CSR with one
+// bitset test. All read methods are safe for concurrent use.
 type Overlay struct {
 	base *graph.Graph
 
-	// lists holds the complete merged sorted neighbor list of every
-	// touched vertex. Hot-path reads index it directly (map reads are
+	// lists holds every touched vertex's merged list and, for a base
+	// hub, its bitmap. Hot-path reads index it directly (map reads are
 	// allocation-free); untouched vertices never reach it.
-	lists map[graph.VertexID][]graph.VertexID
+	lists map[graph.VertexID]touchedList
 	// touched has one bit per overlay vertex; set for every vertex whose
 	// list differs from base — including every vertex at or beyond the
 	// base vertex count, which has no base list at all.
@@ -102,13 +105,12 @@ func (o *Overlay) Empty() bool { return o.DeltaEdges() == 0 && o.n == o.base.Num
 // an upper bound is always safe.
 func (o *Overlay) MaxDegree() int { return o.maxDegree }
 
-// Touched reports whether v's neighbor list differs from the base CSR
-// (always true for vertices the base does not have). The engine uses it
-// to suppress stale hub-bitmap probes.
-//
-//light:hotpath
-func (o *Overlay) Touched(v graph.VertexID) bool {
-	return o.touched[v>>6]&(uint64(1)<<(v&63)) != 0
+// touchedList is a touched vertex's state: its complete merged sorted
+// neighbor list, and its bitmap when the base indexes v as a hub and
+// the list is non-empty.
+type touchedList struct {
+	ns []graph.VertexID
+	bm *bitset.Bitmap
 }
 
 // Neighbors returns v's sorted neighbor list in the overlay view. The
@@ -117,7 +119,7 @@ func (o *Overlay) Touched(v graph.VertexID) bool {
 //light:hotpath
 func (o *Overlay) Neighbors(v graph.VertexID) []graph.VertexID {
 	if o.touched[v>>6]&(uint64(1)<<(v&63)) != 0 {
-		return o.lists[v]
+		return o.lists[v].ns
 	}
 	return o.base.Neighbors(v)
 }
@@ -127,9 +129,21 @@ func (o *Overlay) Neighbors(v graph.VertexID) []graph.VertexID {
 //light:hotpath
 func (o *Overlay) Degree(v graph.VertexID) int {
 	if o.touched[v>>6]&(uint64(1)<<(v&63)) != 0 {
-		return len(o.lists[v])
+		return len(o.lists[v].ns)
 	}
 	return o.base.Degree(v)
+}
+
+// HubBitmap returns the bitmap form of v's neighbor list in the overlay
+// view, or nil: the base's bitmap for an untouched vertex, the bitmap
+// Apply rebuilt from the merged list for a touched base hub.
+//
+//light:hotpath
+func (o *Overlay) HubBitmap(v graph.VertexID) *bitset.Bitmap {
+	if o.touched[v>>6]&(uint64(1)<<(v&63)) != 0 {
+		return o.lists[v].bm
+	}
+	return o.base.HubBitmap(v)
 }
 
 // HasEdge reports whether (u, v) exists in the overlay view, by binary
@@ -181,8 +195,11 @@ func (o *Overlay) Fingerprint() uint64 {
 // structures (base CSR excluded).
 func (o *Overlay) MemoryBytes() int64 {
 	var lists int64
-	for _, ns := range o.lists {
-		lists += int64(len(ns)) * 4
+	for _, t := range o.lists {
+		lists += int64(len(t.ns)) * 4
+		if t.bm != nil {
+			lists += t.bm.MemoryBytes()
+		}
 	}
 	return lists + int64(len(o.touched))*8 + int64(len(o.added)+len(o.removed))*8
 }
@@ -299,16 +316,16 @@ func Apply(base *graph.Graph, prev *Overlay, add, remove []Edge) (*Overlay, erro
 
 	o := &Overlay{
 		base:    base,
-		lists:   make(map[graph.VertexID][]graph.VertexID, len(perVertex)+8),
+		lists:   make(map[graph.VertexID]touchedList, len(perVertex)+8),
 		touched: make([]uint64, (n+63)/64),
 		n:       n,
 	}
-	// Copy-on-write: share prev's merged lists for vertices this batch
-	// does not touch; rebuild the rest below.
+	// Copy-on-write: share prev's merged lists and bitmaps for vertices
+	// this batch does not touch; rebuild the rest below.
 	if prev != nil {
 		copy(o.touched, prev.touched)
-		for v, ns := range prev.lists {
-			o.lists[v] = ns
+		for v, t := range prev.lists {
+			o.lists[v] = t
 		}
 	}
 	// Vertices introduced by this batch (or padding up to the new max
@@ -319,8 +336,11 @@ func Apply(base *graph.Graph, prev *Overlay, add, remove []Edge) (*Overlay, erro
 	}
 	for v, p := range perVertex {
 		old := prevView.neighbors(v, prevN)
-		merged := mergePatch(old, p.add, p.del)
-		o.lists[v] = merged
+		t := touchedList{ns: mergePatch(old, p.add, p.del)}
+		if len(t.ns) > 0 && int(v) < baseN && base.HubBitmap(v) != nil {
+			t.bm = bitset.FromSorted(t.ns)
+		}
+		o.lists[v] = t
 		o.touched[v>>6] |= uint64(1) << (v & 63)
 	}
 
@@ -363,9 +383,9 @@ func Apply(base *graph.Graph, prev *Overlay, add, remove []Edge) (*Overlay, erro
 
 	// Conservative max-degree bound for candidate-buffer sizing.
 	o.maxDegree = base.MaxDegree()
-	for _, ns := range o.lists {
-		if len(ns) > o.maxDegree {
-			o.maxDegree = len(ns)
+	for _, t := range o.lists {
+		if len(t.ns) > o.maxDegree {
+			o.maxDegree = len(t.ns)
 		}
 	}
 	return o, nil

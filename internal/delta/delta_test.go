@@ -3,8 +3,11 @@ package delta
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
+	"light/internal/bitset"
+	"light/internal/gen"
 	"light/internal/graph"
 )
 
@@ -33,8 +36,10 @@ func edgeSet(base *graph.Graph, ov *Overlay) map[Edge]bool {
 }
 
 func TestApplyBasic(t *testing.T) {
-	// Path 0-1-2 plus isolated 3.
+	// Path 0-1-2 plus isolated 3, with every non-isolated vertex an
+	// indexed hub (τ = 1).
 	g := buildGraph(t, 4, []Edge{{0, 1}, {1, 2}})
+	g.BuildHubIndex(1)
 	o, err := Apply(g, nil, []Edge{{2, 3}, {0, 2}}, []Edge{{0, 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -62,8 +67,27 @@ func TestApplyBasic(t *testing.T) {
 	if o.DeltaEdges() != 3 {
 		t.Errorf("DeltaEdges = %d, want 3", o.DeltaEdges())
 	}
-	if o.Touched(0) != true || o.Touched(3) != true {
-		t.Error("endpoints of changed edges must be touched")
+	if got := o.Neighbors(3); !reflect.DeepEqual(got, []graph.VertexID{2}) {
+		t.Errorf("Neighbors(3) = %v, want [2]", got)
+	}
+	if got := o.Neighbors(2); !reflect.DeepEqual(got, []graph.VertexID{0, 1, 3}) {
+		t.Errorf("Neighbors(2) = %v, want [0 1 3]", got)
+	}
+	// A touched hub's bitmap is its merged list; 3, which the base does
+	// not index, gets none even once the overlay gives it a neighbour.
+	for v, want := range map[graph.VertexID][]graph.VertexID{0: {2}, 1: {2}, 2: {0, 1, 3}} {
+		bm := o.HubBitmap(v)
+		if bm == nil || bm.Ones() != len(want) {
+			t.Fatalf("HubBitmap(%d) = %v, want the bitmap of %v", v, bm, want)
+		}
+		for _, u := range want {
+			if !bm.Contains(u) {
+				t.Errorf("HubBitmap(%d) lacks %d", v, u)
+			}
+		}
+	}
+	if o.HubBitmap(3) != nil {
+		t.Error("HubBitmap(3): the base indexes no bitmap for 3, so the overlay must not either")
 	}
 }
 
@@ -324,5 +348,108 @@ func TestFromCSRRejectsCorruptInput(t *testing.T) {
 	// Non-monotone offsets.
 	if _, err := graph.FromCSR([]int64{0, 2, 1}, []graph.VertexID{1, 1}); err == nil {
 		t.Fatal("FromCSR accepted non-monotone offsets")
+	}
+}
+
+// TestOverlayHubBitmapsMatchLists drives random Apply chains (adds,
+// removes, growth past the base vertex count) over a BA graph indexed
+// at a small τ and checks after every step that each bitmap the overlay
+// reports is exactly its vertex's list, that every touched base hub with
+// a non-empty list has one, and that the previous overlay's bitmaps are
+// unchanged (copy-on-write).
+func TestOverlayHubBitmapsMatchLists(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		g := gen.BarabasiAlbert(200, 3, seed)
+		g.BuildHubIndex(4)
+		baseN := g.NumVertices()
+		var hubs []graph.VertexID
+		for v := 0; v < baseN; v++ {
+			if g.HubBitmap(graph.VertexID(v)) != nil {
+				hubs = append(hubs, graph.VertexID(v))
+			}
+		}
+		if len(hubs) == 0 {
+			t.Fatal("BuildHubIndex(4) indexed no hub")
+		}
+		rng := rand.New(rand.NewSource(seed))
+		var ov *Overlay
+		for step := 0; step < 40; step++ {
+			n := viewN(g, ov)
+			var add, rem []Edge
+			for i := 0; i < 1+rng.Intn(8); i++ {
+				h := hubs[rng.Intn(len(hubs))]
+				switch rng.Intn(3) {
+				case 0: // hub to a random vertex, sometimes past the end
+					add = append(add, Edge{h, graph.VertexID(rng.Intn(n + 4))})
+				case 1: // drop one of the hub's current edges
+					if ns := viewOf(g, ov).neighbors(h, n); len(ns) > 0 {
+						rem = append(rem, Edge{h, ns[rng.Intn(len(ns))]})
+					}
+				default: // an edge between two arbitrary vertices
+					add = append(add, Edge{graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n))})
+				}
+			}
+			prev, prevMaps := ov, bitmapsOf(ov)
+			next, err := Apply(g, ov, add, rem)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if next == nil {
+				continue
+			}
+			ov = next
+			checkHubBitmaps(t, g, ov)
+			if prev != nil {
+				for v, bm := range prevMaps {
+					if got := prev.HubBitmap(v); got != bm {
+						t.Fatalf("seed %d step %d: prev HubBitmap(%d) changed by Apply", seed, step, v)
+					}
+				}
+				checkHubBitmaps(t, g, prev)
+			}
+		}
+	}
+}
+
+// bitmapsOf records every bitmap ov reports, by vertex.
+func bitmapsOf(ov *Overlay) map[graph.VertexID]*bitset.Bitmap {
+	out := map[graph.VertexID]*bitset.Bitmap{}
+	if ov == nil {
+		return out
+	}
+	for v := 0; v < ov.NumVertices(); v++ {
+		if bm := ov.HubBitmap(graph.VertexID(v)); bm != nil {
+			out[graph.VertexID(v)] = bm
+		}
+	}
+	return out
+}
+
+// checkHubBitmaps asserts ov's bitmap rule for every vertex: a reported
+// bitmap holds exactly Neighbors(v) among ids up to past the view's end,
+// and a touched base hub with a non-empty list has one.
+func checkHubBitmaps(t *testing.T, g *graph.Graph, ov *Overlay) {
+	t.Helper()
+	n := ov.NumVertices()
+	for v := 0; v < n; v++ {
+		id := graph.VertexID(v)
+		ns := ov.Neighbors(id)
+		bm := ov.HubBitmap(id)
+		if _, touched := ov.lists[id]; touched && v < g.NumVertices() && g.HubBitmap(id) != nil && len(ns) > 0 && bm == nil {
+			t.Fatalf("touched base hub %d (degree %d) has no bitmap", v, len(ns))
+		}
+		if bm == nil {
+			continue
+		}
+		if bm.Ones() != len(ns) {
+			t.Fatalf("HubBitmap(%d).Ones() = %d, Neighbors has %d", v, bm.Ones(), len(ns))
+		}
+		for w := 0; w < n+8; w++ {
+			i := sort.Search(len(ns), func(i int) bool { return ns[i] >= graph.VertexID(w) })
+			want := i < len(ns) && ns[i] == graph.VertexID(w)
+			if got := bm.Contains(graph.VertexID(w)); got != want {
+				t.Fatalf("HubBitmap(%d).Contains(%d) = %v, Neighbors says %v", v, w, got, want)
+			}
+		}
 	}
 }

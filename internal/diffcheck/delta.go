@@ -6,6 +6,11 @@ import (
 	"strings"
 
 	"light"
+	"light/internal/delta"
+	"light/internal/engine"
+	"light/internal/graph"
+	"light/internal/intersect"
+	"light/internal/plan"
 )
 
 // checkDelta is the edge-delta oracle: rebuild the case through the
@@ -51,31 +56,7 @@ func checkDelta(c Case, want uint64, cfg Config) *Discrepancy {
 		return fail("delta/base-count", want, cFrom.Matches, "pre-mutation count disagrees with reference")
 	}
 
-	// The mutation batch: up to five random pairs added (two IDs past
-	// the current range, so vertex growth is exercised) and up to three
-	// existing edges removed, all derived from the case seed.
-	rng := rand.New(rand.NewSource(c.Seed ^ 0x0de17a))
-	n := lg.NumVertices()
-	var add, rem [][2]light.VertexID
-	for i := 0; i < 5; i++ {
-		u, v := light.VertexID(rng.Intn(n+2)), light.VertexID(rng.Intn(n+2))
-		if u == v {
-			continue
-		}
-		add = append(add, [2]light.VertexID{u, v})
-	}
-	var existing [][2]light.VertexID
-	for u := 0; u < n; u++ {
-		for _, v := range lg.Neighbors(light.VertexID(u)) {
-			if int(v) > u {
-				existing = append(existing, [2]light.VertexID{light.VertexID(u), v})
-			}
-		}
-	}
-	for i := 0; i < 3 && len(existing) > 0; i++ {
-		rem = append(rem, existing[rng.Intn(len(existing))])
-	}
-
+	add, rem, existing := deltaBatch(c.Seed, lg.NumVertices(), lg.Neighbors)
 	to, err := lg.ApplyEdges(add, rem)
 	if err != nil {
 		return fail("delta/apply", want, 0, err.Error())
@@ -139,6 +120,84 @@ func checkDelta(c Case, want uint64, cfg Config) *Discrepancy {
 	}
 	if cComp.Matches != cTo.Matches {
 		return fail("delta/compacted-count", cTo.Matches, cComp.Matches, "compaction changed the count")
+	}
+	return nil
+}
+
+// deltaBatch derives the mutation batch from the case seed over an
+// n-vertex graph: up to five random pairs added (two IDs past the
+// current range, so vertex growth is exercised) and up to three
+// existing edges removed. existing is every edge of the graph, u < v.
+func deltaBatch(seed int64, n int, neighbors func(light.VertexID) []light.VertexID) (add, rem, existing [][2]light.VertexID) {
+	rng := rand.New(rand.NewSource(seed ^ 0x0de17a))
+	for i := 0; i < 5; i++ {
+		u, v := light.VertexID(rng.Intn(n+2)), light.VertexID(rng.Intn(n+2))
+		if u == v {
+			continue
+		}
+		add = append(add, [2]light.VertexID{u, v})
+	}
+	for u := 0; u < n; u++ {
+		for _, v := range neighbors(light.VertexID(u)) {
+			if int(v) > u {
+				existing = append(existing, [2]light.VertexID{light.VertexID(u), v})
+			}
+		}
+	}
+	for i := 0; i < 3 && len(existing) > 0; i++ {
+		rem = append(rem, existing[rng.Intn(len(existing))])
+	}
+	return add, rem, existing
+}
+
+// checkOverlay is the engine-level edge-delta oracle on RunCase's own
+// graph, whose seed-derived τ indexes hubs the public API's graphs
+// never have at case size: the seed-derived batch goes through
+// delta.Apply, and the engine counts the overlay view with HybridBitmap
+// — probing the bitmaps the overlay rebuilt for touched hubs — both
+// count-only and through the visitor loop. Each must equal a count on a
+// CSR materialized from the overlay's adjacency with the same ids.
+func checkOverlay(c Case, g *graph.Graph, pl *plan.Plan) *Discrepancy {
+	fail := func(want, got uint64, detail string) *Discrepancy {
+		return &Discrepancy{Case: c, Stage: "delta/overlay-engine", Want: want, Got: got, Detail: detail}
+	}
+	add, rem, _ := deltaBatch(c.Seed, g.NumVertices(), g.Neighbors)
+	toEdges := func(ps [][2]light.VertexID) []delta.Edge {
+		es := make([]delta.Edge, len(ps))
+		for i, e := range ps {
+			es[i] = delta.Edge{U: e[0], V: e[1]}
+		}
+		return es
+	}
+	ov, err := delta.Apply(g, nil, toEdges(add), toEdges(rem))
+	if err != nil {
+		return fail(0, 0, err.Error())
+	}
+	if ov == nil {
+		return nil // the batch changed nothing
+	}
+	b := graph.NewBuilder(ov.NumVertices())
+	for u := 0; u < ov.NumVertices(); u++ {
+		for _, v := range ov.Neighbors(graph.VertexID(u)) {
+			if int(v) > u {
+				b.AddEdge(graph.VertexID(u), v)
+			}
+		}
+	}
+	ref, err := engine.New(b.Build(), pl, engine.Options{}).Run(nil)
+	if err != nil {
+		return fail(0, 0, err.Error())
+	}
+	opts := engine.Options{Kernel: intersect.KindHybridBitmap, Overlay: ov}
+	for _, visit := range []engine.VisitFunc{nil, func([]graph.VertexID) bool { return true }} {
+		res, err := engine.New(g, pl, opts).Run(visit)
+		if err != nil {
+			return fail(ref.Matches, 0, err.Error())
+		}
+		if res.Matches != ref.Matches {
+			return fail(ref.Matches, res.Matches,
+				fmt.Sprintf("overlay count disagrees with materialized CSR (visitor %v, batch: +%d -%d)", visit != nil, len(add), len(rem)))
+		}
 	}
 	return nil
 }

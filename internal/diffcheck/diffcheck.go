@@ -324,15 +324,21 @@ func RunCase(c Case, cfg Config) (Outcome, *Discrepancy) {
 		out.Checks += 2
 	}
 
-	// Edge-delta oracle: the same case mutated through the public
-	// copy-on-write API, with the overlay count checked against a fresh
-	// rebuild and CountDelta checked against the counting identity.
+	// Edge-delta oracles: the case's own graph mutated through
+	// delta.Apply and counted by the engine against a materialized CSR,
+	// then the same case mutated through the public copy-on-write API,
+	// with the overlay count checked against a fresh rebuild and
+	// CountDelta checked against the counting identity.
 	if cfg.Delta || !cfg.Quick {
+		if d := checkOverlay(c, g, light); d != nil {
+			out.Checks++
+			return out, d
+		}
 		if d := checkDelta(c, want, cfg); d != nil {
 			out.Checks++
 			return out, d
 		}
-		out.Checks += 5
+		out.Checks += 6
 	}
 
 	// Enumerate mode: the emitted mapping set must be exactly the

@@ -157,10 +157,9 @@ type Options struct {
 	Arena *arena.Arena
 	// Overlay, when non-nil, is the copy-on-write edge-delta view the
 	// enumerator reads adjacency through instead of the raw CSR: touched
-	// vertices resolve to the overlay's merged lists, untouched vertices
-	// read the base graph directly, and hub-bitmap probes are suppressed
-	// for touched vertices (their base bitmaps are stale). The overlay's
-	// base must be the graph passed to New. When nil — the common case —
+	// vertices resolve to the overlay's merged lists and rebuilt hub
+	// bitmaps, untouched vertices read the base graph directly. The
+	// overlay's base must be the graph passed to New. When nil — the common case —
 	// every adjacency read takes the direct CSR path at the cost of one
 	// nil check.
 	Overlay *delta.Overlay
@@ -387,15 +386,14 @@ func (e *Enumerator) neighbors(v graph.VertexID) []graph.VertexID {
 	return e.g.Neighbors(v)
 }
 
-// hubBitmap returns the hub bitmap usable for v's neighbor list, or nil.
-// A vertex the overlay touched must not probe its base bitmap — the
-// bitmap encodes the pre-mutation list and would silently corrupt
-// intersections — so touched vertices always fall back to list kernels.
+// hubBitmap returns the hub bitmap of v's neighbor list in the view, or
+// nil. Through an overlay, a touched vertex has one exactly when the
+// base index holds one for it, rebuilt from its merged list.
 //
 //light:hotpath
 func (e *Enumerator) hubBitmap(v graph.VertexID) *bitset.Bitmap {
-	if e.ov != nil && e.ov.Touched(v) {
-		return nil
+	if e.ov != nil {
+		return e.ov.HubBitmap(v)
 	}
 	return e.g.HubBitmap(v)
 }
@@ -811,9 +809,9 @@ func (e *Enumerator) computeShared(u int) bool {
 		}
 		n = intersect.MultiWayBitmap(dst, scr, sets, bms, e.opts.Kernel, e.opts.Delta, &e.result.Stats)
 	} else {
-		// No operand has a usable bitmap (list kernel, hub-free graph, no
-		// hub among the operands, or every hub operand touched by the
-		// overlay): exactly the list kernel's work, nothing more.
+		// No operand has a bitmap (list kernel, hub-free graph, or no
+		// hub among the operands): exactly the list kernel's work,
+		// nothing more.
 		n = intersect.MultiWay(dst, scr, sets, e.opts.Kernel, e.opts.Delta, &e.result.Stats)
 	}
 	e.cand[u] = dst[:n]

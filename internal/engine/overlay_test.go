@@ -32,12 +32,18 @@ func materialize(t *testing.T, ov *delta.Overlay) *graph.Graph {
 // the counts against a from-scratch rebuild of the same adjacency. The
 // rebuild keeps identical vertex IDs (Builder, no reorder), so the two
 // runs walk the same symmetry-broken search tree and must agree exactly.
+// The graphs are indexed at τ = 4, far below the auto floor, so the
+// batches touch indexed hubs and the bitmap kernels probe the bitmaps
+// the overlay rebuilt for them.
 func TestOverlayMatchesMaterialized(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	graphs := map[string]*graph.Graph{
-		"ba":   gen.BarabasiAlbert(60, 3, 1),
-		"er":   gen.ErdosRenyi(50, 120, 2),
-		"grid": gen.Grid(5, 6),
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"ba", gen.BarabasiAlbert(60, 3, 1)},
+		{"er", gen.ErdosRenyi(50, 120, 2)},
+		{"grid", gen.Grid(5, 6)},
 	}
 	pats := []*pattern.Pattern{
 		mustPattern(t, "triangle", 3, [][2]int{{0, 1}, {1, 2}, {0, 2}}),
@@ -48,10 +54,14 @@ func TestOverlayMatchesMaterialized(t *testing.T) {
 		intersect.KindMerge, intersect.KindHybridBlock,
 		intersect.KindMergeBitmap, intersect.KindHybridBitmap,
 	}
-	for name, g := range graphs {
+	for _, c := range graphs {
+		name, g := c.name, c.g
+		g.BuildHubIndex(4)
 		n := g.NumVertices()
 		// A few rounds of random mutation, stacking overlays.
 		var ov *delta.Overlay
+		touchedHub := false
+		probes := map[intersect.Kind]uint64{}
 		for round := 0; round < 3; round++ {
 			var add, rem []delta.Edge
 			for i := 0; i < 6; i++ {
@@ -76,6 +86,11 @@ func TestOverlayMatchesMaterialized(t *testing.T) {
 			if ov == nil {
 				continue
 			}
+			for v := 0; v < n; v++ {
+				if bm := ov.HubBitmap(graph.VertexID(v)); bm != nil && bm != g.HubBitmap(graph.VertexID(v)) {
+					touchedHub = true
+				}
+			}
 			ref := materialize(t, ov)
 			for _, p := range pats {
 				po := pattern.SymmetryBreaking(p)
@@ -96,6 +111,7 @@ func TestOverlayMatchesMaterialized(t *testing.T) {
 						t.Errorf("%s/%s/%s round %d: overlay %d matches, materialized %d",
 							name, p.Name(), k, round, got.Matches, want.Matches)
 					}
+					probes[k] += got.Stats.BitmapProbes
 					// The leaf loop must agree too.
 					walk, err := New(g, pl, Options{Kernel: k, Overlay: ov}).Run(acceptAll)
 					if err != nil {
@@ -106,6 +122,14 @@ func TestOverlayMatchesMaterialized(t *testing.T) {
 							name, p.Name(), k, round, walk.Matches, want.Matches)
 					}
 				}
+			}
+		}
+		if !touchedHub {
+			t.Errorf("%s: no batch touched an indexed hub", name)
+		}
+		for _, k := range []intersect.Kind{intersect.KindMergeBitmap, intersect.KindHybridBitmap} {
+			if probes[k] == 0 {
+				t.Errorf("%s/%s: no overlay round probed a bitmap", name, k)
 			}
 		}
 	}

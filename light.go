@@ -399,9 +399,10 @@ const (
 	// default: an intersection whose operands include an indexed
 	// high-degree hub filters the smallest operand through the hub's
 	// bitmap (O(1) per element) instead of walking the hub's list.
-	// Where bitmaps cannot help — the graph has no indexed hub, an
-	// intersection has no hub operand, or the hub was touched by pending
-	// edge deltas — it runs exactly HybridBlock's list code.
+	// Where bitmaps cannot help — the graph has no indexed hub, or an
+	// intersection has no hub operand — it runs exactly HybridBlock's
+	// list code. Pending edge deltas keep the bitmaps: a touched vertex
+	// has one exactly when the base index holds one for it.
 	HybridBitmap Intersection = iota
 	// HybridBlock is Algorithm 4 with the block-skipping merge and no
 	// bitmap probing — the stand-in for the paper's production

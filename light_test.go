@@ -425,10 +425,11 @@ func sameListWork(a, b *RunReport) bool {
 // TestDefaultKernelEquivalence: the zero Options (hub-bitmap probing
 // by default) find exactly what explicit HybridBlock and the brute-force
 // reference find, for Count, CountBatch and CountDelta at 1, 2 and 4
-// workers — on a graph with indexed hubs, on two without (where the
-// default must also do bit-identical work to HybridBlock), on a dirty
-// snapshot that touches every indexed hub (all probing suppressed), and
-// on that snapshot compacted.
+// workers — on a graph with indexed hubs (where the default must probe),
+// on two without (where it must do bit-identical work to HybridBlock),
+// on a dirty snapshot that touches every indexed hub (which keeps its
+// bitmap, rebuilt by the overlay, so the default still probes), and on
+// that snapshot compacted.
 func TestDefaultKernelEquivalence(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -477,13 +478,12 @@ func TestDefaultKernelEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			views := []struct {
-				name     string
-				snap     *Snapshot
-				listOnly bool // no usable bitmap: default must equal HybridBlock's work
+				name string
+				snap *Snapshot
 			}{
-				{"clean", clean, !c.hubs},
-				{"dirty", dirty, true},
-				{"compacted", compacted, !c.hubs},
+				{"clean", clean},
+				{"dirty", dirty},
+				{"compacted", compacted},
 			}
 			refs := map[string]map[string]uint64{}
 			for _, v := range views {
@@ -513,7 +513,10 @@ func TestDefaultKernelEquivalence(t *testing.T) {
 							t.Errorf("%s/%s workers %d: Count default %d, HybridBlock %d, reference %d",
 								v.name, name, workers, d.Matches, l.Matches, want)
 						}
-						if v.listOnly && !sameListWork(d.Report, l.Report) {
+						if c.hubs && d.Report.BitmapProbes == 0 {
+							t.Errorf("%s/%s workers %d: hubs are indexed, yet the default probed no bitmap", v.name, name, workers)
+						}
+						if !c.hubs && !sameListWork(d.Report, l.Report) {
 							t.Errorf("%s/%s workers %d: no usable bitmap, yet default work differs from HybridBlock's:\ndefault:     %+v\nHybridBlock: %+v",
 								v.name, name, workers, d.Report, l.Report)
 						}

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -176,6 +177,101 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 	if g.Snapshot().Generation() == pinned.Generation() {
 		t.Fatal("head generation did not advance")
+	}
+}
+
+// TestSnapshotIsolationDirtyHubs pins dirty generations whose batches
+// touch indexed hubs — so their overlays carry rebuilt hub bitmaps
+// shared with every later overlay of the same base — and counts each
+// with 1, 2 and 3 workers while the mutator keeps applying and
+// compacting. Every count must equal a fresh CSR's count of the
+// snapshot it pinned, and the default kernel must probe bitmaps.
+func TestSnapshotIsolationDirtyHubs(t *testing.T) {
+	g := GenerateBarabasiAlbert(900, 2, 7)
+	if g.NumHubs() == 0 {
+		t.Fatal("fixture graph indexes no hub under the auto τ")
+	}
+	p := mustPattern(t, "P2")
+	type pinned struct {
+		snap *Snapshot
+		want uint64
+	}
+	const readers, rounds = 3, 8
+	feeds := make([]chan pinned, readers)
+	for r := range feeds {
+		feeds[r] = make(chan pinned, rounds)
+	}
+	var probes atomic.Uint64
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(workers int, feed <-chan pinned) {
+			defer wg.Done()
+			for pin := range feed {
+				res, err := Count(g, p, Options{Snapshot: pin.snap, Workers: workers})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if res.Matches != pin.want {
+					t.Errorf("workers %d, generation %d: pinned count %d, fresh CSR %d",
+						workers, pin.snap.Generation(), res.Matches, pin.want)
+				}
+				probes.Add(res.Report.BitmapProbes)
+			}
+		}(1+r, feeds[r])
+	}
+
+	rng := rand.New(rand.NewSource(35))
+	for i := 0; i < rounds; i++ {
+		// Two indexed hubs of the current base each gain an edge to a
+		// random vertex and lose one of their own.
+		st := g.snap()
+		var hubs []VertexID
+		for v := 0; v < st.base.NumVertices(); v++ {
+			if st.base.HubBitmap(VertexID(v)) != nil {
+				hubs = append(hubs, VertexID(v))
+			}
+		}
+		var add, rem [][2]VertexID
+		for k := 0; k < 2; k++ {
+			h := hubs[rng.Intn(len(hubs))]
+			ns := g.Neighbors(h)
+			add = append(add, [2]VertexID{h, VertexID(rng.Intn(g.NumVertices()))})
+			rem = append(rem, [2]VertexID{h, ns[rng.Intn(len(ns))]})
+		}
+		snap, err := g.ApplyEdges(add, rem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.DeltaEdges() == 0 {
+			t.Fatalf("round %d: batch left a clean snapshot", i)
+		}
+		ov := snap.st.ov
+		for _, e := range rem {
+			if bm := ov.HubBitmap(e[0]); bm == nil || bm == st.base.HubBitmap(e[0]) {
+				t.Fatalf("round %d: touched hub %d kept no rebuilt bitmap", i, e[0])
+			}
+		}
+		ref, err := Count(rebuild(t, g), p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, feed := range feeds {
+			feed <- pinned{snap, ref.Matches}
+		}
+		if i == rounds/2 {
+			if _, err := g.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, feed := range feeds {
+		close(feed)
+	}
+	wg.Wait()
+	if probes.Load() == 0 {
+		t.Error("no pinned count probed a hub bitmap")
 	}
 }
 
