@@ -158,13 +158,12 @@ func engineOutcome(d time.Duration, res engine.Result) outcome {
 	}
 }
 
-// runParallel runs one engine-backed algorithm with the work-stealing
-// scheduler.
+// runParallel runs one engine-backed algorithm on the parallel pool.
 func runParallel(g *graph.Graph, p *pattern.Pattern, mode plan.Mode, kernel intersect.Kind, workers int, limit time.Duration) outcome {
 	return runParallelPlan(g, compilePlan(g, p, mode), kernel, workers, limit)
 }
 
-// runParallelPlan runs a precompiled plan under the work stealer. The
+// runParallelPlan runs a precompiled plan on the parallel pool. The
 // run is count-only, so the engine counts σ's trailing MATs instead of
 // walking them.
 func runParallelPlan(g *graph.Graph, pl *plan.Plan, kernel intersect.Kind, workers int, limit time.Duration) outcome {

@@ -50,7 +50,7 @@ func main() {
 	graphArg := flag.String("graph", "yt-s", "edge list file, .csr file, or built-in dataset name")
 	scale := flag.Int("scale", 1, "scale for built-in datasets")
 	algoName := flag.String("algo", "LIGHT", "algorithm: SE, LM, MSC, LIGHT")
-	workers := flag.Int("workers", 1, "worker threads (>1 enables work stealing)")
+	workers := flag.Int("workers", 1, "worker threads")
 	kernel := flag.String("kernel", "", "intersection: Merge, MergeBlock, Galloping, Hybrid, HybridBlock, MergeBitmap, HybridBitmap (default: the library's)")
 	timeout := flag.Duration("timeout", 0, "abort after this long (0 = unlimited)")
 	printN := flag.Int("print", 0, "print the first N matches")

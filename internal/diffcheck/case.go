@@ -2,7 +2,7 @@
 // generates random (pattern, data graph) cases, runs each one through
 // every implementation in the repo that can count or enumerate matches
 // — an independent brute-force reference, the BFS-join baselines, and
-// the LIGHT engine serial and on the work-stealing pool under every
+// the LIGHT engine serial and on the parallel pool under every
 // kernel, count-only or visitor, and DegreeFilter combination, plus a
 // kill-and-resume checkpoint round-trip — and cross-checks the results.
 // On a discrepancy, a greedy shrinker reduces the case to a minimal

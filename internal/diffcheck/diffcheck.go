@@ -287,12 +287,11 @@ func RunCase(c Case, cfg Config) (Outcome, *Discrepancy) {
 		serialRes[i] = res
 	}
 
-	// Parallel: every variant on the work-stealing pool, with exact
-	// counter equality against the serial twin. Donated frames snapshot
-	// their candidate sets, so Nodes/Comps/Stats are
-	// partition-independent.
+	// Parallel: every variant on the pool, with exact counter equality
+	// against the serial twin: every root runs whole on one worker, so
+	// Nodes/Comps/Stats are partition-independent.
 	for i, v := range vs {
-		res, err := parallel.Run(g, light, parallel.Options{Engine: v.opts, Workers: cfg.Workers, ChunkSize: 4, MinSplit: 2}, v.visitor())
+		res, err := parallel.Run(g, light, parallel.Options{Engine: v.opts, Workers: cfg.Workers, ChunkSize: 4}, v.visitor())
 		if err != nil {
 			return fail("parallel/"+v.name, want, 0, err.Error())
 		}
@@ -356,7 +355,7 @@ func RunCase(c Case, cfg Config) (Outcome, *Discrepancy) {
 		if d := checkEnumerate(c, g, light, ref.Keys, want, "enumerate/parallel", func(visit engine.VisitFunc) error {
 			var mu sync.Mutex
 			_, err := parallel.Run(g, light, parallel.Options{
-				Workers: cfg.Workers, ChunkSize: 4, MinSplit: 2,
+				Workers: cfg.Workers, ChunkSize: 4,
 			}, func(m []graph.VertexID) bool {
 				mu.Lock()
 				defer mu.Unlock()
@@ -505,7 +504,6 @@ func checkResume(c Case, g *graph.Graph, pl *plan.Plan, want uint64, cfg Config)
 	opts := parallel.Options{
 		Workers:    cfg.Workers,
 		ChunkSize:  4,
-		MinSplit:   2,
 		Checkpoint: &parallel.CheckpointOptions{Path: path, Interval: time.Hour},
 	}
 	_, err = parallel.Run(g, pl, opts, func(m []graph.VertexID) bool {
@@ -524,7 +522,6 @@ func checkResume(c Case, g *graph.Graph, pl *plan.Plan, want uint64, cfg Config)
 	resumed := parallel.Options{
 		Workers:   cfg.Workers,
 		ChunkSize: 4,
-		MinSplit:  2,
 		Resume:    ck,
 	}
 	res, err := parallel.Run(g, pl, resumed, nil)

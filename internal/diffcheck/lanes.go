@@ -26,7 +26,7 @@ import (
 //     equivalent engine filter.
 //
 // Both batches run through the parallel scheduler at cfg.Workers, so
-// donation frames carry lane masks across workers; counter equality is
+// their root chunks spread across workers; counter equality is
 // partition-independent for the same reason it is in counterDiff. Lanes
 // walk every level to the leaves, so every sequential reference runs
 // under a filter, acceptAll where the lane has none: an unfiltered

@@ -6,7 +6,7 @@
 // symmetry-breaking partial order.
 //
 // An Enumerator is single-threaded and reusable; the parallel package
-// runs one per worker and splits work between them.
+// runs one per worker seat and deals root chunks and anchors to them.
 package engine
 
 import (
@@ -32,8 +32,8 @@ var ErrTimeLimit = errors.New("engine: time limit exceeded")
 // ErrMemoryBudget is returned when a budgeted arena (admission memory
 // governance) denies a candidate-buffer allocation: the run has
 // exhausted every degradation rung and must hard-stop. The unwind path
-// is the same as ErrTimeLimit, so partial results and checkpoint
-// frames remain valid.
+// is the same as ErrTimeLimit, so partial results and checkpoints
+// remain valid.
 var ErrMemoryBudget = errors.New("engine: memory budget exceeded")
 
 // errLaneVisit rejects enumeration-mode runs in lane mode: a visitor
@@ -126,7 +126,7 @@ type Options struct {
 	// kernels to pure Galloping.
 	Delta int
 	// TimeLimit aborts the run with ErrTimeLimit when positive. The
-	// clock starts at each Run/RunRoots/Resume call.
+	// clock starts at each Run/RunRoots/RunAnchor call.
 	TimeLimit time.Duration
 	// Deadline, when set, is an absolute cutoff shared across calls; it
 	// takes precedence over TimeLimit. The parallel scheduler pins one
@@ -145,7 +145,7 @@ type Options struct {
 	// matLoop): every leaf assignment is then individually checked.
 	Filter func(u int, v graph.VertexID) bool
 	// Metrics, when non-nil, receives this enumerator's counters: each
-	// RunRoots/Resume/Run folds its Result into the recorder when it
+	// RunRoots/RunAnchor/Run folds its Result into the recorder when it
 	// finishes. Per-event counting stays in plain per-enumerator fields;
 	// only the fold touches atomics, so the hot path is unaffected.
 	Metrics *metrics.Recorder
@@ -219,24 +219,12 @@ func (r *Result) AddTo(m *metrics.Recorder) {
 	LaneCounts{Matches: r.Matches, Nodes: r.Nodes, Comps: r.Comps, Stats: r.Stats}.AddTo(m)
 }
 
-// MatHook, when non-nil, is invoked at the start of every non-root MAT
-// loop the run walks (a counting run's counted levels have none) with
-// the σ index and the full candidate slice about to be iterated; it
-// returns how many of those candidates the enumerator should process
-// locally (the rest having been donated elsewhere). Used by the
-// work-stealing scheduler; see the parallel package.
-type MatHook func(e *Enumerator, sigmaIdx int, candidates []graph.VertexID) int
-
 // Enumerator executes one plan on one graph.
 type Enumerator struct {
 	g    *graph.Graph
 	ov   *delta.Overlay // aliases opts.Overlay; nil = read the CSR directly
 	pl   *plan.Plan
 	opts Options
-
-	// Hook for work donation (nil in sequential runs and one-worker
-	// pools).
-	Hook MatHook
 
 	// Stop, when non-nil, is polled at the deadline cadence; setting it
 	// aborts the run with Stopped=true and no error. The parallel
@@ -478,7 +466,7 @@ type Anchor struct {
 // avoids those edges is ever extended. The plan must come from
 // plan.CompileAnchored (σ = MAT π[0], COMP π[1], MAT π[1], …): π[1]'s
 // MAT loop runs over Partners instead of the whole C(π[1]) = N(Root),
-// under the same bounds, injectivity, filter and donation rules as any
+// under the same bounds, injectivity and filter rules as any
 // other MAT loop. Like RunRoots it applies Options.Filter to the root
 // assignment. Lane mode is not supported.
 //
@@ -494,7 +482,7 @@ func (e *Enumerator) RunAnchor(an Anchor, visit VisitFunc) (Result, error) {
 	e.result.Nodes++
 	// COMP π[1] aliases N(Root): no intersection, no copy.
 	if e.compute(e.pl.Pi[1]) {
-		e.matLoop(2, an.Partners, true)
+		e.matLoop(2, an.Partners)
 	}
 	return e.finish()
 }
@@ -506,177 +494,6 @@ func (e *Enumerator) laneNodes(m uint64) {
 	for ; m != 0; m &= m - 1 {
 		e.laneBuf[bits.TrailingZeros64(m)].Nodes++
 	}
-}
-
-// Frame is a resumable suspension of the search: the state needed to
-// continue a MAT loop at σ[SigmaIdx] over Remaining. Frames own their
-// slices (deep copies), so they can cross goroutines.
-type Frame struct {
-	SigmaIdx  int
-	Assigned  []graph.VertexID
-	MatMask   uint32
-	Cands     [][]graph.VertexID // per pattern vertex; nil when not live
-	Remaining []graph.VertexID
-	// LaneMask is the mask of lanes live at the suspension point (0
-	// outside lane mode). A donated or checkpointed frame from a lane
-	// batch must resume with exactly these lanes, or the thief/resumer
-	// would attribute the subtree to the wrong queries.
-	LaneMask uint64
-}
-
-// Snapshot captures the current search state as a Frame that resumes the
-// MAT at sigmaIdx over the given candidates. Called by MatHook
-// implementations.
-func (e *Enumerator) Snapshot(sigmaIdx int, candidates []graph.VertexID) *Frame {
-	n := e.pl.Pattern.NumVertices()
-	f := &Frame{
-		SigmaIdx:  sigmaIdx,
-		Assigned:  append([]graph.VertexID(nil), e.assigned...),
-		MatMask:   e.matMask,
-		Cands:     make([][]graph.VertexID, n),
-		Remaining: append([]graph.VertexID(nil), candidates...),
-		LaneMask:  e.alive,
-	}
-	for u := 0; u < n; u++ {
-		if e.candLiveAt(u, sigmaIdx) {
-			f.Cands[u] = append([]graph.VertexID(nil), e.cand[u]...)
-		}
-	}
-	return f
-}
-
-// Validate checks that f is structurally consistent with pl and g —
-// SigmaIdx resumes a MAT, every vertex id is in range, the mask fits
-// the pattern, and no candidate set exceeds the per-vertex buffers
-// Resume copies into. Frames deserialized from a checkpoint must pass
-// it before Resume, so a corrupt or mismatched file cannot index out
-// of bounds or silently truncate candidate sets.
-func (f *Frame) Validate(pl *plan.Plan, g *graph.Graph) error {
-	n := pl.Pattern.NumVertices()
-	if f.SigmaIdx < 1 || f.SigmaIdx >= len(pl.Sigma) {
-		return fmt.Errorf("engine: frame resumes σ[%d] of %d ops", f.SigmaIdx, len(pl.Sigma))
-	}
-	if pl.Sigma[f.SigmaIdx].Mode != plan.Mat {
-		return fmt.Errorf("engine: frame resumes σ[%d], which is not a MAT", f.SigmaIdx)
-	}
-	if len(f.Assigned) != n {
-		return fmt.Errorf("engine: frame assigns %d of %d pattern vertices", len(f.Assigned), n)
-	}
-	// The mask must fit the pattern (guarded arithmetic: for n == 32
-	// every uint32 is in range, and 1<<32 would overflow the shift) and
-	// agree exactly with σ: a frame suspended at σ[SigmaIdx] has
-	// materialized precisely the vertices whose MAT precedes it, root
-	// included — so popcount(MatMask) equals the number of earlier MATs
-	// and the bits identify them. A corrupt checkpoint whose mask
-	// disagrees with the σ prefix would otherwise resume with injectivity
-	// and symmetry-breaking checks applied to the wrong vertices.
-	if n < 32 && f.MatMask >= 1<<uint(n) {
-		return fmt.Errorf("engine: frame mask %#x exceeds pattern size %d", f.MatMask, n)
-	}
-	if want := pl.MatMaskBefore(f.SigmaIdx); f.MatMask != want {
-		return fmt.Errorf("engine: frame mask %#x inconsistent with σ[:%d] (want %#x: %d MATs incl. root)",
-			f.MatMask, f.SigmaIdx, want, bits.OnesCount32(want))
-	}
-	if len(f.Cands) != n {
-		return fmt.Errorf("engine: frame carries %d of %d candidate sets", len(f.Cands), n)
-	}
-	nv := int64(g.NumVertices())
-	dmax := g.MaxDegree()
-	for u, vs := range f.Cands {
-		if len(vs) > dmax {
-			return fmt.Errorf("engine: frame candidate set %d has %d vertices, graph d_max is %d", u, len(vs), dmax)
-		}
-		for _, v := range vs {
-			if int64(v) >= nv {
-				return fmt.Errorf("engine: frame candidate %d out of range (|V|=%d)", v, nv)
-			}
-		}
-	}
-	for m := f.MatMask; m != 0; m &= m - 1 {
-		if v := f.Assigned[trailingZeros32(m)]; int64(v) >= nv {
-			return fmt.Errorf("engine: frame assignment %d out of range (|V|=%d)", v, nv)
-		}
-	}
-	for _, v := range f.Remaining {
-		if int64(v) >= nv {
-			return fmt.Errorf("engine: frame remaining candidate %d out of range (|V|=%d)", v, nv)
-		}
-	}
-	return nil
-}
-
-// candLiveAt reports whether C(u) computed before σ[sigmaIdx] is still
-// referenced at or after it (by u's own MAT or by a later COMP using u as
-// a K2 operand).
-func (e *Enumerator) candLiveAt(u int, sigmaIdx int) bool {
-	if u == e.pl.Pi[0] {
-		return false
-	}
-	computed := false
-	for i := 0; i < sigmaIdx; i++ {
-		op := e.pl.Sigma[i]
-		if op.Mode == plan.Comp && op.Vertex == u {
-			computed = true
-			break
-		}
-	}
-	if !computed {
-		return false
-	}
-	for i := sigmaIdx; i < len(e.pl.Sigma); i++ {
-		op := e.pl.Sigma[i]
-		if op.Mode == plan.Mat && op.Vertex == u {
-			return true
-		}
-		if op.Mode == plan.Comp {
-			for _, w := range e.pl.Ops[op.Vertex].K2 {
-				if w == u {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// Resume continues the search captured in f. The frame's candidate sets
-// are copied into the enumerator's own buffers.
-//
-//light:hotpath
-func (e *Enumerator) Resume(f *Frame, visit VisitFunc) (Result, error) {
-	e.begin(visit)
-	if e.lanes != nil {
-		if visit != nil {
-			e.err = errLaneVisit
-			return e.finish()
-		}
-		if f.LaneMask == 0 || f.LaneMask&^e.lanes.All() != 0 {
-			// A zero mask means the frame came from a non-lane run (or
-			// a pre-lane checkpoint); stray high bits mean a different
-			// batch. Either way the attribution would be garbage.
-			e.err = fmt.Errorf("engine: frame lane mask %#x does not match the %d-lane batch", f.LaneMask, e.lanes.NumLanes()) //lightvet:ignore hotpath -- terminal validation failure, not per-node work
-			return e.finish()
-		}
-		e.alive = f.LaneMask
-	}
-	copy(e.assigned, f.Assigned)
-	e.matMask = f.MatMask
-	for u := range f.Cands {
-		if f.Cands[u] == nil {
-			continue
-		}
-		b := e.buf(u)
-		if b == nil && e.dmax > 0 {
-			// Budget denied the resume buffers: fail rather than
-			// silently truncate the frame's candidate sets to nothing.
-			e.err = ErrMemoryBudget
-			return e.finish()
-		}
-		m := copy(b[:cap(b)], f.Cands[u])
-		e.cand[u] = b[:m]
-	}
-	e.matLoop(f.SigmaIdx, f.Remaining, false)
-	return e.finish()
 }
 
 // begin resets per-run state. Releasing the arena invalidates every
@@ -738,8 +555,7 @@ func (e *Enumerator) step(i int) bool {
 		}
 		return e.step(i + 1)
 	}
-	candidates := e.cand[op.Vertex]
-	return e.matLoop(i, candidates, true)
+	return e.matLoop(i, e.cand[op.Vertex])
 }
 
 // compute runs the COMP of u (Equation 6) into e.cand[u], returning
@@ -842,10 +658,8 @@ func (e *Enumerator) scratchBuf() []graph.VertexID {
 	return e.scratch
 }
 
-// matLoop materializes σ[i]'s vertex over candidates. checkHook controls
-// whether the donation hook may split this loop (resumed frames already
-// passed through it).
-func (e *Enumerator) matLoop(i int, candidates []graph.VertexID, checkHook bool) bool {
+// matLoop materializes σ[i]'s vertex over candidates.
+func (e *Enumerator) matLoop(i int, candidates []graph.VertexID) bool {
 	u := e.pl.Sigma[i].Vertex
 	// Symmetry-breaking bounds: candidates are sorted, so constraints
 	// against already-materialized vertices become a sub-range.
@@ -869,10 +683,6 @@ func (e *Enumerator) matLoop(i int, candidates []graph.VertexID, checkHook bool)
 		return e.pairCount(i, candidates)
 	}
 
-	if checkHook && e.Hook != nil {
-		keep := e.Hook(e, i, candidates)
-		candidates = candidates[:keep]
-	}
 	bit := uint32(1) << uint(u)
 	minDeg := 0
 	if e.opts.DegreeFilter {

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -141,94 +140,6 @@ func TestMatLoopFilterCancellationLatency(t *testing.T) {
 	}
 	if res.Nodes > 4096 {
 		t.Fatalf("cancelled run expanded %d nodes, want the hub root only (pre-fix shape expands ~8192)", res.Nodes)
-	}
-}
-
-// TestFrameValidateMaskSigmaConsistency pins the Frame.Validate fix: a
-// frame whose MatMask disagrees with the σ prefix (wrong popcount or
-// wrong bits) must be rejected, because resume would apply injectivity
-// and symmetry-breaking checks to the wrong vertices. Pre-fix, Validate
-// only range-checked the mask (and skipped even that for 32-vertex
-// patterns).
-func TestFrameValidateMaskSigmaConsistency(t *testing.T) {
-	g := gen.Complete(8)
-	p := pattern.P4() // 5 vertices: lazy σ has a non-trivial MAT prefix
-	po := pattern.SymmetryBreaking(p)
-	pl, err := plan.Compile(p, po, plan.ConnectedOrders(p, po)[0], plan.ModeLIGHT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Find a resumable MAT beyond σ[0] and build a valid frame for it.
-	sigmaIdx := -1
-	for i := 1; i < len(pl.Sigma); i++ {
-		if pl.Sigma[i].Mode == plan.Mat {
-			sigmaIdx = i
-			break
-		}
-	}
-	if sigmaIdx < 0 {
-		t.Fatal("plan has no resumable MAT")
-	}
-	valid := func() *Frame {
-		f := &Frame{
-			SigmaIdx:  sigmaIdx,
-			Assigned:  make([]graph.VertexID, p.NumVertices()),
-			MatMask:   pl.MatMaskBefore(sigmaIdx),
-			Cands:     make([][]graph.VertexID, p.NumVertices()),
-			Remaining: []graph.VertexID{0, 1},
-		}
-		return f
-	}
-	if err := valid().Validate(pl, g); err != nil {
-		t.Fatalf("baseline frame rejected: %v", err)
-	}
-
-	cases := []struct {
-		name    string
-		mutate  func(f *Frame)
-		wantSub string
-	}{
-		{
-			name:    "mask missing the root bit",
-			mutate:  func(f *Frame) { f.MatMask &^= 1 << uint(pl.Pi[0]) },
-			wantSub: "inconsistent with σ",
-		},
-		{
-			name:    "mask with a spurious extra MAT",
-			mutate:  func(f *Frame) { f.MatMask |= 1 << uint(pl.Sigma[len(pl.Sigma)-1].Vertex) },
-			wantSub: "inconsistent with σ",
-		},
-		{
-			name: "right popcount, wrong vertices",
-			mutate: func(f *Frame) {
-				// Swap one materialized bit for an unmaterialized one.
-				want := pl.MatMaskBefore(sigmaIdx)
-				all := uint32(1<<uint(p.NumVertices())) - 1
-				inv := ^want & all
-				if want == 0 || inv == 0 {
-					t.Fatal("construction needs both set and clear bits")
-				}
-				f.MatMask = want&(want-1) | inv&-inv // drop lowest set, add lowest clear
-			},
-			wantSub: "inconsistent with σ",
-		},
-		{
-			name:    "mask exceeding the pattern",
-			mutate:  func(f *Frame) { f.MatMask |= 1 << 20 },
-			wantSub: "exceeds pattern size",
-		},
-	}
-	for _, tc := range cases {
-		f := valid()
-		tc.mutate(f)
-		err := f.Validate(pl, g)
-		if err == nil {
-			t.Errorf("%s: Validate accepted corrupt frame mask %#x at σ[%d]", tc.name, f.MatMask, f.SigmaIdx)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.wantSub) {
-			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantSub)
-		}
 	}
 }
 

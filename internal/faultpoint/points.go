@@ -1,7 +1,7 @@
 // Package faultpoint is a named fault-injection-point registry for
 // chaos testing the enumeration runtime. Production code calls
-// Hit(name) at the places where faults matter (worker start, work
-// donation, frame resume, checkpoint write, CSR read); chaos tests
+// Hit(name) at the places where faults matter (worker start,
+// checkpoint write, CSR read, admission, lane batches); chaos tests
 // built with the "faultinject" tag register hooks at those names that
 // panic, sleep, or fail. In the default build every function in this
 // package compiles to a no-op, so the injection sites cost nothing.
@@ -14,12 +14,6 @@ const (
 	// submission starts, in the submitting goroutine, before the worker
 	// exists; an error or panic there fails that run.
 	PointWorkerStart = "parallel.worker.start"
-	// PointDonate fires inside the donation hook while the scheduler
-	// lock is held, just before a frame is snapshotted and published.
-	PointDonate = "parallel.donate"
-	// PointFrameResume fires after a worker takes a donated frame from
-	// the queue and before it resumes execution.
-	PointFrameResume = "parallel.frame.resume"
 	// PointCheckpointWrite fires at the start of every checkpoint file
 	// write (periodic and final).
 	PointCheckpointWrite = "supervise.checkpoint.write"
@@ -41,7 +35,4 @@ const (
 	// PointLaneFold fires when a finished lane group folds its
 	// per-lane counters into the per-query metrics recorders.
 	PointLaneFold = "lanes.fold"
-	// PointCheckpointMask fires when a checkpoint about to be written
-	// carries frames with a live lane mask (lane-batch state).
-	PointCheckpointMask = "supervise.checkpoint.mask"
 )

@@ -33,7 +33,7 @@ type Result struct {
 // Run executes the batch as one pool run: queries are grouped by plan
 // compatibility, each group packs into one LaneProber (≤64 lanes; larger
 // groups split) and becomes one job, a single shared traversal, and the
-// jobs of all groups run together on the work-stealing pool.
+// jobs of all groups run together on the parallel pool.
 //
 // opts configures that pool and is batch-wide: every group runs under
 // the same engine configuration, which is what makes the shared

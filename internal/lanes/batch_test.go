@@ -14,11 +14,11 @@ import (
 )
 
 // TestBatchRunParity runs a mixed-catalog batch — several patterns,
-// several lane specs per pattern — through the full work-stealing
-// scheduler at 1 and 3 workers, and checks every query's attributed
-// counters against its solo sequential run. This is the end-to-end
-// parity gate: grouping, lane packing, donation frames carrying masks,
-// and the recorder fold all sit on this path.
+// several lane specs per pattern — through the full parallel scheduler
+// at 1 and 3 workers, and checks every query's attributed counters
+// against its solo sequential run. This is the end-to-end parity gate:
+// grouping, lane packing, per-chunk lane counters, and the recorder fold
+// all sit on this path.
 func TestBatchRunParity(t *testing.T) {
 	g := gen.BarabasiAlbert(150, 4, 17)
 	g.BuildHubIndex(3)

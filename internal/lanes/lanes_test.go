@@ -155,70 +155,6 @@ func TestLaneSharedWorkIsShared(t *testing.T) {
 	}
 }
 
-// TestLaneResumeMask: Snapshot must capture the live-lane mask, and
-// Resume in lane mode must reject frames whose mask is empty or claims
-// lanes outside the set — resuming those would attribute a subtree to
-// the wrong queries.
-func TestLaneResumeMask(t *testing.T) {
-	g := gen.ErdosRenyi(60, 180, 3)
-	pl := compile(t, pattern.Triangle())
-	set, err := NewSet(g.NumVertices(), []Spec{{}, {MinDegree: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := engine.New(g, pl, engine.Options{Lanes: set})
-	var frames []*engine.Frame
-	e.Hook = func(en *engine.Enumerator, sigmaIdx int, candidates []graph.VertexID) int {
-		if len(frames) == 0 && len(candidates) > 1 {
-			frames = append(frames, en.Snapshot(sigmaIdx, candidates[1:]))
-			return 1
-		}
-		return len(candidates)
-	}
-	full, err := engine.New(g, pl, engine.Options{Lanes: set}).Run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	head, err := e.Run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Result.Lanes aliases the enumerator's reused lane buffer: copy
-	// before running the same enumerator again (as the parallel ledger
-	// does when it banks a chunk's delta).
-	headLanes := append([]engine.LaneCounts(nil), head.Lanes...)
-	if len(frames) == 0 {
-		t.Fatal("donation hook never fired")
-	}
-	f := frames[0]
-	if f.LaneMask == 0 || f.LaneMask&^set.All() != 0 {
-		t.Fatalf("snapshot lane mask %b outside set %b", f.LaneMask, set.All())
-	}
-
-	// Resuming the donated tail must complete the lane-exact counts.
-	e.Hook = nil
-	tail, err := e.Resume(f, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for lane := range full.Lanes {
-		sum := headLanes[lane]
-		sum.Add(tail.Lanes[lane])
-		if sum != full.Lanes[lane] {
-			t.Errorf("lane %d: head+tail %+v != full %+v", lane, sum, full.Lanes[lane])
-		}
-	}
-
-	// A zero or foreign mask must be refused.
-	for _, mask := range []uint64{0, 1 << 7} {
-		bad := *f
-		bad.LaneMask = mask
-		if _, err := e.Resume(&bad, nil); err == nil {
-			t.Errorf("Resume accepted lane mask %b", mask)
-		}
-	}
-}
-
 func TestNewSetValidation(t *testing.T) {
 	if _, err := NewSet(10, nil); err == nil {
 		t.Error("0 lanes accepted")

@@ -1,14 +1,13 @@
 // Package metrics is the run-report metrics layer: a low-overhead
 // counter registry threaded through the enumeration engine
 // (internal/engine), the intersection kernels (internal/intersect via
-// engine result folding), and the work-stealing scheduler
-// (internal/parallel).
+// engine result folding), and the pool scheduler (internal/parallel).
 //
 // The design keeps the enumeration hot path allocation-free (enforced
 // by the lightvet hotpath analyzer): workers accumulate plain per-run
 // counters in their own engine.Result and fold them into a shared
-// Recorder at unit boundaries (end of a root chunk, a resumed frame, or
-// a whole run), while scheduler-level events (queue waits, checkpoint
+// Recorder at unit boundaries (end of a root chunk, an anchor, or a
+// whole run), while scheduler-level events (queue waits, checkpoint
 // writes) hit the Recorder directly. Every Recorder counter is an
 // atomic uint64 padded to its own cache line, so concurrent folds from
 // many workers never false-share, and a nil *Recorder is valid and
@@ -27,7 +26,7 @@ type ID uint32
 
 // The counter registry. Engine and intersect counters are exact and
 // deterministic for a given (graph, plan, kernel) configuration —
-// independent of worker count, donation timing, and scheduling — which
+// independent of worker count, chunk sizes, and scheduling — which
 // is what makes them gateable in CI. Parallel counters describe one
 // specific run.
 const (
@@ -53,21 +52,16 @@ const (
 	// IntersectBitmapProbes counts elements probed against hub bitmaps
 	// by the bitmap kernels (each probe replaces a gallop step).
 	IntersectBitmapProbes
-	// ParallelDonations counts frames pushed to the global queue.
-	ParallelDonations
-	// ParallelSteals counts frames executed by a worker other than the
-	// donor.
-	ParallelSteals
 	// ParallelRootChunks counts root chunks dispensed.
 	ParallelRootChunks
-	// ParallelQueueWaits counts worker blocking episodes on the frame
-	// queue.
+	// ParallelQueueWaits counts the parks of workers that ran out of a
+	// run's units while it was still going.
 	ParallelQueueWaits
-	// ParallelQueueWaitNanos accumulates time workers spent blocked on
-	// the frame queue.
+	// ParallelQueueWaitNanos accumulates the time those workers spent
+	// parked.
 	ParallelQueueWaitNanos
-	// ParallelBusyNanos accumulates time workers spent executing chunks
-	// and frames (the per-thread utilization numerator).
+	// ParallelBusyNanos accumulates time workers spent executing root
+	// chunks and anchors (the per-thread utilization numerator).
 	ParallelBusyNanos
 	// CheckpointWrites counts checkpoint file writes (periodic + final).
 	CheckpointWrites
@@ -109,8 +103,6 @@ var idNames = [NumIDs]string{
 	IntersectMerge:         "intersect.merge",
 	IntersectElements:      "intersect.elements",
 	IntersectBitmapProbes:  "intersect.bitmap_probes",
-	ParallelDonations:      "parallel.donations",
-	ParallelSteals:         "parallel.steals",
 	ParallelRootChunks:     "parallel.root_chunks",
 	ParallelQueueWaits:     "parallel.queue_waits",
 	ParallelQueueWaitNanos: "parallel.queue_wait_ns",

@@ -123,12 +123,12 @@ func TestEveryIDHasAName(t *testing.T) {
 
 func TestSnapshotKeys(t *testing.T) {
 	r := NewRecorder()
-	r.Add(ParallelSteals, 5)
+	r.Add(ParallelRootChunks, 5)
 	snap := r.Snapshot()
 	if len(snap) != int(NumIDs) {
 		t.Fatalf("snapshot has %d keys, want %d", len(snap), NumIDs)
 	}
-	if snap["parallel.steals"] != 5 {
-		t.Fatalf("snapshot[parallel.steals] = %d, want 5", snap["parallel.steals"])
+	if snap["parallel.root_chunks"] != 5 {
+		t.Fatalf("snapshot[parallel.root_chunks] = %d, want 5", snap["parallel.root_chunks"])
 	}
 }

@@ -84,7 +84,7 @@ func TestRunAnchoredReachesEveryEmbeddingOncePerEdge(t *testing.T) {
 				}
 			}
 			for _, workers := range []int{1, 2, 4} {
-				res, err := RunJobs(context.Background(), Options{Workers: workers, MinSplit: 2}, jobs)
+				res, err := RunJobs(context.Background(), Options{Workers: workers}, jobs)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -5,7 +5,6 @@ package parallel
 import (
 	"errors"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,7 +16,7 @@ import (
 	"light/internal/supervise"
 )
 
-// chaosRun executes a WorkStealing run with the current fault registry
+// chaosRun executes a pool run with the current fault registry
 // and a watchdog: a deadlocked pool fails the test rather than hanging
 // the suite.
 func chaosRun(t *testing.T, g *graph.Graph, pl *plan.Plan, opts Options, visit func(m []graph.VertexID) bool) (Result, error) {
@@ -54,15 +53,13 @@ func TestChaosPanicAtEachPoint(t *testing.T) {
 	g, pl, _ := chaosFixture(t)
 	points := []string{
 		faultpoint.PointWorkerStart,
-		faultpoint.PointDonate,
-		faultpoint.PointFrameResume,
 		faultpoint.PointCheckpointWrite,
 	}
 	for _, point := range points {
 		t.Run(point, func(t *testing.T) {
 			defer faultpoint.Reset()
 			faultpoint.Set(point, faultpoint.PanicOnce("chaos: "+point))
-			opts := Options{Workers: 4, ChunkSize: 8, MinSplit: 2}
+			opts := Options{Workers: 4, ChunkSize: 8}
 			if point == faultpoint.PointCheckpointWrite {
 				opts.Checkpoint = &CheckpointOptions{
 					Path:     filepath.Join(t.TempDir(), "state.ckpt"),
@@ -72,12 +69,6 @@ func TestChaosPanicAtEachPoint(t *testing.T) {
 			_, err := chaosRun(t, g, pl, opts, nil)
 			var pe *supervise.PanicError
 			if !errors.As(err, &pe) {
-				// Donation and frame resume only fire when stealing actually
-				// happens; on a small graph the run may finish without ever
-				// reaching the point. That is a clean pass, not a miss.
-				if err == nil && (point == faultpoint.PointDonate || point == faultpoint.PointFrameResume) {
-					t.Skipf("point %s never reached in this run", point)
-				}
 				t.Fatalf("err = %v, want *supervise.PanicError", err)
 			}
 		})
@@ -95,65 +86,6 @@ func TestChaosWorkerStartFailure(t *testing.T) {
 	_, err := chaosRun(t, g, pl, Options{Workers: 4, ChunkSize: 8}, nil)
 	if !errors.Is(err, injected) {
 		t.Fatalf("err = %v, want injected start failure", err)
-	}
-}
-
-// TestChaosFrameResumeFailure: an injected I/O-style error when a
-// worker picks up a stolen frame stops the pool with that error.
-func TestChaosFrameResumeFailure(t *testing.T) {
-	defer faultpoint.Reset()
-	// A dense graph with tiny chunks: workers exhaust the root cursor
-	// quickly and go hungry while others still hold big loops, so
-	// donation (and therefore frame resume) is all but guaranteed.
-	g := gen.Complete(80)
-	pl := compile(t, pattern.Triangle(), plan.ModeLIGHT)
-	injected := errors.New("injected resume failure")
-	faultpoint.Set(faultpoint.PointFrameResume, faultpoint.FailTimes(1, injected))
-	res, err := chaosRun(t, g, pl, Options{Workers: 8, ChunkSize: 1, MinSplit: 2}, nil)
-	if err == nil {
-		// No donation happened, so the point never fired; the run must
-		// then have completed correctly.
-		if res.Steals != 0 {
-			t.Fatalf("frames were stolen yet the injected error vanished")
-		}
-		t.Skip("no donation in this run")
-	}
-	if !errors.Is(err, injected) {
-		t.Fatalf("err = %v, want injected resume failure", err)
-	}
-}
-
-// TestChaosDonationFailureIsSkipped: a failing donation point is
-// optional work — the donor keeps its loop and the total stays exact.
-func TestChaosDonationFailureIsSkipped(t *testing.T) {
-	defer faultpoint.Reset()
-	g, pl, want := chaosFixture(t)
-	faultpoint.Set(faultpoint.PointDonate, faultpoint.FailTimes(1<<30, errors.New("donation vetoed")))
-	res, err := chaosRun(t, g, pl, Options{Workers: 4, ChunkSize: 8, MinSplit: 2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Matches != want {
-		t.Fatalf("count %d, want %d", res.Matches, want)
-	}
-	if res.Donations != 0 {
-		t.Fatalf("vetoed donations still published %d frames", res.Donations)
-	}
-}
-
-// TestChaosDelayAtDonation widens the donation race window under -race
-// without changing semantics: the count must stay exact.
-func TestChaosDelayAtDonation(t *testing.T) {
-	defer faultpoint.Reset()
-	g, pl, want := chaosFixture(t)
-	faultpoint.Set(faultpoint.PointDonate, faultpoint.Delay(500*time.Microsecond))
-	faultpoint.Set(faultpoint.PointFrameResume, faultpoint.Delay(200*time.Microsecond))
-	res, err := chaosRun(t, g, pl, Options{Workers: 8, ChunkSize: 4, MinSplit: 2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Matches != want {
-		t.Fatalf("count %d, want %d", res.Matches, want)
 	}
 }
 
@@ -205,25 +137,5 @@ func TestChaosCheckpointWriteFailure(t *testing.T) {
 	}
 	if !ck.Complete || ck.Base.Matches != want {
 		t.Fatalf("final checkpoint complete=%v matches=%d, want complete with %d", ck.Complete, ck.Base.Matches, want)
-	}
-}
-
-// TestChaosPanicInVisitorDuringSteals combines stealing pressure with a
-// visitor panic to exercise the donation lock's defer-unlock path.
-func TestChaosPanicInVisitorDuringSteals(t *testing.T) {
-	defer faultpoint.Reset()
-	g, pl, _ := chaosFixture(t)
-	faultpoint.Set(faultpoint.PointDonate, faultpoint.Delay(100*time.Microsecond))
-	var seen atomic.Uint64
-	_, err := chaosRun(t, g, pl, Options{Workers: 8, ChunkSize: 4, MinSplit: 2},
-		func(m []graph.VertexID) bool {
-			if seen.Add(1) == 50 {
-				panic("visitor chaos")
-			}
-			return true
-		})
-	var pe *supervise.PanicError
-	if !errors.As(err, &pe) || pe.Value != "visitor chaos" {
-		t.Fatalf("err = %v, want visitor panic", err)
 	}
 }

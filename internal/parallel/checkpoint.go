@@ -9,38 +9,15 @@ import (
 	"light/internal/supervise"
 )
 
-// unitID identifies one unit of work — a claimed root chunk or a
-// donated frame — in the checkpoint ledger. 0 is the pseudo-root: the
-// already-committed state a resumed run starts from.
-type unitID int64
-
-// unit is the ledger's record of one work unit. A unit is *done* when
-// the worker executing it returned cleanly, and *committed* when its
-// whole ancestry is also done — only then is its result delta folded
-// into the checkpointable base. The distinction matters because a
-// donated frame's subtree is carved out of its donor's loop: if the
-// donor never finishes, a resumed run re-executes the donor's unit in
-// full (donation decisions are not replayed), which re-covers the
-// frame's subtree. Committing the frame's delta early would then count
-// those matches twice.
-type unit struct {
-	parent    unitID
-	done      bool
-	committed bool
-	delta     engine.Result
-	lo, hi    int64         // root-slice index range; frames use -1
-	frame     *engine.Frame // non-nil for frame units until commit
-	children  []unitID
-}
-
-// ledger tracks which work units have committed, accumulating the
-// exactly-once result base and completed root ranges a checkpoint
-// snapshot persists. A nil *ledger is valid and inert, so the
-// scheduler hot loop calls it unconditionally.
+// ledger accumulates a checkpointed run's committed state: the
+// exactly-once result base and the root ranges that produced it, which
+// a checkpoint snapshot persists. A root chunk commits when the worker
+// that claimed it finishes it cleanly; a chunk cut short by a stop or an
+// error never commits, so a resumed run enumerates all of its roots
+// again. A nil *ledger is valid and inert, so the scheduler hot loop
+// calls it unconditionally.
 type ledger struct {
 	mu    sync.Mutex
-	next  unitID
-	units map[unitID]*unit
 	roots []graph.VertexID // the run's root slice, for index→id conversion
 	done  []supervise.RootRange
 	base  engine.Result
@@ -52,101 +29,23 @@ type ledger struct {
 // committed state (base result and done ranges) of the checkpoint the
 // run resumes from, if any.
 func newLedger(roots []graph.VertexID, fp uint64, base engine.Result, done []supervise.RootRange) *ledger {
-	l := &ledger{
-		units: map[unitID]*unit{},
-		roots: roots,
-		base:  base,
-		fp:    fp,
-	}
+	l := &ledger{roots: roots, base: base, fp: fp}
 	l.done = append(l.done, done...)
 	return l
 }
 
-// beginChunk registers a claimed root chunk [lo, hi) (indices into the
-// run's root slice) and returns its unit.
+// finish commits the cleanly finished root chunk [lo, hi) (indices into
+// the run's root slice) with its result delta.
 //
 //lightvet:ignore hotpath -- ledger bookkeeping runs once per chunk, not per node
-func (l *ledger) beginChunk(lo, hi int64) unitID {
+func (l *ledger) finish(lo, hi int64, delta engine.Result) {
 	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.next++
-	l.units[l.next] = &unit{parent: 0, lo: lo, hi: hi}
-	return l.next
-}
-
-// beginFrame registers a donated frame under the unit that donated it
-// (0 for frames seeded from a loaded checkpoint, whose covering work
-// is already committed). Only dynamic hook plumbing reaches it, so it
-// carries no hotpath obligation to suppress.
-func (l *ledger) beginFrame(parent unitID, f *engine.Frame) unitID {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.next++
-	l.units[l.next] = &unit{parent: parent, lo: -1, hi: -1, frame: f}
-	if pu := l.units[parent]; pu != nil {
-		pu.children = append(pu.children, l.next)
-	}
-	return l.next
-}
-
-// finish marks a unit done with its result delta and commits it — and
-// any buffered done descendants — once its ancestry is committed.
-//
-//lightvet:ignore hotpath -- ledger bookkeeping runs once per chunk/frame, not per node
-func (l *ledger) finish(id unitID, delta engine.Result) {
-	if l == nil || id == 0 {
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	u := l.units[id]
-	if u == nil || u.done {
-		return
-	}
-	u.done = true
-	// Lane counters alias the enumerator's persistent per-lane buffer,
-	// which the worker resets on its next chunk; a stored delta must
-	// own its copy.
-	delta.Lanes = append([]engine.LaneCounts(nil), delta.Lanes...)
-	u.delta = delta
-	if l.parentCommitted(u) {
-		l.commit(id, u)
-	}
-}
-
-// parentCommitted reports whether a unit's parent has committed. A
-// parent missing from the map has committed and been pruned.
-func (l *ledger) parentCommitted(u *unit) bool {
-	if u.parent == 0 {
-		return true
-	}
-	pu := l.units[u.parent]
-	return pu == nil || pu.committed
-}
-
-// commit folds the unit's delta into the base, records its root range,
-// cascades into buffered done children, and prunes the unit. Callers
-// hold l.mu.
-func (l *ledger) commit(id unitID, u *unit) {
-	u.committed = true
-	l.base.Add(u.delta)
-	if u.frame == nil && u.lo >= 0 {
-		l.appendRootRanges(u.lo, u.hi)
-	}
-	u.frame = nil
-	children := u.children
-	delete(l.units, id)
-	for _, c := range children {
-		if cu := l.units[c]; cu != nil && cu.done && !cu.committed {
-			l.commit(c, cu)
-		}
-	}
+	l.base.Add(delta)
+	l.appendRootRanges(lo, hi)
 }
 
 // appendRootRanges converts the root-slice index range [lo, hi) into
@@ -181,9 +80,7 @@ func (l *ledger) noteWriteErr(err error) {
 }
 
 // snapshot captures the committed state as a persistable checkpoint:
-// the base result, merged done ranges, and every outstanding frame
-// whose covering work is committed (frames under an uncommitted
-// ancestor are omitted — re-executing that ancestor re-covers them).
+// the base result and the merged done ranges.
 func (l *ledger) snapshot(cursor int64) *supervise.Checkpoint {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -198,17 +95,6 @@ func (l *ledger) snapshot(cursor int64) *supervise.Checkpoint {
 	ck.Base.Lanes = append([]engine.LaneCounts(nil), l.base.Lanes...)
 	// Keep the stored set compact; the merge result is authoritative.
 	l.done = ck.Done
-	ids := make([]unitID, 0, len(l.units))
-	for id := range l.units {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		u := l.units[id]
-		if u.frame != nil && !u.done && l.parentCommitted(u) {
-			ck.Frames = append(ck.Frames, u.frame)
-		}
-	}
 	return ck
 }
 

@@ -36,9 +36,9 @@ func overlayFixture(t *testing.T) (*graph.Graph, *delta.Overlay, *plan.Plan) {
 	return g, ov, pl
 }
 
-// TestParallelOverlayMatchesSequential checks that the work-stealing
-// pool over an overlay view (including roots at overlay-grown vertices)
-// equals the sequential engine on the same view.
+// TestParallelOverlayMatchesSequential checks that the pool over an
+// overlay view (including roots at overlay-grown vertices) equals the
+// sequential engine on the same view.
 func TestParallelOverlayMatchesSequential(t *testing.T) {
 	g, ov, pl := overlayFixture(t)
 	want, err := engine.New(g, pl, engine.Options{Overlay: ov}).Run(nil)
@@ -49,7 +49,6 @@ func TestParallelOverlayMatchesSequential(t *testing.T) {
 		Engine:    engine.Options{Overlay: ov},
 		Workers:   4,
 		ChunkSize: 7,
-		MinSplit:  2,
 	}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -11,20 +11,20 @@
 // ungoverned call gets a pool of its own that lives for the call. Each
 // run has a cap, the most workers that may be inside its units at once.
 // At every unit boundary a worker takes the run with the fewest workers
-// inside it, among the runs below their cap with a unit or a donated
-// frame to hand out; idle workers park, and a pool with no run holds no
-// goroutine.
+// inside it, among the runs below their cap with a unit to hand out;
+// idle workers park, and a pool with no run holds no goroutine.
 //
-// Within a run, workers claim every job's units from one cursor; a
-// rooted job's roots go out heaviest first (descending id, which is
-// descending degree in the reordered graph), in guided chunks that start
-// at one root and grow as the roots get lighter (see run.claim), and an
-// anchored job's anchors one at a time. While busy they donate halves of
-// their current materialization loops to the run's queue whenever idle
-// workers are waiting — the sender-initiated strategy of Rao & Kumar /
-// Acar et al. that the paper adopts — which still splits a single root
-// that dominates the run. A run capped at one worker has no thief, so it
-// installs no donation hook and walks the roots in full ChunkSize chunks.
+// Within a run, workers claim every job's units from one cursor, and a
+// unit, once claimed, is walked to the end by the worker that claimed
+// it. A rooted job's roots go out heaviest first (descending id, which
+// is descending degree in the reordered graph), in guided chunks that
+// start at one root and grow as the roots get lighter (see run.claim),
+// and an anchored job's anchors one at a time. That order stands in for
+// the paper's sender-initiated work stealing: the heaviest roots are
+// dealt while every worker still has work, and no chunk handed out late
+// holds more than about 1/(8W) of what was dealt before it, so the
+// last worker to finish is never left with much. A run capped at one
+// worker walks the roots in full ChunkSize chunks.
 //
 // Workers never share partial results; each seat of a run (one per
 // worker its cap allows) owns its enumerators and candidate arena, so
@@ -88,9 +88,9 @@ type Options struct {
 	// as Result.CandidateMemBytes. Engine.Overlay and Engine.Lanes are
 	// overridden by each job's own (RunContext takes them from here).
 	// Engine.Metrics, when non-nil, receives
-	// the run's counters: engine work folded per chunk/frame plus
-	// scheduler events (steals, donations, queue waits, busy time,
-	// checkpoint write latency), every worker folding into it.
+	// the run's counters: engine work folded per unit plus scheduler
+	// events (root chunks, queue waits, busy time, checkpoint write
+	// latency), every worker folding into it.
 	Engine engine.Options
 	// Workers is the run's cap: the most workers inside its units at
 	// once; defaults to GOMAXPROCS. Without a Pool it is also the size
@@ -102,15 +102,11 @@ type Options struct {
 	// roots already dispensed, so each job's heaviest roots go out one at
 	// a time.
 	ChunkSize int
-	// MinSplit is the smallest materialization loop a worker will split
-	// for donation (default 8).
-	MinSplit int
 	// Checkpoint, when non-nil, periodically persists the run's
 	// committed state so it can be resumed after a crash or kill.
 	Checkpoint *CheckpointOptions
 	// Resume, when non-nil, continues a previous run from its
-	// checkpoint: only uncommitted roots and outstanding donated frames
-	// are enumerated, and the checkpoint's committed result is folded
+	// checkpoint: only uncommitted roots are enumerated, and the checkpoint's committed result is folded
 	// into the returned Result. The plan and graph must match the ones
 	// the checkpoint was written under (verified by fingerprint).
 	Resume *supervise.Checkpoint
@@ -137,9 +133,6 @@ func (o Options) withDefaults() Options {
 	if o.ChunkSize <= 0 {
 		o.ChunkSize = 256
 	}
-	if o.MinSplit <= 0 {
-		o.MinSplit = 8
-	}
 	return o
 }
 
@@ -149,9 +142,11 @@ type Result struct {
 	// of one job is not lane i of another.
 	engine.Result
 	// Jobs holds each job's own counters, Lanes included, in job order.
-	Jobs      []engine.Result
-	Donations uint64 // frames pushed to the run's queue
-	Steals    uint64 // frames executed by a worker other than the donor
+	Jobs []engine.Result
+	// Donations and Steals are always 0: the pool no longer splits a
+	// claimed unit, so no work is donated or stolen. They stay only
+	// because benchmark/probes.go still reads them (ROADMAP 3(e)).
+	Donations, Steals uint64
 	// Workers is the run's cap, the length of the per-worker slices.
 	Workers             int
 	CandidateMemBytes   int64 // total candidate-buffer memory across seats (Table V)
@@ -160,7 +155,7 @@ type Result struct {
 	// the run — the load-balance evidence.
 	PerWorkerNodes []uint64
 	// PerWorkerBusy is the time spent in each seat executing root chunks
-	// and donated frames (the per-thread utilization numerator).
+	// and anchors (the per-thread utilization numerator).
 	PerWorkerBusy []time.Duration
 	// QueueWaits counts blocking episodes of workers that ran out of this
 	// run's work; QueueWaitTotal is the time they spent parked until
@@ -238,8 +233,7 @@ type Job struct {
 // opts.Workers workers of its own) under ctx, with at most opts.Workers
 // workers inside its units at once, and returns the combined result,
 // each job's own counters in Result.Jobs. Workers claim units of every
-// job from one cursor and donate halves of the loops below them, so a
-// run's jobs balance against each other. Each seat of the run keeps one
+// job from one cursor, so a run's jobs balance against each other. Each seat of the run keeps one
 // enumerator per job it has met, all carved from its one arena, so many
 // jobs cost no more candidate memory than one. Checkpoint and Resume need
 // a single rooted job.
@@ -266,21 +260,20 @@ func RunJobs(ctx context.Context, opts Options, jobs []Job) (Result, error) {
 	if jobs[0].Overlay != nil && (opts.Checkpoint != nil || opts.Resume != nil) {
 		// Checkpoint fingerprints bind only the base graph's structure
 		// (supervise.Fingerprint hashes N/M/d_max + plan), so a pending
-		// edge delta would silently validate against a stale file; and a
-		// resumed frame's candidate sets were computed under whatever view
-		// the writer had. Snapshots must be compacted into a real CSR
-		// before they can checkpoint or resume.
+		// edge delta would silently validate against a stale file.
+		// Snapshots must be compacted into a real CSR before they can
+		// checkpoint or resume.
 		return Result{}, errors.New("parallel: checkpoint/resume require a compacted snapshot; compact the pending edge deltas first")
 	}
 	opts = opts.withDefaults()
 	// Pin one absolute deadline for the whole run: workers process many
-	// chunks and frames, each of which restarts the engine's clock.
+	// units, each of which restarts the engine's clock.
 	if opts.Engine.TimeLimit > 0 && opts.Engine.Deadline.IsZero() {
 		opts.Engine.Deadline = time.Now().Add(opts.Engine.TimeLimit)
 	}
 
 	// One recorder for the whole run: workers fold engine results into
-	// it per chunk/frame, scheduler events hit it from blocking paths.
+	// it per unit, scheduler events hit it from blocking paths.
 	rec := opts.Engine.Metrics
 
 	r := &run{
@@ -316,11 +309,6 @@ func RunJobs(ctx context.Context, opts Options, jobs []Job) (Result, error) {
 			base.AddTo(rec)
 			return out, nil
 		}
-		for _, f := range ck.Frames {
-			if err := f.Validate(pl, g); err != nil {
-				return Result{}, fmt.Errorf("parallel: invalid checkpoint frame: %w", err)
-			}
-		}
 	}
 	for j, jb := range jobs {
 		st := &r.state[j]
@@ -342,11 +330,6 @@ func RunJobs(ctx context.Context, opts Options, jobs []Job) (Result, error) {
 
 	if opts.Checkpoint != nil {
 		r.led = newLedger(r.state[0].roots, supervise.Fingerprint(g, pl), base, priorDone)
-	}
-	if opts.Resume != nil {
-		for _, f := range opts.Resume.Frames {
-			r.queue = append(r.queue, queuedFrame{f: f, unit: r.led.beginFrame(0, f)})
-		}
 	}
 	if ctx != nil && ctx.Err() != nil {
 		// Already done: the run ends before any worker takes it instead
@@ -437,9 +420,7 @@ func RunJobs(ctx context.Context, opts Options, jobs []Job) (Result, error) {
 	}
 	out.Result = sumJobs(out.Jobs)
 	// A run stopped before any worker met the stop still ends cut short.
-	out.Stopped = out.Stopped || r.stop.Load() && (r.cursor.Load() < r.total || len(r.queue) > 0)
-	out.Donations = r.donations.Load()
-	out.Steals = r.steals.Load()
+	out.Stopped = out.Stopped || r.stop.Load() && r.cursor.Load() < r.total
 	out.RootChunksDispensed = r.chunks.Load()
 
 	err := joinErrors(r.errs)
@@ -473,8 +454,6 @@ func RunJobs(ctx context.Context, opts Options, jobs []Job) (Result, error) {
 	out.CheckpointRetries = r.ckRetries.Load()
 	out.Stalls = r.stalls.Load()
 	out.StallDump = r.stallDump
-	rec.Add(metrics.ParallelDonations, out.Donations)
-	rec.Add(metrics.ParallelSteals, out.Steals)
 	rec.Add(metrics.ParallelRootChunks, out.RootChunksDispensed)
 	rec.Add(metrics.ParallelQueueWaits, out.QueueWaits)
 	rec.AddDuration(metrics.ParallelQueueWaitNanos, out.QueueWaitTotal)
@@ -530,14 +509,13 @@ func joinErrors(errs []error) error {
 type Pool struct {
 	size int
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	runs   []*run       // live runs in submission order (mu)
-	nruns  atomic.Int32 // len(runs), read at unit boundaries without mu
-	live   int          // worker goroutines (mu)
-	idle   int          // workers parked on cond (mu)
-	hungry atomic.Int32 // mirrors idle for the donation hook's lock-free check
-	wg     sync.WaitGroup
+	mu    sync.Mutex
+	cond  *sync.Cond
+	runs  []*run       // live runs in submission order (mu)
+	nruns atomic.Int32 // len(runs), read at unit boundaries without mu
+	live  int          // worker goroutines (mu)
+	idle  int          // workers parked on cond (mu)
+	wg    sync.WaitGroup
 }
 
 // NewPool returns a pool of size workers (GOMAXPROCS when size <= 0).
@@ -640,13 +618,13 @@ func (p *Pool) lost(w *worker, err error) {
 }
 
 // pickLocked returns the run a free worker should take: among the runs
-// that are not stopped, are below their cap, and have a unit or a frame
-// to hand out, the one with the fewest workers inside, the earliest
-// submitted on a tie; nil when there is none.
+// that are not stopped, are below their cap, and have a unit to hand
+// out, the one with the fewest workers inside, the earliest submitted on
+// a tie; nil when there is none.
 func (p *Pool) pickLocked() *run {
 	var best *run
 	for _, r := range p.runs {
-		if r.stop.Load() || r.inside >= len(r.seats) || (r.cursor.Load() >= r.total && len(r.queue) == 0) {
+		if r.stop.Load() || r.inside >= len(r.seats) || r.cursor.Load() >= r.total {
 			continue
 		}
 		if best == nil || r.inside < best.inside {
@@ -672,13 +650,11 @@ func (p *Pool) awaitLocked(last *run) *run {
 	}
 	t0 := time.Now()
 	p.idle++
-	p.hungry.Add(1)
 	for r == nil && len(p.runs) > 0 {
 		p.cond.Wait()
 		r = p.pickLocked()
 	}
 	p.idle--
-	p.hungry.Add(-1)
 	if last != nil {
 		last.qWaits.Add(1)
 		last.qWaitNS.Add(uint64(time.Since(t0)))
@@ -702,33 +678,20 @@ func (p *Pool) finishLocked(r *run) {
 	p.cond.Broadcast() //lightvet:ignore concurrency -- every caller holds p.mu, as the Locked suffix says
 }
 
-// queuedFrame is one donated frame awaiting a worker, paired with its
-// ledger unit (0 when checkpointing is off) and the job whose plan it
-// suspends.
-type queuedFrame struct {
-	f    *engine.Frame
-	unit unitID
-	job  int
-}
-
 // seat is one of a run's cap places for a worker inside its units, and
-// what a worker there works with: the ledger unit of the chunk or frame
-// it is executing, so donated frames can be parented correctly, and the
-// job it belongs to; the seat's enumerator per job, built on first use
-// over the seat's one arena, and its results per job; its busy time;
-// and the watchdog's heartbeat and epoch. One worker at a time sits in
-// a seat, handed over under the pool lock, so none of it needs more
-// synchronization than that.
+// what a worker there works with: the seat's enumerator per job, built
+// on first use over the seat's one arena, and its results per job; its
+// busy time; and the watchdog's heartbeat and epoch. One worker at a
+// time sits in a seat, handed over under the pool lock, so none of it
+// needs more synchronization than that.
 type seat struct {
 	taken   bool // pool mu
-	unit    unitID
-	job     int
 	busy    time.Duration
 	ar      *arena.Arena
 	engines []*engine.Enumerator
 	acc     []engine.Result
 	// beat is the engine's deadline-poll heartbeat; epoch goes odd when
-	// a worker enters RunRoots/Resume and even when it returns — a seat
+	// a worker enters RunRoots/RunAnchor and even when it returns — a seat
 	// whose epoch is odd and whose beat stops moving holds a wedged
 	// worker, not one between work items.
 	beat, epoch atomic.Uint64
@@ -761,15 +724,12 @@ type run struct {
 
 	// Guarded by pool.mu.
 	inside    int // workers in seats
-	queue     []queuedFrame
 	errs      []error
 	finished  bool
 	stallDump string // the first stall's diagnostic
 
-	stop      atomic.Bool
-	chunks    atomic.Uint64
-	donations atomic.Uint64
-	steals    atomic.Uint64
+	stop   atomic.Bool
+	chunks atomic.Uint64
 
 	stallCancelled atomic.Bool
 	stalls         atomic.Uint64
@@ -783,9 +743,9 @@ type run struct {
 }
 
 // doneLocked reports whether r can end: no worker is inside it, and its
-// units and queue are exhausted or it was stopped.
+// units are exhausted or it was stopped.
 func (r *run) doneLocked() bool {
-	return !r.finished && r.inside == 0 && (r.stop.Load() || r.cursor.Load() >= r.total && len(r.queue) == 0)
+	return !r.finished && r.inside == 0 && (r.stop.Load() || r.cursor.Load() >= r.total)
 }
 
 // sitLocked puts a worker in one of r's free seats.
@@ -847,67 +807,42 @@ func (r *run) engine(s *seat, job int) *engine.Enumerator {
 	e := engine.New(jb.Graph, jb.Plan, eopts)
 	e.Stop = &r.stop
 	e.Progress = &s.beat
-	if len(r.seats) > 1 {
-		// A run capped at one worker has no thief to donate to.
-		e.Hook = r.makeHook(s)
-	}
 	s.engines[job] = e
 	return e
 }
 
-// serve runs r's units from seat s — root chunks while any remain, then
-// donated frames — until r runs dry or stops, or, at a unit boundary,
-// the pool holds another run to choose between. It stays allocation-free
-// in steady state: candidate buffers come from the seat's arena (slabs
-// grown on the first chunk, reused afterwards), and the ledger
-// (acknowledged-cold, once per chunk) owns its own memory.
+// serve runs r's units from seat s until r runs dry or stops, or, at a
+// unit boundary, the pool holds another run to choose between. It stays
+// allocation-free in steady state: candidate buffers come from the
+// seat's arena (slabs grown on the first chunk, reused afterwards), and
+// the ledger (acknowledged-cold, once per chunk) owns its own memory.
 //
 //light:hotpath
 func (r *run) serve(s *seat) error {
 	for !r.stop.Load() {
-		if job, lo, hi, ok := r.claim(); ok {
-			r.chunks.Add(1)
-			s.unit, s.job = r.led.beginChunk(lo, hi), job
-			st := &r.state[job]
-			var res engine.Result
-			var err error
-			t0 := time.Now()
-			s.epoch.Add(1)
-			if anchors := r.jobs[job].Anchors; anchors != nil {
-				res, err = r.engine(s, job).RunAnchor(anchors[lo], st.visit)
-			} else {
-				res, err = r.engine(s, job).RunRoots(st.roots[lo:hi], st.visit)
-			}
-			s.epoch.Add(1)
-			s.busy += time.Since(t0)
-			s.acc[job].Add(res)
-			if err != nil || res.Stopped {
-				r.stop.Store(true)
-				return err
-			}
-			r.led.finish(s.unit, res)
-		} else if qf, ok := r.takeFrame(); ok {
-			if err := faultpoint.Hit(faultpoint.PointFrameResume); err != nil {
-				r.stop.Store(true)
-				return err
-			}
-			r.steals.Add(1)
-			s.unit, s.job = qf.unit, qf.job
-			e := r.engine(s, qf.job)
-			t0 := time.Now()
-			s.epoch.Add(1)
-			res, err := e.Resume(qf.f, r.state[qf.job].visit)
-			s.epoch.Add(1)
-			s.busy += time.Since(t0)
-			s.acc[qf.job].Add(res)
-			if err != nil || res.Stopped {
-				r.stop.Store(true)
-				return err
-			}
-			r.led.finish(qf.unit, res)
-		} else {
+		job, lo, hi, ok := r.claim()
+		if !ok {
 			return nil
 		}
+		r.chunks.Add(1)
+		st := &r.state[job]
+		var res engine.Result
+		var err error
+		t0 := time.Now()
+		s.epoch.Add(1)
+		if anchors := r.jobs[job].Anchors; anchors != nil {
+			res, err = r.engine(s, job).RunAnchor(anchors[lo], st.visit)
+		} else {
+			res, err = r.engine(s, job).RunRoots(st.roots[lo:hi], st.visit)
+		}
+		s.epoch.Add(1)
+		s.busy += time.Since(t0)
+		s.acc[job].Add(res)
+		if err != nil || res.Stopped {
+			r.stop.Store(true)
+			return err
+		}
+		r.led.finish(lo, hi, res)
 		if r.pool.nruns.Load() > 1 {
 			return nil
 		}
@@ -950,52 +885,6 @@ func (r *run) claim() (job int, lo, hi int64, ok bool) {
 		if r.cursor.CompareAndSwap(c, end) {
 			return job, lo, end - st.start, true
 		}
-	}
-}
-
-// takeFrame pops the newest donated frame of r, if any.
-func (r *run) takeFrame() (queuedFrame, bool) {
-	p := r.pool
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := len(r.queue)
-	if n == 0 {
-		return queuedFrame{}, false
-	}
-	qf := r.queue[n-1]
-	r.queue = r.queue[:n-1]
-	return qf, true
-}
-
-// makeHook builds the sender-initiated donation hook: when workers are
-// parked, r has seats free for them and its queue is shorter than that,
-// split the remaining candidates of the current materialization loop in
-// half and publish a frame. The pool lock is released by defer, so a
-// panic anywhere inside the donation path (snapshotting, injected
-// faults) unwinds with the lock free and can never wedge the other
-// workers.
-func (r *run) makeHook(s *seat) engine.MatHook {
-	p := r.pool
-	return func(e *engine.Enumerator, sigmaIdx int, cands []graph.VertexID) int {
-		if len(cands) < r.opts.MinSplit || p.hungry.Load() == 0 {
-			return len(cands)
-		}
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		if len(r.queue) >= min(p.idle, len(r.seats)-r.inside) {
-			return len(cands)
-		}
-		if err := faultpoint.Hit(faultpoint.PointDonate); err != nil {
-			// Donation is optional work: an injected fault skips this
-			// donation and the worker keeps its whole loop.
-			return len(cands)
-		}
-		keep := len(cands) / 2
-		f := e.Snapshot(sigmaIdx, cands[keep:])
-		r.queue = append(r.queue, queuedFrame{f: f, unit: r.led.beginFrame(s.unit, f), job: s.job})
-		r.donations.Add(1)
-		p.cond.Broadcast()
-		return keep
 	}
 }
 

@@ -7,8 +7,10 @@ import (
 	"time"
 
 	"light/internal/engine"
+	"light/internal/estimate"
 	"light/internal/gen"
 	"light/internal/graph"
+	"light/internal/intersect"
 	"light/internal/pattern"
 	"light/internal/plan"
 )
@@ -44,7 +46,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 			pl := compile(t, p, plan.ModeLIGHT)
 			want := sequentialCount(t, g, pl)
 			for _, workers := range []int{1, 2, 4, 8} {
-				res, err := Run(g, pl, Options{Workers: workers, ChunkSize: 16, MinSplit: 4}, nil)
+				res, err := Run(g, pl, Options{Workers: workers, ChunkSize: 16}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -63,34 +65,13 @@ func TestParallelAllModes(t *testing.T) {
 	for _, mode := range []plan.Mode{plan.ModeSE, plan.ModeLM, plan.ModeMSC, plan.ModeLIGHT} {
 		pl := compile(t, p, mode)
 		want := sequentialCount(t, g, pl)
-		res, err := Run(g, pl, Options{Workers: 6, ChunkSize: 8, MinSplit: 2}, nil)
+		res, err := Run(g, pl, Options{Workers: 6, ChunkSize: 8}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Matches != want {
 			t.Fatalf("mode %s: got %d, want %d", mode.Name(), res.Matches, want)
 		}
-	}
-}
-
-func TestWorkStealingActuallySteals(t *testing.T) {
-	// A hub-dominated graph with tiny chunks: all the work hides under
-	// few roots, so donation must kick in for other workers to help.
-	g := gen.BarabasiAlbert(2000, 8, 4)
-	pl := compile(t, pattern.P3(), plan.ModeLIGHT)
-	res, err := Run(g, pl, Options{Workers: 8, ChunkSize: 1024, MinSplit: 2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sequentialCount(t, g, pl)
-	if res.Matches != want {
-		t.Fatalf("got %d, want %d", res.Matches, want)
-	}
-	if res.Donations == 0 || res.Steals == 0 {
-		t.Logf("warning: no stealing observed (donations=%d steals=%d); load may have been balanced", res.Donations, res.Steals)
-	}
-	if res.Steals > res.Donations {
-		t.Fatalf("steals %d > donations %d", res.Steals, res.Donations)
 	}
 }
 
@@ -190,7 +171,7 @@ func TestCandidateMemoryScalesWithWorkers(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Workers < 1 || o.ChunkSize < 1 || o.MinSplit < 1 {
+	if o.Workers < 1 || o.ChunkSize < 1 {
 		t.Fatalf("bad defaults: %+v", o)
 	}
 }
@@ -362,4 +343,57 @@ func TestStaticRootRangesImbalanced(t *testing.T) {
 	if imbalance < 1.5 {
 		t.Fatalf("static partitioning unexpectedly balanced (%.2f) — test graph not skewed enough", imbalance)
 	}
+}
+
+// heaviestRootShare returns the largest share of nodes + elements that a
+// single root of g carries for p under the planner's plan and the
+// library's default kernel, each root measured alone with one RunRoots
+// call.
+func heaviestRootShare(t *testing.T, g *graph.Graph, p *pattern.Pattern) float64 {
+	t.Helper()
+	pl, err := plan.Choose(p, pattern.SymmetryBreaking(p), estimate.Collect(g), plan.ModeLIGHT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engine.New(g, pl, engine.Options{Kernel: intersect.KindHybridBitmap})
+	root := make([]graph.VertexID, 1)
+	var heaviest, sum uint64
+	for v := range g.NumVertices() {
+		root[0] = graph.VertexID(v)
+		res, err := e.RunRoots(root, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := res.Nodes + res.Stats.Elements
+		sum += w
+		heaviest = max(heaviest, w)
+	}
+	return float64(heaviest) / float64(sum)
+}
+
+// TestHeaviestRootShare carries the balance claim the pool rests on now
+// that a claimed unit is never split: no single root of the suite's
+// yt-s holds more than 1/16 of the work of P2, P4 or P6. Roots go out
+// heaviest first in chunks of at most 1/(8W) of the work already dealt
+// (run.claim), so with every root under 1/(8W) the last unit a worker
+// can be left holding at W = 2 is a small slice of the run. star-chords
+// P6, whose hub holds about three quarters of the work, is the cell
+// that bound does not cover; its share is logged, not asserted (that
+// cell ran no slower without work donation either: DESIGN.md §6).
+func TestHeaviestRootShare(t *testing.T) {
+	ds, err := gen.ByName("yt-s", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	yt := ds.Make()
+	const bound = 1.0 / 16
+	for _, p := range []*pattern.Pattern{pattern.P2(), pattern.P4(), pattern.P6()} {
+		share := heaviestRootShare(t, yt, p)
+		t.Logf("yt-s %s: heaviest root share %.4f", p.Name(), share)
+		if share > bound {
+			t.Errorf("yt-s %s: heaviest root holds %.4f of nodes + elements, above 1/16", p.Name(), share)
+		}
+	}
+	t.Logf("star-chords(4000, 24000, 7) P6: heaviest root share %.4f (not asserted)",
+		heaviestRootShare(t, gen.StarChords(4000, 24000, 7), pattern.P6()))
 }

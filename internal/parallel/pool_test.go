@@ -41,7 +41,7 @@ func TestPoolRunCaps(t *testing.T) {
 					inside.Add(-1)
 					return true
 				}
-				res, err := RunJobs(ctx, Options{Workers: c, Pool: pool, ChunkSize: 4, MinSplit: 2}, []Job{{Graph: g, Plan: pl, Visit: visit}})
+				res, err := RunJobs(ctx, Options{Workers: c, Pool: pool, ChunkSize: 4}, []Job{{Graph: g, Plan: pl, Visit: visit}})
 				if err != nil {
 					t.Errorf("cap %d: %v", c, err)
 					return

@@ -97,24 +97,6 @@ type Plan struct {
 	MatOrder []pattern.Vertex
 }
 
-// MatMaskBefore returns the bitmask of pattern vertices whose MAT
-// operation appears in σ[:i]. Because σ is a linear sequence, this is
-// exactly the set of materialized vertices (root included) when the
-// search is suspended at σ[i]; the engine uses it to validate resumable
-// frames against the plan.
-func (pl *Plan) MatMaskBefore(i int) uint32 {
-	var mask uint32
-	if i > len(pl.Sigma) {
-		i = len(pl.Sigma)
-	}
-	for _, op := range pl.Sigma[:i] {
-		if op.Mode == Mat {
-			mask |= 1 << uint(op.Vertex)
-		}
-	}
-	return mask
-}
-
 // Lazy reports whether the plan defers any materialization (i.e. σ is not
 // the strictly interleaved COMP/MAT sequence).
 func (pl *Plan) Lazy() bool {

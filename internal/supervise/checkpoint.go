@@ -2,6 +2,7 @@ package supervise
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
@@ -14,42 +15,34 @@ import (
 	"light/internal/plan"
 )
 
-// Checkpoint file format (little-endian, version 3):
+// Checkpoint file format (little-endian, version 4):
 //
 //	u32 magic "LCKP", u32 version
 //	u64 fingerprint   (plan+graph binding, see Fingerprint)
 //	u64 cursor        (root cursor at capture, informational)
-//	u8  complete
-//	u64 matches, u64 nodes, u64 intersections, u64 galloping
-//	u64 elements, u64 comps       (version ≥ 2 only)
-//	u64 bitmapProbes              (version ≥ 3 only)
-//	u32 nLanes, then nLanes × lane    (version ≥ 3 only)
-//	u32 nDone,   then nDone × (u32 lo, u32 hi)
-//	u32 nFrames, then nFrames × frame
+//	u8  complete      (0 or 1)
+//	u64 matches, u64 nodes, u64 intersections, u64 galloping,
+//	u64 elements, u64 comps, u64 bitmapProbes
+//	u32 nLanes, then nLanes × lane
+//	u32 nDone,  then nDone × (u32 lo, u32 hi)
 //	u32 CRC32 (IEEE) of everything above
 //
 // lane := u64 matches, u64 nodes, u64 comps,
 //
 //	u64 intersections, u64 galloping, u64 elements, u64 bitmapProbes
 //
-// frame := u32 sigmaIdx, u32 matMask,
-//
-//	u32 nAssigned × u32,
-//	u32 nCands × (u8 present [, u32 len × u32]),
-//	u32 nRemaining × u32,
-//	u64 laneMask                  (version ≥ 3 only)
-//
-// Version 3 added the bit-parallel lane state: each frame carries the
-// mask of lanes live at its suspension point, and the committed base
-// carries the per-lane attributed counters, so a resumed lane batch
-// still reports exact per-query totals. Versions 1 and 2 remain
-// readable; the missing fields load as zero (frames from those files
-// necessarily predate lane batching, so a zero mask is correct and the
-// lane engine rejects them explicitly on resume).
+// Version 4 is version 3 without its frame section: a run's only units
+// are root chunks, so the committed root ranges and the base result are
+// the whole resumable state. Files of any other version are rejected
+// with ErrCheckpointVersion.
 const (
 	ckptMagic   = 0x4c434b50 // "LCKP"
-	ckptVersion = 3
+	ckptVersion = 4
 )
+
+// ErrCheckpointVersion is returned by LoadCheckpoint for a checkpoint
+// file whose format version this build does not read.
+var ErrCheckpointVersion = errors.New("supervise: unsupported checkpoint version")
 
 // RootRange is a half-open range [Lo, Hi) of root vertex ids whose
 // enumeration is committed: every match rooted in the range is already
@@ -59,10 +52,9 @@ type RootRange struct {
 }
 
 // Checkpoint is the resumable state of an interrupted parallel run:
-// the results committed so far, which root ranges produced them, and
-// the donated frames whose subtrees are not covered by any pending
-// root. Resuming re-enumerates exactly the complement, so the combined
-// match count equals an uninterrupted run's.
+// the results committed so far and which root ranges produced them.
+// Resuming enumerates exactly the roots outside those ranges, so the
+// combined match count equals an uninterrupted run's.
 type Checkpoint struct {
 	// Fingerprint binds the checkpoint to one (graph, plan) pair;
 	// resuming under a different pattern, order, or graph is rejected.
@@ -73,13 +65,10 @@ type Checkpoint struct {
 	// Complete marks a checkpoint written after a finished run;
 	// resuming it returns Base with no further work.
 	Complete bool
-	// Base is the result committed from Done ranges and finished
-	// frames.
+	// Base is the result committed from the Done ranges.
 	Base engine.Result
 	// Done lists the committed root ranges.
 	Done []RootRange
-	// Frames are outstanding donated frames to re-execute on resume.
-	Frames []*engine.Frame
 }
 
 // Fingerprint hashes the identity of a (graph, plan) pair — graph
@@ -129,13 +118,6 @@ func (e *encoder) u8(x uint8)   { e.buf = append(e.buf, x) }
 func (e *encoder) u32(x uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, x) }
 func (e *encoder) u64(x uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, x) }
 
-func (e *encoder) vertices(vs []graph.VertexID) {
-	e.u32(uint32(len(vs)))
-	for _, v := range vs {
-		e.u32(v)
-	}
-}
-
 func (c *Checkpoint) encode() []byte {
 	e := &encoder{buf: make([]byte, 0, 1024)}
 	e.u32(ckptMagic)
@@ -169,23 +151,6 @@ func (c *Checkpoint) encode() []byte {
 		e.u32(r.Lo)
 		e.u32(r.Hi)
 	}
-	e.u32(uint32(len(c.Frames)))
-	for _, f := range c.Frames {
-		e.u32(uint32(f.SigmaIdx))
-		e.u32(f.MatMask)
-		e.vertices(f.Assigned)
-		e.u32(uint32(len(f.Cands)))
-		for _, cand := range f.Cands {
-			if cand == nil {
-				e.u8(0)
-				continue
-			}
-			e.u8(1)
-			e.vertices(cand)
-		}
-		e.vertices(f.Remaining)
-		e.u64(f.LaneMask)
-	}
 	e.u32(crc32.ChecksumIEEE(e.buf))
 	return e.buf
 }
@@ -197,14 +162,6 @@ func (c *Checkpoint) encode() []byte {
 func (c *Checkpoint) Save(path string) error {
 	if err := faultpoint.Hit(faultpoint.PointCheckpointWrite); err != nil {
 		return fmt.Errorf("supervise: checkpoint write: %w", err)
-	}
-	for _, f := range c.Frames {
-		if f.LaneMask != 0 {
-			if err := faultpoint.Hit(faultpoint.PointCheckpointMask); err != nil {
-				return fmt.Errorf("supervise: checkpoint write (lane mask): %w", err)
-			}
-			break
-		}
 	}
 	data := c.encode()
 	dir := filepath.Dir(path)
@@ -293,106 +250,82 @@ func (d *decoder) count(what string, width int) int {
 	return int(n)
 }
 
-func (d *decoder) vertices(what string) []graph.VertexID {
-	n := d.count(what, 4)
-	if d.err != nil {
-		return nil
-	}
-	vs := make([]graph.VertexID, n)
-	for i := range vs {
-		vs[i] = d.u32(what)
-	}
-	return vs
-}
-
 // LoadCheckpoint reads and verifies a checkpoint written by Save:
 // magic, version, CRC32 trailer, and internal length consistency. The
-// caller must still bind it to a run via Fingerprint and validate each
-// frame against the plan before resuming.
+// caller must still bind it to a run via Fingerprint before resuming.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	c, err := decodeCheckpoint(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return c, nil
+}
+
+// decodeCheckpoint is LoadCheckpoint's decoder. Whatever it accepts,
+// encode turns back into the same bytes.
+func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if len(data) < 12 {
-		return nil, fmt.Errorf("supervise: corrupt checkpoint %s: %d bytes", path, len(data))
+		return nil, fmt.Errorf("supervise: corrupt checkpoint: %d bytes", len(data))
 	}
 	payload, trailer := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
 	if got := crc32.ChecksumIEEE(payload); got != trailer {
-		return nil, fmt.Errorf("supervise: corrupt checkpoint %s: CRC %#x, want %#x", path, got, trailer)
+		return nil, fmt.Errorf("supervise: corrupt checkpoint: CRC %#x, want %#x", got, trailer)
 	}
 	d := &decoder{buf: payload}
-	if magic := d.u32("magic"); d.err == nil && magic != ckptMagic {
-		return nil, fmt.Errorf("supervise: %s is not a checkpoint (magic %#x)", path, magic)
+	if magic := d.u32("magic"); magic != ckptMagic {
+		return nil, fmt.Errorf("supervise: not a checkpoint (magic %#x)", magic)
 	}
-	version := d.u32("version")
-	if d.err == nil && (version < 1 || version > ckptVersion) {
-		return nil, fmt.Errorf("supervise: checkpoint %s: unsupported version %d", path, version)
+	if version := d.u32("version"); version != ckptVersion {
+		return nil, fmt.Errorf("%w %d (this build reads %d)", ErrCheckpointVersion, version, ckptVersion)
 	}
 	c := &Checkpoint{}
 	c.Fingerprint = d.u64("fingerprint")
 	c.Cursor = int64(d.u64("cursor"))
-	c.Complete = d.u8("complete") != 0
+	switch complete := d.u8("complete"); complete {
+	case 0, 1:
+		c.Complete = complete == 1
+	default:
+		return nil, fmt.Errorf("supervise: corrupt checkpoint: complete flag %d", complete)
+	}
 	c.Base.Matches = d.u64("matches")
 	c.Base.Nodes = d.u64("nodes")
 	c.Base.Stats.Intersections = d.u64("intersections")
 	c.Base.Stats.Galloping = d.u64("galloping")
-	if version >= 2 {
-		c.Base.Stats.Elements = d.u64("elements")
-		c.Base.Comps = d.u64("comps")
+	c.Base.Stats.Elements = d.u64("elements")
+	c.Base.Comps = d.u64("comps")
+	c.Base.Stats.BitmapProbes = d.u64("bitmap probes")
+	nLanes := d.count("lanes", 56)
+	if nLanes > 64 {
+		return nil, fmt.Errorf("supervise: corrupt checkpoint: %d lanes (max 64)", nLanes)
 	}
-	if version >= 3 {
-		c.Base.Stats.BitmapProbes = d.u64("bitmap probes")
-		nLanes := d.count("lanes", 56)
-		if nLanes > 64 {
-			return nil, fmt.Errorf("supervise: corrupt checkpoint %s: %d lanes (max 64)", path, nLanes)
-		}
-		for i := 0; i < nLanes && d.err == nil; i++ {
-			var lc engine.LaneCounts
-			lc.Matches = d.u64("lane matches")
-			lc.Nodes = d.u64("lane nodes")
-			lc.Comps = d.u64("lane comps")
-			lc.Stats.Intersections = d.u64("lane intersections")
-			lc.Stats.Galloping = d.u64("lane galloping")
-			lc.Stats.Elements = d.u64("lane elements")
-			lc.Stats.BitmapProbes = d.u64("lane bitmap probes")
-			c.Base.Lanes = append(c.Base.Lanes, lc)
-		}
+	for i := 0; i < nLanes && d.err == nil; i++ {
+		var lc engine.LaneCounts
+		lc.Matches = d.u64("lane matches")
+		lc.Nodes = d.u64("lane nodes")
+		lc.Comps = d.u64("lane comps")
+		lc.Stats.Intersections = d.u64("lane intersections")
+		lc.Stats.Galloping = d.u64("lane galloping")
+		lc.Stats.Elements = d.u64("lane elements")
+		lc.Stats.BitmapProbes = d.u64("lane bitmap probes")
+		c.Base.Lanes = append(c.Base.Lanes, lc)
 	}
 	nDone := d.count("done ranges", 8)
 	for i := 0; i < nDone && d.err == nil; i++ {
 		r := RootRange{Lo: d.u32("range lo"), Hi: d.u32("range hi")}
 		if d.err == nil && r.Hi < r.Lo {
-			return nil, fmt.Errorf("supervise: corrupt checkpoint %s: inverted range [%d,%d)", path, r.Lo, r.Hi)
+			return nil, fmt.Errorf("supervise: corrupt checkpoint: inverted range [%d,%d)", r.Lo, r.Hi)
 		}
 		c.Done = append(c.Done, r)
 	}
-	nFrames := d.count("frames", 8)
-	for i := 0; i < nFrames && d.err == nil; i++ {
-		f := &engine.Frame{}
-		f.SigmaIdx = int(d.u32("frame sigma"))
-		f.MatMask = d.u32("frame mask")
-		f.Assigned = d.vertices("frame assigned")
-		nCands := d.count("frame cands", 1)
-		f.Cands = make([][]graph.VertexID, 0, nCands)
-		for j := 0; j < nCands && d.err == nil; j++ {
-			if d.u8("cand flag") == 0 {
-				f.Cands = append(f.Cands, nil)
-				continue
-			}
-			f.Cands = append(f.Cands, d.vertices("cand set"))
-		}
-		f.Remaining = d.vertices("frame remaining")
-		if version >= 3 {
-			f.LaneMask = d.u64("frame lane mask")
-		}
-		c.Frames = append(c.Frames, f)
-	}
 	if d.err != nil {
-		return nil, fmt.Errorf("%s: %w", path, d.err)
+		return nil, d.err
 	}
 	if d.off != len(payload) {
-		return nil, fmt.Errorf("supervise: corrupt checkpoint %s: %d trailing bytes", path, len(payload)-d.off)
+		return nil, fmt.Errorf("supervise: corrupt checkpoint: %d trailing bytes", len(payload)-d.off)
 	}
 	return c, nil
 }

@@ -2,6 +2,10 @@ package supervise
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,7 +13,6 @@ import (
 
 	"light/internal/engine"
 	"light/internal/gen"
-	"light/internal/graph"
 	"light/internal/intersect"
 	"light/internal/pattern"
 	"light/internal/plan"
@@ -30,52 +33,48 @@ func sampleCheckpoint() *Checkpoint {
 			},
 		},
 		Done: []RootRange{{Lo: 0, Hi: 10}, {Lo: 14, Hi: 30}},
-		Frames: []*engine.Frame{
-			{
-				SigmaIdx:  2,
-				MatMask:   0b101,
-				Assigned:  []graph.VertexID{7, 0, 9},
-				Cands:     [][]graph.VertexID{{1, 2, 3}, nil, {4}},
-				Remaining: []graph.VertexID{5, 6},
-				LaneMask:  0b11,
-			},
-			{
-				SigmaIdx: 1,
-				MatMask:  0b1,
-				Assigned: []graph.VertexID{3},
-				Cands:    [][]graph.VertexID{nil},
-			},
-		},
 	}
 }
 
-func framesEqual(a, b *engine.Frame) bool {
-	if a.SigmaIdx != b.SigmaIdx || a.MatMask != b.MatMask || a.LaneMask != b.LaneMask {
-		return false
+// encodeV3 hand-encodes a valid version-3 checkpoint, CRC included: the
+// v4 layout plus a frame section holding one donated frame, the format
+// checkpoints had while runs still donated work.
+func encodeV3() []byte {
+	var b []byte
+	u8 := func(x uint8) { b = append(b, x) }
+	u32 := func(x uint32) { b = binary.LittleEndian.AppendUint32(b, x) }
+	u64 := func(x uint64) { b = binary.LittleEndian.AppendUint64(b, x) }
+	u32(ckptMagic)
+	u32(3)
+	u64(0xdeadbeefcafe) // fingerprint
+	u64(17)             // cursor
+	u8(0)               // complete
+	for _, x := range []uint64{123, 456, 40, 9, 8000, 78, 11} {
+		u64(x) // matches, nodes, intersections, galloping, elements, comps, bitmap probes
 	}
-	eq := func(x, y []graph.VertexID) bool {
-		if len(x) != len(y) {
-			return false
-		}
-		for i := range x {
-			if x[i] != y[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if !eq(a.Assigned, b.Assigned) || !eq(a.Remaining, b.Remaining) {
-		return false
-	}
-	if len(a.Cands) != len(b.Cands) {
-		return false
-	}
-	for i := range a.Cands {
-		if (a.Cands[i] == nil) != (b.Cands[i] == nil) || !eq(a.Cands[i], b.Cands[i]) {
-			return false
-		}
-	}
-	return true
+	u32(0) // lanes
+	u32(1) // done ranges
+	u32(0)
+	u32(10)
+	u32(1)     // frames
+	u32(2)     // σ index
+	u32(0b101) // mat mask
+	u32(3)     // assigned
+	u32(7)
+	u32(0)
+	u32(9)
+	u32(3) // cands: {4}, nil, nil
+	u8(1)
+	u32(1)
+	u32(4)
+	u8(0)
+	u8(0)
+	u32(2) // remaining
+	u32(5)
+	u32(6)
+	u64(0) // lane mask
+	u32(crc32.ChecksumIEEE(b))
+	return b
 }
 
 func TestCheckpointSaveLoadRoundTrip(t *testing.T) {
@@ -100,14 +99,6 @@ func TestCheckpointSaveLoadRoundTrip(t *testing.T) {
 	for i, r := range ck.Done {
 		if got.Done[i] != r {
 			t.Fatalf("range %d: %v vs %v", i, got.Done[i], r)
-		}
-	}
-	if len(got.Frames) != len(ck.Frames) {
-		t.Fatalf("frames: %d vs %d", len(got.Frames), len(ck.Frames))
-	}
-	for i := range ck.Frames {
-		if !framesEqual(got.Frames[i], ck.Frames[i]) {
-			t.Fatalf("frame %d mismatch: %+v vs %+v", i, got.Frames[i], ck.Frames[i])
 		}
 	}
 }
@@ -226,6 +217,30 @@ func TestCheckpointSaveIsAtomic(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Fatalf("leftover temp files: %v", entries)
+	}
+}
+
+// TestLoadCheckpointRejectsOtherVersions: a well-formed file of any
+// version but 4 — a real v3 file with its frame section, or the v4
+// layout under another version number, CRC resealed — fails with
+// ErrCheckpointVersion, not as corruption and not as a resumable state.
+func TestLoadCheckpointRejectsOtherVersions(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string][]byte{"v3": encodeV3()}
+	for _, v := range []uint32{0, 1, 2, 3, 5} {
+		data := sampleCheckpoint().encode()
+		payload := data[:len(data)-4]
+		binary.LittleEndian.PutUint32(payload[4:], v)
+		files[fmt.Sprintf("v4-layout-as-v%d", v)] = binary.LittleEndian.AppendUint32(payload, crc32.ChecksumIEEE(payload))
+	}
+	for name, data := range files {
+		path := filepath.Join(dir, name+".ckpt")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadCheckpoint(path); !errors.Is(err, ErrCheckpointVersion) {
+			t.Errorf("%s: err = %v, want ErrCheckpointVersion", name, err)
+		}
 	}
 }
 

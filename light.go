@@ -7,7 +7,7 @@
 // library finds every subgraph of G isomorphic to P. Internally it
 // combines lazy materialization, minimum-set-cover candidate
 // computation, a cost-based enumeration order optimizer, hybrid sorted
-// set intersection, and work-stealing parallel DFS. The baseline
+// set intersection, and parallel DFS over a pool of workers. The baseline
 // algorithms the paper evaluates (SE, LM, MSC, and the distributed
 // BFS-join systems) are available through the same API for comparison.
 //
@@ -469,11 +469,12 @@ type Options struct {
 	// kernel everywhere else. Name HybridBlock to reproduce the paper's
 	// configuration exactly.
 	Intersection Intersection
-	// Workers is the most workers of the work-stealing pool (Section
-	// VII-B) inside the run at once: a pool of its own, or under a
-	// Governor its shared one, where the cap is at most Slots. 0 means
-	// one worker, which walks the root candidates in chunks with no one
-	// to donate work to.
+	// Workers is the most workers of the pool (Section VII-B) inside the
+	// run at once: a pool of its own, or under a Governor its shared one,
+	// where the cap is at most Slots. The workers take root chunks,
+	// heaviest root first, from one cursor, and each walks its chunk to
+	// the end. 0 means one worker, which walks the root candidates in
+	// full chunks.
 	Workers int
 	// TimeLimit aborts the run with ErrTimeLimit when positive.
 	TimeLimit time.Duration
@@ -653,7 +654,7 @@ func run(ctx context.Context, g *Graph, p *Pattern, opts Options, visit engine.V
 
 // execute is the back half every rooted query shares, labeled or not and
 // at any worker count: the governance prelude, one run of the
-// work-stealing pool over the snapshot, and the report.
+// pool over the snapshot, and the report.
 func execute(ctx context.Context, st *snapshotState, pl *plan.Plan, opts Options, filter func(u int, v VertexID) bool, visit engine.VisitFunc) (Result, error) {
 	rec := metrics.NewRecorder()
 	popts := parallel.Options{Engine: engine.Options{

@@ -50,13 +50,9 @@ type RunReport struct {
 	// GallopingPercent is 100·Galloping/Intersections (Table III).
 	GallopingPercent float64 `json:"galloping_percent"`
 
-	// Donations counts frames pushed to the work-stealing queue.
-	Donations uint64 `json:"donations,omitempty"`
-	// Steals counts frames executed by a worker other than the donor.
-	Steals uint64 `json:"steals,omitempty"`
 	// RootChunks counts root chunks dispensed by the scheduler.
 	RootChunks uint64 `json:"root_chunks,omitempty"`
-	// QueueWaits counts worker blocking episodes on the frame queue.
+	// QueueWaits counts parks of workers that ran out of the run's units.
 	QueueWaits uint64 `json:"queue_waits,omitempty"`
 	// QueueWaitNS is the total time workers spent blocked, in ns.
 	QueueWaitNS uint64 `json:"queue_wait_ns,omitempty"`
@@ -130,8 +126,6 @@ func newRunReport(rec *metrics.Recorder, opts Options, st *snapshotState, worker
 		Elements:      rec.Get(metrics.IntersectElements),
 		BitmapProbes:  rec.Get(metrics.IntersectBitmapProbes),
 
-		Donations:   rec.Get(metrics.ParallelDonations),
-		Steals:      rec.Get(metrics.ParallelSteals),
 		RootChunks:  rec.Get(metrics.ParallelRootChunks),
 		QueueWaits:  rec.Get(metrics.ParallelQueueWaits),
 		QueueWaitNS: rec.Get(metrics.ParallelQueueWaitNanos),

@@ -69,7 +69,7 @@ func TestRunReportHandCountedTriangle(t *testing.T) {
 
 // TestRunReportDeterministicAcrossWorkers is the invariant the CI bench
 // gate rests on: the engine counters depend only on (graph, plan,
-// kernel), never on worker count or donation timing.
+// kernel), never on worker count or chunk sizes.
 func TestRunReportDeterministicAcrossWorkers(t *testing.T) {
 	g, p := benchGraph(t)
 	serial, err := Count(g, p, Options{Workers: 1})
@@ -90,8 +90,8 @@ func TestRunReportDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// benchGraph builds a deterministic graph big enough to trigger real
-// work stealing (many root chunks, donations under load).
+// benchGraph builds a deterministic graph big enough to spread over
+// many root chunks.
 func benchGraph(t *testing.T) (*Graph, *Pattern) {
 	t.Helper()
 	// Deterministic pseudo-random-ish graph without rand: connect i to

@@ -120,9 +120,10 @@ go test -race -cpu 2,4 -tags faultinject -timeout 20m "${SHORT[@]}" \
 # those governed calls start (one pool per Governor).
 run_named . 'TestOnePoolPerCall|TestGovernedCallsShareOnePool' -tags faultinject -race -cpu 2,4 -timeout 5m
 
-echo "==> fuzz smoke: FuzzCSRRoundTrip, FuzzMergeKernels (10s each)"
+echo "==> fuzz smoke: FuzzCSRRoundTrip, FuzzMergeKernels, FuzzCheckpointLoad (10s each)"
 run_named ./internal/graph/ FuzzCSRRoundTrip -fuzz FuzzCSRRoundTrip -fuzztime 10s
 run_named ./internal/intersect/ FuzzMergeKernels -fuzz FuzzMergeKernels -fuzztime 10s
+run_named ./internal/supervise/ FuzzCheckpointLoad -fuzz FuzzCheckpointLoad -fuzztime 10s
 
 echo "==> lightdiff differential smoke (lane + edge-delta oracles on)"
 if [[ ${#SHORT[@]} -gt 0 ]]; then
