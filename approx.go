@@ -11,8 +11,8 @@ import (
 // first; silently sampling the stale base would bias the estimate.
 func approxCount(g *Graph, p *Pattern, samples int, seed int64) (approx.Result, error) {
 	st := g.snap()
-	if st.ov != nil {
+	if st.view.Overlay() != nil {
 		return approx.Result{}, fmt.Errorf("%w: ApproxCount with pending edge deltas; call Compact first", ErrUnsupportedOption)
 	}
-	return approx.Count(st.base, st.planStats(), p.p, samples, seed)
+	return approx.Count(st.view.Base(), st.planStats(), p.p, samples, seed)
 }

@@ -136,13 +136,12 @@ func CountBatchContext(ctx context.Context, g *Graph, queries []BatchQuery, opts
 		Kernel:    opts.Intersection.kind(),
 		TimeLimit: opts.TimeLimit,
 		Metrics:   batchRec,
-		Overlay:   st.ov,
 	}}
 	start := time.Now()
 	var lres lanes.Result
-	pres, degradations, err := opts.governed(ctx, batchRec, st.maxDegree(), maxPatternVerts, popts, func(popts parallel.Options) (parallel.Result, error) {
+	pres, degradations, err := opts.governed(ctx, batchRec, st.view.MaxDegree(), maxPatternVerts, popts, func(popts parallel.Options) (parallel.Result, error) {
 		var err error
-		lres, err = lanes.Run(ctx, st.base, lq, popts, recs)
+		lres, err = lanes.Run(ctx, st.view, lq, popts, recs)
 		return lres.Result, err
 	})
 	if pres == nil {

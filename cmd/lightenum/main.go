@@ -84,7 +84,7 @@ func main() {
 		ResumeFrom:         *resumePath,
 		AdmissionTimeout:   *admitTimeout,
 	}
-	if opts.Algorithm, err = parseAlgo(*algoName); err != nil {
+	if opts.Algorithm, err = light.ParseAlgorithm(*algoName); err != nil {
 		fatal(err)
 	}
 	if opts.Intersection, err = light.ParseIntersection(*kernel); err != nil {
@@ -470,20 +470,6 @@ func wrap(g *graph.Graph) *light.Graph {
 		}
 	}
 	return light.NewGraph(g.NumVertices(), edges)
-}
-
-func parseAlgo(s string) (light.Algorithm, error) {
-	switch strings.ToUpper(s) {
-	case "LIGHT":
-		return light.LIGHT, nil
-	case "SE":
-		return light.SE, nil
-	case "LM":
-		return light.LM, nil
-	case "MSC":
-		return light.MSC, nil
-	}
-	return 0, fmt.Errorf("unknown algorithm %q", s)
 }
 
 func fatal(err error) {

@@ -3,24 +3,8 @@ package main
 import (
 	"testing"
 
-	"light"
 	"light/internal/gen"
 )
-
-func TestParseAlgo(t *testing.T) {
-	for name, want := range map[string]light.Algorithm{
-		"LIGHT": light.LIGHT, "light": light.LIGHT,
-		"SE": light.SE, "lm": light.LM, "MSC": light.MSC,
-	} {
-		got, err := parseAlgo(name)
-		if err != nil || got != want {
-			t.Errorf("parseAlgo(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := parseAlgo("bogus"); err == nil {
-		t.Error("bogus algorithm accepted")
-	}
-}
 
 func TestParseBytes(t *testing.T) {
 	for s, want := range map[string]int64{

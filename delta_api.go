@@ -108,7 +108,7 @@ func CountDeltaContext(ctx context.Context, g *Graph, p *Pattern, from, to *Snap
 	case opts.CheckpointPath != "" || opts.ResumeFrom != "":
 		return dr, fmt.Errorf("%w: CountDelta does not support checkpointing", ErrUnsupportedOption)
 	}
-	added, removed := delta.Diff(from.st.base, from.st.ov, to.st.base, to.st.ov)
+	added, removed := delta.Diff(from.st.view, to.st.view)
 	dr.AddedEdges, dr.RemovedEdges = len(added), len(removed)
 	dr.FromGeneration, dr.ToGeneration = from.st.gen, to.st.gen
 	if len(added)+len(removed) == 0 {
@@ -130,7 +130,7 @@ func CountDeltaContext(ctx context.Context, g *Graph, p *Pattern, from, to *Snap
 		TimeLimit: opts.TimeLimit,
 		Filter:    opts.Filter,
 	}}
-	pres, _, err := opts.governed(ctx, nil, max(from.st.maxDegree(), to.st.maxDegree()), p.NumVertices(), popts, func(popts parallel.Options) (parallel.Result, error) {
+	pres, _, err := opts.governed(ctx, nil, max(from.st.view.MaxDegree(), to.st.view.MaxDegree()), p.NumVertices(), popts, func(popts parallel.Options) (parallel.Result, error) {
 		return parallel.RunJobs(ctx, popts, jobs)
 	})
 	if pres == nil {
@@ -227,7 +227,7 @@ func newDeltaSide(st *snapshotState, edges []delta.Edge, plans []*plan.Plan, ped
 				others = append(others, e)
 			}
 		}
-		s.jobs = append(s.jobs, parallel.Job{Graph: st.base, Overlay: st.ov, Plan: pl, Anchors: anchors, Visit: func(m []graph.VertexID) bool {
+		s.jobs = append(s.jobs, parallel.Job{View: st.view, Plan: pl, Anchors: anchors, Visit: func(m []graph.VertexID) bool {
 			anchor := edgeKey(m[a], m[b])
 			for _, e := range others {
 				x, y := m[e[0]], m[e[1]]

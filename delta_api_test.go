@@ -39,13 +39,7 @@ func referenceTouching(t *testing.T, g *Graph, p *Pattern, snap *Snapshot, edges
 func snapshotEdges(s *Snapshot) map[[2]VertexID]bool {
 	out := map[[2]VertexID]bool{}
 	for u := 0; u < s.NumVertices(); u++ {
-		var nb []VertexID
-		if s.st.ov != nil {
-			nb = s.st.ov.Neighbors(VertexID(u))
-		} else if u < s.st.base.NumVertices() {
-			nb = s.st.base.Neighbors(VertexID(u))
-		}
-		for _, v := range nb {
+		for _, v := range s.st.view.Neighbors(VertexID(u)) {
 			if int(v) > u {
 				out[[2]VertexID{VertexID(u), v}] = true
 			}

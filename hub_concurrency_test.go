@@ -46,7 +46,7 @@ func TestConcurrentQueriesHubThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base := g.snap().base
+	base := g.snap().view.Base()
 	base.BuildHubIndex(4) // every query below finds indexed hubs
 	stop := make(chan struct{})
 	var builder sync.WaitGroup
@@ -126,7 +126,7 @@ func TestHubIndexOneBuildAcrossQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := g.snap().base
+	base := g.snap().view.Base()
 	tau := base.HubThreshold()
 
 	var wg sync.WaitGroup
@@ -164,7 +164,7 @@ func TestHubIndexOneBuildAcrossQueries(t *testing.T) {
 	if _, err := g.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if nb := g.snap().base; nb == base || nb.HubBuilds() != 1 {
+	if nb := g.snap().view.Base(); nb == base || nb.HubBuilds() != 1 {
 		t.Errorf("compacted base: same CSR %v, HubBuilds = %d; want a new CSR with its own single build", nb == base, nb.HubBuilds())
 	}
 }

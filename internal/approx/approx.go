@@ -108,7 +108,7 @@ func (s *sampler) probe(rng *rand.Rand) float64 {
 				s.sets = append(s.sets, s.g.Neighbors(s.assigned[w]))
 			}
 		}
-		cnt := intersect.MultiWay(s.buf, s.scratch, s.sets, intersect.KindHybrid, intersect.DefaultDelta, nil)
+		cnt := intersect.MultiWay(s.buf, s.scratch, s.sets, nil, intersect.KindHybrid, intersect.DefaultDelta, nil)
 		// Restrict to eligible candidates: injective and respecting the
 		// partial order against already-assigned vertices.
 		s.eligible = s.eligible[:0]

@@ -263,7 +263,7 @@ func (e *generic) rec(i int) bool {
 		for k, w := range back {
 			sets[k] = e.g.Neighbors(e.assigned[w])
 		}
-		n := intersect.MultiWay(e.bufs[i], e.scratch, sets, intersect.KindMerge, intersect.DefaultDelta, &e.stats)
+		n := intersect.MultiWay(e.bufs[i], e.scratch, sets, nil, intersect.KindMerge, intersect.DefaultDelta, &e.stats)
 		cands = e.bufs[i][:n]
 	}
 	for _, v := range cands {

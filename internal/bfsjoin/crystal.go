@@ -108,7 +108,7 @@ func countBudAssignments(g *graph.Graph, p *pattern.Pattern, buds []pattern.Vert
 				sets = append(sets, g.Neighbors(tup[corePos[w]]))
 			}
 		}
-		n := intersect.MultiWay(buf1, buf2, sets, intersect.KindHybrid, intersect.DefaultDelta, nil)
+		n := intersect.MultiWay(buf1, buf2, sets, nil, intersect.KindHybrid, intersect.DefaultDelta, nil)
 		cnt := int64(n)
 		for _, cv := range tup {
 			if intersect.Contains(buf1[:n], cv) {

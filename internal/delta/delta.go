@@ -1,11 +1,14 @@
 // Package delta is the copy-on-write mutation layer over the immutable
 // CSR data graph: an Overlay holds a batch of edge insertions and
-// deletions as a per-vertex sorted-list overlay, presenting the same
-// read interface as graph.Graph (Neighbors/Degree/HasEdge) so the
-// enumeration engine can run against a mutated view without rebuilding
-// the CSR. Overlays are immutable once built — Apply produces a new
-// Overlay sharing untouched state with its predecessor (copy-on-write),
-// so snapshots pinned by in-flight queries never observe a mutation.
+// deletions as a per-vertex sorted-list overlay, so the enumeration
+// engine can run against a mutated view without rebuilding the CSR.
+// View is the one reader of a (base CSR, optional overlay) pair: the
+// engine, the scheduler, lanes, Diff and the public Graph read every
+// snapshot's adjacency, degree, size, bitmaps and fingerprint through
+// it, and nothing outside this package chooses between the two. Overlays
+// are immutable once built — Apply produces a new Overlay sharing
+// untouched state with its predecessor (copy-on-write), so snapshots
+// pinned by in-flight queries never observe a mutation.
 // Compact folds an overlay back into a fresh CSR graph with stable
 // vertex IDs. See DESIGN.md §18.
 //
@@ -73,9 +76,6 @@ type Overlay struct {
 	fp     uint64
 }
 
-// Base returns the CSR graph under the overlay.
-func (o *Overlay) Base() *graph.Graph { return o.base }
-
 // NumVertices returns the overlay's vertex count (the base count plus
 // any vertices introduced by inserted edges).
 func (o *Overlay) NumVertices() int { return o.n }
@@ -94,9 +94,6 @@ func (o *Overlay) Removed() []Edge { return o.removed }
 // DeltaEdges returns the total number of pending edge deltas
 // (insertions plus deletions) relative to base.
 func (o *Overlay) DeltaEdges() int { return len(o.added) + len(o.removed) }
-
-// Empty reports whether the overlay view is identical to base.
-func (o *Overlay) Empty() bool { return o.DeltaEdges() == 0 && o.n == o.base.NumVertices() }
 
 // MaxDegree returns an upper bound on the overlay's maximum vertex
 // degree: the max of the base bound and every touched vertex's new
@@ -271,11 +268,8 @@ func Apply(base *graph.Graph, prev *Overlay, add, remove []Edge) (*Overlay, erro
 	}
 
 	baseN := base.NumVertices()
-	prevN := baseN
-	if prev != nil {
-		prevN = prev.n
-	}
-	prevView := viewOf(base, prev)
+	prevView := NewView(base, prev)
+	prevN := prevView.NumVertices()
 
 	// Partition the batch into effective insertions and deletions
 	// against the previous view, grouped by endpoint.
@@ -283,7 +277,7 @@ func Apply(base *graph.Graph, prev *Overlay, add, remove []Edge) (*Overlay, erro
 	var addedCount, removedCount int
 	n := prevN
 	for _, e := range add {
-		if prevView.hasEdge(e.U, e.V, n) {
+		if prevView.HasEdge(e.U, e.V) {
 			continue
 		}
 		addedCount++
@@ -298,7 +292,7 @@ func Apply(base *graph.Graph, prev *Overlay, add, remove []Edge) (*Overlay, erro
 		}
 	}
 	for _, e := range remove {
-		if !prevView.hasEdge(e.U, e.V, n) {
+		if !prevView.HasEdge(e.U, e.V) {
 			continue
 		}
 		removedCount++
@@ -335,7 +329,10 @@ func Apply(base *graph.Graph, prev *Overlay, add, remove []Edge) (*Overlay, erro
 		o.touched[v>>6] |= uint64(1) << (uint(v) & 63)
 	}
 	for v, p := range perVertex {
-		old := prevView.neighbors(v, prevN)
+		var old []graph.VertexID
+		if int(v) < prevN {
+			old = prevView.Neighbors(v)
+		}
 		t := touchedList{ns: mergePatch(old, p.add, p.del)}
 		if len(t.ns) > 0 && int(v) < baseN && base.HubBitmap(v) != nil {
 			t.bm = bitset.FromSorted(t.ns)
@@ -358,7 +355,7 @@ func Apply(base *graph.Graph, prev *Overlay, add, remove []Edge) (*Overlay, erro
 		}
 	}
 	for _, e := range add {
-		if !prevView.hasEdge(e.U, e.V, prevN) || int(e.V) >= prevN {
+		if !prevView.HasEdge(e.U, e.V) {
 			k := edgeKey(e)
 			if _, wasRemoved := prevRemoved[k]; wasRemoved {
 				delete(prevRemoved, k)
@@ -368,7 +365,7 @@ func Apply(base *graph.Graph, prev *Overlay, add, remove []Edge) (*Overlay, erro
 		}
 	}
 	for _, e := range remove {
-		if prevView.hasEdge(e.U, e.V, prevN) {
+		if prevView.HasEdge(e.U, e.V) {
 			k := edgeKey(e)
 			if _, wasAdded := prevAdded[k]; wasAdded {
 				delete(prevAdded, k)
@@ -450,41 +447,6 @@ func edgeSetSlice(m map[uint64]Edge) []Edge {
 	return out
 }
 
-// view reads a base-plus-optional-overlay adjacency uniformly, treating
-// vertices beyond the view's count as isolated.
-type view struct {
-	base *graph.Graph
-	ov   *Overlay
-}
-
-func viewOf(base *graph.Graph, ov *Overlay) view { return view{base: base, ov: ov} }
-
-func (w view) neighbors(v graph.VertexID, n int) []graph.VertexID {
-	if int64(v) >= int64(n) {
-		return nil
-	}
-	if w.ov != nil && int64(v) < int64(w.ov.n) {
-		return w.ov.Neighbors(v)
-	}
-	if int(v) >= w.base.NumVertices() {
-		return nil
-	}
-	return w.base.Neighbors(v)
-}
-
-func (w view) hasEdge(u, v graph.VertexID, n int) bool {
-	if int64(u) >= int64(n) || int64(v) >= int64(n) {
-		return false
-	}
-	if w.ov != nil {
-		return w.ov.HasEdge(u, v)
-	}
-	if int(u) >= w.base.NumVertices() || int(v) >= w.base.NumVertices() {
-		return false
-	}
-	return w.base.HasEdge(u, v)
-}
-
 // Compact folds the overlay into a fresh CSR graph with identical
 // adjacency and — crucially — identical vertex IDs: no degree
 // reordering, so match results, pinned snapshots, and caller-held
@@ -508,16 +470,16 @@ func Compact(o *Overlay) (*graph.Graph, error) {
 	return graph.FromCSR(offsets, adj)
 }
 
-// Diff returns the edge sets that turn the (fromBase, fromOv) view into
-// the (toBase, toOv) view: added edges present only in "to", removed
-// edges present only in "from" (both canonical, sorted). When the two
-// views share one base graph the diff is computed from the cumulative
-// overlay sets in O(delta); across a compaction it falls back to a full
-// adjacency sweep.
-func Diff(fromBase *graph.Graph, fromOv *Overlay, toBase *graph.Graph, toOv *Overlay) (added, removed []Edge) {
-	if fromBase == toBase {
-		fa, fr := cumulative(fromOv)
-		ta, tr := cumulative(toOv)
+// Diff returns the edge sets that turn view from into view to: added
+// edges present only in to, removed edges present only in from (both
+// canonical, sorted). When the two views share one base graph the diff
+// is computed from the cumulative overlay sets in O(delta); across a
+// compaction it falls back to a full adjacency sweep, where a vertex
+// past one view's end has no edges in it.
+func Diff(from, to View) (added, removed []Edge) {
+	if from.base == to.base {
+		fa, fr := cumulative(from.ov)
+		ta, tr := cumulative(to.ov)
 		// to − from = (ta − fa) ∪ (fr − tr); from − to symmetric. The
 		// added/removed sets of one overlay are disjoint, so set algebra
 		// on the four maps is exact.
@@ -527,15 +489,15 @@ func Diff(fromBase *graph.Graph, fromOv *Overlay, toBase *graph.Graph, toOv *Ove
 		sortEdges(removed)
 		return added, removed
 	}
-	fromView, fromN := viewOf(fromBase, fromOv), viewN(fromBase, fromOv)
-	toView, toN := viewOf(toBase, toOv), viewN(toBase, toOv)
-	n := fromN
-	if toN > n {
-		n = toN
-	}
-	for v := 0; v < n; v++ {
-		fs := fromView.neighbors(graph.VertexID(v), fromN)
-		ts := toView.neighbors(graph.VertexID(v), toN)
+	fromN, toN := from.NumVertices(), to.NumVertices()
+	for v := 0; v < max(fromN, toN); v++ {
+		var fs, ts []graph.VertexID
+		if v < fromN {
+			fs = from.Neighbors(graph.VertexID(v))
+		}
+		if v < toN {
+			ts = to.Neighbors(graph.VertexID(v))
+		}
 		i, j := 0, 0
 		for i < len(fs) || j < len(ts) {
 			switch {
@@ -580,11 +542,4 @@ func subtractEdges(a, b map[uint64]Edge) []Edge {
 		}
 	}
 	return out
-}
-
-func viewN(base *graph.Graph, ov *Overlay) int {
-	if ov != nil {
-		return ov.n
-	}
-	return base.NumVertices()
 }

@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -25,10 +26,9 @@ func buildGraph(t *testing.T, n int, edges []Edge) *graph.Graph {
 // edge set for comparison.
 func edgeSet(base *graph.Graph, ov *Overlay) map[Edge]bool {
 	out := map[Edge]bool{}
-	n := viewN(base, ov)
-	w := viewOf(base, ov)
-	for v := 0; v < n; v++ {
-		for _, u := range w.neighbors(graph.VertexID(v), n) {
+	w := NewView(base, ov)
+	for v := 0; v < w.NumVertices(); v++ {
+		for _, u := range w.Neighbors(graph.VertexID(v)) {
 			out[Edge{graph.VertexID(v), u}.Canon()] = true
 		}
 	}
@@ -188,6 +188,12 @@ func TestFingerprintDistinguishesDeltas(t *testing.T) {
 	}
 }
 
+// TestCompactEquivalence checks every View read against the CSR that
+// Compact folds the view into: a clean base (its own compaction), then
+// every generation of a random batch sequence that grows the vertex
+// count. Ids must be stable — identical adjacency, not merely
+// isomorphic — and ids at or past NumVertices must read as absent on
+// both sides of a compaction, which is what Diff's sweep relies on.
 func TestCompactEquivalence(t *testing.T) {
 	g := buildGraph(t, 5, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 4}})
 	o, err := Apply(g, nil, []Edge{{0, 2}, {1, 6}}, []Edge{{3, 4}})
@@ -201,23 +207,115 @@ func TestCompactEquivalence(t *testing.T) {
 	if err := cg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if cg.NumVertices() != o.NumVertices() || cg.NumEdges() != o.NumEdges() {
-		t.Fatalf("compacted N=%d M=%d, overlay N=%d M=%d",
-			cg.NumVertices(), cg.NumEdges(), o.NumVertices(), o.NumEdges())
-	}
-	// IDs must be stable: identical adjacency, not merely isomorphic.
-	for v := 0; v < o.NumVertices(); v++ {
-		want := o.Neighbors(graph.VertexID(v))
-		got := cg.Neighbors(graph.VertexID(v))
-		if len(want) == 0 && len(got) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Neighbors(%d): compacted %v, overlay %v", v, got, want)
-		}
-	}
+	checkViewAgainstCSR(t, "fixed", NewView(g, o), cg)
 	if cg.Fingerprint() == g.Fingerprint() {
 		t.Fatal("compaction of a non-empty overlay must change the fingerprint")
+	}
+
+	hubs := gen.BarabasiAlbert(60, 3, 5)
+	hubs.BuildHubIndex(4)
+	checkViewAgainstCSR(t, "nil overlay", NewView(hubs, nil), hubs)
+	rng := rand.New(rand.NewSource(11))
+	prev := NewView(hubs, nil)
+	for step := 0; step < 12; step++ {
+		n := prev.NumVertices()
+		var add, rem []Edge
+		for i := 0; i < 1+rng.Intn(6); i++ {
+			u := graph.VertexID(rng.Intn(n))
+			if rng.Intn(3) == 0 {
+				if ns := prev.Neighbors(u); len(ns) > 0 {
+					rem = append(rem, Edge{u, ns[rng.Intn(len(ns))]})
+				}
+				continue
+			}
+			add = append(add, Edge{u, graph.VertexID(rng.Intn(n + 3))})
+		}
+		ov, err := Apply(hubs, prev.Overlay(), add, rem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ov == nil || ov == prev.Overlay() {
+			continue
+		}
+		w := NewView(hubs, ov)
+		cg, err := Compact(ov)
+		if err != nil {
+			t.Fatal(err)
+		}
+		where := fmt.Sprintf("step %d", step)
+		checkViewAgainstCSR(t, where, w, cg)
+		// Diff from the previous generation: the same-base path, then
+		// across the compaction both ways, where the grown ids lie past
+		// the previous view's end.
+		add, rem = Diff(prev, w)
+		if a, r := Diff(prev, NewView(cg, nil)); !reflect.DeepEqual(a, add) || !reflect.DeepEqual(r, rem) {
+			t.Fatalf("%s: cross-compaction Diff (%v, %v), same-base (%v, %v)", where, a, r, add, rem)
+		}
+		if a, r := Diff(NewView(cg, nil), prev); !reflect.DeepEqual(a, rem) || !reflect.DeepEqual(r, add) {
+			t.Fatalf("%s: reversed cross-compaction Diff (%v, %v), want (%v, %v)", where, a, r, rem, add)
+		}
+		prev = w
+	}
+	if prev.NumVertices() <= hubs.NumVertices() {
+		t.Fatalf("the batch sequence never grew the vertex count past %d", hubs.NumVertices())
+	}
+}
+
+// checkViewAgainstCSR asserts that every read of w agrees with cg, the
+// CSR holding w's adjacency, and that HubBitmap follows the overlay's
+// rule: a vertex has a bitmap exactly when the base index holds one for
+// it and its list is non-empty, and the bitmap holds exactly that list.
+func checkViewAgainstCSR(t *testing.T, where string, w View, cg *graph.Graph) {
+	t.Helper()
+	base, ov, c := w.Base(), w.Overlay(), NewView(cg, nil)
+	n := w.NumVertices()
+	if n != cg.NumVertices() || w.NumEdges() != cg.NumEdges() {
+		t.Fatalf("%s: view N=%d M=%d, CSR N=%d M=%d", where, n, w.NumEdges(), cg.NumVertices(), cg.NumEdges())
+	}
+	if d := w.MaxDegree(); d < cg.MaxDegree() || (ov == nil && d != cg.MaxDegree()) {
+		t.Fatalf("%s: MaxDegree %d, CSR %d", where, d, cg.MaxDegree())
+	}
+	for v := 0; v < n; v++ {
+		id := graph.VertexID(v)
+		ns := w.Neighbors(id)
+		if want := cg.Neighbors(id); w.Degree(id) != len(want) || (len(ns)+len(want) > 0 && !reflect.DeepEqual(ns, want)) {
+			t.Fatalf("%s: vertex %d: degree %d, list %v; CSR %v", where, v, w.Degree(id), ns, want)
+		}
+		bm := w.HubBitmap(id)
+		if want := v < base.NumVertices() && base.HubBitmap(id) != nil && len(ns) > 0; (bm != nil) != want {
+			t.Fatalf("%s: HubBitmap(%d) present = %v, want %v", where, v, bm != nil, want)
+		}
+		if bm != nil && bm.Ones() != len(ns) {
+			t.Fatalf("%s: HubBitmap(%d) has %d ones, list %v", where, v, bm.Ones(), ns)
+		}
+		for _, u := range ns {
+			if bm != nil && !bm.Contains(u) {
+				t.Fatalf("%s: HubBitmap(%d) lacks %d", where, v, u)
+			}
+		}
+	}
+	for u := 0; u < n+2; u++ {
+		for v := 0; v < n+2; v++ {
+			x, y := graph.VertexID(u), graph.VertexID(v)
+			want := u < n && v < n && cg.HasEdge(x, y)
+			if w.HasEdge(x, y) != want || c.HasEdge(x, y) != want {
+				t.Fatalf("%s: HasEdge(%d, %d): view %v, compacted view %v, want %v", where, u, v, w.HasEdge(x, y), c.HasEdge(x, y), want)
+			}
+		}
+	}
+	wantFP, wantDelta, wantMem := base.Fingerprint(), 0, base.MemoryBytes()
+	if ov != nil {
+		wantFP, wantDelta, wantMem = ov.Fingerprint(), len(ov.Added())+len(ov.Removed()), wantMem+ov.MemoryBytes()
+		if wantFP == cg.Fingerprint() {
+			t.Fatalf("%s: an overlay and its compaction share fingerprint %#x", where, wantFP)
+		}
+	}
+	if w.Fingerprint() != wantFP || w.DeltaEdges() != wantDelta || w.MemoryBytes() != wantMem {
+		t.Fatalf("%s: Fingerprint %#x DeltaEdges %d MemoryBytes %d, want %#x %d %d",
+			where, w.Fingerprint(), w.DeltaEdges(), w.MemoryBytes(), wantFP, wantDelta, wantMem)
+	}
+	if c.DeltaEdges() != 0 || c.Fingerprint() != cg.Fingerprint() || c.MemoryBytes() != cg.MemoryBytes() {
+		t.Fatalf("%s: the compacted view does not read as its CSR", where)
 	}
 }
 
@@ -226,7 +324,7 @@ func TestDiffSameBaseAndAcrossCompaction(t *testing.T) {
 	o1, _ := Apply(g, nil, []Edge{{0, 2}}, []Edge{{2, 3}})
 	o2, _ := Apply(g, o1, []Edge{{2, 3}, {0, 3}}, []Edge{{0, 1}})
 
-	add, rem := Diff(g, nil, g, o1)
+	add, rem := Diff(NewView(g, nil), NewView(g, o1))
 	if want := []Edge{{0, 2}}; !reflect.DeepEqual(add, want) {
 		t.Errorf("add = %v, want %v", add, want)
 	}
@@ -234,7 +332,7 @@ func TestDiffSameBaseAndAcrossCompaction(t *testing.T) {
 		t.Errorf("rem = %v, want %v", rem, want)
 	}
 
-	add, rem = Diff(g, o1, g, o2)
+	add, rem = Diff(NewView(g, o1), NewView(g, o2))
 	if want := []Edge{{0, 3}, {2, 3}}; !reflect.DeepEqual(add, want) {
 		t.Errorf("o1->o2 add = %v, want %v", add, want)
 	}
@@ -248,7 +346,7 @@ func TestDiffSameBaseAndAcrossCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addX, remX := Diff(g, o1, cg, nil)
+	addX, remX := Diff(NewView(g, o1), NewView(cg, nil))
 	if !reflect.DeepEqual(addX, add) || !reflect.DeepEqual(remX, rem) {
 		t.Errorf("cross-compaction diff (%v, %v), want (%v, %v)", addX, remX, add, rem)
 	}
@@ -374,7 +472,7 @@ func TestOverlayHubBitmapsMatchLists(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		var ov *Overlay
 		for step := 0; step < 40; step++ {
-			n := viewN(g, ov)
+			n := NewView(g, ov).NumVertices()
 			var add, rem []Edge
 			for i := 0; i < 1+rng.Intn(8); i++ {
 				h := hubs[rng.Intn(len(hubs))]
@@ -382,7 +480,7 @@ func TestOverlayHubBitmapsMatchLists(t *testing.T) {
 				case 0: // hub to a random vertex, sometimes past the end
 					add = append(add, Edge{h, graph.VertexID(rng.Intn(n + 4))})
 				case 1: // drop one of the hub's current edges
-					if ns := viewOf(g, ov).neighbors(h, n); len(ns) > 0 {
+					if ns := NewView(g, ov).Neighbors(h); len(ns) > 0 {
 						rem = append(rem, Edge{h, ns[rng.Intn(len(ns))]})
 					}
 				default: // an edge between two arbitrary vertices

@@ -221,8 +221,7 @@ func (r *Result) AddTo(m *metrics.Recorder) {
 
 // Enumerator executes one plan on one graph.
 type Enumerator struct {
-	g    *graph.Graph
-	ov   *delta.Overlay // aliases opts.Overlay; nil = read the CSR directly
+	view delta.View // the graph plus opts.Overlay, resolved once in New
 	pl   *plan.Plan
 	opts Options
 
@@ -306,16 +305,10 @@ func New(g *graph.Graph, pl *plan.Plan, opts Options) *Enumerator {
 	if ar == nil {
 		ar = arena.New()
 	}
-	if opts.Overlay != nil && opts.Overlay.Base() != g {
-		panic("engine: Options.Overlay was built over a different base graph")
-	}
+	view := delta.NewView(g, opts.Overlay) // panics on a foreign base
 	var laneBuf []LaneCounts
 	if opts.Lanes != nil {
 		laneBuf = make([]LaneCounts, opts.Lanes.NumLanes())
-	}
-	dmax := g.MaxDegree()
-	if opts.Overlay != nil {
-		dmax = opts.Overlay.MaxDegree()
 	}
 	if g.NumHubs() == 0 {
 		// Nothing to probe (no vertex reaches the index's threshold, or
@@ -327,8 +320,7 @@ func New(g *graph.Graph, pl *plan.Plan, opts Options) *Enumerator {
 		tail--
 	}
 	return &Enumerator{
-		g:          g,
-		ov:         opts.Overlay,
+		view:       view,
 		pl:         pl,
 		opts:       opts,
 		assigned:   make([]graph.VertexID, n),
@@ -337,7 +329,7 @@ func New(g *graph.Graph, pl *plan.Plan, opts Options) *Enumerator {
 		setsTmp:    make([][]graph.VertexID, 0, n),
 		bmsTmp:     make([]*bitset.Bitmap, 0, n),
 		ar:         ar,
-		dmax:       dmax,
+		dmax:       view.MaxDegree(),
 		useBitmaps: opts.Kernel.UsesBitmaps(),
 		tail:       tail,
 		lanes:      opts.Lanes,
@@ -345,52 +337,8 @@ func New(g *graph.Graph, pl *plan.Plan, opts Options) *Enumerator {
 	}
 }
 
-// numVertices, degree, neighbors, and hubBitmap are the enumerator's
-// adjacency reads: overlay-aware when Options.Overlay is set, one nil
-// check and a direct CSR call otherwise (the zero-cost fast path for
-// unmutated graphs).
-
-//light:hotpath
-func (e *Enumerator) numVertices() int {
-	if e.ov != nil {
-		return e.ov.NumVertices()
-	}
-	return e.g.NumVertices()
-}
-
-//light:hotpath
-func (e *Enumerator) degree(v graph.VertexID) int {
-	if e.ov != nil {
-		return e.ov.Degree(v)
-	}
-	return e.g.Degree(v)
-}
-
-//light:hotpath
-func (e *Enumerator) neighbors(v graph.VertexID) []graph.VertexID {
-	if e.ov != nil {
-		return e.ov.Neighbors(v)
-	}
-	return e.g.Neighbors(v)
-}
-
-// hubBitmap returns the hub bitmap of v's neighbor list in the view, or
-// nil. Through an overlay, a touched vertex has one exactly when the
-// base index holds one for it, rebuilt from its merged list.
-//
-//light:hotpath
-func (e *Enumerator) hubBitmap(v graph.VertexID) *bitset.Bitmap {
-	if e.ov != nil {
-		return e.ov.HubBitmap(v)
-	}
-	return e.g.HubBitmap(v)
-}
-
 // Plan returns the plan the enumerator executes.
 func (e *Enumerator) Plan() *plan.Plan { return e.pl }
-
-// Graph returns the data graph.
-func (e *Enumerator) Graph() *graph.Graph { return e.g }
 
 // CandidateMemoryBytes reports the memory held by candidate-set buffers
 // (the paper's Table V metric): the arena slabs the lazy per-vertex
@@ -404,7 +352,7 @@ func (e *Enumerator) CandidateMemoryBytes() int64 {
 // the combined result. visit may be nil for count-only runs.
 func (e *Enumerator) Run(visit VisitFunc) (Result, error) {
 	if e.allRoots == nil {
-		n := e.numVertices()
+		n := e.view.NumVertices()
 		e.allRoots = make([]graph.VertexID, n)
 		for i := range e.allRoots {
 			e.allRoots[i] = graph.VertexID(i)
@@ -435,7 +383,7 @@ func (e *Enumerator) RunRoots(roots []graph.VertexID, visit VisitFunc) (Result, 
 			continue
 		}
 		if e.lanes != nil {
-			m := e.lanes.RootMask(v) & e.lanes.MaskFor(rootVertex, v, e.degree(v))
+			m := e.lanes.RootMask(v) & e.lanes.MaskFor(rootVertex, v, e.view.Degree(v))
 			if m == 0 {
 				continue
 			}
@@ -588,7 +536,7 @@ func (e *Enumerator) computeShared(u int) bool {
 	if nOperands == 1 {
 		// Single operand: alias, zero intersections (the Fig 2b case).
 		if len(ops.K1) == 1 {
-			e.cand[u] = e.neighbors(e.assigned[ops.K1[0]])
+			e.cand[u] = e.view.Neighbors(e.assigned[ops.K1[0]])
 		} else {
 			e.cand[u] = e.cand[ops.K2[0]]
 		}
@@ -601,35 +549,24 @@ func (e *Enumerator) computeShared(u int) bool {
 		e.err = ErrMemoryBudget
 		return false
 	}
+	// Under a probing kernel bms runs in lockstep with sets; K2 cached
+	// candidates never have bitmap form. A list kernel leaves it empty.
 	sets := e.setsTmp[:0]
 	bms := e.bmsTmp[:0]
-	probe := false
 	for _, w := range ops.K1 {
 		v := e.assigned[w]
-		sets = append(sets, e.neighbors(v))
+		sets = append(sets, e.view.Neighbors(v))
 		if e.useBitmaps {
-			bm := e.hubBitmap(v)
-			probe = probe || bm != nil
-			bms = append(bms, bm)
+			bms = append(bms, e.view.HubBitmap(v))
 		}
 	}
 	for _, w := range ops.K2 {
 		sets = append(sets, e.cand[w])
-	}
-	var n int
-	if probe {
-		// Bitmap-probe path: bms runs in lockstep with sets; K2 cached
-		// candidates never have bitmap form.
-		for range ops.K2 {
+		if e.useBitmaps {
 			bms = append(bms, nil)
 		}
-		n = intersect.MultiWayBitmap(dst, scr, sets, bms, e.opts.Kernel, e.opts.Delta, &e.result.Stats)
-	} else {
-		// No operand has a bitmap (list kernel, hub-free graph, or no
-		// hub among the operands): exactly the list kernel's work,
-		// nothing more.
-		n = intersect.MultiWay(dst, scr, sets, e.opts.Kernel, e.opts.Delta, &e.result.Stats)
 	}
+	n := intersect.MultiWay(dst, scr, sets, bms, e.opts.Kernel, e.opts.Delta, &e.result.Stats)
 	e.cand[u] = dst[:n]
 	return n > 0
 }
@@ -698,7 +635,7 @@ func (e *Enumerator) matLoop(i int, candidates []graph.VertexID) bool {
 		if e.usedValue(v) {
 			continue
 		}
-		if minDeg > 0 && e.degree(v) < minDeg {
+		if minDeg > 0 && e.view.Degree(v) < minDeg {
 			continue
 		}
 		if e.opts.Filter != nil && !e.opts.Filter(u, v) {
@@ -709,7 +646,7 @@ func (e *Enumerator) matLoop(i int, candidates []graph.VertexID) bool {
 			// filters reject this assignment; if none survive, the
 			// whole subtree is dead for the batch. The parent's mask
 			// is restored after the recursion — cheaper than a frame.
-			m := e.alive & e.lanes.MaskFor(u, v, e.degree(v))
+			m := e.alive & e.lanes.MaskFor(u, v, e.view.Degree(v))
 			if m == 0 {
 				continue
 			}
@@ -767,7 +704,7 @@ func window(candidates []graph.VertexID, lo, hi int64) []graph.VertexID {
 // pair (−1 for none) is not applied; order reports it instead: +1 when
 // σ[i]'s vertex must map above pair's, −1 below, 0 when unconstrained.
 func (e *Enumerator) bounds(i, pair int) (lo, hi int64, order int) {
-	lo, hi = 0, int64(e.numVertices())
+	lo, hi = 0, int64(e.view.NumVertices())
 	for _, c := range e.pl.MatConstraints[i] {
 		if c.Other == pair {
 			order = -1

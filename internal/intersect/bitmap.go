@@ -9,9 +9,9 @@ import (
 // lists carry a word-packed bitmap (built by the graph package's hub
 // index), and intersecting any set against a hub becomes one O(1)
 // membership probe per element of the smaller side — O(|small|) total
-// instead of O(|small|·log|large|) galloping. The engine selects these
-// kernels through KindMergeBitmap/KindHybridBitmap; when no operand has
-// a bitmap they degrade to the corresponding list kernel, so results
+// instead of O(|small|·log|large|) galloping. The engine passes bitmaps
+// to MultiWay under KindMergeBitmap/KindHybridBitmap; when no operand
+// has a bitmap MultiWay runs the corresponding list kernel, so results
 // are identical to the scalar kernels by construction (and verified by
 // the equivalence property tests and the diffcheck oracle matrix).
 
@@ -35,82 +35,6 @@ func MergeBitmap(dst, a []graph.VertexID, hub *bitset.Bitmap, stats *Stats) int 
 			dst[n] = x
 			n++
 		}
-	}
-	return n
-}
-
-// MultiWayBitmap is MultiWay with hub-bitmap awareness: bitmaps[i],
-// when non-nil, is the bitmap form of sets[i]. The smallest set is
-// materialized as the base, every bitmap-backed operand is applied as a
-// probe filter (cheapest first: each pass costs O(|current|)), and the
-// remaining plain lists are intersected with Pair using kernel k's list
-// fallback. sets and bitmaps are reordered in place, in lockstep.
-//
-// Capacity contract and aliasing rules match MultiWay: dst and scratch
-// each need capacity at least the minimum set length, and the single-set
-// case panics on an undersized dst. When no operand has a bitmap the
-// call is exactly MultiWay.
-//
-//light:hotpath
-func MultiWayBitmap(dst, scratch []graph.VertexID, sets [][]graph.VertexID, bitmaps []*bitset.Bitmap, k Kind, delta int, stats *Stats) int {
-	lk := k.ListFallback()
-	switch len(sets) {
-	case 0:
-		return 0
-	case 1:
-		return copySingle(dst, sets[0])
-	}
-	// Selection sort by length, keeping the bitmap slice aligned.
-	for i := range sets {
-		min := i
-		for j := i + 1; j < len(sets); j++ {
-			if len(sets[j]) < len(sets[min]) {
-				min = j
-			}
-		}
-		sets[i], sets[min] = sets[min], sets[i]
-		bitmaps[i], bitmaps[min] = bitmaps[min], bitmaps[i]
-	}
-	// Probe phase: filter the smallest set through every bitmap-backed
-	// operand. MergeBitmap tolerates dst aliasing its input, so the
-	// running result stays in dst across passes. The base's own bitmap
-	// (bitmaps[0]) is never used — the base is iterated, not probed.
-	cur := sets[0]
-	probed := false
-	n := len(cur)
-	for i := 1; i < len(sets); i++ {
-		if bitmaps[i] == nil {
-			continue
-		}
-		probed = true
-		n = MergeBitmap(dst, cur, bitmaps[i], stats)
-		if n == 0 {
-			return 0
-		}
-		cur = dst[:n]
-	}
-	if !probed {
-		// No bitmap operand: identical to the list kernel. sets are
-		// already sorted; MultiWay's own sort pass is a no-op.
-		return MultiWay(dst, scratch, sets, lk, delta, stats)
-	}
-	// List phase: intersect the remaining plain lists, ping-ponging
-	// between dst and scratch like MultiWay.
-	curBuf, otherBuf := dst, scratch
-	inDst := true
-	for i := 1; i < len(sets) && n > 0; i++ {
-		if bitmaps[i] != nil {
-			continue
-		}
-		n = Pair(otherBuf, cur, sets[i], lk, delta, stats)
-		curBuf, otherBuf = otherBuf, curBuf
-		cur = curBuf[:n]
-		inDst = !inDst
-	}
-	if !inDst {
-		// cur is curBuf[:n], so the bounds are provably equal; the
-		// explicit reslice states it (and satisfies capcontract).
-		copy(dst[:n], cur[:n])
 	}
 	return n
 }

@@ -122,7 +122,7 @@ func TestMultiWayBitmapEquivalence(t *testing.T) {
 		dst := make([]graph.VertexID, minLen)
 		scratch := make([]graph.VertexID, minLen)
 		var st Stats
-		n := MultiWayBitmap(dst, scratch, sets, bitmaps, KindHybridBitmap, DefaultDelta, &st)
+		n := MultiWay(dst, scratch, sets, bitmaps, KindHybridBitmap, DefaultDelta, &st)
 		got := dst[:n]
 		if len(got) != len(want) {
 			t.Fatalf("trial %d (k=%d): len %d, want %d", trial, k, len(got), len(want))
@@ -150,7 +150,7 @@ func TestMultiWayBitmapMixes(t *testing.T) {
 		dst := make([]graph.VertexID, 3)
 		scratch := make([]graph.VertexID, 3)
 		var st Stats
-		n := MultiWayBitmap(dst, scratch, sets, bitmaps, KindHybridBitmap, DefaultDelta, &st)
+		n := MultiWay(dst, scratch, sets, bitmaps, KindHybridBitmap, DefaultDelta, &st)
 		if !reflect.DeepEqual(dst[:n], want) {
 			t.Fatalf("%s: got %v, want %v", name, dst[:n], want)
 		}
@@ -176,7 +176,7 @@ func TestMultiWayBitmapMixes(t *testing.T) {
 func TestMultiWayBitmapEmptyOperand(t *testing.T) {
 	sets := [][]graph.VertexID{ids(1, 2), ids()}
 	bitmaps := []*bitset.Bitmap{nil, bm(ids())}
-	if n := MultiWayBitmap(nil, nil, sets, bitmaps, KindHybridBitmap, DefaultDelta, nil); n != 0 {
+	if n := MultiWay(nil, nil, sets, bitmaps, KindHybridBitmap, DefaultDelta, nil); n != 0 {
 		t.Fatalf("empty operand: n = %d", n)
 	}
 	// Probe phase short-circuit: a bitmap pass that empties the base
@@ -186,7 +186,7 @@ func TestMultiWayBitmapEmptyOperand(t *testing.T) {
 	bitmaps = []*bitset.Bitmap{nil, bm(ids(2, 3)), nil}
 	dst := make([]graph.VertexID, 1)
 	scratch := make([]graph.VertexID, 1)
-	if n := MultiWayBitmap(dst, scratch, sets, bitmaps, KindHybridBitmap, DefaultDelta, &st); n != 0 {
+	if n := MultiWay(dst, scratch, sets, bitmaps, KindHybridBitmap, DefaultDelta, &st); n != 0 {
 		t.Fatalf("probe-emptied base: n = %d", n)
 	}
 	if st.Intersections != 1 {
@@ -195,7 +195,7 @@ func TestMultiWayBitmapEmptyOperand(t *testing.T) {
 }
 
 // TestQuickBitmapEquivalence property-checks MergeBitmap and a fully
-// bitmap-backed MultiWayBitmap against the scalar reference on
+// bitmap-backed MultiWay against the scalar reference on
 // arbitrary inputs (the τ-boundary analogue: any set may be a "hub").
 func TestQuickBitmapEquivalence(t *testing.T) {
 	f := func(xs, ys []uint16) bool {
@@ -221,7 +221,7 @@ func TestQuickBitmapEquivalence(t *testing.T) {
 		}
 		d2 := make([]graph.VertexID, minLen)
 		s2 := make([]graph.VertexID, minLen)
-		n2 := MultiWayBitmap(d2, s2, [][]graph.VertexID{a, b}, []*bitset.Bitmap{bm(a), bm(b)}, KindMergeBitmap, DefaultDelta, nil)
+		n2 := MultiWay(d2, s2, [][]graph.VertexID{a, b}, []*bitset.Bitmap{bm(a), bm(b)}, KindMergeBitmap, DefaultDelta, nil)
 		if n2 != len(want) {
 			return false
 		}

@@ -17,7 +17,10 @@
 // alias a. Each kernel returns the number of elements written.
 package intersect
 
-import "light/internal/graph"
+import (
+	"light/internal/bitset"
+	"light/internal/graph"
+)
 
 // DefaultDelta is the Hybrid size-ratio threshold δ from the paper
 // (configured as 50 based on Lemire et al.'s performance study).
@@ -44,7 +47,7 @@ const (
 	// stand-in for the paper's HybridAVX2.
 	KindHybridBlock
 	// KindMergeBitmap probes hub bitmaps for high-degree K1 operands and
-	// falls back to MergeBlock between plain lists (see MultiWayBitmap).
+	// falls back to MergeBlock between plain lists (see MultiWay).
 	KindMergeBitmap
 	// KindHybridBitmap probes hub bitmaps and falls back to HybridBlock
 	// between plain lists — the production bitmap configuration.
@@ -142,7 +145,7 @@ func Pair(dst, a, b []graph.VertexID, k Kind, delta int, stats *Stats) int {
 		stats.Elements += uint64(len(a) + len(b))
 	}
 	// Pair has no bitmap operands; bitmap kinds run their list fallback
-	// here (MultiWayBitmap is the bitmap-aware entry point).
+	// here (MultiWay is the bitmap-aware entry point).
 	k = k.ListFallback()
 	switch k {
 	case KindMerge:
@@ -428,12 +431,19 @@ func Contains(s []graph.VertexID, x graph.VertexID) bool {
 // capacity used for ping-ponging; dst and scratch must each have capacity
 // at least min over sets of len. Returns the count written into dst.
 //
-// The sets slice is reordered in place (ascending length). With one set,
-// its contents are copied into dst; an undersized dst panics instead of
-// silently truncating (see copySingle).
+// bitmaps is empty (nil means none) or runs in lockstep with sets:
+// bitmaps[i], when non-nil, is the hub-bitmap form of sets[i]. Every
+// bitmap-backed operand but the smallest set is applied as a probe
+// filter over it (each pass costs O(|current|)), and the remaining plain
+// lists are intersected with Pair; with no bitmap operand the call is
+// exactly kernel k's list intersection.
+//
+// sets and bitmaps are reordered in place, in lockstep (ascending
+// length). With one set, its contents are copied into dst; an undersized
+// dst panics instead of silently truncating (see copySingle).
 //
 //light:hotpath
-func MultiWay(dst, scratch []graph.VertexID, sets [][]graph.VertexID, k Kind, delta int, stats *Stats) int {
+func MultiWay(dst, scratch []graph.VertexID, sets [][]graph.VertexID, bitmaps []*bitset.Bitmap, k Kind, delta int, stats *Stats) int {
 	switch len(sets) {
 	case 0:
 		return 0
@@ -449,14 +459,40 @@ func MultiWay(dst, scratch []graph.VertexID, sets [][]graph.VertexID, k Kind, de
 			}
 		}
 		sets[i], sets[min] = sets[min], sets[i]
+		if len(bitmaps) > 0 {
+			bitmaps[i], bitmaps[min] = bitmaps[min], bitmaps[i]
+		}
 	}
-	cur, other := dst, scratch
-	inDst := true
-	n := Pair(cur, sets[0], sets[1], k, delta, stats)
-	for i := 2; i < len(sets) && n > 0; i++ {
-		n = Pair(other, cur[:n], sets[i], k, delta, stats)
-		cur, other = other, cur
-		inDst = !inDst
+	// Probe phase: filter the smallest set through every bitmap-backed
+	// operand. MergeBitmap tolerates dst aliasing its input, so the
+	// running result stays in dst across passes. The base's own bitmap
+	// (bitmaps[0]) is never used — the base is iterated, not probed.
+	cur, n := sets[0], len(sets[0])
+	inDst := false
+	for i := 1; i < len(bitmaps); i++ {
+		if bitmaps[i] == nil {
+			continue
+		}
+		n = MergeBitmap(dst, cur, bitmaps[i], stats)
+		if n == 0 {
+			return 0
+		}
+		cur, inDst = dst[:n], true
+	}
+	// List phase: intersect the remaining plain lists, ping-ponging
+	// between dst and scratch. The first pair always runs — the list
+	// kernel counts it even when the smallest set is empty — and later
+	// pairs only while the running result is non-empty.
+	for i := 1; i < len(sets) && (n > 0 || i == 1); i++ {
+		if i < len(bitmaps) && bitmaps[i] != nil {
+			continue
+		}
+		out := dst
+		if inDst {
+			out = scratch
+		}
+		n = Pair(out, cur, sets[i], k, delta, stats)
+		cur, inDst = out[:n], !inDst
 	}
 	if !inDst {
 		copy(dst[:n], cur[:n])

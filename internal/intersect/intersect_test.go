@@ -245,38 +245,38 @@ func mustPanic(t *testing.T, name string, f func()) {
 func TestMultiWayCapacityEdges(t *testing.T) {
 	sets := func(ss ...[]graph.VertexID) [][]graph.VertexID { return ss }
 	// 0 sets: nil dst is fine, result 0.
-	if n := MultiWay(nil, nil, nil, KindMerge, DefaultDelta, nil); n != 0 {
+	if n := MultiWay(nil, nil, nil, nil, KindMerge, DefaultDelta, nil); n != 0 {
 		t.Fatalf("0 sets: n = %d", n)
 	}
 	// 1 empty set: zero-capacity dst satisfies the contract.
-	if n := MultiWay(nil, nil, sets(ids()), KindMerge, DefaultDelta, nil); n != 0 {
+	if n := MultiWay(nil, nil, sets(ids()), nil, KindMerge, DefaultDelta, nil); n != 0 {
 		t.Fatalf("1 empty set: n = %d", n)
 	}
 	// 1 set, exact capacity: full copy.
 	dst3 := make([]graph.VertexID, 3)
-	if n := MultiWay(dst3, nil, sets(ids(7, 8, 9)), KindMerge, DefaultDelta, nil); n != 3 {
+	if n := MultiWay(dst3, nil, sets(ids(7, 8, 9)), nil, KindMerge, DefaultDelta, nil); n != 3 {
 		t.Fatalf("1 set exact cap: n = %d, want 3", n)
 	}
 	// 1 set, undersized dst: must panic, not return a truncated count.
 	mustPanic(t, "MultiWay 1 set cap 2 < len 3", func() {
-		MultiWay(make([]graph.VertexID, 2), nil, sets(ids(7, 8, 9)), KindMerge, DefaultDelta, nil)
+		MultiWay(make([]graph.VertexID, 2), nil, sets(ids(7, 8, 9)), nil, KindMerge, DefaultDelta, nil)
 	})
 	mustPanic(t, "MultiWay 1 set nil dst", func() {
-		MultiWay(nil, nil, sets(ids(1)), KindMerge, DefaultDelta, nil)
+		MultiWay(nil, nil, sets(ids(1)), nil, KindMerge, DefaultDelta, nil)
 	})
 	// 2 sets: capacity = min set length is sufficient by contract.
 	dst1 := make([]graph.VertexID, 1)
 	scratch1 := make([]graph.VertexID, 1)
-	if n := MultiWay(dst1, scratch1, sets(ids(2), ids(1, 2, 3)), KindMerge, DefaultDelta, nil); n != 1 || dst1[0] != 2 {
+	if n := MultiWay(dst1, scratch1, sets(ids(2), ids(1, 2, 3)), nil, KindMerge, DefaultDelta, nil); n != 1 || dst1[0] != 2 {
 		t.Fatalf("2 sets: n = %d dst = %v", n, dst1)
 	}
 	// k sets with an empty operand: min length 0, zero-capacity buffers.
-	if n := MultiWay(nil, nil, sets(ids(1, 2), ids(), ids(3)), KindMerge, DefaultDelta, nil); n != 0 {
+	if n := MultiWay(nil, nil, sets(ids(1, 2), ids(), ids(3)), nil, KindMerge, DefaultDelta, nil); n != 0 {
 		t.Fatalf("k sets with empty operand: n = %d", n)
 	}
-	// MultiWayBitmap shares the single-set contract.
-	mustPanic(t, "MultiWayBitmap 1 set cap 0 < len 2", func() {
-		MultiWayBitmap(nil, nil, sets(ids(1, 2)), make([]*bitset.Bitmap, 1), KindHybridBitmap, DefaultDelta, nil)
+	// The single-set contract holds with bitmaps too.
+	mustPanic(t, "MultiWay with bitmaps 1 set cap 0 < len 2", func() {
+		MultiWay(nil, nil, sets(ids(1, 2)), make([]*bitset.Bitmap, 1), KindHybridBitmap, DefaultDelta, nil)
 	})
 }
 
@@ -316,7 +316,7 @@ func TestMultiWay(t *testing.T) {
 		dst := make([]graph.VertexID, minLen)
 		scratch := make([]graph.VertexID, minLen)
 		var st Stats
-		n := MultiWay(dst, scratch, sets, KindHybrid, DefaultDelta, &st)
+		n := MultiWay(dst, scratch, sets, nil, KindHybrid, DefaultDelta, &st)
 		got := dst[:n]
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: MultiWay len %d, want %d", trial, len(got), len(want))
@@ -336,17 +336,17 @@ func TestMultiWay(t *testing.T) {
 }
 
 func TestMultiWayEdgeCases(t *testing.T) {
-	if n := MultiWay(nil, nil, nil, KindMerge, DefaultDelta, nil); n != 0 {
+	if n := MultiWay(nil, nil, nil, nil, KindMerge, DefaultDelta, nil); n != 0 {
 		t.Fatalf("empty MultiWay = %d", n)
 	}
 	dst := make([]graph.VertexID, 3)
-	if n := MultiWay(dst, nil, [][]graph.VertexID{ids(1, 2, 3)}, KindMerge, DefaultDelta, nil); n != 3 {
+	if n := MultiWay(dst, nil, [][]graph.VertexID{ids(1, 2, 3)}, nil, KindMerge, DefaultDelta, nil); n != 3 {
 		t.Fatalf("single-set MultiWay = %d, want 3", n)
 	}
 	// An empty operand short-circuits: one intersection at most.
 	var st Stats
 	scratch := make([]graph.VertexID, 3)
-	n := MultiWay(dst, scratch, [][]graph.VertexID{ids(1, 2), ids(), ids(1)}, KindMerge, DefaultDelta, &st)
+	n := MultiWay(dst, scratch, [][]graph.VertexID{ids(1, 2), ids(), ids(1)}, nil, KindMerge, DefaultDelta, &st)
 	if n != 0 {
 		t.Fatalf("MultiWay with empty operand = %d, want 0", n)
 	}

@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 
+	"light/internal/delta"
 	"light/internal/engine"
 	"light/internal/faultpoint"
-	"light/internal/graph"
 	"light/internal/metrics"
 	"light/internal/parallel"
 	"light/internal/plan"
@@ -37,21 +37,22 @@ type Result struct {
 //
 // opts configures that pool and is batch-wide: every group runs under
 // the same engine configuration, which is what makes the shared
-// traversal's counters attributable. opts.Engine.Overlay is the queried
-// view's edge delta over g; opts.Engine.Lanes and Filter must be nil —
-// lanes are built per group, and per-query filters belong in each Spec.
+// traversal's counters attributable. view is the queried snapshot;
+// opts.Engine.Overlay, Lanes and Filter must be nil — every job reads
+// view, lanes are built per group, and per-query filters belong in each
+// Spec.
 // opts.Engine.Metrics, when non-nil, receives the batch's shared
 // (actually-performed) work. recorders, when non-nil, must have one entry
 // per query (nil entries allowed); query i's exact attributed counters
 // are folded into recorders[i], giving each query an
 // individually-reportable metrics snapshot.
-func Run(ctx context.Context, g *graph.Graph, queries []Query, opts parallel.Options, recorders []*metrics.Recorder) (Result, error) {
+func Run(ctx context.Context, view delta.View, queries []Query, opts parallel.Options, recorders []*metrics.Recorder) (Result, error) {
 	res := Result{PerQuery: make([]engine.LaneCounts, len(queries))}
 	if len(queries) == 0 {
 		return res, nil
 	}
-	if opts.Engine.Lanes != nil || opts.Engine.Filter != nil {
-		return res, fmt.Errorf("lanes: Options.Engine must not set Lanes or Filter (per-query state belongs in Specs)")
+	if opts.Engine.Overlay != nil || opts.Engine.Lanes != nil || opts.Engine.Filter != nil {
+		return res, fmt.Errorf("lanes: Options.Engine must not set Overlay, Lanes or Filter (the view is Run's argument; per-query state belongs in Specs)")
 	}
 	if recorders != nil && len(recorders) != len(queries) {
 		return res, fmt.Errorf("lanes: %d recorders for %d queries", len(recorders), len(queries))
@@ -66,24 +67,19 @@ func Run(ctx context.Context, g *graph.Graph, queries []Query, opts parallel.Opt
 	}
 
 	groups := groupQueries(queries)
-	// Root bitsets must span the queried view: an overlay can add
-	// vertices beyond the base CSR's count.
-	ov := opts.Engine.Overlay
-	nv := g.NumVertices()
-	if ov != nil {
-		nv = ov.NumVertices()
-	}
 	jobs := make([]parallel.Job, len(groups))
 	for gi, grp := range groups {
 		specs := make([]Spec, len(grp))
 		for lane, qi := range grp {
 			specs[lane] = queries[qi].Spec
 		}
-		set, err := NewSet(nv, specs)
+		// Root bitsets span the view: an overlay can add vertices
+		// beyond the base CSR's count.
+		set, err := NewSet(view.NumVertices(), specs)
 		if err != nil {
 			return res, err
 		}
-		jobs[gi] = parallel.Job{Graph: g, Overlay: ov, Plan: queries[grp[0]].Plan, Lanes: set}
+		jobs[gi] = parallel.Job{View: view, Plan: queries[grp[0]].Plan, Lanes: set}
 	}
 	pres, err := parallel.RunJobs(ctx, opts, jobs)
 	res.Result = pres

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"light/internal/delta"
 	"light/internal/engine"
 	"light/internal/gen"
 	"light/internal/graph"
@@ -54,7 +55,7 @@ func TestBatchRunParity(t *testing.T) {
 		for i := range recs {
 			recs[i] = metrics.NewRecorder()
 		}
-		res, err := Run(context.Background(), g, queries, parallel.Options{Workers: workers}, recs)
+		res, err := Run(context.Background(), delta.NewView(g, nil), queries, parallel.Options{Workers: workers}, recs)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -88,24 +89,33 @@ func TestBatchRunValidation(t *testing.T) {
 	pl := compile(t, pattern.Triangle())
 	ctx := context.Background()
 
-	if res, err := Run(ctx, g, nil, parallel.Options{}, nil); err != nil || len(res.Jobs) != 0 {
+	if res, err := Run(ctx, delta.NewView(g, nil), nil, parallel.Options{}, nil); err != nil || len(res.Jobs) != 0 {
 		t.Errorf("empty batch: %+v, %v", res, err)
 	}
-	if _, err := Run(ctx, g, []Query{{}}, parallel.Options{}, nil); err == nil {
+	if _, err := Run(ctx, delta.NewView(g, nil), []Query{{}}, parallel.Options{}, nil); err == nil {
 		t.Error("nil plan accepted")
 	}
 	set, _ := NewSet(g.NumVertices(), []Spec{{}})
-	if _, err := Run(ctx, g, []Query{{Plan: pl}}, parallel.Options{
+	if _, err := Run(ctx, delta.NewView(g, nil), []Query{{Plan: pl}}, parallel.Options{
 		Engine: engine.Options{Lanes: set},
 	}, nil); err == nil {
 		t.Error("pre-set Engine.Lanes accepted")
 	}
-	if _, err := Run(ctx, g, []Query{{Plan: pl}}, parallel.Options{
+	if _, err := Run(ctx, delta.NewView(g, nil), []Query{{Plan: pl}}, parallel.Options{
 		Engine: engine.Options{Filter: func(u int, v graph.VertexID) bool { return true }},
 	}, nil); err == nil {
 		t.Error("batch-wide Engine.Filter accepted")
 	}
-	if _, err := Run(ctx, g, []Query{{Plan: pl}, {Plan: pl}}, parallel.Options{}, make([]*metrics.Recorder, 1)); err == nil {
+	ov, err := delta.Apply(g, nil, []delta.Edge{{U: 0, V: 29}}, nil)
+	if err != nil || ov == nil {
+		t.Fatalf("Apply: %v, %v", ov, err)
+	}
+	if _, err := Run(ctx, delta.NewView(g, nil), []Query{{Plan: pl}}, parallel.Options{
+		Engine: engine.Options{Overlay: ov},
+	}, nil); err == nil {
+		t.Error("Engine.Overlay beside the view accepted")
+	}
+	if _, err := Run(ctx, delta.NewView(g, nil), []Query{{Plan: pl}, {Plan: pl}}, parallel.Options{}, make([]*metrics.Recorder, 1)); err == nil {
 		t.Error("recorder count mismatch accepted")
 	}
 }
@@ -117,7 +127,7 @@ func TestBatchRunCancellation(t *testing.T) {
 	pl := compile(t, pattern.P4())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Run(ctx, g, []Query{{Plan: pl}}, parallel.Options{Workers: 2}, nil)
+	res, err := Run(ctx, delta.NewView(g, nil), []Query{{Plan: pl}}, parallel.Options{Workers: 2}, nil)
 	if err != context.Canceled {
 		t.Fatalf("err = %v", err)
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"light/internal/delta"
 	"light/internal/faultpoint"
 	"light/internal/gen"
 	"light/internal/metrics"
@@ -24,7 +25,7 @@ func TestChaosBatchAdmit(t *testing.T) {
 	g := gen.ErdosRenyi(50, 150, 1)
 	pl := compile(t, pattern.Triangle())
 	faultpoint.Set(faultpoint.PointBatchAdmit, faultpoint.FailTimes(1, errInjected))
-	res, err := Run(context.Background(), g, []Query{{Plan: pl}}, parallel.Options{}, nil)
+	res, err := Run(context.Background(), delta.NewView(g, nil), []Query{{Plan: pl}}, parallel.Options{}, nil)
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v", err)
 	}
@@ -45,7 +46,7 @@ func TestChaosLaneFold(t *testing.T) {
 	pl := compile(t, pattern.Triangle())
 	faultpoint.Set(faultpoint.PointLaneFold, faultpoint.FailTimes(1, errInjected))
 	recs := []*metrics.Recorder{metrics.NewRecorder()}
-	res, err := Run(context.Background(), g, []Query{{Plan: pl}}, parallel.Options{}, recs)
+	res, err := Run(context.Background(), delta.NewView(g, nil), []Query{{Plan: pl}}, parallel.Options{}, recs)
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v", err)
 	}
@@ -54,7 +55,7 @@ func TestChaosLaneFold(t *testing.T) {
 	}
 	// A second run with the fault spent must succeed and fold cleanly.
 	recs2 := []*metrics.Recorder{metrics.NewRecorder()}
-	res2, err := Run(context.Background(), g, []Query{{Plan: pl}}, parallel.Options{}, recs2)
+	res2, err := Run(context.Background(), delta.NewView(g, nil), []Query{{Plan: pl}}, parallel.Options{}, recs2)
 	if err != nil {
 		t.Fatal(err)
 	}

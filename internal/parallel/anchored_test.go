@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"light/internal/delta"
 	"light/internal/engine"
 	"light/internal/estimate"
 	"light/internal/gen"
@@ -70,7 +71,7 @@ func TestRunAnchoredReachesEveryEmbeddingOncePerEdge(t *testing.T) {
 			counts := make([]uint64, len(graphs))
 			for gi, g := range graphs {
 				counts[gi] = sequentialCount(t, g, rooted)
-				jobs, of = append(jobs, Job{Graph: g, Plan: rooted}), append(of, gi)
+				jobs, of = append(jobs, Job{View: delta.NewView(g, nil), Plan: rooted}), append(of, gi)
 				anchors := edgeAnchors(g)
 				stats := estimate.Collect(g)
 				for _, e := range p.Edges() {
@@ -79,7 +80,7 @@ func TestRunAnchoredReachesEveryEmbeddingOncePerEdge(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						jobs, of = append(jobs, Job{Graph: g, Plan: pl, Anchors: anchors}), append(of, gi)
+						jobs, of = append(jobs, Job{View: delta.NewView(g, nil), Plan: pl, Anchors: anchors}), append(of, gi)
 					}
 				}
 			}

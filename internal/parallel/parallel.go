@@ -209,17 +209,16 @@ func RunContext(ctx context.Context, g *graph.Graph, pl *plan.Plan, opts Options
 			return !stopped
 		}
 	}
-	return RunJobs(ctx, opts, []Job{{Graph: g, Overlay: opts.Engine.Overlay, Plan: pl, Lanes: opts.Engine.Lanes, Visit: visit}})
+	return RunJobs(ctx, opts, []Job{{View: delta.NewView(g, opts.Engine.Overlay), Plan: pl, Lanes: opts.Engine.Lanes, Visit: visit}})
 }
 
 // Job is one plan a run executes over one view of the graph, from its
 // own units, reporting its matches to its own visitor.
 type Job struct {
-	// Graph is the base CSR of the job's view and Overlay, when non-nil,
-	// the edge delta over it. The jobs of one run may read different views.
-	Graph   *graph.Graph
-	Overlay *delta.Overlay
-	Plan    *plan.Plan
+	// View is the snapshot the job reads. The jobs of one run may read
+	// different views.
+	View delta.View
+	Plan *plan.Plan
 	// Lanes, when non-nil, runs Plan in lane mode (engine.Options.Lanes).
 	Lanes engine.LaneProber
 	// Anchors are the job's units, claimed one at a time and run with
@@ -249,7 +248,7 @@ func RunJobs(ctx context.Context, opts Options, jobs []Job) (Result, error) {
 	if (opts.Checkpoint != nil || opts.Resume != nil) && (len(jobs) > 1 || jobs[0].Anchors != nil) {
 		return Result{}, errors.New("parallel: checkpoint/resume need a single rooted job")
 	}
-	g, pl := jobs[0].Graph, jobs[0].Plan // what checkpoints and resumes bind to
+	g, pl := jobs[0].View.Base(), jobs[0].Plan // what checkpoints and resumes bind to
 	if opts.Engine.Delta < 0 {
 		// Reject here, before workers spawn: engine.New panics on a
 		// negative δ (it would silently degrade every Hybrid kernel to
@@ -257,7 +256,7 @@ func RunJobs(ctx context.Context, opts Options, jobs []Job) (Result, error) {
 		// worse failure report than a plain error at the entry point.
 		return Result{}, fmt.Errorf("parallel: Engine.Delta is %d, must be non-negative", opts.Engine.Delta)
 	}
-	if jobs[0].Overlay != nil && (opts.Checkpoint != nil || opts.Resume != nil) {
+	if jobs[0].View.Overlay() != nil && (opts.Checkpoint != nil || opts.Resume != nil) {
 		// Checkpoint fingerprints bind only the base graph's structure
 		// (supervise.Fingerprint hashes N/M/d_max + plan), so a pending
 		// edge delta would silently validate against a stale file.
@@ -318,11 +317,7 @@ func RunJobs(ctx context.Context, opts Options, jobs []Job) (Result, error) {
 			// overlay vertices included, so matches rooted at a newly
 			// inserted vertex are not lost — less what a resumed
 			// checkpoint committed.
-			n := jb.Graph.NumVertices()
-			if jb.Overlay != nil {
-				n = jb.Overlay.NumVertices()
-			}
-			st.roots = pendingRoots(n, priorDone)
+			st.roots = pendingRoots(jb.View.NumVertices(), priorDone)
 			r.total += int64(len(st.roots))
 		}
 		st.end = r.total
@@ -803,8 +798,8 @@ func (r *run) engine(s *seat, job int) *engine.Enumerator {
 	}
 	jb := &r.jobs[job]
 	eopts := r.opts.Engine
-	eopts.Arena, eopts.Overlay, eopts.Lanes = s.ar, jb.Overlay, jb.Lanes
-	e := engine.New(jb.Graph, jb.Plan, eopts)
+	eopts.Arena, eopts.Overlay, eopts.Lanes = s.ar, jb.View.Overlay(), jb.Lanes
+	e := engine.New(jb.View.Base(), jb.Plan, eopts)
 	e.Stop = &r.stop
 	e.Progress = &s.beat
 	s.engines[job] = e

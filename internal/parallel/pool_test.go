@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"light/internal/delta"
 	"light/internal/gen"
 	"light/internal/graph"
 	"light/internal/pattern"
@@ -41,7 +42,7 @@ func TestPoolRunCaps(t *testing.T) {
 					inside.Add(-1)
 					return true
 				}
-				res, err := RunJobs(ctx, Options{Workers: c, Pool: pool, ChunkSize: 4}, []Job{{Graph: g, Plan: pl, Visit: visit}})
+				res, err := RunJobs(ctx, Options{Workers: c, Pool: pool, ChunkSize: 4}, []Job{{View: delta.NewView(g, nil), Plan: pl, Visit: visit}})
 				if err != nil {
 					t.Errorf("cap %d: %v", c, err)
 					return
@@ -76,7 +77,7 @@ func TestPoolRunCaps(t *testing.T) {
 		}
 		filling := make(chan outcome, 1)
 		go func() {
-			res, err := RunJobs(ctx, Options{Workers: w, Pool: pool}, []Job{{Graph: g, Plan: pl, Visit: func([]graph.VertexID) bool {
+			res, err := RunJobs(ctx, Options{Workers: w, Pool: pool}, []Job{{View: delta.NewView(g, nil), Plan: pl, Visit: func([]graph.VertexID) bool {
 				once.Do(func() { close(started) })
 				if lateStarted.Load() {
 					after.Add(1)
@@ -100,7 +101,7 @@ func TestPoolRunCaps(t *testing.T) {
 				t.Fatal("the filling run never had every worker inside")
 			}
 		}
-		res, err := RunJobs(ctx, Options{Workers: 1, Pool: pool}, []Job{{Graph: g, Plan: pl, Visit: func([]graph.VertexID) bool {
+		res, err := RunJobs(ctx, Options{Workers: 1, Pool: pool}, []Job{{View: delta.NewView(g, nil), Plan: pl, Visit: func([]graph.VertexID) bool {
 			lateStarted.Store(true)
 			return true
 		}}})

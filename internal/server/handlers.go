@@ -21,7 +21,7 @@ const maxRequestBytes = 8 << 20
 // /batch requests. Zero values mean the library defaults (LIGHT,
 // HybridBitmap, one worker).
 type QueryOptions struct {
-	// Algorithm is SE, LM, MSC, or LIGHT.
+	// Algorithm is SE, LM, MSC, or LIGHT (any case; "" is LIGHT).
 	Algorithm string `json:"algorithm,omitempty"`
 	// Kernel is Merge, MergeBlock, Galloping, Hybrid, HybridBlock,
 	// MergeBitmap, or HybridBitmap; empty selects the library default
@@ -113,25 +113,10 @@ func resolvePattern(name string, spec *patternSpec) (*light.Pattern, error) {
 	}
 }
 
-// parseAlgorithm maps the wire name to the library enum.
-func parseAlgorithm(name string) (light.Algorithm, error) {
-	switch name {
-	case "", "LIGHT":
-		return light.LIGHT, nil
-	case "SE":
-		return light.SE, nil
-	case "LM":
-		return light.LM, nil
-	case "MSC":
-		return light.MSC, nil
-	}
-	return 0, fmt.Errorf("unknown algorithm %q (want SE, LM, MSC, or LIGHT)", name)
-}
-
 // buildOptions translates wire options into light.Options under the
 // server's governor.
 func (s *Server) buildOptions(qo QueryOptions) (light.Options, error) {
-	algo, err := parseAlgorithm(qo.Algorithm)
+	algo, err := light.ParseAlgorithm(qo.Algorithm)
 	if err != nil {
 		return light.Options{}, err
 	}

@@ -26,10 +26,10 @@ type LabeledGraph struct {
 // first (later ApplyEdges calls on g do not change the labeled view).
 func WithLabels(g *Graph, labels []Label) (*LabeledGraph, error) {
 	st := g.snap()
-	if st.ov != nil {
+	if st.view.Overlay() != nil {
 		return nil, fmt.Errorf("%w: WithLabels with pending edge deltas; call Compact first", ErrUnsupportedOption)
 	}
-	lg, err := labeled.NewGraph(st.base, labels)
+	lg, err := labeled.NewGraph(st.view.Base(), labels)
 	if err != nil {
 		return nil, err
 	}

@@ -78,8 +78,7 @@ type Graph struct {
 // plus an optional copy-on-write edge overlay. All fields are read-only
 // after publication.
 type snapshotState struct {
-	base *graph.Graph
-	ov   *delta.Overlay // nil when the view equals base
+	view delta.View
 	gen  uint64
 	// stats caches the planner's graph statistics per base CSR (one
 	// triangle-counting pass, paid by the first query that plans);
@@ -97,102 +96,44 @@ type baseStats struct {
 // newGraph wraps a finalized CSR as a fresh generation-0 Graph.
 func newGraph(gg *graph.Graph, oldToNew []graph.VertexID) *Graph {
 	g := &Graph{oldToNew: oldToNew}
-	g.head.Store(&snapshotState{base: gg, stats: &baseStats{}})
+	g.head.Store(&snapshotState{view: delta.NewView(gg, nil), stats: &baseStats{}})
 	return g
 }
 
 // snap returns the latest published snapshot state.
 func (g *Graph) snap() *snapshotState { return g.head.Load() }
 
-func (s *snapshotState) numVertices() int {
-	if s.ov != nil {
-		return s.ov.NumVertices()
-	}
-	return s.base.NumVertices()
-}
-
-func (s *snapshotState) numEdges() int64 {
-	if s.ov != nil {
-		return s.ov.NumEdges()
-	}
-	return s.base.NumEdges()
-}
-
-func (s *snapshotState) maxDegree() int {
-	if s.ov != nil {
-		return s.ov.MaxDegree()
-	}
-	return s.base.MaxDegree()
-}
-
-func (s *snapshotState) fingerprint() uint64 {
-	if s.ov != nil {
-		return s.ov.Fingerprint()
-	}
-	return s.base.Fingerprint()
-}
-
-func (s *snapshotState) deltaEdges() int {
-	if s.ov != nil {
-		return s.ov.DeltaEdges()
-	}
-	return 0
-}
-
 // planStats returns the cached estimator statistics for the snapshot's
 // base CSR, computing them once per base. Safe for concurrent queries.
 func (s *snapshotState) planStats() estimate.GraphStats {
-	s.stats.once.Do(func() { s.stats.stats = estimate.Collect(s.base) })
+	s.stats.once.Do(func() { s.stats.stats = estimate.Collect(s.view.Base()) })
 	return s.stats.stats
 }
 
 // NumVertices returns |V(G)| of the latest snapshot.
-func (g *Graph) NumVertices() int { return g.snap().numVertices() }
+func (g *Graph) NumVertices() int { return g.snap().view.NumVertices() }
 
 // NumEdges returns |E(G)| of the latest snapshot.
-func (g *Graph) NumEdges() int64 { return g.snap().numEdges() }
+func (g *Graph) NumEdges() int64 { return g.snap().view.NumEdges() }
 
 // MaxDegree returns an upper bound on the maximum vertex degree of the
 // latest snapshot (exact when no edge deltas are pending).
-func (g *Graph) MaxDegree() int { return g.snap().maxDegree() }
+func (g *Graph) MaxDegree() int { return g.snap().view.MaxDegree() }
 
 // Degree returns the degree of v in the latest snapshot.
-func (g *Graph) Degree(v VertexID) int {
-	s := g.snap()
-	if s.ov != nil {
-		return s.ov.Degree(v)
-	}
-	return s.base.Degree(v)
-}
+func (g *Graph) Degree(v VertexID) int { return g.snap().view.Degree(v) }
 
 // Neighbors returns the sorted neighbor list of v in the latest
 // snapshot. The returned slice must not be modified.
-func (g *Graph) Neighbors(v VertexID) []VertexID {
-	s := g.snap()
-	if s.ov != nil {
-		return s.ov.Neighbors(v)
-	}
-	return s.base.Neighbors(v)
-}
+func (g *Graph) Neighbors(v VertexID) []VertexID { return g.snap().view.Neighbors(v) }
 
-// HasEdge reports whether the edge (u, v) exists in the latest snapshot.
-func (g *Graph) HasEdge(u, v VertexID) bool {
-	s := g.snap()
-	if s.ov != nil {
-		return s.ov.HasEdge(u, v)
-	}
-	return s.base.HasEdge(u, v)
-}
+// HasEdge reports whether the edge (u, v) exists in the latest
+// snapshot; ids at or past NumVertices have none.
+func (g *Graph) HasEdge(u, v VertexID) bool { return g.snap().view.HasEdge(u, v) }
 
 // MemoryBytes returns the CSR memory footprint (plus the overlay's,
 // when edge deltas are pending).
-func (g *Graph) MemoryBytes() int64 {
-	s := g.snap()
-	if s.ov != nil {
-		return s.base.MemoryBytes() + s.ov.MemoryBytes()
-	}
-	return s.base.MemoryBytes()
-}
+func (g *Graph) MemoryBytes() int64 { return g.snap().view.MemoryBytes() }
 
 // Fingerprint returns a stable content hash of the latest snapshot's
 // adjacency, identifying it for graph registries and result caches (see
@@ -200,20 +141,20 @@ func (g *Graph) MemoryBytes() int64 {
 // edge deltas the hash covers base plus delta, so every ApplyEdges batch
 // that changes the view changes the fingerprint. Computed once per
 // snapshot on first use; safe for concurrent callers.
-func (g *Graph) Fingerprint() uint64 { return g.snap().fingerprint() }
+func (g *Graph) Fingerprint() uint64 { return g.snap().view.Fingerprint() }
 
 // NumHubs returns how many vertices the current hub index holds
 // bitmaps for (0 when the index was dropped as not worthwhile).
-func (g *Graph) NumHubs() int { return g.snap().base.NumHubs() }
+func (g *Graph) NumHubs() int { return g.snap().view.Base().NumHubs() }
 
 // String summarizes the graph.
 func (g *Graph) String() string {
 	s := g.snap()
-	if s.ov != nil {
+	if s.view.Overlay() != nil {
 		return fmt.Sprintf("%s (+%d pending delta edges, gen %d)",
-			s.base.String(), s.ov.DeltaEdges(), s.gen)
+			s.view.Base().String(), s.view.DeltaEdges(), s.gen)
 	}
-	return s.base.String()
+	return s.view.Base().String()
 }
 
 // NewGraph builds a data graph from an edge list over n vertices
@@ -280,10 +221,10 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 // representable in the CSR format; call Compact first.
 func (g *Graph) SaveCSR(path string) error {
 	s := g.snap()
-	if s.ov != nil {
+	if s.view.Overlay() != nil {
 		return fmt.Errorf("%w: SaveCSR with pending edge deltas; call Compact first", ErrUnsupportedOption)
 	}
-	return s.base.SaveCSR(path)
+	return s.view.Base().SaveCSR(path)
 }
 
 // LoadCSR reads a graph written by SaveCSR. Graphs written by this
@@ -375,6 +316,22 @@ const (
 
 // String returns the algorithm name used in the paper.
 func (a Algorithm) String() string { return a.mode().Name() }
+
+// ParseAlgorithm maps an algorithm name — one of the four String
+// spellings, matched without regard to case — to its Algorithm. The
+// empty name selects LIGHT. The CLI flag and lightd's wire option both
+// go through it.
+func ParseAlgorithm(name string) (Algorithm, error) {
+	if name == "" {
+		return LIGHT, nil
+	}
+	for a := LIGHT; a <= MSC; a++ {
+		if strings.EqualFold(a.String(), name) {
+			return a, nil
+		}
+	}
+	return 0, fmt.Errorf("light: unknown algorithm %q (want LIGHT, SE, LM or MSC)", name)
+}
 
 func (a Algorithm) mode() plan.Mode {
 	switch a {
@@ -605,7 +562,7 @@ func CountContext(ctx context.Context, g *Graph, p *Pattern, opts Options) (Resu
 // visit(m) receives the data vertex m[u] matched to each pattern vertex
 // u. The slice is reused — copy it to retain. The order in which
 // matches arrive is unspecified, at any worker count: the pool deals
-// roots out heaviest first and splits their loops between workers.
+// root chunks out heaviest first, and each worker walks its own.
 // Returning false stops the enumeration, and visit is never called
 // again once it has returned false (or panicked) — at any worker count,
 // so a visitor that stops at its N-th match sees exactly N calls. visit
@@ -642,7 +599,7 @@ func run(ctx context.Context, g *Graph, p *Pattern, opts Options, visit engine.V
 	if err != nil {
 		return Result{}, err
 	}
-	if st.ov != nil && (opts.CheckpointPath != "" || opts.ResumeFrom != "") {
+	if st.view.Overlay() != nil && (opts.CheckpointPath != "" || opts.ResumeFrom != "") {
 		return Result{}, fmt.Errorf("%w: checkpoint/resume require a compacted snapshot; call Compact before checkpointing", ErrUnsupportedOption)
 	}
 	pl, err := preparePlan(st, p, opts)
@@ -662,7 +619,7 @@ func execute(ctx context.Context, st *snapshotState, pl *plan.Plan, opts Options
 		TimeLimit: opts.TimeLimit,
 		Filter:    filter,
 		Metrics:   rec,
-		Overlay:   st.ov,
+		Overlay:   st.view.Overlay(),
 	}}
 	start := time.Now()
 	if opts.CheckpointPath != "" {
@@ -679,8 +636,8 @@ func execute(ctx context.Context, st *snapshotState, pl *plan.Plan, opts Options
 		popts.Resume = ck
 	}
 
-	pres, degradations, err := opts.governed(ctx, rec, st.maxDegree(), len(pl.Pi), popts, func(popts parallel.Options) (parallel.Result, error) {
-		return parallel.RunContext(ctx, st.base, pl, popts, visit)
+	pres, degradations, err := opts.governed(ctx, rec, st.view.MaxDegree(), len(pl.Pi), popts, func(popts parallel.Options) (parallel.Result, error) {
+		return parallel.RunContext(ctx, st.view.Base(), pl, popts, visit)
 	})
 	if pres == nil {
 		return Result{}, err

@@ -265,6 +265,26 @@ func TestNames(t *testing.T) {
 	}
 }
 
+func TestParseAlgo(t *testing.T) {
+	for name, want := range map[string]Algorithm{
+		"": LIGHT, "LIGHT": LIGHT, "light": LIGHT,
+		"SE": SE, "se": SE, "lm": LM, "MSC": MSC, "Msc": MSC,
+	} {
+		got, err := ParseAlgorithm(name)
+		if err != nil || got != want {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v, want %v", name, got, err, want)
+		}
+	}
+	for _, a := range []Algorithm{LIGHT, SE, LM, MSC} {
+		if got, err := ParseAlgorithm(a.String()); err != nil || got != a {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v", a, got, err)
+		}
+	}
+	if _, err := ParseAlgorithm("bogus"); err == nil {
+		t.Error("bogus algorithm accepted")
+	}
+}
+
 func TestGenerators(t *testing.T) {
 	if g := GenerateErdosRenyi(50, 100, 1); g.NumEdges() != 100 {
 		t.Fatal("ER")
@@ -449,7 +469,7 @@ func TestDefaultKernelEquivalence(t *testing.T) {
 			// adds a few edges elsewhere and removes one.
 			n := g.NumVertices()
 			var add, rem [][2]VertexID
-			base := g.snap().base
+			base := g.snap().view.Base()
 			for v := 0; v < n; v++ {
 				if base.HubBitmap(VertexID(v)) == nil {
 					continue

@@ -141,7 +141,7 @@ func newRunReport(rec *metrics.Recorder, opts Options, st *snapshotState, worker
 		WatchdogStalls:    rec.Get(metrics.WatchdogStalls),
 		DegradationEvents: degradations,
 
-		DeltaEdges:  st.deltaEdges(),
+		DeltaEdges:  st.view.DeltaEdges(),
 		SnapshotGen: st.gen,
 
 		CandidateMemoryBytes: memBytes,

@@ -42,6 +42,24 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> inlining guard: delta.View's Neighbors and Degree inline into the engine's hot loop"
+# A View read pushed over the inline budget would put a CALL in the
+# innermost loop, and no test or counter would notice. Every call site of
+# Neighbors in computeShared and of Degree in matLoop must be reported
+# inlined by the compiler.
+INLINED=$(go build -gcflags=-m ./internal/engine 2>&1)
+for pair in computeShared:Neighbors matLoop:Degree; do
+    fn=${pair%%:*} meth=${pair##*:}
+    read -r lo hi < <(awk -v f="$fn" 'index($0, "func (e *Enumerator) " f "(") == 1 {lo = NR} lo && !hi && /^}/ {hi = NR} END {print lo + 0, hi + 0}' internal/engine/engine.go)
+    sites=$(awk -v lo="$lo" -v hi="$hi" -v r="e.view.$meth(" 'NR >= lo && NR <= hi {s = $0; while ((i = index(s, r)) > 0) {n++; s = substr(s, i + length(r))}} END {print n + 0}' internal/engine/engine.go)
+    inl=$(awk -F: -v lo="$lo" -v hi="$hi" -v want=" inlining call to delta.View.$meth" \
+        '$1 == "internal/engine/engine.go" && $2 >= lo && $2 <= hi && $4 == want {print $2 ":" $3}' <<<"$INLINED" | sort -u | wc -l)
+    if (( lo == 0 || sites == 0 || inl != sites )); then
+        echo "verify: FAIL — delta.View.$meth is inlined at $inl of $sites call sites in (*Enumerator).$fn (lines $lo-$hi)" >&2
+        exit 1
+    fi
+done
+
 echo "==> gofmt -l (lint testdata keeps its deliberately odd sources)"
 UNFORMATTED=$(gofmt -l . | grep -v '^internal/lint/testdata/' || true)
 if [[ -n "$UNFORMATTED" ]]; then

@@ -30,22 +30,22 @@ func (s *Snapshot) Generation() uint64 { return s.st.gen }
 // Fingerprint returns the content hash of the snapshot's adjacency
 // (base CSR plus pending deltas); equal fingerprints mean identical
 // adjacency.
-func (s *Snapshot) Fingerprint() uint64 { return s.st.fingerprint() }
+func (s *Snapshot) Fingerprint() uint64 { return s.st.view.Fingerprint() }
 
 // NumVertices returns |V| of the snapshot's view.
-func (s *Snapshot) NumVertices() int { return s.st.numVertices() }
+func (s *Snapshot) NumVertices() int { return s.st.view.NumVertices() }
 
 // NumEdges returns |E| of the snapshot's view.
-func (s *Snapshot) NumEdges() int64 { return s.st.numEdges() }
+func (s *Snapshot) NumEdges() int64 { return s.st.view.NumEdges() }
 
 // DeltaEdges returns how many edge insertions plus deletions the
 // snapshot carries over its base CSR (0 after construction or Compact).
-func (s *Snapshot) DeltaEdges() int { return s.st.deltaEdges() }
+func (s *Snapshot) DeltaEdges() int { return s.st.view.DeltaEdges() }
 
 // String summarizes the snapshot.
 func (s *Snapshot) String() string {
 	return fmt.Sprintf("snapshot{gen %d, n=%d m=%d, %d delta edges}",
-		s.st.gen, s.st.numVertices(), s.st.numEdges(), s.st.deltaEdges())
+		s.st.gen, s.st.view.NumVertices(), s.st.view.NumEdges(), s.st.view.DeltaEdges())
 }
 
 // toDeltaEdges converts public edge pairs to canonical delta edges.
@@ -79,14 +79,15 @@ func (g *Graph) ApplyEdges(add, remove [][2]VertexID) (*Snapshot, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	cur := g.snap()
-	ov, err := delta.Apply(cur.base, cur.ov, toDeltaEdges(add), toDeltaEdges(remove))
+	base := cur.view.Base()
+	ov, err := delta.Apply(base, cur.view.Overlay(), toDeltaEdges(add), toDeltaEdges(remove))
 	if err != nil {
 		return nil, fmt.Errorf("light: ApplyEdges: %w", err)
 	}
-	if ov == cur.ov {
+	if ov == cur.view.Overlay() {
 		return &Snapshot{owner: g, st: cur}, nil
 	}
-	st := &snapshotState{base: cur.base, ov: ov, gen: cur.gen + 1, stats: cur.stats}
+	st := &snapshotState{view: delta.NewView(base, ov), gen: cur.gen + 1, stats: cur.stats}
 	g.head.Store(st)
 	return &Snapshot{owner: g, st: st}, nil
 }
@@ -100,14 +101,14 @@ func (g *Graph) Compact() (*Snapshot, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	cur := g.snap()
-	if cur.ov == nil {
+	if cur.view.Overlay() == nil {
 		return &Snapshot{owner: g, st: cur}, nil
 	}
-	base, err := delta.Compact(cur.ov)
+	base, err := delta.Compact(cur.view.Overlay())
 	if err != nil {
 		return nil, fmt.Errorf("light: Compact: %w", err)
 	}
-	st := &snapshotState{base: base, gen: cur.gen + 1, stats: &baseStats{}}
+	st := &snapshotState{view: delta.NewView(base, nil), gen: cur.gen + 1, stats: &baseStats{}}
 	g.head.Store(st)
 	return &Snapshot{owner: g, st: st}, nil
 }

@@ -228,8 +228,8 @@ func TestSnapshotIsolationDirtyHubs(t *testing.T) {
 		// random vertex and lose one of their own.
 		st := g.snap()
 		var hubs []VertexID
-		for v := 0; v < st.base.NumVertices(); v++ {
-			if st.base.HubBitmap(VertexID(v)) != nil {
+		for v := 0; v < st.view.Base().NumVertices(); v++ {
+			if st.view.Base().HubBitmap(VertexID(v)) != nil {
 				hubs = append(hubs, VertexID(v))
 			}
 		}
@@ -247,9 +247,9 @@ func TestSnapshotIsolationDirtyHubs(t *testing.T) {
 		if snap.DeltaEdges() == 0 {
 			t.Fatalf("round %d: batch left a clean snapshot", i)
 		}
-		ov := snap.st.ov
+		ov := snap.st.view.Overlay()
 		for _, e := range rem {
-			if bm := ov.HubBitmap(e[0]); bm == nil || bm == st.base.HubBitmap(e[0]) {
+			if bm := ov.HubBitmap(e[0]); bm == nil || bm == st.view.Base().HubBitmap(e[0]) {
 				t.Fatalf("round %d: touched hub %d kept no rebuilt bitmap", i, e[0])
 			}
 		}
