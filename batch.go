@@ -8,7 +8,6 @@ import (
 	"light/internal/engine"
 	"light/internal/graph"
 	"light/internal/lanes"
-	"light/internal/metrics"
 	"light/internal/parallel"
 )
 
@@ -44,8 +43,9 @@ type BatchResult struct {
 	// Queries holds one Result per input query, in order. Counters
 	// (Matches, Nodes, Intersections, and each Report's engine
 	// counters) are exactly what a sequential run of that query alone
-	// would report; Duration and CandidateMemoryBytes describe the
-	// shared batch run and repeat on every entry.
+	// would report; after a stop they are partial, in Report as in the
+	// Result. Duration and CandidateMemoryBytes describe the shared
+	// batch run and repeat on every entry.
 	Queries []Result
 	// Groups is how many shared traversals (lane groups) the batch
 	// compiled into — batches of one pattern family run in a single
@@ -102,7 +102,6 @@ func CountBatchContext(ctx context.Context, g *Graph, queries []BatchQuery, opts
 	// Compile one plan per query; identical patterns compile to
 	// identical plans and group automatically by compatibility key.
 	lq := make([]lanes.Query, len(queries))
-	recs := make([]*metrics.Recorder, len(queries))
 	maxPatternVerts := 0
 	for i, q := range queries {
 		if q.Pattern == nil {
@@ -125,48 +124,45 @@ func CountBatchContext(ctx context.Context, g *Graph, queries []BatchQuery, opts
 			spec.Filter = q.Filter
 		}
 		lq[i] = lanes.Query{Plan: pl, Spec: spec}
-		recs[i] = metrics.NewRecorder()
 	}
 
 	// Governance: one admission grant for the whole batch, the memory
 	// budget chained under the governor's, and the degradation ladder
 	// sized against the largest pattern in the batch.
-	batchRec := metrics.NewRecorder()
 	popts := parallel.Options{Engine: engine.Options{
 		Kernel:    opts.Intersection.kind(),
 		TimeLimit: opts.TimeLimit,
-		Metrics:   batchRec,
 	}}
 	start := time.Now()
-	var lres lanes.Result
-	pres, degradations, err := opts.governed(ctx, batchRec, st.view.MaxDegree(), maxPatternVerts, popts, func(popts parallel.Options) (parallel.Result, error) {
-		var err error
-		lres, err = lanes.Run(ctx, st.view, lq, popts, recs)
+	var perQuery []engine.LaneCounts
+	r, err := opts.governed(ctx, st.view.MaxDegree(), maxPatternVerts, popts, func(popts parallel.Options) (parallel.Result, error) {
+		lres, err := lanes.Run(ctx, st.view, lq, popts)
+		perQuery = lres.PerQuery
 		return lres.Result, err
 	})
-	if pres == nil {
+	if r == nil {
 		return bres, err
 	}
 	bres.Duration = time.Since(start)
-	bres.Groups = len(pres.Jobs)
-	bres.Workers = pres.Workers
-	bres.Degradations = degradations
+	bres.Groups = len(r.Jobs)
+	bres.Workers = r.Workers
+	bres.Degradations = r.degradations
 	bres.Queries = make([]Result, len(queries))
 	for i := range queries {
-		lc := lres.PerQuery[i]
-		r := Result{
+		lc := &perQuery[i]
+		q := Result{
 			Matches:              lc.Matches,
 			Intersections:        lc.Stats.Intersections,
 			GallopingPercent:     lc.Stats.GallopingPercent(),
 			Nodes:                lc.Nodes,
 			Duration:             bres.Duration,
-			CandidateMemoryBytes: pres.CandidateMemBytes,
-			Stopped:              pres.Stopped,
+			CandidateMemoryBytes: r.CandidateMemBytes,
+			Stopped:              r.Stopped,
 		}
-		r.Order = make([]int, len(lq[i].Plan.Pi))
-		copy(r.Order, lq[i].Plan.Pi)
-		r.Report = newRunReport(recs[i], opts, st, pres.Workers, bres.Duration, pres.CandidateMemBytes, nil, nil)
-		bres.Queries[i] = r
+		q.Order = make([]int, len(lq[i].Plan.Pi))
+		copy(q.Order, lq[i].Plan.Pi)
+		q.Report = newRunReport(opts, st, bres.Duration, r, lc)
+		bres.Queries[i] = q
 	}
 	return bres, mapErr(err)
 }

@@ -9,7 +9,6 @@ import (
 	"light/internal/admission"
 	"light/internal/arena"
 	"light/internal/faultpoint"
-	"light/internal/metrics"
 	"light/internal/parallel"
 )
 
@@ -136,7 +135,7 @@ type grant struct {
 // patternVerts+1 cap-maxDegree buffers. With neither a Governor nor a
 // MemoryBudget it grants max(Workers, 1) workers, no place and a nil
 // limiter at once. The caller must release the grant.
-func (o Options) admit(ctx context.Context, rec *metrics.Recorder, maxDegree, patternVerts int) (*grant, error) {
+func (o Options) admit(ctx context.Context, maxDegree, patternVerts int) (*grant, error) {
 	gr := &grant{workers: o.Workers}
 	if gr.workers <= 1 {
 		gr.workers = 1
@@ -151,8 +150,6 @@ func (o Options) admit(ctx context.Context, rec *metrics.Recorder, maxDegree, pa
 		gr.place, gr.pool = a, o.Governor.pool
 		gr.watchdog = gov.Watchdog()
 		govLim = gov.MemLimiter()
-		rec.AddDuration(metrics.AdmissionWaitNanos, a.Wait())
-		rec.Add(metrics.AdmissionSlotsGranted, uint64(a.Granted()))
 		if a.Granted() < gr.workers {
 			gr.degradations = append(gr.degradations, fmt.Sprintf(
 				"admission: granted %d of %d requested workers", a.Granted(), gr.workers))
@@ -167,20 +164,35 @@ func (o Options) admit(ctx context.Context, rec *metrics.Recorder, maxDegree, pa
 	return gr, nil
 }
 
+// ran is what one governed run returns: the pool run's result, what its
+// admission grant knew — the wait for the run place and the workers
+// granted, both zero without a Governor — and every degradation event.
+type ran struct {
+	parallel.Result
+	admissionWait time.Duration
+	slotsGranted  int
+	degradations  []string
+}
+
 // governed is the back half every entry point that runs the worker pool
 // shares: admit the call, hand what was granted to one run — on the
 // Governor's pool, or on one of its own — and settle. popts carries the
 // run's engine and checkpoint options; run starts the run with them. It
-// returns a nil result when admission failed, before any worker started.
-func (o Options) governed(ctx context.Context, rec *metrics.Recorder, maxDegree, patternVerts int, popts parallel.Options, run func(parallel.Options) (parallel.Result, error)) (*parallel.Result, []string, error) {
-	gr, err := o.admit(ctx, rec, maxDegree, patternVerts)
+// returns nil when admission failed, before any worker started.
+func (o Options) governed(ctx context.Context, maxDegree, patternVerts int, popts parallel.Options, run func(parallel.Options) (parallel.Result, error)) (*ran, error) {
+	gr, err := o.admit(ctx, maxDegree, patternVerts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer gr.release()
 	popts.Workers, popts.Pool, popts.Watchdog, popts.MemLimiter = gr.workers, gr.pool, gr.watchdog, gr.lim
 	pres, err := run(popts)
-	return &pres, gr.settle(rec, pres.Stalls), err
+	return &ran{
+		Result:        pres,
+		admissionWait: gr.place.Wait(),
+		slotsGranted:  gr.place.Granted(),
+		degradations:  gr.settle(pres.Stalls),
+	}, err
 }
 
 // sizeWorkers walks the memory-degradation ladder before the run starts:
@@ -218,9 +230,8 @@ func (gr *grant) sizeWorkers(maxDegree, patternVerts int) error {
 }
 
 // settle appends the degradations only visible after the run — arena
-// pressure, watchdog stalls — records the total, and returns the full
-// list.
-func (gr *grant) settle(rec *metrics.Recorder, stalls uint64) []string {
+// pressure, watchdog stalls — and returns the full list.
+func (gr *grant) settle(stalls uint64) []string {
 	if n := gr.lim.TightGrows(); n > 0 {
 		gr.degradations = append(gr.degradations, fmt.Sprintf(
 			"memory: %d exact-size arena slab grows under budget pressure", n))
@@ -229,7 +240,6 @@ func (gr *grant) settle(rec *metrics.Recorder, stalls uint64) []string {
 		gr.degradations = append(gr.degradations, fmt.Sprintf(
 			"watchdog: %d stall(s) detected", stalls))
 	}
-	rec.Add(metrics.GovernorDegradations, uint64(len(gr.degradations)))
 	return gr.degradations
 }
 

@@ -20,8 +20,8 @@ import (
 // TestSoakCheckpointWriteFaults runs 4 concurrent checkpointing queries
 // on a shared 2-slot Governor while the first 3 checkpoint writes fail.
 // The retry-with-backoff path must absorb every injected failure: all
-// queries finish with exact counts and the retries show up in the
-// reports.
+// queries finish with exact counts and the failed writes and their
+// retries show up in the reports.
 func TestSoakCheckpointWriteFaults(t *testing.T) {
 	g, pats, refs := soakFixture(t)
 	dir := t.TempDir()
@@ -55,7 +55,7 @@ func TestSoakCheckpointWriteFaults(t *testing.T) {
 	}
 	wg.Wait()
 
-	var retries uint64
+	var retries, writeErrs uint64
 	for q := 0; q < queries; q++ {
 		if errs[q] != nil {
 			t.Errorf("query %d: unexpected error %v", q, errs[q])
@@ -66,10 +66,15 @@ func TestSoakCheckpointWriteFaults(t *testing.T) {
 		}
 		if reports[q] != nil {
 			retries += reports[q].CheckpointRetries
+			writeErrs += reports[q].CheckpointWriteErrors
 		}
 	}
 	// FailTimes(3) injects exactly 3 transient failures process-wide;
-	// each one must have been retried (never surfaced as a run error).
+	// each one must have been counted as a failed write and retried
+	// (never surfaced as a run error).
+	if writeErrs != 3 {
+		t.Errorf("total CheckpointWriteErrors = %d, want 3", writeErrs)
+	}
 	if retries != 3 {
 		t.Errorf("total CheckpointRetries = %d, want 3", retries)
 	}

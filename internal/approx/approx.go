@@ -17,6 +17,7 @@
 package approx
 
 import (
+	"fmt"
 	"math/rand"
 
 	"light/internal/estimate"
@@ -39,8 +40,11 @@ type Result struct {
 
 // Count estimates the number of subgraphs of g isomorphic to p from the
 // given number of random probes, planning the probe order with g's
-// statistics. Deterministic for a seed.
+// statistics. Deterministic for a seed. samples must be at least 1.
 func Count(g *graph.Graph, stats estimate.GraphStats, p *pattern.Pattern, samples int, seed int64) (Result, error) {
+	if samples < 1 {
+		return Result{}, fmt.Errorf("approx: %d samples, need at least 1", samples)
+	}
 	po := pattern.SymmetryBreaking(p)
 	pl, err := plan.Choose(p, po, stats, plan.ModeSE)
 	if err != nil {
@@ -51,8 +55,11 @@ func Count(g *graph.Graph, stats estimate.GraphStats, p *pattern.Pattern, sample
 
 // CountWithPlan is Count with a caller-supplied plan (any mode; only the
 // order π and partial order are used — probes always materialize
-// step-by-step).
+// step-by-step). A graph without vertices estimates 0 with 0 hits.
 func CountWithPlan(g *graph.Graph, pl *plan.Plan, samples int, seed int64) Result {
+	if g.NumVertices() == 0 {
+		return Result{Samples: samples}
+	}
 	rng := rand.New(rand.NewSource(seed))
 	s := newSampler(g, pl)
 	var total float64

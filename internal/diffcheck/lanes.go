@@ -62,7 +62,7 @@ func checkLanes(c Case, g *graph.Graph, pl, alt *plan.Plan, want uint64, cfg Con
 	for i, roots := range rootSets {
 		queries[i] = lanes.Query{Plan: pl, Spec: lanes.Spec{Roots: roots}}
 	}
-	res, err := lanes.Run(context.Background(), delta.NewView(g, nil), queries, parallel.Options{Workers: cfg.Workers}, nil)
+	res, err := lanes.Run(context.Background(), delta.NewView(g, nil), queries, parallel.Options{Workers: cfg.Workers})
 	if err != nil {
 		return fail("lanes/roots", want, 0, err.Error())
 	}
@@ -106,7 +106,7 @@ func checkLanes(c Case, g *graph.Graph, pl, alt *plan.Plan, want uint64, cfg Con
 		mixed = append(mixed, lanes.Query{Plan: alt})
 		wantGroups = 2
 	}
-	mres, err := lanes.Run(context.Background(), delta.NewView(g, nil), mixed, parallel.Options{Workers: cfg.Workers}, nil)
+	mres, err := lanes.Run(context.Background(), delta.NewView(g, nil), mixed, parallel.Options{Workers: cfg.Workers})
 	if err != nil {
 		return fail("lanes/mixed", want, 0, err.Error())
 	}

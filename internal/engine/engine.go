@@ -21,7 +21,6 @@ import (
 	"light/internal/delta"
 	"light/internal/graph"
 	"light/internal/intersect"
-	"light/internal/metrics"
 	"light/internal/plan"
 )
 
@@ -90,26 +89,6 @@ func (lc *LaneCounts) Add(other LaneCounts) {
 	lc.Stats.Add(other.Stats)
 }
 
-// AddTo folds lc into a metrics recorder (no-op when m is nil) — the one
-// place a run's counters, whole or per lane, become registry counters.
-// The merge count is derived: every intersection that did not gallop
-// merged.
-//
-//light:hotpath
-func (lc LaneCounts) AddTo(m *metrics.Recorder) {
-	if m == nil {
-		return
-	}
-	m.Add(metrics.EngineNodes, lc.Nodes)
-	m.Add(metrics.EngineMatches, lc.Matches)
-	m.Add(metrics.EngineComps, lc.Comps)
-	m.Add(metrics.IntersectOps, lc.Stats.Intersections)
-	m.Add(metrics.IntersectGalloping, lc.Stats.Galloping)
-	m.Add(metrics.IntersectMerge, lc.Stats.Intersections-lc.Stats.Galloping)
-	m.Add(metrics.IntersectElements, lc.Stats.Elements)
-	m.Add(metrics.IntersectBitmapProbes, lc.Stats.BitmapProbes)
-}
-
 // Options configure an Enumerator.
 type Options struct {
 	// Kernel selects the set intersection implementation (default
@@ -144,11 +123,6 @@ type Options struct {
 	// frequency filtering. Filter disables the count-only tail (see
 	// matLoop): every leaf assignment is then individually checked.
 	Filter func(u int, v graph.VertexID) bool
-	// Metrics, when non-nil, receives this enumerator's counters: each
-	// RunRoots/RunAnchor/Run folds its Result into the recorder when it
-	// finishes. Per-event counting stays in plain per-enumerator fields;
-	// only the fold touches atomics, so the hot path is unaffected.
-	Metrics *metrics.Recorder
 	// Arena, when non-nil, backs the enumerator's candidate buffers. The
 	// parallel scheduler passes one arena per worker so every enumerator
 	// a worker builds reuses the same slabs; when nil, New creates a
@@ -209,14 +183,6 @@ func (r *Result) Add(other Result) {
 	for i := range other.Lanes {
 		r.Lanes[i].Add(other.Lanes[i])
 	}
-}
-
-// AddTo folds r's whole-run counters into a metrics recorder (no-op when
-// m is nil).
-//
-//light:hotpath
-func (r *Result) AddTo(m *metrics.Recorder) {
-	LaneCounts{Matches: r.Matches, Nodes: r.Nodes, Comps: r.Comps, Stats: r.Stats}.AddTo(m)
 }
 
 // Enumerator executes one plan on one graph.
@@ -369,7 +335,7 @@ func (e *Enumerator) RunRoots(roots []graph.VertexID, visit VisitFunc) (Result, 
 	e.begin(visit)
 	if e.lanes != nil && visit != nil {
 		e.err = errLaneVisit
-		return e.finish()
+		return e.result, e.err
 	}
 	rootVertex := e.pl.Pi[0]
 	for _, v := range roots {
@@ -397,7 +363,7 @@ func (e *Enumerator) RunRoots(roots []graph.VertexID, visit VisitFunc) (Result, 
 			break
 		}
 	}
-	return e.finish()
+	return e.result, e.err
 }
 
 // Anchor is a starting point of an anchored plan: the data edges
@@ -423,7 +389,7 @@ func (e *Enumerator) RunAnchor(an Anchor, visit VisitFunc) (Result, error) {
 	e.begin(visit)
 	a := e.pl.Pi[0]
 	if e.opts.Filter != nil && !e.opts.Filter(a, an.Root) {
-		return e.finish()
+		return e.result, e.err
 	}
 	e.assigned[a] = an.Root
 	e.matMask = 1 << uint(a)
@@ -432,7 +398,7 @@ func (e *Enumerator) RunAnchor(an Anchor, visit VisitFunc) (Result, error) {
 	if e.compute(e.pl.Pi[1]) {
 		e.matLoop(2, an.Partners)
 	}
-	return e.finish()
+	return e.result, e.err
 }
 
 // laneNodes charges one expanded node to every live lane.
@@ -476,14 +442,6 @@ func (e *Enumerator) begin(visit VisitFunc) {
 	default:
 		e.deadline = time.Time{}
 	}
-}
-
-func (e *Enumerator) finish() (Result, error) {
-	e.result.AddTo(e.opts.Metrics)
-	if e.err != nil {
-		return e.result, e.err
-	}
-	return e.result, nil
 }
 
 // step executes σ[i] and everything after it. It returns false to unwind

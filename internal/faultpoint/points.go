@@ -32,7 +32,4 @@ const (
 	// single admission grant and before the first compatibility group
 	// executes.
 	PointBatchAdmit = "lanes.batch.admit"
-	// PointLaneFold fires when a finished lane group folds its
-	// per-lane counters into the per-query metrics recorders.
-	PointLaneFold = "lanes.fold"
 )

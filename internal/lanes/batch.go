@@ -7,7 +7,6 @@ import (
 	"light/internal/delta"
 	"light/internal/engine"
 	"light/internal/faultpoint"
-	"light/internal/metrics"
 	"light/internal/parallel"
 	"light/internal/plan"
 )
@@ -40,22 +39,15 @@ type Result struct {
 // traversal's counters attributable. view is the queried snapshot;
 // opts.Engine.Overlay, Lanes and Filter must be nil — every job reads
 // view, lanes are built per group, and per-query filters belong in each
-// Spec.
-// opts.Engine.Metrics, when non-nil, receives the batch's shared
-// (actually-performed) work. recorders, when non-nil, must have one entry
-// per query (nil entries allowed); query i's exact attributed counters
-// are folded into recorders[i], giving each query an
-// individually-reportable metrics snapshot.
-func Run(ctx context.Context, view delta.View, queries []Query, opts parallel.Options, recorders []*metrics.Recorder) (Result, error) {
+// Spec. The result's own counters are the batch's shared
+// (actually-performed) work; PerQuery splits it per query.
+func Run(ctx context.Context, view delta.View, queries []Query, opts parallel.Options) (Result, error) {
 	res := Result{PerQuery: make([]engine.LaneCounts, len(queries))}
 	if len(queries) == 0 {
 		return res, nil
 	}
 	if opts.Engine.Overlay != nil || opts.Engine.Lanes != nil || opts.Engine.Filter != nil {
 		return res, fmt.Errorf("lanes: Options.Engine must not set Overlay, Lanes or Filter (the view is Run's argument; per-query state belongs in Specs)")
-	}
-	if recorders != nil && len(recorders) != len(queries) {
-		return res, fmt.Errorf("lanes: %d recorders for %d queries", len(recorders), len(queries))
 	}
 	for i, q := range queries {
 		if q.Plan == nil {
@@ -90,18 +82,7 @@ func Run(ctx context.Context, view delta.View, queries []Query, opts parallel.Op
 			}
 		}
 	}
-	if err != nil || pres.Stopped || recorders == nil {
-		return res, err
-	}
-	// Fold each query's attributed counters into its recorder, through
-	// the same fold a whole run's counters take.
-	if err := faultpoint.Hit(faultpoint.PointLaneFold); err != nil {
-		return res, fmt.Errorf("lanes: lane fold: %w", err)
-	}
-	for qi, lc := range res.PerQuery {
-		lc.AddTo(recorders[qi])
-	}
-	return res, nil
+	return res, err
 }
 
 // groupQueries partitions query indices into lane groups: queries with

@@ -8,7 +8,6 @@ import (
 	"light/internal/engine"
 	"light/internal/gen"
 	"light/internal/graph"
-	"light/internal/metrics"
 	"light/internal/parallel"
 	"light/internal/pattern"
 	"light/internal/plan"
@@ -18,8 +17,8 @@ import (
 // several lane specs per pattern — through the full parallel scheduler
 // at 1 and 3 workers, and checks every query's attributed counters
 // against its solo sequential run. This is the end-to-end parity gate:
-// grouping, lane packing, per-chunk lane counters, and the recorder fold
-// all sit on this path.
+// grouping, lane packing and per-chunk lane counters all sit on this
+// path.
 func TestBatchRunParity(t *testing.T) {
 	g := gen.BarabasiAlbert(150, 4, 17)
 	g.BuildHubIndex(3)
@@ -51,11 +50,7 @@ func TestBatchRunParity(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 3} {
-		recs := make([]*metrics.Recorder, len(queries))
-		for i := range recs {
-			recs[i] = metrics.NewRecorder()
-		}
-		res, err := Run(context.Background(), delta.NewView(g, nil), queries, parallel.Options{Workers: workers}, recs)
+		res, err := Run(context.Background(), delta.NewView(g, nil), queries, parallel.Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -67,18 +62,6 @@ func TestBatchRunParity(t *testing.T) {
 				t.Errorf("workers=%d query=%d: batched %+v, sequential %+v",
 					workers, i, res.PerQuery[i], want[i])
 			}
-			// The fold must give each query an individually-reportable
-			// recorder snapshot equal to its attributed counters.
-			if n := recs[i].Get(metrics.EngineMatches); n != want[i].Matches {
-				t.Errorf("workers=%d query=%d: recorder matches %d, want %d", workers, i, n, want[i].Matches)
-			}
-			if n := recs[i].Get(metrics.IntersectOps); n != want[i].Stats.Intersections {
-				t.Errorf("workers=%d query=%d: recorder intersections %d, want %d", workers, i, n, want[i].Stats.Intersections)
-			}
-			merges := want[i].Stats.Intersections - want[i].Stats.Galloping
-			if n := recs[i].Get(metrics.IntersectMerge); n != merges {
-				t.Errorf("workers=%d query=%d: recorder merges %d, want %d", workers, i, n, merges)
-			}
 		}
 	}
 }
@@ -89,21 +72,21 @@ func TestBatchRunValidation(t *testing.T) {
 	pl := compile(t, pattern.Triangle())
 	ctx := context.Background()
 
-	if res, err := Run(ctx, delta.NewView(g, nil), nil, parallel.Options{}, nil); err != nil || len(res.Jobs) != 0 {
+	if res, err := Run(ctx, delta.NewView(g, nil), nil, parallel.Options{}); err != nil || len(res.Jobs) != 0 {
 		t.Errorf("empty batch: %+v, %v", res, err)
 	}
-	if _, err := Run(ctx, delta.NewView(g, nil), []Query{{}}, parallel.Options{}, nil); err == nil {
+	if _, err := Run(ctx, delta.NewView(g, nil), []Query{{}}, parallel.Options{}); err == nil {
 		t.Error("nil plan accepted")
 	}
 	set, _ := NewSet(g.NumVertices(), []Spec{{}})
 	if _, err := Run(ctx, delta.NewView(g, nil), []Query{{Plan: pl}}, parallel.Options{
 		Engine: engine.Options{Lanes: set},
-	}, nil); err == nil {
+	}); err == nil {
 		t.Error("pre-set Engine.Lanes accepted")
 	}
 	if _, err := Run(ctx, delta.NewView(g, nil), []Query{{Plan: pl}}, parallel.Options{
 		Engine: engine.Options{Filter: func(u int, v graph.VertexID) bool { return true }},
-	}, nil); err == nil {
+	}); err == nil {
 		t.Error("batch-wide Engine.Filter accepted")
 	}
 	ov, err := delta.Apply(g, nil, []delta.Edge{{U: 0, V: 29}}, nil)
@@ -112,11 +95,8 @@ func TestBatchRunValidation(t *testing.T) {
 	}
 	if _, err := Run(ctx, delta.NewView(g, nil), []Query{{Plan: pl}}, parallel.Options{
 		Engine: engine.Options{Overlay: ov},
-	}, nil); err == nil {
+	}); err == nil {
 		t.Error("Engine.Overlay beside the view accepted")
-	}
-	if _, err := Run(ctx, delta.NewView(g, nil), []Query{{Plan: pl}, {Plan: pl}}, parallel.Options{}, make([]*metrics.Recorder, 1)); err == nil {
-		t.Error("recorder count mismatch accepted")
 	}
 }
 
@@ -127,7 +107,7 @@ func TestBatchRunCancellation(t *testing.T) {
 	pl := compile(t, pattern.P4())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Run(ctx, delta.NewView(g, nil), []Query{{Plan: pl}}, parallel.Options{Workers: 2}, nil)
+	res, err := Run(ctx, delta.NewView(g, nil), []Query{{Plan: pl}}, parallel.Options{Workers: 2})
 	if err != context.Canceled {
 		t.Fatalf("err = %v", err)
 	}

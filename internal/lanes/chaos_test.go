@@ -11,7 +11,6 @@ import (
 	"light/internal/delta"
 	"light/internal/faultpoint"
 	"light/internal/gen"
-	"light/internal/metrics"
 	"light/internal/parallel"
 	"light/internal/pattern"
 )
@@ -25,7 +24,7 @@ func TestChaosBatchAdmit(t *testing.T) {
 	g := gen.ErdosRenyi(50, 150, 1)
 	pl := compile(t, pattern.Triangle())
 	faultpoint.Set(faultpoint.PointBatchAdmit, faultpoint.FailTimes(1, errInjected))
-	res, err := Run(context.Background(), delta.NewView(g, nil), []Query{{Plan: pl}}, parallel.Options{}, nil)
+	res, err := Run(context.Background(), delta.NewView(g, nil), []Query{{Plan: pl}}, parallel.Options{})
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v", err)
 	}
@@ -34,35 +33,5 @@ func TestChaosBatchAdmit(t *testing.T) {
 	}
 	if res.PerQuery[0].Nodes != 0 {
 		t.Fatalf("work ran past a failed admission: %+v", res.PerQuery[0])
-	}
-}
-
-// TestChaosLaneFold: a fault during the lane fold surfaces as the batch
-// error; the traversal's counts are already banked (PerQuery filled)
-// but the recorders must not be half-folded.
-func TestChaosLaneFold(t *testing.T) {
-	defer faultpoint.Reset()
-	g := gen.ErdosRenyi(50, 150, 1)
-	pl := compile(t, pattern.Triangle())
-	faultpoint.Set(faultpoint.PointLaneFold, faultpoint.FailTimes(1, errInjected))
-	recs := []*metrics.Recorder{metrics.NewRecorder()}
-	res, err := Run(context.Background(), delta.NewView(g, nil), []Query{{Plan: pl}}, parallel.Options{}, recs)
-	if !errors.Is(err, errInjected) {
-		t.Fatalf("err = %v", err)
-	}
-	if res.PerQuery[0].Matches == 0 {
-		t.Fatal("counts not banked before the fold fault")
-	}
-	// A second run with the fault spent must succeed and fold cleanly.
-	recs2 := []*metrics.Recorder{metrics.NewRecorder()}
-	res2, err := Run(context.Background(), delta.NewView(g, nil), []Query{{Plan: pl}}, parallel.Options{}, recs2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recs2[0].Get(metrics.EngineMatches) != res2.PerQuery[0].Matches {
-		t.Fatal("recorder fold mismatch after fault cleared")
-	}
-	if res2.PerQuery[0] != res.PerQuery[0] {
-		t.Fatalf("counts drifted across fault: %+v vs %+v", res2.PerQuery[0], res.PerQuery[0])
 	}
 }

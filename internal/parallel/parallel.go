@@ -54,7 +54,6 @@ import (
 	"light/internal/engine"
 	"light/internal/faultpoint"
 	"light/internal/graph"
-	"light/internal/metrics"
 	"light/internal/plan"
 	"light/internal/supervise"
 )
@@ -87,10 +86,6 @@ type Options struct {
 	// shared one would race), and the summed slab footprint is reported
 	// as Result.CandidateMemBytes. Engine.Overlay and Engine.Lanes are
 	// overridden by each job's own (RunContext takes them from here).
-	// Engine.Metrics, when non-nil, receives
-	// the run's counters: engine work folded per unit plus scheduler
-	// events (root chunks, queue waits, busy time, checkpoint write
-	// latency), every worker folding into it.
 	Engine engine.Options
 	// Workers is the run's cap: the most workers inside its units at
 	// once; defaults to GOMAXPROCS. Without a Pool it is also the size
@@ -166,9 +161,10 @@ type Result struct {
 	// CheckpointWriteTotal is their cumulative latency.
 	CheckpointWrites     uint64
 	CheckpointWriteTotal time.Duration
-	// CheckpointRetries counts failed checkpoint writes that were
-	// retried (the jittered-backoff path).
-	CheckpointRetries uint64
+	// CheckpointWriteErrors counts failed checkpoint writes, retried
+	// or not; CheckpointRetries counts those that were retried (the
+	// jittered-backoff path).
+	CheckpointWriteErrors, CheckpointRetries uint64
 	// Stalls counts stall-watchdog firings; StallDump is the first
 	// stall's diagnostic (per-worker progress table + full stack dump).
 	Stalls    uint64
@@ -271,10 +267,6 @@ func RunJobs(ctx context.Context, opts Options, jobs []Job) (Result, error) {
 		opts.Engine.Deadline = time.Now().Add(opts.Engine.TimeLimit)
 	}
 
-	// One recorder for the whole run: workers fold engine results into
-	// it per unit, scheduler events hit it from blocking paths.
-	rec := opts.Engine.Metrics
-
 	r := &run{
 		jobs:  jobs,
 		state: make([]jobState, len(jobs)),
@@ -305,7 +297,6 @@ func RunJobs(ctx context.Context, opts Options, jobs []Job) (Result, error) {
 			out.Result = sumJobs(out.Jobs)
 			out.PerWorkerNodes = make([]uint64, opts.Workers)
 			out.PerWorkerBusy = make([]time.Duration, opts.Workers)
-			base.AddTo(rec)
 			return out, nil
 		}
 	}
@@ -411,7 +402,6 @@ func RunJobs(ctx context.Context, opts Options, jobs []Job) (Result, error) {
 			out.CandidateMemBytes += s.ar.Bytes()
 		}
 		out.PerWorkerBusy[i] = s.busy
-		rec.AddDuration(metrics.ParallelBusyNanos, s.busy)
 	}
 	out.Result = sumJobs(out.Jobs)
 	// A run stopped before any worker met the stop still ends cut short.
@@ -440,24 +430,14 @@ func RunJobs(ctx context.Context, opts Options, jobs []Job) (Result, error) {
 		err = ctx.Err()
 	}
 
-	// Scheduler-level counters folded once per run, plus the resumed
-	// checkpoint's committed engine counters.
 	out.QueueWaits = r.qWaits.Load()
 	out.QueueWaitTotal = time.Duration(r.qWaitNS.Load())
 	out.CheckpointWrites = r.ckWrites.Load()
 	out.CheckpointWriteTotal = time.Duration(r.ckWriteNS.Load())
+	out.CheckpointWriteErrors = r.ckWriteErrs.Load()
 	out.CheckpointRetries = r.ckRetries.Load()
 	out.Stalls = r.stalls.Load()
 	out.StallDump = r.stallDump
-	rec.Add(metrics.ParallelRootChunks, out.RootChunksDispensed)
-	rec.Add(metrics.ParallelQueueWaits, out.QueueWaits)
-	rec.AddDuration(metrics.ParallelQueueWaitNanos, out.QueueWaitTotal)
-	rec.Add(metrics.CheckpointWrites, out.CheckpointWrites)
-	rec.Add(metrics.CheckpointWriteNanos, r.ckWriteNS.Load())
-	rec.Add(metrics.CheckpointWriteErrors, r.ckWriteErrs.Load())
-	rec.Add(metrics.CheckpointRetries, out.CheckpointRetries)
-	rec.Add(metrics.WatchdogStalls, out.Stalls)
-	base.AddTo(rec)
 	return out, err
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"slices"
 	"strings"
@@ -138,11 +139,15 @@ func (s *Server) buildOptions(qo QueryOptions) (light.Options, error) {
 }
 
 // queryContext applies the per-query deadline policy to the request
-// context.
+// context. A timeout_ms too large for a time.Duration saturates, so
+// MaxDeadline clamps it like any other.
 func (s *Server) queryContext(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc) {
 	d := s.cfg.DefaultDeadline
 	if timeoutMS > 0 {
-		d = time.Duration(timeoutMS) * time.Millisecond
+		d = time.Duration(math.MaxInt64)
+		if timeoutMS <= math.MaxInt64/int64(time.Millisecond) {
+			d = time.Duration(timeoutMS) * time.Millisecond
+		}
 	}
 	if s.cfg.MaxDeadline > 0 && (d == 0 || d > s.cfg.MaxDeadline) {
 		d = s.cfg.MaxDeadline

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -700,6 +701,44 @@ func TestDeadlineMapsTo504(t *testing.T) {
 		Options: QueryOptions{TimeoutMS: 1}})
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504: %s", w.Code, w.Body.String())
+	}
+}
+
+// TestQueryContextClampsEveryTimeout: timeout_ms is clamped to
+// MaxDeadline however large it is. Past about 9.2·10¹² ms, timeout_ms
+// times a millisecond no longer fits a time.Duration; a wrapped,
+// negative product must not slip past the clamp into no deadline.
+func TestQueryContextClampsEveryTimeout(t *testing.T) {
+	const maxDeadline = 2 * time.Second
+	s := New(Config{DefaultDeadline: time.Second, MaxDeadline: maxDeadline})
+	r := httptest.NewRequest("POST", "/query", nil)
+	for _, tc := range []struct {
+		timeoutMS int64
+		want      time.Duration
+	}{
+		{0, time.Second},
+		{-5, time.Second},
+		{500, 500 * time.Millisecond},
+		{2000, maxDeadline},
+		{3000, maxDeadline},
+		{math.MaxInt64 / int64(time.Millisecond), maxDeadline},
+		{math.MaxInt64/int64(time.Millisecond) + 1, maxDeadline},
+		{1e13, maxDeadline},
+		{1 << 62, maxDeadline},
+		{math.MaxInt64, maxDeadline},
+	} {
+		start := time.Now()
+		ctx, cancel := s.queryContext(r, tc.timeoutMS)
+		deadline, ok := ctx.Deadline()
+		cancel()
+		if !ok {
+			t.Errorf("timeout_ms=%d: no deadline, want %v", tc.timeoutMS, tc.want)
+			continue
+		}
+		// The deadline was set between start and now.
+		if lo, hi := start.Add(tc.want), time.Now().Add(tc.want); deadline.Before(lo) || deadline.After(hi) {
+			t.Errorf("timeout_ms=%d: deadline in %v, want %v", tc.timeoutMS, deadline.Sub(start), tc.want)
+		}
 	}
 }
 

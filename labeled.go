@@ -106,6 +106,7 @@ func runLabeled(g *LabeledGraph, p *LabeledPattern, opts Options, visit engine.V
 // The estimate is unbiased; variance shrinks with the number of
 // samples. Hits reports how many probes completed (very small values
 // mean the estimate is unreliable). Deterministic for a given seed.
+// samples must be at least 1; a graph without vertices estimates 0.
 func ApproxCount(g *Graph, p *Pattern, samples int, seed int64) (estimateValue float64, hits int, err error) {
 	res, err := approxCount(g, p, samples, seed)
 	if err != nil {

@@ -445,4 +445,16 @@ func TestApproxCountAPI(t *testing.T) {
 	if math.Abs(est-220)/220 > 0.1 {
 		t.Fatalf("estimate %.1f, want ≈220", est)
 	}
+	// Fewer than one probe estimates nothing: it is an error, not NaN
+	// or -0 with a nil error.
+	for _, samples := range []int{0, -1} {
+		if est, hits, err := ApproxCount(g, tri, samples, 1); err == nil {
+			t.Errorf("samples=%d: estimate %v, %d hits, nil error", samples, est, hits)
+		}
+	}
+	// A graph with no vertex has no match to sample from.
+	est, hits, err = ApproxCount(NewGraph(0, nil), tri, 100, 1)
+	if err != nil || est != 0 || hits != 0 {
+		t.Errorf("empty graph: estimate %v, %d hits, err %v; want 0, 0, nil", est, hits, err)
+	}
 }

@@ -37,7 +37,6 @@ import (
 	"light/internal/estimate"
 	"light/internal/graph"
 	"light/internal/intersect"
-	"light/internal/metrics"
 	"light/internal/parallel"
 	"light/internal/pattern"
 	"light/internal/plan"
@@ -507,9 +506,9 @@ type Result struct {
 	CandidateMemoryBytes int64
 	// Stopped reports that the visitor ended the run early.
 	Stopped bool
-	// Report is the full structured metrics report of the run (counter
-	// registry snapshot plus scheduler observability); always non-nil on
-	// a run that started, nil only when setup failed.
+	// Report is the full structured metrics report of the run (the
+	// engine counters above plus scheduler observability); always
+	// non-nil on a run that started, nil only when setup failed.
 	Report *RunReport
 }
 
@@ -613,12 +612,10 @@ func run(ctx context.Context, g *Graph, p *Pattern, opts Options, visit engine.V
 // at any worker count: the governance prelude, one run of the
 // pool over the snapshot, and the report.
 func execute(ctx context.Context, st *snapshotState, pl *plan.Plan, opts Options, filter func(u int, v VertexID) bool, visit engine.VisitFunc) (Result, error) {
-	rec := metrics.NewRecorder()
 	popts := parallel.Options{Engine: engine.Options{
 		Kernel:    opts.Intersection.kind(),
 		TimeLimit: opts.TimeLimit,
 		Filter:    filter,
-		Metrics:   rec,
 		Overlay:   st.view.Overlay(),
 	}}
 	start := time.Now()
@@ -636,24 +633,24 @@ func execute(ctx context.Context, st *snapshotState, pl *plan.Plan, opts Options
 		popts.Resume = ck
 	}
 
-	pres, degradations, err := opts.governed(ctx, rec, st.view.MaxDegree(), len(pl.Pi), popts, func(popts parallel.Options) (parallel.Result, error) {
+	r, err := opts.governed(ctx, st.view.MaxDegree(), len(pl.Pi), popts, func(popts parallel.Options) (parallel.Result, error) {
 		return parallel.RunContext(ctx, st.view.Base(), pl, popts, visit)
 	})
-	if pres == nil {
+	if r == nil {
 		return Result{}, err
 	}
 	res := Result{
-		Matches:              pres.Matches,
-		Intersections:        pres.Stats.Intersections,
-		GallopingPercent:     pres.Stats.GallopingPercent(),
-		Nodes:                pres.Nodes,
+		Matches:              r.Matches,
+		Intersections:        r.Stats.Intersections,
+		GallopingPercent:     r.Stats.GallopingPercent(),
+		Nodes:                r.Nodes,
 		Duration:             time.Since(start),
 		Order:                make([]int, len(pl.Pi)),
-		CandidateMemoryBytes: pres.CandidateMemBytes,
-		Stopped:              pres.Stopped,
+		CandidateMemoryBytes: r.CandidateMemBytes,
+		Stopped:              r.Stopped,
 	}
 	copy(res.Order, pl.Pi)
-	res.Report = newRunReport(rec, opts, st, pres.Workers, res.Duration, res.CandidateMemoryBytes, pres, degradations)
+	res.Report = newRunReport(opts, st, res.Duration, r, nil)
 	return res, mapErr(err)
 }
 

@@ -3,8 +3,7 @@ package light
 import (
 	"time"
 
-	"light/internal/metrics"
-	"light/internal/parallel"
+	"light/internal/engine"
 )
 
 // RunReportSchema is the version tag carried by every RunReport; bump it
@@ -12,7 +11,7 @@ import (
 const RunReportSchema = "light-report/1"
 
 // RunReport is the structured metrics report of one Count/Enumerate
-// run, built from the internal counter registry. The engine counters
+// run, built from the counters the run returned. The engine counters
 // (matches, nodes, comps, intersections, galloping, merges, elements)
 // are deterministic for a given (graph, pattern, options) configuration
 // — independent of worker count and scheduling — while the parallel and
@@ -107,55 +106,57 @@ type RunReport struct {
 	CandidateMemoryBytes int64 `json:"candidate_memory_bytes"`
 }
 
-// newRunReport assembles the public report from the run's recorder, the
-// snapshot it enumerated, and the scheduler extras only the parallel
-// result carries.
-func newRunReport(rec *metrics.Recorder, opts Options, st *snapshotState, workers int, d time.Duration, memBytes int64, pres *parallel.Result, degradations []string) *RunReport {
-	r := &RunReport{
-		Schema:        RunReportSchema,
-		Algorithm:     opts.Algorithm.String(),
-		Kernel:        opts.Intersection.String(),
-		Workers:       workers,
-		WallNS:        int64(d),
-		Matches:       rec.Get(metrics.EngineMatches),
-		Nodes:         rec.Get(metrics.EngineNodes),
-		Comps:         rec.Get(metrics.EngineComps),
-		Intersections: rec.Get(metrics.IntersectOps),
-		Galloping:     rec.Get(metrics.IntersectGalloping),
-		Merges:        rec.Get(metrics.IntersectMerge),
-		Elements:      rec.Get(metrics.IntersectElements),
-		BitmapProbes:  rec.Get(metrics.IntersectBitmapProbes),
-
-		RootChunks:  rec.Get(metrics.ParallelRootChunks),
-		QueueWaits:  rec.Get(metrics.ParallelQueueWaits),
-		QueueWaitNS: rec.Get(metrics.ParallelQueueWaitNanos),
-		BusyNS:      rec.Get(metrics.ParallelBusyNanos),
-
-		CheckpointWrites:      rec.Get(metrics.CheckpointWrites),
-		CheckpointWriteNS:     rec.Get(metrics.CheckpointWriteNanos),
-		CheckpointWriteErrors: rec.Get(metrics.CheckpointWriteErrors),
-		CheckpointRetries:     rec.Get(metrics.CheckpointRetries),
-
-		AdmissionWaitNS:   rec.Get(metrics.AdmissionWaitNanos),
-		SlotsGranted:      rec.Get(metrics.AdmissionSlotsGranted),
-		WatchdogStalls:    rec.Get(metrics.WatchdogStalls),
-		DegradationEvents: degradations,
+// newRunReport assembles the public report of the run r over the
+// snapshot st, which took d. Its engine counters are r's own, or, for
+// one query of a lane batch, that query's share of them; a batch
+// query's report carries no scheduler, checkpoint or admission figure,
+// since those belong to the whole batch.
+func newRunReport(opts Options, st *snapshotState, d time.Duration, r *ran, query *engine.LaneCounts) *RunReport {
+	lc := engine.LaneCounts{Matches: r.Matches, Nodes: r.Nodes, Comps: r.Comps, Stats: r.Stats}
+	if query != nil {
+		lc = *query
+	}
+	rep := &RunReport{
+		Schema:           RunReportSchema,
+		Algorithm:        opts.Algorithm.String(),
+		Kernel:           opts.Intersection.String(),
+		Workers:          r.Workers,
+		WallNS:           int64(d),
+		Matches:          lc.Matches,
+		Nodes:            lc.Nodes,
+		Comps:            lc.Comps,
+		Intersections:    lc.Stats.Intersections,
+		Galloping:        lc.Stats.Galloping,
+		Merges:           lc.Stats.Intersections - lc.Stats.Galloping,
+		Elements:         lc.Stats.Elements,
+		BitmapProbes:     lc.Stats.BitmapProbes,
+		GallopingPercent: lc.Stats.GallopingPercent(),
 
 		DeltaEdges:  st.view.DeltaEdges(),
 		SnapshotGen: st.gen,
 
-		CandidateMemoryBytes: memBytes,
+		CandidateMemoryBytes: r.CandidateMemBytes,
 	}
-	if r.Intersections > 0 {
-		r.GallopingPercent = 100 * float64(r.Galloping) / float64(r.Intersections)
+	if query != nil {
+		return rep
 	}
-	if pres != nil {
-		r.PerWorkerNodes = pres.PerWorkerNodes
-		r.PerWorkerBusyNS = make([]int64, len(pres.PerWorkerBusy))
-		for i, b := range pres.PerWorkerBusy {
-			r.PerWorkerBusyNS[i] = int64(b)
-		}
-		r.StallDump = pres.StallDump
+	rep.RootChunks = r.RootChunksDispensed
+	rep.QueueWaits = r.QueueWaits
+	rep.QueueWaitNS = uint64(r.QueueWaitTotal)
+	rep.PerWorkerNodes = r.PerWorkerNodes
+	rep.PerWorkerBusyNS = make([]int64, len(r.PerWorkerBusy))
+	for i, b := range r.PerWorkerBusy {
+		rep.PerWorkerBusyNS[i] = int64(b)
+		rep.BusyNS += uint64(b)
 	}
-	return r
+	rep.CheckpointWrites = r.CheckpointWrites
+	rep.CheckpointWriteNS = uint64(r.CheckpointWriteTotal)
+	rep.CheckpointWriteErrors = r.CheckpointWriteErrors
+	rep.CheckpointRetries = r.CheckpointRetries
+	rep.AdmissionWaitNS = uint64(r.admissionWait)
+	rep.SlotsGranted = uint64(r.slotsGranted)
+	rep.WatchdogStalls = r.Stalls
+	rep.StallDump = r.StallDump
+	rep.DegradationEvents = r.degradations
+	return rep
 }

@@ -1,7 +1,12 @@
 package light
 
 import (
+	"errors"
+	"fmt"
+	"path/filepath"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // triangleGraph is the smallest interesting data graph: K3, every vertex
@@ -108,4 +113,91 @@ func benchGraph(t *testing.T) (*Graph, *Pattern) {
 		t.Fatal(err)
 	}
 	return NewGraph(n, edges), p
+}
+
+// TestRunReportMatchesResult: a run's Report is built from the counters
+// its Result carries, so the two agree on every counter both hold — at
+// any worker count, under a Governor, after a resume, and for every
+// query of a batch, finished or stopped.
+func TestRunReportMatchesResult(t *testing.T) {
+	g, p := benchGraph(t)
+	check := func(name string, res Result) {
+		t.Helper()
+		r := res.Report
+		if r == nil {
+			t.Errorf("%s: no report", name)
+			return
+		}
+		if r.Matches != res.Matches || r.Nodes != res.Nodes || r.Intersections != res.Intersections ||
+			r.GallopingPercent != res.GallopingPercent || r.CandidateMemoryBytes != res.CandidateMemoryBytes {
+			t.Errorf("%s: report matches %d nodes %d intersections %d galloping %v%% memory %d; result %d, %d, %d, %v%%, %d",
+				name, r.Matches, r.Nodes, r.Intersections, r.GallopingPercent, r.CandidateMemoryBytes,
+				res.Matches, res.Nodes, res.Intersections, res.GallopingPercent, res.CandidateMemoryBytes)
+		}
+	}
+
+	for _, workers := range []int{1, 2} {
+		res, err := Count(g, p, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("Count W=%d", workers), res)
+	}
+	res, err := Count(g, p, Options{Workers: 2, Governor: NewGovernor(GovernorConfig{Slots: 2})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("governed Count", res)
+
+	// A run stopped at its 100th match checkpoints the roots it
+	// finished; the resumed run counts them in both Result and Report.
+	path := filepath.Join(t.TempDir(), "state.ckpt")
+	var seen atomic.Uint64
+	if _, err := Enumerate(g, p, Options{Workers: 2, CheckpointPath: path, CheckpointInterval: time.Hour}, func([]VertexID) bool {
+		return seen.Add(1) < 100
+	}); err != nil {
+		t.Fatal(err)
+	}
+	res, err = Count(g, p, Options{Workers: 2, ResumeFrom: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("resumed Count", res)
+
+	tri := mustPattern(t, "triangle")
+	queries := []BatchQuery{{Pattern: p}, {Pattern: p, MinDegree: 3}, {Pattern: tri}}
+	bres, err := CountBatch(g, queries, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range bres.Queries {
+		check(fmt.Sprintf("CountBatch query %d", i), q)
+	}
+
+	// Stopped by its time limit, a batch's counters are partial, and
+	// each query's report carries the same partial counters as its
+	// result.
+	// K150 holds C(150, 5) ≈ 5.9·10⁸ five-cliques, seconds of work
+	// where the limit allows 50 ms.
+	k150 := GenerateComplete(150)
+	clique := mustPattern(t, "clique5")
+	// Roots are dealt heaviest (highest id) first: the top half is
+	// where the stopped run did its work.
+	top := make([]VertexID, 75)
+	for i := range top {
+		top[i] = VertexID(75 + i)
+	}
+	bres, err = CountBatch(k150, []BatchQuery{{Pattern: clique}, {Pattern: clique, Roots: top}, {Pattern: mustPattern(t, "clique4")}},
+		Options{Workers: 2, TimeLimit: 50 * time.Millisecond})
+	if !errors.Is(err, ErrTimeLimit) {
+		t.Fatalf("stopped CountBatch: err = %v, want ErrTimeLimit", err)
+	}
+	var nodes uint64
+	for i, q := range bres.Queries {
+		check(fmt.Sprintf("stopped CountBatch query %d", i), q)
+		nodes += q.Nodes
+	}
+	if nodes == 0 {
+		t.Error("stopped CountBatch expanded no node before its limit, so its rows compare nothing")
+	}
 }

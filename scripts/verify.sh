@@ -89,14 +89,14 @@ go test -race "${SHORT[@]}" ./internal/lint/...
 echo "==> go test -count=1 -shuffle=on ./..."
 go test -count=1 -shuffle=on "${SHORT[@]}" ./...
 
-echo "==> go test -race -cpu 2,4 (parallel, engine, lanes, delta, metrics, admission, server incl. soaks)"
+echo "==> go test -race -cpu 2,4 (parallel, engine, lanes, delta, admission, server incl. soaks)"
 # Explicit -timeout: under -race these are the slowest steps, and a hang
 # should fail with goroutine dumps inside the CI job budget, not at it.
 # Explicit -cpu on every race, soak and chaos line: GOMAXPROCS is set by
 # the flag, so every host runs the same worker counts (the nproc check
 # above makes two of them truly simultaneous).
 go test -race -cpu 2,4 -timeout 20m "${SHORT[@]}" \
-    ./internal/parallel/... ./internal/engine/... ./internal/lanes/... ./internal/delta/... ./internal/metrics/... ./internal/admission/... ./internal/server/...
+    ./internal/parallel/... ./internal/engine/... ./internal/lanes/... ./internal/delta/... ./internal/admission/... ./internal/server/...
 
 echo "==> go test -race -cpu 2,4 shared-graph regressions (queries racing hub-index rebuilds, snapshot isolation)"
 run_named . 'TestConcurrentQueriesHubThreshold|TestHubIndexOneBuildAcrossQueries|TestSnapshotIsolation' -race -cpu 2,4 -timeout 5m
@@ -104,17 +104,17 @@ run_named . 'TestConcurrentQueriesHubThreshold|TestHubIndexOneBuildAcrossQueries
 echo "==> go test -race -cpu 2,4 governor (runs sharing the Governor's pool, memory ladder, admission timeout, stall watchdog)"
 run_named . 'TestGovernor|TestMemoryBudget|TestAdmissionOverloaded|TestStallWatchdog' -race -cpu 2,4 -timeout 10m
 
-echo "==> go test -race -cpu 1,2,4: visitor stop latch, anchored scheduler, CountDelta oracles, default-kernel equivalence, labeled queries, counter baseline"
+echo "==> go test -race -cpu 1,2,4: visitor stop latch, anchored scheduler, CountDelta oracles, default-kernel equivalence, labeled queries, counter baseline, report = result"
 # The stop latch only matters with two or more workers really running at
 # once, CountDelta's visitors run unserialized, the default kernel's hub
 # probing is the path every zero-Options query takes, labeled visitors
 # run behind the pool's stop latch like every other query, and the golden
 # counters (testdata/counter_baseline.ndjson) are claimed independent of
-# worker count and GOMAXPROCS: a 1-CPU runner must never be the only
-# evidence for any of them.
+# worker count and GOMAXPROCS, as is a report's agreement with its run's
+# result: a 1-CPU runner must never be the only evidence for any of them.
 run_named ./internal/parallel/ 'TestVisitorNeverCalledAfterStop|TestRunAnchored' -race -cpu 1,2,4 -timeout 10m
 run_named . 'TestCountDelta|TestDefaultKernel|TestLabeled' -race -cpu 1,2,4 -timeout 10m
-run_named . TestCounterBaseline -race -cpu 1,2,4 -timeout 10m
+run_named . 'TestCounterBaseline|TestRunReportMatchesResult' -race -cpu 1,2,4 -timeout 10m
 
 echo "==> planner: measured graph statistics, the cost walk's terms, and its choice on lj-s"
 # The order the planner picks is the largest lever on a query's work
