@@ -6,17 +6,18 @@ import (
 	"time"
 
 	"light/internal/engine"
-	"light/internal/graph"
+	"light/internal/faultpoint"
 	"light/internal/lanes"
 	"light/internal/parallel"
+	"light/internal/plan"
 )
 
 // BatchQuery is one member of a CountBatch: a pattern plus optional
 // query-specific narrowing. Queries with the same pattern (and batch
 // options) compile to structurally identical plans and are packed into
 // one bit-parallel lane group — the engine walks their shared search
-// tree once, so a batch of overlapping queries costs far less than
-// running them one by one.
+// tree once, so a batch of overlapping narrowed queries costs far less
+// than running them one by one.
 type BatchQuery struct {
 	// Pattern is the pattern to enumerate (required).
 	Pattern *Pattern
@@ -32,10 +33,6 @@ type BatchQuery struct {
 	// rejects lower-degree vertices, but evaluated bit-parallel across
 	// the whole lane word in one ladder lookup.
 	MinDegree int
-	// Filter, when non-nil, must approve every (pattern vertex, data
-	// vertex) assignment for this query; same contract as
-	// Options.Filter.
-	Filter func(u int, v VertexID) bool
 }
 
 // BatchResult reports a CountBatch run.
@@ -47,9 +44,9 @@ type BatchResult struct {
 	// Result. Duration and CandidateMemoryBytes describe the shared
 	// batch run and repeat on every entry.
 	Queries []Result
-	// Groups is how many shared traversals (lane groups) the batch
-	// compiled into — batches of one pattern family run in a single
-	// pass.
+	// Groups is how many shared traversals the batch compiled into:
+	// one per distinct plan (up to 64 queries each), so batches of one
+	// pattern family run in a single pass.
 	Groups int
 	// Workers is the size of the one worker pool every group ran on.
 	Workers int
@@ -60,18 +57,20 @@ type BatchResult struct {
 	Degradations []string
 }
 
-// CountBatch evaluates up to hundreds of queries against one graph in
-// bit-parallel lanes (64 queries per machine word per group),
-// returning each query's exact individual count and counters. All
-// queries run under opts' shared configuration (algorithm, kernel,
-// workers, time limit, governor); per-query state lives in each
-// BatchQuery. Every lane group runs on one worker pool; under a
-// Governor the whole batch is admitted once.
+// CountBatch evaluates up to hundreds of queries against one graph,
+// returning each query's exact individual count and counters. Queries
+// with the same plan share one traversal, packed 64 per machine word
+// in bit-parallel lanes; a query whose plan no other query shares, with
+// no Roots and no MinDegree, runs as a plain Count and reports Count's
+// counters. All queries run under opts' shared configuration
+// (algorithm, kernel, workers, time limit, governor); per-query state
+// lives in each BatchQuery. Every group runs on one worker pool; under
+// a Governor the whole batch is admitted once.
 //
 // Options.Filter, CheckpointPath, and ResumeFrom do not apply to
-// batches (per-query filters belong in BatchQuery) and are rejected
-// with ErrUnsupportedOption. Lane batches always take the full leaf
-// loop, so their counters are those of filtered Counts (see
+// batches and are rejected with ErrUnsupportedOption: a filtered query
+// is a Count with Options.Filter. A lane group walks every level to the
+// leaves, so its queries' counters are those of filtered Counts (see
 // Options.Filter), not of an unfiltered Count's counted tail.
 func CountBatch(g *Graph, queries []BatchQuery, opts Options) (BatchResult, error) {
 	return CountBatchContext(context.Background(), g, queries, opts)
@@ -87,7 +86,7 @@ func CountBatchContext(ctx context.Context, g *Graph, queries []BatchQuery, opts
 	}
 	switch {
 	case opts.Filter != nil:
-		return bres, fmt.Errorf("%w: CountBatch does not take Options.Filter; set per-query BatchQuery.Filter instead", ErrUnsupportedOption)
+		return bres, fmt.Errorf("%w: CountBatch does not take Options.Filter; run a filtered query as a Count", ErrUnsupportedOption)
 	case opts.CheckpointPath != "" || opts.ResumeFrom != "":
 		return bres, fmt.Errorf("%w: CountBatch does not support checkpointing", ErrUnsupportedOption)
 	}
@@ -100,8 +99,8 @@ func CountBatchContext(ctx context.Context, g *Graph, queries []BatchQuery, opts
 	}
 
 	// Compile one plan per query; identical patterns compile to
-	// identical plans and group automatically by compatibility key.
-	lq := make([]lanes.Query, len(queries))
+	// identical plans and group by compatibility key.
+	plans := make([]*plan.Plan, len(queries))
 	maxPatternVerts := 0
 	for i, q := range queries {
 		if q.Pattern == nil {
@@ -111,19 +110,30 @@ func CountBatchContext(ctx context.Context, g *Graph, queries []BatchQuery, opts
 		if err != nil {
 			return bres, fmt.Errorf("light: batch query %d (%s): %w", i, q.Pattern.Name(), err)
 		}
-		if n := q.Pattern.NumVertices(); n > maxPatternVerts {
-			maxPatternVerts = n
+		plans[i] = pl
+		maxPatternVerts = max(maxPatternVerts, q.Pattern.NumVertices())
+	}
+
+	// One job per group. A lone unnarrowed query is a plain job, Count's
+	// path with its counted tail; every other group shares a lane set.
+	groups := groupQueries(plans)
+	jobs := make([]parallel.Job, len(groups))
+	for gi, grp := range groups {
+		jobs[gi] = parallel.Job{View: st.view, Plan: plans[grp[0]]}
+		if q := queries[grp[0]]; len(grp) == 1 && q.Roots == nil && q.MinDegree <= 0 {
+			continue
 		}
-		spec := lanes.Spec{MinDegree: q.MinDegree}
-		if q.Roots != nil {
-			roots := make([]graph.VertexID, len(q.Roots))
-			copy(roots, q.Roots)
-			spec.Roots = roots
+		specs := make([]lanes.Spec, len(grp))
+		for lane, qi := range grp {
+			specs[lane] = lanes.Spec{Roots: queries[qi].Roots, MinDegree: queries[qi].MinDegree}
 		}
-		if q.Filter != nil {
-			spec.Filter = q.Filter
+		// Root masks span the view: an overlay can add vertices beyond
+		// the base CSR's count.
+		set, err := lanes.NewSet(st.view.NumVertices(), specs)
+		if err != nil {
+			return bres, err
 		}
-		lq[i] = lanes.Query{Plan: pl, Spec: spec}
+		jobs[gi].Lanes = set
 	}
 
 	// Governance: one admission grant for the whole batch, the memory
@@ -134,19 +144,31 @@ func CountBatchContext(ctx context.Context, g *Graph, queries []BatchQuery, opts
 		TimeLimit: opts.TimeLimit,
 	}}
 	start := time.Now()
-	var perQuery []engine.LaneCounts
 	r, err := opts.governed(ctx, st.view.MaxDegree(), maxPatternVerts, popts, func(popts parallel.Options) (parallel.Result, error) {
-		lres, err := lanes.Run(ctx, st.view, lq, popts)
-		perQuery = lres.PerQuery
-		return lres.Result, err
+		if err := faultpoint.Hit(faultpoint.PointBatchAdmit); err != nil {
+			return parallel.Result{}, fmt.Errorf("light: batch admission: %w", err)
+		}
+		return parallel.RunJobs(ctx, popts, jobs)
 	})
 	if r == nil {
 		return bres, err
 	}
 	bres.Duration = time.Since(start)
-	bres.Groups = len(r.Jobs)
+	bres.Groups = len(groups)
 	bres.Workers = r.Workers
 	bres.Degradations = r.degradations
+	perQuery := make([]engine.LaneCounts, len(queries))
+	for gi, jr := range r.Jobs {
+		if jobs[gi].Lanes == nil {
+			perQuery[groups[gi][0]] = engine.LaneCounts{Matches: jr.Matches, Nodes: jr.Nodes, Comps: jr.Comps, Stats: jr.Stats}
+			continue
+		}
+		for lane, qi := range groups[gi] {
+			if lane < len(jr.Lanes) {
+				perQuery[qi] = jr.Lanes[lane]
+			}
+		}
+	}
 	bres.Queries = make([]Result, len(queries))
 	for i := range queries {
 		lc := &perQuery[i]
@@ -156,13 +178,32 @@ func CountBatchContext(ctx context.Context, g *Graph, queries []BatchQuery, opts
 			GallopingPercent:     lc.Stats.GallopingPercent(),
 			Nodes:                lc.Nodes,
 			Duration:             bres.Duration,
+			Order:                make([]int, len(plans[i].Pi)),
 			CandidateMemoryBytes: r.CandidateMemBytes,
 			Stopped:              r.Stopped,
 		}
-		q.Order = make([]int, len(lq[i].Plan.Pi))
-		copy(q.Order, lq[i].Plan.Pi)
+		copy(q.Order, plans[i].Pi)
 		q.Report = newRunReport(opts, st, bres.Duration, r, lc)
 		bres.Queries[i] = q
 	}
 	return bres, mapErr(err)
+}
+
+// groupQueries partitions query indices into shared traversals: queries
+// with equal plan CompatKeys share a group, in first-appearance order,
+// and groups larger than 64 split into word-sized chunks.
+func groupQueries(plans []*plan.Plan) [][]int {
+	byKey := map[string]int{}
+	var groups [][]int
+	for i, pl := range plans {
+		key := pl.CompatKey()
+		gi, ok := byKey[key]
+		if !ok || len(groups[gi]) >= 64 {
+			groups = append(groups, nil)
+			gi = len(groups) - 1
+			byKey[key] = gi
+		}
+		groups[gi] = append(groups[gi], i)
+	}
+	return groups
 }

@@ -24,7 +24,7 @@
 // a blown memory budget 507, a deadline or stall 504.
 //
 // -smoke boots the daemon on a loopback port, drives one count, one
-// streamed enumeration, and one lane batch against a generated graph,
+// streamed enumeration, and one batch against a generated graph,
 // checks the exact counts against the in-process library, and exits —
 // the self-check verify.sh runs.
 package main
@@ -149,7 +149,7 @@ func serve(s *server.Server, addr string) {
 
 // runSmoke is the end-to-end self-check: boot on a loopback port, load
 // a generated graph over the API, run one count, one streamed
-// enumeration, and one lane batch, verify every number against the
+// enumeration, and one batch, verify every number against the
 // in-process library, and confirm a repeated query hits the cache.
 func runSmoke(s *server.Server) error {
 	g := light.GenerateBarabasiAlbert(500, 5, 23)
@@ -243,7 +243,7 @@ func runSmoke(s *server.Server) error {
 	}
 	fmt.Printf("smoke: enumerate streamed %d rows ok\n", rows)
 
-	// One lane batch, each member checked exactly.
+	// One batch, each member checked exactly.
 	var b struct {
 		Groups  int `json:"groups"`
 		Queries []struct {

@@ -4,8 +4,9 @@
 // reference, the BFS-join and worst-case-optimal baselines, and the
 // LIGHT engine serial + on the parallel pool under every kernel,
 // count-only or visitor, and DegreeFilter combination, plus a
-// kill-and-resume checkpoint round-trip, a lane-batched pass (root-window and
-// mixed-spec batches, per-lane counters vs sequential references), and
+// kill-and-resume checkpoint round-trip, a lane pass (a root-window lane
+// set, and a degree-narrowed lane set beside a plain job of another order,
+// through parallel.RunJobs; per-lane counters vs sequential references), and
 // an edge-delta pass (a seed-derived mutation batch applied
 // copy-on-write, checked against a fresh CSR rebuild and the CountDelta
 // identity). On a discrepancy it shrinks the case to a minimal repro,

@@ -63,7 +63,7 @@ func main() {
 	resumePath := flag.String("resume", "", "resume from a checkpoint file written by -checkpoint")
 	memBudget := flag.String("mem-budget", "", "cap candidate-arena memory (bytes, or with K/M/G suffix); degrades gracefully, exits 5 when exceeded")
 	admitTimeout := flag.Duration("admission-timeout", 0, "fail fast (exit 4) if a run place is not granted within this long (runs under a process governor)")
-	batch := flag.Bool("batch", false, "run the whole P1..P7 catalog as one bit-parallel lane batch (ignores -pattern)")
+	batch := flag.Bool("batch", false, "run the whole P1..P7 catalog as one CountBatch, each pattern its own group (ignores -pattern)")
 	applyPath := flag.String("apply", "", "apply an edge-update file ('+ u v' adds, '- u v' removes, bare 'u v' adds) before running")
 	deltaCount := flag.Bool("delta", false, "with -apply: also count only the match delta the update batch caused")
 	flag.Parse()
@@ -253,9 +253,9 @@ func main() {
 }
 
 // runBatch counts every catalog pattern against g in one CountBatch
-// call: the lane engine walks each compatibility group's shared search
-// tree once and attributes exact per-pattern counters. Ctrl-C / SIGTERM
-// cancel cleanly with partial results flagged.
+// call: the patterns compile to distinct plans, so each is its own
+// group, a plain count on the batch's one pool. Ctrl-C / SIGTERM cancel
+// cleanly with partial results flagged.
 func runBatch(g *light.Graph, opts light.Options, stats bool) {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
@@ -291,7 +291,7 @@ func runBatch(g *light.Graph, opts light.Options, stats bool) {
 	if interrupted {
 		fmt.Printf("interrupted: partial results below (%v)\n", err)
 	}
-	fmt.Printf("batch:       %d queries in %d lane group(s), %d worker(s)\n",
+	fmt.Printf("batch:       %d queries in %d group(s), %d worker(s)\n",
 		len(bres.Queries), bres.Groups, bres.Workers)
 	for i, q := range bres.Queries {
 		fmt.Printf("%-9s matches: %-14d nodes: %-12d intersections: %d\n",

@@ -33,9 +33,10 @@ type Config struct {
 	// TimeLimit bounds each baseline oracle run (default 30s). A
 	// baseline that reports a budget error is skipped, not failed.
 	TimeLimit time.Duration
-	// Lanes forces the lane-batch oracle stage (identical-pattern root
-	// batch plus a mixed-spec batch, per-lane counters vs sequential
-	// references) even in Quick mode; full mode always runs it.
+	// Lanes forces the lane oracle stage (a root-window lane set, and a
+	// degree-narrowed lane set beside a plain job; per-lane counters vs
+	// sequential references) even in Quick mode; full mode always runs
+	// it.
 	Lanes bool
 	// Delta forces the edge-delta oracle stage (a seed-derived mutation
 	// batch applied copy-on-write, checked against a fresh CSR rebuild
@@ -105,26 +106,6 @@ func (v engineVariant) visitor() engine.VisitFunc {
 	return func([]graph.VertexID) bool { return true }
 }
 
-func kernelName(k intersect.Kind) string {
-	switch k {
-	case intersect.KindMerge:
-		return "Merge"
-	case intersect.KindMergeBlock:
-		return "MergeBlock"
-	case intersect.KindGalloping:
-		return "Galloping"
-	case intersect.KindHybrid:
-		return "Hybrid"
-	case intersect.KindHybridBlock:
-		return "HybridBlock"
-	case intersect.KindMergeBitmap:
-		return "MergeBitmap"
-	case intersect.KindHybridBitmap:
-		return "HybridBitmap"
-	}
-	return fmt.Sprintf("Kind(%d)", k)
-}
-
 func variants(quick bool) []engineVariant {
 	kernels := []intersect.Kind{
 		intersect.KindMerge, intersect.KindMergeBlock, intersect.KindGalloping,
@@ -144,7 +125,7 @@ func variants(quick bool) []engineVariant {
 	for _, k := range kernels {
 		for _, visit := range []bool{false, true} {
 			for _, df := range []bool{false, true} {
-				name := "kernel=" + kernelName(k)
+				name := "kernel=" + k.String()
 				if visit {
 					name += ",visit"
 				}
@@ -304,9 +285,9 @@ func RunCase(c Case, cfg Config) (Outcome, *Discrepancy) {
 		}
 	}
 
-	// Lane-batch oracle: the same case run bit-parallel — a root-window
-	// batch of identical-pattern lanes and a mixed-spec batch — with each
-	// lane's attributed counters demanded equal to a sequential run.
+	// Lane oracle: the same case run bit-parallel — a root-window lane
+	// set and a degree-narrowed one beside a plain job — with each lane's
+	// attributed counters demanded equal to a sequential run.
 	if cfg.Lanes || !cfg.Quick {
 		var alt *plan.Plan
 		if len(orders) > 1 {

@@ -15,22 +15,23 @@ import (
 // checkLanes runs the case lane-batched and demands every lane's
 // attributed counters equal its sequential reference, two ways:
 //
-//   - an identical-pattern root batch: six lanes over the same plan
-//     whose root sets are the full graph, two overlapping windows, and
-//     a three-way partition — each lane checked against a sequential
-//     RunRoots over exactly that subset, plus the partition's counts
-//     summing to the reference;
-//   - a mixed batch: the case plan unrestricted, degree-thresholded,
-//     and filtered, plus (when the pattern admits a second connected
-//     order) an incompatible plan that must land in its own lane group
-//     — each lane checked against a sequential run under the
-//     equivalent engine filter.
+//   - an identical-pattern root batch: one lane set of six lanes over
+//     the same plan whose root sets are the full graph, two overlapping
+//     windows, and a three-way partition — each lane checked against a
+//     sequential RunRoots over exactly that subset, plus the
+//     partition's counts summing to the reference;
+//   - a mixed run, CountBatch's shape: a lane set of the case plan
+//     unrestricted and degree-thresholded, beside (when the pattern
+//     admits a second connected order) a plain job of the incompatible
+//     plan — each lane checked against a sequential run under the
+//     equivalent engine filter, and the plain job against an unfiltered
+//     sequential run.
 //
-// Both batches run through the parallel scheduler at cfg.Workers, so
-// their root chunks spread across workers; counter equality is
+// Both run through parallel.RunJobs at cfg.Workers, so their root
+// chunks spread across workers; counter equality is
 // partition-independent for the same reason it is in counterDiff. Lanes
-// walk every level to the leaves, so every sequential reference runs
-// under a filter, acceptAll where the lane has none: an unfiltered
+// walk every level to the leaves, so every lane's sequential reference
+// runs under a filter, acceptAll where the lane has none: an unfiltered
 // count-only run counts its trailing levels instead.
 func checkLanes(c Case, g *graph.Graph, pl, alt *plan.Plan, want uint64, cfg Config) *Discrepancy {
 	fail := func(stage string, wantN, got uint64, detail string) *Discrepancy {
@@ -48,6 +49,8 @@ func checkLanes(c Case, g *graph.Graph, pl, alt *plan.Plan, want uint64, cfg Con
 		}
 		return vs
 	}
+	view := delta.NewView(g, nil)
+	popts := parallel.Options{Workers: cfg.Workers}
 
 	// Identical-pattern root batch: overlapping windows + a partition.
 	rootSets := [][]graph.VertexID{
@@ -58,17 +61,19 @@ func checkLanes(c Case, g *graph.Graph, pl, alt *plan.Plan, want uint64, cfg Con
 		window(n/3, 2*n/3),
 		window(2*n/3, n),
 	}
-	queries := make([]lanes.Query, len(rootSets))
+	specs := make([]lanes.Spec, len(rootSets))
 	for i, roots := range rootSets {
-		queries[i] = lanes.Query{Plan: pl, Spec: lanes.Spec{Roots: roots}}
+		specs[i] = lanes.Spec{Roots: roots}
 	}
-	res, err := lanes.Run(context.Background(), delta.NewView(g, nil), queries, parallel.Options{Workers: cfg.Workers})
+	set, err := lanes.NewSet(n, specs)
 	if err != nil {
 		return fail("lanes/roots", want, 0, err.Error())
 	}
-	if len(res.Jobs) != 1 {
-		return fail("lanes/roots", 1, uint64(len(res.Jobs)), "identical plans split into multiple lane groups")
+	res, err := parallel.RunJobs(context.Background(), popts, []parallel.Job{{View: view, Plan: pl, Lanes: set}})
+	if err != nil {
+		return fail("lanes/roots", want, 0, err.Error())
 	}
+	perLane := res.Jobs[0].Lanes
 	for i, roots := range rootSets {
 		seq := roots
 		if seq == nil {
@@ -78,57 +83,50 @@ func checkLanes(c Case, g *graph.Graph, pl, alt *plan.Plan, want uint64, cfg Con
 		if err != nil {
 			return fail(fmt.Sprintf("lanes/roots[%d]", i), want, 0, err.Error())
 		}
-		if d := laneDiff(solo, res.PerQuery[i]); d != "" {
-			return fail(fmt.Sprintf("lanes/roots[%d]", i), solo.Matches, res.PerQuery[i].Matches, d)
+		if d := laneDiff(solo, perLane[i]); d != "" {
+			return fail(fmt.Sprintf("lanes/roots[%d]", i), solo.Matches, perLane[i].Matches, d)
 		}
 	}
-	if got := res.PerQuery[0].Matches; got != want {
+	if got := perLane[0].Matches; got != want {
 		return fail("lanes/roots/full", want, got, "unrestricted lane disagrees with reference")
 	}
-	if sum := res.PerQuery[3].Matches + res.PerQuery[4].Matches + res.PerQuery[5].Matches; sum != want {
+	if sum := perLane[3].Matches + perLane[4].Matches + perLane[5].Matches; sum != want {
 		return fail("lanes/roots/partition", want, sum, "partitioned root lanes do not sum to the reference")
 	}
 
-	// Mixed batch: per-lane narrowing plus an incompatible second plan.
-	evenFilter := func(u int, v graph.VertexID) bool { return v%2 == 0 }
-	mixed := []lanes.Query{
-		{Plan: pl},
-		{Plan: pl, Spec: lanes.Spec{MinDegree: 2}},
-		{Plan: pl, Spec: lanes.Spec{Filter: evenFilter}},
-	}
-	refs := []func(u int, v graph.VertexID) bool{
-		acceptAll,
-		func(u int, v graph.VertexID) bool { return g.Degree(v) >= 2 },
-		evenFilter,
-	}
-	wantGroups := 1
-	if alt != nil {
-		mixed = append(mixed, lanes.Query{Plan: alt})
-		wantGroups = 2
-	}
-	mres, err := lanes.Run(context.Background(), delta.NewView(g, nil), mixed, parallel.Options{Workers: cfg.Workers})
+	// Mixed run: a degree-narrowed lane set beside a plain job.
+	set, err = lanes.NewSet(n, []lanes.Spec{{}, {MinDegree: 2}})
 	if err != nil {
 		return fail("lanes/mixed", want, 0, err.Error())
 	}
-	if len(mres.Jobs) != wantGroups {
-		return fail("lanes/mixed", uint64(wantGroups), uint64(len(mres.Jobs)), "unexpected lane-group count")
+	jobs := []parallel.Job{{View: view, Plan: pl, Lanes: set}}
+	if alt != nil {
+		jobs = append(jobs, parallel.Job{View: view, Plan: alt})
 	}
-	for i, ref := range refs {
+	mres, err := parallel.RunJobs(context.Background(), popts, jobs)
+	if err != nil {
+		return fail("lanes/mixed", want, 0, err.Error())
+	}
+	for i, ref := range []func(u int, v graph.VertexID) bool{
+		acceptAll,
+		func(u int, v graph.VertexID) bool { return g.Degree(v) >= 2 },
+	} {
 		solo, err := engine.New(g, pl, engine.Options{Filter: ref}).Run(nil)
 		if err != nil {
 			return fail(fmt.Sprintf("lanes/mixed[%d]", i), want, 0, err.Error())
 		}
-		if d := laneDiff(solo, mres.PerQuery[i]); d != "" {
-			return fail(fmt.Sprintf("lanes/mixed[%d]", i), solo.Matches, mres.PerQuery[i].Matches, d)
+		if d := laneDiff(solo, mres.Jobs[0].Lanes[i]); d != "" {
+			return fail(fmt.Sprintf("lanes/mixed[%d]", i), solo.Matches, mres.Jobs[0].Lanes[i].Matches, d)
 		}
 	}
 	if alt != nil {
-		solo, err := engine.New(g, alt, engine.Options{Filter: acceptAll}).Run(nil)
+		solo, err := engine.New(g, alt, engine.Options{}).Run(nil)
 		if err != nil {
 			return fail("lanes/mixed/alt-order", want, 0, err.Error())
 		}
-		if d := laneDiff(solo, mres.PerQuery[3]); d != "" {
-			return fail("lanes/mixed/alt-order", solo.Matches, mres.PerQuery[3].Matches, d)
+		got := mres.Jobs[1]
+		if d := laneDiff(solo, engine.LaneCounts{Matches: got.Matches, Nodes: got.Nodes, Comps: got.Comps, Stats: got.Stats}); d != "" {
+			return fail("lanes/mixed/alt-order", solo.Matches, got.Matches, d)
 		}
 		if solo.Matches != want {
 			return fail("lanes/mixed/alt-order", want, solo.Matches, "alternative order disagrees with reference")

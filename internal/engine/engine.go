@@ -21,6 +21,7 @@ import (
 	"light/internal/delta"
 	"light/internal/graph"
 	"light/internal/intersect"
+	"light/internal/lanes"
 	"light/internal/plan"
 )
 
@@ -45,35 +46,14 @@ var errLaneVisit = errors.New("engine: lane mode is count-only; visitors are not
 // retain. Return false to stop the enumeration early.
 type VisitFunc func(mapping []graph.VertexID) bool
 
-// LaneProber is the engine's view of a bit-parallel lane batch (the
-// lanes package implements it): up to 64 queries that share one
-// compiled plan, packed one per bit of a uint64 word. The engine walks
-// the shared search tree once, carrying the mask of still-live lanes,
-// and asks the prober which lanes accept each assignment. Probers must
-// be immutable during a run and safe for concurrent use by many
-// workers.
-type LaneProber interface {
-	// NumLanes is the number of packed queries (1..64).
-	NumLanes() int
-	// All is the mask with one bit set per lane.
-	All() uint64
-	// RootMask returns the lanes whose root set contains v (applied
-	// only when materializing the plan's root vertex).
-	RootMask(v graph.VertexID) uint64
-	// MaskFor returns the lanes whose per-query filters accept
-	// assigning data vertex v (with degree deg) to pattern vertex u.
-	// It runs in the innermost MAT loop and must be allocation-free.
-	MaskFor(u int, v graph.VertexID, deg int) uint64
-}
-
 // LaneCounts are one lane's individually-attributed counters: exactly
 // the counters a sequential run of that lane's query (same plan, its
-// root set and filters) would produce. The attribution rule makes this
-// exact, not approximate: a lane is live at a search-tree node iff the
-// sequential run of its query would expand that node, and every COMP's
-// operands depend only on the assignments above it — never on which
-// other lanes are live — so charging each shared operation to every
-// live lane reproduces each query's solo counters bit-for-bit.
+// root set and degree threshold) would produce. The attribution rule
+// makes this exact, not approximate: a lane is live at a search-tree
+// node iff the sequential run of its query would expand that node, and
+// every COMP's operands depend only on the assignments above it — never
+// on which other lanes are live — so charging each shared operation to
+// every live lane reproduces each query's solo counters bit-for-bit.
 type LaneCounts struct {
 	Matches uint64
 	Nodes   uint64
@@ -139,12 +119,12 @@ type Options struct {
 	Overlay *delta.Overlay
 	// Lanes, when non-nil, switches the enumerator into bit-parallel
 	// lane mode: it walks the plan's search tree once for the whole
-	// batch, masking lanes off as their per-query filters reject
-	// assignments, and attributes every node, match, COMP, and
+	// group, masking lanes off as their root sets and degree thresholds
+	// reject assignments, and attributes every node, match, COMP, and
 	// intersection to each live lane in Result.Lanes. Lane mode is
 	// count-only (no visitors) and disables the count-only tail — the
 	// leaf loop must run to apply leaf-level lane masks.
-	Lanes LaneProber
+	Lanes *lanes.Set
 }
 
 func (o Options) withDefaults() Options {
@@ -228,7 +208,7 @@ type Enumerator struct {
 	// path, and laneBuf is the persistent per-lane counter array begin
 	// aliases into result.Lanes (allocated once in New, so per-chunk
 	// resets stay allocation-free).
-	lanes   LaneProber
+	lanes   *lanes.Set
 	alive   uint64
 	laneBuf []LaneCounts
 
@@ -257,13 +237,8 @@ func New(g *graph.Graph, pl *plan.Plan, opts Options) *Enumerator {
 	if opts.Delta < 0 {
 		panic(fmt.Sprintf("engine: Options.Delta is %d, must be non-negative (0 selects the default δ=%d)", opts.Delta, intersect.DefaultDelta))
 	}
-	if opts.Lanes != nil {
-		if nl := opts.Lanes.NumLanes(); nl < 1 || nl > 64 {
-			panic(fmt.Sprintf("engine: Options.Lanes packs %d lanes, must be 1..64", nl))
-		}
-		if opts.Filter != nil {
-			panic("engine: Options.Filter and Options.Lanes are exclusive; per-lane filters belong in the prober")
-		}
+	if opts.Lanes != nil && opts.Filter != nil {
+		panic("engine: Options.Filter and Options.Lanes are exclusive")
 	}
 	opts = opts.withDefaults()
 	n := pl.Pattern.NumVertices()
@@ -349,7 +324,7 @@ func (e *Enumerator) RunRoots(roots []graph.VertexID, visit VisitFunc) (Result, 
 			continue
 		}
 		if e.lanes != nil {
-			m := e.lanes.RootMask(v) & e.lanes.MaskFor(rootVertex, v, e.view.Degree(v))
+			m := e.lanes.RootMask(v) & e.lanes.MaskFor(e.view.Degree(v))
 			if m == 0 {
 				continue
 			}
@@ -600,11 +575,11 @@ func (e *Enumerator) matLoop(i int, candidates []graph.VertexID) bool {
 			continue
 		}
 		if e.lanes != nil {
-			// Lane mask probe: drop the lanes whose query-specific
-			// filters reject this assignment; if none survive, the
+			// Lane mask probe: drop the lanes whose degree threshold
+			// rejects this assignment; if none survive, the
 			// whole subtree is dead for the batch. The parent's mask
 			// is restored after the recursion — cheaper than a frame.
-			m := e.alive & e.lanes.MaskFor(u, v, e.view.Degree(v))
+			m := e.alive & e.lanes.MaskFor(e.view.Degree(v))
 			if m == 0 {
 				continue
 			}

@@ -1,7 +1,6 @@
 // Package estimate provides the graph statistics the paper's Section VI
 // cost model needs (the planner's cost walk in internal/plan turns them
-// into estimates of |R(P')|) and the AGM bound machinery (fractional edge
-// covers) used in the paper's analysis.
+// into estimates of |R(P')|).
 //
 // On skewed graphs the expected degree of a vertex reached by following
 // an edge is Σd²/2M (degree-biased), not 2M/N, and an extra backward
@@ -11,11 +10,9 @@
 package estimate
 
 import (
-	"math"
 	"sort"
 
 	"light/internal/graph"
-	"light/internal/pattern"
 )
 
 // GraphStats summarizes a data graph for estimation. Build one with
@@ -98,51 +95,4 @@ func (s GraphStats) ExpandFactor() float64 {
 		return 0
 	}
 	return s.DegreeSum2 / (2 * s.M)
-}
-
-// FractionalEdgeCover computes the optimal fractional edge cover number
-// ρ* of p (Definition II.7). Fractional edge cover LPs have
-// half-integral optima, so an exhaustive search over x(e) ∈ {0, ½, 1}
-// (3^m assignments, m ≤ 10 in the catalog) is exact.
-func FractionalEdgeCover(p *pattern.Pattern) float64 {
-	edges := p.Edges()
-	m := len(edges)
-	n := p.NumVertices()
-	best := math.Inf(1)
-	weights := make([]float64, m)
-	var rec func(i int, sum float64)
-	rec = func(i int, sum float64) {
-		if sum >= best {
-			return
-		}
-		if i == m {
-			// Check coverage: Σ_{e ∋ u} x(e) ≥ 1 for every vertex.
-			for u := 0; u < n; u++ {
-				cov := 0.0
-				for j, e := range edges {
-					if e[0] == u || e[1] == u {
-						cov += weights[j]
-					}
-				}
-				if cov < 1-1e-9 {
-					return
-				}
-			}
-			best = sum
-			return
-		}
-		for _, w := range [...]float64{0, 0.5, 1} {
-			weights[i] = w
-			rec(i+1, sum+w)
-		}
-		weights[i] = 0
-	}
-	rec(0, 0)
-	return best
-}
-
-// AGMBound returns the AGM output-size bound M^ρ*(P) for a graph with M
-// edges (Example II.1).
-func AGMBound(p *pattern.Pattern, m int64) float64 {
-	return math.Pow(float64(m), FractionalEdgeCover(p))
 }

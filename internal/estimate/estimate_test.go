@@ -6,7 +6,6 @@ import (
 
 	"light/internal/gen"
 	"light/internal/graph"
-	"light/internal/pattern"
 )
 
 func TestCollectAndMoments(t *testing.T) {
@@ -69,34 +68,5 @@ func TestCollectOnHandCountableGraphs(t *testing.T) {
 	}
 	if got := Collect(d.BuildOrdered()).Clustering; got != 6*2.0/16 {
 		t.Errorf("diamond clustering = %v, want 0.75", got)
-	}
-}
-
-func TestFractionalEdgeCover(t *testing.T) {
-	cases := []struct {
-		p    *pattern.Pattern
-		want float64
-	}{
-		{pattern.Triangle(), 1.5}, // each edge ½
-		{pattern.P1(), 2},         // square: alternating 1s or all ½
-		{pattern.P2(), 2},         // Example II.1: the chordal square has ρ* = 2
-		{pattern.P3(), 2},         // K4: all edges ⅓? no — half-integral: 4 vertices need Σ ≥ 2
-		{pattern.Path(2), 1},
-		{pattern.Path(3), 2}, // middle vertex shared; ends need their edge at 1... min is 2? e1=1,e2=1
-		{pattern.Cycle(5), 2.5},
-	}
-	for _, c := range cases {
-		if got := FractionalEdgeCover(c.p); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("%s: ρ* = %v, want %v", c.p.Name(), got, c.want)
-		}
-	}
-}
-
-func TestAGMBound(t *testing.T) {
-	// Example II.1: the chordal square on a graph with M edges is bounded
-	// by M².
-	got := AGMBound(pattern.P2(), 100)
-	if math.Abs(got-10000) > 1e-6 {
-		t.Fatalf("AGM(P2, M=100) = %v, want 10000", got)
 	}
 }

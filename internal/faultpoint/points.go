@@ -1,7 +1,7 @@
 // Package faultpoint is a named fault-injection-point registry for
 // chaos testing the enumeration runtime. Production code calls
 // Hit(name) at the places where faults matter (worker start,
-// checkpoint write, CSR read, admission, lane batches); chaos tests
+// checkpoint write, CSR read, admission, batches); chaos tests
 // built with the "faultinject" tag register hooks at those names that
 // panic, sleep, or fail. In the default build every function in this
 // package compiles to a no-op, so the injection sites cost nothing.
@@ -28,8 +28,7 @@ const (
 	// PointWatchdogFire fires when the stall watchdog is about to
 	// record a stall diagnostic; an injected error suppresses it.
 	PointWatchdogFire = "admission.watchdog.fire"
-	// PointBatchAdmit fires as a lane-batch run begins, after its
-	// single admission grant and before the first compatibility group
-	// executes.
-	PointBatchAdmit = "lanes.batch.admit"
+	// PointBatchAdmit fires as a CountBatch run begins, after its
+	// single admission grant and before the first group executes.
+	PointBatchAdmit = "light.batch.admit"
 )

@@ -12,7 +12,6 @@ package graph
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -30,10 +29,9 @@ type Graph struct {
 	adj     []VertexID // concatenated sorted neighbor lists; len = 2M
 
 	maxDegree int
-	// degreeSum2 and degreeSum3 are Σ d(v)^2 and Σ d(v)^3, used by the
-	// cardinality estimator. Cached at construction.
+	// degreeSum2 is Σ d(v)^2, used by the cardinality estimator.
+	// Cached at construction.
 	degreeSum2 float64
-	degreeSum3 float64
 
 	// hub is the degree-threshold bitmap index over high-degree
 	// neighbor lists (see hub.go); auto-built by finalize, rebuilt or
@@ -74,9 +72,6 @@ func (g *Graph) MaxDegree() int { return g.maxDegree }
 
 // DegreeSum2 returns Σ_v d(v)^2.
 func (g *Graph) DegreeSum2() float64 { return g.degreeSum2 }
-
-// DegreeSum3 returns Σ_v d(v)^3.
-func (g *Graph) DegreeSum3() float64 { return g.degreeSum3 }
 
 // Neighbors returns the sorted neighbor list of v. The returned slice
 // aliases the graph's storage and must not be modified.
@@ -155,15 +150,12 @@ func (g *Graph) Validate() error {
 func (g *Graph) finalize() {
 	g.maxDegree = 0
 	g.degreeSum2 = 0
-	g.degreeSum3 = 0
 	for v := 0; v < g.NumVertices(); v++ {
 		d := g.Degree(VertexID(v))
 		if d > g.maxDegree {
 			g.maxDegree = d
 		}
-		fd := float64(d)
-		g.degreeSum2 += fd * fd
-		g.degreeSum3 += fd * fd * fd
+		g.degreeSum2 += float64(d) * float64(d)
 	}
 	g.BuildHubIndex(0)
 }
@@ -195,10 +187,6 @@ func (b *Builder) AddEdge(u, v VertexID) {
 	}
 	b.edges = append(b.edges, Edge{u, v})
 }
-
-// NumEdgesAdded returns the number of AddEdge calls retained so far
-// (before deduplication).
-func (b *Builder) NumEdgesAdded() int { return len(b.edges) }
 
 // Build constructs the CSR graph, deduplicating edges.
 func (b *Builder) Build() *Graph {
@@ -348,15 +336,4 @@ func (g *Graph) AverageDegree() float64 {
 		return 0
 	}
 	return float64(len(g.adj)) / float64(n)
-}
-
-// EdgeProbability returns the Erdős–Rényi edge probability 2M/(N(N-1)),
-// used as a fallback by the cardinality estimator.
-func (g *Graph) EdgeProbability() float64 {
-	n := float64(g.NumVertices())
-	if n < 2 {
-		return 0
-	}
-	p := float64(len(g.adj)) / (n * (n - 1))
-	return math.Min(p, 1)
 }

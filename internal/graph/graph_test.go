@@ -242,10 +242,6 @@ func TestMemoryBytesAndStats(t *testing.T) {
 	if got := g.DegreeSum2(); got != 16 {
 		t.Errorf("DegreeSum2 = %v, want 16", got)
 	}
-	p := g.EdgeProbability()
-	if p <= 0.6 || p >= 0.7 { // 8/12
-		t.Errorf("EdgeProbability = %v, want 2/3", p)
-	}
 }
 
 // TestQuickBuilderInvariants property-checks that any multiset of edges

@@ -49,31 +49,6 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	return b.Build(), nil
 }
 
-// LoadEdgeList reads an edge-list file (see ReadEdgeList) and returns the
-// graph relabeled into degree order. Files ending in .gz are
-// transparently decompressed (SNAP distributes its graphs gzipped).
-func LoadEdgeList(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var r io.Reader = f
-	if strings.HasSuffix(path, ".gz") {
-		zr, err := gzip.NewReader(f)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		defer zr.Close()
-		r = zr
-	}
-	g, err := ReadEdgeList(r)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return Reorder(g), nil
-}
-
 // csrMagic identifies the binary CSR format. Version 2 appends a CRC32
 // (IEEE) trailer over everything before it; version 1 files (no
 // trailer) are still accepted for compatibility with old gengraph

@@ -2,58 +2,10 @@ package graph
 
 import (
 	"bytes"
-	"compress/gzip"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"testing"
 )
-
-func TestLoadEdgeListGzip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "g.txt.gz")
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if _, err := zw.Write([]byte("# triangle\n0 1\n1 2\n2 0\n")); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	g, err := LoadEdgeList(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVertices() != 3 || g.NumEdges() != 3 {
-		t.Fatalf("got %v", g)
-	}
-	// Not actually gzip → clear error, not garbage parse.
-	bad := filepath.Join(dir, "bad.gz")
-	if err := os.WriteFile(bad, []byte("0 1\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadEdgeList(bad); err == nil {
-		t.Fatal("accepted non-gzip .gz file")
-	}
-}
-
-func TestLoadEdgeListPlainFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "g.txt")
-	if err := os.WriteFile(path, []byte("0 1\n1 2\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	g, err := LoadEdgeList(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.IsOrdered() {
-		t.Fatal("LoadEdgeList must return a degree-ordered graph")
-	}
-}
 
 // TestReadCSRRejectsCorruption flips bytes all over a valid CSR payload
 // and requires every corrupted variant to either fail loading or still

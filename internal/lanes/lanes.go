@@ -1,38 +1,32 @@
-// Package lanes is the bit-parallel batch executor: it evaluates up to
-// 64 queries that share one data graph in SIMD-within-a-register lanes,
-// one query per bit of a uint64 word (the Cluster-BFS packing applied
-// to subgraph enumeration). Queries whose compiled plans are
-// structurally identical — same pattern adjacency, enumeration order,
-// execution order, COMP operands, and symmetry constraints, keyed by
-// plan.CompatKey — form a lane group; the engine then walks that
-// group's search tree once, computing every candidate set a single
-// time, while a per-path lane mask tracks which queries are still
-// live. Per-query differences (root sets, minimum-degree thresholds,
-// arbitrary assignment filters) are applied by masking lanes off, not
-// by re-walking, so the shared traversal's cost is paid once for the
-// whole group. Run makes each group one parallel.Job, and the jobs of all
-// of a batch's groups share one pool run.
+// Package lanes packs up to 64 narrowed queries that share one compiled
+// plan into bit-parallel lanes, one query per bit of a uint64 word (the
+// Cluster-BFS packing applied to subgraph enumeration). A Set is data:
+// the per-lane root sets, transposed into one mask per data vertex, and
+// the per-lane MinDegree thresholds, folded into one ascending ladder of
+// cumulative masks. The engine (engine.Options.Lanes) walks the plan's
+// search tree once for the whole group, carrying the mask of lanes
+// still live on the current path, and asks the Set which lanes accept
+// each root and each assignment.
 //
 // Attribution stays exact: a lane is live at a node iff a sequential
 // run of its query would expand that node, and every COMP depends only
 // on the assignments above it, so charging shared work to each live
-// lane reproduces every query's solo counters bit-for-bit (the engine
-// asserts the same invariant; internal/diffcheck and the catalog rows of
-// the root package's TestCounterBaseline both gate on it).
+// lane reproduces every query's solo counters bit-for-bit (the engine's
+// lane tests, internal/diffcheck and the batch rows of the root
+// package's TestCounterBaseline all gate on it). Which queries share a
+// Set is the root package's CountBatch's decision.
 package lanes
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 
-	"light/internal/engine"
 	"light/internal/graph"
 )
 
 // Spec describes one lane's query-specific narrowing of the group's
 // shared plan. The zero value is the unrestricted query: all roots, no
-// degree threshold, no filter.
+// degree threshold.
 type Spec struct {
 	// Roots, when non-nil, restricts the lane to matches whose root
 	// pattern vertex maps into this set. nil means every root.
@@ -41,16 +35,11 @@ type Spec struct {
 	// with degree below it (applied at every pattern vertex, exactly
 	// like a sequential run with a degree filter).
 	MinDegree int
-	// Filter, when non-nil, must approve every (pattern vertex, data
-	// vertex) assignment for this lane. It runs under the innermost
-	// mask probe, but only for candidates that survived the bit-
-	// parallel degree ladder, and only for lanes that carry a filter.
-	Filter func(u int, v graph.VertexID) bool
 }
 
-// Set implements engine.LaneProber for one lane group: per-query state
-// packed into uint64 masks, probed once per candidate assignment.
-// Immutable after NewSet; safe for concurrent workers.
+// Set is one lane group's per-query state packed into uint64 masks,
+// probed once per candidate assignment. Immutable after NewSet; safe
+// for concurrent workers.
 type Set struct {
 	n   int
 	all uint64
@@ -63,20 +52,14 @@ type Set struct {
 	// The degree ladder: thresholds holds the distinct MinDegree
 	// values ascending, and degMasks[i] is the mask of lanes whose
 	// threshold is at most thresholds[i]. A candidate of degree d is
-	// alive (degree-wise) in degMasks[i] for the largest thresholds[i]
-	// <= d — one binary search over at most 64 entries, no per-lane
-	// work.
+	// alive in degMasks[i] for the largest thresholds[i] <= d — one
+	// binary search over at most 64 entries, no per-lane work.
 	thresholds []int
 	degMasks   []uint64
-
-	// filterMask marks lanes carrying an arbitrary filter; filters is
-	// indexed per lane (nil entries for unfiltered lanes).
-	filterMask uint64
-	filters    []func(u int, v graph.VertexID) bool
 }
 
-// NewSet packs specs (one per lane, at most 64) into a prober over a
-// graph with numVertices data vertices.
+// NewSet packs specs (one per lane, at most 64) over a graph with
+// numVertices data vertices.
 func NewSet(numVertices int, specs []Spec) (*Set, error) {
 	if len(specs) == 0 || len(specs) > 64 {
 		return nil, fmt.Errorf("lanes: %d lanes, must be 1..64", len(specs))
@@ -118,11 +101,7 @@ func NewSet(numVertices int, specs []Spec) (*Set, error) {
 	// Degree ladder: distinct thresholds ascending, cumulative masks.
 	distinct := map[int]bool{}
 	for _, sp := range specs {
-		t := sp.MinDegree
-		if t < 0 {
-			t = 0
-		}
-		distinct[t] = true
+		distinct[max(sp.MinDegree, 0)] = true
 	}
 	for t := range distinct {
 		s.thresholds = append(s.thresholds, t)
@@ -132,23 +111,11 @@ func NewSet(numVertices int, specs []Spec) (*Set, error) {
 	for i, t := range s.thresholds {
 		var m uint64
 		for lane, sp := range specs {
-			lt := sp.MinDegree
-			if lt < 0 {
-				lt = 0
-			}
-			if lt <= t {
+			if max(sp.MinDegree, 0) <= t {
 				m |= 1 << uint(lane)
 			}
 		}
 		s.degMasks[i] = m
-	}
-
-	s.filters = make([]func(u int, v graph.VertexID) bool, len(specs))
-	for lane, sp := range specs {
-		if sp.Filter != nil {
-			s.filters[lane] = sp.Filter
-			s.filterMask |= 1 << uint(lane)
-		}
 	}
 	return s, nil
 }
@@ -169,30 +136,13 @@ func (s *Set) RootMask(v graph.VertexID) uint64 {
 	return s.rootMasks[v]
 }
 
-// MaskFor returns the lanes accepting the assignment of data vertex v
-// (degree deg) to pattern vertex u: the degree-ladder mask intersected
-// with each carried filter's verdict. One ladder lookup covers every
-// lane's threshold at once; only filtered lanes pay a per-lane call.
+// MaskFor returns the lanes accepting a data vertex of degree deg: the
+// cumulative ladder mask at the largest threshold not exceeding deg, or
+// 0 when even the smallest threshold is too high. One lookup covers
+// every lane's threshold at once.
 //
 //light:hotpath
-func (s *Set) MaskFor(u int, v graph.VertexID, deg int) uint64 {
-	m := s.degMask(deg)
-	fm := m & s.filterMask
-	for ; fm != 0; fm &= fm - 1 {
-		lane := bits.TrailingZeros64(fm)
-		if !s.filters[lane](u, v) {
-			m &^= 1 << uint(lane)
-		}
-	}
-	return m
-}
-
-// degMask returns the union of lanes whose MinDegree is at most deg:
-// the cumulative mask at the largest threshold not exceeding deg, or 0
-// when even the smallest threshold is too high.
-//
-//light:hotpath
-func (s *Set) degMask(deg int) uint64 {
+func (s *Set) MaskFor(deg int) uint64 {
 	// Binary search over at most 64 sorted thresholds.
 	lo, hi := 0, len(s.thresholds)
 	for lo < hi {
@@ -208,5 +158,3 @@ func (s *Set) degMask(deg int) uint64 {
 	}
 	return s.degMasks[lo-1]
 }
-
-var _ engine.LaneProber = (*Set)(nil)

@@ -90,9 +90,6 @@ func (l *ledger) snapshot(cursor int64) *supervise.Checkpoint {
 		Base:        l.base,
 		Done:        mergeRanges(l.done),
 	}
-	// The base's lane counters keep accumulating after the lock drops;
-	// the snapshot must own a stable copy for the file write.
-	ck.Base.Lanes = append([]engine.LaneCounts(nil), l.base.Lanes...)
 	// Keep the stored set compact; the merge result is authoritative.
 	l.done = ck.Done
 	return ck

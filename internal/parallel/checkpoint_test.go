@@ -1,14 +1,17 @@
 package parallel
 
 import (
+	"context"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"light/internal/delta"
 	"light/internal/engine"
 	"light/internal/gen"
 	"light/internal/graph"
+	"light/internal/lanes"
 	"light/internal/pattern"
 	"light/internal/plan"
 	"light/internal/supervise"
@@ -174,6 +177,26 @@ func TestCheckpointOfCompletedRun(t *testing.T) {
 	}
 	if !ck.Complete || ck.Base.Matches != want {
 		t.Fatalf("final checkpoint: complete=%v matches=%d, want complete with %d", ck.Complete, ck.Base.Matches, want)
+	}
+}
+
+// TestCheckpointRejectsLanes: a lane job can neither checkpoint nor
+// resume; RunJobs refuses it before any worker starts.
+func TestCheckpointRejectsLanes(t *testing.T) {
+	g := gen.BarabasiAlbert(100, 3, 4)
+	pl := compile(t, pattern.Triangle(), plan.ModeLIGHT)
+	set, err := lanes.NewSet(g.NumVertices(), []lanes.Spec{{}, {MinDegree: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := []Job{{View: delta.NewView(g, nil), Plan: pl, Lanes: set}}
+	for name, opts := range map[string]Options{
+		"checkpoint": {Checkpoint: &CheckpointOptions{Path: filepath.Join(t.TempDir(), "state.ckpt")}},
+		"resume":     {Resume: &supervise.Checkpoint{Fingerprint: supervise.Fingerprint(g, pl)}},
+	} {
+		if _, err := RunJobs(context.Background(), opts, jobs); err == nil {
+			t.Errorf("%s of a lane job accepted", name)
+		}
 	}
 }
 

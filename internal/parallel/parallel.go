@@ -3,8 +3,8 @@
 // query runs, at any worker count. A job is one plan over one view of
 // the graph, with its own units: the view's vertices as roots, or a list
 // of anchors. A run is one RunJobs call, whatever its number of jobs: a
-// lane batch runs one job per lane group, CountDelta one per anchored
-// plan and side.
+// CountBatch runs one job per group of queries sharing a plan,
+// CountDelta one per anchored plan and side.
 //
 // A Pool holds W workers and runs the jobs of every run submitted to
 // it: a Governor's pool is shared by all the runs it admits, and an
@@ -54,6 +54,7 @@ import (
 	"light/internal/engine"
 	"light/internal/faultpoint"
 	"light/internal/graph"
+	"light/internal/lanes"
 	"light/internal/plan"
 	"light/internal/supervise"
 )
@@ -216,7 +217,7 @@ type Job struct {
 	View delta.View
 	Plan *plan.Plan
 	// Lanes, when non-nil, runs Plan in lane mode (engine.Options.Lanes).
-	Lanes engine.LaneProber
+	Lanes *lanes.Set
 	// Anchors are the job's units, claimed one at a time and run with
 	// engine.RunAnchor (Plan then comes from plan.CompileAnchored). nil
 	// makes every vertex of the view a root, dealt heaviest first.
@@ -241,8 +242,8 @@ func RunJobs(ctx context.Context, opts Options, jobs []Job) (Result, error) {
 	if len(jobs) == 0 {
 		return Result{}, errors.New("parallel: RunJobs needs a job")
 	}
-	if (opts.Checkpoint != nil || opts.Resume != nil) && (len(jobs) > 1 || jobs[0].Anchors != nil) {
-		return Result{}, errors.New("parallel: checkpoint/resume need a single rooted job")
+	if (opts.Checkpoint != nil || opts.Resume != nil) && (len(jobs) > 1 || jobs[0].Anchors != nil || jobs[0].Lanes != nil) {
+		return Result{}, errors.New("parallel: checkpoint/resume need a single rooted job without lanes")
 	}
 	g, pl := jobs[0].View.Base(), jobs[0].Plan // what checkpoints and resumes bind to
 	if opts.Engine.Delta < 0 {

@@ -129,47 +129,6 @@ func (p *Pattern) InducedConnected(mask uint32) bool {
 	return p.connectedMask(mask, trailingZeros(mask))
 }
 
-// InducedEdges returns the edges of the vertex-induced subgraph P[mask].
-func (p *Pattern) InducedEdges(mask uint32) [][2]Vertex {
-	var out [][2]Vertex
-	for u := 0; u < p.n; u++ {
-		if mask&(1<<uint(u)) == 0 {
-			continue
-		}
-		for v := u + 1; v < p.n; v++ {
-			if mask&(1<<uint(v)) != 0 && p.HasEdge(u, v) {
-				out = append(out, [2]Vertex{u, v})
-			}
-		}
-	}
-	return out
-}
-
-// Induced returns P[keep] as a new Pattern, relabeling the kept vertices
-// 0..k-1 in ascending original order, along with the relabeling map
-// (old → new; -1 for dropped vertices).
-func (p *Pattern) Induced(mask uint32) (*Pattern, []Vertex) {
-	remap := make([]Vertex, p.n)
-	k := 0
-	for u := 0; u < p.n; u++ {
-		if mask&(1<<uint(u)) != 0 {
-			remap[u] = k
-			k++
-		} else {
-			remap[u] = -1
-		}
-	}
-	var edges [][2]Vertex
-	for _, e := range p.InducedEdges(mask) {
-		edges = append(edges, [2]Vertex{remap[e[0]], remap[e[1]]})
-	}
-	sub := MustNew(p.name+"[induced]", max(k, 1), edges)
-	if k == 0 {
-		sub.n = 0
-	}
-	return sub, remap
-}
-
 // String renders the pattern as name(n=…, m=…, edges).
 func (p *Pattern) String() string {
 	var sb strings.Builder
@@ -352,11 +311,4 @@ func maskToSlice(m uint32) []Vertex {
 		out = append(out, trailingZeros(m))
 	}
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -86,21 +86,6 @@ func TestConnectivity(t *testing.T) {
 	}
 }
 
-func TestInduced(t *testing.T) {
-	p := P2()
-	sub, remap := p.Induced(0b0111) // {u0,u1,u2}: triangle
-	if sub.NumVertices() != 3 || sub.NumEdges() != 3 {
-		t.Fatalf("induced triangle wrong: %v", sub)
-	}
-	if remap[3] != -1 || remap[0] != 0 || remap[2] != 2 {
-		t.Fatalf("remap = %v", remap)
-	}
-	sub2, _ := p.Induced(0b1010) // {u1,u3}: no edge
-	if sub2.NumEdges() != 0 || sub2.NumVertices() != 2 {
-		t.Fatalf("induced pair wrong: %v", sub2)
-	}
-}
-
 func TestAutomorphismCounts(t *testing.T) {
 	cases := []struct {
 		p    *Pattern

@@ -238,8 +238,9 @@ func (s *Server) handleApplyEdges(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		// Add and Remove are undirected edge batches in the graph's
 		// result numbering; endpoints beyond the vertex count grow the
-		// graph. Compact folds all pending deltas into a fresh CSR after
-		// applying the batch.
+		// graph, and an Add endpoint at or past the vertex count plus
+		// 2·len(Add) is answered 400. Compact folds all pending deltas
+		// into a fresh CSR after applying the batch.
 		Add     [][2]light.VertexID `json:"add,omitempty"`
 		Remove  [][2]light.VertexID `json:"remove,omitempty"`
 		Compact bool                `json:"compact,omitempty"`
@@ -256,6 +257,16 @@ func (s *Server) handleApplyEdges(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		s.writeError(w, http.StatusNotFound, "graph %q not loaded", name)
 		return
+	}
+	// k added edges introduce at most 2k new ids, so a larger endpoint
+	// would leave ids with no edge — and every later run allocates one
+	// root, and Compact one CSR offset, per id.
+	limit := uint64(g.NumVertices()) + 2*uint64(len(req.Add))
+	for _, e := range req.Add {
+		if hi := uint64(max(e[0], e[1])); hi >= limit {
+			s.writeError(w, http.StatusBadRequest, "apply edges on %s: endpoint %d is not below %d (vertex count + 2 per added edge)", name, hi, limit)
+			return
+		}
 	}
 	oldFP := g.Fingerprint()
 	snap, err := g.ApplyEdges(req.Add, req.Remove)
@@ -533,7 +544,8 @@ type batchQueryRequest struct {
 }
 
 // batchRequest is the /batch body: up to hundreds of queries evaluated
-// in bit-parallel lanes against one graph.
+// against one graph, narrowed queries of one plan sharing bit-parallel
+// lanes.
 type batchRequest struct {
 	// Graph names a registered graph; Queries are the batch members.
 	Graph   string              `json:"graph"`
@@ -568,7 +580,7 @@ type BatchResponse struct {
 	Queries []BatchQueryResponse `json:"queries"`
 }
 
-// handleBatch runs a lane-batched catalog of queries via CountBatch.
+// handleBatch runs a batch of queries via CountBatch.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	if err := decodeRequest(w, r, &req); err != nil {

@@ -294,3 +294,27 @@ func TestApplyEdgesEndpoint(t *testing.T) {
 		t.Fatalf("compaction changed count: %d -> %d", after.Matches, compacted.Matches)
 	}
 }
+
+// TestApplyEdgesRejectsSparseGrowth: an added endpoint at or past the
+// vertex count plus two per added edge would leave ids with no edge,
+// and every later run would allocate per id, so the batch is refused
+// with 400 and the graph keeps its size. A dense growth batch is still
+// accepted.
+func TestApplyEdgesRejectsSparseGrowth(t *testing.T) {
+	s, g, _ := testServer(t, Config{})
+	n := light.VertexID(g.NumVertices())
+	w := do(t, s, "POST", "/graphs/g/edges", map[string]any{"add": [][2]light.VertexID{{0, 200000000}}})
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("sparse growth status = %d: %s", w.Code, w.Body.String())
+	}
+	if got := light.VertexID(g.NumVertices()); got != n {
+		t.Fatalf("refused batch changed the vertex count %d -> %d", n, got)
+	}
+	w = do(t, s, "POST", "/graphs/g/edges", map[string]any{"add": [][2]light.VertexID{{0, n}, {n, n + 1}}})
+	if w.Code != http.StatusOK {
+		t.Fatalf("dense growth status = %d: %s", w.Code, w.Body.String())
+	}
+	if got := light.VertexID(g.NumVertices()); got != n+2 {
+		t.Fatalf("dense growth: %d vertices, want %d", got, n+2)
+	}
+}

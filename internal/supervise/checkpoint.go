@@ -23,18 +23,16 @@ import (
 //	u8  complete      (0 or 1)
 //	u64 matches, u64 nodes, u64 intersections, u64 galloping,
 //	u64 elements, u64 comps, u64 bitmapProbes
-//	u32 nLanes, then nLanes × lane
+//	u32 nLanes        (always 0)
 //	u32 nDone,  then nDone × (u32 lo, u32 hi)
 //	u32 CRC32 (IEEE) of everything above
 //
-// lane := u64 matches, u64 nodes, u64 comps,
-//
-//	u64 intersections, u64 galloping, u64 elements, u64 bitmapProbes
-//
 // Version 4 is version 3 without its frame section: a run's only units
 // are root chunks, so the committed root ranges and the base result are
-// the whole resumable state. Files of any other version are rejected
-// with ErrCheckpointVersion.
+// the whole resumable state. A lane run cannot checkpoint, so nLanes is
+// written as 0 and any other value is rejected as corrupt; the field
+// stays so that every version-4 file this program wrote still loads.
+// Files of any other version are rejected with ErrCheckpointVersion.
 const (
 	ckptMagic   = 0x4c434b50 // "LCKP"
 	ckptVersion = 4
@@ -136,16 +134,7 @@ func (c *Checkpoint) encode() []byte {
 	e.u64(c.Base.Stats.Elements)
 	e.u64(c.Base.Comps)
 	e.u64(c.Base.Stats.BitmapProbes)
-	e.u32(uint32(len(c.Base.Lanes)))
-	for _, lc := range c.Base.Lanes {
-		e.u64(lc.Matches)
-		e.u64(lc.Nodes)
-		e.u64(lc.Comps)
-		e.u64(lc.Stats.Intersections)
-		e.u64(lc.Stats.Galloping)
-		e.u64(lc.Stats.Elements)
-		e.u64(lc.Stats.BitmapProbes)
-	}
+	e.u32(0) // lanes: a lane run cannot checkpoint
 	e.u32(uint32(len(c.Done)))
 	for _, r := range c.Done {
 		e.u32(r.Lo)
@@ -298,20 +287,8 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	c.Base.Stats.Elements = d.u64("elements")
 	c.Base.Comps = d.u64("comps")
 	c.Base.Stats.BitmapProbes = d.u64("bitmap probes")
-	nLanes := d.count("lanes", 56)
-	if nLanes > 64 {
-		return nil, fmt.Errorf("supervise: corrupt checkpoint: %d lanes (max 64)", nLanes)
-	}
-	for i := 0; i < nLanes && d.err == nil; i++ {
-		var lc engine.LaneCounts
-		lc.Matches = d.u64("lane matches")
-		lc.Nodes = d.u64("lane nodes")
-		lc.Comps = d.u64("lane comps")
-		lc.Stats.Intersections = d.u64("lane intersections")
-		lc.Stats.Galloping = d.u64("lane galloping")
-		lc.Stats.Elements = d.u64("lane elements")
-		lc.Stats.BitmapProbes = d.u64("lane bitmap probes")
-		c.Base.Lanes = append(c.Base.Lanes, lc)
+	if nLanes := d.u32("lanes"); nLanes != 0 {
+		return nil, fmt.Errorf("supervise: corrupt checkpoint: %d lanes (lane runs do not checkpoint)", nLanes)
 	}
 	nDone := d.count("done ranges", 8)
 	for i := 0; i < nDone && d.err == nil; i++ {

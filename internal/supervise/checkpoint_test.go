@@ -27,10 +27,6 @@ func sampleCheckpoint() *Checkpoint {
 			Nodes:   456,
 			Comps:   78,
 			Stats:   intersect.Stats{Intersections: 40, Galloping: 9, Elements: 8000, BitmapProbes: 11},
-			Lanes: []engine.LaneCounts{
-				{Matches: 100, Nodes: 300, Comps: 50, Stats: intersect.Stats{Intersections: 30, Galloping: 7, Elements: 6000, BitmapProbes: 5}},
-				{Matches: 23, Nodes: 156, Comps: 28, Stats: intersect.Stats{Intersections: 10, Galloping: 2, Elements: 2000, BitmapProbes: 6}},
-			},
 		},
 		Done: []RootRange{{Lo: 0, Hi: 10}, {Lo: 14, Hi: 30}},
 	}
@@ -241,6 +237,31 @@ func TestLoadCheckpointRejectsOtherVersions(t *testing.T) {
 		if _, err := LoadCheckpoint(path); !errors.Is(err, ErrCheckpointVersion) {
 			t.Errorf("%s: err = %v, want ErrCheckpointVersion", name, err)
 		}
+	}
+}
+
+// TestLoadCheckpointRejectsLaneSection: a version-4 file whose lane
+// count is not 0 — the lane section earlier builds could carry — is
+// refused as corrupt, CRC resealed, since no lane run checkpoints.
+func TestLoadCheckpointRejectsLaneSection(t *testing.T) {
+	data := sampleCheckpoint().encode()
+	const lanesAt = 4 + 4 + 8 + 8 + 1 + 7*8 // magic, version, fingerprint, cursor, complete, base counters
+	if n := binary.LittleEndian.Uint32(data[lanesAt:]); n != 0 {
+		t.Fatalf("sample encodes %d lanes, want 0", n)
+	}
+	var payload []byte
+	payload = append(payload, data[:lanesAt]...)
+	payload = binary.LittleEndian.AppendUint32(payload, 1)
+	for _, x := range []uint64{100, 300, 50, 30, 7, 6000, 5} {
+		payload = binary.LittleEndian.AppendUint64(payload, x) // one lane's counters
+	}
+	payload = append(payload, data[lanesAt+4:len(data)-4]...)
+	path := filepath.Join(t.TempDir(), "lanes.ckpt")
+	if err := os.WriteFile(path, binary.LittleEndian.AppendUint32(payload, crc32.ChecksumIEEE(payload)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCheckpoint(path); err == nil || errors.Is(err, ErrCheckpointVersion) {
+		t.Fatalf("lane section: err = %v, want a corrupt-checkpoint error", err)
 	}
 }
 

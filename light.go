@@ -442,7 +442,7 @@ type Options struct {
 	// filtered run walks every level to the leaves instead of counting
 	// the trailing ones, so every leaf assignment is individually
 	// checked; this is also the sequential reference semantics for
-	// batch queries (see CountBatch).
+	// the lane groups of a CountBatch.
 	Filter func(u int, v VertexID) bool
 	// Order overrides the cost-based enumeration order with an explicit
 	// permutation of pattern vertices (advanced; must be connected).

@@ -1,6 +1,8 @@
 package light
 
 import (
+	"bytes"
+	"compress/gzip"
 	"os"
 	"path/filepath"
 	"strings"
@@ -217,6 +219,58 @@ func TestLoadEdgeListRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadEdgeList(strings.NewReader("0 1\n1 2\n")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLoadEdgeListGzip: a .gz file is decompressed transparently, and
+// a .gz file that is not gzip is a clear error, not a garbage parse.
+func TestLoadEdgeListGzip(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "g.txt.gz")
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if _, err := zw.Write([]byte("# triangle\n0 1\n1 2\n2 0\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g, err := LoadEdgeList(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumVertices() != 3 || g.NumEdges() != 3 {
+		t.Fatalf("got %d vertices, %d edges, want 3 and 3", g.NumVertices(), g.NumEdges())
+	}
+	bad := filepath.Join(dir, "bad.gz")
+	if err := os.WriteFile(bad, []byte("0 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadEdgeList(bad); err == nil {
+		t.Fatal("accepted non-gzip .gz file")
+	}
+}
+
+// TestLoadEdgeListPlainFile: a loaded graph is relabeled into degree
+// order (ids ascending by degree), whatever the file's numbering.
+func TestLoadEdgeListPlainFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.txt")
+	// Vertex 0 is the star's hub: it must get the highest id.
+	if err := os.WriteFile(path, []byte("0 1\n0 2\n0 3\n1 2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g, err := LoadEdgeList(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.snap().view.Base().IsOrdered() {
+		t.Fatal("LoadEdgeList must return a degree-ordered graph")
+	}
+	if hub := g.MapVertex(0); int(hub) != g.NumVertices()-1 || g.Degree(hub) != 3 {
+		t.Fatalf("hub mapped to %d (degree %d), want the last id with degree 3", hub, g.Degree(hub))
 	}
 }
 

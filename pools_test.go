@@ -3,6 +3,7 @@
 package light
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -27,8 +28,8 @@ func countWorkerStarts(t *testing.T, fn func() error) int64 {
 	return starts.Load()
 }
 
-// TestOnePoolPerCall: a lane batch and a CountDelta each start exactly
-// one pool of W workers, however many lane groups or anchored plans and
+// TestOnePoolPerCall: a CountBatch and a CountDelta each start exactly
+// one pool of W workers, however many groups or anchored plans and
 // sides the call holds.
 func TestOnePoolPerCall(t *testing.T) {
 	const workers = 2
@@ -120,5 +121,24 @@ func TestGovernedCallsShareOnePool(t *testing.T) {
 	})
 	if starts > 1 {
 		t.Errorf("five governed Counts started %d workers, want at most 1: they must share the Governor's pool", starts)
+	}
+}
+
+// TestChaosBatchAdmit: a fault at batch admission fails the batch
+// before the pool runs, with no partial counts.
+func TestChaosBatchAdmit(t *testing.T) {
+	defer faultpoint.Reset()
+	errInjected := errors.New("injected")
+	g := GenerateErdosRenyi(50, 150, 1)
+	tri := mustPattern(t, "triangle")
+	faultpoint.Set(faultpoint.PointBatchAdmit, faultpoint.FailTimes(1, errInjected))
+	bres, err := CountBatch(g, []BatchQuery{{Pattern: tri}, {Pattern: tri, MinDegree: 2}}, Options{})
+	if !errors.Is(err, errInjected) || !strings.Contains(err.Error(), "batch admission") {
+		t.Fatalf("err = %v", err)
+	}
+	for i, q := range bres.Queries {
+		if q.Nodes != 0 || q.Matches != 0 {
+			t.Fatalf("query %d: work ran past a failed admission: %+v", i, q)
+		}
 	}
 }

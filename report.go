@@ -108,7 +108,7 @@ type RunReport struct {
 
 // newRunReport assembles the public report of the run r over the
 // snapshot st, which took d. Its engine counters are r's own, or, for
-// one query of a lane batch, that query's share of them; a batch
+// one query of a CountBatch, that query's share of them; a batch
 // query's report carries no scheduler, checkpoint or admission figure,
 // since those belong to the whole batch.
 func newRunReport(opts Options, st *snapshotState, d time.Duration, r *ran, query *engine.LaneCounts) *RunReport {

@@ -42,20 +42,24 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
-echo "==> inlining guard: delta.View's Neighbors and Degree inline into the engine's hot loop"
+echo "==> inlining guard: delta.View's Neighbors and Degree, and the lane set's RootMask, inline into the engine"
 # A View read pushed over the inline budget would put a CALL in the
 # innermost loop, and no test or counter would notice. Every call site of
 # Neighbors in computeShared and of Degree in matLoop must be reported
-# inlined by the compiler.
+# inlined by the compiler. The engine calls the concrete *lanes.Set so
+# that its probes inline too; RootMask's call site in RunRoots is the
+# check that it does.
 INLINED=$(go build -gcflags=-m ./internal/engine 2>&1)
-for pair in computeShared:Neighbors matLoop:Degree; do
-    fn=${pair%%:*} meth=${pair##*:}
+for spec in 'computeShared e.view.Neighbors( delta.View.Neighbors' \
+    'matLoop e.view.Degree( delta.View.Degree' \
+    'RunRoots e.lanes.RootMask( lanes.(*Set).RootMask'; do
+    read -r fn site callee <<<"$spec"
     read -r lo hi < <(awk -v f="$fn" 'index($0, "func (e *Enumerator) " f "(") == 1 {lo = NR} lo && !hi && /^}/ {hi = NR} END {print lo + 0, hi + 0}' internal/engine/engine.go)
-    sites=$(awk -v lo="$lo" -v hi="$hi" -v r="e.view.$meth(" 'NR >= lo && NR <= hi {s = $0; while ((i = index(s, r)) > 0) {n++; s = substr(s, i + length(r))}} END {print n + 0}' internal/engine/engine.go)
-    inl=$(awk -F: -v lo="$lo" -v hi="$hi" -v want=" inlining call to delta.View.$meth" \
+    sites=$(awk -v lo="$lo" -v hi="$hi" -v r="$site" 'NR >= lo && NR <= hi {s = $0; while ((i = index(s, r)) > 0) {n++; s = substr(s, i + length(r))}} END {print n + 0}' internal/engine/engine.go)
+    inl=$(awk -F: -v lo="$lo" -v hi="$hi" -v want=" inlining call to $callee" \
         '$1 == "internal/engine/engine.go" && $2 >= lo && $2 <= hi && $4 == want {print $2 ":" $3}' <<<"$INLINED" | sort -u | wc -l)
     if (( lo == 0 || sites == 0 || inl != sites )); then
-        echo "verify: FAIL — delta.View.$meth is inlined at $inl of $sites call sites in (*Enumerator).$fn (lines $lo-$hi)" >&2
+        echo "verify: FAIL — $callee is inlined at $inl of $sites call sites in (*Enumerator).$fn (lines $lo-$hi)" >&2
         exit 1
     fi
 done
@@ -132,11 +136,12 @@ go run ./cmd/lightd -smoke
 echo "==> chaos: go test -race -cpu 2,4 -tags faultinject"
 go build -tags faultinject ./...
 go test -race -cpu 2,4 -tags faultinject -timeout 20m "${SHORT[@]}" \
-    ./internal/faultpoint/ ./internal/parallel/ ./internal/supervise/ ./internal/graph/ ./internal/engine/ ./internal/admission/ ./internal/lanes/
+    ./internal/faultpoint/ ./internal/parallel/ ./internal/supervise/ ./internal/graph/ ./internal/engine/ ./internal/admission/
 # The chaos line above does not cover the root package: count the pool
-# workers a lane batch and a CountDelta start (one pool per call), and
-# those governed calls start (one pool per Governor).
-run_named . 'TestOnePoolPerCall|TestGovernedCallsShareOnePool' -tags faultinject -race -cpu 2,4 -timeout 5m
+# workers a CountBatch and a CountDelta start (one pool per call), and
+# those governed calls start (one pool per Governor), and fail a
+# CountBatch at its admission.
+run_named . 'TestOnePoolPerCall|TestGovernedCallsShareOnePool|TestChaosBatchAdmit' -tags faultinject -race -cpu 2,4 -timeout 5m
 
 echo "==> fuzz smoke: FuzzCSRRoundTrip, FuzzMergeKernels, FuzzCheckpointLoad (10s each)"
 run_named ./internal/graph/ FuzzCSRRoundTrip -fuzz FuzzCSRRoundTrip -fuzztime 10s
