@@ -1,8 +1,10 @@
 // Command lightvet runs the project's static-analysis suite (see
-// internal/lint) over the module: hotpath allocation discipline,
-// concurrency discipline, CSR index safety, API hygiene, and the
-// interprocedural statflow / cancelpoll / capcontract invariants. It is
-// part of the tier-1 verify line and exits non-zero on any finding.
+// internal/lint) over the module: hotpath allocation discipline, CSR
+// index safety, discarded errors (hygiene), and the interprocedural
+// statflow / cancelpoll / capcontract invariants. Each rule is pinned by
+// a row of internal/lint's TestMutationsAgainstRealTree that re-creates
+// a bug this repo shipped. It is part of the tier-1 verify line and
+// exits non-zero on any finding.
 //
 // Usage:
 //

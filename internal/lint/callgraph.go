@@ -23,14 +23,10 @@ const (
 	// position. The callee may run wherever the value flows, so
 	// reachability analyses treat a reference as a possible call.
 	EdgeRef
-	// EdgeIface is a conservative interface-dispatch candidate: an edge
-	// to every module method whose receiver type implements the
-	// interface the call (or method value) goes through.
-	EdgeIface
 )
 
 // EdgeAll selects every edge kind.
-const EdgeAll = EdgeCall | EdgeRef | EdgeIface
+const EdgeAll = EdgeCall | EdgeRef
 
 // String renders the kind for diagnostics and determinism tests.
 func (k EdgeKind) String() string {
@@ -39,8 +35,6 @@ func (k EdgeKind) String() string {
 		return "call"
 	case EdgeRef:
 		return "ref"
-	case EdgeIface:
-		return "iface"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
@@ -57,13 +51,13 @@ type Edge struct {
 // get nodes of their own: calls inside a literal are attributed to the
 // enclosing declaration, which over-approximates "defining the closure
 // may run its body" — the right direction for reachability analyses.
+// Calls through interfaces and function values get no edge.
 type Node struct {
 	Fn   *types.Func
 	Pkg  *Package
 	Decl *ast.FuncDecl
-	// Out holds the node's outgoing edges in source order (interface
-	// candidates for one site are ordered by candidate declaration
-	// order), so two builds of the same module yield identical graphs.
+	// Out holds the node's outgoing edges in source order, so two
+	// builds of the same module yield identical graphs.
 	Out []Edge
 }
 
@@ -135,13 +129,10 @@ func (g *CallGraph) Reachable(roots []*types.Func, kinds EdgeKind, skip func(*No
 	return seen
 }
 
-// buildCallGraph constructs the graph: one pass collecting nodes and the
-// interface-method candidate index, one pass per body emitting edges.
+// buildCallGraph constructs the graph: one pass collecting nodes, one
+// pass per body emitting edges.
 func buildCallGraph(m *Module) *CallGraph {
 	g := &CallGraph{nodes: map[*types.Func]*Node{}}
-	// methodsByName indexes concrete module methods for interface
-	// dispatch candidates, in declaration order for determinism.
-	methodsByName := map[string][]*types.Func{}
 	for _, pkg := range m.Packages {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
@@ -155,21 +146,17 @@ func buildCallGraph(m *Module) *CallGraph {
 				}
 				g.nodes[obj] = &Node{Fn: obj, Pkg: pkg, Decl: fd}
 				g.order = append(g.order, obj)
-				if fd.Recv != nil {
-					methodsByName[obj.Name()] = append(methodsByName[obj.Name()], obj)
-				}
 			}
 		}
 	}
 	for _, fn := range g.order {
-		n := g.nodes[fn]
-		emitEdges(g, n, methodsByName)
+		emitEdges(g, g.nodes[fn])
 	}
 	return g
 }
 
 // emitEdges walks one declaration body and appends its outgoing edges.
-func emitEdges(g *CallGraph, n *Node, methodsByName map[string][]*types.Func) {
+func emitEdges(g *CallGraph, n *Node) {
 	info := n.Pkg.Info
 	// callFuns marks expressions appearing in call position so the
 	// reference pass below does not double-count them.
@@ -189,45 +176,11 @@ func emitEdges(g *CallGraph, n *Node, methodsByName map[string][]*types.Func) {
 		}
 		n.Out = append(n.Out, Edge{Caller: n.Fn, Callee: callee, Kind: kind, Site: site})
 	}
-	// ifaceCandidates appends an edge per module method implementing
-	// the interface method called or referenced at the site.
-	ifaceCandidates := func(sel *types.Selection, kind EdgeKind, site token.Pos) {
-		iface, ok := sel.Recv().Underlying().(*types.Interface)
-		if !ok {
-			return
-		}
-		for _, cand := range methodsByName[sel.Obj().Name()] {
-			recv := cand.Type().(*types.Signature).Recv().Type()
-			if types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface) {
-				add(cand, kind, site)
-			}
-		}
-	}
 	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
 		switch x := node.(type) {
 		case *ast.CallExpr:
 			if callee := staticCallee(info, x); callee != nil {
 				add(callee, EdgeCall, x.Pos())
-				return true
-			}
-			if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok {
-				if s, ok := info.Selections[sel]; ok {
-					switch s.Kind() {
-					case types.MethodVal:
-						ifaceCandidates(s, EdgeIface, x.Pos())
-					case types.MethodExpr:
-						// T.m(recv, ...): a direct call when T is
-						// concrete, dispatch candidates when T is an
-						// interface.
-						if f, ok := s.Obj().(*types.Func); ok {
-							if _, isIface := s.Recv().Underlying().(*types.Interface); isIface {
-								ifaceCandidates(s, EdgeIface, x.Pos())
-							} else {
-								add(f, EdgeCall, x.Pos())
-							}
-						}
-					}
-				}
 			}
 		case *ast.SelectorExpr:
 			if callFuns[x] {
@@ -239,9 +192,7 @@ func emitEdges(g *CallGraph, n *Node, methodsByName map[string][]*types.Func) {
 				// outside call position.
 				if f, ok := s.Obj().(*types.Func); ok {
 					consumed[x.Sel] = true
-					if _, isIface := s.Recv().Underlying().(*types.Interface); isIface {
-						ifaceCandidates(s, EdgeIface, x.Pos())
-					} else {
+					if !types.IsInterface(s.Recv()) {
 						add(f, EdgeRef, x.Pos())
 					}
 				}
@@ -266,8 +217,8 @@ func emitEdges(g *CallGraph, n *Node, methodsByName map[string][]*types.Func) {
 
 // staticCallee resolves a call expression to the *types.Func it
 // statically invokes: plain function calls, package-qualified calls, and
-// method calls on concrete receivers. Calls through function values,
-// fields, and interface methods return nil.
+// method calls (x.m(...) or T.m(x, ...)) on concrete receivers. Calls
+// through function values, fields, and interface methods return nil.
 func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -276,14 +227,9 @@ func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 		}
 	case *ast.SelectorExpr:
 		if sel, ok := info.Selections[fun]; ok {
-			if sel.Kind() == types.MethodVal {
-				if f, ok := sel.Obj().(*types.Func); ok {
-					// Interface method calls dispatch dynamically.
-					if _, isIface := sel.Recv().Underlying().(*types.Interface); isIface {
-						return nil
-					}
-					return f
-				}
+			// Interface method calls dispatch dynamically.
+			if f, ok := sel.Obj().(*types.Func); ok && !types.IsInterface(sel.Recv()) {
+				return f
 			}
 			return nil
 		}

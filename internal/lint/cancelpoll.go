@@ -39,9 +39,9 @@ func runCancelpoll(m *Module) []Finding {
 	g := m.CallGraph()
 
 	// mayPoll: functions whose body contains a poll primitive, closed
-	// upward over every edge kind (an interface or value call that may
-	// poll counts as polling — the conservative direction for "this
-	// statement satisfies the obligation").
+	// upward over every edge kind (a function that takes a reference to
+	// one that may poll counts as polling — the conservative direction
+	// for "this statement satisfies the obligation").
 	base := map[*types.Func]bool{}
 	for _, fn := range g.Funcs() {
 		n := g.Node(fn)

@@ -5,11 +5,8 @@ import (
 	"go/types"
 )
 
-// Hygiene enforces baseline API discipline:
+// Hygiene enforces error discipline:
 //
-//   - every exported package-level identifier (and exported method on an
-//     exported type) carries a doc comment; struct fields are covered by
-//     their type's comment and are not checked,
 //   - error returns are never silently discarded in an expression
 //     statement. Exempt: calls into package fmt (their errors are
 //     conventionally ignored), methods on strings.Builder and
@@ -25,88 +22,16 @@ import (
 //     exempt.
 var Hygiene = &Analyzer{
 	Name: "hygiene",
-	Doc:  "exported identifiers need doc comments; error returns must not be discarded",
+	Doc:  "error returns must not be discarded",
 	Run:  runHygiene,
 }
 
 func runHygiene(m *Module) []Finding {
 	var findings []Finding
 	for _, pkg := range m.Packages {
-		findings = append(findings, checkDocComments(pkg)...)
 		findings = append(findings, checkDiscardedErrors(pkg)...)
 	}
 	return findings
-}
-
-func checkDocComments(pkg *Package) []Finding {
-	var findings []Finding
-	for _, file := range pkg.Files {
-		for _, decl := range file.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				if !d.Name.IsExported() || d.Doc != nil {
-					continue
-				}
-				if d.Recv != nil && !exportedReceiver(d.Recv) {
-					continue
-				}
-				kind := "function"
-				if d.Recv != nil {
-					kind = "method"
-				}
-				findings = append(findings, pkg.finding("hygiene", d.Name, "exported %s %s has no doc comment", kind, d.Name.Name))
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						// Unlike const/var groups, a trailing line
-						// comment is not documentation for a type.
-						if s.Name.IsExported() && d.Doc == nil && s.Doc == nil {
-							findings = append(findings, pkg.finding("hygiene", s.Name, "exported type %s has no doc comment", s.Name.Name))
-						}
-					case *ast.ValueSpec:
-						if d.Doc != nil || s.Doc != nil || s.Comment != nil {
-							continue
-						}
-						for _, name := range s.Names {
-							if name.IsExported() {
-								findings = append(findings, pkg.finding("hygiene", name, "exported %s %s has no doc comment", valueKind(d), name.Name))
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	return findings
-}
-
-func valueKind(d *ast.GenDecl) string {
-	if d.Tok.String() == "const" {
-		return "const"
-	}
-	return "var"
-}
-
-// exportedReceiver reports whether a method's receiver base type is
-// exported (methods on unexported types are internal API).
-func exportedReceiver(recv *ast.FieldList) bool {
-	if len(recv.List) == 0 {
-		return true
-	}
-	t := recv.List[0].Type
-	for {
-		switch tt := t.(type) {
-		case *ast.StarExpr:
-			t = tt.X
-		case *ast.IndexExpr:
-			t = tt.X
-		case *ast.Ident:
-			return tt.IsExported()
-		default:
-			return true
-		}
-	}
 }
 
 func checkDiscardedErrors(pkg *Package) []Finding {

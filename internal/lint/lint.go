@@ -7,35 +7,39 @@
 // module (see CallGraph) plus small shared dataflow helpers back the
 // analyzers that reason across function boundaries.
 //
-// Seven analyzers guard the invariants the paper's performance and
-// exactness model depends on:
+// Each rule is kept because it catches a bug shape this repo shipped,
+// which neither go vet nor the owning package's tests catch; the
+// matching row of TestMutationsAgainstRealTree re-creates that shape in
+// a copy of the real tree and requires the finding:
 //
 //   - hotpath: functions annotated //light:hotpath — and every module
 //     function they statically call, transitively over the call
 //     graph — must stay allocation-free: no make/new, no heap composite
 //     literals, no closures, no fmt calls, no interface boxing, and no
-//     append into buffers that were not visibly preallocated.
-//   - concurrency: synchronization discipline — locks copied by value,
-//     fields accessed both atomically and non-atomically,
-//     sync.Cond.Signal/Broadcast outside any lock, and goroutines
-//     launched without a WaitGroup or channel in scope.
+//     append into buffers that were not visibly preallocated. Row: PR
+//     1's closure predicate in engine.lowerBound.
 //   - indexsafety: 32-bit narrowing conversions and 32-bit arithmetic
 //     in the CSR graph package, where int32/uint32 overflow is a real
-//     failure mode at production graph scale.
-//   - hygiene: exported identifiers without doc comments and silently
-//     discarded error returns (in command mains, also fmt.Fprint* into
-//     fallible buffered writers).
+//     failure mode at production graph scale. Row: PR 1's uint32
+//     offsets[v+1] in graph.Degree.
+//   - hygiene: silently discarded error returns, and in command mains
+//     fmt.Fprint* into fallible buffered writers. Rows: PR 1's
+//     unchecked Close in graph.SaveCSR, and PR 1's unacknowledged
+//     Fprintf into lightenum's bufio match writer.
 //   - statflow: counter parity — paths through the intersect kernels
 //     must thread the *intersect.Stats parameter; a dropped, shadowed,
 //     or missing stats argument silently corrupts the per-run counters
-//     the bench gate and run reports compare.
+//     the bench gate and run reports compare. Row: PR 5 bug #1's
+//     dropped Stats, in intersect.HybridBlock.
 //   - cancelpoll: any data-dependent loop reachable from the public
 //     Count/Enumerate entry points that can reach a cancellation poll
 //     must reach one on every iteration path, so cancellation latency
-//     stays bounded by one iteration.
+//     stays bounded by one iteration. Row: PR 4 bug #1's reject placed
+//     before the poll, in the engine's MAT loop.
 //   - capcontract: a copy or cap-extending reslice of a caller-supplied
 //     slice needs a checked cap/len guard or an explicit
-//     //light:cap-contract annotation on the function.
+//     //light:cap-contract annotation on the function. Row: PR 5 bug
+//     #2's copy into dst[:cap(dst)], at MultiWay's final copy.
 //
 // Findings can be suppressed with a trailing or preceding
 // "//lightvet:ignore <analyzer>..." comment; a bare "//lightvet:ignore"
@@ -96,7 +100,7 @@ type Analyzer struct {
 
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Hotpath, Concurrency, IndexSafety, Hygiene, Statflow, Cancelpoll, CapContract}
+	return []*Analyzer{Hotpath, IndexSafety, Hygiene, Statflow, Cancelpoll, CapContract}
 }
 
 // ByName resolves a comma-separated analyzer list ("hotpath,hygiene").

@@ -20,8 +20,6 @@ import (
 // packages with module-internal imports: dependencies first.
 var fixturePkgs = []string{
 	"hotpath_bad", "hotpath_clean",
-	"supervise", // stub dependency; must precede its importers
-	"concurrency_bad", "concurrency_clean",
 	"indexsafety_bad", "indexsafety_clean",
 	"hygiene_bad", "hygiene_clean",
 	"hygiene_main_bad", "hygiene_main_clean",
@@ -158,8 +156,12 @@ func TestByName(t *testing.T) {
 	if len(as) != 2 || as[0].Name != "hotpath" || as[1].Name != "hygiene" {
 		t.Fatalf("ByName returned %v", as)
 	}
-	if _, err := lint.ByName("nope"); err == nil {
-		t.Fatal("ByName accepted an unknown analyzer name")
+	// concurrency was deleted: a stale -analyzers concurrency must fail
+	// rather than check nothing.
+	for _, name := range []string{"nope", "concurrency"} {
+		if _, err := lint.ByName(name); err == nil {
+			t.Fatalf("ByName accepted the unknown analyzer name %q", name)
+		}
 	}
 }
 

@@ -1,16 +1,10 @@
 // Package cg exercises the call-graph builder: static calls, method
-// values, function references, conservative interface dispatch, and
-// direct and mutual recursion. The callgraph tests assert exact edges
-// over this package; it must stay finding-free for every analyzer.
+// values, function references, dynamic calls, and direct and mutual
+// recursion. The callgraph tests assert exact edges over this package;
+// it must stay finding-free for every analyzer.
 package cg
 
-// Shape is the dispatch interface.
-type Shape interface {
-	// Area reports the shape's area.
-	Area() int
-}
-
-// Square implements Shape by value.
+// Square has a value method.
 type Square struct {
 	// N is the side length.
 	N int
@@ -18,26 +12,6 @@ type Square struct {
 
 // Area returns N squared.
 func (s Square) Area() int { return s.N * s.N }
-
-// Disc implements Shape by value.
-type Disc struct {
-	// R is the radius.
-	R int
-}
-
-// Area returns a rough disc area.
-func (d Disc) Area() int { return 3 * d.R * d.R }
-
-// Total sums areas through the interface: the builder must emit
-// conservative dispatch candidates to every implementing module
-// method.
-func Total(shapes []Shape) int {
-	n := 0
-	for _, s := range shapes {
-		n += s.Area()
-	}
-	return n
-}
 
 // Pick returns a bound method value without calling it.
 func Pick(s Square) func() int {

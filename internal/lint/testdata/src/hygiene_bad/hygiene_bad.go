@@ -6,13 +6,6 @@ import "os"
 // fail is an unexported helper returning an error.
 func fail() error { return nil }
 
-func Exported() {} // want hygiene
-
-type Config struct{ N int } // want hygiene
-
-var MaxDepth = // want hygiene
-	8
-
 // Run discards error returns in expression statements.
 func Run() {
 	fail()         // want hygiene

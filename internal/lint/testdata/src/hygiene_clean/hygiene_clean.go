@@ -1,5 +1,5 @@
-// Package hy holds hygiene-clean fixtures: documented exports and the
-// sanctioned error-discard exemptions must produce no findings.
+// Package hy holds hygiene-clean fixtures: the sanctioned error-discard
+// exemptions must produce no findings.
 package hy
 
 import (
@@ -7,9 +7,6 @@ import (
 	"os"
 	"strings"
 )
-
-// MaxDepth bounds recursion.
-const MaxDepth = 8
 
 // Config carries options.
 type Config struct {

@@ -254,11 +254,11 @@ func RunJobs(ctx context.Context, opts Options, jobs []Job) (Result, error) {
 		return Result{}, fmt.Errorf("parallel: Engine.Delta is %d, must be non-negative", opts.Engine.Delta)
 	}
 	if jobs[0].View.Overlay() != nil && (opts.Checkpoint != nil || opts.Resume != nil) {
-		// Checkpoint fingerprints bind only the base graph's structure
-		// (supervise.Fingerprint hashes N/M/d_max + plan), so a pending
-		// edge delta would silently validate against a stale file.
-		// Snapshots must be compacted into a real CSR before they can
-		// checkpoint or resume.
+		// Checkpoint fingerprints bind only the base graph
+		// (supervise.Fingerprint hashes its CSR content + plan, not
+		// Options.Filter), so a pending edge delta would silently
+		// validate against a stale file. Snapshots must be compacted
+		// into a real CSR before they can checkpoint or resume.
 		return Result{}, errors.New("parallel: checkpoint/resume require a compacted snapshot; compact the pending edge deltas first")
 	}
 	opts = opts.withDefaults()
@@ -651,7 +651,7 @@ func (p *Pool) finishLocked(r *run) {
 	}
 	p.nruns.Store(int32(len(p.runs)))
 	close(r.done)
-	p.cond.Broadcast() //lightvet:ignore concurrency -- every caller holds p.mu, as the Locked suffix says
+	p.cond.Broadcast()
 }
 
 // seat is one of a run's cap places for a worker inside its units, and

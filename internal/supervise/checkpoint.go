@@ -69,11 +69,14 @@ type Checkpoint struct {
 	Done []RootRange
 }
 
-// Fingerprint hashes the identity of a (graph, plan) pair — graph
-// shape, pattern adjacency, enumeration order π, execution order σ,
-// and COMP operands — so a checkpoint can refuse to resume against a
-// different run. Engine options that do not change the match set
-// (the kernel, DegreeFilter) are deliberately excluded.
+// Fingerprint hashes the identity of a (graph, plan) pair — the graph's
+// full CSR content (graph.Fingerprint), pattern adjacency, enumeration
+// order π, execution order σ, and COMP operands — so a checkpoint can
+// refuse to resume against a different run. Engine options that do not
+// change the match set (the kernel, DegreeFilter) are deliberately
+// excluded. A root Filter changes the match set but is a function, so
+// it is not bound either: resuming with the checkpointing run's Filter
+// is the caller's job.
 func Fingerprint(g *graph.Graph, pl *plan.Plan) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
@@ -81,9 +84,7 @@ func Fingerprint(g *graph.Graph, pl *plan.Plan) uint64 {
 		binary.LittleEndian.PutUint64(b[:], x)
 		h.Write(b[:]) //lightvet:ignore hygiene -- fnv.Write cannot fail
 	}
-	w(uint64(g.NumVertices()))
-	w(uint64(g.NumEdges()))
-	w(uint64(g.MaxDegree()))
+	w(g.Fingerprint())
 	n := pl.Pattern.NumVertices()
 	w(uint64(n))
 	for u := 0; u < n; u++ {

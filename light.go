@@ -459,7 +459,9 @@ type Options struct {
 	// enumerates only the work it does not cover; the returned Result
 	// includes the checkpoint's committed matches, so the total equals
 	// an uninterrupted run's. The graph, pattern, and options must
-	// match the checkpointing run (verified by fingerprint).
+	// match the checkpointing run. The graph's content and the plan are
+	// verified by fingerprint; Filter is not, so passing the
+	// checkpointing run's Filter is the caller's job.
 	ResumeFrom string
 	// Governor, when non-nil, admits this run through a shared resource
 	// governor: the run waits (FIFO) for a run place, then runs on the

@@ -120,6 +120,27 @@ func TestCheckpointResumePublicAPI(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsOtherGraph: a checkpoint binds the graph's content,
+// not just its shape. C6 and two disjoint triangles share N, M and
+// d_max, so resuming C6's complete zero-match checkpoint on the
+// triangles must fail instead of returning C6's count.
+func TestResumeRejectsOtherGraph(t *testing.T) {
+	cycle := NewGraph(6, [][2]VertexID{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}})
+	triangles := NewGraph(6, [][2]VertexID{{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}})
+	p, _ := PatternByName("triangle")
+	path := filepath.Join(t.TempDir(), "state.ckpt")
+	if _, err := Count(cycle, p, Options{CheckpointPath: path}); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Count(triangles, p, Options{})
+	if err != nil || fresh.Matches != 2 {
+		t.Fatalf("fresh count on two triangles: %d, %v; want 2", fresh.Matches, err)
+	}
+	if res, err := Count(triangles, p, Options{ResumeFrom: path}); err == nil {
+		t.Fatalf("resume on another graph accepted: %d matches, a fresh count gives %d", res.Matches, fresh.Matches)
+	}
+}
+
 func TestResumeFromMissingFile(t *testing.T) {
 	g := GenerateComplete(6)
 	p, _ := PatternByName("triangle")

@@ -72,15 +72,17 @@ if [[ -n "$UNFORMATTED" ]]; then
     exit 1
 fi
 
-echo "==> lightvet ./... (findings -> lightvet-findings.json, 30s budget)"
-# The full analyzer suite must finish well under 30s wall-clock on the
-# whole module — it runs on every CI push, so its cost is part of the
-# contract. The JSON report is uploaded as a CI artifact.
+echo "==> lightvet ./... (findings -> lightvet-findings.json, 12s budget)"
+# The full analyzer suite runs on every CI push, so its cost is part of
+# the contract. Measured on a 2-CPU host: 3.0-3.6 s wall with a warm
+# build cache, 4.1 s right after `go build ./...` on an empty one (the
+# state this step runs in), compile and link included. The budget is
+# about 3x that. The JSON report is uploaded as a CI artifact.
 LINT_START=$(date +%s)
 go run ./cmd/lightvet -json lightvet-findings.json ./...
 LINT_ELAPSED=$(( $(date +%s) - LINT_START ))
-if (( LINT_ELAPSED > 30 )); then
-    echo "verify: FAIL — lightvet took ${LINT_ELAPSED}s, budget is 30s" >&2
+if (( LINT_ELAPSED > 12 )); then
+    echo "verify: FAIL — lightvet took ${LINT_ELAPSED}s, budget is 12s" >&2
     exit 1
 fi
 
