@@ -41,7 +41,8 @@ func reportCounters(r *RunReport) map[string]uint64 {
 // TestCounterBaseline is the exactness gate: the work counters of a fixed
 // set of runs — the list kernel the paper's figures name and the default
 // kernel, serial and on 4 workers, on a social-network stand-in and on a
-// hub-dominated graph; one run under a Governor; the catalog over a
+// hub-dominated graph, whose P1 plan marks an operand under the default
+// kernel (plan.Plan.Marks); one run under a Governor; the catalog over a
 // minimum-degree ladder as one lane batch and as a loop — must equal the
 // committed golden rows exactly, whatever GOMAXPROCS is. The counters
 // depend only on (graph, plan, kernel), so any difference is a behaviour
@@ -76,7 +77,7 @@ func TestCounterBaseline(t *testing.T) {
 		patterns []string
 	}{
 		{"yt-s", ytg, []string{"P2", "P4", "P6"}},
-		{"star-chords", rebuild(t, newGraph(gen.StarChords(4000, 24000, 7), nil)), []string{"triangle", "P2"}},
+		{"star-chords", rebuild(t, newGraph(gen.StarChords(4000, 24000, 7), nil)), []string{"triangle", "P2", "P1"}},
 	} {
 		for _, name := range c.patterns {
 			p := mustPattern(t, name)

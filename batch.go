@@ -144,7 +144,7 @@ func CountBatchContext(ctx context.Context, g *Graph, queries []BatchQuery, opts
 		TimeLimit: opts.TimeLimit,
 	}}
 	start := time.Now()
-	r, err := opts.governed(ctx, st.view.MaxDegree(), maxPatternVerts, popts, func(popts parallel.Options) (parallel.Result, error) {
+	r, err := opts.governed(ctx, st.view.MaxDegree(), maxPatternVerts, jobMarkBytes(jobs, popts.Engine.Kernel), popts, func(popts parallel.Options) (parallel.Result, error) {
 		if err := faultpoint.Hit(faultpoint.PointBatchAdmit); err != nil {
 			return parallel.Result{}, fmt.Errorf("light: batch admission: %w", err)
 		}

@@ -130,7 +130,7 @@ func CountDeltaContext(ctx context.Context, g *Graph, p *Pattern, from, to *Snap
 		TimeLimit: opts.TimeLimit,
 		Filter:    opts.Filter,
 	}}
-	pres, err := opts.governed(ctx, max(from.st.view.MaxDegree(), to.st.view.MaxDegree()), p.NumVertices(), popts, func(popts parallel.Options) (parallel.Result, error) {
+	pres, err := opts.governed(ctx, max(from.st.view.MaxDegree(), to.st.view.MaxDegree()), p.NumVertices(), jobMarkBytes(jobs, popts.Engine.Kernel), popts, func(popts parallel.Options) (parallel.Result, error) {
 		return parallel.RunJobs(ctx, popts, jobs)
 	})
 	if pres == nil {

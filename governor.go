@@ -8,7 +8,9 @@ import (
 
 	"light/internal/admission"
 	"light/internal/arena"
+	"light/internal/engine"
 	"light/internal/faultpoint"
+	"light/internal/intersect"
 	"light/internal/parallel"
 )
 
@@ -125,6 +127,7 @@ type grant struct {
 	pool         *parallel.Pool
 	watchdog     *admission.WatchdogConfig
 	lim          *arena.Limiter
+	noMarks      bool // the ladder turned marks off (engine.Options.NoMarks)
 	degradations []string
 }
 
@@ -132,10 +135,11 @@ type grant struct {
 // the worker pool: wait (FIFO) for a run place under Options.Governor,
 // chain the run's memory budget under the governor's, and walk the
 // memory-degradation ladder for a run whose workers each hold
-// patternVerts+1 cap-maxDegree buffers. With neither a Governor nor a
-// MemoryBudget it grants max(Workers, 1) workers, no place and a nil
-// limiter at once. The caller must release the grant.
-func (o Options) admit(ctx context.Context, maxDegree, patternVerts int) (*grant, error) {
+// patternVerts+1 cap-maxDegree buffers and markBytes of marks. With
+// neither a Governor nor a MemoryBudget it grants max(Workers, 1)
+// workers, no place and a nil limiter at once. The caller must release
+// the grant.
+func (o Options) admit(ctx context.Context, maxDegree, patternVerts int, markBytes int64) (*grant, error) {
 	gr := &grant{workers: o.Workers}
 	if gr.workers <= 1 {
 		gr.workers = 1
@@ -157,7 +161,7 @@ func (o Options) admit(ctx context.Context, maxDegree, patternVerts int) (*grant
 		gr.workers = a.Granted()
 	}
 	gr.lim = arena.NewLimiter(o.MemoryBudget, govLim)
-	if err := gr.sizeWorkers(maxDegree, patternVerts); err != nil {
+	if err := gr.sizeWorkers(maxDegree, patternVerts, markBytes); err != nil {
 		gr.release()
 		return nil, err
 	}
@@ -179,13 +183,14 @@ type ran struct {
 // Governor's pool, or on one of its own — and settle. popts carries the
 // run's engine and checkpoint options; run starts the run with them. It
 // returns nil when admission failed, before any worker started.
-func (o Options) governed(ctx context.Context, maxDegree, patternVerts int, popts parallel.Options, run func(parallel.Options) (parallel.Result, error)) (*ran, error) {
-	gr, err := o.admit(ctx, maxDegree, patternVerts)
+func (o Options) governed(ctx context.Context, maxDegree, patternVerts int, markBytes int64, popts parallel.Options, run func(parallel.Options) (parallel.Result, error)) (*ran, error) {
+	gr, err := o.admit(ctx, maxDegree, patternVerts, markBytes)
 	if err != nil {
 		return nil, err
 	}
 	defer gr.release()
 	popts.Workers, popts.Pool, popts.Watchdog, popts.MemLimiter = gr.workers, gr.pool, gr.watchdog, gr.lim
+	popts.Engine.NoMarks = gr.noMarks
 	pres, err := run(popts)
 	return &ran{
 		Result:        pres,
@@ -195,14 +200,16 @@ func (o Options) governed(ctx context.Context, maxDegree, patternVerts int, popt
 	}, err
 }
 
-// sizeWorkers walks the memory-degradation ladder before the run starts:
-// if its cap's predicted arena footprint exceeds the budget headroom
-// even with exact-size (tight) slabs, the cap is shed — down to serial —
-// so the run fits; the engine's hard
-// ErrMemoryBudget stop remains as the last resort for predictions the
-// estimate cannot see (the prediction covers per-worker candidate
-// buffers, the dominant term).
-func (gr *grant) sizeWorkers(maxDegree, patternVerts int) error {
+// sizeWorkers walks the memory-degradation ladder before the run starts.
+// Marks (markBytes per worker, see engine.MarkBytes) only save work, so
+// they are the first to go: when the cap's workers cannot hold them on
+// top of their buffers, the run goes without. Then, if the cap's
+// predicted arena footprint exceeds the budget headroom even with
+// exact-size (tight) slabs, the cap is shed — down to serial — so the
+// run fits; the engine's hard ErrMemoryBudget stop remains as the last
+// resort for predictions the estimate cannot see (the prediction covers
+// per-worker candidate buffers, the dominant term).
+func (gr *grant) sizeWorkers(maxDegree, patternVerts int, markBytes int64) error {
 	head := gr.lim.Headroom()
 	if head < 0 {
 		return nil
@@ -213,6 +220,11 @@ func (gr *grant) sizeWorkers(maxDegree, patternVerts int) error {
 	// Per-worker worst case: one cap-d_max buffer per pattern vertex
 	// plus one scratch buffer.
 	tightEst := arena.EstimateBytes(patternVerts+1, maxDegree, true)
+	if markBytes > 0 && int64(gr.workers)*(tightEst+markBytes) > head {
+		gr.noMarks = true
+		gr.degradations = append(gr.degradations, fmt.Sprintf(
+			"memory: marks off (%d B/worker, headroom %d B)", markBytes, head))
+	}
 	if tightEst <= 0 || int64(gr.workers)*tightEst <= head {
 		return nil
 	}
@@ -227,6 +239,16 @@ func (gr *grant) sizeWorkers(maxDegree, patternVerts int) error {
 		gr.workers = fit
 	}
 	return nil
+}
+
+// jobMarkBytes is what one worker may hold in marks over jobs: a seat
+// keeps an enumerator, and so its marks, for each job it has run.
+func jobMarkBytes(jobs []parallel.Job, kernel intersect.Kind) int64 {
+	var n int64
+	for _, j := range jobs {
+		n += engine.MarkBytes(j.View, j.Plan, kernel)
+	}
+	return n
 }
 
 // settle appends the degradations only visible after the run — arena

@@ -155,6 +155,66 @@ func TestMemoryBudgetShedsWorkers(t *testing.T) {
 	}
 }
 
+// TestMemoryBudgetDropsMarks: a budget that funds every worker's
+// buffers, the exact fit before marks existed, but not their marks too
+// runs the same workers without marks rather than hard-stopping; a
+// budget with room for the marks keeps them. The graph pads a marked
+// P1 query with isolated vertices, so a mark's |V|/64 + 1 words
+// outweigh a worker's buffers.
+func TestMemoryBudgetDropsMarks(t *testing.T) {
+	base := GenerateBarabasiAlbert(1500, 5, 7)
+	var edges [][2]VertexID
+	for u := 0; u < base.NumVertices(); u++ {
+		for _, v := range base.Neighbors(VertexID(u)) {
+			if VertexID(u) < v {
+				edges = append(edges, [2]VertexID{VertexID(u), v})
+			}
+		}
+	}
+	g := NewGraph(base.NumVertices()+50000, edges)
+	p, err := PatternByName("P1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex, err := Explain(g, p, Options{}); err != nil || !strings.Contains(ex, "marks {") {
+		t.Fatalf("the P1 plan marks no operand (err %v):\n%s", err, ex)
+	}
+	free, err := Count(g, p, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buffers := int64(p.NumVertices()+1) * int64(g.MaxDegree()) * 4
+	marks := int64(g.NumVertices()/64+1) * 8
+	for _, c := range []struct {
+		budget   int64
+		marksOff bool
+	}{
+		{2 * buffers, true},
+		{2 * (buffers + marks), false},
+	} {
+		res, err := Count(g, p, Options{Workers: 2, MemoryBudget: c.budget})
+		if err != nil {
+			t.Fatalf("budget %d: %v", c.budget, err)
+		}
+		off := false
+		for _, ev := range res.Report.DegradationEvents {
+			off = off || strings.Contains(ev, "marks off")
+			if strings.Contains(ev, "shed workers") {
+				t.Fatalf("budget %d shed workers: %v", c.budget, res.Report.DegradationEvents)
+			}
+		}
+		ran, want := reportCounters(res.Report), reportCounters(free.Report)
+		if off != c.marksOff || ran["matches"] != want["matches"] || ran["nodes"] != want["nodes"] ||
+			(ran["elements"] == want["elements"]) == c.marksOff {
+			t.Fatalf("budget %d: marks off %v (want %v), counters %v, unbudgeted %v, events %v",
+				c.budget, off, c.marksOff, ran, want, res.Report.DegradationEvents)
+		}
+		if res.Report.Workers != 2 || res.CandidateMemoryBytes > c.budget {
+			t.Fatalf("budget %d: %d workers, %d bytes", c.budget, res.Report.Workers, res.CandidateMemoryBytes)
+		}
+	}
+}
+
 // TestMemoryBudgetHardStopResumes: a budget too small for even one
 // worker hard-stops with ErrMemoryBudget but still writes a valid
 // checkpoint; resuming without the budget reaches the exact reference

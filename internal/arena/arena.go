@@ -64,6 +64,21 @@ func (a *Arena) Alloc(n int) []graph.VertexID {
 	return a.grow(n)
 }
 
+// Words returns n zeroed 64-bit words that live as long as the arena:
+// they are not carved from the slabs, so Reset never rewinds them. They
+// count in Bytes and against the budget like a slab, and Words returns
+// nil when the budget denies them. Each call allocates: callers keep
+// the words and call it once per owner, not per frame.
+//
+//lightvet:ignore hotpath -- called once per owner (an enumerator's mark), never per frame
+func (a *Arena) Words(n int) []uint64 {
+	if !a.lim.Reserve(int64(n) * 8) {
+		return nil
+	}
+	a.bytes += int64(n) * 8
+	return make([]uint64, n)
+}
+
 // grow appends a fresh slab and serves the allocation from it. This is
 // the warm-up path: it runs only while the arena has not yet reached
 // the run's peak per-frame footprint; once it has, Reset rewinds the
@@ -127,6 +142,6 @@ func (a *Arena) Reset() {
 	a.off = 0
 }
 
-// Bytes returns the total slab footprint in bytes (what the run report
-// sums into CandidateMemoryBytes).
+// Bytes returns the total footprint of the slabs and Words in bytes
+// (what the run report sums into CandidateMemoryBytes).
 func (a *Arena) Bytes() int64 { return a.bytes }

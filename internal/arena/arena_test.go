@@ -128,3 +128,37 @@ func TestZeroValueUsable(t *testing.T) {
 		t.Fatalf("zero-value arena Alloc returned %d elements", len(buf))
 	}
 }
+
+// TestWords pins the words marks use: zeroed, outside the slabs so a
+// Reset and later Allocs never reach them, counted in Bytes, and nil
+// where a budget denies them.
+func TestWords(t *testing.T) {
+	a := New()
+	a.Alloc(3)
+	words := a.Words(5)
+	if len(words) != 5 {
+		t.Fatalf("Words(5) returned %d words", len(words))
+	}
+	for i := range words {
+		if words[i] != 0 {
+			t.Fatalf("Words returned word %d = %#x, want 0", i, words[i])
+		}
+		words[i] = ^uint64(0)
+	}
+	a.Reset()
+	for i, v := range a.Alloc(chunkElems) {
+		if v != 0 {
+			t.Fatalf("a slab allocation after Reset holds the words' bits at [%d] = %d", i, v)
+		}
+	}
+	if want := int64(chunkElems)*4 + 5*8; a.Bytes() != want {
+		t.Fatalf("arena reports %d bytes, want one slab plus the words, %d", a.Bytes(), want)
+	}
+	lim := NewLimiter(16, nil)
+	if got := NewBudgeted(lim).Words(3); got != nil {
+		t.Fatalf("a 16-byte budget granted %d words", len(got))
+	}
+	if got := NewBudgeted(lim).Words(2); len(got) != 2 || lim.Used() != 16 {
+		t.Fatalf("a 16-byte budget granted %d of 2 words, used %d bytes", len(got), lim.Used())
+	}
+}

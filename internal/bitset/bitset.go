@@ -17,8 +17,10 @@ import "math/bits"
 // wordBits is the width of one storage word.
 const wordBits = 64
 
-// Bitmap is an immutable membership structure over a half-open uint32
-// interval. The zero value is an empty bitmap containing nothing.
+// Bitmap is a membership structure over a half-open uint32 interval.
+// One built by FromSorted is immutable; one made by Over is changed in
+// place by its owner with Add and Remove. The zero value is an empty
+// bitmap containing nothing.
 type Bitmap struct {
 	lo    uint32
 	words []uint64
@@ -43,6 +45,37 @@ func FromSorted(vs []uint32) *Bitmap {
 	}
 	b.ones = len(vs)
 	return b
+}
+
+// Over returns an empty bitmap spanning [0, 64·len(words)) whose bits
+// live in words, which it clears. The engine carves words from a
+// worker's arena, so the bitmap is only valid while they are.
+func Over(words []uint64) Bitmap {
+	clear(words)
+	return Bitmap{words: words}
+}
+
+// Add sets the bits of vs, which must lie in the span and not be in the
+// bitmap yet.
+//
+//light:hotpath
+func (b *Bitmap) Add(vs []uint32) {
+	for _, v := range vs {
+		d := uint64(v - b.lo)
+		b.words[d/wordBits] |= 1 << (d % wordBits)
+	}
+	b.ones += len(vs)
+}
+
+// Remove clears the bits of vs, which must all be in the bitmap.
+//
+//light:hotpath
+func (b *Bitmap) Remove(vs []uint32) {
+	for _, v := range vs {
+		d := uint64(v - b.lo)
+		b.words[d/wordBits] &^= 1 << (d % wordBits)
+	}
+	b.ones -= len(vs)
 }
 
 // Contains reports whether v is in the bitmap. Values outside the span

@@ -145,3 +145,27 @@ func TestContainsZeroAlloc(t *testing.T) {
 		t.Fatalf("Contains allocates %v per run", n)
 	}
 }
+
+// TestOverAddRemove pins the mutable bitmap marks are built on: Over
+// clears storage it is handed dirty, and Add and Remove set and clear
+// exactly the given members.
+func TestOverAddRemove(t *testing.T) {
+	words := []uint64{^uint64(0), ^uint64(0), ^uint64(0)}
+	b := Over(words)
+	if b.Ones() != 0 || b.count() != 0 || b.Span() != 192 {
+		t.Fatalf("Over: ones %d, set bits %d, span %d; want an empty 192-bit span", b.Ones(), b.count(), b.Span())
+	}
+	first, second := []uint32{0, 63, 64, 191}, []uint32{5, 64 + 7, 130}
+	b.Add(first)
+	b.Remove(first)
+	b.Add(second)
+	for v := uint32(0); v < 200; v++ {
+		want := v == 5 || v == 71 || v == 130
+		if b.Contains(v) != want {
+			t.Fatalf("Contains(%d) = %v, want %v", v, !want, want)
+		}
+	}
+	if b.Ones() != len(second) || b.count() != len(second) {
+		t.Fatalf("ones %d, set bits %d, want %d", b.Ones(), b.count(), len(second))
+	}
+}

@@ -156,8 +156,9 @@ func deltaBatch(seed int64, n int, neighbors func(light.VertexID) []light.Vertex
 // delta.Apply, and the engine counts the overlay view with HybridBitmap
 // — probing the bitmaps the overlay rebuilt for touched hubs — both
 // count-only and through the visitor loop. Each must equal a count on a
-// CSR materialized from the overlay's adjacency with the same ids.
-func checkOverlay(c Case, g *graph.Graph, pl *plan.Plan) *Discrepancy {
+// CSR materialized from the overlay's adjacency with the same ids, and
+// every plan given must expand the first one's nodes.
+func checkOverlay(c Case, g *graph.Graph, plans ...*plan.Plan) *Discrepancy {
 	fail := func(want, got uint64, detail string) *Discrepancy {
 		return &Discrepancy{Case: c, Stage: "delta/overlay-engine", Want: want, Got: got, Detail: detail}
 	}
@@ -184,19 +185,27 @@ func checkOverlay(c Case, g *graph.Graph, pl *plan.Plan) *Discrepancy {
 			}
 		}
 	}
-	ref, err := engine.New(b.Build(), pl, engine.Options{}).Run(nil)
+	ref, err := engine.New(b.Build(), plans[0], engine.Options{}).Run(nil)
 	if err != nil {
 		return fail(0, 0, err.Error())
 	}
 	opts := engine.Options{Kernel: intersect.KindHybridBitmap, Overlay: ov}
 	for _, visit := range []engine.VisitFunc{nil, func([]graph.VertexID) bool { return true }} {
-		res, err := engine.New(g, pl, opts).Run(visit)
-		if err != nil {
-			return fail(ref.Matches, 0, err.Error())
-		}
-		if res.Matches != ref.Matches {
-			return fail(ref.Matches, res.Matches,
-				fmt.Sprintf("overlay count disagrees with materialized CSR (visitor %v, batch: +%d -%d)", visit != nil, len(add), len(rem)))
+		var nodes uint64
+		for i, pl := range plans {
+			res, err := engine.New(g, pl, opts).Run(visit)
+			if err != nil {
+				return fail(ref.Matches, 0, err.Error())
+			}
+			if res.Matches != ref.Matches {
+				return fail(ref.Matches, res.Matches,
+					fmt.Sprintf("overlay count of plan %d disagrees with materialized CSR (visitor %v, batch: +%d -%d)", i, visit != nil, len(add), len(rem)))
+			}
+			if i == 0 {
+				nodes = res.Nodes
+			} else if res.Nodes != nodes {
+				return fail(nodes, res.Nodes, fmt.Sprintf("plan %d expanded %d overlay nodes, plan 0 %d (visitor %v)", i, res.Nodes, nodes, visit != nil))
+			}
 		}
 	}
 	return nil

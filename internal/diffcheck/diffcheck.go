@@ -297,7 +297,7 @@ func RunCase(c Case, cfg Config) (Outcome, *Discrepancy) {
 				return fail("lanes/compile-alt", want, 0, err.Error())
 			}
 		}
-		if d := checkLanes(c, g, light, alt, want, cfg); d != nil {
+		if d := checkLanes(c, g, light, alt, want, cfg, intersect.KindMerge); d != nil {
 			out.Checks++
 			return out, d
 		}
@@ -351,6 +351,12 @@ func RunCase(c Case, cfg Config) (Outcome, *Discrepancy) {
 	}
 
 	if !cfg.Quick {
+		if d := checkMarks(c, g, light, want, cfg); d != nil {
+			out.Checks++
+			return out, d
+		}
+		out.Checks += 4
+
 		// BFS-join and worst-case-optimal baselines. Budget errors skip
 		// the individual oracle; any returned count must agree.
 		type baseline struct {
@@ -399,6 +405,48 @@ func RunCase(c Case, cfg Config) (Outcome, *Discrepancy) {
 	}
 
 	return out, nil
+}
+
+// checkMarks runs the case's LIGHT plan with every operand marked that
+// the mark rule may flag (plan.MarkAll), under the bitmap kernel: the
+// planner marks only where a large graph's walk says marks pay, so no
+// case plan carries one. Count-only and visitor runs, a lane batch and
+// the seed's edge-delta overlay must each find the reference count and
+// expand the nodes of the same run on the unmarked plan: a mark changes
+// how a candidate set is computed, never what it holds. Cases without
+// an indexed hub run the marked plan on the list path (see
+// engine.Options.Kernel), as the planner's plans would.
+func checkMarks(c Case, g *graph.Graph, pl *plan.Plan, want uint64, cfg Config) *Discrepancy {
+	marked := pl.MarkAll()
+	if marked == nil {
+		return nil
+	}
+	opts := engine.Options{Kernel: intersect.KindHybridBitmap}
+	for _, visit := range []engine.VisitFunc{nil, func([]graph.VertexID) bool { return true }} {
+		stage := fmt.Sprintf("marks/serial(visitor %v)", visit != nil)
+		twin, err := engine.New(g, pl, opts).Run(visit)
+		if err != nil {
+			return &Discrepancy{Case: c, Stage: stage, Want: want, Detail: err.Error()}
+		}
+		res, err := engine.New(g, marked, opts).Run(visit)
+		if err != nil {
+			return &Discrepancy{Case: c, Stage: stage, Want: want, Detail: err.Error()}
+		}
+		if res.Matches != want {
+			return &Discrepancy{Case: c, Stage: stage, Want: want, Got: res.Matches}
+		}
+		if res.Nodes != twin.Nodes {
+			return &Discrepancy{Case: c, Stage: stage, Want: twin.Nodes, Got: res.Nodes, Detail: "marked and unmarked plans expanded different node counts"}
+		}
+	}
+	d := checkLanes(c, g, marked, nil, want, cfg, intersect.KindHybridBitmap)
+	if d == nil {
+		d = checkOverlay(c, g, pl, marked)
+	}
+	if d != nil {
+		d.Stage = "marks/" + d.Stage
+	}
+	return d
 }
 
 // counterDiff compares the partition-independent counters of a serial

@@ -7,6 +7,7 @@ import (
 	"light/internal/delta"
 	"light/internal/engine"
 	"light/internal/graph"
+	"light/internal/intersect"
 	"light/internal/lanes"
 	"light/internal/parallel"
 	"light/internal/plan"
@@ -27,13 +28,13 @@ import (
 //     equivalent engine filter, and the plain job against an unfiltered
 //     sequential run.
 //
-// Both run through parallel.RunJobs at cfg.Workers, so their root
-// chunks spread across workers; counter equality is
-// partition-independent for the same reason it is in counterDiff. Lanes
-// walk every level to the leaves, so every lane's sequential reference
-// runs under a filter, acceptAll where the lane has none: an unfiltered
-// count-only run counts its trailing levels instead.
-func checkLanes(c Case, g *graph.Graph, pl, alt *plan.Plan, want uint64, cfg Config) *Discrepancy {
+// Every run uses kernel. Both run through parallel.RunJobs at
+// cfg.Workers, so their root chunks spread across workers; counter
+// equality is partition-independent for the same reason it is in
+// counterDiff. Lanes walk every level to the leaves, so every lane's
+// sequential reference runs under a filter, acceptAll where the lane has
+// none: an unfiltered count-only run counts its trailing levels instead.
+func checkLanes(c Case, g *graph.Graph, pl, alt *plan.Plan, want uint64, cfg Config, kernel intersect.Kind) *Discrepancy {
 	fail := func(stage string, wantN, got uint64, detail string) *Discrepancy {
 		return &Discrepancy{Case: c, Stage: stage, Want: wantN, Got: got, Detail: detail}
 	}
@@ -50,7 +51,7 @@ func checkLanes(c Case, g *graph.Graph, pl, alt *plan.Plan, want uint64, cfg Con
 		return vs
 	}
 	view := delta.NewView(g, nil)
-	popts := parallel.Options{Workers: cfg.Workers}
+	popts := parallel.Options{Workers: cfg.Workers, Engine: engine.Options{Kernel: kernel}}
 
 	// Identical-pattern root batch: overlapping windows + a partition.
 	rootSets := [][]graph.VertexID{
@@ -79,7 +80,7 @@ func checkLanes(c Case, g *graph.Graph, pl, alt *plan.Plan, want uint64, cfg Con
 		if seq == nil {
 			seq = window(0, n)
 		}
-		solo, err := engine.New(g, pl, engine.Options{Filter: acceptAll}).RunRoots(seq, nil)
+		solo, err := engine.New(g, pl, engine.Options{Kernel: kernel, Filter: acceptAll}).RunRoots(seq, nil)
 		if err != nil {
 			return fail(fmt.Sprintf("lanes/roots[%d]", i), want, 0, err.Error())
 		}
@@ -111,7 +112,7 @@ func checkLanes(c Case, g *graph.Graph, pl, alt *plan.Plan, want uint64, cfg Con
 		acceptAll,
 		func(u int, v graph.VertexID) bool { return g.Degree(v) >= 2 },
 	} {
-		solo, err := engine.New(g, pl, engine.Options{Filter: ref}).Run(nil)
+		solo, err := engine.New(g, pl, engine.Options{Kernel: kernel, Filter: ref}).Run(nil)
 		if err != nil {
 			return fail(fmt.Sprintf("lanes/mixed[%d]", i), want, 0, err.Error())
 		}
@@ -120,7 +121,7 @@ func checkLanes(c Case, g *graph.Graph, pl, alt *plan.Plan, want uint64, cfg Con
 		}
 	}
 	if alt != nil {
-		solo, err := engine.New(g, alt, engine.Options{}).Run(nil)
+		solo, err := engine.New(g, alt, engine.Options{Kernel: kernel}).Run(nil)
 		if err != nil {
 			return fail("lanes/mixed/alt-order", want, 0, err.Error())
 		}

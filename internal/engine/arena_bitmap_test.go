@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"testing"
 
 	"light/internal/arena"
@@ -21,6 +22,83 @@ func compile(t *testing.T, p *pattern.Pattern) *plan.Plan {
 		t.Fatal(err)
 	}
 	return pl
+}
+
+// markedPlan returns the LIGHT plan of p's first connected order that
+// has an operand to mark, with every such operand marked.
+func markedPlan(t *testing.T, p *pattern.Pattern) *plan.Plan {
+	t.Helper()
+	po := pattern.SymmetryBreaking(p)
+	for _, pi := range plan.ConnectedOrders(p, po) {
+		pl, err := plan.Compile(p, po, pi, plan.ModeLIGHT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mpl := pl.MarkAll(); mpl != nil {
+			return mpl
+		}
+	}
+	t.Fatalf("%s: no order has an operand to mark", p.Name())
+	return nil
+}
+
+// TestMarksAcrossRuns reuses one Enumerator for RunRoots over two
+// disjoint root sets. Its marks outlive the first call: the second
+// takes no new words for them (the arena's footprint stays put, where a
+// per-run carve would clear |V|/64 + 1 words for every chunk or
+// anchor) and starts from the bits the first left set. It must still do
+// exactly the work a fresh Enumerator does on those roots, and find the
+// matches and nodes of the same plan without marks. One indexed hub
+// keeps the bitmap kernel on; every other φ(w) is served by a mark.
+func TestMarksAcrossRuns(t *testing.T) {
+	g := gen.BarabasiAlbert(400, 5, 9)
+	g.BuildHubIndex(g.MaxDegree())
+	n := g.NumVertices()
+	roots := func(lo, hi int) []graph.VertexID {
+		vs := make([]graph.VertexID, 0, hi-lo)
+		for v := lo; v < hi; v++ {
+			vs = append(vs, graph.VertexID(v))
+		}
+		return vs
+	}
+	opts := Options{Kernel: intersect.KindHybridBitmap}
+	for _, p := range []*pattern.Pattern{pattern.P1(), pattern.P4()} {
+		mpl := markedPlan(t, p)
+		e := New(g, mpl, opts)
+		if _, err := e.RunRoots(roots(0, n/2), nil); err != nil {
+			t.Fatal(err)
+		}
+		carved := e.CandidateMemoryBytes()
+		got, err := e.RunRoots(roots(n/2, n), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.CandidateMemoryBytes() != carved {
+			t.Fatalf("%s: the second run grew the arena from %d to %d bytes; marks were taken again", p.Name(), carved, e.CandidateMemoryBytes())
+		}
+		fresh, err := New(g, mpl, opts).RunRoots(roots(n/2, n), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, fresh) {
+			t.Fatalf("%s: reused enumerator %+v, fresh one %+v", p.Name(), got, fresh)
+		}
+		unmarked, err := plan.Compile(p, mpl.PO, mpl.Pi, plan.ModeLIGHT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := New(g, unmarked, opts).RunRoots(roots(n/2, n), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Matches != plain.Matches || got.Nodes != plain.Nodes || got.Comps != plain.Comps {
+			t.Fatalf("%s: marked matches/nodes/comps %d/%d/%d, unmarked %d/%d/%d",
+				p.Name(), got.Matches, got.Nodes, got.Comps, plain.Matches, plain.Nodes, plain.Comps)
+		}
+		if got.Stats == plain.Stats {
+			t.Fatalf("%s: marked run did the unmarked run's work %+v; no mark ran", p.Name(), got.Stats)
+		}
+	}
 }
 
 // TestBitmapKernelMatchesList runs the bitmap kernels against their list
@@ -114,22 +192,23 @@ func TestBitmapKernelNoHubIndex(t *testing.T) {
 
 // TestSteadyStateZeroAllocs pins the arena contract: after the first run
 // warms the slabs, whole enumeration runs allocate nothing — for the
-// list kernels and the bitmap kernels alike.
+// list kernels and the bitmap kernels alike, marks included.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	g := gen.StarChords(120, 360, 11)
 	g.BuildHubIndex(8)
-	pl := compile(t, pattern.P5())
-	for _, k := range []intersect.Kind{intersect.KindHybridBlock, intersect.KindHybridBitmap} {
-		e := New(g, pl, Options{Kernel: k})
-		if _, err := e.Run(nil); err != nil {
-			t.Fatal(err)
-		}
-		if n := testing.AllocsPerRun(3, func() {
+	for _, pl := range []*plan.Plan{compile(t, pattern.P5()), markedPlan(t, pattern.P4())} {
+		for _, k := range []intersect.Kind{intersect.KindHybridBlock, intersect.KindHybridBitmap} {
+			e := New(g, pl, Options{Kernel: k})
 			if _, err := e.Run(nil); err != nil {
 				t.Fatal(err)
 			}
-		}); n != 0 {
-			t.Fatalf("kernel %v: %v allocations per steady-state run, want 0", k, n)
+			if n := testing.AllocsPerRun(3, func() {
+				if _, err := e.Run(nil); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Fatalf("%s, kernel %v: %v allocations per steady-state run, want 0", pl.Pattern.Name(), k, n)
+			}
 		}
 	}
 }

@@ -125,6 +125,10 @@ type Options struct {
 	// count-only (no visitors) and disables the count-only tail — the
 	// leaf loop must run to apply leaf-level lane masks.
 	Lanes *lanes.Set
+	// NoMarks runs the operands the plan marks as plain operands, the
+	// way a list kernel does. The memory-degradation ladder sets it when
+	// a worker's budget cannot also hold its marks (see MarkBytes).
+	NoMarks bool
 }
 
 func (o Options) withDefaults() Options {
@@ -202,6 +206,11 @@ type Enumerator struct {
 	// probes bitmaps and the index published when New ran holds at least
 	// one hub. Otherwise every COMP takes the list path outright.
 	useBitmaps bool
+	// marks[w] is pattern vertex w's mark (see plan.Plan.Marks): its
+	// words, markWords of them spanning the view's ids, are ar.Words,
+	// taken on first use and kept, like the rest of a mark, across runs.
+	marks     []mark
+	markWords int
 
 	// Lane mode state: lanes aliases opts.Lanes (nil check per
 	// candidate), alive is the mask of lanes live on the current search
@@ -227,6 +236,20 @@ type Enumerator struct {
 	// batches that can step over any fixed residue forever.
 	polls uint64
 	err   error
+}
+
+// mark is the state behind one marked operand w: bm is N(v) for v =
+// φ(w) at its last use, either v's hub bitmap or own. own spans words
+// taken on first use and then holds N(ownV) while built is set. The
+// enumerator's view never changes, so a mark stays valid from one run to
+// the next: begin leaves it alone, and a new run's first use costs no
+// more than a change of φ(w) does.
+type mark struct {
+	v     graph.VertexID
+	bm    *bitset.Bitmap
+	own   bitset.Bitmap
+	ownV  graph.VertexID
+	built bool
 }
 
 // New prepares an Enumerator for repeated runs of pl over g. It panics
@@ -269,6 +292,8 @@ func New(g *graph.Graph, pl *plan.Plan, opts Options) *Enumerator {
 		bufs:       make([][]graph.VertexID, n),
 		setsTmp:    make([][]graph.VertexID, 0, n),
 		bmsTmp:     make([]*bitset.Bitmap, 0, n),
+		marks:      make([]mark, n),
+		markWords:  markWords(view),
 		ar:         ar,
 		dmax:       view.MaxDegree(),
 		useBitmaps: opts.Kernel.UsesBitmaps(),
@@ -278,13 +303,32 @@ func New(g *graph.Graph, pl *plan.Plan, opts Options) *Enumerator {
 	}
 }
 
+// markWords is the length of a mark over view: one bit per vertex id.
+func markWords(view delta.View) int { return view.NumVertices()/64 + 1 }
+
+// MarkBytes is the most an Enumerator of pl over view holds in marks
+// under kernel, for the whole of its life: one mark per operand that pl
+// marks, and none when New will run no bitmap kernel (a list kernel, or
+// a graph whose hub index is empty). Options.NoMarks saves all of it.
+func MarkBytes(view delta.View, pl *plan.Plan, kernel intersect.Kind) int64 {
+	if !kernel.UsesBitmaps() || view.Base().NumHubs() == 0 {
+		return 0
+	}
+	var marked uint32
+	for _, m := range pl.Marks {
+		marked |= m
+	}
+	return int64(bits.OnesCount32(marked)) * int64(markWords(view)) * 8
+}
+
 // Plan returns the plan the enumerator executes.
 func (e *Enumerator) Plan() *plan.Plan { return e.pl }
 
 // CandidateMemoryBytes reports the memory held by candidate-set buffers
 // (the paper's Table V metric): the arena slabs the lazy per-vertex
-// buffers and the scratch buffer are carved from. Enumerators sharing
-// an arena (one worker's sequence of chunks) report the same slabs.
+// buffers and the scratch buffer are carved from, and the marks' words.
+// Enumerators sharing an arena (one worker's sequence of chunks) report
+// the same slabs and every one's marks.
 func (e *Enumerator) CandidateMemoryBytes() int64 {
 	return e.ar.Bytes()
 }
@@ -387,7 +431,8 @@ func (e *Enumerator) laneNodes(m uint64) {
 
 // begin resets per-run state. Releasing the arena invalidates every
 // buffer carved last run, so the buffer and candidate tables are
-// cleared with it; buf/scratchBuf re-carve on first use.
+// cleared with it; buf/scratchBuf re-carve on first use. Marks live
+// outside the rewound slabs and are kept (see mark).
 //
 //light:hotpath
 func (e *Enumerator) begin(visit VisitFunc) {
@@ -459,7 +504,9 @@ func (e *Enumerator) compute(u int) bool {
 	return e.computeShared(u)
 }
 
-// computeShared is the lane-agnostic COMP body.
+// computeShared is the lane-agnostic COMP body. A COMP with marked
+// operands intersects its other operands, then filters the result
+// through each mark.
 //
 //light:hotpath
 func (e *Enumerator) computeShared(u int) bool {
@@ -482,11 +529,20 @@ func (e *Enumerator) computeShared(u int) bool {
 		e.err = ErrMemoryBudget
 		return false
 	}
+	// Marks are bitmap probes: a list kernel, the fallback New picks
+	// when the graph has no hub too, runs the plan without them.
+	var marks uint32
+	if e.useBitmaps && !e.opts.NoMarks {
+		marks = e.pl.Marks[u]
+	}
 	// Under a probing kernel bms runs in lockstep with sets; K2 cached
 	// candidates never have bitmap form. A list kernel leaves it empty.
 	sets := e.setsTmp[:0]
 	bms := e.bmsTmp[:0]
 	for _, w := range ops.K1 {
+		if marks&(1<<uint(w)) != 0 {
+			continue
+		}
 		v := e.assigned[w]
 		sets = append(sets, e.view.Neighbors(v))
 		if e.useBitmaps {
@@ -499,9 +555,74 @@ func (e *Enumerator) computeShared(u int) bool {
 			bms = append(bms, nil)
 		}
 	}
-	n := intersect.MultiWay(dst, scr, sets, bms, e.opts.Kernel, e.opts.Delta, &e.result.Stats)
-	e.cand[u] = dst[:n]
-	return n > 0
+	if marks != 0 && len(sets) == 1 && bms[0] != nil {
+		// The one unmarked operand is a hub: probing the marked lists
+		// against its bitmap, as MultiWay does, beats walking the hub's
+		// list through the marks.
+		for _, w := range ops.K1 {
+			if marks&(1<<uint(w)) != 0 {
+				v := e.assigned[w]
+				sets = append(sets, e.view.Neighbors(v))
+				bms = append(bms, e.view.HubBitmap(v))
+			}
+		}
+		marks = 0
+	}
+	if marks == 0 {
+		n := intersect.MultiWay(dst, scr, sets, bms, e.opts.Kernel, e.opts.Delta, &e.result.Stats)
+		e.cand[u] = dst[:n]
+		return n > 0
+	}
+	// A lone unmarked operand is probed in place, with no copy.
+	cur := sets[0]
+	if len(sets) > 1 {
+		cur = dst[:intersect.MultiWay(dst, scr, sets, bms, e.opts.Kernel, e.opts.Delta, &e.result.Stats)]
+	}
+	// Like MultiWay's first pair, the first probe runs even on an empty
+	// set; later ones only while the result is non-empty.
+	for m := marks; m != 0 && (len(cur) > 0 || m == marks); m &= m - 1 {
+		bm := e.fixedBitmap(bits.TrailingZeros32(m))
+		if bm == nil {
+			e.err = ErrMemoryBudget
+			return false
+		}
+		cur = dst[:intersect.MergeBitmap(dst, cur, bm, &e.result.Stats)]
+	}
+	e.cand[u] = cur
+	return len(cur) > 0
+}
+
+// fixedBitmap returns N(φ(w)) as a bitmap for a marked operand w: the
+// hub index's bitmap when φ(w) has one, otherwise w's own mark, built on
+// its first use and rebuilt, by clearing N(ownV)'s bits and setting
+// N(φ(w))'s, only when φ(w) differs from the vertex it was last built
+// for. It returns nil when a budgeted arena denies the mark's words.
+//
+//light:hotpath
+func (e *Enumerator) fixedBitmap(w int) *bitset.Bitmap {
+	v := e.assigned[w]
+	mk := &e.marks[w]
+	if mk.bm != nil && mk.v == v {
+		return mk.bm
+	}
+	if hub := e.view.HubBitmap(v); hub != nil {
+		mk.v, mk.bm = v, hub
+		return hub
+	}
+	switch {
+	case !mk.built:
+		words := e.ar.Words(e.markWords)
+		if words == nil {
+			return nil
+		}
+		mk.own = bitset.Over(words)
+		mk.own.Add(e.view.Neighbors(v))
+	case mk.ownV != v:
+		mk.own.Remove(e.view.Neighbors(mk.ownV))
+		mk.own.Add(e.view.Neighbors(v))
+	}
+	mk.v, mk.bm, mk.ownV, mk.built = v, &mk.own, v, true
+	return mk.bm
 }
 
 // buf returns pattern vertex u's cap-d_max candidate buffer, carving it

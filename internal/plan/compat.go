@@ -7,13 +7,16 @@ import (
 
 // CompatKey returns a canonical string identifying everything about a
 // compiled plan that determines its execution shape: pattern adjacency,
-// enumeration order π, execution order σ, COMP operands K1/K2, and the
-// symmetry-breaking constraints applied at each MAT. Two plans with
-// equal keys walk identical search trees over any data graph — the
-// per-node COMP results and MAT candidate windows depend only on these
-// fields — so their queries can share one bit-parallel lane batch: the
-// lanes then differ only in per-lane root sets and assignment filters,
-// which the lane mask applies on top of the shared traversal.
+// enumeration order π, execution order σ, COMP operands K1/K2 and the
+// ones probed through marks, and the symmetry-breaking constraints
+// applied at each MAT. Two plans with equal keys walk identical search
+// trees over any data graph — the per-node COMP results and MAT
+// candidate windows depend only on these fields — and do identical
+// intersection work at each node, so their queries can share one
+// bit-parallel lane batch: the lanes then differ only in per-lane root
+// sets and assignment filters, which the lane mask applies on top of the
+// shared traversal. Marks are in the key because a batch runs one plan's
+// marks for every lane, and a lane's counters must be its solo run's.
 //
 // Deliberately excluded: the pattern's name (cosmetic), and engine
 // options like the intersection kernel (batch-wide, fixed by the
@@ -31,7 +34,7 @@ func (pl *Plan) CompatKey() string {
 	}
 	sb.WriteString(";ops=")
 	for u := range pl.Ops {
-		fmt.Fprintf(&sb, "u%d:%v|%v,", u, pl.Ops[u].K1, pl.Ops[u].K2)
+		fmt.Fprintf(&sb, "u%d:%v|%v|%s,", u, pl.Ops[u].K1, pl.Ops[u].K2, maskList(pl.Marks[u]))
 	}
 	sb.WriteString(";con=")
 	for i, cs := range pl.MatConstraints {

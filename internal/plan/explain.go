@@ -9,9 +9,10 @@ import (
 
 // Explain renders the plan the way a database EXPLAIN would: the
 // enumeration order, the execution order with per-operation detail
-// (operands for COMP, symmetry checks for MAT) and the cost walk's
-// estimated reach and cost of each step under stats, and the anchor/free
-// structure.
+// (operands for COMP and the ones it probes through marks, symmetry
+// checks for MAT) and the cost walk's estimated reach and cost of each
+// step under stats, and the anchor/free structure. Marks are printed
+// whatever the kernel; only a bitmap kernel runs them.
 func (pl *Plan) Explain(stats estimate.GraphStats) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "plan for %s\n", pl.Pattern.Name())
@@ -26,6 +27,7 @@ func (pl *Plan) Explain(stats estimate.GraphStats) string {
 	steps := make([]step, len(pl.Sigma))
 	pl.walk(stats, orderFractions(pl.PO, pl.Pattern.NumVertices()), steps)
 	var comp, mat float64
+	marked := false
 	for i, op := range pl.Sigma {
 		st := steps[i]
 		fmt.Fprintf(&sb, "    %2d. %-4s u%d  %9.3g", i, op.Mode, op.Vertex, st.reach)
@@ -44,6 +46,10 @@ func (pl *Plan) Explain(stats estimate.GraphStats) string {
 			if o.W() == 0 {
 				sb.WriteString("  (aliased, 0 intersections)")
 			}
+			if m := pl.Marks[op.Vertex]; m != 0 {
+				fmt.Fprintf(&sb, "  marks %s", maskList(m))
+				marked = true
+			}
 		case Mat:
 			mat += st.cost
 			if cs := pl.MatConstraints[i]; len(cs) > 0 {
@@ -59,6 +65,9 @@ func (pl *Plan) Explain(stats estimate.GraphStats) string {
 			}
 		}
 		sb.WriteByte('\n')
+	}
+	if marked {
+		sb.WriteString("  marks run under a bitmap kernel only; a list kernel intersects every operand\n")
 	}
 	sb.WriteString("  anchors/free:\n")
 	for pos := 1; pos < len(pl.Pi); pos++ {

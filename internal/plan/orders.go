@@ -77,7 +77,9 @@ func connectedOrdersFrom(p *pattern.Pattern, po *pattern.PartialOrder, prefix []
 // minimum cost (Plan.Cost). Ties are broken toward orders placing
 // partial-order-constrained vertices earlier, then lexicographically, so
 // Choose is deterministic. The partial order is computed from the
-// pattern's automorphisms when po is nil.
+// pattern's automorphisms when po is nil. The chosen plan then marks
+// the operands its walk says pay (Plan.Marks); the marks never change
+// which order is chosen.
 func Choose(p *pattern.Pattern, po *pattern.PartialOrder, stats estimate.GraphStats, mode Mode) (*Plan, error) {
 	if po == nil {
 		po = pattern.SymmetryBreaking(p)
@@ -102,8 +104,8 @@ func ChooseAnchored(p *pattern.Pattern, po *pattern.PartialOrder, stats estimate
 }
 
 // cheapest compiles every order and returns the plan with the minimum
-// cost, ties broken by tieKey then lexicographically. The partial
-// order's per-mask fractions are shared by every order's walk.
+// cost, ties broken by tieKey then lexicographically, and marks it. The
+// partial order's per-mask fractions are shared by every order's walk.
 func cheapest(p *pattern.Pattern, po *pattern.PartialOrder, orders [][]pattern.Vertex, stats estimate.GraphStats, mode Mode,
 	compile func(*pattern.Pattern, *pattern.PartialOrder, []pattern.Vertex, Mode) (*Plan, error)) (*Plan, error) {
 	if len(orders) == 0 {
@@ -124,6 +126,7 @@ func cheapest(p *pattern.Pattern, po *pattern.PartialOrder, orders [][]pattern.V
 			best, bestCost, bestKey = pl, cost, key
 		}
 	}
+	best.mark(stats, frac)
 	return best, nil
 }
 

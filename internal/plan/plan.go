@@ -95,6 +95,14 @@ type Plan struct {
 
 	// MatOrder is π′: the vertices in the order their MAT ops appear in σ.
 	MatOrder []pattern.Vertex
+
+	// Marks[u] is the set of u's K1 operands w whose neighbour lists
+	// the engine keeps as a per-worker bitmap (a mark) while φ(w) stays
+	// fixed: COMP u intersects its other operands, then probes the
+	// result against each mark. Only Choose, ChooseAnchored and MarkAll
+	// flag operands (see markWhere), and only a bitmap kernel runs them:
+	// under a list kernel the engine intersects every operand.
+	Marks []uint32
 }
 
 // Lazy reports whether the plan defers any materialization (i.e. σ is not
@@ -388,6 +396,7 @@ func compile(p *pattern.Pattern, po *pattern.PartialOrder, pi []pattern.Vertex, 
 	}
 	pl.Anchors = make([]uint32, n)
 	pl.Free = make([]uint32, n)
+	pl.Marks = make([]uint32, n)
 	for pos := 1; pos < n; pos++ {
 		u := pi[pos]
 		for i := 0; i < pos; i++ {
@@ -530,6 +539,81 @@ func (pl *Plan) walk(stats estimate.GraphStats, frac []float64, steps []step) fl
 		}
 	}
 	return total
+}
+
+// markBreakEven is how many runs of a COMP per value of a fixed operand
+// pay for that operand's mark. Setting N(φ(w))'s bits and clearing them
+// again when φ(w) moves on touches about 2·deg(φ(w)) words, and each run
+// saves one deg-long merge over N(φ(w)). The mark's |V|/64 + 1 words are
+// not in the rule: a worker carves them once per query and clears
+// them bit by bit as φ(w) moves, never whole.
+const markBreakEven = 2
+
+// mark sets Marks from the walk of σ under stats: COMP u flags a K1
+// operand w that an inner MAT loop holds fixed (see markWhere) when the
+// walk expects at least markBreakEven runs of COMP u per value of φ(w).
+func (pl *Plan) mark(stats estimate.GraphStats, frac []float64) {
+	steps := make([]step, len(pl.Sigma))
+	pl.walk(stats, frac, steps)
+	pl.markWhere(func(comp, mat int) bool {
+		return steps[comp].reach >= markBreakEven*steps[mat].reach
+	})
+}
+
+// MarkAll returns a copy of pl that marks every operand the mark rule
+// may flag, whatever the walk expects of it, or nil when there is none.
+// It runs marks on plans the planner leaves unmarked, such as every
+// plan of a graph too small for marks to pay.
+func (pl *Plan) MarkAll() *Plan {
+	cp := *pl
+	cp.Marks = make([]uint32, len(pl.Marks))
+	cp.markWhere(func(int, int) bool { return true })
+	for _, m := range cp.Marks {
+		if m != 0 {
+			return &cp
+		}
+	}
+	return nil
+}
+
+// markWhere sets Marks: COMP σ[i] flags its K1 operand w, MAT'd at
+// σ[j], when a MAT lies in σ between the two, so an inner loop re-runs
+// the COMP with φ(w) unchanged, and pays(i, j) holds. One operand always
+// stays unflagged, the list the marks filter; when every operand
+// qualifies, the one materialized last, which changes most often, is
+// left out.
+func (pl *Plan) markWhere(pays func(i, j int) bool) {
+	matPos := make([]int, pl.Pattern.NumVertices())
+	for i, op := range pl.Sigma {
+		if op.Mode == Mat {
+			matPos[op.Vertex] = i
+		}
+	}
+	for i, op := range pl.Sigma {
+		if op.Mode != Comp {
+			continue
+		}
+		o := pl.Ops[op.Vertex]
+		var marks uint32
+		last := -1
+		for _, w := range o.K1 {
+			j := matPos[w]
+			inner := false
+			for k := j + 1; k < i; k++ {
+				inner = inner || pl.Sigma[k].Mode == Mat
+			}
+			if inner && pays(i, j) {
+				marks |= 1 << uint(w)
+				if last < 0 || j > matPos[last] {
+					last = w
+				}
+			}
+		}
+		if bits.OnesCount32(marks) == len(o.K1)+len(o.K2) {
+			marks &^= 1 << uint(last)
+		}
+		pl.Marks[op.Vertex] = marks
+	}
 }
 
 // orderFractions returns, for every vertex mask M, the share of M's

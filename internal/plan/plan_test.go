@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math"
+	"math/bits"
 	"reflect"
 	"strings"
 	"testing"
@@ -405,8 +406,11 @@ func TestOrderFractions(t *testing.T) {
 // under the default kernel (EXPERIMENTS.md "Planner regret"): for P4 the
 // three orders that tie at 9,487,597 elements, for P6 the 1.00× order.
 // Eq. 8 priced with one α and SEED cardinalities picks 0 4 1 3 2 (3.2×
-// the elements) and 0 2 1 4 3 (1.3×). Only statistics are collected;
-// nothing is enumerated.
+// the elements) and 0 2 1 4 3 (1.3×). It also pins the marks the chosen
+// plans carry: P1's and P4's COMP u2 re-run 4.5× and 4.8× per φ(u1)
+// under the inner MAT loop over u3, so both mark u1; nothing in P6
+// re-runs often enough. Only statistics are collected; nothing is
+// enumerated.
 func TestChooseOnLJS(t *testing.T) {
 	d, err := gen.ByName("lj-s", 1)
 	if err != nil {
@@ -414,22 +418,88 @@ func TestChooseOnLJS(t *testing.T) {
 	}
 	stats := estimate.Collect(d.Make())
 	for _, c := range []struct {
-		p    *pattern.Pattern
-		want [][]pattern.Vertex
+		p     *pattern.Pattern
+		want  [][]pattern.Vertex // nil: order not pinned
+		marks []uint32
 	}{
-		{pattern.P4(), [][]pattern.Vertex{{0, 1, 3, 4, 2}, {0, 1, 4, 3, 2}, {0, 3, 1, 4, 2}}},
-		{pattern.P6(), [][]pattern.Vertex{{0, 1, 2, 4, 3}}},
+		{pattern.P1(), nil, []uint32{0, 0, 1 << 1, 0}},
+		{pattern.P4(), [][]pattern.Vertex{{0, 1, 3, 4, 2}, {0, 1, 4, 3, 2}, {0, 3, 1, 4, 2}}, []uint32{0, 0, 1 << 1, 0, 0}},
+		{pattern.P6(), [][]pattern.Vertex{{0, 1, 2, 4, 3}}, []uint32{0, 0, 0, 0, 0}},
 	} {
 		pl, err := Choose(c.p, nil, stats, ModeLIGHT)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ok := false
+		ok := c.want == nil
 		for _, pi := range c.want {
 			ok = ok || reflect.DeepEqual(pl.Pi, pi)
 		}
 		if !ok {
 			t.Errorf("%s: Choose picked π = %v, want one of %v\n%s", c.p.Name(), pl.Pi, c.want, pl.Explain(stats))
+		}
+		out := pl.Explain(stats)
+		if !reflect.DeepEqual(pl.Marks, c.marks) {
+			t.Errorf("%s: marks %v, want %v\n%s", c.p.Name(), pl.Marks, c.marks, out)
+		}
+		wantLine := c.marks[2] != 0
+		if strings.Contains(out, "marks {u1}") != wantLine || strings.Contains(out, "bitmap kernel only") != wantLine {
+			t.Errorf("%s: Explain shows COMP u2's mark and its kernel note %v, want %v:\n%s", c.p.Name(), !wantLine, wantLine, out)
+		}
+	}
+}
+
+// TestMarksWellFormed holds every mark MarkAll sets, over every catalog
+// pattern, order and mode, to the rule's structural part: a marked
+// operand is a K1 operand whose MAT lies before another MAT that
+// precedes the COMP, and every COMP keeps one operand unmarked. A
+// lane batch runs one plan's marks for every lane, so a plan that
+// differs from another only in marks must not share its CompatKey.
+func TestMarksWellFormed(t *testing.T) {
+	for _, p := range pattern.Catalog() {
+		po := pattern.SymmetryBreaking(p)
+		for _, mode := range []Mode{ModeSE, ModeLM, ModeMSC, ModeLIGHT} {
+			for _, pi := range ConnectedOrders(p, po) {
+				pl, err := Compile(p, po, pi, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mpl := pl.MarkAll()
+				if mpl == nil {
+					continue
+				}
+				pos := map[Op]int{}
+				for i, op := range mpl.Sigma {
+					pos[op] = i
+				}
+				for u, m := range mpl.Marks {
+					o := mpl.Ops[u]
+					var k1 uint32
+					for _, w := range o.K1 {
+						k1 |= 1 << uint(w)
+					}
+					if m&^k1 != 0 || (m != 0 && bits.OnesCount32(m) >= len(o.K1)+len(o.K2)) {
+						t.Fatalf("%s %s π=%v: u%d marks %b, K1 %v, K2 %v", p.Name(), mode.Name(), pi, u, m, o.K1, o.K2)
+					}
+					for ; m != 0; m &= m - 1 {
+						w := bits.TrailingZeros32(m)
+						inner := false
+						for k := pos[Op{Mat, w}] + 1; k < pos[Op{Comp, u}]; k++ {
+							inner = inner || mpl.Sigma[k].Mode == Mat
+						}
+						if !inner {
+							t.Fatalf("%s %s π=%v: u%d marks u%d with no MAT between", p.Name(), mode.Name(), pi, u, w)
+						}
+					}
+				}
+				if pl.CompatKey() == mpl.CompatKey() {
+					t.Fatalf("%s %s π=%v: plans differing only in marks share a CompatKey", p.Name(), mode.Name(), pi)
+				}
+				for _, m := range pl.Marks {
+					if m != 0 {
+						t.Fatalf("%s %s π=%v: Compile marked %v, MarkAll changed the original", p.Name(), mode.Name(), pi, pl.Marks)
+					}
+				}
+			}
 		}
 	}
 }

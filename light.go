@@ -635,7 +635,7 @@ func execute(ctx context.Context, st *snapshotState, pl *plan.Plan, opts Options
 		popts.Resume = ck
 	}
 
-	r, err := opts.governed(ctx, st.view.MaxDegree(), len(pl.Pi), popts, func(popts parallel.Options) (parallel.Result, error) {
+	r, err := opts.governed(ctx, st.view.MaxDegree(), len(pl.Pi), engine.MarkBytes(st.view, pl, popts.Engine.Kernel), popts, func(popts parallel.Options) (parallel.Result, error) {
 		return parallel.RunContext(ctx, st.view.Base(), pl, popts, visit)
 	})
 	if r == nil {

@@ -110,17 +110,19 @@ run_named . 'TestConcurrentQueriesHubThreshold|TestHubIndexOneBuildAcrossQueries
 echo "==> go test -race -cpu 2,4 governor (runs sharing the Governor's pool, memory ladder, admission timeout, stall watchdog)"
 run_named . 'TestGovernor|TestMemoryBudget|TestAdmissionOverloaded|TestStallWatchdog' -race -cpu 2,4 -timeout 10m
 
-echo "==> go test -race -cpu 1,2,4: visitor stop latch, anchored scheduler, CountDelta oracles, default-kernel equivalence, labeled queries, counter baseline, report = result"
+echo "==> go test -race -cpu 1,2,4: visitor stop latch, anchored scheduler, CountDelta oracles, default-kernel equivalence, labeled queries, counter baseline, report = result, marks kept across runs"
 # The stop latch only matters with two or more workers really running at
 # once, CountDelta's visitors run unserialized, the default kernel's hub
 # probing is the path every zero-Options query takes, labeled visitors
 # run behind the pool's stop latch like every other query, and the golden
 # counters (testdata/counter_baseline.ndjson) are claimed independent of
 # worker count and GOMAXPROCS, as is a report's agreement with its run's
-# result: a 1-CPU runner must never be the only evidence for any of them.
+# result, and marks are per-worker state that must keep serial and 4T
+# alike: a 1-CPU runner must never be the only evidence for any of them.
 run_named ./internal/parallel/ 'TestVisitorNeverCalledAfterStop|TestRunAnchored' -race -cpu 1,2,4 -timeout 10m
 run_named . 'TestCountDelta|TestDefaultKernel|TestLabeled' -race -cpu 1,2,4 -timeout 10m
 run_named . 'TestCounterBaseline|TestRunReportMatchesResult' -race -cpu 1,2,4 -timeout 10m
+run_named ./internal/engine/ 'TestMarksAcrossRuns' -race -cpu 1,2,4 -timeout 10m
 
 echo "==> planner: measured graph statistics, the cost walk's terms, and its choice on lj-s"
 # The order the planner picks is the largest lever on a query's work
