@@ -52,8 +52,8 @@ type BatchResult struct {
 	Workers int
 	// Duration is the whole batch's wall-clock time.
 	Duration time.Duration
-	// Degradations lists graceful-degradation events (reduced
-	// admission, shed workers, arena pressure) for the batch.
+	// Degradations lists the batch's degradation events (reduced
+	// admission, watchdog stalls).
 	Degradations []string
 }
 
@@ -101,7 +101,6 @@ func CountBatchContext(ctx context.Context, g *Graph, queries []BatchQuery, opts
 	// Compile one plan per query; identical patterns compile to
 	// identical plans and group by compatibility key.
 	plans := make([]*plan.Plan, len(queries))
-	maxPatternVerts := 0
 	for i, q := range queries {
 		if q.Pattern == nil {
 			return bres, fmt.Errorf("light: batch query %d has no pattern", i)
@@ -111,7 +110,6 @@ func CountBatchContext(ctx context.Context, g *Graph, queries []BatchQuery, opts
 			return bres, fmt.Errorf("light: batch query %d (%s): %w", i, q.Pattern.Name(), err)
 		}
 		plans[i] = pl
-		maxPatternVerts = max(maxPatternVerts, q.Pattern.NumVertices())
 	}
 
 	// One job per group. A lone unnarrowed query is a plain job, Count's
@@ -136,15 +134,14 @@ func CountBatchContext(ctx context.Context, g *Graph, queries []BatchQuery, opts
 		jobs[gi].Lanes = set
 	}
 
-	// Governance: one admission grant for the whole batch, the memory
-	// budget chained under the governor's, and the degradation ladder
-	// sized against the largest pattern in the batch.
+	// Governance: one admission grant and one memory budget for the
+	// whole batch.
 	popts := parallel.Options{Engine: engine.Options{
 		Kernel:    opts.Intersection.kind(),
 		TimeLimit: opts.TimeLimit,
 	}}
 	start := time.Now()
-	r, err := opts.governed(ctx, st.view.MaxDegree(), maxPatternVerts, jobMarkBytes(jobs, popts.Engine.Kernel), popts, func(popts parallel.Options) (parallel.Result, error) {
+	r, err := opts.governed(ctx, popts, func(popts parallel.Options) (parallel.Result, error) {
 		if err := faultpoint.Hit(faultpoint.PointBatchAdmit); err != nil {
 			return parallel.Result{}, fmt.Errorf("light: batch admission: %w", err)
 		}

@@ -383,16 +383,16 @@ func streamRows(url string, body any) (int, error) {
 // parseBytes parses a byte count with an optional K/M/G (binary)
 // suffix: "512", "64K", "512M", "2G".
 func parseBytes(s string) (int64, error) {
-	mult := int64(1)
+	mult, digits := int64(1), s
 	switch {
 	case strings.HasSuffix(s, "K"), strings.HasSuffix(s, "k"):
-		mult, s = 1<<10, s[:len(s)-1]
+		mult, digits = 1<<10, s[:len(s)-1]
 	case strings.HasSuffix(s, "M"), strings.HasSuffix(s, "m"):
-		mult, s = 1<<20, s[:len(s)-1]
+		mult, digits = 1<<20, s[:len(s)-1]
 	case strings.HasSuffix(s, "G"), strings.HasSuffix(s, "g"):
-		mult, s = 1<<30, s[:len(s)-1]
+		mult, digits = 1<<30, s[:len(s)-1]
 	}
-	n, err := strconv.ParseInt(s, 10, 64)
+	n, err := strconv.ParseInt(digits, 10, 64)
 	if err != nil || n < 0 || n > math.MaxInt64/mult {
 		return 0, fmt.Errorf("invalid byte count %q", s)
 	}

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestParseBytes(t *testing.T) {
 	for s, want := range map[string]int64{
@@ -20,8 +23,9 @@ func TestParseBytes(t *testing.T) {
 		// which means unlimited.
 		"9223372036854775807G", "9007199254740992G", "8589934592G", "9223372036854775808",
 	} {
-		if got, err := parseBytes(s); err == nil {
-			t.Errorf("parseBytes(%q) = %d, want error", s, got)
+		// The error quotes the flag as given, suffix included.
+		if got, err := parseBytes(s); err == nil || err.Error() != fmt.Sprintf("invalid byte count %q", s) {
+			t.Errorf("parseBytes(%q) = %d, %v; want the error to quote %q", s, got, err, s)
 		}
 	}
 }

@@ -61,7 +61,7 @@ func main() {
 	ckptPath := flag.String("checkpoint", "", "periodically save resumable progress to this file")
 	ckptEvery := flag.Duration("checkpoint-interval", 30*time.Second, "how often to write the checkpoint")
 	resumePath := flag.String("resume", "", "resume from a checkpoint file written by -checkpoint")
-	memBudget := flag.String("mem-budget", "", "cap candidate-arena memory (bytes, or with K/M/G suffix); degrades gracefully, exits 5 when exceeded")
+	memBudget := flag.String("mem-budget", "", "cap candidate-arena memory (bytes, or with K/M/G suffix); the run stops and exits 5 at the cap")
 	admitTimeout := flag.Duration("admission-timeout", 0, "fail fast (exit 4) if a run place is not granted within this long (runs under a process governor)")
 	batch := flag.Bool("batch", false, "run the whole P1..P7 catalog as one CountBatch, each pattern its own group (ignores -pattern)")
 	applyPath := flag.String("apply", "", "apply an edge-update file ('+ u v' adds, '- u v' removes, bare 'u v' adds) before running")
@@ -340,16 +340,16 @@ func resumeHint(ckptPath string) string {
 // parseBytes parses a byte count with an optional K/M/G (binary)
 // suffix: "512", "64K", "512M", "2G".
 func parseBytes(s string) (int64, error) {
-	mult := int64(1)
+	mult, digits := int64(1), s
 	switch {
 	case strings.HasSuffix(s, "K"), strings.HasSuffix(s, "k"):
-		mult, s = 1<<10, s[:len(s)-1]
+		mult, digits = 1<<10, s[:len(s)-1]
 	case strings.HasSuffix(s, "M"), strings.HasSuffix(s, "m"):
-		mult, s = 1<<20, s[:len(s)-1]
+		mult, digits = 1<<20, s[:len(s)-1]
 	case strings.HasSuffix(s, "G"), strings.HasSuffix(s, "g"):
-		mult, s = 1<<30, s[:len(s)-1]
+		mult, digits = 1<<30, s[:len(s)-1]
 	}
-	n, err := strconv.ParseInt(s, 10, 64)
+	n, err := strconv.ParseInt(digits, 10, 64)
 	if err != nil || n < 0 || n > math.MaxInt64/mult {
 		return 0, fmt.Errorf("invalid byte count %q", s)
 	}

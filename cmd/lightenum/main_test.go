@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"testing"
 
 	"light/internal/gen"
@@ -23,8 +24,9 @@ func TestParseBytes(t *testing.T) {
 		// silently accepted as a wrapped budget.
 		"9223372036854775807G", "9007199254740992G", "9223372036854775808",
 	} {
-		if got, err := parseBytes(s); err == nil {
-			t.Errorf("parseBytes(%q) = %d, want error", s, got)
+		// The error quotes the flag as given, suffix included.
+		if got, err := parseBytes(s); err == nil || err.Error() != fmt.Sprintf("invalid byte count %q", s) {
+			t.Errorf("parseBytes(%q) = %d, %v; want the error to quote %q", s, got, err, s)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package light
 import (
 	"errors"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -83,85 +84,16 @@ func TestGovernorSingleQueryParity(t *testing.T) {
 	}
 }
 
-// TestMemoryBudgetDegradesBeforeErroring walks the first rung of the
-// ladder end-to-end: a budget one byte short of a single rounded arena
-// slab forces exact-size slab grows (visible in the RunReport) while
-// the count stays exact. Every worker that allocates at all takes the
-// rung, so the outcome does not depend on how many of the four get to
-// claim a chunk before the roots run out.
-func TestMemoryBudgetDegradesBeforeErroring(t *testing.T) {
-	g := GenerateBarabasiAlbert(8000, 8, 13)
-	p, err := PatternByName("triangle")
-	if err != nil {
-		t.Fatal(err)
-	}
-	free, err := Count(g, p, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const slab = 256 << 10 // arena's minimum slab, what an unpressed grow rounds up to
-	if free.CandidateMemoryBytes < slab {
-		t.Fatalf("unbudgeted run reports %d arena bytes, under one slab", free.CandidateMemoryBytes)
-	}
-	res, err := Count(g, p, Options{Workers: 4, MemoryBudget: slab - 1})
-	if err != nil {
-		t.Fatalf("a budget with room for exact-size slabs must degrade, not fail: %v", err)
-	}
-	if res.Matches != free.Matches {
-		t.Fatalf("count %d under budget, want %d", res.Matches, free.Matches)
-	}
-	if len(res.Report.DegradationEvents) == 0 {
-		t.Fatalf("no degradation events at a budget under one rounded slab (memory %d)", res.CandidateMemoryBytes)
-	}
-	if res.CandidateMemoryBytes >= slab {
-		t.Fatalf("budgeted run used %d bytes, over its %d budget", res.CandidateMemoryBytes, slab-1)
-	}
-}
-
-// TestMemoryBudgetShedsWorkers: a budget with room for only part of
-// the requested pool sheds workers before spawning them — observable,
-// exact, and within budget.
-func TestMemoryBudgetShedsWorkers(t *testing.T) {
-	g := GenerateBarabasiAlbert(600, 5, 7)
-	p, err := PatternByName("triangle")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := Count(g, p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Per-worker tight footprint is (n+1)·d_max·4; fund two workers
-	// with a little slack and ask for four.
-	perWorker := int64(p.NumVertices()+1) * int64(g.MaxDegree()) * 4
-	res, err := Count(g, p, Options{Workers: 4, MemoryBudget: 2*perWorker + perWorker/2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Matches != ref.Matches {
-		t.Fatalf("count %d after shedding, want %d", res.Matches, ref.Matches)
-	}
-	shed := false
-	for _, ev := range res.Report.DegradationEvents {
-		if strings.Contains(ev, "shed workers") {
-			shed = true
-		}
-	}
-	if !shed {
-		t.Fatalf("no worker-shed degradation event: %v", res.Report.DegradationEvents)
-	}
-	if res.Report.Workers > 2 {
-		t.Fatalf("ran %d workers on a 2-worker budget", res.Report.Workers)
-	}
-}
-
-// TestMemoryBudgetDropsMarks: a budget that funds every worker's
-// buffers, the exact fit before marks existed, but not their marks too
-// runs the same workers without marks rather than hard-stopping; a
-// budget with room for the marks keeps them. The graph pads a marked
-// P1 query with isolated vertices, so a mark's |V|/64 + 1 words
-// outweigh a worker's buffers.
-func TestMemoryBudgetDropsMarks(t *testing.T) {
+// TestMemoryBudgetIsACeiling: a memory budget never lets a run's arenas
+// reserve past it, and never changes what a run that finishes computes.
+// The graph pads a marked P1 query with isolated vertices, so a mark's
+// |V|/64 + 1 words outweigh a worker's buffers. A budget that funds W
+// workers' buffers and marks runs W workers with the unbudgeted
+// counters; one below a single buffer stops with ErrMemoryBudget; every
+// budget between gives the exact count or ErrMemoryBudget. Each budget
+// is set per run and, separately, as a Governor's shared budget, which
+// holds nothing once its runs return.
+func TestMemoryBudgetIsACeiling(t *testing.T) {
 	base := GenerateBarabasiAlbert(1500, 5, 7)
 	var edges [][2]VertexID
 	for u := 0; u < base.NumVertices(); u++ {
@@ -176,41 +108,61 @@ func TestMemoryBudgetDropsMarks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex, err := Explain(g, p, Options{}); err != nil || !strings.Contains(ex, "marks {") {
-		t.Fatalf("the P1 plan marks no operand (err %v):\n%s", err, ex)
+	if ex, err := Explain(g, p, Options{}); err != nil || strings.Count(ex, "marks {") != 1 ||
+		!regexp.MustCompile(`marks \{u\d+\}`).MatchString(ex) {
+		t.Fatalf("the P1 plan does not mark exactly one operand (err %v):\n%s", err, ex)
 	}
-	free, err := Count(g, p, Options{Workers: 2})
+	const workers = 2
+	free, err := Count(g, p, Options{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
-	buffers := int64(p.NumVertices()+1) * int64(g.MaxDegree()) * 4
+	want := reportCounters(free.Report)
+	buffer := int64(g.MaxDegree()) * 4
 	marks := int64(g.NumVertices()/64+1) * 8
-	for _, c := range []struct {
-		budget   int64
-		marksOff bool
-	}{
-		{2 * buffers, true},
-		{2 * (buffers + marks), false},
-	} {
-		res, err := Count(g, p, Options{Workers: 2, MemoryBudget: c.budget})
-		if err != nil {
-			t.Fatalf("budget %d: %v", c.budget, err)
-		}
-		off := false
-		for _, ev := range res.Report.DegradationEvents {
-			off = off || strings.Contains(ev, "marks off")
-			if strings.Contains(ev, "shed workers") {
-				t.Fatalf("budget %d shed workers: %v", c.budget, res.Report.DegradationEvents)
+	fits := workers * (int64(p.NumVertices()+1)*buffer + marks)
+	runs := map[string]func(budget int64) (Result, *Governor, error){
+		"per-run": func(budget int64) (Result, *Governor, error) {
+			res, err := Count(g, p, Options{Workers: workers, MemoryBudget: budget})
+			return res, nil, err
+		},
+		"governor": func(budget int64) (Result, *Governor, error) {
+			gov := NewGovernor(GovernorConfig{Slots: workers, MemoryBudget: budget})
+			res, err := Count(g, p, Options{Workers: workers, Governor: gov})
+			return res, gov, err
+		},
+	}
+	for name, run := range runs {
+		check := func(budget int64) (Result, error) {
+			res, gov, err := run(budget)
+			if err != nil && !errors.Is(err, ErrMemoryBudget) {
+				t.Fatalf("%s budget %d: %v", name, budget, err)
 			}
+			if err == nil && res.Matches != free.Matches {
+				t.Fatalf("%s budget %d: count %d with no error, want %d", name, budget, res.Matches, free.Matches)
+			}
+			if res.CandidateMemoryBytes > budget {
+				t.Fatalf("%s budget %d: arenas hold %d bytes", name, budget, res.CandidateMemoryBytes)
+			}
+			if gov != nil && gov.MemoryInUse() != 0 {
+				t.Fatalf("%s budget %d: governor holds %d bytes after the run", name, budget, gov.MemoryInUse())
+			}
+			return res, err
 		}
-		ran, want := reportCounters(res.Report), reportCounters(free.Report)
-		if off != c.marksOff || ran["matches"] != want["matches"] || ran["nodes"] != want["nodes"] ||
-			(ran["elements"] == want["elements"]) == c.marksOff {
-			t.Fatalf("budget %d: marks off %v (want %v), counters %v, unbudgeted %v, events %v",
-				c.budget, off, c.marksOff, ran, want, res.Report.DegradationEvents)
+		res, err := check(fits)
+		if err != nil {
+			t.Fatalf("%s budget %d funds %d workers' buffers and marks: %v", name, fits, workers, err)
 		}
-		if res.Report.Workers != 2 || res.CandidateMemoryBytes > c.budget {
-			t.Fatalf("budget %d: %d workers, %d bytes", c.budget, res.Report.Workers, res.CandidateMemoryBytes)
+		got := reportCounters(res.Report)
+		if res.Report.Workers != workers || got["matches"] != want["matches"] ||
+			got["nodes"] != want["nodes"] || got["elements"] != want["elements"] {
+			t.Fatalf("%s budget %d: %d workers, counters %v; unbudgeted %v", name, fits, res.Report.Workers, got, want)
+		}
+		if _, err := check(buffer - 1); !errors.Is(err, ErrMemoryBudget) {
+			t.Fatalf("%s budget %d, under one buffer: err %v, want ErrMemoryBudget", name, buffer-1, err)
+		}
+		for k := int64(0); k <= 8; k++ {
+			check(buffer + k*(fits-buffer)/8)
 		}
 	}
 }
@@ -359,12 +311,11 @@ func TestStallWatchdogObservesWithoutCancel(t *testing.T) {
 	t.Fatalf("no stall degradation event: %v", res.Report.DegradationEvents)
 }
 
-// TestGovernorLadderCapUnderChurn: a governed run whose memory budget
-// funds about one worker has its cap cut by the degradation ladder, and
-// runs on the Governor's shared pool beside two churn queries that
-// keep every other worker busy — all of them counting exactly, and the
-// capped run reporting the ladder's cap.
-func TestGovernorLadderCapUnderChurn(t *testing.T) {
+// TestGovernorBudgetUnderChurn: a governed run under a memory budget
+// that funds its four workers runs on the Governor's shared pool beside
+// two churn queries that keep every other worker busy — all of them
+// counting exactly, and the budgeted runs leaving no run place behind.
+func TestGovernorBudgetUnderChurn(t *testing.T) {
 	g := GenerateBarabasiAlbert(800, 6, 7)
 	p, err := PatternByName("triangle")
 	if err != nil {
@@ -401,16 +352,13 @@ func TestGovernorLadderCapUnderChurn(t *testing.T) {
 	}
 	perWorker := int64(p.NumVertices()+1) * int64(g.MaxDegree()) * 4
 	for i := 0; i < 3; i++ {
-		res, err := Count(g, p, Options{Workers: 4, Governor: gov, MemoryBudget: perWorker + perWorker/2})
+		res, err := Count(g, p, Options{Workers: 4, Governor: gov, MemoryBudget: 4 * perWorker})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Matches != ref.Matches {
-			t.Fatalf("ladder-capped run: count %d, want %d", res.Matches, ref.Matches)
-		}
-		if res.Report.Workers != 1 || len(res.Report.DegradationEvents) == 0 ||
-			!strings.Contains(res.Report.DegradationEvents[0], "shed workers 4 -> 1") {
-			t.Fatalf("ladder-capped run: %d workers, degradations %v; want the cap cut 4 -> 1", res.Report.Workers, res.Report.DegradationEvents)
+		if res.Matches != ref.Matches || res.CandidateMemoryBytes > 4*perWorker {
+			t.Fatalf("budgeted run: count %d, want %d; %d arena bytes under a %d budget",
+				res.Matches, ref.Matches, res.CandidateMemoryBytes, 4*perWorker)
 		}
 	}
 	close(stop)

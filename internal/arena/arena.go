@@ -12,9 +12,10 @@ package arena
 
 import "light/internal/graph"
 
-// chunkElems is the minimum slab size in vertex ids (256 KiB per slab —
-// large enough that typical patterns fit n·dmax buffers in one or two
-// slabs, small enough not to dwarf the CSR arrays on toy graphs).
+// chunkElems is an unbudgeted arena's minimum slab size in vertex ids
+// (256 KiB per slab — large enough that typical patterns fit n·dmax
+// buffers in one or two slabs, small enough not to dwarf the CSR arrays
+// on toy graphs).
 const chunkElems = 64 << 10
 
 // Arena is a bump allocator over a list of slabs. The zero value is
@@ -30,11 +31,12 @@ type Arena struct {
 // New returns an empty arena with an unlimited budget.
 func New() *Arena { return &Arena{} }
 
-// NewBudgeted returns an empty arena whose slab growth is accounted
-// against lim: under soft pressure (Limiter.Tight) slabs shrink to the
-// exact requested size, and when a reservation is denied Alloc returns
-// nil — the caller's signal to hard-stop with a memory-budget error. A
-// nil limiter is an unlimited budget, identical to New.
+// NewBudgeted returns an empty arena whose slabs and words are reserved
+// against lim, which is a ceiling: a budgeted arena grows slabs of
+// exactly the requested size, so a run whose buffers fit the budget
+// gets them, and when a reservation is denied Alloc returns nil — the
+// caller's signal to stop with a memory-budget error. A nil limiter is
+// an unlimited budget, identical to New.
 func NewBudgeted(lim *Limiter) *Arena { return &Arena{lim: lim} }
 
 // Alloc returns a full-capacity slice of n vertex ids carved from the
@@ -86,25 +88,14 @@ func (a *Arena) Words(n int) []uint64 {
 //
 //lightvet:ignore hotpath -- slab growth is the acknowledged-cold warm-up path; steady-state Alloc stays in the bump loop above
 func (a *Arena) grow(n int) []graph.VertexID {
+	// An unbudgeted slab rounds up to chunkElems so later allocations
+	// share it; a budgeted one is exactly the request, so the budget
+	// counts only what the buffers need.
 	size := n
-	if size < chunkElems {
-		if a.lim.Tight() {
-			// Soft pressure: stop rounding requests up to the chunk
-			// size, trading slab slack for staying under the budget.
-			a.lim.noteTight()
-		} else {
-			size = chunkElems
-		}
-	}
-	if !a.lim.Reserve(int64(size) * 4) {
-		// A rounded slab did not fit; retry at exactly the requested
-		// size before giving up — the last step down the ladder short
-		// of a hard stop.
-		if size == n || !a.lim.Reserve(int64(n)*4) {
-			return nil
-		}
-		size = n
-		a.lim.noteTight()
+	if a.lim == nil {
+		size = max(n, chunkElems)
+	} else if !a.lim.Reserve(int64(n) * 4) {
+		return nil
 	}
 	s := make([]graph.VertexID, size)
 	a.slabs = append(a.slabs, s)
@@ -112,25 +103,6 @@ func (a *Arena) grow(n int) []graph.VertexID {
 	a.off = n
 	a.bytes += int64(size) * 4
 	return s[0:n:n]
-}
-
-// EstimateBytes predicts the slab footprint an arena reaches after
-// `allocs` allocations of `each` elements — the engine's worst case is
-// one candidate buffer per pattern vertex plus one scratch buffer,
-// each d_max elements. tight selects the exact-size growth mode the
-// arena switches to under budget pressure. The prediction replays the
-// grow logic, so the admission layer can size worker budgets without
-// allocating anything.
-func EstimateBytes(allocs, each int, tight bool) int64 {
-	if allocs <= 0 || each <= 0 {
-		return 0
-	}
-	if tight || each >= chunkElems {
-		return int64(allocs) * int64(each) * 4
-	}
-	perSlab := chunkElems / each
-	slabs := (allocs + perSlab - 1) / perSlab
-	return int64(slabs) * int64(chunkElems) * 4
 }
 
 // Reset rewinds the arena so the next Alloc reuses the first slab.

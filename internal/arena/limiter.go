@@ -2,16 +2,6 @@ package arena
 
 import "sync/atomic"
 
-// tightNum/tightDen set the soft-pressure threshold: once a limiter in
-// the chain is more than 3/4 full, arenas stop rounding slab requests
-// up to the chunk size and allocate exactly what was asked for — the
-// first rung of the memory-degradation ladder ("shrink per-worker
-// arenas"), traded before any allocation is denied outright.
-const (
-	tightNum = 3
-	tightDen = 4
-)
-
 // Limiter is a byte budget shared by one or more arenas. Reservations
 // are accounted against this limiter and, transitively, against its
 // parent — so a per-run limiter can nest under a process-wide one (the
@@ -22,9 +12,7 @@ type Limiter struct {
 	limit  int64 // 0 = no ceiling at this level (parent may still cap)
 	parent *Limiter
 
-	used       atomic.Int64
-	denials    atomic.Uint64
-	tightGrows atomic.Uint64
+	used atomic.Int64
 }
 
 // NewLimiter returns a limiter with the given byte ceiling chained
@@ -51,7 +39,6 @@ func (l *Limiter) Reserve(n int64) bool {
 	for {
 		u := l.used.Load()
 		if l.limit > 0 && u+n > l.limit {
-			l.denials.Add(1)
 			return false
 		}
 		if l.used.CompareAndSwap(u, u+n) {
@@ -60,7 +47,6 @@ func (l *Limiter) Reserve(n int64) bool {
 	}
 	if l.parent != nil && !l.parent.Reserve(n) {
 		l.used.Add(-n)
-		l.denials.Add(1)
 		return false
 	}
 	return true
@@ -90,75 +76,10 @@ func (l *Limiter) ReleaseAll() {
 	}
 }
 
-// Tight reports whether any limiter in the chain is past the
-// soft-pressure threshold (3/4 full), signalling arenas to stop
-// rounding slab requests up. False on a nil receiver.
-func (l *Limiter) Tight() bool {
-	for ; l != nil; l = l.parent {
-		if l.limit > 0 && l.used.Load()*tightDen >= l.limit*tightNum {
-			return true
-		}
-	}
-	return false
-}
-
-// noteTight records one exact-size (unrounded) slab grow — the
-// observable trace of the first degradation rung.
-func (l *Limiter) noteTight() {
-	if l != nil {
-		l.tightGrows.Add(1)
-	}
-}
-
 // Used returns the bytes currently reserved at this level.
 func (l *Limiter) Used() int64 {
 	if l == nil {
 		return 0
 	}
 	return l.used.Load()
-}
-
-// Limit returns this level's ceiling (0 = none).
-func (l *Limiter) Limit() int64 {
-	if l == nil {
-		return 0
-	}
-	return l.limit
-}
-
-// Headroom returns the tightest remaining budget across the chain, or
-// a negative value when the budget is unlimited end to end.
-func (l *Limiter) Headroom() int64 {
-	head := int64(-1)
-	for ; l != nil; l = l.parent {
-		if l.limit <= 0 {
-			continue
-		}
-		h := l.limit - l.used.Load()
-		if h < 0 {
-			h = 0
-		}
-		if head < 0 || h < head {
-			head = h
-		}
-	}
-	return head
-}
-
-// Denials returns how many reservations the limiter refused.
-func (l *Limiter) Denials() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.denials.Load()
-}
-
-// TightGrows returns how many slab grows were forced to exact size by
-// budget pressure — nonzero means the arena-shrink degradation rung
-// engaged.
-func (l *Limiter) TightGrows() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.tightGrows.Load()
 }

@@ -12,11 +12,8 @@ func TestLimiterNilUnlimited(t *testing.T) {
 	}
 	l.Release(1 << 40)
 	l.ReleaseAll()
-	if l.Tight() || l.Used() != 0 || l.Limit() != 0 || l.Denials() != 0 || l.TightGrows() != 0 {
-		t.Fatalf("nil limiter reported state")
-	}
-	if l.Headroom() >= 0 {
-		t.Fatalf("nil limiter headroom = %d, want negative (unlimited)", l.Headroom())
+	if l.Used() != 0 {
+		t.Fatalf("nil limiter reported %d bytes used", l.Used())
 	}
 }
 
@@ -27,9 +24,6 @@ func TestLimiterReserveDeny(t *testing.T) {
 	}
 	if l.Reserve(1) {
 		t.Fatalf("reservation past limit granted")
-	}
-	if got := l.Denials(); got != 1 {
-		t.Fatalf("Denials = %d, want 1", got)
 	}
 	if got := l.Used(); got != 100 {
 		t.Fatalf("Used = %d, want 100", got)
@@ -63,65 +57,28 @@ func TestLimiterParentRollback(t *testing.T) {
 	}
 }
 
-func TestLimiterTightThreshold(t *testing.T) {
-	l := NewLimiter(100, nil)
-	l.Reserve(74)
-	if l.Tight() {
-		t.Fatalf("tight below 3/4")
-	}
-	l.Reserve(1)
-	if !l.Tight() {
-		t.Fatalf("not tight at 3/4")
-	}
-	// Tightness propagates from any level of the chain.
-	child := NewLimiter(0, l)
-	if !child.Tight() {
-		t.Fatalf("child not tight while parent is")
-	}
-}
-
-func TestLimiterHeadroom(t *testing.T) {
-	parent := NewLimiter(100, nil)
-	child := NewLimiter(50, parent)
-	parent.Reserve(80)
-	if got := child.Headroom(); got != 20 {
-		t.Fatalf("Headroom = %d, want 20 (parent is tighter)", got)
-	}
-	if !child.Reserve(15) {
-		t.Fatalf("reservation within both ceilings denied")
-	}
-	if got := child.Headroom(); got != 5 {
-		t.Fatalf("Headroom = %d, want 5 (parent has 5 left)", got)
-	}
-}
-
-// TestBudgetedArenaDegrades walks the first rung of the degradation
-// ladder: past the tight threshold, grow stops rounding requests up to
-// chunkElems and the exact-size slab is observable via TightGrows.
-func TestBudgetedArenaDegrades(t *testing.T) {
-	// Budget fits exactly one full chunk slab plus a little; after the
-	// first grow the limiter is > 3/4 full, so the next grow must be
-	// exact-size.
-	budget := int64(chunkElems)*4 + 1024
-	lim := NewLimiter(budget, nil)
+// TestBudgetedArenaExactSlabs: a budgeted arena grows slabs of exactly
+// the requested size, however empty its budget, so a budget that holds
+// the buffers holds the arena (an unbudgeted one rounds up to
+// chunkElems, TestAllocBasics).
+func TestBudgetedArenaExactSlabs(t *testing.T) {
+	lim := NewLimiter(1<<40, nil)
 	a := NewBudgeted(lim)
-	if b := a.Alloc(16); len(b) != 16 {
-		t.Fatalf("first Alloc failed under ample budget")
+	for i := 0; i < 3; i++ {
+		if b := a.Alloc(100); len(b) != 100 {
+			t.Fatalf("Alloc %d failed under ample budget", i)
+		}
 	}
-	if lim.Used() != int64(chunkElems)*4 {
-		t.Fatalf("first slab not rounded to chunk: used %d", lim.Used())
+	if a.Bytes() != 3*100*4 || lim.Used() != a.Bytes() {
+		t.Fatalf("budgeted arena holds %d bytes, limiter %d; want exactly 3 requests, %d", a.Bytes(), lim.Used(), 3*100*4)
 	}
-	// Fill the first slab, then force a grow: with the limiter past 3/4
-	// the new slab must be exact-size (800 B fits the 1 KiB remnant; a
-	// rounded 256 KiB slab would not).
-	if b := a.Alloc(chunkElems - 16); len(b) != chunkElems-16 {
-		t.Fatalf("slab-filling Alloc failed")
+	// The same frame after Reset reuses the slabs and reserves nothing.
+	a.Reset()
+	for i := 0; i < 3; i++ {
+		a.Alloc(100)
 	}
-	if b := a.Alloc(200); len(b) != 200 {
-		t.Fatalf("tight-mode Alloc failed: %v", b)
-	}
-	if got := lim.TightGrows(); got == 0 {
-		t.Fatalf("TightGrows = 0, want > 0 after tight-mode grow")
+	if lim.Used() != 3*100*4 {
+		t.Fatalf("replayed frame grew the reservation to %d bytes", lim.Used())
 	}
 }
 
@@ -136,48 +93,12 @@ func TestBudgetedArenaDenies(t *testing.T) {
 	if b := a.Alloc(64); b != nil {
 		t.Fatalf("Alloc past budget returned %d elems, want nil", len(b))
 	}
-	if lim.Denials() == 0 {
-		t.Fatalf("denial not recorded")
+	if lim.Used() != 64*4 {
+		t.Fatalf("a denied Alloc left %d bytes reserved, want %d", lim.Used(), 64*4)
 	}
 	// The arena remains usable for allocations that fit what's left.
 	a.Reset()
 	if b := a.Alloc(32); len(b) != 32 {
 		t.Fatalf("Alloc after Reset failed")
-	}
-}
-
-func TestEstimateBytes(t *testing.T) {
-	cases := []struct {
-		allocs, each int
-		tight        bool
-	}{
-		{allocs: 5, each: 100, tight: false},
-		{allocs: 5, each: 100, tight: true},
-		{allocs: 3000, each: 50, tight: false},
-		{allocs: 2, each: chunkElems + 1, tight: false},
-		{allocs: 7, each: chunkElems / 2, tight: false},
-	}
-	for _, c := range cases {
-		var lim *Limiter
-		if c.tight {
-			// A limiter held at 3/4 of a huge ceiling keeps Tight() true
-			// for every grow while leaving ample headroom to reserve.
-			lim = NewLimiter(1<<40, nil)
-			lim.Reserve((1 << 40) * 3 / 4)
-		}
-		a := NewBudgeted(lim)
-		for i := 0; i < c.allocs; i++ {
-			if b := a.Alloc(c.each); b == nil {
-				t.Fatalf("%+v: Alloc %d denied", c, i)
-			}
-		}
-		want := a.Bytes()
-		if got := EstimateBytes(c.allocs, c.each, c.tight); got != want {
-			t.Errorf("EstimateBytes(%d, %d, %v) = %d, actual arena bytes %d",
-				c.allocs, c.each, c.tight, got, want)
-		}
-	}
-	if got := EstimateBytes(0, 10, false); got != 0 {
-		t.Errorf("EstimateBytes(0, 10) = %d, want 0", got)
 	}
 }

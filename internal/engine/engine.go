@@ -29,11 +29,10 @@ import (
 // paper's OOT outcome).
 var ErrTimeLimit = errors.New("engine: time limit exceeded")
 
-// ErrMemoryBudget is returned when a budgeted arena (admission memory
-// governance) denies a candidate-buffer allocation: the run has
-// exhausted every degradation rung and must hard-stop. The unwind path
-// is the same as ErrTimeLimit, so partial results and checkpoints
-// remain valid.
+// ErrMemoryBudget is returned when a budgeted arena denies a candidate
+// buffer or a mark's words: the run's memory budget is a ceiling, and
+// the run stops at it. The unwind path is the same as ErrTimeLimit, so
+// partial results and checkpoints remain valid.
 var ErrMemoryBudget = errors.New("engine: memory budget exceeded")
 
 // errLaneVisit rejects enumeration-mode runs in lane mode: a visitor
@@ -125,10 +124,6 @@ type Options struct {
 	// count-only (no visitors) and disables the count-only tail — the
 	// leaf loop must run to apply leaf-level lane masks.
 	Lanes *lanes.Set
-	// NoMarks runs the operands the plan marks as plain operands, the
-	// way a list kernel does. The memory-degradation ladder sets it when
-	// a worker's budget cannot also hold its marks (see MarkBytes).
-	NoMarks bool
 }
 
 func (o Options) withDefaults() Options {
@@ -207,7 +202,7 @@ type Enumerator struct {
 	// one hub. Otherwise every COMP takes the list path outright.
 	useBitmaps bool
 	// marks[w] is pattern vertex w's mark (see plan.Plan.Marks): its
-	// words, markWords of them spanning the view's ids, are ar.Words,
+	// words, markWords of them for one bit per view id, are ar.Words,
 	// taken on first use and kept, like the rest of a mark, across runs.
 	marks     []mark
 	markWords int
@@ -293,7 +288,7 @@ func New(g *graph.Graph, pl *plan.Plan, opts Options) *Enumerator {
 		setsTmp:    make([][]graph.VertexID, 0, n),
 		bmsTmp:     make([]*bitset.Bitmap, 0, n),
 		marks:      make([]mark, n),
-		markWords:  markWords(view),
+		markWords:  view.NumVertices()/64 + 1,
 		ar:         ar,
 		dmax:       view.MaxDegree(),
 		useBitmaps: opts.Kernel.UsesBitmaps(),
@@ -301,24 +296,6 @@ func New(g *graph.Graph, pl *plan.Plan, opts Options) *Enumerator {
 		lanes:      opts.Lanes,
 		laneBuf:    laneBuf,
 	}
-}
-
-// markWords is the length of a mark over view: one bit per vertex id.
-func markWords(view delta.View) int { return view.NumVertices()/64 + 1 }
-
-// MarkBytes is the most an Enumerator of pl over view holds in marks
-// under kernel, for the whole of its life: one mark per operand that pl
-// marks, and none when New will run no bitmap kernel (a list kernel, or
-// a graph whose hub index is empty). Options.NoMarks saves all of it.
-func MarkBytes(view delta.View, pl *plan.Plan, kernel intersect.Kind) int64 {
-	if !kernel.UsesBitmaps() || view.Base().NumHubs() == 0 {
-		return 0
-	}
-	var marked uint32
-	for _, m := range pl.Marks {
-		marked |= m
-	}
-	return int64(bits.OnesCount32(marked)) * int64(markWords(view)) * 8
 }
 
 // Plan returns the plan the enumerator executes.
@@ -532,7 +509,7 @@ func (e *Enumerator) computeShared(u int) bool {
 	// Marks are bitmap probes: a list kernel, the fallback New picks
 	// when the graph has no hub too, runs the plan without them.
 	var marks uint32
-	if e.useBitmaps && !e.opts.NoMarks {
+	if e.useBitmaps {
 		marks = e.pl.Marks[u]
 	}
 	// Under a probing kernel bms runs in lockstep with sets; K2 cached

@@ -22,9 +22,6 @@ const (
 	// PointSlotGrant fires at the top of Governor.Admit, before any
 	// slot bookkeeping.
 	PointSlotGrant = "admission.slot.grant"
-	// PointBudgetCheck fires when the admission layer sizes a run's
-	// worker pool against the memory budget headroom.
-	PointBudgetCheck = "admission.budget.check"
 	// PointWatchdogFire fires when the stall watchdog is about to
 	// record a stall diagnostic; an injected error suppresses it.
 	PointWatchdogFire = "admission.watchdog.fire"

@@ -469,10 +469,10 @@ type Options struct {
 	// its workers inside its units at once, and is covered by the
 	// governor's memory budget and stall watchdog. See NewGovernor.
 	Governor *Governor
-	// MemoryBudget caps this run's candidate-arena bytes (0 =
-	// unlimited). Under pressure the run degrades gracefully —
-	// exact-size arena slabs, then fewer workers — before failing with
-	// ErrMemoryBudget; degradations are listed in the RunReport. Nests
+	// MemoryBudget caps this run's candidate-arena bytes, its workers'
+	// buffers and marks together (0 = unlimited). It is a ceiling, not
+	// a hint: the run keeps its workers and its plan, and the first
+	// reservation past the budget stops it with ErrMemoryBudget. Nests
 	// under the Governor's shared budget when both are set.
 	MemoryBudget int64
 	// AdmissionTimeout bounds the wait for a run place under a
@@ -635,7 +635,7 @@ func execute(ctx context.Context, st *snapshotState, pl *plan.Plan, opts Options
 		popts.Resume = ck
 	}
 
-	r, err := opts.governed(ctx, st.view.MaxDegree(), len(pl.Pi), engine.MarkBytes(st.view, pl, popts.Engine.Kernel), popts, func(popts parallel.Options) (parallel.Result, error) {
+	r, err := opts.governed(ctx, popts, func(popts parallel.Options) (parallel.Result, error) {
 		return parallel.RunContext(ctx, st.view.Base(), pl, popts, visit)
 	})
 	if r == nil {

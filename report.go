@@ -87,10 +87,11 @@ type RunReport struct {
 	// table plus an all-goroutine stack capture).
 	WatchdogStalls uint64 `json:"watchdog_stalls,omitempty"`
 	StallDump      string `json:"stall_dump,omitempty"`
-	// DegradationEvents lists, in order, every graceful-degradation
-	// step the run took under resource pressure (reduced admission,
-	// exact-size arena slabs, worker shedding, stalls) — empty for an
-	// unpressured run.
+	// DegradationEvents lists, in order, what resource pressure did to
+	// the run: a Governor admission that granted fewer workers than
+	// requested, and watchdog stalls — empty for an unpressured run. A
+	// memory budget adds none: it either holds or stops the run with
+	// ErrMemoryBudget.
 	DegradationEvents []string `json:"degradation_events,omitempty"`
 
 	// DeltaEdges is how many pending edge insertions plus deletions the

@@ -107,7 +107,7 @@ go test -race -cpu 2,4 -timeout 20m "${SHORT[@]}" \
 echo "==> go test -race -cpu 2,4 shared-graph regressions (queries racing hub-index rebuilds, snapshot isolation)"
 run_named . 'TestConcurrentQueriesHubThreshold|TestHubIndexOneBuildAcrossQueries|TestSnapshotIsolation' -race -cpu 2,4 -timeout 5m
 
-echo "==> go test -race -cpu 2,4 governor (runs sharing the Governor's pool, memory ladder, admission timeout, stall watchdog)"
+echo "==> go test -race -cpu 2,4 governor (runs sharing the Governor's pool, memory ceiling, admission timeout, stall watchdog)"
 run_named . 'TestGovernor|TestMemoryBudget|TestAdmissionOverloaded|TestStallWatchdog' -race -cpu 2,4 -timeout 10m
 
 echo "==> go test -race -cpu 1,2,4: visitor stop latch, anchored scheduler, CountDelta oracles, default-kernel equivalence, labeled queries, counter baseline, report = result, marks kept across runs"
@@ -147,10 +147,11 @@ go test -race -cpu 2,4 -tags faultinject -timeout 20m "${SHORT[@]}" \
 # CountBatch at its admission.
 run_named . 'TestOnePoolPerCall|TestGovernedCallsShareOnePool|TestChaosBatchAdmit' -tags faultinject -race -cpu 2,4 -timeout 5m
 
-echo "==> fuzz smoke: FuzzCSRRoundTrip, FuzzMergeKernels, FuzzCheckpointLoad (10s each)"
+echo "==> fuzz smoke: FuzzCSRRoundTrip, FuzzMergeKernels, FuzzCheckpointLoad, FuzzQueryRequest (10s each)"
 run_named ./internal/graph/ FuzzCSRRoundTrip -fuzz FuzzCSRRoundTrip -fuzztime 10s
 run_named ./internal/intersect/ FuzzMergeKernels -fuzz FuzzMergeKernels -fuzztime 10s
 run_named ./internal/supervise/ FuzzCheckpointLoad -fuzz FuzzCheckpointLoad -fuzztime 10s
+run_named ./internal/server/ FuzzQueryRequest -fuzz FuzzQueryRequest -fuzztime 10s
 
 echo "==> lightdiff differential smoke (lane + edge-delta oracles on)"
 if [[ ${#SHORT[@]} -gt 0 ]]; then
