@@ -58,7 +58,7 @@ func TestCounterBaseline(t *testing.T) {
 	}
 	// Generator graphs go through the public constructor (rebuild), the
 	// way lightenum loads a named dataset.
-	ytg := rebuild(t, newGraph(yts.Make(), nil))
+	ytg := rebuild(t, newGraph(yts.Make()))
 
 	var fresh []counterRow
 	byRow := map[string]map[string]uint64{}
@@ -77,7 +77,7 @@ func TestCounterBaseline(t *testing.T) {
 		patterns []string
 	}{
 		{"yt-s", ytg, []string{"P2", "P4", "P6"}},
-		{"star-chords", rebuild(t, newGraph(gen.StarChords(4000, 24000, 7), nil)), []string{"triangle", "P2", "P1"}},
+		{"star-chords", rebuild(t, newGraph(gen.StarChords(4000, 24000, 7))), []string{"triangle", "P2", "P1"}},
 	} {
 		for _, name := range c.patterns {
 			p := mustPattern(t, name)

@@ -24,8 +24,7 @@ type BatchQuery struct {
 	// Roots, when non-nil, restricts this query to matches whose root
 	// pattern vertex (the first vertex of the chosen enumeration
 	// order) maps into this set of data vertices. IDs are in the
-	// graph's degree-ordered numbering, as returned in results and by
-	// Graph.MapVertex.
+	// graph's degree-ordered numbering, as returned in results.
 	Roots []VertexID
 	// MinDegree, when positive, restricts this query to matches using
 	// only data vertices of at least this degree — the degree-profile
@@ -105,8 +104,11 @@ func CountBatchContext(ctx context.Context, g *Graph, queries []BatchQuery, opts
 		if q.Pattern == nil {
 			return bres, fmt.Errorf("light: batch query %d has no pattern", i)
 		}
-		pl, err := preparePlan(st, q.Pattern, opts)
+		pl, err := preparePlan(ctx, st, q.Pattern, opts)
 		if err != nil {
+			if ctxErr := ctx.Err(); ctxErr != nil {
+				return bres, ctxErr // stopped before any query ran
+			}
 			return bres, fmt.Errorf("light: batch query %d (%s): %w", i, q.Pattern.Name(), err)
 		}
 		plans[i] = pl

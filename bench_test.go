@@ -1,19 +1,18 @@
-// Ablation and extension benchmarks: design choices the paper fixes or
-// does not have (δ, cover solver, order search, the counted tail,
-// labels, sampling, the default kernel on hub-free graphs), on shrunken
-// synthetic datasets. The paper's own tables and figures are
-// cmd/benchpaper's; the repository's speed contract is benchmark/.
+// Ablation benchmarks: design choices the paper fixes or does not have
+// (cover solver, order search, the counted tail, the default kernel on
+// hub-free graphs), on shrunken synthetic datasets; the δ sweep is
+// internal/intersect's BenchmarkAblationDelta. The paper's own tables
+// and figures are cmd/benchpaper's; the repository's speed contract is
+// benchmark/.
 package light
 
 import (
-	"fmt"
 	"testing"
 
 	"light/internal/engine"
 	"light/internal/estimate"
 	"light/internal/gen"
 	"light/internal/graph"
-	"light/internal/intersect"
 	"light/internal/pattern"
 	"light/internal/plan"
 )
@@ -174,80 +173,5 @@ func BenchmarkDefaultKernelHubFree(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
 			})
 		}
-	}
-}
-
-// BenchmarkExtensionLabeled measures the labeled path: the same shape
-// queried unlabeled vs with 4 labels, on the same pool (the label filter
-// rejects roots outside π[0]'s class before they are expanded, and the
-// NLF filter prunes candidates).
-func BenchmarkExtensionLabeled(b *testing.B) {
-	g := GenerateBarabasiAlbert(2000, 5, 31)
-	labels := make([]Label, g.NumVertices())
-	for v := range labels {
-		labels[v] = Label(v % 4)
-	}
-	lg, err := WithLabels(g, labels)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tri, _ := PatternByName("triangle")
-	lp, err := WithPatternLabels(tri, []Label{0, 1, 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("unlabeled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := Count(g, tri, Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("labeled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := CountLabeled(lg, lp, Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkExtensionApprox compares exact counting against sampling at
-// two probe budgets.
-func BenchmarkExtensionApprox(b *testing.B) {
-	g := GenerateBarabasiAlbert(3000, 5, 17)
-	p, _ := PatternByName("P1")
-	b.Run("exact", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := Count(g, p, Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, samples := range []int{1000, 10000} {
-		b.Run(fmt.Sprintf("approx-%d", samples), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := ApproxCount(g, p, samples, int64(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationDelta sweeps the Hybrid threshold δ (the paper fixes
-// δ = 50 from a prior study).
-func BenchmarkAblationDelta(b *testing.B) {
-	g := ytFast()
-	pl := pinnedPlan(b, pattern.P2(), plan.ModeLIGHT)
-	for _, delta := range []int{2, 8, 50, 500} {
-		b.Run(fmt.Sprintf("delta=%d", delta), func(b *testing.B) {
-			e := engine.New(g, pl, engine.Options{Kernel: intersect.KindHybrid, Delta: delta})
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Run(nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -51,12 +51,11 @@ func main() {
 	scale := flag.Int("scale", 1, "scale for built-in datasets")
 	algoName := flag.String("algo", "LIGHT", "algorithm: SE, LM, MSC, LIGHT")
 	workers := flag.Int("workers", 1, "worker threads")
-	kernel := flag.String("kernel", "", "intersection: Merge, MergeBlock, Galloping, Hybrid, HybridBlock, MergeBitmap, HybridBitmap (default: the library's)")
+	kernel := flag.String("kernel", "", "intersection: Merge, MergeBlock, Galloping, Hybrid, HybridBlock, HybridBitmap (default: the library's)")
 	timeout := flag.Duration("timeout", 0, "abort after this long (0 = unlimited)")
 	printN := flag.Int("print", 0, "print the first N matches")
 	outPath := flag.String("out", "", "stream all matches to this file (one line per match)")
 	explain := flag.Bool("explain", false, "print the compiled plan and exit")
-	approx := flag.Int("approx", 0, "estimate the count from this many sampling probes instead of enumerating")
 	stats := flag.Bool("stats", false, "print the full run report (counters, scheduler stats) as JSON")
 	ckptPath := flag.String("checkpoint", "", "periodically save resumable progress to this file")
 	ckptEvery := flag.Duration("checkpoint-interval", 30*time.Second, "how often to write the checkpoint")
@@ -152,14 +151,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Print(text)
-		return
-	}
-	if *approx > 0 {
-		est, hits, err := light.ApproxCount(g, p, *approx, 1)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("estimated matches: %.0f (%d/%d probes hit)\n", est, hits, *approx)
 		return
 	}
 

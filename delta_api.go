@@ -78,8 +78,8 @@ type DeltaResult struct {
 // to the whole call: one admission covers it, and one pool runs both
 // sides. Options.Filter, when set, narrows both sides exactly as it
 // narrows Count (the identity then holds for the filtered counts); it may
-// be called from several workers at once. Snapshot, Order,
-// CheckpointPath, and ResumeFrom are rejected with ErrUnsupportedOption.
+// be called from several workers at once. Snapshot, CheckpointPath, and
+// ResumeFrom are rejected with ErrUnsupportedOption.
 func CountDelta(g *Graph, p *Pattern, from, to *Snapshot, opts Options) (DeltaResult, error) {
 	return CountDeltaContext(context.Background(), g, p, from, to, opts)
 }
@@ -103,8 +103,6 @@ func CountDeltaContext(ctx context.Context, g *Graph, p *Pattern, from, to *Snap
 	switch {
 	case opts.Snapshot != nil:
 		return dr, fmt.Errorf("%w: CountDelta does not take Options.Snapshot (pass the snapshots directly)", ErrUnsupportedOption)
-	case opts.Order != nil:
-		return dr, fmt.Errorf("%w: CountDelta does not take Options.Order (every search order starts at a changed edge)", ErrUnsupportedOption)
 	case opts.CheckpointPath != "" || opts.ResumeFrom != "":
 		return dr, fmt.Errorf("%w: CountDelta does not support checkpointing", ErrUnsupportedOption)
 	}
@@ -116,7 +114,7 @@ func CountDeltaContext(ctx context.Context, g *Graph, p *Pattern, from, to *Snap
 	}
 
 	start := time.Now()
-	plans, err := anchoredPlans(to.st, p, opts)
+	plans, err := anchoredPlans(ctx, to.st, p, opts)
 	if err != nil {
 		return dr, err
 	}
@@ -153,7 +151,7 @@ func CountDeltaContext(ctx context.Context, g *Graph, p *Pattern, from, to *Snap
 // endpoint, so an orientation the partial order forces the other way
 // round (b < a) has no embeddings and gets no plan. Plans depend on the
 // pattern only — never on the delta edges.
-func anchoredPlans(st *snapshotState, p *Pattern, opts Options) ([]*plan.Plan, error) {
+func anchoredPlans(ctx context.Context, st *snapshotState, p *Pattern, opts Options) ([]*plan.Plan, error) {
 	po := pattern.SymmetryBreaking(p.p)
 	stats := st.planStats()
 	var plans []*plan.Plan
@@ -163,7 +161,7 @@ func anchoredPlans(st *snapshotState, p *Pattern, opts Options) ([]*plan.Plan, e
 			if po.Less[b]&(1<<uint(a)) != 0 {
 				continue
 			}
-			pl, err := plan.ChooseAnchored(p.p, po, stats, opts.Algorithm.mode(), a, b)
+			pl, err := plan.ChooseAnchored(ctx, p.p, po, stats, opts.Algorithm.mode(), a, b)
 			if err != nil {
 				return nil, err
 			}

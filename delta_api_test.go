@@ -472,7 +472,6 @@ func TestCountDeltaRejectsBadOptions(t *testing.T) {
 	}
 	for name, opts := range map[string]Options{
 		"Snapshot":       {Snapshot: s},
-		"Order":          {Order: []int{0, 1, 2}},
 		"CheckpointPath": {CheckpointPath: "x"},
 		"ResumeFrom":     {ResumeFrom: "x"},
 	} {

@@ -22,7 +22,7 @@ func ExampleCount() {
 // Streaming matches with a visitor. Matches arrive in no particular
 // order, so the example sorts them before printing.
 func ExampleEnumerate() {
-	g := light.GenerateComplete(4)
+	g := light.NewGraph(4, [][2]light.VertexID{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}) // K4
 	p, _ := light.PatternByName("triangle")
 	var rows []string
 	light.Enumerate(g, p, light.Options{}, func(m []light.VertexID) bool {

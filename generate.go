@@ -10,27 +10,22 @@ import "light/internal/gen"
 // vertices with k edges per new vertex — a power-law degree distribution
 // like social networks.
 func GenerateBarabasiAlbert(n, k int, seed int64) *Graph {
-	return newGraph(gen.BarabasiAlbert(n, k, seed), nil)
+	return newGraph(gen.BarabasiAlbert(n, k, seed))
 }
 
 // GenerateErdosRenyi returns G(n, m): m uniform random edges on n
 // vertices.
 func GenerateErdosRenyi(n, m int, seed int64) *Graph {
-	return newGraph(gen.ErdosRenyi(n, m, seed), nil)
+	return newGraph(gen.ErdosRenyi(n, m, seed))
 }
 
 // GenerateRMAT returns an R-MAT graph with 2^scale vertices and about
 // edgeFactor·2^scale edges — a skewed, web-like degree distribution.
 func GenerateRMAT(scale, edgeFactor int, seed int64) *Graph {
-	return newGraph(gen.RMAT(scale, edgeFactor, seed), nil)
-}
-
-// GenerateComplete returns the complete graph K_n.
-func GenerateComplete(n int) *Graph {
-	return newGraph(gen.Complete(n), nil)
+	return newGraph(gen.RMAT(scale, edgeFactor, seed))
 }
 
 // GenerateGrid returns the rows×cols 2D grid graph.
 func GenerateGrid(rows, cols int) *Graph {
-	return newGraph(gen.Grid(rows, cols), nil)
+	return newGraph(gen.Grid(rows, cols))
 }

@@ -15,7 +15,7 @@ import (
 // Options field is rejected with an error naming the field, at the
 // validation choke point — before any worker, arena, or file exists.
 func TestOptionsValidation(t *testing.T) {
-	g := GenerateComplete(6)
+	g := completeGraph(6)
 	p, err := PatternByName("triangle")
 	if err != nil {
 		t.Fatal(err)

@@ -130,8 +130,8 @@ func TestHubIndexOneBuildAcrossQueries(t *testing.T) {
 	tau := base.HubThreshold()
 
 	var wg sync.WaitGroup
-	errCh := make(chan error, int(MergeBitmap)+1)
-	for k := Intersection(0); k <= MergeBitmap; k++ {
+	errCh := make(chan error, int(Hybrid)+1)
+	for k := Intersection(0); k <= Hybrid; k++ {
 		wg.Add(1)
 		go func(k Intersection) {
 			defer wg.Done()

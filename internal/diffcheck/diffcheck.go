@@ -110,7 +110,7 @@ func variants(quick bool) []engineVariant {
 	kernels := []intersect.Kind{
 		intersect.KindMerge, intersect.KindMergeBlock, intersect.KindGalloping,
 		intersect.KindHybrid, intersect.KindHybridBlock,
-		intersect.KindMergeBitmap, intersect.KindHybridBitmap,
+		intersect.KindHybridBitmap,
 	}
 	if quick {
 		// The cheap core: the paper's leaf loop, the counted tail under

@@ -126,7 +126,7 @@ func TestBitmapKernelMatchesList(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range []intersect.Kind{intersect.KindMergeBitmap, intersect.KindHybridBitmap} {
+		for _, k := range []intersect.Kind{intersect.KindHybridBitmap} {
 			res, err := New(g, pl, Options{Kernel: k}).Run(nil)
 			if err != nil {
 				t.Fatal(err)

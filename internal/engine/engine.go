@@ -11,7 +11,6 @@ package engine
 
 import (
 	"errors"
-	"fmt"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -76,13 +75,6 @@ type Options struct {
 	// operand; on a graph whose index holds no hub, New replaces it with
 	// its list fallback.
 	Kernel intersect.Kind
-	// Delta is the Hybrid threshold δ (default intersect.DefaultDelta).
-	// Valid values are non-negative: 0 selects the default, positive
-	// values set the skew ratio at which Hybrid kernels switch to
-	// galloping. Negative values are rejected by New — they would make
-	// every cardinality pair look skewed, silently degrading the Hybrid
-	// kernels to pure Galloping.
-	Delta int
 	// TimeLimit aborts the run with ErrTimeLimit when positive. The
 	// clock starts at each Run/RunRoots/RunAnchor call.
 	TimeLimit time.Duration
@@ -124,13 +116,6 @@ type Options struct {
 	// count-only (no visitors) and disables the count-only tail — the
 	// leaf loop must run to apply leaf-level lane masks.
 	Lanes *lanes.Set
-}
-
-func (o Options) withDefaults() Options {
-	if o.Delta == 0 {
-		o.Delta = intersect.DefaultDelta
-	}
-	return o
 }
 
 // Result summarizes a run.
@@ -247,18 +232,12 @@ type mark struct {
 	built bool
 }
 
-// New prepares an Enumerator for repeated runs of pl over g. It panics
-// on invalid options (negative Delta): that is a programming error, and
-// returning a degraded enumerator would silently change every Hybrid
-// kernel into pure Galloping.
+// New prepares an Enumerator for repeated runs of pl over g. Its Hybrid
+// kernels run at the paper's δ, intersect.DefaultDelta.
 func New(g *graph.Graph, pl *plan.Plan, opts Options) *Enumerator {
-	if opts.Delta < 0 {
-		panic(fmt.Sprintf("engine: Options.Delta is %d, must be non-negative (0 selects the default δ=%d)", opts.Delta, intersect.DefaultDelta))
-	}
 	if opts.Lanes != nil && opts.Filter != nil {
 		panic("engine: Options.Filter and Options.Lanes are exclusive")
 	}
-	opts = opts.withDefaults()
 	n := pl.Pattern.NumVertices()
 	ar := opts.Arena
 	if ar == nil {
@@ -546,14 +525,14 @@ func (e *Enumerator) computeShared(u int) bool {
 		marks = 0
 	}
 	if marks == 0 {
-		n := intersect.MultiWay(dst, scr, sets, bms, e.opts.Kernel, e.opts.Delta, &e.result.Stats)
+		n := intersect.MultiWay(dst, scr, sets, bms, e.opts.Kernel, intersect.DefaultDelta, &e.result.Stats)
 		e.cand[u] = dst[:n]
 		return n > 0
 	}
 	// A lone unmarked operand is probed in place, with no copy.
 	cur := sets[0]
 	if len(sets) > 1 {
-		cur = dst[:intersect.MultiWay(dst, scr, sets, bms, e.opts.Kernel, e.opts.Delta, &e.result.Stats)]
+		cur = dst[:intersect.MultiWay(dst, scr, sets, bms, e.opts.Kernel, intersect.DefaultDelta, &e.result.Stats)]
 	}
 	// Like MultiWay's first pair, the first probe runs even on an empty
 	// set; later ones only while the result is non-empty.
@@ -823,7 +802,7 @@ func (e *Enumerator) pairCount(i int, cu []graph.VertexID) bool {
 	switch {
 	case nu == 0 || nw == 0:
 	case order == 0:
-		overlap := intersect.Count(cu, cw, e.opts.Delta, &e.result.Stats) - bits.OnesCount32(inU&inW)
+		overlap := intersect.Count(cu, cw, intersect.DefaultDelta, &e.result.Stats) - bits.OnesCount32(inU&inW)
 		matches = nu*nw - uint64(overlap)
 	case order > 0:
 		matches = e.pairsBelow(cu, cw, inU, inW)

@@ -45,7 +45,7 @@ func TestTailCountDegreeFilterEquality(t *testing.T) {
 	}
 	kernels := []intersect.Kind{
 		intersect.KindMerge, intersect.KindHybrid,
-		intersect.KindMergeBitmap, intersect.KindHybridBitmap,
+		intersect.KindHybridBitmap,
 	}
 	for _, tg := range graphs {
 		for _, p := range pattern.Catalog() {

@@ -52,7 +52,7 @@ func TestOverlayMatchesMaterialized(t *testing.T) {
 	}
 	kernels := []intersect.Kind{
 		intersect.KindMerge, intersect.KindHybridBlock,
-		intersect.KindMergeBitmap, intersect.KindHybridBitmap,
+		intersect.KindHybridBitmap,
 	}
 	for _, c := range graphs {
 		name, g := c.name, c.g
@@ -127,7 +127,7 @@ func TestOverlayMatchesMaterialized(t *testing.T) {
 		if !touchedHub {
 			t.Errorf("%s: no batch touched an indexed hub", name)
 		}
-		for _, k := range []intersect.Kind{intersect.KindMergeBitmap, intersect.KindHybridBitmap} {
+		for _, k := range []intersect.Kind{intersect.KindHybridBitmap} {
 			if probes[k] == 0 {
 				t.Errorf("%s/%s: no overlay round probed a bitmap", name, k)
 			}

@@ -143,26 +143,6 @@ func TestMatLoopFilterCancellationLatency(t *testing.T) {
 	}
 }
 
-// TestNegativeDeltaRejected pins the Options.Delta validation: a
-// negative δ makes every cardinality pair look skewed, silently turning
-// the Hybrid kernels into pure Galloping. Pre-fix it survived
-// withDefaults untouched.
-func TestNegativeDeltaRejected(t *testing.T) {
-	g := gen.Complete(4)
-	p := pattern.Triangle()
-	po := pattern.SymmetryBreaking(p)
-	pl, err := plan.Compile(p, po, plan.ConnectedOrders(p, po)[0], plan.ModeLIGHT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("engine.New accepted Delta = -1")
-		}
-	}()
-	New(g, pl, Options{Delta: -1})
-}
-
 // TestTrailingZeros32Intrinsic pins the math/bits replacement of the
 // hand-rolled loop, which spun forever on 0. The watchdog goroutine
 // makes the pre-fix hang a clean test failure instead of a test-binary

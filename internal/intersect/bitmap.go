@@ -10,10 +10,10 @@ import (
 // index), and intersecting any set against a hub becomes one O(1)
 // membership probe per element of the smaller side — O(|small|) total
 // instead of O(|small|·log|large|) galloping. The engine passes bitmaps
-// to MultiWay under KindMergeBitmap/KindHybridBitmap; when no operand
-// has a bitmap MultiWay runs the corresponding list kernel, so results
-// are identical to the scalar kernels by construction (and verified by
-// the equivalence property tests and the diffcheck oracle matrix).
+// to MultiWay under KindHybridBitmap; when no operand has a bitmap
+// MultiWay runs the HybridBlock list kernel, so results are identical to
+// the scalar kernels by construction (and verified by the equivalence
+// property tests and the diffcheck oracle matrix).
 
 // MergeBitmap intersects sorted set a against the hub bitmap into dst,
 // which must have capacity at least len(a) and may alias a (probing

@@ -221,7 +221,7 @@ func TestQuickBitmapEquivalence(t *testing.T) {
 		}
 		d2 := make([]graph.VertexID, minLen)
 		s2 := make([]graph.VertexID, minLen)
-		n2 := MultiWay(d2, s2, [][]graph.VertexID{a, b}, []*bitset.Bitmap{bm(a), bm(b)}, KindMergeBitmap, DefaultDelta, nil)
+		n2 := MultiWay(d2, s2, [][]graph.VertexID{a, b}, []*bitset.Bitmap{bm(a), bm(b)}, KindHybridBitmap, DefaultDelta, nil)
 		if n2 != len(want) {
 			return false
 		}

@@ -46,9 +46,6 @@ const (
 	// KindHybridBlock is Algorithm 4 with block-skipping Merge — the
 	// stand-in for the paper's HybridAVX2.
 	KindHybridBlock
-	// KindMergeBitmap probes hub bitmaps for high-degree K1 operands and
-	// falls back to MergeBlock between plain lists (see MultiWay).
-	KindMergeBitmap
 	// KindHybridBitmap probes hub bitmaps and falls back to HybridBlock
 	// between plain lists — the production bitmap configuration.
 	KindHybridBitmap
@@ -67,30 +64,23 @@ func (k Kind) String() string {
 		return "Hybrid"
 	case KindHybridBlock:
 		return "HybridBlock"
-	case KindMergeBitmap:
-		return "MergeBitmap"
 	case KindHybridBitmap:
 		return "HybridBitmap"
 	}
 	return "Unknown"
 }
 
-// ListFallback returns the pure list kernel a bitmap kind degrades to
-// when no operand has a hub bitmap; non-bitmap kinds return themselves.
+// ListFallback returns the pure list kernel the bitmap kind degrades to
+// when no operand has a hub bitmap; list kinds return themselves.
 func (k Kind) ListFallback() Kind {
-	switch k {
-	case KindMergeBitmap:
-		return KindMergeBlock
-	case KindHybridBitmap:
+	if k == KindHybridBitmap {
 		return KindHybridBlock
 	}
 	return k
 }
 
-// UsesBitmaps reports whether k is one of the bitmap-probing kinds.
-func (k Kind) UsesBitmaps() bool {
-	return k == KindMergeBitmap || k == KindHybridBitmap
-}
+// UsesBitmaps reports whether k is the bitmap-probing kind.
+func (k Kind) UsesBitmaps() bool { return k == KindHybridBitmap }
 
 // Stats counts kernel invocations, letting experiments report the number
 // of set intersections (Fig 5) and the Galloping share (Table III).

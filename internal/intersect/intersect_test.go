@@ -64,7 +64,7 @@ func runKernel(k Kind, a, b []graph.VertexID) []graph.VertexID {
 
 // allKinds includes the bitmap kinds: through Pair they must behave
 // exactly like their list fallbacks (Pair has no bitmap operands).
-var allKinds = []Kind{KindMerge, KindMergeBlock, KindGalloping, KindHybrid, KindHybridBlock, KindMergeBitmap, KindHybridBitmap}
+var allKinds = []Kind{KindMerge, KindMergeBlock, KindGalloping, KindHybrid, KindHybridBlock, KindHybridBitmap}
 
 func TestKernelsFixedCases(t *testing.T) {
 	cases := []struct{ a, b, want []graph.VertexID }{

@@ -76,7 +76,7 @@ func TestRunAnchoredReachesEveryEmbeddingOncePerEdge(t *testing.T) {
 				stats := estimate.Collect(g)
 				for _, e := range p.Edges() {
 					for _, ab := range [][2]pattern.Vertex{{e[0], e[1]}, {e[1], e[0]}} {
-						pl, err := plan.ChooseAnchored(p, po, stats, mode, ab[0], ab[1])
+						pl, err := plan.ChooseAnchored(context.Background(), p, po, stats, mode, ab[0], ab[1])
 						if err != nil {
 							t.Fatal(err)
 						}

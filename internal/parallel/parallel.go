@@ -246,13 +246,6 @@ func RunJobs(ctx context.Context, opts Options, jobs []Job) (Result, error) {
 		return Result{}, errors.New("parallel: checkpoint/resume need a single rooted job without lanes")
 	}
 	g, pl := jobs[0].View.Base(), jobs[0].Plan // what checkpoints and resumes bind to
-	if opts.Engine.Delta < 0 {
-		// Reject here, before workers spawn: engine.New panics on a
-		// negative δ (it would silently degrade every Hybrid kernel to
-		// pure Galloping), and a panic inside a supervised worker is a
-		// worse failure report than a plain error at the entry point.
-		return Result{}, fmt.Errorf("parallel: Engine.Delta is %d, must be non-negative", opts.Engine.Delta)
-	}
 	if jobs[0].View.Overlay() != nil && (opts.Checkpoint != nil || opts.Resume != nil) {
 		// Checkpoint fingerprints bind only the base graph
 		// (supervise.Fingerprint hashes its CSR content + plan, not

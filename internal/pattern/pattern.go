@@ -247,14 +247,7 @@ func (po *PartialOrder) String() string {
 // isomorphic subgraph is counted exactly once (verified in tests against
 // |Aut|-normalized brute force).
 func SymmetryBreaking(p *Pattern) *PartialOrder {
-	return SymmetryBreakingFromAut(p, p.Automorphisms())
-}
-
-// SymmetryBreakingFromAut runs the Grochow–Kellis construction on an
-// explicit automorphism group (any subgroup of Aut(P) closed under
-// composition works; the labeled-matching layer passes the
-// label-preserving subgroup). The identity must be included.
-func SymmetryBreakingFromAut(p *Pattern, auts [][]Vertex) *PartialOrder {
+	auts := p.Automorphisms()
 	po := &PartialOrder{n: p.n}
 	for len(auts) > 1 {
 		// Orbit of each vertex under the current group.

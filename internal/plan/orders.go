@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"fmt"
 
 	"light/internal/estimate"
@@ -81,10 +82,21 @@ func connectedOrdersFrom(p *pattern.Pattern, po *pattern.PartialOrder, prefix []
 // the operands its walk says pay (Plan.Marks); the marks never change
 // which order is chosen.
 func Choose(p *pattern.Pattern, po *pattern.PartialOrder, stats estimate.GraphStats, mode Mode) (*Plan, error) {
+	return ChooseContext(context.Background(), p, po, stats, mode)
+}
+
+// ChooseContext is Choose under a context: the search polls ctx before
+// it starts and once per candidate order, and returns ctx.Err() once
+// ctx is done — a large pattern's orders can cost far more than its
+// run.
+func ChooseContext(ctx context.Context, p *pattern.Pattern, po *pattern.PartialOrder, stats estimate.GraphStats, mode Mode) (*Plan, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if po == nil {
 		po = pattern.SymmetryBreaking(p)
 	}
-	return cheapest(p, po, ConnectedOrders(p, po), stats, mode, Compile)
+	return cheapest(ctx, p, po, ConnectedOrders(p, po), stats, mode, Compile)
 }
 
 // ChooseAnchored returns the minimum-cost CompileAnchored plan whose
@@ -92,21 +104,26 @@ func Choose(p *pattern.Pattern, po *pattern.PartialOrder, stats estimate.GraphSt
 // connected completion of that edge, under the same cost model and
 // tie-breaks as Choose. The completions are not pruned by po's
 // precedence (the prefix may already violate it); po still supplies the
-// plan's symmetry-breaking constraints.
-func ChooseAnchored(p *pattern.Pattern, po *pattern.PartialOrder, stats estimate.GraphStats, mode Mode, a, b pattern.Vertex) (*Plan, error) {
+// plan's symmetry-breaking constraints. ctx is polled as in
+// ChooseContext.
+func ChooseAnchored(ctx context.Context, p *pattern.Pattern, po *pattern.PartialOrder, stats estimate.GraphStats, mode Mode, a, b pattern.Vertex) (*Plan, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if !p.HasEdge(a, b) {
 		return nil, fmt.Errorf("plan: (u%d, u%d) is not an edge of pattern %s", a, b, p.Name())
 	}
 	if po == nil {
 		po = pattern.SymmetryBreaking(p)
 	}
-	return cheapest(p, po, connectedOrdersFrom(p, nil, []pattern.Vertex{a, b}), stats, mode, CompileAnchored)
+	return cheapest(ctx, p, po, connectedOrdersFrom(p, nil, []pattern.Vertex{a, b}), stats, mode, CompileAnchored)
 }
 
 // cheapest compiles every order and returns the plan with the minimum
 // cost, ties broken by tieKey then lexicographically, and marks it. The
 // partial order's per-mask fractions are shared by every order's walk.
-func cheapest(p *pattern.Pattern, po *pattern.PartialOrder, orders [][]pattern.Vertex, stats estimate.GraphStats, mode Mode,
+// It polls ctx once per order.
+func cheapest(ctx context.Context, p *pattern.Pattern, po *pattern.PartialOrder, orders [][]pattern.Vertex, stats estimate.GraphStats, mode Mode,
 	compile func(*pattern.Pattern, *pattern.PartialOrder, []pattern.Vertex, Mode) (*Plan, error)) (*Plan, error) {
 	if len(orders) == 0 {
 		return nil, fmt.Errorf("plan: pattern %s has no connected order (disconnected pattern?)", p.Name())
@@ -116,6 +133,9 @@ func cheapest(p *pattern.Pattern, po *pattern.PartialOrder, orders [][]pattern.V
 	var bestCost float64
 	var bestKey int
 	for _, pi := range orders {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		pl, err := compile(p, po, pi, mode)
 		if err != nil {
 			return nil, err

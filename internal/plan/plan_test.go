@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"math"
 	"math/bits"
 	"reflect"
@@ -168,7 +169,7 @@ func TestAnchoredPlansWellFormed(t *testing.T) {
 			}
 			for a := 0; a < p.NumVertices(); a++ {
 				for b := 0; b < p.NumVertices(); b++ {
-					pl, err := ChooseAnchored(p, po, stats, mode, a, b)
+					pl, err := ChooseAnchored(context.Background(), p, po, stats, mode, a, b)
 					if !p.HasEdge(a, b) {
 						if err == nil {
 							t.Fatalf("%s: ChooseAnchored accepted the non-edge (u%d, u%d)", p.Name(), a, b)

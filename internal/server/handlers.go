@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"slices"
@@ -24,8 +25,8 @@ const maxRequestBytes = 8 << 20
 type QueryOptions struct {
 	// Algorithm is SE, LM, MSC, or LIGHT (any case; "" is LIGHT).
 	Algorithm string `json:"algorithm,omitempty"`
-	// Kernel is Merge, MergeBlock, Galloping, Hybrid, HybridBlock,
-	// MergeBitmap, or HybridBitmap; empty selects the library default
+	// Kernel is Merge, MergeBlock, Galloping, Hybrid, HybridBlock, or
+	// HybridBitmap; empty selects the library default
 	// (light.ParseIntersection), and the result cache keys on the
 	// resolved kernel, so "" and "HybridBitmap" share their entries.
 	Kernel string `json:"kernel,omitempty"`
@@ -86,12 +87,17 @@ type QueryResponse struct {
 	Report *light.RunReport `json:"report,omitempty"`
 }
 
-// decodeRequest parses the JSON body into v.
+// decodeRequest parses the JSON body into v. The body is one JSON value:
+// anything but whitespace after it is an error, so a concatenated or
+// corrupted request is refused rather than served as its first value.
 func decodeRequest(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("decoding request: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("decoding request: data after the JSON body")
 	}
 	return nil
 }

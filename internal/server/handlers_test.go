@@ -43,11 +43,14 @@ func testServer(t *testing.T, cfg Config) (*Server, *light.Graph, uint64) {
 	return s, g, ref.Matches
 }
 
-// do posts body (marshalled to JSON) to path and returns the recorder.
+// do posts body (marshalled to JSON, or sent as is when it is a
+// []byte) to path and returns the recorder.
 func do(t *testing.T, s *Server, method, path string, body any) *httptest.ResponseRecorder {
 	t.Helper()
 	var rd *bytes.Reader
-	if body != nil {
+	if raw, ok := body.([]byte); ok {
+		rd = bytes.NewReader(raw)
+	} else if body != nil {
 		b, err := json.Marshal(body)
 		if err != nil {
 			t.Fatal(err)
@@ -330,6 +333,12 @@ func TestQueryRequestErrors(t *testing.T) {
 			http.StatusBadRequest},
 		{"both patterns", queryRequest{Graph: "g", Pattern: "triangle",
 			PatternGraph: &patternSpec{N: 3, Edges: [][2]int{{0, 1}, {1, 2}, {0, 2}}}}, http.StatusBadRequest},
+		// Found by FuzzQueryRequest: one Decode served the first value
+		// and ignored what followed it.
+		{"trailing value", []byte(`{"grAph":"g","pAttern_grAph":{"n":3,"edges":[[0,1],[1,2],[0,2]]}}0`), http.StatusBadRequest},
+		{"second object", []byte(`{"graph":"g","pattern":"triangle"}{"graph":"g"}`), http.StatusBadRequest},
+		{"trailing brace", []byte(`{"graph":"g","pattern":"triangle"}}`), http.StatusBadRequest},
+		{"trailing whitespace", []byte("{\"graph\":\"g\",\"pattern\":\"triangle\"}\n\t "), http.StatusOK},
 	}
 	for _, c := range cases {
 		if w := do(t, s, "POST", "/query", c.body); w.Code != c.want {

@@ -52,8 +52,6 @@ type VertexID = uint32
 
 // Graph is an unlabeled undirected data graph in CSR form, relabeled
 // into degree order at construction (the paper's ordered graph).
-// Construction retains the relabeling, so vertex ids from the caller's
-// original numbering can be translated with MapVertex.
 //
 // A Graph is mutable through ApplyEdges, which publishes a new
 // copy-on-write snapshot without touching the base CSR: queries that
@@ -69,8 +67,6 @@ type Graph struct {
 	// mu serializes writers (ApplyEdges, Compact). Readers do not take
 	// it.
 	mu sync.Mutex
-
-	oldToNew []graph.VertexID // nil when the original numbering is unknown
 }
 
 // snapshotState is one immutable published view of a Graph: a base CSR
@@ -93,8 +89,8 @@ type baseStats struct {
 }
 
 // newGraph wraps a finalized CSR as a fresh generation-0 Graph.
-func newGraph(gg *graph.Graph, oldToNew []graph.VertexID) *Graph {
-	g := &Graph{oldToNew: oldToNew}
+func newGraph(gg *graph.Graph) *Graph {
+	g := &Graph{}
 	g.head.Store(&snapshotState{view: delta.NewView(gg, nil), stats: &baseStats{}})
 	return g
 }
@@ -165,19 +161,7 @@ func NewGraph(n int, edges [][2]VertexID) *Graph {
 	for _, e := range edges {
 		b.AddEdge(e[0], e[1])
 	}
-	g, mapping := graph.ReorderWithMapping(b.Build())
-	return newGraph(g, mapping)
-}
-
-// MapVertex translates a vertex id from the numbering the graph was
-// constructed with (NewGraph edge list, edge-list file) into the
-// degree-ordered id used in results. It is the identity for graphs whose
-// original numbering is unknown (LoadCSR).
-func (g *Graph) MapVertex(original VertexID) VertexID {
-	if g.oldToNew == nil {
-		return original
-	}
-	return g.oldToNew[original]
+	return newGraph(graph.Reorder(b.Build()))
 }
 
 // LoadEdgeList reads a whitespace-separated "u v" edge-list file ('#'
@@ -197,21 +181,11 @@ func LoadEdgeList(path string) (*Graph, error) {
 		defer zr.Close()
 		r = zr
 	}
-	g, err := ReadEdgeList(r)
+	g, err := graph.ReadEdgeList(r)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return g, nil
-}
-
-// ReadEdgeList is LoadEdgeList over an io.Reader.
-func ReadEdgeList(r io.Reader) (*Graph, error) {
-	g, err := graph.ReadEdgeList(r)
-	if err != nil {
-		return nil, err
-	}
-	og, mapping := graph.ReorderWithMapping(g)
-	return newGraph(og, mapping), nil
+	return newGraph(graph.Reorder(g)), nil
 }
 
 // SaveCSR writes the graph to path in a compact binary CSR format that
@@ -237,7 +211,7 @@ func LoadCSR(path string) (*Graph, error) {
 	if !gg.IsOrdered() {
 		gg = graph.Reorder(gg)
 	}
-	return newGraph(gg, nil), nil
+	return newGraph(gg), nil
 }
 
 // Pattern is an immutable unlabeled connected pattern graph (n ≤ 16).
@@ -370,11 +344,9 @@ const (
 	MergeBlock
 	// Galloping always uses exponential search.
 	Galloping
-	// Hybrid is Algorithm 4 with the scalar merge.
-	Hybrid
-	// MergeBitmap is MergeBlock with hub-bitmap probing. (Keep it last:
+	// Hybrid is Algorithm 4 with the scalar merge. (Keep it last:
 	// ParseIntersection walks the kernels up to it.)
-	MergeBitmap
+	Hybrid
 )
 
 // String returns the kernel name used in the paper's figures.
@@ -392,13 +364,11 @@ func (i Intersection) kind() intersect.Kind {
 		return intersect.KindGalloping
 	case Hybrid:
 		return intersect.KindHybrid
-	case MergeBitmap:
-		return intersect.KindMergeBitmap
 	}
 	return intersect.KindHybridBitmap
 }
 
-// ParseIntersection maps a kernel name — one of the seven String
+// ParseIntersection maps a kernel name — one of the six String
 // spellings, matched without regard to case — to its Intersection. The
 // empty name selects the default kernel (the zero value). It is the one
 // place that knows the names and what "" means: the CLI flag, lightd's
@@ -407,7 +377,7 @@ func ParseIntersection(name string) (Intersection, error) {
 	if name == "" {
 		return Intersection(0), nil
 	}
-	for k := Intersection(0); k <= MergeBitmap; k++ {
+	for k := Intersection(0); k <= Hybrid; k++ {
 		if strings.EqualFold(k.String(), name) {
 			return k, nil
 		}
@@ -444,9 +414,6 @@ type Options struct {
 	// checked; this is also the sequential reference semantics for
 	// the lane groups of a CountBatch.
 	Filter func(u int, v VertexID) bool
-	// Order overrides the cost-based enumeration order with an explicit
-	// permutation of pattern vertices (advanced; must be connected).
-	Order []int
 	// CheckpointPath, when non-empty, periodically persists the run's
 	// committed state to this file (atomic temp-file+rename writes) so
 	// an interrupted run can be resumed with ResumeFrom.
@@ -516,22 +483,11 @@ type Result struct {
 
 // preparePlan compiles the pattern under the options, planning from the
 // snapshot's base-CSR statistics (pending deltas shift costs, never the
-// match set, so base statistics keep the plan sound).
-func preparePlan(st *snapshotState, p *Pattern, opts Options) (*plan.Plan, error) {
-	return compilePlan(st, p.p, pattern.SymmetryBreaking(p.p), opts)
-}
-
-// compilePlan is preparePlan under an explicit symmetry-breaking partial
-// order: the label-preserving one for labeled queries.
-func compilePlan(st *snapshotState, p *pattern.Pattern, po *pattern.PartialOrder, opts Options) (*plan.Plan, error) {
-	if opts.Order != nil {
-		pi := make([]pattern.Vertex, len(opts.Order))
-		for i, u := range opts.Order {
-			pi[i] = u
-		}
-		return plan.Compile(p, po, pi, opts.Algorithm.mode())
-	}
-	return plan.Choose(p, po, st.planStats(), opts.Algorithm.mode())
+// match set, so base statistics keep the plan sound). The order search
+// polls ctx once per candidate order and returns ctx.Err() when it is
+// done.
+func preparePlan(ctx context.Context, st *snapshotState, p *Pattern, opts Options) (*plan.Plan, error) {
+	return plan.ChooseContext(ctx, p.p, pattern.SymmetryBreaking(p.p), st.planStats(), opts.Algorithm.mode())
 }
 
 // resolveState picks the snapshot a run enumerates: the pinned one when
@@ -603,21 +559,21 @@ func run(ctx context.Context, g *Graph, p *Pattern, opts Options, visit engine.V
 	if st.view.Overlay() != nil && (opts.CheckpointPath != "" || opts.ResumeFrom != "") {
 		return Result{}, fmt.Errorf("%w: checkpoint/resume require a compacted snapshot; call Compact before checkpointing", ErrUnsupportedOption)
 	}
-	pl, err := preparePlan(st, p, opts)
+	pl, err := preparePlan(ctx, st, p, opts)
 	if err != nil {
 		return Result{}, err
 	}
-	return execute(ctx, st, pl, opts, opts.Filter, visit)
+	return execute(ctx, st, pl, opts, visit)
 }
 
-// execute is the back half every rooted query shares, labeled or not and
-// at any worker count: the governance prelude, one run of the
-// pool over the snapshot, and the report.
-func execute(ctx context.Context, st *snapshotState, pl *plan.Plan, opts Options, filter func(u int, v VertexID) bool, visit engine.VisitFunc) (Result, error) {
+// execute is the back half every rooted query shares at any worker
+// count: the governance prelude, one run of the pool over the snapshot,
+// and the report.
+func execute(ctx context.Context, st *snapshotState, pl *plan.Plan, opts Options, visit engine.VisitFunc) (Result, error) {
 	popts := parallel.Options{Engine: engine.Options{
 		Kernel:    opts.Intersection.kind(),
 		TimeLimit: opts.TimeLimit,
-		Filter:    filter,
+		Filter:    opts.Filter,
 		Overlay:   st.view.Overlay(),
 	}}
 	start := time.Now()
@@ -685,7 +641,7 @@ func PlanKey(g *Graph, p *Pattern, opts Options) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	pl, err := preparePlan(st, p, opts)
+	pl, err := preparePlan(context.Background(), st, p, opts)
 	if err != nil {
 		return "", err
 	}
@@ -701,7 +657,7 @@ func Explain(g *Graph, p *Pattern, opts Options) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	pl, err := preparePlan(st, p, opts)
+	pl, err := preparePlan(context.Background(), st, p, opts)
 	if err != nil {
 		return "", err
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 func TestCountContextDeadline(t *testing.T) {
-	g := GenerateComplete(150)
+	g := completeGraph(150)
 	p, _ := PatternByName("clique5")
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
@@ -27,7 +27,7 @@ func TestCountContextDeadline(t *testing.T) {
 }
 
 func TestEnumerateContextCancelFromVisitor(t *testing.T) {
-	g := GenerateComplete(150)
+	g := completeGraph(150)
 	p, _ := PatternByName("clique4")
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -49,7 +49,7 @@ func TestEnumerateContextCancelFromVisitor(t *testing.T) {
 }
 
 func TestEnumerateContextRequiresVisitor(t *testing.T) {
-	g := GenerateComplete(5)
+	g := completeGraph(5)
 	p, _ := PatternByName("triangle")
 	if _, err := EnumerateContext(context.Background(), g, p, Options{}, nil); err == nil {
 		t.Fatal("nil visitor accepted")
@@ -142,9 +142,84 @@ func TestResumeRejectsOtherGraph(t *testing.T) {
 }
 
 func TestResumeFromMissingFile(t *testing.T) {
-	g := GenerateComplete(6)
+	g := completeGraph(6)
 	p, _ := PatternByName("triangle")
 	if _, err := Count(g, p, Options{ResumeFrom: filepath.Join(t.TempDir(), "nope.ckpt")}); err == nil {
 		t.Fatal("missing checkpoint accepted")
+	}
+}
+
+// path16 is a 16-vertex path built inline: its plan search compiles
+// every connected order (tens of thousands), which costs far more than
+// its run on a 30-vertex graph.
+func path16(t *testing.T) *Pattern {
+	t.Helper()
+	edges := make([][2]int, 15)
+	for i := range edges {
+		edges[i] = [2]int{i, i + 1}
+	}
+	p, err := NewPattern("path16", 16, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestCancelledContextSkipsPlanning: a context that is already done
+// stops CountContext, CountBatchContext and CountDeltaContext before the
+// order search, so no run starts (no report) and the call returns at
+// once instead of after the search.
+func TestCancelledContextSkipsPlanning(t *testing.T) {
+	g := GenerateBarabasiAlbert(30, 2, 1)
+	p := path16(t)
+	from := g.Snapshot()
+	if _, err := g.ApplyEdges([][2]VertexID{{0, 29}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	to := g.Snapshot()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := time.Now()
+	res, err := CountContext(ctx, g, p, Options{})
+	if !errors.Is(err, context.Canceled) || res.Report != nil {
+		t.Errorf("CountContext: err %v, report %v; want Canceled before any run", err, res.Report != nil)
+	}
+	if _, err := CountBatchContext(ctx, g, []BatchQuery{{Pattern: p}}, Options{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("CountBatchContext: err %v, want Canceled", err)
+	}
+	if _, err := CountDeltaContext(ctx, g, p, from, to, Options{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("CountDeltaContext: err %v, want Canceled", err)
+	}
+	if took := time.Since(start); took > 50*time.Millisecond {
+		t.Errorf("three cancelled calls took %v: the order search ran", took)
+	}
+}
+
+// TestPlanSearchHonoursDeadline: the order search polls the run's
+// context, so a 100 ms deadline bounds a query whose plan search alone
+// costs longer (the search runs in full without a deadline, as Explain
+// does, to measure it).
+func TestPlanSearchHonoursDeadline(t *testing.T) {
+	g := GenerateBarabasiAlbert(30, 2, 1)
+	p := path16(t)
+	const deadline = 100 * time.Millisecond
+	start := time.Now()
+	if _, err := Explain(g, p, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	search := time.Since(start)
+	if search < 3*deadline/2 {
+		t.Skipf("the order search took %v, too little to outlast a %v deadline", search, deadline)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start = time.Now()
+	_, err := CountContext(ctx, g, p, Options{})
+	took := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want DeadlineExceeded", err)
+	}
+	if took > (deadline+search)/2 {
+		t.Errorf("CountContext returned after %v under a %v deadline (the whole search takes %v)", took, deadline, search)
 	}
 }

@@ -38,7 +38,7 @@ func TestRunReportHandCountedTriangle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Count(g, p, Options{Intersection: Merge, Order: []int{0, 1, 2}})
+	res, err := countInOrder(g, p, []int{0, 1, 2}, Options{Intersection: Merge})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestRunReportMatchesResult(t *testing.T) {
 	// result.
 	// K150 holds C(150, 5) ≈ 5.9·10⁸ five-cliques, seconds of work
 	// where the limit allows 50 ms.
-	k150 := GenerateComplete(150)
+	k150 := completeGraph(150)
 	clique := mustPattern(t, "clique5")
 	// Roots are dealt heaviest (highest id) first: the top half is
 	// where the stopped run did its work.

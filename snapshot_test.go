@@ -347,12 +347,6 @@ func TestPendingDeltasRejectCheckpointAndSave(t *testing.T) {
 	if err := g.SaveCSR(filepath.Join(dir, "g.csr")); err == nil || !strings.Contains(err.Error(), "Compact") {
 		t.Fatalf("SaveCSR with pending deltas: err = %v, want compact-first rejection", err)
 	}
-	if _, _, err := ApproxCount(g, p, 10, 1); err == nil || !strings.Contains(err.Error(), "Compact") {
-		t.Fatalf("ApproxCount with pending deltas: err = %v, want compact-first rejection", err)
-	}
-	if _, err := WithLabels(g, make([]Label, g.NumVertices())); err == nil || !strings.Contains(err.Error(), "Compact") {
-		t.Fatalf("WithLabels with pending deltas: err = %v, want compact-first rejection", err)
-	}
 	// After compaction they all work again.
 	if _, err := g.Compact(); err != nil {
 		t.Fatal(err)
