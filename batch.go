@@ -36,7 +36,10 @@ type BatchQuery struct {
 
 // BatchResult reports a CountBatch run.
 type BatchResult struct {
-	// Queries holds one Result per input query, in order. Counters
+	// Queries holds one Result per input query, in order, whatever the
+	// error: a batch that stops before it runs (rejected, refused at
+	// admission, or cancelled during plan search) reports each query as
+	// a zero Result with Stopped set and a nil Report. Counters
 	// (Matches, Nodes, Intersections, and each Report's engine
 	// counters) are exactly what a sequential run of that query alone
 	// would report; after a stop they are partial, in Report as in the
@@ -80,21 +83,29 @@ func CountBatch(g *Graph, queries []BatchQuery, opts Options) (BatchResult, erro
 // results with the context's error.
 func CountBatchContext(ctx context.Context, g *Graph, queries []BatchQuery, opts Options) (BatchResult, error) {
 	var bres BatchResult
-	if err := opts.validate(); err != nil {
+	// stop ends a batch that ran nothing: every query stopped at zero.
+	stop := func(err error) (BatchResult, error) {
+		bres.Queries = make([]Result, len(queries))
+		for i := range bres.Queries {
+			bres.Queries[i].Stopped = true
+		}
 		return bres, err
+	}
+	if err := opts.validate(); err != nil {
+		return stop(err)
 	}
 	switch {
 	case opts.Filter != nil:
-		return bres, fmt.Errorf("%w: CountBatch does not take Options.Filter; run a filtered query as a Count", ErrUnsupportedOption)
+		return stop(fmt.Errorf("%w: CountBatch does not take Options.Filter; run a filtered query as a Count", ErrUnsupportedOption))
 	case opts.CheckpointPath != "" || opts.ResumeFrom != "":
-		return bres, fmt.Errorf("%w: CountBatch does not support checkpointing", ErrUnsupportedOption)
+		return stop(fmt.Errorf("%w: CountBatch does not support checkpointing", ErrUnsupportedOption))
 	}
 	if len(queries) == 0 {
 		return bres, nil
 	}
 	st, err := g.resolveState(opts.Snapshot)
 	if err != nil {
-		return bres, err
+		return stop(err)
 	}
 
 	// Compile one plan per query; identical patterns compile to
@@ -102,14 +113,14 @@ func CountBatchContext(ctx context.Context, g *Graph, queries []BatchQuery, opts
 	plans := make([]*plan.Plan, len(queries))
 	for i, q := range queries {
 		if q.Pattern == nil {
-			return bres, fmt.Errorf("light: batch query %d has no pattern", i)
+			return stop(fmt.Errorf("light: batch query %d has no pattern", i))
 		}
 		pl, err := preparePlan(ctx, st, q.Pattern, opts)
 		if err != nil {
 			if ctxErr := ctx.Err(); ctxErr != nil {
-				return bres, ctxErr // stopped before any query ran
+				return stop(ctxErr) // stopped before any query ran
 			}
-			return bres, fmt.Errorf("light: batch query %d (%s): %w", i, q.Pattern.Name(), err)
+			return stop(fmt.Errorf("light: batch query %d (%s): %w", i, q.Pattern.Name(), err))
 		}
 		plans[i] = pl
 	}
@@ -131,7 +142,7 @@ func CountBatchContext(ctx context.Context, g *Graph, queries []BatchQuery, opts
 		// the base CSR's count.
 		set, err := lanes.NewSet(st.view.NumVertices(), specs)
 		if err != nil {
-			return bres, err
+			return stop(err)
 		}
 		jobs[gi].Lanes = set
 	}
@@ -150,7 +161,7 @@ func CountBatchContext(ctx context.Context, g *Graph, queries []BatchQuery, opts
 		return parallel.RunJobs(ctx, popts, jobs)
 	})
 	if r == nil {
-		return bres, err
+		return stop(err) // refused at admission
 	}
 	bres.Duration = time.Since(start)
 	bres.Groups = len(groups)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -407,7 +408,65 @@ func TestCountBatchContextCancel(t *testing.T) {
 	if err != context.Canceled {
 		t.Fatalf("err = %v", err)
 	}
-	if len(bres.Queries) != 0 {
-		t.Fatalf("%d query results from a batch cancelled before it planned", len(bres.Queries))
+	if len(bres.Queries) != 1 || !bres.Queries[0].Stopped || bres.Queries[0].Nodes != 0 {
+		t.Fatalf("batch cancelled before it planned: %+v, want one stopped query that ran nothing", bres.Queries)
+	}
+}
+
+// TestCountBatchErrorsReportEveryQuery: whichever way a batch fails
+// before it runs — an option it rejects, a query without a pattern,
+// plan search cancelled, admission refused — Queries still holds one
+// stopped, zero Result per input query, so a caller may index it.
+func TestCountBatchErrorsReportEveryQuery(t *testing.T) {
+	g := GenerateBarabasiAlbert(200, 5, 7)
+	tri, p4 := mustPattern(t, "triangle"), mustPattern(t, "P4")
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	// A one-slot governor held by a run that waits in its visitor.
+	gov := NewGovernor(GovernorConfig{Slots: 1})
+	hold, started := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, err := Enumerate(g, tri, Options{Governor: gov}, func([]VertexID) bool {
+			once.Do(func() { close(started) })
+			<-hold
+			return true
+		}); err != nil {
+			t.Errorf("holder run failed: %v", err)
+		}
+	}()
+	<-started
+	defer wg.Wait()
+	defer close(hold)
+
+	for _, c := range []struct {
+		name    string
+		ctx     context.Context
+		queries []BatchQuery
+		opts    Options
+		want    error
+	}{
+		{"rejected option", context.Background(), []BatchQuery{{Pattern: tri}, {Pattern: p4}}, Options{ResumeFrom: "x"}, ErrUnsupportedOption},
+		{"no pattern", context.Background(), []BatchQuery{{Pattern: tri}, {}}, Options{}, nil},
+		{"cancelled in plan search", cancelled, []BatchQuery{{Pattern: tri}, {Pattern: p4, MinDegree: 3}}, Options{Workers: 2}, context.Canceled},
+		{"refused at admission", context.Background(), []BatchQuery{{Pattern: tri}, {Pattern: p4}, {Pattern: p4, MinDegree: 3}},
+			Options{Governor: gov, AdmissionTimeout: 30 * time.Millisecond}, ErrOverloaded},
+	} {
+		bres, err := CountBatchContext(c.ctx, g, c.queries, c.opts)
+		if err == nil || (c.want != nil && !errors.Is(err, c.want)) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+		if len(bres.Queries) != len(c.queries) {
+			t.Errorf("%s: %d query results for %d queries", c.name, len(bres.Queries), len(c.queries))
+		}
+		for i, q := range bres.Queries {
+			if !q.Stopped || q.Matches != 0 || q.Nodes != 0 || q.Report != nil {
+				t.Errorf("%s: query %d = %+v, want a stopped zero Result", c.name, i, q)
+			}
+		}
 	}
 }

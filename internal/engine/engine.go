@@ -167,7 +167,6 @@ type Enumerator struct {
 	Progress *atomic.Uint64
 
 	assigned []graph.VertexID // per pattern vertex, valid when materialized
-	matMask  uint32           // bitmask of materialized pattern vertices
 	allRoots []graph.VertexID // lazily built full root list for Run
 
 	// Candidate buffers are carved from ar lazily, one cap-dmax slice
@@ -332,7 +331,6 @@ func (e *Enumerator) RunRoots(roots []graph.VertexID, visit VisitFunc) (Result, 
 			e.laneNodes(m)
 		}
 		e.assigned[rootVertex] = v
-		e.matMask = 1 << uint(rootVertex)
 		e.result.Nodes++
 		if !e.step(1) {
 			break
@@ -355,9 +353,10 @@ type Anchor struct {
 // avoids those edges is ever extended. The plan must come from
 // plan.CompileAnchored (σ = MAT π[0], COMP π[1], MAT π[1], …): π[1]'s
 // MAT loop runs over Partners instead of the whole C(π[1]) = N(Root),
-// under the same bounds, injectivity and filter rules as any
-// other MAT loop. Like RunRoots it applies Options.Filter to the root
-// assignment. Lane mode is not supported.
+// cut to the window COMP π[1] pushes (plan.Plan.Push) and under the
+// same bounds, injectivity and filter rules as any other MAT loop.
+// Like RunRoots it applies Options.Filter to the root assignment. Lane
+// mode is not supported.
 //
 //light:hotpath
 func (e *Enumerator) RunAnchor(an Anchor, visit VisitFunc) (Result, error) {
@@ -367,11 +366,11 @@ func (e *Enumerator) RunAnchor(an Anchor, visit VisitFunc) (Result, error) {
 		return e.result, e.err
 	}
 	e.assigned[a] = an.Root
-	e.matMask = 1 << uint(a)
 	e.result.Nodes++
 	// COMP π[1] aliases N(Root): no intersection, no copy.
-	if e.compute(e.pl.Pi[1]) {
-		e.matLoop(2, an.Partners)
+	if b := e.pl.Pi[1]; e.compute(b) {
+		lo, hi, _ := e.bounds(e.pl.Push[b], -1)
+		e.matLoop(2, window(an.Partners, lo, hi))
 	}
 	return e.result, e.err
 }
@@ -460,14 +459,20 @@ func (e *Enumerator) compute(u int) bool {
 	return e.computeShared(u)
 }
 
-// computeShared is the lane-agnostic COMP body. A COMP with marked
-// operands intersects its other operands, then filters the result
-// through each mark.
+// computeShared is the lane-agnostic COMP body. Every operand is first
+// cut to the id window of u's pushed constraints, if it has any. A COMP
+// with marked operands intersects its other operands, then filters the
+// result through each mark.
 //
 //light:hotpath
 func (e *Enumerator) computeShared(u int) bool {
 	e.result.Comps++
 	ops := &e.pl.Ops[u]
+	push := e.pl.Push[u]
+	var lo, hi int64
+	if len(push) > 0 {
+		lo, hi, _ = e.bounds(push, -1)
+	}
 	nOperands := len(ops.K1) + len(ops.K2)
 	if nOperands == 1 {
 		// Single operand: alias, zero intersections (the Fig 2b case).
@@ -475,6 +480,9 @@ func (e *Enumerator) computeShared(u int) bool {
 			e.cand[u] = e.view.Neighbors(e.assigned[ops.K1[0]])
 		} else {
 			e.cand[u] = e.cand[ops.K2[0]]
+		}
+		if len(push) > 0 {
+			e.cand[u] = window(e.cand[u], lo, hi)
 		}
 		return len(e.cand[u]) > 0
 	}
@@ -523,6 +531,11 @@ func (e *Enumerator) computeShared(u int) bool {
 			}
 		}
 		marks = 0
+	}
+	if len(push) > 0 {
+		for k := range sets {
+			sets[k] = window(sets[k], lo, hi)
+		}
 	}
 	if marks == 0 {
 		n := intersect.MultiWay(dst, scr, sets, bms, e.opts.Kernel, intersect.DefaultDelta, &e.result.Stats)
@@ -610,11 +623,12 @@ func (e *Enumerator) matLoop(i int, candidates []graph.VertexID) bool {
 	u := e.pl.Sigma[i].Vertex
 	// Symmetry-breaking bounds: candidates are sorted, so constraints
 	// against already-materialized vertices become a sub-range.
-	lo, hi, _ := e.bounds(i, -1)
+	lo, hi, _ := e.bounds(e.pl.MatConstraints[i], -1)
 	candidates = window(candidates, lo, hi)
 	if len(candidates) == 0 {
 		return true
 	}
+	distinct := e.pl.Distinct[i]
 
 	// A counting run does not walk its last levels: no COMP follows
 	// them, so their loop bodies only add to counters. A visitor needs
@@ -625,12 +639,11 @@ func (e *Enumerator) matLoop(i int, candidates []graph.VertexID) bool {
 	// lists.
 	if e.counting && i >= e.tail {
 		if i == len(e.pl.Sigma)-1 {
-			return e.tailCount(candidates)
+			return e.tailCount(candidates, distinct)
 		}
 		return e.pairCount(i, candidates)
 	}
 
-	bit := uint32(1) << uint(u)
 	minDeg := 0
 	if e.opts.DegreeFilter {
 		minDeg = e.pl.Pattern.Degree(u)
@@ -642,7 +655,7 @@ func (e *Enumerator) matLoop(i int, candidates []graph.VertexID) bool {
 		if !e.checkDeadline() {
 			return false
 		}
-		if e.usedValue(v) {
+		if e.usedValue(v, distinct) {
 			continue
 		}
 		if minDeg > 0 && e.view.Degree(v) < minDeg {
@@ -664,23 +677,19 @@ func (e *Enumerator) matLoop(i int, candidates []graph.VertexID) bool {
 			e.alive = m
 			e.laneNodes(m)
 			e.assigned[u] = v
-			e.matMask |= bit
 			e.result.Nodes++
 			ok := e.step(i + 1)
 			e.alive = saved
 			if !ok {
 				return false
 			}
-			e.matMask &^= bit
 			continue
 		}
 		e.assigned[u] = v
-		e.matMask |= bit
 		e.result.Nodes++
 		if !e.step(i + 1) {
 			return false
 		}
-		e.matMask &^= bit
 	}
 	return true
 }
@@ -702,20 +711,28 @@ func lowerBound(s []graph.VertexID, x int64) int {
 }
 
 // window returns the candidates in the data-vertex id window [lo, hi).
+// A bound that cuts nothing costs one comparison, not a binary search.
 func window(candidates []graph.VertexID, lo, hi int64) []graph.VertexID {
 	if lo >= hi {
 		return nil
 	}
-	return candidates[lowerBound(candidates, lo):lowerBound(candidates, hi)]
+	if n := len(candidates); n > 0 && int64(candidates[n-1]) >= hi {
+		candidates = candidates[:lowerBound(candidates, hi)]
+	}
+	if len(candidates) > 0 && int64(candidates[0]) < lo {
+		candidates = candidates[lowerBound(candidates, lo):]
+	}
+	return candidates
 }
 
-// bounds returns the data-vertex id window [lo, hi) implied by σ[i]'s
-// symmetry-breaking constraints. A constraint against pattern vertex
-// pair (−1 for none) is not applied; order reports it instead: +1 when
-// σ[i]'s vertex must map above pair's, −1 below, 0 when unconstrained.
-func (e *Enumerator) bounds(i, pair int) (lo, hi int64, order int) {
+// bounds returns the data-vertex id window [lo, hi) implied by a
+// vertex's symmetry-breaking constraints cs. A constraint against
+// pattern vertex pair (−1 for none) is not applied; order reports it
+// instead: +1 when the vertex must map above pair's, −1 below, 0 when
+// unconstrained.
+func (e *Enumerator) bounds(cs []plan.Constraint, pair int) (lo, hi int64, order int) {
 	lo, hi = 0, int64(e.view.NumVertices())
-	for _, c := range e.pl.MatConstraints[i] {
+	for _, c := range cs {
 		if c.Other == pair {
 			order = -1
 			if c.Lower {
@@ -737,10 +754,11 @@ func (e *Enumerator) bounds(i, pair int) (lo, hi int64, order int) {
 	return lo, hi, order
 }
 
-// usedValue reports whether data vertex v is already used by a
-// materialized pattern vertex (the injectivity check; |φ| is tiny).
-func (e *Enumerator) usedValue(v graph.VertexID) bool {
-	for m := e.matMask; m != 0; m &= m - 1 {
+// usedValue reports whether data vertex v is already used by one of the
+// materialized pattern vertices in distinct, the MAT's injectivity mask
+// (plan.Plan.Distinct): no other image can be a candidate.
+func (e *Enumerator) usedValue(v graph.VertexID, distinct uint32) bool {
+	for m := distinct; m != 0; m &= m - 1 {
 		u := trailingZeros32(m)
 		if e.assigned[u] == v {
 			return true
@@ -750,14 +768,15 @@ func (e *Enumerator) usedValue(v graph.VertexID) bool {
 }
 
 // tailCount adds the number of valid assignments of the final MAT without
-// recursing: candidates within bounds minus those violating injectivity.
-// Nodes grows by the same n, the leaves the loop would have expanded.
-func (e *Enumerator) tailCount(candidates []graph.VertexID) bool {
+// recursing: candidates within bounds minus the images of distinct, its
+// injectivity mask, that lie among them. Nodes grows by the same n, the
+// leaves the loop would have expanded.
+func (e *Enumerator) tailCount(candidates []graph.VertexID, distinct uint32) bool {
 	if !e.checkDeadline() {
 		return false
 	}
 	n := uint64(len(candidates))
-	for m := e.matMask; m != 0; m &= m - 1 {
+	for m := distinct; m != 0; m &= m - 1 {
 		w := trailingZeros32(m)
 		if intersect.Contains(candidates, e.assigned[w]) {
 			n--
@@ -781,18 +800,19 @@ func (e *Enumerator) pairCount(i int, cu []graph.VertexID) bool {
 		return false
 	}
 	u, w := e.pl.Sigma[i].Vertex, e.pl.Sigma[i+1].Vertex
-	lo, hi, order := e.bounds(i+1, u)
+	lo, hi, order := e.bounds(e.pl.MatConstraints[i+1], u)
 	cw := window(e.cand[w], lo, hi)
 	// inU and inW mark the materialized pattern vertices whose values
-	// lie in cu and cw: those values are not candidates.
+	// lie in cu and cw: those values are not candidates. Only the two
+	// MATs' injectivity masks can hold one; u is w's pair, not a value.
 	var inU, inW uint32
-	for m := e.matMask; m != 0; m &= m - 1 {
-		x := trailingZeros32(m)
-		v := e.assigned[x]
-		if intersect.Contains(cu, v) {
+	for m := e.pl.Distinct[i]; m != 0; m &= m - 1 {
+		if x := trailingZeros32(m); intersect.Contains(cu, e.assigned[x]) {
 			inU |= 1 << uint(x)
 		}
-		if intersect.Contains(cw, v) {
+	}
+	for m := e.pl.Distinct[i+1] &^ (1 << uint(u)); m != 0; m &= m - 1 {
+		if x := trailingZeros32(m); intersect.Contains(cw, e.assigned[x]) {
 			inW |= 1 << uint(x)
 		}
 	}

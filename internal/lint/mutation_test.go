@@ -67,9 +67,9 @@ var mutations = []mutation{
 			"\t\t// precede the poll, so candidate runs rejected wholesale\n" +
 			"\t\t// completed iterations without a cancellation check.\n" +
 			"\t\tif !e.checkDeadline() {\n\t\t\treturn false\n\t\t}\n" +
-			"\t\tif e.usedValue(v) {\n\t\t\tcontinue\n\t\t}\n",
+			"\t\tif e.usedValue(v, distinct) {\n\t\t\tcontinue\n\t\t}\n",
 		new: "\tfor _, v := range candidates {\n" +
-			"\t\tif e.usedValue(v) {\n\t\t\tcontinue\n\t\t}\n" +
+			"\t\tif e.usedValue(v, distinct) {\n\t\t\tcontinue\n\t\t}\n" +
 			"\t\tif !e.checkDeadline() {\n\t\t\treturn false\n\t\t}\n",
 	},
 	{

@@ -8,10 +8,11 @@ import (
 // CompatKey returns a canonical string identifying everything about a
 // compiled plan that determines its execution shape: pattern adjacency,
 // enumeration order π, execution order σ, COMP operands K1/K2 and the
-// ones probed through marks, and the symmetry-breaking constraints
-// applied at each MAT. Two plans with equal keys walk identical search
-// trees over any data graph — the per-node COMP results and MAT
-// candidate windows depend only on these fields — and do identical
+// ones probed through marks, the symmetry-breaking constraints applied
+// at each MAT or pushed into each COMP, and each MAT's injectivity
+// mask. Two plans with equal keys walk identical search trees over any
+// data graph — the per-node COMP results and MAT candidate windows
+// depend only on these fields — and do identical
 // intersection work at each node, so their queries can share one
 // bit-parallel lane batch: the lanes then differ only in per-lane root
 // sets and assignment filters, which the lane mask applies on top of the
@@ -38,13 +39,19 @@ func (pl *Plan) CompatKey() string {
 	}
 	sb.WriteString(";con=")
 	for i, cs := range pl.MatConstraints {
-		if len(cs) == 0 {
-			continue
-		}
-		fmt.Fprintf(&sb, "s%d:", i)
-		for _, c := range cs {
-			fmt.Fprintf(&sb, "%d/%t,", c.Other, c.Lower)
-		}
+		fmt.Fprintf(&sb, "s%d:%s", i, maskList(pl.Distinct[i]))
+		writeConstraints(&sb, cs)
+	}
+	sb.WriteString(";push=")
+	for u, cs := range pl.Push {
+		fmt.Fprintf(&sb, "u%d:", u)
+		writeConstraints(&sb, cs)
 	}
 	return sb.String()
+}
+
+func writeConstraints(sb *strings.Builder, cs []Constraint) {
+	for _, c := range cs {
+		fmt.Fprintf(sb, "%d/%t,", c.Other, c.Lower)
+	}
 }

@@ -9,8 +9,9 @@ import (
 
 // Explain renders the plan the way a database EXPLAIN would: the
 // enumeration order, the execution order with per-operation detail
-// (operands for COMP and the ones it probes through marks, symmetry
-// checks for MAT) and the cost walk's estimated reach and cost of each
+// (operands for COMP, the ones it probes through marks and the window
+// its pushed constraints cut them to; symmetry and injectivity checks
+// for MAT) and the cost walk's estimated reach and cost of each
 // step under stats, and the anchor/free structure. Marks are printed
 // whatever the kernel; only a bitmap kernel runs them.
 func (pl *Plan) Explain(stats estimate.GraphStats) string {
@@ -50,18 +51,18 @@ func (pl *Plan) Explain(stats estimate.GraphStats) string {
 				fmt.Fprintf(&sb, "  marks %s", maskList(m))
 				marked = true
 			}
+			if cs := pl.Push[op.Vertex]; len(cs) > 0 {
+				fmt.Fprintf(&sb, "  cut to %s", bounds("", cs))
+			}
 		case Mat:
 			mat += st.cost
+			pad := "            "
 			if cs := pl.MatConstraints[i]; len(cs) > 0 {
-				var parts []string
-				for _, c := range cs {
-					if c.Lower {
-						parts = append(parts, fmt.Sprintf("v > φ(u%d)", c.Other))
-					} else {
-						parts = append(parts, fmt.Sprintf("v < φ(u%d)", c.Other))
-					}
-				}
-				fmt.Fprintf(&sb, "            require %s", strings.Join(parts, ", "))
+				fmt.Fprintf(&sb, "%srequire %s", pad, bounds("v ", cs))
+				pad = "  "
+			}
+			if d := pl.Distinct[i]; d != 0 {
+				fmt.Fprintf(&sb, "%sdistinct from %s", pad, maskList(d))
 			}
 		}
 		sb.WriteByte('\n')
@@ -76,6 +77,19 @@ func (pl *Plan) Explain(stats estimate.GraphStats) string {
 	}
 	fmt.Fprintf(&sb, "  estimated cost: %.4g = %.4g COMP elements + %.4g MAT nodes\n", comp+mat, comp, mat)
 	return sb.String()
+}
+
+// bounds renders constraints as "> φ(u0), < φ(u3)", each after prefix.
+func bounds(prefix string, cs []Constraint) string {
+	parts := make([]string, len(cs))
+	for k, c := range cs {
+		op := "<"
+		if c.Lower {
+			op = ">"
+		}
+		parts[k] = fmt.Sprintf("%s%s φ(u%d)", prefix, op, c.Other)
+	}
+	return strings.Join(parts, ", ")
 }
 
 func vertexList(vs []int) string {

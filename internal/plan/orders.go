@@ -96,7 +96,7 @@ func ChooseContext(ctx context.Context, p *pattern.Pattern, po *pattern.PartialO
 	if po == nil {
 		po = pattern.SymmetryBreaking(p)
 	}
-	return cheapest(ctx, p, po, ConnectedOrders(p, po), stats, mode, Compile)
+	return cheapest(ctx, p, po, ConnectedOrders(p, po), stats, mode, 1)
 }
 
 // ChooseAnchored returns the minimum-cost CompileAnchored plan whose
@@ -116,15 +116,16 @@ func ChooseAnchored(ctx context.Context, p *pattern.Pattern, po *pattern.Partial
 	if po == nil {
 		po = pattern.SymmetryBreaking(p)
 	}
-	return cheapest(ctx, p, po, connectedOrdersFrom(p, nil, []pattern.Vertex{a, b}), stats, mode, CompileAnchored)
+	return cheapest(ctx, p, po, connectedOrdersFrom(p, nil, []pattern.Vertex{a, b}), stats, mode, 2)
 }
 
-// cheapest compiles every order and returns the plan with the minimum
-// cost, ties broken by tieKey then lexicographically, and marks it. The
-// partial order's per-mask fractions are shared by every order's walk.
-// It polls ctx once per order.
-func cheapest(ctx context.Context, p *pattern.Pattern, po *pattern.PartialOrder, orders [][]pattern.Vertex, stats estimate.GraphStats, mode Mode,
-	compile func(*pattern.Pattern, *pattern.PartialOrder, []pattern.Vertex, Mode) (*Plan, error)) (*Plan, error) {
+// cheapest compiles every order, materializing the first eager vertices
+// of π eagerly (see executionOrder), and returns the plan with the
+// minimum cost, ties broken by tieKey then lexicographically, with its
+// pushed constraints and its marks. The partial order's per-mask
+// fractions are shared by every order's walk. It polls ctx once per
+// order.
+func cheapest(ctx context.Context, p *pattern.Pattern, po *pattern.PartialOrder, orders [][]pattern.Vertex, stats estimate.GraphStats, mode Mode, eager int) (*Plan, error) {
 	if len(orders) == 0 {
 		return nil, fmt.Errorf("plan: pattern %s has no connected order (disconnected pattern?)", p.Name())
 	}
@@ -136,7 +137,7 @@ func cheapest(ctx context.Context, p *pattern.Pattern, po *pattern.PartialOrder,
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		pl, err := compile(p, po, pi, mode)
+		pl, err := compile(p, po, pi, mode, eager)
 		if err != nil {
 			return nil, err
 		}
@@ -146,6 +147,7 @@ func cheapest(ctx context.Context, p *pattern.Pattern, po *pattern.PartialOrder,
 			best, bestCost, bestKey = pl, cost, key
 		}
 	}
+	best.push()
 	best.mark(stats, frac)
 	return best, nil
 }

@@ -82,8 +82,24 @@ type Plan struct {
 
 	// MatConstraints[i] lists the symmetry-breaking checks to apply at
 	// σ[i] when σ[i] is a MAT: each constraint references a vertex whose
-	// MAT precedes σ[i].
+	// MAT precedes σ[i]. The ones pushed into the vertex's COMP are in
+	// Push instead.
 	MatConstraints [][]Constraint
+
+	// Push[u] holds the constraints of MAT u that COMP u applies
+	// instead: the engine cuts every operand of COMP u to their id
+	// window. Each is against a vertex materialized before COMP u, and
+	// every COMP that reads C(u) as a K2 operand, directly or through
+	// another's C, is held to the same bound by the partial order (see
+	// push), so the cut loses it no match.
+	Push [][]Constraint
+
+	// Distinct[i] is the injectivity mask of the MAT at σ[i]: the
+	// vertices materialized before it whose images can lie in its
+	// candidates. A pattern neighbour's image cannot (the candidates
+	// are its neighbours, and no view holds a self-loop), nor can the
+	// image of a vertex σ[i]'s constraints bound strictly.
+	Distinct []uint32
 
 	// PosInPi[u] is the position of u in π.
 	PosInPi []int
@@ -328,7 +344,7 @@ func maskVertices(m uint32) []pattern.Vertex {
 // symmetry-breaking order po, and the given mode. pi must be a connected
 // order; po may be nil for patterns with trivial automorphisms.
 func Compile(p *pattern.Pattern, po *pattern.PartialOrder, pi []pattern.Vertex, mode Mode) (*Plan, error) {
-	return compile(p, po, pi, mode, 1)
+	return pushed(compile(p, po, pi, mode, 1))
 }
 
 // CompileAnchored is Compile for a search that starts at a data edge
@@ -342,7 +358,18 @@ func CompileAnchored(p *pattern.Pattern, po *pattern.PartialOrder, pi []pattern.
 	if len(pi) < 2 {
 		return nil, fmt.Errorf("plan: anchored order %v has no edge to pin", pi)
 	}
-	return compile(p, po, pi, mode, 2)
+	return pushed(compile(p, po, pi, mode, 2))
+}
+
+// pushed completes a compiled plan with the constraints its COMPs apply
+// and its MATs' injectivity masks (see push). The order search prices
+// plans without them and completes only the one it picks.
+func pushed(pl *Plan, err error) (*Plan, error) {
+	if err != nil {
+		return nil, err
+	}
+	pl.push()
+	return pl, nil
 }
 
 func compile(p *pattern.Pattern, po *pattern.PartialOrder, pi []pattern.Vertex, mode Mode, eager int) (*Plan, error) {
@@ -426,6 +453,65 @@ func compile(p *pattern.Pattern, po *pattern.PartialOrder, pi []pattern.Vertex, 
 		}
 	}
 	return pl, nil
+}
+
+// push moves into Push[u] each constraint of MAT u against an anchor a
+// of u (a vertex materialized before COMP u) that every transitive K2
+// consumer u′ of C(u) shares: a <* u′ for a lower bound, u′ <* a for an
+// upper one, under the transitive closure <* of the partial order. A
+// cut C(u) narrows every C(u′) built on it, and then drops only images
+// that violate u′'s own order. It then sets Distinct from every MAT's
+// full constraint list: pushed or not, a constraint's window excludes
+// its other vertex's image.
+func (pl *Plan) push() {
+	p, n := pl.Pattern, pl.Pattern.NumVertices()
+	var above, below [pattern.MaxVertices]uint32 // above[a]: every b with a <* b
+	copy(above[:], pl.PO.Less[:])
+	for k := 0; k < n; k++ {
+		for a := 0; a < n; a++ {
+			if above[a]&(1<<uint(k)) != 0 {
+				above[a] |= above[k]
+			}
+		}
+	}
+	for a := 0; a < n; a++ {
+		for m := above[a]; m != 0; m &= m - 1 {
+			below[bits.TrailingZeros32(m)] |= 1 << uint(a)
+		}
+	}
+	var consumers [pattern.MaxVertices]uint32 // transitive K2 consumers, filled in reverse π
+	for pos := n - 1; pos > 0; pos-- {
+		u := pl.Pi[pos]
+		for _, w := range pl.Ops[u].K2 {
+			consumers[w] |= 1<<uint(u) | consumers[u]
+		}
+	}
+	pl.Push = make([][]Constraint, n)
+	pl.Distinct = make([]uint32, len(pl.Sigma))
+	var mat uint32
+	for i, op := range pl.Sigma {
+		if op.Mode != Mat {
+			continue
+		}
+		u := op.Vertex
+		distinct := mat &^ p.NeighborMask(u)
+		kept := pl.MatConstraints[i][:0]
+		for _, c := range pl.MatConstraints[i] {
+			distinct &^= 1 << uint(c.Other)
+			held := above[c.Other]
+			if !c.Lower {
+				held = below[c.Other]
+			}
+			if pl.Anchors[u]&(1<<uint(c.Other)) != 0 && consumers[u]&^held == 0 {
+				pl.Push[u] = append(pl.Push[u], c)
+			} else {
+				kept = append(kept, c)
+			}
+		}
+		pl.MatConstraints[i] = kept
+		pl.Distinct[i] = distinct
+		mat |= 1 << uint(u)
+	}
 }
 
 // step is one σ operation as the cost walk prices it: reach is how many

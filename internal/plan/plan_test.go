@@ -259,6 +259,8 @@ func backwardOf(p *pattern.Pattern, pi []pattern.Vertex, u pattern.Vertex) uint3
 	return p.NeighborMask(u) & before
 }
 
+// TestMatConstraintsCoverAllPairs: every pair of the partial order is
+// checked once, at the later MAT of the two or pushed into its COMP.
 func TestMatConstraintsCoverAllPairs(t *testing.T) {
 	for _, p := range pattern.Catalog() {
 		po := pattern.SymmetryBreaking(p)
@@ -272,8 +274,11 @@ func TestMatConstraintsCoverAllPairs(t *testing.T) {
 			for _, cs := range pl.MatConstraints {
 				total += len(cs)
 			}
+			for _, cs := range pl.Push {
+				total += len(cs)
+			}
 			if want := len(po.Pairs()); total != want {
-				t.Fatalf("%s %s: %d constraint checks, want %d", p.Name(), mode.Name(), total, want)
+				t.Fatalf("%s %s: %d constraint checks, at MATs and pushed into COMPs, want %d", p.Name(), mode.Name(), total, want)
 			}
 		}
 	}
@@ -445,6 +450,69 @@ func TestChooseOnLJS(t *testing.T) {
 		wantLine := c.marks[2] != 0
 		if strings.Contains(out, "marks {u1}") != wantLine || strings.Contains(out, "bitmap kernel only") != wantLine {
 			t.Errorf("%s: Explain shows COMP u2's mark and its kernel note %v, want %v:\n%s", c.p.Name(), !wantLine, wantLine, out)
+		}
+	}
+}
+
+// TestExplainShowsPushAndDistinct pins what Explain prints of the
+// plan's pushed windows and injectivity masks on lj-s's chosen plans.
+// P3, a clique, pushes every constraint into its COMP, so each COMP
+// cuts its operands above every earlier image and no MAT keeps a check.
+// P4's u0 < u1 cannot be pushed, since C(u1) also feeds COMP u3 and
+// COMP u4, which u0 < u1 does not bound. Three of P4's MATs keep an
+// injectivity check, against the images that are neither pattern
+// neighbours nor constrained.
+func TestExplainShowsPushAndDistinct(t *testing.T) {
+	d, err := gen.ByName("lj-s", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := estimate.Collect(d.Make())
+	for _, c := range []struct {
+		p    *pattern.Pattern
+		rows map[string]string // σ row → what it prints after its operands
+	}{
+		{pattern.P3(), map[string]string{
+			"MAT u0": "", "COMP u1": "cut to > φ(u0)", "MAT u1": "",
+			"COMP u2": "cut to > φ(u0), > φ(u1)", "MAT u2": "",
+			"COMP u3": "cut to > φ(u0), > φ(u1), > φ(u2)", "MAT u3": "",
+		}},
+		{pattern.P4(), map[string]string{
+			"MAT u0": "", "COMP u1": "", "COMP u3": "", "MAT u1": "require v > φ(u0)",
+			"COMP u4": "", "MAT u3": "distinct from {u1}", "COMP u2": "marks {u1}",
+			"MAT u4": "distinct from {u3}", "MAT u2": "distinct from {u0,u4}",
+		}},
+	} {
+		pl, err := Choose(c.p, nil, stats, ModeLIGHT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := pl.Explain(stats)
+		seen := 0
+		for _, line := range strings.Split(out, "\n") {
+			f := strings.Fields(line)
+			if len(f) < 3 || (f[1] != "COMP" && f[1] != "MAT") {
+				continue
+			}
+			row := f[1] + " " + f[2]
+			want, ok := c.rows[row]
+			if !ok {
+				t.Errorf("%s: unexpected σ row %q", c.p.Name(), line)
+				continue
+			}
+			seen++
+			at := len(line)
+			for _, key := range []string{"marks {", "cut to", "require", "distinct from"} {
+				if k := strings.Index(line, key); k >= 0 && k < at {
+					at = k
+				}
+			}
+			if got := line[at:]; got != want {
+				t.Errorf("%s %s prints %q, want %q\n%s", c.p.Name(), row, got, want, out)
+			}
+		}
+		if seen != len(c.rows) {
+			t.Errorf("%s: %d σ rows, want %d\n%s", c.p.Name(), seen, len(c.rows), out)
 		}
 	}
 }

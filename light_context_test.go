@@ -196,21 +196,22 @@ func TestCancelledContextSkipsPlanning(t *testing.T) {
 }
 
 // TestPlanSearchHonoursDeadline: the order search polls the run's
-// context, so a 100 ms deadline bounds a query whose plan search alone
-// costs longer (the search runs in full without a deadline, as Explain
-// does, to measure it).
+// context, so a deadline bounds a query whose plan search alone costs
+// longer. The search runs in full first without a deadline, as Explain
+// does, to measure it; the deadline is a third of that, so the check
+// runs on a fast host as on a slow one.
 func TestPlanSearchHonoursDeadline(t *testing.T) {
 	g := GenerateBarabasiAlbert(30, 2, 1)
 	p := path16(t)
-	const deadline = 100 * time.Millisecond
 	start := time.Now()
 	if _, err := Explain(g, p, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	search := time.Since(start)
-	if search < 3*deadline/2 {
-		t.Skipf("the order search took %v, too little to outlast a %v deadline", search, deadline)
+	if search < 30*time.Millisecond {
+		t.Skipf("the order search took %v, too little to time a deadline inside it", search)
 	}
+	deadline := search / 3
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
 	start = time.Now()

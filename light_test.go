@@ -519,10 +519,24 @@ func sameListWork(a, b *RunReport) bool {
 		a.Elements == b.Elements && a.BitmapProbes == 0 && b.BitmapProbes == 0
 }
 
+// probesHubs reports whether the default kernel must probe a hub bitmap
+// when it runs p on a graph that indexes hubs. A clique's plan pushes
+// every constraint into its COMPs (plan.Plan.Push), so each operand is
+// cut to the ids above every earlier image; ids ascend with degree, so
+// a hub's cut list is its short list of heavier neighbours, often the
+// smallest operand, which the kernel then walks instead of probing (on
+// the BA and star-chords graphs these tests use it always does; lj-s
+// P3 still probes).
+func probesHubs(p *Pattern) bool {
+	n := p.NumVertices()
+	return p.NumEdges() != n*(n-1)/2
+}
+
 // TestDefaultKernelEquivalence: the zero Options (hub-bitmap probing
 // by default) find exactly what explicit HybridBlock and the brute-force
 // reference find, for Count, CountBatch and CountDelta at 1, 2 and 4
-// workers — on a graph with indexed hubs (where the default must probe),
+// workers — on a graph with indexed hubs (where the default must probe
+// on every pattern but a clique, see probesHubs),
 // on two without (where it must do bit-identical work to HybridBlock),
 // on a dirty snapshot that touches every indexed hub (which keeps its
 // bitmap, rebuilt by the overlay, so the default still probes), and on
@@ -610,7 +624,7 @@ func TestDefaultKernelEquivalence(t *testing.T) {
 							t.Errorf("%s/%s workers %d: Count default %d, HybridBlock %d, reference %d",
 								v.name, name, workers, d.Matches, l.Matches, want)
 						}
-						if c.hubs && d.Report.BitmapProbes == 0 {
+						if c.hubs && probesHubs(queries[i].Pattern) && d.Report.BitmapProbes == 0 {
 							t.Errorf("%s/%s workers %d: hubs are indexed, yet the default probed no bitmap", v.name, name, workers)
 						}
 						if !c.hubs && !sameListWork(d.Report, l.Report) {

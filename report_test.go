@@ -20,18 +20,21 @@ func triangleGraph(t *testing.T) *Graph {
 // small enough to trace by hand: K3 matched against the triangle pattern
 // with the enumeration order fixed to [0,1,2] and the Merge kernel.
 //
-// Walkthrough (symmetry breaking forces v0 < v1 < v2):
+// Walkthrough (symmetry breaking forces v0 < v1 < v2; every constraint
+// is pushed into its COMP, which cuts each operand to the window above
+// the images it is bounded by before intersecting):
 //
 //	roots 0,1,2                                 → 3 nodes, 3 COMPs of u1 (alias, no intersection)
-//	root 0: u1 over N(0)={1,2}                  → 2 nodes
-//	  v1=1: COMP u2 = N(0)∩N(1)                 → 1 intersection, 4 elements; MAT {2} → 1 node, 1 match
-//	  v1=2: COMP u2 = N(0)∩N(2)                 → 1 intersection, 4 elements; bound v2>2 → nothing
-//	root 1: u1 over {v>1}∩N(1)={2}              → 1 node
-//	  v1=2: COMP u2 = N(1)∩N(2)                 → 1 intersection, 4 elements; bound v2>2 → nothing
-//	root 2: u1 over {v>2}∩N(2)=∅                → nothing
+//	root 0: C(u1) = N(0)={1,2} cut to >0 = {1,2} → 2 nodes
+//	  v1=1: COMP u2 = N(1)∩C(u1), both cut to >1 → {2}∩{2}: 1 intersection, 2 elements; MAT {2} → 1 node, 1 match
+//	  v1=2: COMP u2 = N(2)∩C(u1), both cut to >2 → ∅∩∅: 1 intersection, 0 elements; empty, no MAT
+//	root 1: C(u1) = N(1)={0,2} cut to >1 = {2}   → 1 node
+//	  v1=2: COMP u2 = N(2)∩C(u1), both cut to >2 → ∅∩∅: 1 intersection, 0 elements; empty, no MAT
+//	root 2: C(u1) = N(2)={0,1} cut to >2 = ∅     → nothing
 //
 // Totals: 1 match, 7 nodes, 6 COMPs, 3 intersections (all merge,
-// 0 galloping), 12 elements.
+// 0 galloping), 2 elements. Cutting at the MATs instead, as the paper
+// does, scans the full lists: 4 elements per intersection, 12 in all.
 func TestRunReportHandCountedTriangle(t *testing.T) {
 	g := triangleGraph(t)
 	p, err := PatternByName("triangle")
@@ -60,7 +63,7 @@ func TestRunReportHandCountedTriangle(t *testing.T) {
 		{"intersections", r.Intersections, 3},
 		{"galloping", r.Galloping, 0},
 		{"merges", r.Merges, 3},
-		{"elements", r.Elements, 12},
+		{"elements", r.Elements, 2},
 	}
 	for _, w := range want {
 		if w.got != w.want {

@@ -132,6 +132,14 @@ echo "==> planner: measured graph statistics, the cost walk's terms, and its cho
 run_named ./internal/estimate/ 'TestCollectOnHandCountableGraphs|TestZeroGraph' -count=1
 run_named ./internal/plan/ 'TestOrderFractions|TestChooseOnLJS|TestExplain' -count=1
 
+echo "==> cross-order oracle on lj-s at W = 2: every order of P1-P3, P6, P7, and P4's that finish in 2 s"
+# Every connected order must give one count; orders differ in which
+# symmetry bounds they push into a COMP, which injectivity checks they
+# keep and what the counted tail counts. Tier-1 runs the same check on
+# yt-s (TestEveryOrderCountsAlike); lj-s's denser hubs take about a
+# minute on 2 CPUs.
+run_named . 'TestEveryOrderCountsAlikeOnLJS' -count=1 -timeout 10m -crossorder.ljs
+
 echo "==> benchmark module: go vet + go test"
 (cd benchmark && go vet . && go test .)
 
