@@ -117,8 +117,8 @@ func CountBatchContext(ctx context.Context, g *Graph, queries []BatchQuery, opts
 		}
 		pl, err := preparePlan(ctx, st, q.Pattern, opts)
 		if err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return stop(ctxErr) // stopped before any query ran
+			if ctx.Err() != nil {
+				return stop(context.Cause(ctx)) // stopped before any query ran
 			}
 			return stop(fmt.Errorf("light: batch query %d (%s): %w", i, q.Pattern.Name(), err))
 		}
@@ -149,12 +149,9 @@ func CountBatchContext(ctx context.Context, g *Graph, queries []BatchQuery, opts
 
 	// Governance: one admission grant and one memory budget for the
 	// whole batch.
-	popts := parallel.Options{Engine: engine.Options{
-		Kernel:    opts.Intersection.kind(),
-		TimeLimit: opts.TimeLimit,
-	}}
+	popts := parallel.Options{Engine: engine.Options{Kernel: opts.Intersection.kind()}}
 	start := time.Now()
-	r, err := opts.governed(ctx, popts, func(popts parallel.Options) (parallel.Result, error) {
+	r, err := opts.governed(ctx, popts, func(ctx context.Context, popts parallel.Options) (parallel.Result, error) {
 		if err := faultpoint.Hit(faultpoint.PointBatchAdmit); err != nil {
 			return parallel.Result{}, fmt.Errorf("light: batch admission: %w", err)
 		}

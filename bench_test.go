@@ -75,35 +75,24 @@ func BenchmarkAblationTailCount(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCoverSolver compares Algorithm 3 with the exact
-// minimum set cover against the greedy approximation, end to end
-// (compile + enumerate). On patterns this small the covers usually
-// coincide, so this measures the price of exactness at compile time and
-// any runtime drift when they differ.
+// BenchmarkAblationCoverSolver times Algorithm 3's exact minimum set
+// cover end to end (compile + enumerate), so the price of exactness at
+// compile time shows beside the run it plans.
 func BenchmarkAblationCoverSolver(b *testing.B) {
 	g := ljFast()
 	pat := pattern.P6()
 	po := pattern.SymmetryBreaking(pat)
-	for _, mode := range []plan.Mode{
-		{LazyMaterialization: true, MinSetCover: true},
-		{LazyMaterialization: true, MinSetCover: true, GreedyCover: true},
-	} {
-		name := "exact"
-		if mode.GreedyCover {
-			name = "greedy"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				pl, err := plan.Compile(pat, po, pinnedPi["P6"], mode)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := engine.New(g, pl, engine.Options{}).Run(nil); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("exact", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			pl, err := plan.Compile(pat, po, pinnedPi["P6"], plan.ModeLIGHT)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			if _, err := engine.New(g, pl, engine.Options{}).Run(nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkAblationOrder compares the cost-model-chosen enumeration

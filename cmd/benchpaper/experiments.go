@@ -1,10 +1,12 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"light/internal/baselines"
@@ -135,13 +137,20 @@ func fmtDur(d time.Duration) string {
 	}
 }
 
-// runPlan runs a precompiled plan with one thread.
+// runPlan runs a precompiled plan with one thread (limit 0 =
+// unlimited). A timer past limit is the only thing that sets the
+// engine's Stop flag, so a stopped run is an OOT.
 func runPlan(g *graph.Graph, pl *plan.Plan, kernel intersect.Kind, limit time.Duration) outcome {
-	e := engine.New(g, pl, engine.Options{Kernel: kernel, TimeLimit: limit})
+	e := engine.New(g, pl, engine.Options{Kernel: kernel})
+	if limit > 0 {
+		var stop atomic.Bool
+		e.Stop = &stop
+		defer time.AfterFunc(limit, func() { stop.Store(true) }).Stop()
+	}
 	start := time.Now()
-	res, err := e.Run(nil)
+	res, _ := e.Run(nil) // without a memory budget or lanes Run has no error to return
 	o := engineOutcome(time.Since(start), res)
-	if errors.Is(err, engine.ErrTimeLimit) {
+	if res.Stopped {
 		o.mark = "INF"
 	}
 	return o
@@ -167,14 +176,20 @@ func runParallel(g *graph.Graph, p *pattern.Pattern, mode plan.Mode, kernel inte
 // run is count-only, so the engine counts σ's trailing MATs instead of
 // walking them.
 func runParallelPlan(g *graph.Graph, pl *plan.Plan, kernel intersect.Kind, workers int, limit time.Duration) outcome {
+	ctx := context.Background()
+	if limit > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, limit)
+		defer cancel()
+	}
 	start := time.Now()
-	res, err := parallel.Run(g, pl, parallel.Options{
-		Engine:  engine.Options{Kernel: kernel, TimeLimit: limit},
+	res, err := parallel.RunContext(ctx, g, pl, parallel.Options{
+		Engine:  engine.Options{Kernel: kernel},
 		Workers: workers,
 	}, nil)
 	o := engineOutcome(time.Since(start), res.Result)
 	o.mem = res.CandidateMemBytes
-	if errors.Is(err, engine.ErrTimeLimit) {
+	if errors.Is(err, context.DeadlineExceeded) {
 		o.mark = "INF"
 	}
 	return o

@@ -61,7 +61,6 @@ func main() {
 	ckptEvery := flag.Duration("checkpoint-interval", 30*time.Second, "how often to write the checkpoint")
 	resumePath := flag.String("resume", "", "resume from a checkpoint file written by -checkpoint")
 	memBudget := flag.String("mem-budget", "", "cap candidate-arena memory (bytes, or with K/M/G suffix); the run stops and exits 5 at the cap")
-	admitTimeout := flag.Duration("admission-timeout", 0, "fail fast (exit 4) if a run place is not granted within this long (runs under a process governor)")
 	batch := flag.Bool("batch", false, "run the whole P1..P7 catalog as one CountBatch, each pattern its own group (ignores -pattern)")
 	applyPath := flag.String("apply", "", "apply an edge-update file ('+ u v' adds, '- u v' removes, bare 'u v' adds) before running")
 	deltaCount := flag.Bool("delta", false, "with -apply: also count only the match delta the update batch caused")
@@ -81,7 +80,6 @@ func main() {
 		CheckpointPath:     *ckptPath,
 		CheckpointInterval: *ckptEvery,
 		ResumeFrom:         *resumePath,
-		AdmissionTimeout:   *admitTimeout,
 	}
 	if opts.Algorithm, err = light.ParseAlgorithm(*algoName); err != nil {
 		fatal(err)
@@ -93,12 +91,6 @@ func main() {
 		if opts.MemoryBudget, err = parseBytes(*memBudget); err != nil {
 			fatal(fmt.Errorf("-mem-budget: %w", err))
 		}
-	}
-	if *admitTimeout > 0 {
-		// A single-process CLI run still goes through a (private)
-		// governor so the admission path, slot accounting, and watchdog
-		// behave exactly as they would under a shared daemon.
-		opts.Governor = light.NewGovernor(light.GovernorConfig{})
 	}
 
 	if *deltaCount && *applyPath == "" {
@@ -201,9 +193,6 @@ func main() {
 	case errors.Is(err, light.ErrTimeLimit):
 		exitCode = exitTimeLimit
 		fmt.Fprintf(os.Stderr, "lightenum: time limit exceeded; partial results on stdout%s\n", resumeHint(*ckptPath))
-	case errors.Is(err, light.ErrOverloaded):
-		exitCode = exitOverloaded
-		fmt.Fprintf(os.Stderr, "lightenum: overloaded: no run place within %v; retry later%s\n", *admitTimeout, resumeHint(*ckptPath))
 	case errors.Is(err, light.ErrMemoryBudget):
 		exitCode = exitMemoryBudget
 		fmt.Fprintf(os.Stderr, "lightenum: memory budget %s exceeded; partial results on stdout%s\n", *memBudget, resumeHint(*ckptPath))
@@ -268,9 +257,6 @@ func runBatch(g *light.Graph, opts light.Options, stats bool) {
 	case errors.Is(err, light.ErrTimeLimit):
 		exitCode = exitTimeLimit
 		fmt.Fprintln(os.Stderr, "lightenum: time limit exceeded; partial results on stdout")
-	case errors.Is(err, light.ErrOverloaded):
-		exitCode = exitOverloaded
-		fmt.Fprintln(os.Stderr, "lightenum: overloaded: no run place granted; retry later")
 	case errors.Is(err, light.ErrMemoryBudget):
 		exitCode = exitMemoryBudget
 		fmt.Fprintln(os.Stderr, "lightenum: memory budget exceeded; partial results on stdout")
@@ -312,11 +298,10 @@ func runBatch(g *light.Graph, opts light.Options, stats bool) {
 
 // Exit codes beyond the conventional 0 (success), 1 (generic error),
 // and 2 (flag misuse): each resource sentinel gets its own so callers
-// can distinguish "ran out of time" from "shed by admission control"
-// from "blew the memory budget" without parsing output.
+// can distinguish "ran out of time" from "blew the memory budget"
+// without parsing output.
 const (
 	exitTimeLimit    = 3
-	exitOverloaded   = 4
 	exitMemoryBudget = 5
 )
 

@@ -85,7 +85,8 @@ func CountDelta(g *Graph, p *Pattern, from, to *Snapshot, opts Options) (DeltaRe
 }
 
 // CountDeltaContext is CountDelta under a context: cancellation stops
-// the anchored searches at their next poll and returns ctx.Err().
+// the anchored searches at their next poll and returns
+// context.Cause(ctx).
 func CountDeltaContext(ctx context.Context, g *Graph, p *Pattern, from, to *Snapshot, opts Options) (DeltaResult, error) {
 	var dr DeltaResult
 	if ctx == nil {
@@ -124,11 +125,10 @@ func CountDeltaContext(ctx context.Context, g *Graph, p *Pattern, from, to *Snap
 	lost := newDeltaSide(from.st, removed, plans, p.p.Edges(), opts.Filter)
 	jobs := append(gained.jobs, lost.jobs...)
 	popts := parallel.Options{Engine: engine.Options{
-		Kernel:    opts.Intersection.kind(),
-		TimeLimit: opts.TimeLimit,
-		Filter:    opts.Filter,
+		Kernel: opts.Intersection.kind(),
+		Filter: opts.Filter,
 	}}
-	pres, err := opts.governed(ctx, popts, func(popts parallel.Options) (parallel.Result, error) {
+	pres, err := opts.governed(ctx, popts, func(ctx context.Context, popts parallel.Options) (parallel.Result, error) {
 		return parallel.RunJobs(ctx, popts, jobs)
 	})
 	if pres == nil {

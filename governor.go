@@ -131,9 +131,10 @@ type ran struct {
 // place and the reservations. The budget is a ceiling: an arena whose
 // reservation it denies stops the run with ErrMemoryBudget. popts
 // carries the run's engine and checkpoint options; run starts the run
-// with them. It returns nil when admission failed, before any worker
-// started.
-func (o Options) governed(ctx context.Context, popts parallel.Options, run func(parallel.Options) (parallel.Result, error)) (*ran, error) {
+// with them, under ctx bounded by Options.TimeLimit, whose clock starts
+// here, after admission. It returns nil when admission failed, before
+// any worker started.
+func (o Options) governed(ctx context.Context, popts parallel.Options, run func(context.Context, parallel.Options) (parallel.Result, error)) (*ran, error) {
 	popts.Workers = max(o.Workers, 1)
 	var place *admission.Admission
 	var govLim *arena.Limiter
@@ -154,7 +155,12 @@ func (o Options) governed(ctx context.Context, popts parallel.Options, run func(
 	}
 	popts.MemLimiter = arena.NewLimiter(o.MemoryBudget, govLim)
 	defer popts.MemLimiter.ReleaseAll()
-	pres, err := run(popts)
+	if o.TimeLimit > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeoutCause(ctx, o.TimeLimit, ErrTimeLimit)
+		defer cancel()
+	}
+	pres, err := run(ctx, popts)
 	if pres.Stalls > 0 {
 		degradations = append(degradations, fmt.Sprintf(
 			"watchdog: %d stall(s) detected", pres.Stalls))

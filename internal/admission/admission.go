@@ -144,8 +144,8 @@ func (g *Governor) Timeouts() uint64 { return g.timeouts.Load() }
 // Admit blocks until a run place is available (FIFO order among
 // waiters) and grants the run a cap of min(want, Slots) workers. It
 // fails with ErrOverloaded when timeout elapses first (timeout <= 0
-// waits until ctx is done), or ctx.Err() on cancellation. The returned
-// Admission must be Closed when the run ends.
+// waits until ctx is done), or context.Cause(ctx) on cancellation. The
+// returned Admission must be Closed when the run ends.
 func (g *Governor) Admit(ctx context.Context, want int, timeout time.Duration) (*Admission, error) {
 	if err := faultpoint.Hit(faultpoint.PointSlotGrant); err != nil {
 		return nil, fmt.Errorf("admission: slot grant: %w", err)
@@ -196,13 +196,13 @@ func (g *Governor) Admit(ctx context.Context, want int, timeout time.Duration) (
 		return a, nil
 	case <-done:
 		if g.abandonWaiter(w) {
-			return nil, ctx.Err()
+			return nil, context.Cause(ctx)
 		}
 		g.mu.Lock()
 		a := g.finishAdmitLocked(want, time.Since(start))
 		g.mu.Unlock()
 		a.Close()
-		return nil, ctx.Err()
+		return nil, context.Cause(ctx)
 	}
 }
 

@@ -1,6 +1,9 @@
 package baselines
 
 import (
+	"sync/atomic"
+	"time"
+
 	"light/internal/engine"
 	"light/internal/graph"
 	"light/internal/intersect"
@@ -33,16 +36,22 @@ func CFL(g *graph.Graph, p *pattern.Pattern, opts Options) (Result, error) {
 	}
 	e := engine.New(g, pl, engine.Options{
 		Kernel:       intersect.KindGalloping,
-		TimeLimit:    opts.TimeLimit,
 		DegreeFilter: true,
 	})
+	if opts.TimeLimit > 0 {
+		// The time limit is the only thing that sets Stop, so a stopped
+		// run is an OOT.
+		var stop atomic.Bool
+		e.Stop = &stop
+		defer time.AfterFunc(opts.TimeLimit, func() { stop.Store(true) }).Stop()
+	}
 	res, err := e.Run(nil)
 	out := Result{
 		Matches:       res.Matches,
 		Intersections: res.Stats.Intersections,
 		Order:         orderString(pi),
 	}
-	if err == engine.ErrTimeLimit {
+	if err == nil && res.Stopped {
 		return out, ErrTimeLimit
 	}
 	return out, err

@@ -33,7 +33,7 @@ import (
 // space budget (the paper's OOS failure mode).
 var ErrOutOfSpace = errors.New("bfsjoin: out of space (intermediate results exceeded budget)")
 
-// ErrTimeLimit mirrors engine.ErrTimeLimit for the join phase.
+// ErrTimeLimit is returned when Options.TimeLimit elapses (the OOT mark).
 var ErrTimeLimit = errors.New("bfsjoin: time limit exceeded")
 
 // Options configure a simulated distributed run.
@@ -133,10 +133,6 @@ func (t *Tracker) CheckTime() error {
 func (t *Tracker) ShuffleTime() time.Duration {
 	return time.Duration(t.shuffled) * t.opts.ShufflePerTuple
 }
-
-// Deadline returns the run's absolute deadline (zero when unlimited);
-// shared with the EH baseline so its engine invocations inherit it.
-func (t *Tracker) Deadline() time.Time { return t.deadline }
 
 // OverBudget reports whether the live intermediates plus extra bytes
 // would exceed the space budget.

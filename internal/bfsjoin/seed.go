@@ -102,17 +102,7 @@ func countUnit(g *graph.Graph, u unit, t *Tracker) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	opts := engine.Options{}
-	if !t.deadline.IsZero() {
-		opts.TimeLimit = time.Until(t.deadline)
-		if opts.TimeLimit <= 0 {
-			return 0, ErrTimeLimit
-		}
-	}
-	r, err := engine.New(g, pl, opts).Run(nil)
-	if err == engine.ErrTimeLimit {
-		return 0, ErrTimeLimit
-	}
+	r, err := t.run(engine.New(g, pl, engine.Options{}), nil)
 	if err != nil {
 		return 0, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"light/internal/engine"
@@ -190,17 +191,10 @@ func materialize(g *graph.Graph, u unit, t *Tracker) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := engine.Options{}
-	if !t.deadline.IsZero() {
-		opts.TimeLimit = time.Until(t.deadline)
-		if opts.TimeLimit <= 0 {
-			return nil, ErrTimeLimit
-		}
-	}
 	rel := &Relation{Vertices: append([]pattern.Vertex(nil), u.vertices...)}
 	rowBytes := int64(len(u.vertices)) * 4
 	overBudget := false
-	res, err := engine.New(g, pl, opts).Run(func(m []graph.VertexID) bool {
+	res, err := t.run(engine.New(g, pl, engine.Options{}), func(m []graph.VertexID) bool {
 		tup := make([]graph.VertexID, len(u.vertices))
 		for i := range u.vertices {
 			tup[i] = m[i]
@@ -212,9 +206,6 @@ func materialize(g *graph.Graph, u unit, t *Tracker) (*Relation, error) {
 		}
 		return true
 	})
-	if err == engine.ErrTimeLimit {
-		return nil, ErrTimeLimit
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -226,4 +217,23 @@ func materialize(g *graph.Graph, u unit, t *Tracker) (*Relation, error) {
 		return nil, err
 	}
 	return rel, nil
+}
+
+// run runs e under the tracker's deadline: a timer sets e's Stop flag
+// when it passes, and a run the flag stopped returns ErrTimeLimit.
+func (t *Tracker) run(e *engine.Enumerator, visit engine.VisitFunc) (engine.Result, error) {
+	if t.deadline.IsZero() {
+		return e.Run(visit)
+	}
+	if err := t.CheckTime(); err != nil {
+		return engine.Result{}, err
+	}
+	var stop atomic.Bool
+	e.Stop = &stop
+	defer time.AfterFunc(time.Until(t.deadline), func() { stop.Store(true) }).Stop()
+	res, err := e.Run(visit)
+	if err == nil && res.Stopped && stop.Load() {
+		err = ErrTimeLimit
+	}
+	return res, err
 }

@@ -13,7 +13,6 @@ import (
 	"errors"
 	"math/bits"
 	"sync/atomic"
-	"time"
 
 	"light/internal/arena"
 	"light/internal/bitset"
@@ -24,13 +23,9 @@ import (
 	"light/internal/plan"
 )
 
-// ErrTimeLimit is returned when Options.TimeLimit elapses mid-run (the
-// paper's OOT outcome).
-var ErrTimeLimit = errors.New("engine: time limit exceeded")
-
 // ErrMemoryBudget is returned when a budgeted arena denies a candidate
 // buffer or a mark's words: the run's memory budget is a ceiling, and
-// the run stops at it. The unwind path is the same as ErrTimeLimit, so
+// the run stops at it. It unwinds like a stop (see Enumerator.Stop), so
 // partial results and checkpoints remain valid.
 var ErrMemoryBudget = errors.New("engine: memory budget exceeded")
 
@@ -75,13 +70,6 @@ type Options struct {
 	// operand; on a graph whose index holds no hub, New replaces it with
 	// its list fallback.
 	Kernel intersect.Kind
-	// TimeLimit aborts the run with ErrTimeLimit when positive. The
-	// clock starts at each Run/RunRoots/RunAnchor call.
-	TimeLimit time.Duration
-	// Deadline, when set, is an absolute cutoff shared across calls; it
-	// takes precedence over TimeLimit. The parallel scheduler pins one
-	// deadline for all workers and chunks.
-	Deadline time.Time
 	// DegreeFilter skips candidates whose data degree is below the
 	// pattern vertex's degree — the only filter unlabeled graphs admit
 	// from the labeled-matching toolbox (used by the CFL baseline).
@@ -124,7 +112,7 @@ type Result struct {
 	Stats   intersect.Stats // set intersection counters
 	Nodes   uint64          // search-tree nodes expanded (MAT extensions)
 	Comps   uint64          // COMP operations executed (incl. aliases)
-	Stopped bool            // true when the visitor stopped the run early
+	Stopped bool            // true when the visitor or Enumerator.Stop ended the run early
 	// Lanes holds per-lane attributed counters in lane mode (one entry
 	// per lane of Options.Lanes); nil otherwise. The top-level counters
 	// above then describe the shared batch traversal — the work
@@ -155,12 +143,14 @@ type Enumerator struct {
 	pl   *plan.Plan
 	opts Options
 
-	// Stop, when non-nil, is polled at the deadline cadence; setting it
-	// aborts the run with Stopped=true and no error. The parallel
-	// scheduler uses it to propagate early termination across workers.
+	// Stop, when non-nil, is polled every 8192 σ steps; setting it
+	// aborts the run with Stopped=true and no error. It is the only way
+	// to end a run from outside: the parallel scheduler sets it when its
+	// run's context is done or another worker stopped, and a caller that
+	// wants a time limit sets it from a timer. The engine reads no clock.
 	Stop *atomic.Bool
 
-	// Progress, when non-nil, is incremented at the deadline-poll
+	// Progress, when non-nil, is incremented at the Stop-poll
 	// cadence (every 8192 σ steps) — a cheap per-worker heartbeat the
 	// stall watchdog samples to tell a slow-but-advancing worker from a
 	// wedged one.
@@ -207,9 +197,8 @@ type Enumerator struct {
 	tail     int
 	counting bool
 
-	visit    VisitFunc
-	result   Result
-	deadline time.Time
+	visit  VisitFunc
+	result Result
 	// polls counts checkDeadline calls; the poll cadence is keyed to it
 	// rather than to Result.Nodes, which the counted tail advances in
 	// batches that can step over any fixed residue forever.
@@ -409,18 +398,10 @@ func (e *Enumerator) begin(visit VisitFunc) {
 		e.bufs[u] = nil
 		e.cand[u] = nil
 	}
-	switch {
-	case !e.opts.Deadline.IsZero():
-		e.deadline = e.opts.Deadline
-	case e.opts.TimeLimit > 0:
-		e.deadline = time.Now().Add(e.opts.TimeLimit)
-	default:
-		e.deadline = time.Time{}
-	}
 }
 
 // step executes σ[i] and everything after it. It returns false to unwind
-// the whole search (deadline hit or visitor stop).
+// the whole search (Stop set, visitor stop or a denied reservation).
 //
 //light:hotpath
 func (e *Enumerator) step(i int) bool {
@@ -870,11 +851,11 @@ func (e *Enumerator) emit() bool {
 	return true
 }
 
-// checkDeadline polls the external stop flag and the clock every 8192
-// calls; returns false when the run should unwind. The cadence counter
-// is dedicated — keying it to Result.Nodes would let the counted tail's
-// batch increments (Nodes += n) step over the zero residue indefinitely,
-// making Stop/TimeLimit latency unbounded for counting runs.
+// checkDeadline polls the external stop flag every 8192 calls; returns
+// false when the run should unwind. The cadence counter is dedicated —
+// keying it to Result.Nodes would let the counted tail's batch
+// increments (Nodes += n) step over the zero residue indefinitely,
+// making Stop latency unbounded for counting runs.
 func (e *Enumerator) checkDeadline() bool {
 	if e.polls&8191 != 0 {
 		e.polls++
@@ -886,10 +867,6 @@ func (e *Enumerator) checkDeadline() bool {
 	}
 	if e.Stop != nil && e.Stop.Load() {
 		e.result.Stopped = true
-		return false
-	}
-	if !e.deadline.IsZero() && time.Now().After(e.deadline) {
-		e.err = ErrTimeLimit
 		return false
 	}
 	return true

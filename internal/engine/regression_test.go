@@ -51,27 +51,6 @@ func TestTailCountCancellationLatency(t *testing.T) {
 	}
 }
 
-// TestTailCountTimeLimitLatency is the TimeLimit flavor of the same
-// bug: an already-expired deadline must abort the count-only run at the
-// first polls, not after the full enumeration.
-func TestTailCountTimeLimitLatency(t *testing.T) {
-	g := gen.Star(30000)
-	p := pattern.Path(2)
-	po := pattern.SymmetryBreaking(p)
-	pl, err := plan.Compile(p, po, []pattern.Vertex{0, 1}, plan.ModeLIGHT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := New(g, pl, Options{Deadline: time.Now().Add(-time.Hour)})
-	res, err := e.Run(nil)
-	if err != ErrTimeLimit {
-		t.Fatalf("err = %v, want ErrTimeLimit", err)
-	}
-	if res.Nodes > 2*8192+2 {
-		t.Fatalf("expired-deadline count-only run expanded %d nodes, want <= %d", res.Nodes, 2*8192+2)
-	}
-}
-
 // TestRootFilterCancellationLatency pins the RunRoots poll hoist: the
 // root loop used to poll only after the Filter guard, so a filter that
 // rejects every root spun through the whole candidate set without a

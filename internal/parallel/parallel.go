@@ -180,9 +180,7 @@ func Run(g *graph.Graph, pl *plan.Plan, opts Options, visit engine.VisitFunc) (R
 
 // RunContext enumerates pl over g under ctx: RunJobs with one rooted
 // job, whose view is g plus opts.Engine.Overlay and whose lanes are
-// opts.Engine.Lanes. Cancellation and ctx deadlines share the engine's
-// stop-flag path: the run unwinds at the next poll, the partial result
-// is returned with Stopped=true, and the error is ctx.Err(). If visit is
+// opts.Engine.Lanes. The run stops as RunJobs describes. If visit is
 // non-nil it is serialized by a mutex, so enumeration-mode scaling is
 // limited; counting mode (visit == nil) is fully parallel. The stop is
 // latched under that mutex: once visit has returned false (or panicked)
@@ -234,6 +232,16 @@ type Job struct {
 // jobs cost no more candidate memory than one. Checkpoint and Resume need
 // a single rooted job.
 //
+// A run stops early in one of three ways. A visitor returns false: the
+// error is nil. A worker fails: the error is the worker's. Or the run's
+// context is done — ctx ends, or the stall watchdog cancels it with
+// admission.ErrStalled — and the error is that context's cause
+// (ctx.Err() unless ctx was cancelled with a cause of its own). The
+// engines see each of them as their Stop flag, unwind at their next
+// poll, and the run returns its partial result with Stopped=true. A run
+// whose units all finished before the stop was seen returns its whole
+// result with no error.
+//
 // A job's Visit is NOT serialized: workers call it concurrently, each
 // with its own mapping slice, so it must be safe for concurrent use
 // (RunContext serializes the one it is given). A caller that only
@@ -255,11 +263,6 @@ func RunJobs(ctx context.Context, opts Options, jobs []Job) (Result, error) {
 		return Result{}, errors.New("parallel: checkpoint/resume require a compacted snapshot; compact the pending edge deltas first")
 	}
 	opts = opts.withDefaults()
-	// Pin one absolute deadline for the whole run: workers process many
-	// units, each of which restarts the engine's clock.
-	if opts.Engine.TimeLimit > 0 && opts.Engine.Deadline.IsZero() {
-		opts.Engine.Deadline = time.Now().Add(opts.Engine.TimeLimit)
-	}
 
 	r := &run{
 		jobs:  jobs,
@@ -311,21 +314,24 @@ func RunJobs(ctx context.Context, opts Options, jobs []Job) (Result, error) {
 	if opts.Checkpoint != nil {
 		r.led = newLedger(r.state[0].roots, supervise.Fingerprint(g, pl), base, priorDone)
 	}
-	if ctx != nil && ctx.Err() != nil {
+	// Every stop from outside the run's units is a cancel of runCtx,
+	// whose cause becomes the run's error. The checkpoint writer and the
+	// watchdog run until runCtx is done.
+	runCtx, cancel := context.WithCancelCause(ctx)
+	r.cancel = cancel
+	if runCtx.Err() != nil {
 		// Already done: the run ends before any worker takes it instead
-		// of racing the watcher to the first poll.
+		// of racing halt to the first poll.
 		r.stop.Store(true)
 	}
 
-	var ckWG sync.WaitGroup
-	var ckStop chan struct{}
+	var helpers sync.WaitGroup
 	if opts.Checkpoint != nil {
 		interval := opts.Checkpoint.Interval
 		if interval <= 0 {
 			interval = 30 * time.Second
 		}
-		ckStop = make(chan struct{})
-		supervise.Go(&ckWG, "checkpoint writer", func(err error) {
+		supervise.Go(&helpers, "checkpoint writer", func(err error) {
 			r.led.noteWriteErr(err)
 		}, func() {
 			ticker := time.NewTicker(interval)
@@ -339,23 +345,19 @@ func RunJobs(ctx context.Context, opts Options, jobs []Job) (Result, error) {
 					r.led.noteWriteErr(supervise.Call("checkpoint write", func() error {
 						return r.timedCheckpoint(false)
 					}))
-				case <-ckStop:
+				case <-runCtx.Done():
 					return
 				}
 			}
 		})
 	}
-
-	var wdWG sync.WaitGroup
-	var wdStop chan struct{}
 	if opts.Watchdog != nil && opts.Watchdog.Interval > 0 {
-		wdStop = make(chan struct{})
-		supervise.Go(&wdWG, "stall watchdog", func(err error) {
+		supervise.Go(&helpers, "stall watchdog", func(err error) {
 			// A watchdog panic must never take the run down; the run
 			// simply loses stall coverage.
 			_ = err
 		}, func() {
-			r.watchdog(opts.Watchdog, wdStop)
+			r.watchdog(opts.Watchdog, runCtx.Done())
 		})
 	}
 
@@ -365,21 +367,18 @@ func RunJobs(ctx context.Context, opts Options, jobs []Job) (Result, error) {
 	}
 	r.pool = p
 	p.submit(r)
-	// Watch ctx only now: halt may end a run only once it is on its pool.
-	release := supervise.WatchContext(ctx, r.halt)
+	// Watch runCtx only now: halt may end a run only once it is on its
+	// pool.
+	unwatch := context.AfterFunc(runCtx, r.halt)
 	<-r.done
-	release()
+	unwatch()
+	// Read the cause before the run's own cancel below makes it Canceled.
+	cause := context.Cause(runCtx)
+	cancel(nil)
+	helpers.Wait()
 	if opts.Pool == nil {
 		// The run was the pool's only one: its workers are exiting.
 		p.wg.Wait()
-	}
-	if wdStop != nil {
-		close(wdStop)
-		wdWG.Wait()
-	}
-	if ckStop != nil {
-		close(ckStop)
-		ckWG.Wait()
 	}
 
 	out := Result{Jobs: make([]engine.Result, len(jobs)), Workers: opts.Workers}
@@ -417,11 +416,8 @@ func RunJobs(ctx context.Context, opts Options, jobs []Job) (Result, error) {
 			err = joinErrors([]error{err, werr})
 		}
 	}
-	if err == nil && out.Stopped && r.stallCancelled.Load() {
-		err = admission.ErrStalled
-	}
-	if err == nil && out.Stopped && ctx != nil && ctx.Err() != nil {
-		err = ctx.Err()
+	if out.Stopped && cause != nil {
+		err = joinErrors([]error{err, cause})
 	}
 
 	out.QueueWaits = r.qWaits.Load()
@@ -447,7 +443,7 @@ func sumJobs(jobs []engine.Result) engine.Result {
 
 // joinErrors aggregates worker errors: nil when all are nil, the
 // first error when every failure is the same value (preserving sentinel
-// comparisons like err == engine.ErrTimeLimit), errors.Join otherwise.
+// comparisons like err == engine.ErrMemoryBudget), errors.Join otherwise.
 func joinErrors(errs []error) error {
 	var nonNil []error
 	for _, e := range errs {
@@ -659,7 +655,7 @@ type seat struct {
 	ar      *arena.Arena
 	engines []*engine.Enumerator
 	acc     []engine.Result
-	// beat is the engine's deadline-poll heartbeat; epoch goes odd when
+	// beat is the engine's Stop-poll heartbeat; epoch goes odd when
 	// a worker enters RunRoots/RunAnchor and even when it returns — a seat
 	// whose epoch is odd and whose beat stops moving holds a wedged
 	// worker, not one between work items.
@@ -698,10 +694,9 @@ type run struct {
 	stallDump string // the first stall's diagnostic
 
 	stop   atomic.Bool
+	cancel context.CancelCauseFunc // cancels the run's context with a cause
 	chunks atomic.Uint64
-
-	stallCancelled atomic.Bool
-	stalls         atomic.Uint64
+	stalls atomic.Uint64
 
 	qWaits      atomic.Uint64 // parks of workers that ran out of this run's work
 	qWaitNS     atomic.Uint64 // nanoseconds they spent parked
@@ -742,9 +737,9 @@ func (r *run) standLocked(s *seat, err error) {
 	}
 }
 
-// halt stops r from outside its units (context cancellation, the
-// watchdog): workers inside leave at their next poll, and a run no
-// worker is inside ends at once.
+// halt stops r from outside its units, once its context is done:
+// workers inside leave at their next poll, and a run no worker is inside
+// ends at once.
 func (r *run) halt() {
 	r.stop.Store(true)
 	p := r.pool

@@ -1,6 +1,8 @@
 package parallel
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -120,13 +122,28 @@ func TestParallelEarlyStop(t *testing.T) {
 	}
 }
 
+// errLimit is a time-limit sentinel, the kind of cause a caller gives
+// the timeout context it bounds a run with (light's Options.TimeLimit).
+var errLimit = errors.New("parallel test: time limit")
+
+// runLimited runs pl count-only under a context that times out after
+// limit with cause errLimit.
+func runLimited(g *graph.Graph, pl *plan.Plan, opts Options, limit time.Duration) (Result, error) {
+	ctx, cancel := context.WithTimeoutCause(context.Background(), limit, errLimit)
+	defer cancel()
+	return RunContext(ctx, g, pl, opts, nil)
+}
+
 func TestParallelTimeLimit(t *testing.T) {
 	g := gen.Complete(150)
 	pl := compile(t, pattern.Clique(5), plan.ModeLIGHT)
 	start := time.Now()
-	_, err := Run(g, pl, Options{Workers: 4, Engine: engine.Options{TimeLimit: 50 * time.Millisecond}}, nil)
-	if err != engine.ErrTimeLimit {
-		t.Fatalf("err = %v, want ErrTimeLimit", err)
+	res, err := runLimited(g, pl, Options{Workers: 4}, 50*time.Millisecond)
+	if err != errLimit {
+		t.Fatalf("err = %v, want errLimit", err)
+	}
+	if !res.Stopped {
+		t.Fatal("time-limited run must report Stopped")
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("time limit not enforced promptly: %v", elapsed)
@@ -136,17 +153,13 @@ func TestParallelTimeLimit(t *testing.T) {
 func TestTimeLimitSpansChunks(t *testing.T) {
 	// Regression: the limit must be absolute across the whole run, not
 	// restarted per root chunk. With ChunkSize 1 there are many chunks,
-	// each heavy; the old per-chunk clock never expired.
+	// each heavy; a per-chunk clock never expired.
 	g := gen.Complete(300)
 	pl := compile(t, pattern.Clique(4), plan.ModeLIGHT)
 	start := time.Now()
-	_, err := Run(g, pl, Options{
-		Workers:   2,
-		ChunkSize: 1,
-		Engine:    engine.Options{TimeLimit: 300 * time.Millisecond},
-	}, nil)
-	if err != engine.ErrTimeLimit {
-		t.Fatalf("err = %v, want ErrTimeLimit", err)
+	_, err := runLimited(g, pl, Options{Workers: 2, ChunkSize: 1}, 300*time.Millisecond)
+	if err != errLimit {
+		t.Fatalf("err = %v, want errLimit", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("limit not absolute: ran %v", elapsed)

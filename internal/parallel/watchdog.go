@@ -22,7 +22,8 @@ const stackDumpCap = 64 << 10
 // slow-but-advancing worker moves its beat (the engine bumps it every
 // 8192 σ steps) and is never flagged either — only a wedged one (e.g.
 // a visit callback that stopped returning) trips the patience counter.
-func (r *run) watchdog(wd *admission.WatchdogConfig, stop <-chan struct{}) {
+// It returns when done is closed.
+func (r *run) watchdog(wd *admission.WatchdogConfig, done <-chan struct{}) {
 	n := len(r.seats)
 	lastBeat := make([]uint64, n)
 	lastEpoch := make([]uint64, n)
@@ -36,7 +37,7 @@ func (r *run) watchdog(wd *admission.WatchdogConfig, stop <-chan struct{}) {
 	defer ticker.Stop()
 	for {
 		select {
-		case <-stop:
+		case <-done:
 			return
 		case <-ticker.C:
 			if r.stop.Load() {
@@ -65,8 +66,8 @@ func (r *run) watchdog(wd *admission.WatchdogConfig, stop <-chan struct{}) {
 
 // fireStall records one stall: counter, first-wins diagnostic dump
 // (per-worker progress table + all-goroutine stacks), and — when the
-// watchdog is configured to cancel — cooperative termination of the
-// run, which RunJobs surfaces as admission.ErrStalled.
+// watchdog is configured to cancel — a cancel of the run's context with
+// cause admission.ErrStalled, which RunJobs returns.
 func (r *run) fireStall(w int, wd *admission.WatchdogConfig, intervals int) {
 	if err := faultpoint.Hit(faultpoint.PointWatchdogFire); err != nil {
 		// An injected fault suppresses this firing (chaos coverage for
@@ -91,7 +92,6 @@ func (r *run) fireStall(w int, wd *admission.WatchdogConfig, intervals int) {
 	}
 	r.pool.mu.Unlock()
 	if wd.Cancel {
-		r.stallCancelled.Store(true)
-		r.halt()
+		r.cancel(admission.ErrStalled)
 	}
 }

@@ -8,6 +8,7 @@ package pattern
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -73,7 +74,7 @@ func (p *Pattern) NumEdges() int { return p.m }
 func (p *Pattern) HasEdge(u, v Vertex) bool { return p.adj[u]&(1<<uint(v)) != 0 }
 
 // Degree returns d(u).
-func (p *Pattern) Degree(u Vertex) int { return popcount(p.adj[u]) }
+func (p *Pattern) Degree(u Vertex) int { return bits.OnesCount32(p.adj[u]) }
 
 // NeighborMask returns the adjacency bitmask of u.
 func (p *Pattern) NeighborMask(u Vertex) uint32 { return p.adj[u] }
@@ -111,7 +112,7 @@ func (p *Pattern) connectedMask(mask uint32, start Vertex) bool {
 	for frontier != 0 {
 		next := uint32(0)
 		for f := frontier; f != 0; f &= f - 1 {
-			u := trailingZeros(f)
+			u := bits.TrailingZeros32(f)
 			next |= p.adj[u] & mask
 		}
 		frontier = next &^ visited
@@ -126,7 +127,7 @@ func (p *Pattern) InducedConnected(mask uint32) bool {
 	if mask == 0 {
 		return true
 	}
-	return p.connectedMask(mask, trailingZeros(mask))
+	return p.connectedMask(mask, bits.TrailingZeros32(mask))
 }
 
 // String renders the pattern as name(n=…, m=…, edges).
@@ -210,7 +211,7 @@ func (po *PartialOrder) Pairs() [][2]Vertex {
 	var out [][2]Vertex
 	for u := 0; u < po.n; u++ {
 		for m := po.Less[u]; m != 0; m &= m - 1 {
-			out = append(out, [2]Vertex{u, trailingZeros(m)})
+			out = append(out, [2]Vertex{u, bits.TrailingZeros32(m)})
 		}
 	}
 	return out
@@ -260,7 +261,7 @@ func SymmetryBreaking(p *Pattern) *PartialOrder {
 		// Smallest vertex with a non-trivial orbit.
 		v := -1
 		for u := 0; u < p.n; u++ {
-			if popcount(orbit[u]) > 1 {
+			if bits.OnesCount32(orbit[u]) > 1 {
 				v = u
 				break
 			}
@@ -281,27 +282,10 @@ func SymmetryBreaking(p *Pattern) *PartialOrder {
 	return po
 }
 
-func popcount(x uint32) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
-}
-
-func trailingZeros(x uint32) int {
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
-	}
-	return n
-}
-
 func maskToSlice(m uint32) []Vertex {
-	out := make([]Vertex, 0, popcount(m))
+	out := make([]Vertex, 0, bits.OnesCount32(m))
 	for ; m != 0; m &= m - 1 {
-		out = append(out, trailingZeros(m))
+		out = append(out, bits.TrailingZeros32(m))
 	}
 	return out
 }

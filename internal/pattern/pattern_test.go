@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"math/bits"
 	"testing"
 )
 
@@ -156,7 +157,7 @@ func checkBreaksAllAutomorphisms(t *testing.T, p *Pattern) {
 		ok := true
 		for u := 0; u < p.NumVertices(); u++ {
 			for m := po.Less[u]; m != 0; m &= m - 1 {
-				v := trailingZeros(m)
+				v := bits.TrailingZeros32(m)
 				if a[u] >= a[v] {
 					ok = false
 				}

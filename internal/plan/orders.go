@@ -86,12 +86,12 @@ func Choose(p *pattern.Pattern, po *pattern.PartialOrder, stats estimate.GraphSt
 }
 
 // ChooseContext is Choose under a context: the search polls ctx before
-// it starts and once per candidate order, and returns ctx.Err() once
-// ctx is done — a large pattern's orders can cost far more than its
-// run.
+// it starts and once per candidate order, and returns context.Cause(ctx)
+// once ctx is done — a large pattern's orders can cost far more than
+// its run.
 func ChooseContext(ctx context.Context, p *pattern.Pattern, po *pattern.PartialOrder, stats estimate.GraphStats, mode Mode) (*Plan, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	if ctx.Err() != nil {
+		return nil, context.Cause(ctx)
 	}
 	if po == nil {
 		po = pattern.SymmetryBreaking(p)
@@ -107,8 +107,8 @@ func ChooseContext(ctx context.Context, p *pattern.Pattern, po *pattern.PartialO
 // plan's symmetry-breaking constraints. ctx is polled as in
 // ChooseContext.
 func ChooseAnchored(ctx context.Context, p *pattern.Pattern, po *pattern.PartialOrder, stats estimate.GraphStats, mode Mode, a, b pattern.Vertex) (*Plan, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	if ctx.Err() != nil {
+		return nil, context.Cause(ctx)
 	}
 	if !p.HasEdge(a, b) {
 		return nil, fmt.Errorf("plan: (u%d, u%d) is not an edge of pattern %s", a, b, p.Name())
@@ -134,8 +134,8 @@ func cheapest(ctx context.Context, p *pattern.Pattern, po *pattern.PartialOrder,
 	var bestCost float64
 	var bestKey int
 	for _, pi := range orders {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		if ctx.Err() != nil {
+			return nil, context.Cause(ctx)
 		}
 		pl, err := compile(p, po, pi, mode, eager)
 		if err != nil {

@@ -172,10 +172,6 @@ func (pl *Plan) String() string {
 type Mode struct {
 	LazyMaterialization bool // Algorithm 2's deferred σ (LM)
 	MinSetCover         bool // Algorithm 3's operands (MSC)
-	// GreedyCover swaps Algorithm 3's exact minimum set cover for the
-	// ln(n)-approximate greedy solver — an ablation of the paper's
-	// choice to pay O(4^n) for exactness.
-	GreedyCover bool
 }
 
 // Modes for the four evaluated algorithms.
@@ -186,7 +182,7 @@ var (
 	ModeLIGHT = Mode{LazyMaterialization: true, MinSetCover: true}
 )
 
-// Name returns SE, LM, MSC, or LIGHT (ignoring the cover-solver knob).
+// Name returns SE, LM, MSC, or LIGHT.
 func (m Mode) Name() string {
 	switch {
 	case !m.LazyMaterialization && !m.MinSetCover:
@@ -225,7 +221,9 @@ func IsConnectedOrder(p *pattern.Pattern, pi []pattern.Vertex) bool {
 // its COMP, then MAT the leftovers in π order. The first `eager`
 // vertices of π are materialized as soon as they are computed instead of
 // lazily: 1 is the paper's algorithm (only the root, which Algorithm 2
-// materializes first anyway); CompileAnchored passes 2.
+// materializes first anyway); CompileAnchored passes 2, and the modes
+// without lazy materialization (SE, MSC) pass len(π), which materializes
+// every vertex as soon as it is computed.
 func executionOrder(p *pattern.Pattern, pi []pattern.Vertex, eager int) []Op {
 	n := len(pi)
 	visited := make([]bool, p.NumVertices())
@@ -257,23 +255,11 @@ func executionOrder(p *pattern.Pattern, pi []pattern.Vertex, eager int) []Op {
 	return sigma
 }
 
-// interleavedOrder is SE's implicit execution order: (MAT π[1]),
-// (COMP π[2]), (MAT π[2]), … — compute then immediately materialize.
-func interleavedOrder(pi []pattern.Vertex) []Op {
-	sigma := make([]Op, 0, 2*len(pi)-1)
-	sigma = append(sigma, Op{Mat, pi[0]})
-	for _, u := range pi[1:] {
-		sigma = append(sigma, Op{Comp, u}, Op{Mat, u})
-	}
-	return sigma
-}
-
 // operands computes K1/K2 per vertex. With useCover (Algorithm 3), the
 // universe N+(u) is covered by a minimum sub-collection of singletons and
 // reusable candidate sets N+(u′) ⊆ N+(u) of earlier vertices; otherwise
-// (SE semantics) K1 = N+(u) and K2 = ∅. greedy selects the approximate
-// solver instead of the exact one.
-func operands(p *pattern.Pattern, pi []pattern.Vertex, useCover, greedy bool) []Operands {
+// (SE semantics) K1 = N+(u) and K2 = ∅.
+func operands(p *pattern.Pattern, pi []pattern.Vertex, useCover bool) []Operands {
 	n := p.NumVertices()
 	ops := make([]Operands, n)
 	for pos := 1; pos < len(pi); pos++ {
@@ -305,11 +291,7 @@ func operands(p *pattern.Pattern, pi []pattern.Vertex, useCover, greedy bool) []
 		for i, e := range entries {
 			sets[i] = e.mask
 		}
-		solver := setcover.Exact
-		if greedy {
-			solver = setcover.Greedy
-		}
-		cover, ok := solver(universe, sets)
+		cover, ok := setcover.Exact(universe, sets)
 		if !ok {
 			// Cannot happen: singletons always cover. Fall back to SE.
 			ops[u] = Operands{K1: maskVertices(universe)}
@@ -392,18 +374,17 @@ func compile(p *pattern.Pattern, po *pattern.PartialOrder, pi []pattern.Vertex, 
 	}
 
 	pl := &Plan{Pattern: p, PO: po, Pi: pi}
-	if mode.LazyMaterialization {
-		pl.Sigma = executionOrder(p, pi, eager)
-	} else {
-		pl.Sigma = interleavedOrder(pi)
+	if !mode.LazyMaterialization {
+		eager = n
 	}
+	pl.Sigma = executionOrder(p, pi, eager)
 	// Algorithm 2 appends (MAT, π[1]) inside the loop for π[2]'s backward
 	// neighbors; in both modes σ[0] must be (MAT, Pi[0]) because the
 	// engine's root loop performs it.
 	if pl.Sigma[0].Mode != Mat || pl.Sigma[0].Vertex != pi[0] {
 		return nil, fmt.Errorf("plan: internal error: σ[0] = %v, want MAT u%d", pl.Sigma[0], pi[0])
 	}
-	pl.Ops = operands(p, pi, mode.MinSetCover, mode.GreedyCover)
+	pl.Ops = operands(p, pi, mode.MinSetCover)
 
 	// Positions, anchors, free vertices, MAT order.
 	pl.PosInPi = make([]int, n)

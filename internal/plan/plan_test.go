@@ -573,42 +573,6 @@ func TestMarksWellFormed(t *testing.T) {
 	}
 }
 
-func TestGreedyCoverStillCoversAndNeverBeatsExact(t *testing.T) {
-	for _, p := range pattern.Catalog() {
-		po := pattern.SymmetryBreaking(p)
-		for _, pi := range ConnectedOrders(p, po) {
-			exact, err := Compile(p, po, pi, ModeLIGHT)
-			if err != nil {
-				t.Fatal(err)
-			}
-			greedy, err := Compile(p, po, pi, Mode{LazyMaterialization: true, MinSetCover: true, GreedyCover: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for u := 0; u < p.NumVertices(); u++ {
-				if u == pi[0] {
-					continue
-				}
-				// Greedy still covers N+(u)...
-				var covered uint32
-				for _, w := range greedy.Ops[u].K1 {
-					covered |= 1 << uint(w)
-				}
-				for _, w := range greedy.Ops[u].K2 {
-					covered |= backwardOf(p, pi, w)
-				}
-				if covered != backwardOf(p, pi, u) {
-					t.Fatalf("%s π=%v u%d: greedy cover incomplete", p.Name(), pi, u)
-				}
-				// ...and exact never costs more intersections.
-				if exact.Ops[u].W() > greedy.Ops[u].W() {
-					t.Fatalf("%s π=%v u%d: exact w %d > greedy w %d", p.Name(), pi, u, exact.Ops[u].W(), greedy.Ops[u].W())
-				}
-			}
-		}
-	}
-}
-
 func TestModeNames(t *testing.T) {
 	if ModeSE.Name() != "SE" || ModeLM.Name() != "LM" || ModeMSC.Name() != "MSC" || ModeLIGHT.Name() != "LIGHT" {
 		t.Fatal("mode names wrong")

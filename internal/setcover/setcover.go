@@ -2,8 +2,7 @@
 // paper's Algorithm 3: the universe is N+(u) (at most n-1 pattern
 // vertices) and the collection has at most 2(n-1) sets, so the exact
 // exponential search the paper uses (O(4^n) total across all vertices) is
-// the right tool. A greedy solver is provided for comparison and as a
-// safety valve for larger instances.
+// the right tool.
 package setcover
 
 import "math/bits"
@@ -58,27 +57,4 @@ func search(remaining uint32, sets []uint32, budget int, chosen []int) []int {
 		}
 	}
 	return nil
-}
-
-// Greedy returns a greedy set cover: repeatedly pick the set covering the
-// most uncovered elements (ties to the earliest set). ok is false when
-// the universe cannot be covered. The result is within a ln(|U|) factor
-// of optimal.
-func Greedy(universe uint32, sets []uint32) (cover []int, ok bool) {
-	remaining := universe
-	for remaining != 0 {
-		best, bestGain := -1, 0
-		for i, s := range sets {
-			gain := bits.OnesCount32(s & remaining)
-			if gain > bestGain {
-				best, bestGain = i, gain
-			}
-		}
-		if best == -1 {
-			return nil, false
-		}
-		cover = append(cover, best)
-		remaining &^= sets[best]
-	}
-	return cover, true
 }

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func union(sets []uint32, idx []int) uint32 {
@@ -44,20 +43,6 @@ func TestExactPrefersFewestSets(t *testing.T) {
 	}
 	if union([]uint32{0b001, 0b010, 0b100, 0b110}, cover) != 0b111 {
 		t.Fatal("cover does not cover universe")
-	}
-}
-
-func TestGreedy(t *testing.T) {
-	sets := []uint32{0b0011, 0b1100, 0b0110}
-	cover, ok := Greedy(0b1111, sets)
-	if !ok || union(sets, cover)&0b1111 != 0b1111 {
-		t.Fatalf("greedy cover invalid: %v", cover)
-	}
-	if _, ok := Greedy(0b1000, []uint32{0b0111}); ok {
-		t.Fatal("greedy covered the uncoverable")
-	}
-	if c, ok := Greedy(0, nil); !ok || len(c) != 0 {
-		t.Fatal("greedy empty universe")
 	}
 }
 
@@ -106,55 +91,5 @@ func TestExactMatchesBruteForce(t *testing.T) {
 				t.Fatalf("trial %d: |cover| = %d, brute optimum %d", trial, covLen, want)
 			}
 		}
-	}
-}
-
-// TestQuickGreedyFeasibility: whenever the union covers the universe,
-// Greedy must find some cover and it must be valid.
-func TestQuickGreedyFeasibility(t *testing.T) {
-	f := func(raw []uint16, uni uint16) bool {
-		sets := make([]uint32, 0, len(raw))
-		var all uint32
-		for _, r := range raw {
-			sets = append(sets, uint32(r))
-			all |= uint32(r)
-		}
-		universe := uint32(uni) & all // guaranteed coverable
-		cover, ok := Greedy(universe, sets)
-		if !ok {
-			return false
-		}
-		return union(sets, cover)&universe == universe
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQuickExactNeverBeatenByGreedy: Exact is never larger than Greedy.
-func TestQuickExactNeverBeatenByGreedy(t *testing.T) {
-	f := func(raw []uint8, uni uint8) bool {
-		if len(raw) > 8 {
-			raw = raw[:8]
-		}
-		sets := make([]uint32, 0, len(raw))
-		var all uint32
-		for _, r := range raw {
-			sets = append(sets, uint32(r))
-			all |= uint32(r)
-		}
-		universe := uint32(uni) & all
-		ec, eok := Exact(universe, sets)
-		gc, gok := Greedy(universe, sets)
-		if eok != gok {
-			return false
-		}
-		if !eok {
-			return true
-		}
-		return len(ec) <= len(gc)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -1,13 +1,11 @@
 // Package supervise is the supervision layer of the enumeration
 // runtime: it isolates panics (from user visit callbacks and from
-// worker internals) into ordinary errors, ties runs to a
-// context.Context, and persists resumable checkpoints of parallel
-// runs. The parallel scheduler and the public light API build on it;
+// worker internals) into ordinary errors and persists resumable
+// checkpoints of parallel runs. The parallel scheduler and the public light API build on it;
 // nothing here is specific to one scheduler.
 package supervise
 
 import (
-	"context"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -85,31 +83,5 @@ func SafeVisit(where string, visit engine.VisitFunc) (wrapped engine.VisitFunc, 
 		mu.Lock()
 		defer mu.Unlock()
 		return perr
-	}
-}
-
-// WatchContext invokes onStop once when ctx is cancelled or its
-// deadline passes. The returned release function detaches the watcher
-// and must be called when the run finishes; it blocks until the
-// watcher goroutine has exited, so onStop never fires after release
-// returns. Contexts that can never be cancelled install no watcher.
-func WatchContext(ctx context.Context, onStop func()) (release func()) {
-	if ctx == nil || ctx.Done() == nil {
-		return func() {}
-	}
-	finished := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		select {
-		case <-ctx.Done():
-			onStop()
-		case <-finished:
-		}
-	}()
-	return func() {
-		close(finished)
-		wg.Wait()
 	}
 }

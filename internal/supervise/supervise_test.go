@@ -1,7 +1,6 @@
 package supervise
 
 import (
-	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -122,37 +121,4 @@ func TestSafeVisitPassesThroughFalse(t *testing.T) {
 	if err := errf(); err != nil {
 		t.Fatalf("no panic, but err = %v", err)
 	}
-}
-
-func TestWatchContextFiresOnCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	fired := make(chan struct{})
-	release := WatchContext(ctx, func() { close(fired) })
-	cancel()
-	select {
-	case <-fired:
-	case <-time.After(5 * time.Second):
-		t.Fatal("onStop never fired after cancel")
-	}
-	release()
-}
-
-func TestWatchContextReleaseSuppressesOnStop(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var fired atomic.Bool
-	release := WatchContext(ctx, func() { fired.Store(true) })
-	release() // run finished first; watcher must detach
-	cancel()
-	time.Sleep(10 * time.Millisecond)
-	if fired.Load() {
-		t.Fatal("onStop fired after release returned")
-	}
-}
-
-func TestWatchContextBackgroundIsNoop(t *testing.T) {
-	release := WatchContext(context.Background(), func() { t.Fatal("onStop on background ctx") })
-	release()
-	release = WatchContext(nil, func() { t.Fatal("onStop on nil ctx") })
-	release()
 }

@@ -43,7 +43,9 @@ import (
 	"light/internal/supervise"
 )
 
-// ErrTimeLimit is returned when Options.TimeLimit elapses mid-run.
+// ErrTimeLimit is returned when Options.TimeLimit elapses mid-run: it is
+// the cause of the run's timeout context, so the run stops exactly as a
+// context deadline stops it.
 var ErrTimeLimit = errors.New("light: time limit exceeded")
 
 // VertexID identifies a data vertex (a 32-bit unsigned integer, as in
@@ -402,7 +404,10 @@ type Options struct {
 	// the end. 0 means one worker, which walks the root candidates in
 	// full chunks.
 	Workers int
-	// TimeLimit aborts the run with ErrTimeLimit when positive.
+	// TimeLimit, when positive, bounds the run like a context deadline
+	// whose error is ErrTimeLimit: the run stops at its next poll and
+	// returns its partial result with Stopped=true. The clock starts
+	// after plan search and the wait for admission.
 	TimeLimit time.Duration
 	// Filter, when non-nil, must approve every (pattern vertex, data
 	// vertex) assignment: return false to skip mapping data vertex v
@@ -473,7 +478,11 @@ type Result struct {
 	// CandidateMemoryBytes is the candidate-set buffer memory across all
 	// workers (Table V).
 	CandidateMemoryBytes int64
-	// Stopped reports that the visitor ended the run early.
+	// Stopped reports that the run ended before it finished its work:
+	// the visitor returned false (with no error), or its context ended,
+	// Options.TimeLimit elapsed or the stall watchdog cancelled it (with
+	// that cause as the error). A time-limited run reports it exactly as
+	// a context-deadline run does.
 	Stopped bool
 	// Report is the full structured metrics report of the run (the
 	// engine counters above plus scheduler observability); always
@@ -484,8 +493,8 @@ type Result struct {
 // preparePlan compiles the pattern under the options, planning from the
 // snapshot's base-CSR statistics (pending deltas shift costs, never the
 // match set, so base statistics keep the plan sound). The order search
-// polls ctx once per candidate order and returns ctx.Err() when it is
-// done.
+// polls ctx once per candidate order and returns context.Cause(ctx)
+// when it is done.
 func preparePlan(ctx context.Context, st *snapshotState, p *Pattern, opts Options) (*plan.Plan, error) {
 	return plan.ChooseContext(ctx, p.p, pattern.SymmetryBreaking(p.p), st.planStats(), opts.Algorithm.mode())
 }
@@ -510,7 +519,9 @@ func Count(g *Graph, p *Pattern, opts Options) (Result, error) {
 
 // CountContext is Count under a context: cancellation or a context
 // deadline stops the run at its next poll and returns the partial
-// count with Stopped=true and ctx.Err() as the error.
+// count with Stopped=true and context.Cause(ctx) as the error (ctx.Err()
+// unless ctx was cancelled with a cause); a ctx done before the run
+// starts returns the same error.
 func CountContext(ctx context.Context, g *Graph, p *Pattern, opts Options) (Result, error) {
 	return run(ctx, g, p, opts, nil)
 }
@@ -538,8 +549,8 @@ func Enumerate(g *Graph, p *Pattern, opts Options, visit func(mapping []VertexID
 
 // EnumerateContext is Enumerate under a context: cancellation or a
 // context deadline stops the run at its next poll and returns the
-// partial result with Stopped=true and ctx.Err() as the error. The
-// visitor contract is Enumerate's: matches arrive in an unspecified
+// partial result with Stopped=true and context.Cause(ctx) as the error.
+// The visitor contract is Enumerate's: matches arrive in an unspecified
 // order, and visit is never called again after returning false.
 func EnumerateContext(ctx context.Context, g *Graph, p *Pattern, opts Options, visit func(mapping []VertexID) bool) (Result, error) {
 	if visit == nil {
@@ -571,10 +582,9 @@ func run(ctx context.Context, g *Graph, p *Pattern, opts Options, visit engine.V
 // and the report.
 func execute(ctx context.Context, st *snapshotState, pl *plan.Plan, opts Options, visit engine.VisitFunc) (Result, error) {
 	popts := parallel.Options{Engine: engine.Options{
-		Kernel:    opts.Intersection.kind(),
-		TimeLimit: opts.TimeLimit,
-		Filter:    opts.Filter,
-		Overlay:   st.view.Overlay(),
+		Kernel:  opts.Intersection.kind(),
+		Filter:  opts.Filter,
+		Overlay: st.view.Overlay(),
 	}}
 	start := time.Now()
 	if opts.CheckpointPath != "" {
@@ -591,7 +601,7 @@ func execute(ctx context.Context, st *snapshotState, pl *plan.Plan, opts Options
 		popts.Resume = ck
 	}
 
-	r, err := opts.governed(ctx, popts, func(popts parallel.Options) (parallel.Result, error) {
+	r, err := opts.governed(ctx, popts, func(ctx context.Context, popts parallel.Options) (parallel.Result, error) {
 		return parallel.RunContext(ctx, st.view.Base(), pl, popts, visit)
 	})
 	if r == nil {
@@ -614,8 +624,6 @@ func execute(ctx context.Context, st *snapshotState, pl *plan.Plan, opts Options
 
 func mapErr(err error) error {
 	switch {
-	case errors.Is(err, engine.ErrTimeLimit):
-		return ErrTimeLimit
 	case errors.Is(err, engine.ErrMemoryBudget):
 		return ErrMemoryBudget
 	case errors.Is(err, admission.ErrOverloaded):

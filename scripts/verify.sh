@@ -110,7 +110,7 @@ run_named . 'TestConcurrentQueriesHubThreshold|TestHubIndexOneBuildAcrossQueries
 echo "==> go test -race -cpu 2,4 governor (runs sharing the Governor's pool, memory ceiling, admission timeout, stall watchdog)"
 run_named . 'TestGovernor|TestMemoryBudget|TestAdmissionOverloaded|TestStallWatchdog' -race -cpu 2,4 -timeout 10m
 
-echo "==> go test -race -cpu 1,2,4: visitor stop latch, anchored scheduler, CountDelta oracles, default-kernel equivalence, Filter called from several workers, counter baseline, report = result, marks kept across runs"
+echo "==> go test -race -cpu 1,2,4: visitor stop latch, every stop cause, anchored scheduler, CountDelta oracles, default-kernel equivalence, Filter called from several workers, counter baseline, report = result, marks kept across runs"
 # The stop latch only matters with two or more workers really running at
 # once, CountDelta's visitors run unserialized, the default kernel's hub
 # probing is the path every zero-Options query takes, Options.Filter runs
@@ -120,7 +120,11 @@ echo "==> go test -race -cpu 1,2,4: visitor stop latch, anchored scheduler, Coun
 # worker count and GOMAXPROCS, as is a report's agreement with its run's
 # result, and marks are per-worker state that must keep serial and 4T
 # alike: a 1-CPU runner must never be the only evidence for any of them.
-run_named ./internal/parallel/ 'TestVisitorNeverCalledAfterStop|TestRunAnchored' -race -cpu 1,2,4 -timeout 10m
+# Every early end of a run is a cancel of its one context; the stop
+# tests check each cause, through the pool and through the public entry
+# points, at every worker count.
+run_named ./internal/parallel/ 'TestVisitorNeverCalledAfterStop|TestStopCauses|TestRunAnchored' -race -cpu 1,2,4 -timeout 10m
+run_named . 'TestTimeLimitSurfaced|TestCountContextDeadline|TestEnumerateContext|TestCountBatchContextCancel|TestBatchRunCancellation|TestCancelledContextSkipsPlanning' -race -cpu 1,2,4 -timeout 10m
 run_named . 'TestCountDelta|TestDefaultKernel|TestCountOptionMatrix' -race -cpu 1,2,4 -timeout 10m
 run_named . 'TestCounterBaseline|TestRunReportMatchesResult' -race -cpu 1,2,4 -timeout 10m
 run_named ./internal/engine/ 'TestMarksAcrossRuns' -race -cpu 1,2,4 -timeout 10m
